@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 from dataclasses import dataclass
 
 from . import adams, k1, margolis, modules
@@ -244,14 +245,31 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
         return
-    tmp = out + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, out)
+    directory, name = os.path.split(out)
+    fd, tmp = tempfile.mkstemp(dir=directory or ".", prefix=name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            # mkstemp makes the file 0600; give it the mode open() would
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
+            fh.write(text)
+        os.replace(tmp, out)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _dump(obj) -> str:
     return json.dumps(obj, indent=1, sort_keys=True) + "\n"
+
+
+def _nonnegative(text: str) -> int:
+    """argparse type for degree and filtration bounds."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _parse_window(args) -> tuple[int, int] | None:
@@ -296,19 +314,19 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("selector", nargs="*")
     c.add_argument("--window", metavar="a:b")
     c.add_argument("--einfty", action="store_true")
-    c.add_argument("--max-s", dest="max_s", type=int)
+    c.add_argument("--max-s", dest="max_s", type=_nonnegative)
 
     a = sub.add_parser("audit", help="run a cross-check and report")
     common(a, ("json",))
     a.add_argument("--which", required=True, choices=AUDITS)
-    a.add_argument("--max", dest="max_n", type=int)
-    a.add_argument("--max-degree", dest="max_degree", type=int)
-    a.add_argument("--max-s", dest="max_s", type=int)
+    a.add_argument("--max", dest="max_n", type=_nonnegative)
+    a.add_argument("--max-degree", dest="max_degree", type=_nonnegative)
+    a.add_argument("--max-s", dest="max_s", type=_nonnegative)
 
     s = sub.add_parser("ps", help="Poincare series dump")
     common(s, ("json", "csv"))
     s.add_argument("--which", choices=SERIES, default="free")
-    s.add_argument("--max", dest="max_n", type=int, default=100)
+    s.add_argument("--max", dest="max_n", type=_nonnegative, default=100)
     return top
 
 

@@ -1,16 +1,16 @@
-"""Exact linear algebra over F_p and over the p-local integers.
+"""Exact linear algebra over F_p and over the p-local integers, in pure
+Python.
 
-Three jobs only:
+Two jobs:
 
-* gf_rank: ranks of (possibly large, dense) matrices over F_p, used by the
-  Margolis/Ext oracles.  p = 2 gets a bit-packed XOR path; odd primes use
-  vectorized modular elimination.
-
-* gf_rank_sparse: the same rank from a (row, col, coeff) triple list, with
-  word-packed elimination planes for p = 2 and p = 3.  This is the path the
-  brute-force Ext calculator takes: its boundary matrices are large but
-  very sparse, and packing 64 columns per machine word keeps the whole
-  window in the "minutes" regime.
+* gf_rank_sparse: the rank over F_p of a matrix given as a
+  (row, col, coeff) entry list.  This is the one elimination kernel; it
+  serves the Margolis-homology and brute-force Ext oracles, whose
+  boundary matrices are large but very sparse.  For p = 2 each row is a
+  Python int used as a bitset and reduced by XOR against pivots keyed by
+  leading bit; for odd p each row is a {col: coeff} dict reduced against
+  monic pivots keyed by lowest column.  No dense nrows x ncols array is
+  ever built.  gf_rank is a thin adapter for a dense list of rows.
 
 * cokernel_exponents: the p-exponents e_i of a finite cokernel
   Z_(p)^ncols / rowspan, used to turn chart presentations into explicit
@@ -22,64 +22,12 @@ Three jobs only:
 
 from __future__ import annotations
 
-import numpy as np
 
-
-def gf_rank(mat: np.ndarray, p: int) -> int:
-    """Rank over F_p of an integer matrix (any dtype; reduced mod p here)."""
-    if mat.size == 0:
-        return 0
-    if p == 2:
-        return _gf2_rank_bitpacked(mat)
-    a = np.ascontiguousarray(mat % p, dtype=np.int64)
-    rows, cols = a.shape
-    rank = 0
-    for c in range(cols):
-        piv = None
-        for r in range(rank, rows):
-            if a[r, c] % p:
-                piv = r
-                break
-        if piv is None:
-            continue
-        if piv != rank:
-            a[[rank, piv]] = a[[piv, rank]]
-        inv = pow(int(a[rank, c]), p - 2, p)
-        a[rank, c:] = (a[rank, c:] * inv) % p
-        col = a[rank + 1 :, c].copy()
-        nz = np.nonzero(col)[0]
-        if nz.size:
-            a[rank + 1 + nz, c:] = (
-                a[rank + 1 + nz, c:] - np.outer(col[nz], a[rank, c:])
-            ) % p
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
-def _gf2_rank_bitpacked(mat: np.ndarray) -> int:
-    rows = []
-    ncols = mat.shape[1]
-    for r in range(mat.shape[0]):
-        bits = 0
-        row = mat[r]
-        for c in np.nonzero(row % 2)[0]:
-            bits |= 1 << int(c)
-        if bits:
-            rows.append(bits)
-    rank = 0
-    pivots: dict[int, int] = {}
-    for row in rows:
-        while row:
-            lead = row.bit_length() - 1
-            if lead in pivots:
-                row ^= pivots[lead]
-            else:
-                pivots[lead] = row
-                rank += 1
-                break
-    return rank
+def gf_rank(mat: list[list[int]], p: int) -> int:
+    """Rank over F_p of a dense integer matrix given as a list of equal-length
+    rows (entries reduced mod p here)."""
+    entries = [(r, c, v) for r, row in enumerate(mat) for c, v in enumerate(row) if v]
+    return gf_rank_sparse(entries, len(mat), len(mat[0]) if mat else 0, p)
 
 
 def gf_rank_sparse(
@@ -90,82 +38,41 @@ def gf_rank_sparse(
     if nrows == 0 or ncols == 0 or not entries:
         return 0
     if p == 2:
-        return _rank2_packed(entries, nrows, ncols)
-    if p == 3:
-        return _rank3_packed(entries, nrows, ncols)
-    mat = np.zeros((nrows, ncols), dtype=np.int64)
+        bits = [0] * nrows
+        for r, c, v in entries:
+            if v & 1:
+                bits[r] ^= 1 << c
+        lead_pivots: dict[int, int] = {}
+        for row in bits:
+            while row:
+                lead = row.bit_length() - 1
+                piv = lead_pivots.get(lead)
+                if piv is None:
+                    lead_pivots[lead] = row
+                    break
+                row ^= piv
+        return len(lead_pivots)
+    acc: list[dict[int, int]] = [{} for _ in range(nrows)]
     for r, c, v in entries:
-        mat[r, c] += v
-    return gf_rank(mat, p)
-
-
-def _rank2_packed(entries, nrows, ncols):
-    words = (ncols + 63) >> 6
-    m = np.zeros((nrows, words), dtype=np.uint64)
-    for r, c, v in entries:
-        if v & 1:
-            m[r, c >> 6] ^= np.uint64(1 << (c & 63))
-    one = np.uint64(1)
-    rank = 0
-    for c in range(ncols):
-        if rank == nrows:
-            break
-        w, b = c >> 6, np.uint64(c & 63)
-        nz = np.nonzero((m[rank:, w] >> b) & one)[0]
-        if nz.size == 0:
-            continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            m[[rank, piv]] = m[[piv, rank]]
-        sel = rank + 1 + np.nonzero((m[rank + 1 :, w] >> b) & one)[0]
-        if sel.size:
-            m[sel] ^= m[rank]
-        rank += 1
-    return rank
-
-
-def _rank3_packed(entries, nrows, ncols):
-    # Digits of F_3 live in two bit planes: lo marks value 1, hi marks 2.
-    # Plane-swapping negates; bitwise sum-mod-3 follows the truth table below.
-    acc: dict[tuple[int, int], int] = {}
-    for r, c, v in entries:
-        acc[(r, c)] = (acc.get((r, c), 0) + v) % 3
-    words = (ncols + 63) >> 6
-    lo = np.zeros((nrows, words), dtype=np.uint64)
-    hi = np.zeros((nrows, words), dtype=np.uint64)
-    for (r, c), v in acc.items():
-        if v == 1:
-            lo[r, c >> 6] |= np.uint64(1 << (c & 63))
-        elif v == 2:
-            hi[r, c >> 6] |= np.uint64(1 << (c & 63))
-    one = np.uint64(1)
-    rank = 0
-    for c in range(ncols):
-        if rank == nrows:
-            break
-        w, b = c >> 6, np.uint64(c & 63)
-        nz = np.nonzero(((lo[rank:, w] | hi[rank:, w]) >> b) & one)[0]
-        if nz.size == 0:
-            continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            lo[[rank, piv]] = lo[[piv, rank]]
-            hi[[rank, piv]] = hi[[piv, rank]]
-        if (hi[rank, w] >> b) & one:
-            lo[rank], hi[rank] = hi[rank].copy(), lo[rank].copy()
-        plo, phi = lo[rank].copy(), hi[rank].copy()
-        sel1 = rank + 1 + np.nonzero((lo[rank + 1 :, w] >> b) & one)[0]
-        sel2 = rank + 1 + np.nonzero((hi[rank + 1 :, w] >> b) & one)[0]
-        # value-1 rows subtract the pivot (add twice it: planes swapped);
-        # value-2 rows subtract it twice (add it once: planes as-is).
-        for sel, blo, bhi in ((sel1, phi, plo), (sel2, plo, phi)):
-            if sel.size == 0:
-                continue
-            alo, ahi = lo[sel], hi[sel]
-            lo[sel] = (alo & ~blo & ~bhi) | (blo & ~alo & ~ahi) | (ahi & bhi)
-            hi[sel] = (ahi & ~blo & ~bhi) | (bhi & ~alo & ~ahi) | (alo & blo)
-        rank += 1
-    return rank
+        acc[r][c] = acc[r].get(c, 0) + v
+    pivots: dict[int, dict[int, int]] = {}
+    for raw in acc:
+        row = {c: v % p for c, v in raw.items() if v % p}
+        while row:
+            lead = min(row)
+            piv = pivots.get(lead)
+            if piv is None:
+                inv = pow(row[lead], p - 2, p)
+                pivots[lead] = {c: v * inv % p for c, v in row.items()}
+                break
+            f = row[lead]
+            for c, v in piv.items():
+                x = (row.get(c, 0) - f * v) % p
+                if x:
+                    row[c] = x
+                else:  # c is in row: f and v are units, so x != 0 otherwise
+                    del row[c]
+    return len(pivots)
 
 
 def cokernel_exponents(rows: list[list[int]], ncols: int, p: int) -> list[int]:

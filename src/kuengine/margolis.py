@@ -28,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-import numpy as np
-
 from .linalg import gf_rank, gf_rank_sparse
 from .monomial import q_degree
 from .series import PSeries
@@ -396,10 +394,10 @@ def margolis_homology(M: E1Module, which: str, D: int) -> list[int]:
         if not src or not tgt:
             return 0
         tpos = {l: i for i, l in enumerate(tgt)}
-        mat = np.zeros((len(tgt), len(src)), dtype=np.int64)
+        mat = [[0] * len(src) for _ in tgt]
         for j, lbl in enumerate(src):
             for t, c in qmap.get(lbl, {}).items():
-                mat[tpos[t], j] = c
+                mat[tpos[t]][j] = c
         return gf_rank(mat, M.p)
 
     out = []

@@ -153,3 +153,53 @@ def test_bad_subcommand_is_an_argparse_error():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["audit", "--which", "ext", "--max-degree", "-1"],
+        ["audit", "--which", "ext", "--max-s", "-1"],
+        ["audit", "--which", "einfty", "--max", "-3"],
+        ["audit", "--which", "margolis", "--max", "-1"],
+        ["ps", "--max", "-1"],
+        ["chart", "--einfty", "--window", "0:20", "--max-s", "-1"],
+    ),
+)
+def test_negative_bounds_are_usage_errors(argv, capsys):
+    # exit 1 would read as a failed audit; a bad bound is a usage error
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "must be >= 0" in capsys.readouterr().err
+
+
+def test_zero_bounds_are_accepted(capsys):
+    rc, out, _ = run(["ps", "--prime", "2", "--max", "0"], capsys)
+    assert rc == 0
+    assert json.loads(out) == list(margolis.free_part_ps(2, 0).c)
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
+    target = tmp_path / "a1.json"
+    target.write_text("previous\n")
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        cli.main(["chart", "A:1", "--prime", "2", "--out", str(target)])
+    assert os.listdir(tmp_path) == ["a1.json"]
+    assert target.read_text() == "previous\n"
+
+
+def test_emit_keeps_the_umask_file_mode(tmp_path, capsys):
+    target = tmp_path / "a1.json"
+    old = os.umask(0o022)
+    try:
+        rc, _, _ = run(["chart", "A:1", "--prime", "2", "--out", str(target)], capsys)
+    finally:
+        os.umask(old)
+    assert rc == 0
+    assert target.stat().st_mode & 0o777 == 0o644

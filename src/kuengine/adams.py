@@ -51,6 +51,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .chart import tower_dots
 from .modules import full_chart
 from .monomial import (
     Monomial,
@@ -308,6 +309,25 @@ class BigradedPage:
     def dims_at(self, n: int, s: int) -> int:
         return len(self.dots_at(n, s))
 
+    def window_dots(self, heights: dict[Key, int | None]):
+        """Every (key, a) inside the window, each tower cut to its height
+        in heights (None = v-free) and at filtration s_max."""
+        for key, tw in self.towers.items():
+            h = heights[key]
+            cap = self.s_max - tw.s0 + 1
+            cap = cap if h is None else min(h, cap)
+            for a in tower_dots(tw.n0, cap, self.w, self.n_lo, self.n_hi):
+                yield key, a
+
+    def dims(self, heights: dict[Key, int | None]) -> dict[tuple[int, int], int]:
+        """(n, s) -> number of window dots, towers cut to heights."""
+        out: dict[tuple[int, int], int] = {}
+        for key, a in self.window_dots(heights):
+            tw = self.towers[key]
+            ns = (tw.n0 - self.w * a, tw.s0 + a)
+            out[ns] = out.get(ns, 0) + 1
+        return out
+
     def basis_at(self, n: int, s: int) -> list[str]:
         return [dot_label(self.p, key, a) for key, a in self.dots_at(n, s)]
 
@@ -386,10 +406,6 @@ def _absence_ok(page: BigradedPage, key: Key) -> bool:
     return key[0] == "h0" and key[1] > page.s_max
 
 
-def _target_label(p: int, key: Key, e0: int) -> str:
-    return dot_label(p, key, e0)
-
-
 def run_differentials(page: BigradedPage):
     """Replay every differential over the window.
 
@@ -436,7 +452,7 @@ def run_differentials(page: BigradedPage):
                 f.r,
                 page.towers[k].n0,
                 page.towers[k].label,
-                _target_label(p, f.partner, f.e0),
+                dot_label(p, f.partner, f.e0),
             )
         )
 
@@ -456,23 +472,9 @@ def run_differentials(page: BigradedPage):
             )
         heights[k] = f.e0
         src = tower(p, f.partner)
-        records.append((f.r, src.n0, src.label, _target_label(p, k, f.e0)))
+        records.append((f.r, src.n0, src.label, dot_label(p, k, f.e0)))
 
-    einf: dict[tuple[int, int], int] = {}
-    for k, tw in page.towers.items():
-        h = heights[k]
-        a = 0
-        while True:
-            if h is not None and a >= h:
-                break
-            n = tw.n0 - page.w * a
-            s = tw.s0 + a
-            if n < page.n_lo or s > page.s_max:
-                break
-            if n <= page.n_hi:
-                einf[(n, s)] = einf.get((n, s), 0) + 1
-            a += 1
-
+    einf = page.dims(heights)
     records.sort()
     applied = [
         {"r": r, "source_label": sl, "target_label": tl} for r, _, sl, tl in records
@@ -565,21 +567,7 @@ def matching_audit(p: int, n_lo: int, n_hi: int, s_max: int) -> dict:
 def e2_dims(p: int, n_lo: int, n_hi: int, s_max: int) -> dict[tuple[int, int], int]:
     """Closed-form reduced E2 dimensions over the window (no differentials)."""
     page = e2_window(p, n_lo, n_hi, s_max)
-    dims: dict[tuple[int, int], int] = {}
-    for key, tw in page.towers.items():
-        h = page.heights[key]
-        a = 0
-        while True:
-            if h is not None and a >= h:
-                break
-            n = tw.n0 - page.w * a
-            s = tw.s0 + a
-            if n < n_lo or s > s_max:
-                break
-            if n <= n_hi:
-                dims[(n, s)] = dims.get((n, s), 0) + 1
-            a += 1
-    return dims
+    return page.dims(page.heights)
 
 
 def einfty_audit(p: int, n_hi: int, s_max: int | None = None) -> dict:
@@ -590,15 +578,11 @@ def einfty_audit(p: int, n_hi: int, s_max: int | None = None) -> dict:
     the per-degree totals against the F_p-length of ku^n.
     """
     ch = full_chart(p, n_hi)
-    chart_counts: dict[tuple[int, int], int] = {}
-    chart_smax = 0
-    for n in range(n_hi + 1):
-        for d in ch.dots_at(n):
-            s = ch.dot_filtration(d)
-            chart_counts[(n, s)] = chart_counts.get((n, s), 0) + 1
-            chart_smax = max(chart_smax, s)
+    chart_counts = Counter(
+        (n, ch.dot_filtration(d)) for n in range(n_hi + 1) for d in ch.dots_at(n)
+    )
     if s_max is None:
-        s_max = chart_smax + 4
+        s_max = max((s for _, s in chart_counts), default=0) + 4
     page = e2_window(p, 0, n_hi, s_max)
     einf, applied = run_differentials(page)
 
@@ -607,9 +591,12 @@ def einfty_audit(p: int, n_hi: int, s_max: int | None = None) -> dict:
         a, b = einf.get(key, 0), chart_counts.get(key, 0)
         if a != b:
             mismatches.append({"n": key[0], "s": key[1], "einfty": a, "chart": b})
+    totals: Counter = Counter()
+    for (n, _), v in einf.items():
+        totals[n] += v
     length_mismatches = []
     for n in range(n_hi + 1):
-        total = sum(v for (m, _), v in einf.items() if m == n)
+        total = totals[n]
         length = sum(ch.group_at(n))
         if total != length:
             length_mismatches.append({"n": n, "einfty": total, "ku_length": length})

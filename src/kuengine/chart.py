@@ -25,7 +25,17 @@ from typing import Iterable, Sequence
 from .linalg import group_exponents, cokernel_exponents
 from .monomial import Monomial
 
-UNBOUNDED = None
+
+def tower_dots(
+    top: int, height: int | None, step: int, lo: int, hi: int
+) -> range:
+    """The a >= 0 below height (None = unbounded) whose dot degree
+    top - step*a lies in [lo, hi]: the one place that walks a tower."""
+    first = max(0, -((hi - top) // step))
+    stop = (top - lo) // step + 1
+    if height is not None:
+        stop = min(stop, height)
+    return range(first, stop)
 
 
 @dataclass(frozen=True)
@@ -65,6 +75,7 @@ class Chart:
             if e.src in self._edge_by_src:
                 raise ValueError(f"two edges from the same dot {e.src}")
             self._edge_by_src[e.src] = e
+        self._by_degree: dict[int, list[tuple[int, int]]] | None = None
         self.validate()
 
     # -- basic access --------------------------------------------------------
@@ -100,17 +111,22 @@ class Chart:
                     raise ValueError(f"edge target must raise filtration: {e}")
 
     # -- dots and groups ------------------------------------------------------
+    def _degree_index(self) -> dict[int, list[tuple[int, int]]]:
+        """degree -> dots in tower order, built on the first query."""
+        if self._by_degree is None:
+            step = 2 * (self.p - 1)
+            index: dict[int, list[tuple[int, int]]] = {}
+            for t in self.towers:
+                if t.height is None:
+                    raise ValueError(f"tower {t.gen.render()} is unbounded")
+                top = t.gen_degree
+                for a in range(t.height):
+                    index.setdefault(top - step * a, []).append((t.id, a))
+            self._by_degree = index
+        return self._by_degree
+
     def dots_at(self, n: int) -> list[tuple[int, int]]:
-        out = []
-        step = 2 * (self.p - 1)
-        for t in self.towers:
-            diff = t.gen_degree - n
-            if diff < 0 or diff % step:
-                continue
-            a = diff // step
-            if t.dot_exists(a):
-                out.append((t.id, a))
-        return out
+        return list(self._degree_index().get(n, ()))
 
     def min_dot_degree(self) -> int | None:
         """Smallest degree carrying a dot (None for an empty chart)."""
@@ -153,7 +169,7 @@ class Chart:
 
     def dims_at(self, n: int) -> int:
         """F_p-dimension of dots in degree n (composition length)."""
-        return len(self.dots_at(n))
+        return len(self._degree_index().get(n, ()))
 
     # -- combinators -----------------------------------------------------------
     def tensor_monomial(self, m: Monomial) -> "Chart":

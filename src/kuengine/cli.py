@@ -198,7 +198,10 @@ def cmd_audit(
     if which == "einfty":
         return adams.einfty_audit(p, max_n if max_n is not None else 120, max_s)
     if which == "duality":
-        return modules.duality_audit(p, max_n if max_n is not None else 4)
+        try:
+            return modules.duality_audit(p, max_n if max_n is not None else 4)
+        except ValueError as exc:
+            raise UsageError(f"audit duality: {exc}") from exc
     if which == "theorem61":
         try:
             return k1.theorem61_audit(p, max_n if max_n is not None else 200)

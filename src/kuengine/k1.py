@@ -42,13 +42,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .modules import build_A, build_B, build_S, full_chart, ku_group_at
+from .chart import tower_dots
+from .modules import _round_up, build_A, build_B, build_S, full_chart, ku_group_at
 from .monomial import k0, lambda_family, q_degree, z_degree
 from .padic import r, r_prime, w_degree
-
-
-def _round_up(n: int, step: int = 50) -> int:
-    return max(step, -(-n // step) * step)
 
 
 @lru_cache(maxsize=None)
@@ -60,12 +57,8 @@ def k1_dims(p: int, n_max: int) -> tuple[int, ...]:
     dims = [0] * (n_max + 1)
 
     def add(base: int, height: int) -> None:
-        for a in range(height):
-            d = base - w * a
-            if d < 0:
-                break
-            if d <= n_max:
-                dims[d] += 1
+        for a in tower_dots(base, height, w, 0, n_max):
+            dims[base - w * a] += 1
 
     # W family.  The lowest reachable degree |w_j| - 2(p-1)(r(j)-1) grows
     # with j, so the loop terminates.
@@ -202,11 +195,11 @@ def _tcounts(p: int, kind: str, k: int, ell: int = 0) -> dict:
         chart = build_B(p, k)
     else:
         chart = build_S(p, k, ell)
-    return {
-        n: len(chart.group_at(n))
+    counts = (
+        (n, len(chart.group_at(n)))
         for n in range(chart.min_dot_degree(), chart.max_dot_degree() + 1)
-        if chart.group_at(n)
-    }
+    )
+    return {n: c for n, c in counts if c}
 
 
 def _z_block_degree(p: int, k: int, ell: int) -> int:

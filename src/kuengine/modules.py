@@ -22,7 +22,6 @@ associated-graded dimension count used as a cross-check.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import lru_cache
 
 from .chart import Chart, PEdge, Tower, direct_sum, empty_chart, realize
@@ -47,29 +46,6 @@ class CoreChart:
         self.handle = handle
 
 
-def _reindexed(parts: list[Chart]) -> tuple[list[Tower], list[PEdge], list[int]]:
-    towers: list[Tower] = []
-    edges: list[PEdge] = []
-    offsets: list[int] = []
-    off = 0
-    for c in parts:
-        offsets.append(off)
-        remap = {}
-        for t in c.towers:
-            remap[t.id] = off
-            towers.append(replace(t, id=off))
-            off += 1
-        for e in c.edges:
-            edges.append(
-                PEdge(
-                    (remap[e.src[0]], e.src[1]),
-                    tuple((remap[d[0]], d[1]) for d in e.dst),
-                    e.kind,
-                )
-            )
-    return towers, edges, offsets
-
-
 def _glue(
     p: int,
     k: int,
@@ -86,14 +62,17 @@ def _glue(
     parts.append(ztower_chart)
     if ycopy is not None:
         parts.append(ycopy.chart)
-    towers, edges, offsets = _reindexed(parts)
+    summed = direct_sum(parts)
+    offsets = [0]
+    for part in parts[:-1]:
+        offsets.append(offsets[-1] + len(part.towers))
     new_id = offsets[0] if zcopy is None else offsets[1]
-    edge_by_src = {e.src: e for e in edges}
+    edge_by_src = {e.src: e for e in summed.edges}
 
     # rule1: p . v^a z_k = v^(a+1) on the z-copy's handle tower (k >= 2)
     if zcopy is not None and zcopy.handle is not None and k >= 2:
         handle_id = offsets[0] + zcopy.handle
-        handle_h = next(t.height for t in towers if t.id == handle_id)
+        handle_h = summed.tower(handle_id).height
         for a in range(new_height):
             if handle_h is not None and a + 1 >= handle_h:
                 break
@@ -101,9 +80,8 @@ def _glue(
 
     # rule2: p . (y-copy handle dot a) gains target v^(p^(k-1)(p-1)+a) z_k
     if ycopy is not None and ycopy.handle is not None:
-        y_part_index = len(parts) - 1
-        yh_id = offsets[y_part_index] + ycopy.handle
-        yh_height = next(t.height for t in towers if t.id == yh_id)
+        yh_id = offsets[-1] + ycopy.handle
+        yh_height = summed.tower(yh_id).height
         shift = p ** (k - 1) * (p - 1)
         for a in range(yh_height):
             tgt_a = shift + a
@@ -118,7 +96,8 @@ def _glue(
                     src, old.dst + ((new_id, tgt_a),), "exotic"
                 )
 
-    return CoreChart(Chart(p, towers, sorted(edge_by_src.values(), key=lambda e: e.src)), new_id)
+    edges = sorted(edge_by_src.values(), key=lambda e: e.src)
+    return CoreChart(Chart(p, summed.towers, edges), new_id)
 
 
 @lru_cache(maxsize=None)
@@ -383,8 +362,11 @@ def duality_audit(p: int, k_max: int = 4) -> dict:
     by n -> sigma - n turns that matching into the reflection above.)
 
     Checked for k0 <= k <= k_max over every degree in the support band,
-    with 0 <= a <= k+2 and 0 <= b <= p^k.
+    with 0 <= a <= k+2 and 0 <= b <= p^k.  Raises ValueError when
+    k_max < k0, which would check nothing.
     """
+    if k_max < k0(p):
+        raise ValueError(f"duality needs k_max >= {k0(p)} at p = {p}")
     step = 2 * (p - 1)
     rows = []
     for k in range(k0(p), k_max + 1):

@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass, field
 
 from .adams import classify, dot_label, e2_window
-from .chart import Chart
+from .chart import Chart, tower_dots
 
 _KIND = re.compile(r"v|h0|exotic|differential\((\d+)\)")
 
@@ -150,19 +150,15 @@ def _chart_dots_and_lines(chart: Chart, lo: int, hi: int):
     for t in chart.towers:
         if t.height is None:
             raise ValueError(f"tower {t.gen.render()} is unbounded; cut it first")
-        for a in range(t.height):
-            n = t.gen_degree - step * a
-            if not (lo <= n <= hi):
-                continue
-            gen = t.gen.render()
+        gen = t.gen.render()
+        for a in tower_dots(t.gen_degree, t.height, step, lo, hi):
             label = gen if a == 0 else (f"v {gen}" if a == 1 else f"v^{a} {gen}")
             index[(t.id, a)] = len(dots)
-            dots.append(DocDot(n, t.base_s + a, label))
+            dots.append(DocDot(t.gen_degree - step * a, t.base_s + a, label))
     lines = [
-        DocLine("v", index[(t.id, a)], index[(t.id, a + 1)])
-        for t in chart.towers
-        for a in range(t.height - 1)
-        if (t.id, a) in index and (t.id, a + 1) in index
+        DocLine("v", i, index[(tid, a + 1)])
+        for (tid, a), i in index.items()
+        if (tid, a + 1) in index
     ]
     for e in chart.edges:
         if e.src not in index:
@@ -215,36 +211,15 @@ def document_from_einfty(
     """E2 window with every replayed differential drawn as an arrow: the
     dots that carry no arrow tail or head are exactly E-infinity."""
     page = e2_window(p, n_lo, n_hi, s_max)
-    w = page.w
     index: dict[tuple, int] = {}
     dots: list[DocDot] = []
-
-    def dot_at(key, a: int) -> int | None:
+    for key, a in page.window_dots(page.heights):
         tw = page.towers[key]
-        n, s = tw.n0 - w * a, tw.s0 + a
-        if not (n_lo <= n <= n_hi and 0 <= s <= s_max):
-            return None
-        if (key, a) not in index:
-            index[(key, a)] = len(dots)
-            dots.append(DocDot(n, s, dot_label(p, key, a)))
-        return index[(key, a)]
-
-    for key, tw in page.towers.items():
-        # first dot with codegree <= n_hi: a >= ceil((n0 - n_hi) / w)
-        a = max(0, -((n_hi - tw.n0) // w))
-        while True:
-            h = page.heights[key]
-            if h is not None and a >= h:
-                break
-            n, s = tw.n0 - w * a, tw.s0 + a
-            if n < n_lo or s > s_max:
-                break
-            if n <= n_hi:
-                dot_at(key, a)
-            a += 1
+        index[(key, a)] = len(dots)
+        dots.append(DocDot(tw.n0 - page.w * a, tw.s0 + a, dot_label(p, key, a)))
 
     lines: list[DocLine] = []
-    for (key, a), i in list(index.items()):
+    for (key, a), i in index.items():
         nxt = page.v_op(key, a)
         if nxt is not None and (nxt in index):
             lines.append(DocLine("v", i, index[nxt]))

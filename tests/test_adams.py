@@ -243,3 +243,16 @@ def test_geometry_of_every_applied_differential():
             w = 2 * (p - 1)
             assert tt.n0 - w * f.e0 == st.n0 + 1
             assert tt.s0 + f.e0 == st.s0 + f.r
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_e2_dims_match_the_per_bidegree_scan(p):
+    n_lo, n_hi, s_max = 0, 60, 12
+    page = e2_window(p, n_lo, n_hi, s_max)
+    want = {}
+    for n in range(n_lo, n_hi + 1):
+        for s in range(s_max + 1):
+            if page.dims_at(n, s):
+                want[(n, s)] = page.dims_at(n, s)
+    assert e2_dims(p, n_lo, n_hi, s_max) == want
+    assert page.dims(page.heights) == want

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from kuengine.chart import (
@@ -9,7 +11,9 @@ from kuengine.chart import (
     dualize,
     parse_monomial,
     realize,
+    tower_dots,
 )
+from kuengine.modules import full_chart
 from kuengine.monomial import Monomial
 
 
@@ -116,3 +120,79 @@ def test_dual_window_bounds():
     w = RealizedWindow(c, 0, 10)
     with pytest.raises(ValueError):
         w.group_at(50)
+
+
+# -- the tower walker and the degree index --------------------------------------
+
+
+def naive_tower_dots(top, height, step, lo, hi):
+    # 200 dots reach below every window the test draws
+    a_max = 200 if height is None else height
+    return [a for a in range(a_max) if lo <= top - step * a <= hi]
+
+
+def test_tower_dots_matches_a_naive_walk():
+    rng = random.Random(20221007)
+    cases = 0
+    for _ in range(3000):
+        top = rng.randrange(-60, 200)
+        height = rng.choice([None] + list(range(13)))
+        step = rng.choice((2, 4, 8, 12))
+        span = step * (height if height else 12)
+        where = rng.choice(("above", "below", "across"))
+        if where == "above":  # whole window over the tower top
+            lo = top + rng.randrange(1, 40)
+        elif where == "below":  # whole window under the tower bottom
+            lo = top - span - rng.randrange(40, 80)
+        else:
+            lo = top - rng.randrange(0, span + 20)
+        hi = lo + rng.randrange(0, 60)
+        got = tower_dots(top, height, step, lo, hi)
+        assert isinstance(got, range)
+        assert list(got) == naive_tower_dots(top, height, step, lo, hi), (
+            top, height, step, lo, hi,
+        )
+        cases += bool(got)
+    assert cases > 500  # the windows meet the towers often enough
+
+
+def scanned_dots_at(chart, n):
+    """The per-degree scan the degree index replaced."""
+    out = []
+    step = 2 * (chart.p - 1)
+    for t in chart.towers:
+        diff = t.gen_degree - n
+        if diff < 0 or diff % step:
+            continue
+        a = diff // step
+        if t.dot_exists(a):
+            out.append((t.id, a))
+    return out
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_dots_at_matches_the_per_degree_scan(p):
+    ch = full_chart(p, 120)
+    lo, hi = ch.min_dot_degree(), ch.max_dot_degree()
+    seen = 0
+    for n in range(lo - 3, hi + 4):
+        want = scanned_dots_at(ch, n)
+        assert ch.dots_at(n) == want, n
+        assert ch.dims_at(n) == len(want)
+        seen += len(want)
+    assert seen == sum(t.height for t in ch.towers)
+
+
+def test_dots_at_hands_out_copies():
+    c = chain_chart(2, 3)
+    n = c.towers[0].gen_degree
+    c.dots_at(n).clear()
+    assert len(c.dots_at(n)) == 3
+
+
+def test_unbounded_tower_refuses_the_degree_index():
+    p = 2
+    g = Monomial.gen(p, "y", 1, 3) * Monomial.gen(p, "q")
+    c = Chart(p, [Tower(0, g, 0, None)])  # construction stays lazy
+    with pytest.raises(ValueError, match="unbounded"):
+        c.dots_at(g.degree)

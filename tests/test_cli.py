@@ -4,6 +4,9 @@ wrap."""
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +115,48 @@ def test_audit_exit_codes(capsys):
     rc, _, err = run(["audit", "--which", "theorem61", "--prime", "2"], capsys)
     assert rc == 2
     assert "kuengine:" in err
+
+
+@pytest.mark.parametrize("prime, top", ((2, 1), (3, 0)))
+def test_duality_below_k0_is_a_usage_error(prime, top, capsys):
+    # B_k starts at k0 (2 at p = 2, else 1): a smaller --max checks nothing
+    argv = ["audit", "--which", "duality", "--prime", str(prime), "--max", str(top)]
+    rc, out, err = run(argv, capsys)
+    assert rc == 2
+    assert out == ""
+    assert "duality" in err
+
+
+@pytest.mark.parametrize("prime", (2, 3))
+def test_duality_at_max_two_checks_something(prime, capsys):
+    argv = ["audit", "--which", "duality", "--prime", str(prime), "--max", "2"]
+    rc, out, _ = run(argv, capsys)
+    assert rc == 0
+    report = json.loads(out)
+    assert report["ok"] is True
+    assert report["checked"] > 0
+
+
+def test_traced_run_prints_the_untraced_output(tmp_path):
+    # the benchmark's layer tracer wraps names in the package; a rename
+    # would make it fail instead of tracing
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    argv = ["groups", "--prime", "2", "--window", "0:40"]
+    plain = subprocess.run(
+        [sys.executable, "-m", "kuengine.cli", *argv],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    traced = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "tracer.py"),
+         str(tmp_path / "stats.json"), *argv],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert plain.returncode == 0, plain.stderr
+    assert traced.returncode == 0, traced.stderr
+    assert traced.stdout == plain.stdout
+    stats = json.loads((tmp_path / "stats.json").read_text())
+    assert stats["metrics"]["chart.Chart.dots_at.calls"] > 0
 
 
 def test_audit_failure_exits_one(monkeypatch, capsys):

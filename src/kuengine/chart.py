@@ -38,7 +38,7 @@ def tower_dots(
     return range(first, stop)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tower:
     id: int
     gen: Monomial
@@ -49,11 +49,8 @@ class Tower:
     def gen_degree(self) -> int:
         return self.gen.degree
 
-    def dot_exists(self, a: int) -> bool:
-        return a >= 0 and (self.height is None or a < self.height)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PEdge:
     src: tuple[int, int]  # (tower id, a)
     dst: tuple[tuple[int, int], ...]  # 1 or 2 targets
@@ -94,20 +91,25 @@ class Chart:
         return t.base_s + dot[1]
 
     def validate(self) -> None:
+        step = 2 * (self.p - 1)
+        # Monomial.degree is computed, not stored: read it once per tower
+        shape = {t.id: (t.gen.degree, t.base_s, t.height) for t in self.towers}
         for e in self.edges:
             if not (1 <= len(e.dst) <= 2):
                 raise ValueError("edges carry 1 or 2 targets")
-            st, sa = e.src
-            if not self.tower(st).dot_exists(sa):
+            deg, s0, height = shape[e.src[0]]
+            a = e.src[1]
+            if a < 0 or (height is not None and a >= height):
                 raise ValueError(f"edge source dot missing: {e}")
-            sdeg = self.dot_degree(e.src)
-            sfil = self.dot_filtration(e.src)
-            for d in e.dst:
-                if not self.tower(d[0]).dot_exists(d[1]):
+            sdeg = deg - step * a
+            sfil = s0 + a
+            for tid, b in e.dst:
+                deg, s0, height = shape[tid]
+                if b < 0 or (height is not None and b >= height):
                     raise ValueError(f"edge target dot missing: {e}")
-                if self.dot_degree(d) != sdeg:
+                if deg - step * b != sdeg:
                     raise ValueError(f"edge changes degree: {e}")
-                if self.dot_filtration(d) <= sfil:
+                if s0 + b <= sfil:
                     raise ValueError(f"edge target must raise filtration: {e}")
 
     # -- dots and groups ------------------------------------------------------

@@ -582,6 +582,8 @@ def build_piece(p: int, kind: str, param: int | None = None, D: int | None = Non
         if D is None:
             raise ValueError("S needs a cutoff")
         q = q_degree(p)
+        if D < q:  # the suspension starts above the cutoff: nothing survives
+            return E1Module(p, D)
         return _R(p, D - q).suspend(q)
     raise ValueError(f"unknown piece kind {kind!r}")
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .adams import classify, dot_label, e2_window
 from .chart import Chart, tower_dots
@@ -32,7 +33,7 @@ _KIND = re.compile(r"v|h0|exotic|differential\((\d+)\)")
 SOURCES = ("closed-form", "einfty-overlay")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DocDot:
     degree: int
     filtration: int
@@ -44,7 +45,7 @@ class DocDot:
         return (self.degree, self.filtration, self.label, self.overlay)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DocLine:
     kind: str
     src: int
@@ -53,6 +54,16 @@ class DocLine:
     @property
     def key(self) -> tuple:
         return (self.kind, self.src, self.dst)
+
+
+_LINE_KEY = attrgetter("kind", "src", "dst")  # == DocLine.key, without the property call
+
+
+def _check_endpoints(lines: list[DocLine], n_dots: int) -> None:
+    for l in lines:
+        if not (0 <= l.src < n_dots and 0 <= l.dst < n_dots):
+            end = l.dst if 0 <= l.src < n_dots else l.src
+            raise ValueError(f"line endpoint {end} references no dot")
 
 
 @dataclass
@@ -69,17 +80,17 @@ class ChartDocument:
         lo, hi = self.window
         if lo > hi:
             raise ValueError("empty window")
-        for l in self.lines:
-            for end in (l.src, l.dst):
-                if not (0 <= end < len(self.dots)):
-                    raise ValueError(f"line endpoint {end} references no dot")
+        dots = self.dots
+        _check_endpoints(self.lines, len(dots))
         # canonicalize: sort dots, remap and sort line endpoints
-        order = sorted(range(len(self.dots)), key=lambda i: self.dots[i].key)
-        remap = {old: new for new, old in enumerate(order)}
-        self.dots = [self.dots[i] for i in order]
+        order = sorted(range(len(dots)), key=lambda i: dots[i].key)
+        remap = [0] * len(order)
+        for new, old in enumerate(order):
+            remap[old] = new
+        self.dots = [dots[i] for i in order]
         self.lines = sorted(
             (DocLine(l.kind, remap[l.src], remap[l.dst]) for l in self.lines),
-            key=lambda l: l.key,
+            key=_LINE_KEY,
         )
         self.validate()
 
@@ -88,12 +99,11 @@ class ChartDocument:
         for d in self.dots:
             if not (lo <= d.degree <= hi):
                 raise ValueError(f"dot {d} outside window [{lo}, {hi}]")
-        for l in self.lines:
-            if not _KIND.fullmatch(l.kind):
-                raise ValueError(f"unknown line kind {l.kind!r}")
-            for end in (l.src, l.dst):
-                if not (0 <= end < len(self.dots)):
-                    raise ValueError(f"line endpoint {end} references no dot")
+        # lines are few kinds repeated: match each distinct kind once
+        for kind in dict.fromkeys(map(attrgetter("kind"), self.lines)):
+            if not _KIND.fullmatch(kind):
+                raise ValueError(f"unknown line kind {kind!r}")
+        _check_endpoints(self.lines, len(self.dots))
 
     # -- JSON -------------------------------------------------------------
     def to_json(self) -> str:
@@ -259,7 +269,9 @@ def render_svg(doc: ChartDocument) -> str:
     """Deterministic standalone SVG.  Codegrees increase right-to-left:
     the window's top degree sits at the left edge."""
     lo, hi = doc.window
-    s_top = max((d.filtration for d in doc.dots), default=0)
+    dots = doc.dots
+    filtrations = set(map(attrgetter("filtration"), dots))
+    s_top = max(filtrations, default=0)
     width = 2 * _MARGIN + (hi - lo) * _CELL
     height = 2 * _MARGIN + max(s_top, 1) * _CELL
 
@@ -268,6 +280,10 @@ def render_svg(doc: ChartDocument) -> str:
 
     def y(s: int) -> float:
         return height - _MARGIN - s * _CELL
+
+    # every dot sits on one of a few columns and rows: format each once
+    xs = {n: _fmt(x(n)) for n in set(map(attrgetter("degree"), dots))}
+    ys = {s: _fmt(y(s)) for s in filtrations}
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
@@ -293,40 +309,39 @@ def render_svg(doc: ChartDocument) -> str:
             f'y2="{axis_y - 4}" stroke="#888888" stroke-width="1"/>'
         )
     for l in doc.lines:
-        a, b = doc.dots[l.src], doc.dots[l.dst]
-        x1, y1 = x(a.degree), y(a.filtration)
-        x2, y2 = x(b.degree), y(b.filtration)
+        a, b = dots[l.src], dots[l.dst]
+        x1, y1 = xs[a.degree], ys[a.filtration]
+        x2, y2 = xs[b.degree], ys[b.filtration]
         dashed = ' stroke-dasharray="4 3"' if (a.overlay or b.overlay) else ""
         if l.kind.startswith("differential"):
             out.append(
-                f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" '
-                f'y2="{_fmt(y2)}" stroke="{_DIFF_COLOR}" stroke-width="1.2" '
+                f'<line x1="{x1}" y1="{y1}" x2="{x2}" '
+                f'y2="{y2}" stroke="{_DIFF_COLOR}" stroke-width="1.2" '
                 f'marker-end="url(#arrow)"{dashed}/>'
             )
         elif l.kind == "exotic":
-            cx = (x1 + x2) / 2 + 0.55 * _CELL
-            cy = (y1 + y2) / 2
+            cx = (x(a.degree) + x(b.degree)) / 2 + 0.55 * _CELL
+            cy = (y(a.filtration) + y(b.filtration)) / 2
             out.append(
-                f'<path d="M {_fmt(x1)} {_fmt(y1)} Q {_fmt(cx)} {_fmt(cy)} '
-                f'{_fmt(x2)} {_fmt(y2)}" fill="none" '
+                f'<path d="M {x1} {y1} Q {_fmt(cx)} {_fmt(cy)} '
+                f'{x2} {y2}" fill="none" '
                 f'stroke="{_COLOR["exotic"]}" stroke-width="1.2"{dashed}/>'
             )
         else:
             out.append(
-                f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" '
-                f'y2="{_fmt(y2)}" stroke="{_COLOR[l.kind]}" '
+                f'<line x1="{x1}" y1="{y1}" x2="{x2}" '
+                f'y2="{y2}" stroke="{_COLOR[l.kind]}" '
                 f'stroke-width="1.2"{dashed}/>'
             )
-    for d in doc.dots:
-        cx, cy = x(d.degree), y(d.filtration)
+    for d in dots:
         fill = "#ffffff" if d.overlay else "#000000"
         out.append(
-            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="3" fill="{fill}" '
+            f'<circle cx="{xs[d.degree]}" cy="{ys[d.filtration]}" r="3" fill="{fill}" '
             f'stroke="#000000" stroke-width="1"><title>{d.label} '
             f"({d.degree}, {d.filtration})</title></circle>"
         )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    out.append("</svg>\n")  # the trailing newline, without copying the whole text
+    return "\n".join(out)
 
 
 # ---------------------------------------------------------------------------

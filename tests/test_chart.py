@@ -51,13 +51,26 @@ def test_tower_dots_and_length():
 def test_edge_validation():
     p = 2
     g = Monomial.gen(p, "z", 2)
-    with pytest.raises(ValueError):
-        # target at same filtration
-        Chart(p, [Tower(0, g), Tower(1, g)], [PEdge((0, 0), ((1, 0),))])
     g2 = Monomial.gen(p, "z", 3)
-    with pytest.raises(ValueError):
-        # degree mismatch
-        Chart(p, [Tower(0, g), Tower(1, g2, 1)], [PEdge((0, 0), ((1, 0),))])
+    pair = [Tower(0, g), Tower(1, g, 1)]  # same degree, filtrations 0 and 1
+    # dots (0, 0) at (|g|, 0), (0, 1) at (|g| - 2, 1); (1, 0) at (|g|, 1)
+    tall = [Tower(0, g, 0, 2), Tower(1, g, 1, 1)]
+    cases = [
+        ("1 or 2 targets", pair, [PEdge((0, 0), ())]),
+        ("1 or 2 targets", pair, [PEdge((0, 0), ((1, 0),) * 3)]),
+        ("source dot missing", tall, [PEdge((0, 2), ((1, 0),))]),
+        ("source dot missing", tall, [PEdge((0, -1), ((1, 0),))]),
+        ("target dot missing", tall, [PEdge((0, 0), ((1, 1),))]),
+        ("target dot missing", tall, [PEdge((0, 0), ((1, 0), (0, -1)))]),
+        ("changes degree", [Tower(0, g), Tower(1, g2, 1)], [PEdge((0, 0), ((1, 0),))]),
+        ("must raise filtration", [Tower(0, g), Tower(1, g)], [PEdge((0, 0), ((1, 0),))]),
+        ("must raise filtration", [Tower(0, g, 2), Tower(1, g, 1)], [PEdge((0, 0), ((1, 0),))]),
+    ]
+    for message, towers, edges in cases:
+        with pytest.raises(ValueError, match=message):
+            Chart(p, towers, edges)
+    # the legal edge they all perturb
+    assert Chart(p, tall, [PEdge((0, 0), ((1, 0),))]).group_at(g.degree) == [2]
 
 
 def test_tensor_and_sum():
@@ -165,7 +178,7 @@ def scanned_dots_at(chart, n):
         if diff < 0 or diff % step:
             continue
         a = diff // step
-        if t.dot_exists(a):
+        if t.height is None or a < t.height:
             out.append((t.id, a))
     return out
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from kuengine import cli, margolis
+from kuengine.monomial import q_degree
 from kuengine.render import ChartDocument
 
 
@@ -135,6 +136,19 @@ def test_duality_at_max_two_checks_something(prime, capsys):
     report = json.loads(out)
     assert report["ok"] is True
     assert report["checked"] > 0
+
+
+@pytest.mark.parametrize("prime", (2, 3, 5, 7))
+def test_ps_audit_below_the_q_degree_checks_every_degree(prime, capsys):
+    # S is R suspended by |Q|: under that degree it is empty, not an error
+    q = q_degree(prime)
+    for top in (0, q - 1):
+        argv = ["audit", "--which", "ps", "--prime", str(prime), "--max", str(top)]
+        rc, out, _ = run(argv, capsys)
+        assert rc == 0, argv
+        report = json.loads(out)
+        assert report["ok"] is True
+        assert report["checked"] == top + 1
 
 
 def test_traced_run_prints_the_untraced_output(tmp_path):

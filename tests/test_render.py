@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import pytest
@@ -131,14 +132,29 @@ def test_document_roundtrip_and_canonical_order():
 
 def test_document_validation():
     dot = DocDot(10, 0, "x")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown source"):
         ChartDocument(2, (0, 20), "nonsense", [dot], [])
-    with pytest.raises(ValueError):
-        ChartDocument(2, (0, 5), "closed-form", [dot], [])  # dot outside window
-    with pytest.raises(ValueError):
-        ChartDocument(2, (0, 20), "closed-form", [dot], [DocLine("v", 0, 1)])
-    with pytest.raises(ValueError):
-        ChartDocument(2, (0, 20), "closed-form", [dot], [DocLine("d3", 0, 0)])
+    with pytest.raises(ValueError, match="empty window"):
+        ChartDocument(2, (5, 0), "closed-form", [], [])
+    with pytest.raises(ValueError, match="outside window"):
+        ChartDocument(2, (0, 5), "closed-form", [dot], [])
+    for src, dst, bad in ((0, 1, 1), (1, 0, 1), (-1, 0, -1), (0, -2, -2)):
+        with pytest.raises(ValueError, match=f"line endpoint {bad} references no dot"):
+            ChartDocument(2, (0, 20), "closed-form", [dot], [DocLine("v", src, dst)])
+    for kind in ("d3", "differential(x)", "h1"):
+        with pytest.raises(ValueError, match="unknown line kind"):
+            ChartDocument(
+                2, (0, 20), "closed-form", [dot], [DocLine("v", 0, 0), DocLine(kind, 0, 0)]
+            )
+    # validate() keeps both checks for a document edited after construction
+    doc = ChartDocument(2, (0, 20), "closed-form", [dot], [DocLine("v", 0, 0)])
+    doc.validate()
+    doc.lines.append(DocLine("v", 0, 1))
+    with pytest.raises(ValueError, match="line endpoint 1 references no dot"):
+        doc.validate()
+    doc.lines[-1] = DocLine("d3", 0, 0)
+    with pytest.raises(ValueError, match="unknown line kind 'd3'"):
+        doc.validate()
 
 
 def test_renders_are_deterministic_and_right_to_left():
@@ -163,3 +179,37 @@ def test_svg_contains_dots_and_kind_colors():
     assert "#cc0000" in svg  # the exotic extension
     e = render_svg(document_from_einfty(2, 0, 20, 6))
     assert "marker-end" in e  # differential arrows
+
+
+# sha256 of every rendering of four documents (closed form, the dashed
+# overlay with exotic curves, E2 overlays at p = 2 and 3): any change to the
+# emitted bytes (number formatting, line order, the trailing newline) fails.
+PINNED_DOCUMENTS = {
+    "A5": lambda: document_from_chart(build_A(2, 5)),
+    "B5-over-A5": lambda: document_overlay(build_B(2, 5), build_A(2, 5)),
+    "einfty-2": lambda: document_from_einfty(2, 0, 40, 10),
+    "einfty-3": lambda: document_from_einfty(3, 0, 60, 8),
+}
+PINNED_SHA256 = {
+    ("A5", "svg"): "3ef79a90a06c19498419a8ec4ad4860b6eebdfb6bb192746ab7cf28613462967",
+    ("A5", "tikz"): "0bd09f6650e21f22361d49ce7cb34164e82b2b5717b6baf439b11e43d4173968",
+    ("A5", "json"): "7c12648cf9463030e05ac6bd46cd8ba3dff93c93099e5f1c339036d5ab96e93e",
+    ("B5-over-A5", "svg"): "2d17aa388c6b59d3208af7d0491835363d9288c4eb5ed033cfa1c21d3fd50b0e",
+    ("B5-over-A5", "tikz"): "f746942e10920c5d23c7625391fce019f70daf03a52db4b2da999042109531dc",
+    ("B5-over-A5", "json"): "eaef18d2eb549625f01ad932a4ad4230113370f78f08641770d5b54ef6a12c9a",
+    ("einfty-2", "svg"): "a95896484f01a6588f92d5199e9b00aee7820846e244aaa8ab53184f2239846d",
+    ("einfty-2", "tikz"): "5791649424c105b188abcbd4686716e16a122d8cd81dd18a8859f604f74c3cc9",
+    ("einfty-2", "json"): "bf92f3f82f6ec685f0593dd141269a2d74d2477abd21b5750903923136f55bae",
+    ("einfty-3", "svg"): "a8367c6475f749d2436263afa3c04e79c05b63528830fad9b26fd21594e338a2",
+    ("einfty-3", "tikz"): "d1dbcd2a7545afd0edba784f7a5d8e06b3106883123dc40f14683168ef01029b",
+    ("einfty-3", "json"): "744b09e67b81fd5e2b0947c65b3617223222c4ad633805537cb13e8655adc44e",
+}
+RENDERERS = {"svg": render_svg, "tikz": render_tikz, "json": ChartDocument.to_json}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DOCUMENTS))
+def test_emitted_bytes_are_pinned(name):
+    doc = PINNED_DOCUMENTS[name]()
+    for fmt, render in RENDERERS.items():
+        got = hashlib.sha256(render(doc).encode()).hexdigest()
+        assert got == PINNED_SHA256[(name, fmt)], (name, fmt)

@@ -51,7 +51,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .chart import tower_dots
+from .chart import tower_dots, v_label
 from .modules import full_chart
 from .monomial import (
     Monomial,
@@ -132,10 +132,7 @@ def dot_label(p: int, key: Key, a: int) -> str:
         if b:
             parts.append("y1" if b == 1 else f"y1^{b}")
         return " ".join(parts)
-    lab = tower(p, key).label
-    if a == 0:
-        return lab
-    return f"v {lab}" if a == 1 else f"v^{a} {lab}"
+    return v_label(tower(p, key).label, a)
 
 
 @lru_cache(maxsize=None)
@@ -280,7 +277,6 @@ class BigradedPage:
     """
 
     p: int
-    r: int
     n_lo: int
     n_hi: int
     s_max: int
@@ -393,7 +389,7 @@ def e2_window(p: int, n_lo: int, n_hi: int, s_max: int) -> BigradedPage:
     if len(set(labels)) != len(labels):
         raise ValueError("tower labels are not unique")
     heights = {k: t.height for k, t in towers.items()}
-    return BigradedPage(p, 2, n_lo, n_hi, s_max, pad, towers, heights)
+    return BigradedPage(p, n_lo, n_hi, s_max, pad, towers, heights)
 
 
 # -- replay -------------------------------------------------------------------

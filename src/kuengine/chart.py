@@ -17,8 +17,6 @@ for E-infinity comparison.
 
 from __future__ import annotations
 
-import json
-import re
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
@@ -36,6 +34,13 @@ def tower_dots(
     if height is not None:
         stop = min(stop, height)
     return range(first, stop)
+
+
+def v_label(gen: str, a: int) -> str:
+    """Display name of the dot v^a . gen: the one spelling of that label."""
+    if a == 0:
+        return gen
+    return f"v {gen}" if a == 1 else f"v^{a} {gen}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,54 +188,6 @@ class Chart:
             list(self.edges),
         )
 
-    # -- JSON ------------------------------------------------------------------
-    def to_json(self) -> str:
-        doc = {
-            "schema_version": 1,
-            "prime": self.p,
-            "towers": [
-                {
-                    "id": t.id,
-                    "gen": t.gen.render(),
-                    "base_s": t.base_s,
-                    "height": t.height if t.height is not None else "unbounded",
-                }
-                for t in sorted(self.towers, key=lambda t: t.id)
-            ],
-            "edges": [
-                {
-                    "src": list(e.src),
-                    "dst": [list(d) for d in e.dst],
-                    "kind": e.kind,
-                }
-                for e in sorted(self.edges, key=lambda e: e.src)
-            ],
-        }
-        return json.dumps(doc, indent=1, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "Chart":
-        doc = json.loads(text)
-        p = doc["prime"]
-        towers = [
-            Tower(
-                t["id"],
-                parse_monomial(p, t["gen"]),
-                t["base_s"],
-                None if t["height"] == "unbounded" else t["height"],
-            )
-            for t in doc["towers"]
-        ]
-        edges = [
-            PEdge(
-                tuple(e["src"]),
-                tuple(tuple(d) for d in e["dst"]),
-                e["kind"],
-            )
-            for e in doc["edges"]
-        ]
-        return Chart(p, towers, edges)
-
 
 def direct_sum(charts: Iterable[Chart]) -> Chart:
     charts = list(charts)
@@ -263,30 +220,20 @@ def empty_chart(p: int) -> Chart:
     return Chart(p, [], [])
 
 
-# -- realized windows and duality ---------------------------------------------
+# -- realized windows ---------------------------------------------------------
 
 
 class RealizedWindow:
-    """A degree-window slice of a chart, or of its Pontryagin dual, exposing
-    explicit groups and the rank invariants of the maps x -> p^a v^b x.
+    """A degree-window slice of a chart, exposing explicit groups and the
+    rank invariants of the maps x -> p^a v^b x."""
 
-    The dual is realized through the primal presentation: the degree-n
-    component of the dual is the dual group of the primal degree -n
-    component, and p^a v^b on the dual has image of the same order as
-    p^a v^b mapping primal degree -n+2(p-1)b to -n (transposed actions).
-    """
-
-    def __init__(self, chart: Chart, lo: int, hi: int, dual: bool = False):
+    def __init__(self, chart: Chart, lo: int, hi: int):
         if lo > hi:
             raise ValueError("empty window")
         self.chart = chart
         self.lo = lo
         self.hi = hi
-        self.dual = dual
         self._order_cache: dict[tuple, int] = {}
-
-    def _primal_degree(self, n: int) -> int:
-        return -n if self.dual else n
 
     def _check(self, n: int) -> None:
         if not (self.lo <= n <= self.hi):
@@ -294,10 +241,7 @@ class RealizedWindow:
 
     def group_at(self, n: int) -> list[int]:
         self._check(n)
-        return self.chart.group_at(self._primal_degree(n))
-
-    def dualize(self) -> "RealizedWindow":
-        return RealizedWindow(self.chart, -self.hi, -self.lo, not self.dual)
+        return self.chart.group_at(n)
 
     # -- rank invariant -------------------------------------------------------
     def _log_order(self, rows: list[list[int]], ncols: int) -> int:
@@ -306,20 +250,13 @@ class RealizedWindow:
     def rank_invariant(self, n: int, a: int, b: int) -> int:
         """log_p of the order of the image of p^a v^b from degree n to
         degree n - 2(p-1)b of the realized module."""
+        c = self.chart
+        tgt_n = n - 2 * (c.p - 1) * b
         self._check(n)
-        self._check(n - 2 * (self.chart.p - 1) * b)
-        if self.dual:
-            # transposed map: same image order as the primal map into -n
-            src = -n + 2 * (self.chart.p - 1) * b
-            return self._primal_rank(src, a, b)
-        return self._primal_rank(n, a, b)
-
-    def _primal_rank(self, n: int, a: int, b: int) -> int:
+        self._check(tgt_n)
         key = (n, a, b)
         if key in self._order_cache:
             return self._order_cache[key]
-        c = self.chart
-        tgt_n = n - 2 * (c.p - 1) * b
         src_dots = c.dots_at(n)
         tgt_dots = c.dots_at(tgt_n)
         index = {d: i for i, d in enumerate(tgt_dots)}
@@ -339,40 +276,6 @@ class RealizedWindow:
         return val
 
 
-def dualize(chart: Chart, window: tuple[int, int]) -> RealizedWindow:
-    """Pontryagin dual of the chart realized on the given (dual-side) degree
-    window."""
-    lo, hi = window
-    return RealizedWindow(chart, lo, hi, dual=True)
-
-
 def realize(chart: Chart, window: tuple[int, int]) -> RealizedWindow:
     lo, hi = window
-    return RealizedWindow(chart, lo, hi, dual=False)
-
-
-# -- monomial text grammar ------------------------------------------------------
-
-_TOKEN = re.compile(r"q|y(\d+)(?:\^(\d+))?|z(\d+)(?:\^(\d+))?|z\[(\d+),(\d+)\]|1")
-
-
-def parse_monomial(p: int, text: str) -> Monomial:
-    """Inverse of Monomial.render for the documented grammar."""
-    from .monomial import z_comp
-
-    m = Monomial.one(p)
-    for tok in text.split():
-        mt = _TOKEN.fullmatch(tok)
-        if not mt:
-            raise ValueError(f"bad monomial token {tok!r}")
-        if tok == "1":
-            continue
-        if tok == "q":
-            m = m * Monomial.gen(p, "q")
-        elif mt.group(1) is not None:
-            m = m * Monomial.gen(p, "y", int(mt.group(1)), int(mt.group(2) or 1))
-        elif mt.group(3) is not None:
-            m = m * Monomial.gen(p, "z", int(mt.group(3)), int(mt.group(4) or 1))
-        else:
-            m = m * z_comp(p, int(mt.group(5)), int(mt.group(6)))
-    return m
+    return RealizedWindow(chart, lo, hi)

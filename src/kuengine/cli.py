@@ -91,15 +91,18 @@ def cmd_groups(config: RunConfig) -> list[dict]:
     if config.window is None:
         raise UsageError("groups needs a degree window (--from/--to or --window)")
     lo, hi = config.window
+    if lo < 0:
+        raise UsageError(f"groups degrees must be >= 0, got window {config.window}")
     p = config.prime
     shift = 2 * p if config.homology else 0
     cutoff = modules._round_up(max(hi + shift, 1))
     free = None
     if config.include_free:
         free = margolis.trivial_summand_counts(p, hi + shift)
+    chart = modules.full_chart(p, cutoff)
     rows = []
     for n in range(lo, hi + 1):
-        exps = modules.ku_group_at(p, n + shift, cutoff)
+        exps = chart.group_at(n + shift)
         row = {
             "degree": n,
             "group": [p**e for e in exps],
@@ -169,9 +172,11 @@ def cmd_chart(
                 "two selectors must be A:k and B:k with the same k "
                 "(the dashed A-minus-B overlay)"
             )
-        k = int(tails.pop())
+        a_sel, b_sel = sorted(selectors)
         return document_overlay(
-            modules.build_B(p, k), modules.build_A(p, k), config.window
+            _chart_for_selector(p, b_sel, cutoff),
+            _chart_for_selector(p, a_sel, cutoff),
+            config.window,
         )
     raise UsageError("at most two selectors")
 

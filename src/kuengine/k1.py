@@ -43,8 +43,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .chart import tower_dots
-from .modules import _round_up, build_A, build_B, build_S, full_chart, ku_group_at
-from .monomial import k0, lambda_family, q_degree, z_degree
+from .modules import _round_up, build_A, build_B, build_S, full_chart
+from .monomial import Z_prod, k0, lambda_family, q_degree, z_degree
 from .padic import r, r_prime, w_degree
 
 
@@ -132,12 +132,11 @@ def bockstein_audit(p: int, n_max: int) -> dict:
     """Check dim k(1)^n = t(ku^n) + t(ku^{n+1}) for all n <= n_max, where
     t counts cyclic summands (= dim of both coker and ker of multiplication
     by p in that degree)."""
-    cutoff = n_max + 1
-    full_chart(p, cutoff)
+    chart = full_chart(p, n_max + 1)
     lhs = k1_dims(p, n_max)
     rows = []
     for n in range(n_max + 1):
-        rhs = len(ku_group_at(p, n, cutoff)) + len(ku_group_at(p, n + 1, cutoff))
+        rhs = len(chart.group_at(n)) + len(chart.group_at(n + 1))
         rows.append({"degree": n, "lhs": lhs[n], "rhs": rhs, "pass": lhs[n] == rhs})
     failures = [row for row in rows if not row["pass"]]
     return {
@@ -200,11 +199,6 @@ def _tcounts(p: int, kind: str, k: int, ell: int = 0) -> dict:
         for n in range(chart.min_dot_degree(), chart.max_dot_degree() + 1)
     )
     return {n: c for n, c in counts if c}
-
-
-def _z_block_degree(p: int, k: int, ell: int) -> int:
-    """|Z_k^l| = degree of (z_k ... z_{l-1})^{p-1}."""
-    return (p - 1) * sum(z_degree(p, i) for i in range(k, ell))
 
 
 def _pair_cofactors(p: int, k: int, budget: int) -> list[int]:
@@ -285,9 +279,9 @@ def g_family_dims(p: int, i: int, params: tuple, n_max: int) -> tuple[int, ...]:
         cof = _ten_term_cofactors(p, k, ell, budget)
         tb = _tcounts(p, "B", k)
         if i == 3:
-            _accumulate(dims, tb, 2 * p**k + _z_block_degree(p, k, ell), _KER, cof)
+            _accumulate(dims, tb, 2 * p**k + Z_prod(p, k, ell).degree, _KER, cof)
         elif i == 4:
-            _accumulate(dims, tb, 2 * p**k + _z_block_degree(p, k, ell), _COKER, cof)
+            _accumulate(dims, tb, 2 * p**k + Z_prod(p, k, ell).degree, _COKER, cof)
             _accumulate(dims, _tcounts(p, "S", k, ell), _q_shift(p, k), _KER, cof)
         elif i == 5:
             _accumulate(dims, _tcounts(p, "S", k, ell), _q_shift(p, k), _COKER, cof)
@@ -331,12 +325,12 @@ def _g_total(p: int, n_max: int) -> list[int]:
     k = 1
     while True:
         min_b = min(_tcounts(p, "B", k))
-        if min_b + 2 * p**k + _z_block_degree(p, k, k + 1) - 1 > n_max:
+        if min_b + 2 * p**k + Z_prod(p, k, k + 1).degree - 1 > n_max:
             break
         ell = k + 1
         while True:
             reach = min(
-                min_b + 2 * p**k + _z_block_degree(p, k, ell),
+                min_b + 2 * p**k + Z_prod(p, k, ell).degree,
                 min(_tcounts(p, "S", k, ell)) + _q_shift(p, k),
                 min_b + z_degree(p, ell),
             )

@@ -173,15 +173,6 @@ def build_S(p: int, k: int, ell: int) -> Chart:
 # -- assemblies ----------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _core_min_degree(p: int, kind: str, k: int) -> int | None:
-    core = _build_A(p, k).chart if kind == "A" else _build_B(p, k).chart
-    if not core.towers:
-        return None
-    return core.min_dot_degree()
-
-
-@lru_cache(maxsize=None)
 def even_part(p: int, cutoff: int) -> Chart:
     """Direct sum over k >= 1 and multiplier monomials M of M.A_k (M with no
     z-factors) and M.B_k (M with z-factors), keeping summands whose minimum
@@ -189,15 +180,15 @@ def even_part(p: int, cutoff: int) -> Chart:
     parts: list[Chart] = []
     k = 1
     while True:
-        min_a = _core_min_degree(p, "A", k)
+        core_a = _build_A(p, k).chart
+        min_a = core_a.min_dot_degree()
         if min_a is None or min_a > cutoff:
             break
-        core_a = _build_A(p, k).chart
         for m in enumerate_family(p, "MkA", k, cutoff - min_a):
             parts.append(core_a.tensor_monomial(m))
-        min_b = _core_min_degree(p, "B", k)
+        core_b = _build_B(p, k).chart
+        min_b = core_b.min_dot_degree()
         if min_b is not None and min_b <= cutoff:
-            core_b = _build_B(p, k).chart
             for m in enumerate_family(p, "MkB", k, cutoff - min_b):
                 parts.append(core_b.tensor_monomial(m))
         k += 1
@@ -206,7 +197,6 @@ def even_part(p: int, cutoff: int) -> Chart:
     return direct_sum(parts)
 
 
-@lru_cache(maxsize=None)
 def odd_part(p: int, cutoff: int) -> Chart:
     """Direct sum over i >= 1, l >= nu(i)+2 of q y_1^(i-1) m . S_{nu(i)+1, l}
     with m running over TP_{p-1}[z_l] x Lambda_{l+1}, keeping summands whose

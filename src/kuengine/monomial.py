@@ -259,19 +259,19 @@ def lambda_bar_family(p: int, j: int, cutoff: int) -> list[Monomial]:
     return [m for m in lambda_family(p, j, cutoff) if m.zs]
 
 
-def script_m_family(p: int, k: int, cutoff: int, part: str = "all") -> list[Monomial]:
+def script_m_family(p: int, k: int, cutoff: int, part: str) -> list[Monomial]:
     """The level-k multiplier family: monomials in {z_i, y_i : i >= k} with
     all exponents <= p-1, excluding those whose (z_k, y_k)-exponent pair is
-    exactly (p-1, 0) or (0, p-1).  part selects "A" (no z-factors), "B"
-    (at least one z-factor), or "all"."""
-    if part not in ("A", "B", "all"):
-        raise ValueError("part must be 'A', 'B' or 'all'")
+    exactly (p-1, 0) or (0, p-1).  part selects "A" (no z-factors) or "B"
+    (at least one z-factor)."""
+    if part not in ("A", "B"):
+        raise ValueError("part must be 'A' or 'B'")
     gens: list[tuple[Monomial, int]] = []
     i = k
     while y_degree(p, i) <= cutoff:
         gens.append((Monomial.gen(p, "y", i), p - 1))
         i += 1
-    if part != "A":
+    if part == "B":
         t = k
         while z_degree(p, t) <= cutoff:
             gens.append((Monomial.gen(p, "z", t), p - 1))
@@ -299,8 +299,6 @@ def _cached_family(p: int, tag: str, param: int, cutoff: int) -> tuple[Monomial,
         return tuple(script_m_family(p, param, cutoff, "A"))
     if tag == "MkB":
         return tuple(script_m_family(p, param, cutoff, "B"))
-    if tag == "Mk":
-        return tuple(script_m_family(p, param, cutoff, "all"))
     raise ValueError(f"unknown family tag {tag!r}")
 
 

@@ -10,8 +10,6 @@ own home and their own direct tests.  Python ints keep everything exact
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 
 def nu(p: int, n: int) -> int:
     """p-adic valuation of n.  nu(p, 0) raises: callers never need it."""
@@ -25,7 +23,6 @@ def nu(p: int, n: int) -> int:
     return v
 
 
-@lru_cache(maxsize=None)
 def r(p: int, j: int) -> int:
     """First truncation-height sequence:
 
@@ -40,7 +37,6 @@ def r(p: int, j: int) -> int:
     return r(p, j - 2) + p ** (j - 1) * (p - 1) + 1
 
 
-@lru_cache(maxsize=None)
 def r_prime(p: int, j: int) -> int:
     """Companion height sequence:
 
@@ -55,7 +51,6 @@ def r_prime(p: int, j: int) -> int:
     return r_prime(p, j - 2) + p ** j * (p - 1) - 1
 
 
-@lru_cache(maxsize=None)
 def w_degree(p: int, j: int) -> int:
     """Degree of the mod-p class w_j (j >= 1).
 

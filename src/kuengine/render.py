@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .adams import classify, dot_label, e2_window
-from .chart import Chart, tower_dots
+from .chart import Chart, tower_dots, v_label
 
 _KIND = re.compile(r"v|h0|exotic|differential\((\d+)\)")
 
@@ -162,9 +162,8 @@ def _chart_dots_and_lines(chart: Chart, lo: int, hi: int):
             raise ValueError(f"tower {t.gen.render()} is unbounded; cut it first")
         gen = t.gen.render()
         for a in tower_dots(t.gen_degree, t.height, step, lo, hi):
-            label = gen if a == 0 else (f"v {gen}" if a == 1 else f"v^{a} {gen}")
             index[(t.id, a)] = len(dots)
-            dots.append(DocDot(t.gen_degree - step * a, t.base_s + a, label))
+            dots.append(DocDot(t.gen_degree - step * a, t.base_s + a, v_label(gen, a)))
     lines = [
         DocLine("v", i, index[(tid, a + 1)])
         for (tid, a), i in index.items()

@@ -71,9 +71,6 @@ class PSeries:
         return s
 
     # -- arithmetic --------------------------------------------------------
-    def copy(self) -> "PSeries":
-        return PSeries(self.top, self.c)
-
     def __add__(self, other: "PSeries") -> "PSeries":
         top = min(self.top, other.top)
         out = PSeries(top)

@@ -146,7 +146,7 @@ def test_missing_target_is_a_hard_error():
     gone = main_key(2, 0, 1, zs=((2, 1),))  # q z2, target of y1 z2
     del bad[gone]
     crippled = BigradedPage(
-        2, 2, 0, 40, 8, page.n_pad, bad, {k: t.height for k, t in bad.items()}
+        2, 0, 40, 8, page.n_pad, bad, {k: t.height for k, t in bad.items()}
     )
     with pytest.raises(WindowError, match="missing"):
         run_differentials(crippled)
@@ -157,7 +157,7 @@ def test_missing_source_is_a_hard_error():
     bad = dict(page.towers)
     del bad[("h0", 0, 1, 1)]  # v^2 q y1, the source under the z2 tower
     crippled = BigradedPage(
-        2, 2, 0, 40, 8, page.n_pad, bad, {k: t.height for k, t in bad.items()}
+        2, 0, 40, 8, page.n_pad, bad, {k: t.height for k, t in bad.items()}
     )
     with pytest.raises(WindowError):
         run_differentials(crippled)

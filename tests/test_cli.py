@@ -2,6 +2,7 @@
 codes, and that the emitted artifacts agree with the library calls they
 wrap."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -89,6 +90,10 @@ def test_chart_selector_validation(capsys):
         ["chart", "A:1", "--einfty", "--window", "0:40"],
         ["chart", "--einfty"],  # needs a window
         ["chart", "full-even"],  # unbounded without a window
+        ["chart", "A:x", "B:x"],  # the overlay parses its blocks like one selector
+        ["chart", "A:", "B:"],
+        ["chart", "A:0", "B:0", "--prime", "2"],  # B_0 does not exist at p = 2
+        ["chart", "A:-1", "B:-1"],
     ):
         rc, _, err = run(argv, capsys)
         assert rc == 2, argv
@@ -202,10 +207,43 @@ def test_usage_errors(capsys):
         ["groups", "--prime", "2", "--window", "9:3"],  # empty window
         ["groups", "--prime", "2", "--window", "abc"],
         ["groups", "--prime", "2"],  # no window at all
+        ["groups", "--prime", "2", "--window=-5:3"],  # degrees start at 0
+        ["groups", "--prime", "2", "--window=-5:3", "--include-free"],
+        ["groups", "--prime", "2", "--window=-5:3", "--homology"],
+        ["groups", "--prime", "2", "--window=-5:3", "--homology", "--include-free"],
     ):
         rc, _, err = run(argv, capsys)
         assert rc == 2, argv
         assert err.startswith("kuengine: "), argv
+
+
+# sha256 of stdout: these reports slice one assembled chart per command,
+# and any refactor of that path must leave their bytes as they are
+PINNED_STDOUT = {
+    "groups --prime 2 --window 0:200 --include-free":
+        "c1615a66b603db82cedfb6ed158156fe6b094ab4c37355e6ac5cd6113c45e002",
+    "groups --prime 3 --window 0:200 --homology":
+        "a77d72a1e3925147fba089f3fe6801e6ad1e227d9c5a67b767a1681353a5859b",
+    "groups --prime 2 --window 0:3 --homology --include-free":
+        "5486fa84cd17ff3d8be80069833a43f83d5d9061716d632c0f49f1abb748323c",
+    "audit --which bockstein --prime 3 --max 200":
+        "de804d5eef11a9f25428c569526396e99d67a80be971de608529648ab6dfaac1",
+    "audit --which theorem61 --prime 3 --max 200":
+        "de804d5eef11a9f25428c569526396e99d67a80be971de608529648ab6dfaac1",
+    "audit --which theorem61 --prime 5 --max 200":
+        "8a4d23c2d5c534b2bfe2c2193b6119aa6ae5a1e6ec1d4fc88028a237fb33f1c7",
+    "chart full-even --prime 2 --window 0:120":
+        "04be245b1a5979d4831df6abae1309b81cd1b02277929b493ded15bdb5b78be6",
+    "chart full-odd --prime 3 --window 0:120":
+        "07a875edb0109f72dc0a8edfcf895003400cece57321fbacf6aa6538dca80497",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_STDOUT))
+def test_reports_are_pinned(command, capsys):
+    rc, out, _ = run(command.split(), capsys)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[command]
 
 
 def test_bad_subcommand_is_an_argparse_error():

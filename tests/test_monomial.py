@@ -103,7 +103,8 @@ def test_script_m():
     assert famA[0].degree == 0  # contains 1
     assert all(not m.zs for m in famA)
     # at p=2 the level-k factor only allows 1 and z_k y_k
-    for m in enumerate_family(2, "Mk", 2, 60):
-        ez = m.z_dict().get(2, 0)
-        ey = dict(m.ys).get(2, 0)
-        assert (ez, ey) not in ((1, 0), (0, 1))
+    for tag in ("MkA", "MkB"):
+        for m in enumerate_family(2, tag, 2, 60):
+            ez = m.z_dict().get(2, 0)
+            ey = dict(m.ys).get(2, 0)
+            assert (ez, ey) not in ((1, 0), (0, 1))

@@ -23,6 +23,12 @@ element lies in exactly one tower:
         v.(y1^b z1) = h0.(y1^b y0 z0) counted once, on the z1 tower);
         p odd: y1^b y0^(p-1) z0 (height 1).
 
+Keys are plain integers.  Base bidegrees, fates and partner keys are key
+arithmetic, with z-parts as {index: exponent} dicts and |z_comp(i, j)| =
+2(p^(j+1) + 1 + (p-1)(j-i)); labels are spelled from the key by
+monomial.render_exponents, the spelling of Monomial.render.  No Monomial is
+built here.
+
 Differentials come in four closed families (nu = nu(p, -), t >= k0, target
 truncation height e0 listed last):
 
@@ -54,12 +60,12 @@ from functools import lru_cache
 from .chart import tower_dots, v_label
 from .modules import full_chart
 from .monomial import (
-    Monomial,
     k0,
-    lambda_family,
+    lambda_exponents,
     q_degree,
-    z_comp,
-    z_decompose,
+    render_exponents,
+    z_comp_exponents,
+    z_decompose_dict,
     z_degree,
 )
 from .padic import nu
@@ -89,32 +95,33 @@ class Fate:
     partner: Key | None
 
 
-# -- key/monomial plumbing ----------------------------------------------------
+# -- key arithmetic -------------------------------------------------------------
 
 
-def _zpart(p: int, key: Key) -> Monomial:
+def _z_of(p: int, key: Key) -> dict[int, int]:
+    """The z-part z_comp(i1, j2) z_j2^e lam of a MAIN key, ascending."""
     _, _, _, i1, j2, e, lam = key
-    m = z_comp(p, i1, j2)
+    z = z_comp_exponents(p, i1, j2)
     if e:
-        m = m * Monomial.gen(p, "z", j2, e)
-    if lam:
-        m = m * Monomial(p, zs=lam)
-    return m
+        z[j2] = z.get(j2, 0) + e
+    z.update(lam)
+    return z
 
 
-def _main_key(p: int, b: int, eps: int, zmono: Monomial) -> Key:
-    i1, j2, e, lam = z_decompose(zmono)
-    return ("main", b, eps, i1, j2, e, lam.zs)
+def _swap(z: dict[int, int], out, into) -> dict[int, int]:
+    """z / out * into for (index, exponent) pairs; the division must be exact."""
+    res = dict(z)
+    for j, x in out:
+        if res.get(j, 0) < x:
+            raise ValueError(f"z-part {dict(out)} does not divide {z}")
+        res[j] -= x
+    for j, x in into:
+        res[j] = res.get(j, 0) + x
+    return {j: x for j, x in res.items() if x}
 
 
-def _z_quot(m: Monomial, d: Monomial) -> Monomial:
-    """Exact division of z-monomials (internal: callers guarantee it)."""
-    c = m.z_dict()
-    for j, e in d.zs:
-        c[j] = c.get(j, 0) - e
-        if c[j] < 0:
-            raise ValueError(f"{d.render()} does not divide {m.render()}")
-    return Monomial(m.p, zs=tuple(sorted((j, e) for j, e in c.items() if e)))
+def _key(p: int, b: int, eps: int, z: dict[int, int]) -> Key:
+    return ("main", b, eps, *z_decompose_dict(p, z))
 
 
 def dot_label(p: int, key: Key, a: int) -> str:
@@ -141,12 +148,10 @@ def tower(p: int, key: Key) -> ETower:
     kk = k0(p)
     if key[0] == "main":
         _, b, eps, *_ = key
-        mono = _zpart(p, key)
-        if b:
-            mono = mono * Monomial.gen(p, "y", 1, b)
-        if eps:
-            mono = mono * Monomial.gen(p, "q")
-        return ETower(key, mono.degree, 0, None, mono.render())
+        zs = tuple(_z_of(p, key).items())
+        n0 = eps * q_degree(p) + 2 * p * b + sum(x * z_degree(p, j) for j, x in zs)
+        ys = ((1, b),) if b else ()
+        return ETower(key, n0, 0, None, render_exponents(p, eps, ys, zs))
     if key[0] == "h0":
         _, c, b, eps = key
         if (b, eps) == (0, 0) or c < 0:
@@ -155,19 +160,17 @@ def tower(p: int, key: Key) -> ETower:
         return ETower(key, n0, c + kk * eps, None, dot_label(p, key, 0))
     if key[0] == "sp":
         _, kind, b = key
-        ys = ((1, b),) if b else ()
         if p == 2 and kind == "x8":
-            mono = Monomial(p, ys=((0, 1),) + ys, zs=((0, 1),))
-            height = 1
+            y0, zj, height = 1, 0, 1
         elif p == 2 and kind == "x10":
-            mono = Monomial(p, ys=ys, zs=((1, 1),))
-            height = 2
+            y0, zj, height = 0, 1, 2
         elif p > 2 and kind == "yz":
-            mono = Monomial(p, ys=((0, p - 1),) + ys, zs=((0, 1),))
-            height = 1
+            y0, zj, height = p - 1, 0, 1
         else:
             raise ValueError(f"bad sp key {key}")
-        return ETower(key, mono.degree, 0, height, mono.render())
+        n0 = 2 * y0 + 2 * p * b + z_degree(p, zj)
+        ys = tuple((i, x) for i, x in ((0, y0), (1, b)) if x)
+        return ETower(key, n0, 0, height, render_exponents(p, 0, ys, ((zj, 1),)))
     raise ValueError(f"unknown tower family {key!r}")
 
 
@@ -197,18 +200,16 @@ def classify(p: int, key: Key) -> Fate:
         if c >= thr:
             return Fate("target", "F1", nu(p, b + 1) + 2, 0, ("h0", c - thr, b + 1, 0))
         t = c + kk
-        zt = Monomial.gen(p, "z", t)
-        return Fate(
-            "source", "F3", p**t - t, p**t, _main_key(p, b + 1 - p ** (t - 1), 0, zt)
-        )
+        bare = ("main", b + 1 - p ** (t - 1), 0, t, t, 0, ())  # y1^(b+1-p^(t-1)) z_t
+        return Fate("source", "F3", p**t - t, p**t, bare)
 
     _, b, eps, i1, j2, e, lam = key
-    zm = _zpart(p, key)
+    z = _z_of(p, key)
     if eps == 0:
         if b >= 1 and i1 >= nu(p, b) + 2:
             d = nu(p, b)
-            zt = _z_quot(zm, Monomial.gen(p, "z", i1)) * z_comp(p, i1 - d - odd, i1)
-            return Fate("source", "F2", d + 2, d + 2, _main_key(p, b - 1, 1, zt))
+            zt = _swap(z, ((i1, 1),), z_comp_exponents(p, i1 - d - odd, i1).items())
+            return Fate("source", "F2", d + 2, d + 2, _key(p, b - 1, 1, zt))
         # not an F2 source forces nu(b) >= i1 - 1, i.e. y1^b in P[y_t]
         t = i1
         if i1 == j2 and e == 0 and not lam:
@@ -216,31 +217,19 @@ def classify(p: int, key: Key) -> Fate:
                 "target", "F3", p**t - t, p**t, ("h0", t - kk, b + p ** (t - 1) - 1, 1)
             )
         j = t if (j2 > i1 or e >= 1) else lam[0][0]
-        div = Monomial.gen(p, "z", t) * Monomial.gen(p, "z", j)
-        zs = _z_quot(zm, div) * z_comp(p, j - t + kk, j)
-        return Fate(
-            "target",
-            "F4",
-            p**t - t,
-            p**t - t,
-            _main_key(p, b + p ** (t - 1) - 1, 1, zs),
-        )
+        zs = _swap(z, ((t, 1), (j, 1)), z_comp_exponents(p, j - t + kk, j).items())
+        r = p**t - t
+        return Fate("target", "F4", r, r, _key(p, b + p ** (t - 1) - 1, 1, zs))
 
     t = j2 - i1 + kk
     if nu(p, b + 1) >= t - 1:
-        mul = Monomial.gen(p, "z", t) * Monomial.gen(p, "z", j2)
-        zt = _z_quot(zm, z_comp(p, i1, j2)) * mul
-        return Fate(
-            "source",
-            "F4",
-            p**t - t,
-            p**t - t,
-            _main_key(p, b + 1 - p ** (t - 1), 0, zt),
-        )
+        zt = _swap(z, z_comp_exponents(p, i1, j2).items(), ((t, 1), (j2, 1)))
+        r = p**t - t
+        return Fate("source", "F4", r, r, _key(p, b + 1 - p ** (t - 1), 0, zt))
     d = nu(p, b + 1)
     isrc = i1 + d + odd
-    zs = _z_quot(zm, z_comp(p, i1, isrc)) * Monomial.gen(p, "z", isrc)
-    return Fate("target", "F2", d + 2, d + 2, _main_key(p, b + 1, 0, zs))
+    zs = _swap(z, z_comp_exponents(p, i1, isrc).items(), ((isrc, 1),))
+    return Fate("target", "F2", d + 2, d + 2, _key(p, b + 1, 0, zs))
 
 
 # -- E2 window ----------------------------------------------------------------
@@ -252,16 +241,19 @@ def _z_runs(p: int, budget: int) -> list[tuple[int, int, int, tuple, int]]:
     out = []
     j2 = kk
     while z_degree(p, j2) <= budget:
+        lams = lambda_exponents(p, j2 + 1, budget - z_degree(p, j2))
         for i1 in range(kk, j2 + 1):
-            base = z_comp(p, i1, j2).degree
+            base = 2 * (p ** (j2 + 1) + 1 + (p - 1) * (j2 - i1))  # |z_comp(i1, j2)|
             if base > budget:
                 continue
             for e in range(p - 1):
                 d0 = base + e * z_degree(p, j2)
                 if d0 > budget:
                     break
-                for lam in lambda_family(p, j2 + 1, budget - d0):
-                    out.append((i1, j2, e, lam.zs, d0 + lam.degree))
+                for lam, deg in lams:
+                    if d0 + deg > budget:
+                        break
+                    out.append((i1, j2, e, lam, d0 + deg))
         j2 += 1
     return out
 
@@ -486,9 +478,12 @@ def matching_audit(p: int, n_lo: int, n_hi: int, s_max: int) -> dict:
     pairing is a perfect matching with consistent geometry.
 
     Orphans (partner missing without a window excuse), double hits and
-    geometry mismatches are report entries, not exceptions.
+    geometry mismatches are report entries, not exceptions.  A window with
+    no tower raises ValueError: it would pass without checking anything.
     """
     page = e2_window(p, n_lo, n_hi, s_max)
+    if not page.towers:
+        raise ValueError(f"the window {n_lo}..{n_hi}, s <= {s_max} holds no tower")
     w = page.w
     by_family: Counter = Counter()
     orphans: list[dict] = []
@@ -571,14 +566,22 @@ def einfty_audit(p: int, n_hi: int, s_max: int | None = None) -> dict:
 
     Checks, for every 0 <= n <= n_hi: the (n, s)-dimensions of E-infinity
     against the chart dots of modules.full_chart (same filtrations), and
-    the per-degree totals against the F_p-length of ku^n.
+    the per-degree totals against the F_p-length of ku^n.  s_max defaults
+    to the chart's top filtration plus 4; a cap below that top filtration
+    would cut E-infinity short of the chart and raises ValueError.
     """
     ch = full_chart(p, n_hi)
     chart_counts = Counter(
         (n, ch.dot_filtration(d)) for n in range(n_hi + 1) for d in ch.dots_at(n)
     )
+    top = max((s for _, s in chart_counts), default=0)
     if s_max is None:
-        s_max = max((s for _, s in chart_counts), default=0) + 4
+        s_max = top + 4
+    elif s_max < top:
+        raise ValueError(
+            f"s_max {s_max} cuts E-infinity below the chart's top filtration "
+            f"{top} through n = {n_hi}: the smallest accepted cap is {top}"
+        )
     page = e2_window(p, 0, n_hi, s_max)
     einf, applied = run_differentials(page)
 

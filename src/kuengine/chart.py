@@ -234,6 +234,7 @@ class RealizedWindow:
         self.lo = lo
         self.hi = hi
         self._order_cache: dict[tuple, int] = {}
+        self._groups: dict[int, list[int]] = {}
 
     def _check(self, n: int) -> None:
         if not (self.lo <= n <= self.hi):
@@ -244,9 +245,6 @@ class RealizedWindow:
         return self.chart.group_at(n)
 
     # -- rank invariant -------------------------------------------------------
-    def _log_order(self, rows: list[list[int]], ncols: int) -> int:
-        return sum(cokernel_exponents(rows, ncols, self.chart.p))
-
     def rank_invariant(self, n: int, a: int, b: int) -> int:
         """log_p of the order of the image of p^a v^b from degree n to
         degree n - 2(p-1)b of the realized module."""
@@ -257,21 +255,25 @@ class RealizedWindow:
         key = (n, a, b)
         if key in self._order_cache:
             return self._order_cache[key]
-        src_dots = c.dots_at(n)
+        group = self._groups.get(tgt_n)
+        if group is None:
+            group = self._groups[tgt_n] = c.group_at(tgt_n)
         tgt_dots = c.dots_at(tgt_n)
         index = {d: i for i, d in enumerate(tgt_dots)}
-        rel = c.relation_rows(tgt_dots)
         images = []
-        scale = c.p**a
-        for t, alpha in src_dots:
-            row = [0] * len(tgt_dots)
+        for t, alpha in c.dots_at(n):
             shifted = (t, alpha + b)
             if shifted in index:
-                row[index[shifted]] = scale
-            images.append(row)
-        full = self._log_order(rel, len(tgt_dots))
-        quot = self._log_order(rel + images, len(tgt_dots))
-        val = full - quot
+                row = [0] * len(tgt_dots)
+                row[index[shifted]] = c.p**a
+                images.append(row)
+        if not images or a >= max(group, default=0):
+            # the image is zero, or p^a kills the whole target group
+            val = 0
+        else:
+            rel = c.relation_rows(tgt_dots)
+            quot = cokernel_exponents(rel + images, len(tgt_dots), c.p)
+            val = sum(group) - sum(quot)
         self._order_cache[key] = val
         return val
 

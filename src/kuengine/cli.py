@@ -203,15 +203,9 @@ def cmd_audit(
     if which == "einfty":
         return adams.einfty_audit(p, max_n if max_n is not None else 120, max_s)
     if which == "duality":
-        try:
-            return modules.duality_audit(p, max_n if max_n is not None else 4)
-        except ValueError as exc:
-            raise UsageError(f"audit duality: {exc}") from exc
+        return modules.duality_audit(p, max_n if max_n is not None else 4)
     if which == "theorem61":
-        try:
-            return k1.theorem61_audit(p, max_n if max_n is not None else 200)
-        except ValueError as exc:
-            raise UsageError(f"audit theorem61: {exc}") from exc
+        return k1.theorem61_audit(p, max_n if max_n is not None else 200)
     if which == "margolis":
         return margolis.margolis_audit(p, max_n if max_n is not None else 60)
     if which == "ext":
@@ -362,9 +356,13 @@ def main(argv: list[str] | None = None) -> int:
                 _emit(doc.to_json() + "\n", config.out)
             return 0
         if args.command == "audit":
-            report = cmd_audit(
-                config, args.which, args.max_n, args.max_degree, args.max_s
-            )
+            try:
+                report = cmd_audit(
+                    config, args.which, args.max_n, args.max_degree, args.max_s
+                )
+            except ValueError as exc:
+                # an audit raises ValueError for a window or cap it cannot check
+                raise UsageError(f"audit {args.which}: {exc}") from exc
             _emit(_dump(report), config.out)
             return 0 if report["ok"] else 1
         if args.command == "ps":

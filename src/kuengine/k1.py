@@ -44,7 +44,7 @@ from functools import lru_cache
 
 from .chart import tower_dots
 from .modules import _round_up, build_A, build_B, build_S, full_chart
-from .monomial import Z_prod, k0, lambda_family, q_degree, z_degree
+from .monomial import Z_prod, k0, lambda_exponents, q_degree, z_degree
 from .padic import r, r_prime, w_degree
 
 
@@ -66,9 +66,9 @@ def k1_dims(p: int, n_max: int) -> tuple[int, ...]:
     while w_degree(p, j) - w * (r(p, j) - 1) <= n_max:
         height = r(p, j)
         pad = w * (height - 1)
-        for lam in lambda_family(p, j + 1, n_max + pad - w_degree(p, j)):
+        for _, lam_deg in lambda_exponents(p, j + 1, n_max + pad - w_degree(p, j)):
             for eps in (0, 1):
-                base0 = w_degree(p, j) + lam.degree + eps * w_degree(p, j + 1)
+                base0 = w_degree(p, j) + lam_deg + eps * w_degree(p, j + 1)
                 for d in range(p - 1):
                     base1 = base0 + d * 2 * p**j
                     if base1 - pad > n_max:
@@ -84,10 +84,10 @@ def k1_dims(p: int, n_max: int) -> tuple[int, ...]:
     while z_degree(p, j) - w * (r_prime(p, j - 1) - 1) <= n_max:
         height = r_prime(p, j - 1)
         pad = w * (height - 1)
-        for lam in lambda_family(p, j + 1, n_max + pad - z_degree(p, j)):
+        for _, lam_deg in lambda_exponents(p, j + 1, n_max + pad - z_degree(p, j)):
             for eps in (0, 1):
                 for e in range(1, p):
-                    base1 = e * z_degree(p, j) + lam.degree + eps * w_degree(p, j)
+                    base1 = e * z_degree(p, j) + lam_deg + eps * w_degree(p, j)
                     if base1 - pad > n_max:
                         break
                     c = 0
@@ -109,9 +109,9 @@ def k1_dims(p: int, n_max: int) -> tuple[int, ...]:
     # q family.
     j = k0(p)
     while p * z_degree(p, j) <= n_max:
-        for lam in lambda_family(p, j + 1, n_max - p * z_degree(p, j)):
+        for _, lam_deg in lambda_exponents(p, j + 1, n_max - p * z_degree(p, j)):
             for eps in (0, 1):
-                base1 = p * z_degree(p, j) + lam.degree + eps * q_degree(p)
+                base1 = p * z_degree(p, j) + lam_deg + eps * q_degree(p)
                 c = 0
                 while base1 + 2 * p * c <= n_max:
                     add(base1 + 2 * p * c, 1)
@@ -219,9 +219,9 @@ def _ten_term_cofactors(p: int, k: int, ell: int, budget: int) -> list[int]:
     """Degrees of y_k^d y_{k+1}^c z_l^f lam, d, f <= p-2, lam in
     Lambda_{l+1}, up to budget."""
     out = []
-    for lam in lambda_family(p, ell + 1, budget):
+    for _, lam_deg in lambda_exponents(p, ell + 1, budget):
         for f in range(p - 1):
-            base = lam.degree + f * z_degree(p, ell)
+            base = lam_deg + f * z_degree(p, ell)
             if base > budget:
                 break
             out.extend(base + d for d in _pair_cofactors(p, k, budget - base))
@@ -231,10 +231,10 @@ def _ten_term_cofactors(p: int, k: int, ell: int, budget: int) -> list[int]:
 def _single_cofactors(p: int, k: int, budget: int) -> list[int]:
     """Degrees of y_k^c lam, lam in Lambda_{k+1}, up to budget."""
     out = []
-    for lam in lambda_family(p, k + 1, budget):
+    for _, lam_deg in lambda_exponents(p, k + 1, budget):
         c = 0
-        while lam.degree + c * 2 * p**k <= budget:
-            out.append(lam.degree + c * 2 * p**k)
+        while lam_deg + c * 2 * p**k <= budget:
+            out.append(lam_deg + c * 2 * p**k)
             c += 1
     return out
 

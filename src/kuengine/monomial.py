@@ -120,27 +120,8 @@ class Monomial:
 
     # -- rendering -----------------------------------------------------------
     def render(self) -> str:
-        """Canonical text form: q first, then y factors, then z factors,
-        ascending index; exponent 1 omitted; a z-part that is exactly one
-        composite class z_comp(i,j) with i < j prints as "z[i,j]"."""
-        parts: list[str] = []
-        if self.q:
-            parts.append("q")
-        for i, e in self.ys:
-            parts.append(f"y{i}" + (f"^{e}" if e > 1 else ""))
-        zpart = self._render_z()
-        if zpart:
-            parts.append(zpart)
-        return " ".join(parts) if parts else "1"
-
-    def _render_z(self) -> str:
-        if not self.zs:
-            return ""
-        comp = composite_of(self)
-        if comp is not None:
-            i, j = comp
-            return f"z[{i},{j}]"
-        return " ".join(f"z{j}" + (f"^{e}" if e > 1 else "") for j, e in self.zs)
+        """Canonical text form (see render_exponents)."""
+        return render_exponents(self.p, self.q, self.ys, self.zs)
 
     def __repr__(self) -> str:
         return f"<{self.render()}>"
@@ -153,12 +134,12 @@ def z_comp(p: int, i: int, j: int) -> Monomial:
         raise ValueError("need i <= j")
     if i < 0:
         raise ValueError("need i >= 0")
-    if i == j:
-        return Monomial.gen(p, "z", j)
-    zs = {i: p}
-    for t in range(i + 1, j):
-        zs[t] = p - 1
-    return Monomial(p, zs=tuple(sorted(zs.items())))
+    return Monomial(p, zs=tuple(z_comp_exponents(p, i, j).items()))
+
+
+def z_comp_exponents(p: int, i: int, j: int) -> dict[int, int]:
+    """The z-part {index: exponent} of z_comp(i, j), ascending (i <= j)."""
+    return {j: 1} if i == j else {i: p, **{t: p - 1 for t in range(i + 1, j)}}
 
 
 def Z_prod(p: int, i: int, j: int) -> Monomial:
@@ -169,52 +150,61 @@ def Z_prod(p: int, i: int, j: int) -> Monomial:
     return Monomial(p, zs=zs)
 
 
-def composite_of(m: Monomial) -> tuple[int, int] | None:
-    """If the z-part of m is exactly z_comp(i,j) for some i < j, return
-    (i, j); otherwise None."""
-    if not m.zs:
-        return None
-    p = m.p
-    c = m.z_dict()
+def render_exponents(p: int, q: int, ys: tuple, zs: tuple) -> str:
+    """Canonical text form of q^q prod y_i^e prod z_j^c from ascending
+    (index, exponent) pairs: q first, then y factors, then z factors;
+    exponent 1 omitted; a z-part that is exactly one composite class
+    z_comp(i,j) with i < j prints as "z[i,j]"."""
+    parts = ["q"] if q else []
+    parts += [f"y{i}" + (f"^{e}" if e > 1 else "") for i, e in ys]
+    comp = _composite(p, dict(zs)) if zs else None
+    if comp is not None:
+        parts.append(f"z[{comp[0]},{comp[1]}]")
+    else:
+        parts += [f"z{j}" + (f"^{e}" if e > 1 else "") for j, e in zs]
+    return " ".join(parts) if parts else "1"
+
+
+def _composite(p: int, c: dict[int, int]) -> tuple[int, int] | None:
     i = min(c)
     if c[i] != p:
         return None
     t = i + 1
-    while t in c and c[t] == p - 1:
+    while c.get(t) == p - 1:
         t += 1
-    if any(k >= t for k in c):
-        return None
-    return (i, t)
+    return None if max(c) >= t else (i, t)
+
+
+def composite_of(m: Monomial) -> tuple[int, int] | None:
+    """(i, j) if the z-part of m is exactly z_comp(i,j) with i < j, else None."""
+    return _composite(m.p, m.z_dict()) if m.zs else None
+
+
+def z_decompose_dict(p: int, c: dict[int, int]) -> tuple[int, int, int, tuple]:
+    """Canonical reading (i, j, e, lam) of a z-part {index: exponent} as
+    z_comp(i,j) z_j^e lam: lam ascending (index, exponent) pairs on indices
+    > j with exponents <= p-1, and e <= p-2 (the leading exponent 1+e when
+    i = j).  Raises ValueError when the z-part has no such reading."""
+    if not c:
+        raise ValueError("no z-part to decompose")
+    i = min(c)
+    j, e = i, c[i] - 1
+    if c[i] == p:
+        j = i + 1
+        while c.get(j, 0) == p - 1:
+            j += 1
+        e = c.get(j, 0)
+    lam = tuple(sorted((k, v) for k, v in c.items() if k > j))
+    # a leading exponent above p leaves e = c[i] - 1 > p - 2 as well
+    if e > p - 2 or any(v > p - 1 for _, v in lam):
+        raise ValueError(f"z-part {c} is not in canonical family form")
+    return (i, j, e, lam)
 
 
 def z_decompose(m: Monomial) -> tuple[int, int, int, Monomial]:
-    """Canonical reading of a z-monomial as z_comp(i,j) * z_j^e * lam with
-    lam supported on indices > j with exponents <= p-1, and e <= p-2 when
-    i < j (when i = j the leading exponent is 1+e <= p-1).  Returns
-    (i, j, e, lam).  Raises ValueError when the z-part has no such reading.
-    """
-    if not m.zs:
-        raise ValueError("no z-part to decompose")
-    p = m.p
-    c = m.z_dict()
-    i = min(c)
-    if c[i] < p:
-        j = i
-        e = c[i] - 1
-    elif c[i] == p:
-        t = i + 1
-        while c.get(t, 0) == p - 1:
-            t += 1
-        j = t
-        if c.get(j, 0) > p - 2:
-            raise ValueError(f"z-part of {m!r} is not in canonical family form")
-        e = c.get(j, 0)
-    else:
-        raise ValueError(f"z-part of {m!r} is not in canonical family form")
-    lam = {k: v for k, v in c.items() if k > j}
-    if any(v > p - 1 for v in lam.values()):
-        raise ValueError(f"z-part of {m!r} is not in canonical family form")
-    return (i, j, e, Monomial(m.p, zs=tuple(sorted(lam.items()))))
+    """z_decompose_dict of the z-part of m, with lam as a monomial."""
+    i, j, e, lam = z_decompose_dict(m.p, m.z_dict())
+    return (i, j, e, Monomial(m.p, zs=lam))
 
 
 # -- family enumerators ------------------------------------------------------
@@ -242,21 +232,22 @@ def _bounded_products(
     yield from rec(0, Monomial.one(p))
 
 
-def lambda_family(p: int, j: int, cutoff: int) -> list[Monomial]:
-    """Lambda_j = TP_p[z_i : i >= j]: exponents <= p-1, degree <= cutoff."""
-    gens: list[tuple[Monomial, int]] = []
+def lambda_exponents(p: int, j: int, cutoff: int) -> list[tuple[tuple, int]]:
+    """Lambda_j = TP_p[z_i : i >= j]: exponents <= p-1, degree <= cutoff,
+    as (ascending exponent pairs, degree) sorted by degree, then pairs."""
+    out: list[tuple[tuple, int]] = [((), 0)]
     t = j
     while z_degree(p, t) <= cutoff:
-        gens.append((Monomial.gen(p, "z", t), p - 1))
+        zd = z_degree(p, t)
+        out += [
+            (zs + ((t, e),), d + e * zd)
+            for zs, d in out
+            for e in range(1, p)
+            if d + e * zd <= cutoff
+        ]
         t += 1
-    out = list(_bounded_products(p, gens, cutoff))
-    out.sort(key=Monomial.sort_key)
+    out.sort(key=lambda x: (x[1], x[0]))
     return out
-
-
-def lambda_bar_family(p: int, j: int, cutoff: int) -> list[Monomial]:
-    """Augmentation ideal of Lambda_j: the same family without 1."""
-    return [m for m in lambda_family(p, j, cutoff) if m.zs]
 
 
 def script_m_family(p: int, k: int, cutoff: int, part: str) -> list[Monomial]:
@@ -291,10 +282,10 @@ def script_m_family(p: int, k: int, cutoff: int, part: str) -> list[Monomial]:
 
 @lru_cache(maxsize=None)
 def _cached_family(p: int, tag: str, param: int, cutoff: int) -> tuple[Monomial, ...]:
-    if tag == "Lambda":
-        return tuple(lambda_family(p, param, cutoff))
-    if tag == "LambdaBar":
-        return tuple(lambda_bar_family(p, param, cutoff))
+    if tag in ("Lambda", "LambdaBar"):
+        # LambdaBar is the augmentation ideal: Lambda without 1
+        lams = lambda_exponents(p, param, cutoff)
+        return tuple(Monomial(p, zs=zs) for zs, _ in lams if zs or tag == "Lambda")
     if tag == "MkA":
         return tuple(script_m_family(p, param, cutoff, "A"))
     if tag == "MkB":

@@ -4,8 +4,11 @@ import pytest
 
 from kuengine.adams import (
     BigradedPage,
+    ETower,
+    Fate,
     WindowError,
     classify,
+    dot_label,
     e2_dims,
     e2_window,
     einfty_audit,
@@ -15,7 +18,15 @@ from kuengine.adams import (
 )
 from kuengine.margolis import build_HK2, ext_bruteforce, free_part_ps
 from kuengine.modules import full_chart
-from kuengine.monomial import Monomial, k0, z_decompose
+from kuengine.monomial import (
+    Monomial,
+    k0,
+    q_degree,
+    z_comp,
+    z_decompose,
+    z_decompose_dict,
+)
+from kuengine.padic import nu
 
 
 def main_key(p, b, eps, **kw):
@@ -256,3 +267,139 @@ def test_e2_dims_match_the_per_bidegree_scan(p):
                 want[(n, s)] = page.dims_at(n, s)
     assert e2_dims(p, n_lo, n_hi, s_max) == want
     assert page.dims(page.heights) == want
+
+
+# -- key arithmetic against the Monomial-built reference ------------------------
+#
+# The reference below builds every tower and fate from Monomial products,
+# degrees and render(); the integer key arithmetic of adams.py must agree
+# with it exactly, labels included.  Both share monomial's spelling and
+# canonical decomposition, so this checks the z-part products, quotients and
+# degrees; test_monomial checks the spelling.
+
+
+def _ref_zpart(p, key):
+    _, _, _, i1, j2, e, lam = key
+    m = z_comp(p, i1, j2)
+    if e:
+        m = m * Monomial.gen(p, "z", j2, e)
+    if lam:
+        m = m * Monomial(p, zs=lam)
+    return m
+
+
+def _ref_main_key(p, b, eps, zmono):
+    i1, j2, e, lam = z_decompose(zmono)
+    return ("main", b, eps, i1, j2, e, lam.zs)
+
+
+def _ref_z_quot(m, d):
+    c = m.z_dict()
+    for j, e in d.zs:
+        c[j] = c.get(j, 0) - e
+        if c[j] < 0:
+            raise ValueError(f"{d.render()} does not divide {m.render()}")
+    return Monomial(m.p, zs=tuple(sorted((j, e) for j, e in c.items() if e)))
+
+
+def ref_tower(p, key):
+    kk = k0(p)
+    if key[0] == "main":
+        _, b, eps, *_ = key
+        mono = _ref_zpart(p, key)
+        if b:
+            mono = mono * Monomial.gen(p, "y", 1, b)
+        if eps:
+            mono = mono * Monomial.gen(p, "q")
+        return ETower(key, mono.degree, 0, None, mono.render())
+    if key[0] == "h0":
+        _, c, b, eps = key
+        n0 = 2 * p * b + eps * (q_degree(p) - 2 * (p - 1) * kk)
+        return ETower(key, n0, c + kk * eps, None, dot_label(p, key, 0))
+    _, kind, b = key
+    ys = ((1, b),) if b else ()
+    if kind == "x8":
+        mono, height = Monomial(p, ys=((0, 1),) + ys, zs=((0, 1),)), 1
+    elif kind == "x10":
+        mono, height = Monomial(p, ys=ys, zs=((1, 1),)), 2
+    else:
+        mono, height = Monomial(p, ys=((0, p - 1),) + ys, zs=((0, 1),)), 1
+    return ETower(key, mono.degree, 0, height, mono.render())
+
+
+def ref_classify(p, key):
+    kk = k0(p)
+    odd = 0 if p == 2 else 1
+    if key[0] == "sp":
+        return Fate("survives", None, None, None, None)
+    if key[0] == "h0":
+        _, c, b, eps = key
+        if eps == 0:
+            d = nu(p, b)
+            return Fate("source", "F1", d + 2, 0, ("h0", c + d + odd, b - 1, 1))
+        thr = nu(p, b + 1) + odd
+        if c >= thr:
+            return Fate("target", "F1", nu(p, b + 1) + 2, 0, ("h0", c - thr, b + 1, 0))
+        t = c + kk
+        zt = Monomial.gen(p, "z", t)
+        return Fate(
+            "source", "F3", p**t - t, p**t, _ref_main_key(p, b + 1 - p ** (t - 1), 0, zt)
+        )
+    _, b, eps, i1, j2, e, lam = key
+    zm = _ref_zpart(p, key)
+    if eps == 0:
+        if b >= 1 and i1 >= nu(p, b) + 2:
+            d = nu(p, b)
+            zt = _ref_z_quot(zm, Monomial.gen(p, "z", i1)) * z_comp(p, i1 - d - odd, i1)
+            return Fate("source", "F2", d + 2, d + 2, _ref_main_key(p, b - 1, 1, zt))
+        t = i1
+        if i1 == j2 and e == 0 and not lam:
+            return Fate(
+                "target", "F3", p**t - t, p**t, ("h0", t - kk, b + p ** (t - 1) - 1, 1)
+            )
+        j = t if (j2 > i1 or e >= 1) else lam[0][0]
+        div = Monomial.gen(p, "z", t) * Monomial.gen(p, "z", j)
+        zs = _ref_z_quot(zm, div) * z_comp(p, j - t + kk, j)
+        return Fate(
+            "target", "F4", p**t - t, p**t - t,
+            _ref_main_key(p, b + p ** (t - 1) - 1, 1, zs),
+        )
+    t = j2 - i1 + kk
+    if nu(p, b + 1) >= t - 1:
+        mul = Monomial.gen(p, "z", t) * Monomial.gen(p, "z", j2)
+        zt = _ref_z_quot(zm, z_comp(p, i1, j2)) * mul
+        return Fate(
+            "source", "F4", p**t - t, p**t - t,
+            _ref_main_key(p, b + 1 - p ** (t - 1), 0, zt),
+        )
+    d = nu(p, b + 1)
+    isrc = i1 + d + odd
+    zs = _ref_z_quot(zm, z_comp(p, i1, isrc)) * Monomial.gen(p, "z", isrc)
+    return Fate("target", "F2", d + 2, d + 2, _ref_main_key(p, b + 1, 0, zs))
+
+
+@pytest.mark.parametrize(
+    "p, n_hi, s_max", ((2, 120, 30), (3, 200, 20), (5, 300, 10), (7, 400, 8))
+)
+def test_key_arithmetic_matches_the_monomial_reference(p, n_hi, s_max):
+    page = e2_window(p, 0, n_hi, s_max)
+    keys = set(page.towers)
+    keys |= {classify(p, k).partner for k in page.towers} - {None}
+    assert len(keys) > len(page.towers)  # partners outside the window count too
+    for key in keys:
+        assert tower(p, key) == ref_tower(p, key), key
+        assert classify(p, key) == ref_classify(p, key), key
+
+
+@pytest.mark.parametrize(
+    "p, z", ((2, {2: 3}), (3, {1: 3, 2: 3}), (3, {1: 1, 3: 3}))
+)
+def test_a_non_canonical_z_part_raises(p, z):
+    with pytest.raises(ValueError, match="canonical"):
+        z_decompose_dict(p, z)
+
+
+def test_a_non_canonical_key_has_no_partner():
+    # q z1 z2^3 at p = 3: its F4 partner keeps the z2^3 outside Lambda
+    with pytest.raises(ValueError, match="canonical"):
+        classify(3, ("main", 0, 1, 1, 1, 0, ((2, 3),)))

@@ -11,7 +11,8 @@ from kuengine.chart import (
     realize,
     tower_dots,
 )
-from kuengine.modules import full_chart
+from kuengine.linalg import cokernel_exponents
+from kuengine.modules import duality_audit, full_chart
 from kuengine.monomial import Monomial, z_comp
 
 
@@ -113,6 +114,50 @@ def test_rank_invariant():
     assert w.rank_invariant(36, 1, 0) == 0  # p kills Z/p
     assert w.rank_invariant(36, 0, 1) == 1  # v: dot -> dot is onto Z/p
     assert w.rank_invariant(32, 0, 1) == 0  # falls off the tower top
+
+
+def naive_rank_invariant(w, n, a, b):
+    """Reference: log_p |im p^a v^b| as log_p |G_tgt| minus log_p of the
+    cokernel of the relations plus the images, two eliminations per call."""
+    c = w.chart
+    tgt_dots = c.dots_at(n - 2 * (c.p - 1) * b)
+    index = {d: i for i, d in enumerate(tgt_dots)}
+    rel = c.relation_rows(tgt_dots)
+    images = []
+    for t, alpha in c.dots_at(n):
+        row = [0] * len(tgt_dots)
+        shifted = (t, alpha + b)
+        if shifted in index:
+            row[index[shifted]] = c.p**a
+        images.append(row)
+    full = sum(cokernel_exponents(rel, len(tgt_dots), c.p))
+    quot = sum(cokernel_exponents(rel + images, len(tgt_dots), c.p))
+    return full - quot
+
+
+@pytest.mark.parametrize("p, k_max", ((2, 4), (3, 2), (5, 1)))
+def test_rank_invariant_matches_the_naive_reference(p, k_max, monkeypatch):
+    # every (n, a, b) the duality audit visits on B_k0 .. B_k_max
+    visited = {}
+    fast = RealizedWindow.rank_invariant
+
+    def record(w, n, a, b):
+        visited[(w, n, a, b)] = None
+        return fast(w, n, a, b)
+
+    monkeypatch.setattr(RealizedWindow, "rank_invariant", record)
+    assert duality_audit(p, k_max)["ok"]
+    zero_image = killed = 0
+    for w, n, a, b in visited:
+        assert fast(w, n, a, b) == naive_rank_invariant(w, n, a, b), (p, n, a, b)
+        c = w.chart
+        tgt = n - 2 * (p - 1) * b
+        if not {(t, al + b) for t, al in c.dots_at(n)} & set(c.dots_at(tgt)):
+            zero_image += 1
+        elif a >= max(c.group_at(tgt), default=0):
+            killed += 1
+    # both short cuts of rank_invariant are among the compared cases
+    assert zero_image and killed and len(visited) > zero_image + killed
 
 
 def test_dual_window_bounds():

@@ -133,6 +133,28 @@ def test_duality_below_k0_is_a_usage_error(prime, top, capsys):
     assert "duality" in err
 
 
+@pytest.mark.parametrize("cap, code", (("2", 2), ("14", 2), ("15", 0)))
+def test_einfty_cap_below_the_top_filtration_is_a_usage_error(cap, code, capsys):
+    # the chart's top filtration through n = 60 at p = 2 is 15: a lower cap
+    # would cut E-infinity short of the chart and read as a failed audit
+    argv = ["audit", "--which", "einfty", "--prime", "2", "--max", "60", "--max-s", cap]
+    rc, out, err = run(argv, capsys)
+    assert rc == code
+    if code:
+        assert out == ""
+        assert "smallest accepted cap is 15" in err
+    else:
+        assert json.loads(out)["ok"] is True
+
+
+def test_matching_over_an_empty_window_is_a_usage_error(capsys):
+    argv = ["audit", "--which", "matching", "--prime", "2", "--max", "0", "--max-s", "0"]
+    rc, out, err = run(argv, capsys)
+    assert rc == 2
+    assert out == ""
+    assert "holds no tower" in err
+
+
 @pytest.mark.parametrize("prime", (2, 3))
 def test_duality_at_max_two_checks_something(prime, capsys):
     argv = ["audit", "--which", "duality", "--prime", str(prime), "--max", "2"]

@@ -297,14 +297,22 @@ class BigradedPage:
     def dims_at(self, n: int, s: int) -> int:
         return len(self.dots_at(n, s))
 
-    def window_dots(self, heights: dict[Key, int | None]):
-        """Every (key, a) inside the window, each tower cut to its height
-        in heights (None = v-free) and at filtration s_max."""
+    def window_runs(self, heights: dict[Key, int | None]):
+        """(key, range of a) of every tower with a dot inside the window,
+        each tower cut to its height in heights (None = v-free) and at
+        filtration s_max: the one place that cuts the page to its window."""
         for key, tw in self.towers.items():
             h = heights[key]
             cap = self.s_max - tw.s0 + 1
             cap = cap if h is None else min(h, cap)
-            for a in tower_dots(tw.n0, cap, self.w, self.n_lo, self.n_hi):
+            run = tower_dots(tw.n0, cap, self.w, self.n_lo, self.n_hi)
+            if run:
+                yield key, run
+
+    def window_dots(self, heights: dict[Key, int | None]):
+        """Every (key, a) inside the window (see window_runs)."""
+        for key, run in self.window_runs(heights):
+            for a in run:
                 yield key, a
 
     def dims(self, heights: dict[Key, int | None]) -> dict[tuple[int, int], int]:

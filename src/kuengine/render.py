@@ -15,7 +15,12 @@ Rendering follows the chart conventions used throughout: codegrees increase
 from right to left, filtration increases bottom to top.  Everything is
 deterministic -- dots sorted by (degree, filtration, label), lines by (kind,
 endpoints), no timestamps -- so identical inputs give byte-identical output,
-and to_json/from_json are mutually inverse on canonical documents.
+and to_json/from_json are mutually inverse on canonical documents.  DocDot
+and DocLine are named tuples whose field order is that canonical key, so a
+document sorts its records natively.  to_json writes exactly the text of
+json.dumps(document, indent=1, sort_keys=True), but formats it one dot or
+line record at a time instead of through the pure-Python indent encoder;
+strings still go through json.dumps, so their escaping is json's.
 """
 
 from __future__ import annotations
@@ -23,18 +28,19 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import attrgetter, itemgetter
+from typing import NamedTuple
 
-from .adams import classify, dot_label, e2_window
+from .adams import Key, classify, dot_label, e2_window
 from .chart import Chart, tower_dots, v_label
 
 _KIND = re.compile(r"v|h0|exotic|differential\((\d+)\)")
 
 SOURCES = ("closed-form", "einfty-overlay")
+SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True, slots=True)
-class DocDot:
+class DocDot(NamedTuple):
     degree: int
     filtration: int
     label: str
@@ -42,32 +48,41 @@ class DocDot:
 
     @property
     def key(self) -> tuple:
-        return (self.degree, self.filtration, self.label, self.overlay)
+        return tuple(self)
 
 
-@dataclass(frozen=True, slots=True)
-class DocLine:
+class DocLine(NamedTuple):
     kind: str
     src: int
     dst: int
 
     @property
     def key(self) -> tuple:
-        return (self.kind, self.src, self.dst)
+        return tuple(self)
 
 
-_LINE_KEY = attrgetter("kind", "src", "dst")  # == DocLine.key, without the property call
-
-
-def _check_endpoints(lines: list[DocLine], n_dots: int) -> None:
-    for l in lines:
-        if not (0 <= l.src < n_dots and 0 <= l.dst < n_dots):
-            end = l.dst if 0 <= l.src < n_dots else l.src
+def _check_endpoints(lines: list[tuple[str, int, int]], n_dots: int) -> None:
+    for _, src, dst in lines:
+        if not (0 <= src < n_dots and 0 <= dst < n_dots):
+            end = dst if 0 <= src < n_dots else src
             raise ValueError(f"line endpoint {end} references no dot")
+
+
+_OVERLAY = ',\n   "overlay": true'  # the key a dot record carries only when set
+
+
+def _json_list(records: list[str]) -> str:
+    """A list of already indented records, as json.dumps(indent=1) nests it
+    one level below the top."""
+    return "[\n" + ",\n".join(records) + "\n ]" if records else "[]"
 
 
 @dataclass
 class ChartDocument:
+    """A canonical chart document.  Builders may pass lines as plain
+    (kind, src, dst) tuples indexing the unsorted dots; construction sorts
+    the dots and rebuilds each line once as a DocLine on the sorted ones."""
+
     prime: int
     window: tuple[int, int]
     source: str
@@ -83,15 +98,14 @@ class ChartDocument:
         dots = self.dots
         _check_endpoints(self.lines, len(dots))
         # canonicalize: sort dots, remap and sort line endpoints
-        order = sorted(range(len(dots)), key=lambda i: dots[i].key)
+        order = sorted(range(len(dots)), key=dots.__getitem__)
         remap = [0] * len(order)
         for new, old in enumerate(order):
             remap[old] = new
         self.dots = [dots[i] for i in order]
-        self.lines = sorted(
-            (DocLine(l.kind, remap[l.src], remap[l.dst]) for l in self.lines),
-            key=_LINE_KEY,
-        )
+        lines = [DocLine(kind, remap[src], remap[dst]) for kind, src, dst in self.lines]
+        lines.sort()
+        self.lines = lines
         self.validate()
 
     def validate(self) -> None:
@@ -100,36 +114,39 @@ class ChartDocument:
             if not (lo <= d.degree <= hi):
                 raise ValueError(f"dot {d} outside window [{lo}, {hi}]")
         # lines are few kinds repeated: match each distinct kind once
-        for kind in dict.fromkeys(map(attrgetter("kind"), self.lines)):
+        for kind in dict.fromkeys(map(itemgetter(0), self.lines)):
             if not _KIND.fullmatch(kind):
                 raise ValueError(f"unknown line kind {kind!r}")
         _check_endpoints(self.lines, len(self.dots))
 
     # -- JSON -------------------------------------------------------------
     def to_json(self) -> str:
-        doc = {
-            "schema_version": 1,
-            "prime": self.prime,
-            "window": list(self.window),
-            "source": self.source,
-            "dots": [
-                {
-                    "degree": d.degree,
-                    "filtration": d.filtration,
-                    "label": d.label,
-                    **({"overlay": True} if d.overlay else {}),
-                }
-                for d in self.dots
-            ],
-            "lines": [
-                {"kind": l.kind, "src": l.src, "dst": l.dst} for l in self.lines
-            ],
-        }
-        return json.dumps(doc, indent=1, sort_keys=True)
+        """json.dumps of the document dict with indent=1 and sort_keys=True,
+        byte for byte, written one record at a time."""
+        enc = json.dumps
+        dots = [
+            f'  {{\n   "degree": {d.degree},\n   "filtration": {d.filtration},\n'
+            f'   "label": {enc(d.label)}{_OVERLAY if d.overlay else ""}\n  }}'
+            for d in self.dots
+        ]
+        kinds = {k: enc(k) for k in set(map(itemgetter(0), self.lines))}
+        lines = [
+            f'  {{\n   "dst": {dst},\n   "kind": {kinds[kind]},\n   "src": {src}\n  }}'
+            for kind, src, dst in self.lines
+        ]
+        lo, hi = self.window
+        return (
+            f'{{\n "dots": {_json_list(dots)},\n "lines": {_json_list(lines)},\n'
+            f' "prime": {self.prime},\n "schema_version": {SCHEMA_VERSION},\n'
+            f' "source": {enc(self.source)},\n "window": [\n  {lo},\n  {hi}\n ]\n}}'
+        )
 
     @staticmethod
     def from_json(text: str) -> "ChartDocument":
         doc = json.loads(text)
+        version = doc.get("schema_version")
+        if version != SCHEMA_VERSION:
+            raise ValueError(f"unsupported schema_version {version!r}")
         return ChartDocument(
             doc["prime"],
             tuple(doc["window"]),
@@ -143,7 +160,7 @@ class ChartDocument:
                 )
                 for d in doc["dots"]
             ],
-            [DocLine(l["kind"], l["src"], l["dst"]) for l in doc["lines"]],
+            [(l["kind"], l["src"], l["dst"]) for l in doc["lines"]],
         )
 
 
@@ -153,19 +170,20 @@ class ChartDocument:
 
 
 def _chart_dots_and_lines(chart: Chart, lo: int, hi: int):
-    """Window dots of a closed-form chart, with v-lines and p-edge lines."""
+    """Window dots of a closed-form chart, with v-lines and p-edge lines as
+    (kind, src, dst) tuples."""
     step = 2 * (chart.p - 1)
     index: dict[tuple[int, int], int] = {}
     dots: list[DocDot] = []
     for t in chart.towers:
         if t.height is None:
             raise ValueError(f"tower {t.gen.render()} is unbounded; cut it first")
-        gen = t.gen.render()
-        for a in tower_dots(t.gen_degree, t.height, step, lo, hi):
+        gen, top = t.gen.render(), t.gen_degree
+        for a in tower_dots(top, t.height, step, lo, hi):
             index[(t.id, a)] = len(dots)
-            dots.append(DocDot(t.gen_degree - step * a, t.base_s + a, v_label(gen, a)))
+            dots.append(DocDot(top - step * a, t.base_s + a, v_label(gen, a)))
     lines = [
-        DocLine("v", i, index[(tid, a + 1)])
+        ("v", i, index[(tid, a + 1)])
         for (tid, a), i in index.items()
         if (tid, a + 1) in index
     ]
@@ -174,7 +192,7 @@ def _chart_dots_and_lines(chart: Chart, lo: int, hi: int):
             continue
         for d in e.dst:
             if d in index:
-                lines.append(DocLine(e.kind, index[e.src], index[d]))
+                lines.append((e.kind, index[e.src], index[d]))
     return dots, lines
 
 
@@ -205,48 +223,53 @@ def document_overlay(
     else:
         lo, hi = window
     base_dots, _ = _chart_dots_and_lines(base, lo, hi)
-    base_keys = {(d.degree, d.filtration, d.label) for d in base_dots}
+    base_keys = {d[:3] for d in base_dots}
     dots, lines = _chart_dots_and_lines(ambient, lo, hi)
-    flagged = [
-        DocDot(d.degree, d.filtration, d.label, (d.degree, d.filtration, d.label) not in base_keys)
-        for d in dots
-    ]
+    flagged = [d._replace(overlay=d[:3] not in base_keys) for d in dots]
     return ChartDocument(ambient.p, (lo, hi), "closed-form", flagged, lines)
 
 
 def document_from_einfty(
     p: int, n_lo: int, n_hi: int, s_max: int
 ) -> ChartDocument:
-    """E2 window with every replayed differential drawn as an arrow: the
-    dots that carry no arrow tail or head are exactly E-infinity."""
-    page = e2_window(p, n_lo, n_hi, s_max)
-    index: dict[tuple, int] = {}
-    dots: list[DocDot] = []
-    for key, a in page.window_dots(page.heights):
-        tw = page.towers[key]
-        index[(key, a)] = len(dots)
-        dots.append(DocDot(tw.n0 - page.w * a, tw.s0 + a, dot_label(p, key, a)))
+    """E2 window with its v- and h0-lines and the replayed differentials.
 
-    lines: list[DocLine] = []
-    for (key, a), i in index.items():
-        nxt = page.v_op(key, a)
-        if nxt is not None and (nxt in index):
-            lines.append(DocLine("v", i, index[nxt]))
-        h0 = page.h0_op(key, a)
-        if h0 is not None and (h0 in index):
-            lines.append(DocLine("h0", i, index[h0]))
-    for key in page.towers:
+    Every window dot is drawn.  A d_r arrow runs from each window dot of a
+    source tower whose a = 0 dot lies in the window to its partner's dot,
+    when that dot is in the window too.  So the arrow-free dots are not
+    E-infinity in general: a source based above n_hi draws no arrow, nor
+    does one whose partner lies outside the window, and their dots stay
+    arrow-free although they do not survive."""
+    page = e2_window(p, n_lo, n_hi, s_max)
+    w = page.w
+    # each window tower's run: (doc index of its a = 0 dot, window range of a)
+    runs: dict[Key, tuple[int, range]] = {}
+    dots: list[DocDot] = []
+    for key, run in page.window_runs(page.heights):
+        tw = page.towers[key]
+        runs[key] = (len(dots) - run.start, run)
+        dots += [DocDot(tw.n0 - w * a, tw.s0 + a, dot_label(p, key, a)) for a in run]
+
+    lines: list[tuple[str, int, int]] = []
+    for key, (base, run) in runs.items():
+        lines += [("v", base + a, base + a + 1) for a in run[:-1]]
+        for a in run:
+            h0 = page.h0_op(key, a)
+            if h0 is None:
+                continue
+            mate, a2 = h0
+            if mate in runs and a2 in runs[mate][1]:
+                lines.append(("h0", base + a, runs[mate][0] + a2))
+        if run.start:
+            continue  # arrows leave only towers whose a = 0 dot is drawn
         f = classify(p, key)
-        if f.role != "source" or f.partner not in page.towers:
+        if f.role != "source" or f.partner not in runs:
             continue
-        a = 0
-        while (key, a) in index:
-            tgt = (f.partner, f.e0 + a)
-            if tgt in index:
-                lines.append(
-                    DocLine(f"differential({f.r})", index[(key, a)], index[tgt])
-                )
-            a += 1
+        tgt_base, tgt_run = runs[f.partner]
+        kind = f"differential({f.r})"
+        for a in run:
+            if f.e0 + a in tgt_run:
+                lines.append((kind, base + a, tgt_base + f.e0 + a))
     return ChartDocument(p, (n_lo, n_hi), "einfty-overlay", dots, lines)
 
 

@@ -1,8 +1,11 @@
 import hashlib
+import json
 from collections import Counter
 
 import pytest
 
+from kuengine.adams import classify, dot_label, e2_window
+from kuengine.chart import tower_dots
 from kuengine.modules import build_A, build_B, build_S
 from kuengine.render import (
     ChartDocument,
@@ -213,3 +216,122 @@ def test_emitted_bytes_are_pinned(name):
     for fmt, render in RENDERERS.items():
         got = hashlib.sha256(render(doc).encode()).hexdigest()
         assert got == PINNED_SHA256[(name, fmt)], (name, fmt)
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: the record writer and the run-indexed einfty
+# builder must agree with the straightforward versions they replace
+# ---------------------------------------------------------------------------
+
+
+def ref_to_json(doc):
+    """The whole-document json.dumps that to_json reproduces byte for byte."""
+    return json.dumps(
+        {
+            "schema_version": 1,
+            "prime": doc.prime,
+            "window": list(doc.window),
+            "source": doc.source,
+            "dots": [
+                {
+                    "degree": d.degree,
+                    "filtration": d.filtration,
+                    "label": d.label,
+                    **({"overlay": True} if d.overlay else {}),
+                }
+                for d in doc.dots
+            ],
+            "lines": [{"kind": l.kind, "src": l.src, "dst": l.dst} for l in doc.lines],
+        },
+        indent=1,
+        sort_keys=True,
+    )
+
+
+JSON_DOCUMENTS = {
+    "A11": lambda: document_from_chart(build_A(2, 11)),
+    "B5-over-A5": lambda: document_overlay(build_B(2, 5), build_A(2, 5)),
+    "einfty-2": lambda: document_from_einfty(2, 0, 40, 10),
+    "einfty-3": lambda: document_from_einfty(3, 0, 60, 8),
+    "empty": lambda: ChartDocument(2, (0, 0), "closed-form", [], []),
+    "escaped": lambda: ChartDocument(
+        3,
+        (-4, 9),
+        "einfty-overlay",
+        [DocDot(-4, 2, 'q "v"\\ é\nz', True), DocDot(9, 0, "x")],
+        [DocLine("differential(3)", 1, 0)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JSON_DOCUMENTS))
+def test_to_json_matches_the_whole_document_dump(name):
+    doc = JSON_DOCUMENTS[name]()
+    text = doc.to_json()
+    assert text == ref_to_json(doc)
+    assert ChartDocument.from_json(text) == doc
+
+
+def test_to_json_covers_overlay_flags_and_empty_lists():
+    assert any(d.overlay for d in JSON_DOCUMENTS["B5-over-A5"]().dots)
+    empty = JSON_DOCUMENTS["empty"]().to_json()
+    assert '"dots": []' in empty and '"lines": []' in empty
+    escaped = JSON_DOCUMENTS["escaped"]().to_json()
+    assert '"label": "q \\"v\\"\\\\ \\u00e9\\nz"' in escaped
+
+
+def test_from_json_rejects_unknown_schema_versions():
+    text = document_from_chart(build_A(2, 1)).to_json()
+    doc = json.loads(text)
+    for version in (0, 2, "1", None):
+        doc["schema_version"] = version
+        with pytest.raises(ValueError, match="unsupported schema_version"):
+            ChartDocument.from_json(json.dumps(doc))
+    del doc["schema_version"]
+    with pytest.raises(ValueError, match="unsupported schema_version None"):
+        ChartDocument.from_json(json.dumps(doc))
+
+
+def ref_document_from_einfty(p, n_lo, n_hi, s_max):
+    """The (key, a)-indexed einfty builder the run-indexed one replaced,
+    with its own walk of the window cut."""
+    page = e2_window(p, n_lo, n_hi, s_max)
+    index = {}
+    dots = []
+    for key, tw in page.towers.items():
+        h = page.heights[key]
+        cap = page.s_max - tw.s0 + 1
+        cap = cap if h is None else min(h, cap)
+        for a in tower_dots(tw.n0, cap, page.w, page.n_lo, page.n_hi):
+            index[(key, a)] = len(dots)
+            dots.append(DocDot(tw.n0 - page.w * a, tw.s0 + a, dot_label(p, key, a)))
+    lines = []
+    for (key, a), i in index.items():
+        nxt = page.v_op(key, a)
+        if nxt is not None and (nxt in index):
+            lines.append(DocLine("v", i, index[nxt]))
+        h0 = page.h0_op(key, a)
+        if h0 is not None and (h0 in index):
+            lines.append(DocLine("h0", i, index[h0]))
+    for key in page.towers:
+        f = classify(p, key)
+        if f.role != "source" or f.partner not in page.towers:
+            continue
+        a = 0
+        while (key, a) in index:
+            tgt = (f.partner, f.e0 + a)
+            if tgt in index:
+                lines.append(DocLine(f"differential({f.r})", index[(key, a)], index[tgt]))
+            a += 1
+    return ChartDocument(p, (n_lo, n_hi), "einfty-overlay", dots, lines)
+
+
+@pytest.mark.parametrize(
+    "window", [(2, 0, 120, 30), (2, 17, 93, 11), (3, 5, 61, 3), (5, 0, 300, 10), (7, 0, 400, 8)]
+)
+def test_einfty_builder_matches_the_dot_indexed_reference(window):
+    got, want = document_from_einfty(*window), ref_document_from_einfty(*window)
+    assert got.dots == want.dots
+    assert got.lines == want.lines
+    kinds = Counter(l.kind.split("(")[0] for l in got.lines)
+    assert kinds["v"] and kinds["h0"] and kinds["differential"], kinds

@@ -13,11 +13,17 @@ Conventions (cohomological):
 
 group_at never reads filtrations: they are chart metadata for rendering and
 for E-infinity comparison.
+
+Sums of monomial multiples m . C of charts are assembled in one pass:
+append_shifted copies the towers (generators multiplied by m, ids
+renumbered) and edges of one (C, m) part onto lists under construction, and
+direct_sum builds a single Chart from all parts, so the id, edge-source and
+validate checks run once, over the finished chart.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .linalg import group_exponents, cokernel_exponents
@@ -97,7 +103,6 @@ class Chart:
 
     def validate(self) -> None:
         step = 2 * (self.p - 1)
-        # Monomial.degree is computed, not stored: read it once per tower
         shape = {t.id: (t.gen.degree, t.base_s, t.height) for t in self.towers}
         for e in self.edges:
             if not (1 <= len(e.dst) <= 2):
@@ -147,10 +152,8 @@ class Chart:
         return best
 
     def max_dot_degree(self) -> int | None:
-        best = None
-        for t in self.towers:
-            best = t.gen_degree if best is None else max(best, t.gen_degree)
-        return best
+        """Largest degree carrying a dot (None for an empty chart)."""
+        return max((t.gen_degree for t in self.towers), default=None)
 
     def relation_rows(
         self, dots: Sequence[tuple[int, int]]
@@ -178,41 +181,43 @@ class Chart:
         """F_p-dimension of dots in degree n (composition length)."""
         return len(self._degree_index().get(n, ()))
 
-    # -- combinators -----------------------------------------------------------
-    def tensor_monomial(self, m: Monomial) -> "Chart":
-        if m.p != self.p:
-            raise ValueError("mixed primes")
-        return Chart(
-            self.p,
-            [replace(t, gen=t.gen * m) for t in self.towers],
-            list(self.edges),
+
+def append_shifted(
+    towers: list[Tower], edges: list[PEdge], chart: Chart, m: Monomial
+) -> None:
+    """Append m . chart to a tower and edge list under construction: every
+    generator multiplied by m, tower ids renumbered from len(towers) in
+    tower order, and the edges carried along."""
+    if chart.p != m.p:
+        raise ValueError("mixed primes")
+    offset = len(towers)
+    pos = {}
+    for t in chart.towers:
+        pos[t.id] = tid = offset + len(pos)
+        towers.append(Tower(tid, t.gen * m, t.base_s, t.height))
+    for e in chart.edges:
+        edges.append(
+            PEdge(
+                (pos[e.src[0]], e.src[1]),
+                tuple((pos[tid], b) for tid, b in e.dst),
+                e.kind,
+            )
         )
 
 
-def direct_sum(charts: Iterable[Chart]) -> Chart:
-    charts = list(charts)
-    if not charts:
+def direct_sum(parts: Iterable[tuple[Chart, Monomial]]) -> Chart:
+    """The chart of the direct sum of the multiples m . chart over the given
+    (chart, m) parts, built in one pass and validated once."""
+    parts = list(parts)
+    if not parts:
         raise ValueError("direct_sum needs at least one chart (prime unknown)")
-    p = charts[0].p
+    p = parts[0][0].p
     towers: list[Tower] = []
     edges: list[PEdge] = []
-    offset = 0
-    for c in charts:
+    for c, m in parts:
         if c.p != p:
             raise ValueError("mixed primes")
-        remap = {}
-        for t in c.towers:
-            remap[t.id] = offset
-            towers.append(replace(t, id=offset))
-            offset += 1
-        for e in c.edges:
-            edges.append(
-                PEdge(
-                    (remap[e.src[0]], e.src[1]),
-                    tuple((remap[d[0]], d[1]) for d in e.dst),
-                    e.kind,
-                )
-            )
+        append_shifted(towers, edges, c, m)
     return Chart(p, towers, edges)
 
 

@@ -248,18 +248,24 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
         return
     directory, name = os.path.split(out)
-    fd, tmp = tempfile.mkstemp(dir=directory or ".", prefix=name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            # mkstemp makes the file 0600; give it the mode open() would
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.write(text)
-        os.replace(tmp, out)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(
+            dir=directory or ".", prefix=name + ".", suffix=".tmp"
+        )
+        try:
+            with os.fdopen(fd, "w") as fh:
+                # mkstemp makes the file 0600; give it the mode open() would
+                umask = os.umask(0)
+                os.umask(umask)
+                os.fchmod(fh.fileno(), 0o666 & ~umask)
+                fh.write(text)
+            os.replace(tmp, out)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        # a missing directory or an unwritable target is the caller's to fix
+        raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _dump(obj) -> str:

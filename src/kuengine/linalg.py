@@ -17,7 +17,10 @@ Two jobs:
   abelian p-groups.  Entries are tiny ({0, +-1, +-p} in practice), so the
   elimination tracks valuations by repeatedly stripping unit pivots and
   dividing the remainder by p; arithmetic runs modulo a power of p large
-  enough that no information is lost for a finite cokernel.
+  enough that no information is lost for a finite cokernel.  The dense
+  input rows are reduced as sparse {col: value} dicts: a chart relation
+  has at most three nonzeros, and the exponents are Smith invariants, so
+  the pivot order does not change them.
 """
 
 from __future__ import annotations
@@ -83,47 +86,52 @@ def cokernel_exponents(rows: list[list[int]], ncols: int, p: int) -> list[int]:
         return []
     budget = ncols + 2
     mod = p**budget
-    work = [[x % mod for x in row] for row in rows if any(x % mod for x in row)]
+    work = []
+    for row in rows:
+        sparse = {c: y for c, x in enumerate(row) if (y := x % mod)}
+        if sparse:
+            work.append(sparse)
     exps: list[int] = []
     offset = 0
     cols = ncols
     while cols:
-        piv = None
-        for ri, row in enumerate(work):
-            for ci, x in enumerate(row):
-                if x % p:
-                    piv = (ri, ci)
-                    break
-            if piv:
-                break
-        if piv is None:
-            if not work:
-                raise ArithmeticError("infinite cokernel: relations ran out")
-            # every entry divisible by p: strip one factor from the matrix
-            offset += 1
-            mod //= p
-            if mod <= 1:
-                raise ArithmeticError("valuation budget exhausted")
-            work = [
-                [(x // p) % mod for x in row]
-                for row in work
-                if any((x // p) % mod for x in row)
-            ]
-            continue
-        ri, ci = piv
-        prow = work.pop(ri)
-        uinv = pow(prow[ci], -1, mod)
-        prow = [(x * uinv) % mod for x in prow]
+        # one pass pivots out every unit entry: subtracting a multiple of p
+        # times a pivot row keeps a row that had no unit free of units
+        i = 0
+        while i < len(work):
+            prow = work[i]
+            ci = next((c for c, x in prow.items() if x % p), None)
+            if ci is None:
+                i += 1
+                continue
+            del work[i]
+            uinv = pow(prow.pop(ci), -1, mod)
+            prow = {c: (x * uinv) % mod for c, x in prow.items()}
+            for row in work:
+                f = row.pop(ci, 0)
+                if f:
+                    for c, x in prow.items():
+                        y = (row.get(c, 0) - f * x) % mod
+                        if y:
+                            row[c] = y
+                        else:
+                            row.pop(c, None)
+            exps.append(offset)
+            cols -= 1
+        if not cols:
+            break
+        work = [row for row in work if row]
+        if not work:
+            raise ArithmeticError("infinite cokernel: relations ran out")
+        # every entry divisible by p: strip one factor from the matrix (an
+        # entry in p..mod-1 stays nonzero modulo mod / p)
+        offset += 1
+        mod //= p
+        if mod <= 1:
+            raise ArithmeticError("valuation budget exhausted")
         for row in work:
-            f = row[ci]
-            if f:
-                for j in range(cols):
-                    row[j] = (row[j] - f * prow[j]) % mod
-        for row in work:
-            del row[ci]
-        work = [row for row in work if any(row)]
-        exps.append(offset)
-        cols -= 1
+            for c in row:
+                row[c] //= p
     return sorted(exps, reverse=True)
 
 

@@ -15,16 +15,26 @@ inherited, which is how the two-target extensions arise.  S_{k,l} is the
 finite chain chart of composite classes z[i,l].
 
 even_part / odd_part assemble the full even- and odd-degree answer as a
-direct sum of monomial multiples of the cores; ku_group_at slices it into
-explicit groups, and assoc_graded_dims provides the independent
-associated-graded dimension count used as a cross-check.
+direct sum of monomial multiples of the cores, now built in one pass from
+(core, multiplier) pairs with no chart per summand (full_chart sums both
+pair lists at once); ku_group_at slices it into explicit groups, and
+assoc_graded_dims provides the independent associated-graded dimension
+count used as a cross-check.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .chart import Chart, PEdge, Tower, direct_sum, empty_chart, realize
+from .chart import (
+    Chart,
+    PEdge,
+    Tower,
+    append_shifted,
+    direct_sum,
+    empty_chart,
+    realize,
+)
 from .monomial import (
     Monomial,
     enumerate_family,
@@ -49,39 +59,36 @@ class CoreChart:
 def _glue(
     p: int,
     k: int,
-    zcopy: CoreChart | None,
+    zsub: CoreChart | None,
     new_height: int,
-    ycopy: CoreChart | None,
+    ysub: CoreChart | None,
 ) -> CoreChart:
-    """Shared assembly for build_A/build_B: [z-copy] + new z_k tower +
-    [y-copy] with rule1/rule2 edges."""
-    parts: list[Chart] = []
-    if zcopy is not None:
-        parts.append(zcopy.chart)
-    ztower_chart = Chart(p, [Tower(0, Monomial.gen(p, "z", k), 0, new_height)])
-    parts.append(ztower_chart)
-    if ycopy is not None:
-        parts.append(ycopy.chart)
-    summed = direct_sum(parts)
-    offsets = [0]
-    for part in parts[:-1]:
-        offsets.append(offsets[-1] + len(part.towers))
-    new_id = offsets[0] if zcopy is None else offsets[1]
-    edge_by_src = {e.src: e for e in summed.edges}
+    """Shared assembly for build_A/build_B: [z_{k-1}^(p-1) . zsub] + new z_k
+    tower + [y_{k-1}^(p-1) . ysub] with rule1/rule2 edges."""
+    towers: list[Tower] = []
+    edges: list[PEdge] = []
+    if zsub is not None:
+        append_shifted(towers, edges, zsub.chart, Monomial.gen(p, "z", k - 1, p - 1))
+    new_id = len(towers)
+    towers.append(Tower(new_id, Monomial.gen(p, "z", k), 0, new_height))
+    yoffset = len(towers)
+    if ysub is not None:
+        append_shifted(towers, edges, ysub.chart, Monomial.gen(p, "y", k - 1, p - 1))
+    edge_by_src = {e.src: e for e in edges}
 
     # rule1: p . v^a z_k = v^(a+1) on the z-copy's handle tower (k >= 2)
-    if zcopy is not None and zcopy.handle is not None and k >= 2:
-        handle_id = offsets[0] + zcopy.handle
-        handle_h = summed.tower(handle_id).height
+    if zsub is not None and zsub.handle is not None and k >= 2:
+        handle_id = zsub.handle
+        handle_h = towers[handle_id].height
         for a in range(new_height):
             if handle_h is not None and a + 1 >= handle_h:
                 break
             edge_by_src[(new_id, a)] = PEdge((new_id, a), ((handle_id, a + 1),), "h0")
 
     # rule2: p . (y-copy handle dot a) gains target v^(p^(k-1)(p-1)+a) z_k
-    if ycopy is not None and ycopy.handle is not None:
-        yh_id = offsets[-1] + ycopy.handle
-        yh_height = summed.tower(yh_id).height
+    if ysub is not None and ysub.handle is not None:
+        yh_id = yoffset + ysub.handle
+        yh_height = towers[yh_id].height
         shift = p ** (k - 1) * (p - 1)
         for a in range(yh_height):
             tgt_a = shift + a
@@ -97,7 +104,7 @@ def _glue(
                 )
 
     edges = sorted(edge_by_src.values(), key=lambda e: e.src)
-    return CoreChart(Chart(p, summed.towers, edges), new_id)
+    return CoreChart(Chart(p, towers, edges), new_id)
 
 
 @lru_cache(maxsize=None)
@@ -105,15 +112,8 @@ def _build_B(p: int, k: int) -> CoreChart:
     if k < k0(p):
         return CoreChart(empty_chart(p), None)
     sub = _build_B(p, k - 1)
-    zc = yc = None
-    if sub.handle is not None:
-        zc = CoreChart(
-            sub.chart.tensor_monomial(Monomial.gen(p, "z", k - 1, p - 1)), sub.handle
-        )
-        yc = CoreChart(
-            sub.chart.tensor_monomial(Monomial.gen(p, "y", k - 1, p - 1)), sub.handle
-        )
-    return _glue(p, k, zc, p**k - k, yc)
+    sub = sub if sub.handle is not None else None
+    return _glue(p, k, sub, p**k - k, sub)
 
 
 @lru_cache(maxsize=None)
@@ -124,17 +124,8 @@ def _build_A(p: int, k: int) -> CoreChart:
         c = Chart(p, [Tower(0, Monomial.gen(p, "z", 0), 0, 1)])
         return CoreChart(c, 0)
     subB = _build_B(p, k - 1)
-    zc = None
-    if subB.handle is not None:
-        zc = CoreChart(
-            subB.chart.tensor_monomial(Monomial.gen(p, "z", k - 1, p - 1)),
-            subB.handle,
-        )
-    subA = _build_A(p, k - 1)
-    yc = CoreChart(
-        subA.chart.tensor_monomial(Monomial.gen(p, "y", k - 1, p - 1)), subA.handle
-    )
-    return _glue(p, k, zc, p**k, yc)
+    zsub = subB if subB.handle is not None else None
+    return _glue(p, k, zsub, p**k, _build_A(p, k - 1))
 
 
 def build_B(p: int, k: int) -> Chart:
@@ -173,35 +164,30 @@ def build_S(p: int, k: int, ell: int) -> Chart:
 # -- assemblies ----------------------------------------------------------------
 
 
-def even_part(p: int, cutoff: int) -> Chart:
-    """Direct sum over k >= 1 and multiplier monomials M of M.A_k (M with no
-    z-factors) and M.B_k (M with z-factors), keeping summands whose minimum
-    dot degree is <= cutoff."""
-    parts: list[Chart] = []
+def _even_parts(p: int, cutoff: int) -> list[tuple[Chart, Monomial]]:
+    """The (core, multiplier) summands of even_part, in chart order."""
+    parts: list[tuple[Chart, Monomial]] = []
     k = 1
     while True:
         core_a = _build_A(p, k).chart
         min_a = core_a.min_dot_degree()
         if min_a is None or min_a > cutoff:
             break
-        for m in enumerate_family(p, "MkA", k, cutoff - min_a):
-            parts.append(core_a.tensor_monomial(m))
+        parts += [(core_a, m) for m in enumerate_family(p, "MkA", k, cutoff - min_a)]
         core_b = _build_B(p, k).chart
         min_b = core_b.min_dot_degree()
         if min_b is not None and min_b <= cutoff:
-            for m in enumerate_family(p, "MkB", k, cutoff - min_b):
-                parts.append(core_b.tensor_monomial(m))
+            parts += [
+                (core_b, m) for m in enumerate_family(p, "MkB", k, cutoff - min_b)
+            ]
         k += 1
-    if not parts:
-        return empty_chart(p)
-    return direct_sum(parts)
+    return parts
 
 
-def odd_part(p: int, cutoff: int) -> Chart:
-    """Direct sum over i >= 1, l >= nu(i)+2 of q y_1^(i-1) m . S_{nu(i)+1, l}
-    with m running over TP_{p-1}[z_l] x Lambda_{l+1}, keeping summands whose
-    minimum dot degree is <= cutoff."""
-    parts: list[Chart] = []
+def _odd_parts(p: int, cutoff: int) -> list[tuple[Chart, Monomial]]:
+    """The (core, multiplier) summands of odd_part, in chart order."""
+    parts: list[tuple[Chart, Monomial]] = []
+    cores: dict[tuple[int, int], Chart] = {}  # S_{k,l} recurs across i
     qd = q_degree(p)
     i = 1
     while qd + y_degree(p, 1) * (i - 1) <= cutoff:
@@ -209,7 +195,9 @@ def odd_part(p: int, cutoff: int) -> Chart:
         k = v + 1
         ell = v + 2
         while True:
-            s_core = build_S(p, k, ell)
+            if (k, ell) not in cores:
+                cores[k, ell] = build_S(p, k, ell)
+            s_core = cores[k, ell]
             s_min = s_core.min_dot_degree()
             base = Monomial.gen(p, "q") * Monomial.gen(p, "y", 1, i - 1)
             head = base.degree + s_min
@@ -220,13 +208,30 @@ def odd_part(p: int, cutoff: int) -> Chart:
                 ze = Monomial.gen(p, "z", ell, e) if e else Monomial.one(p)
                 if ze.degree > room:
                     break
+                bz = base * ze
                 for lam in enumerate_family(p, "Lambda", ell + 1, room - ze.degree):
-                    parts.append(s_core.tensor_monomial(base * ze * lam))
+                    parts.append((s_core, bz * lam))
             ell += 1
         i += 1
-    if not parts:
-        return empty_chart(p)
-    return direct_sum(parts)
+    return parts
+
+
+def _assemble(p: int, parts: list[tuple[Chart, Monomial]]) -> Chart:
+    return direct_sum(parts) if parts else empty_chart(p)
+
+
+def even_part(p: int, cutoff: int) -> Chart:
+    """Direct sum over k >= 1 and multiplier monomials M of M.A_k (M with no
+    z-factors) and M.B_k (M with z-factors), keeping summands whose minimum
+    dot degree is <= cutoff."""
+    return _assemble(p, _even_parts(p, cutoff))
+
+
+def odd_part(p: int, cutoff: int) -> Chart:
+    """Direct sum over i >= 1, l >= nu(i)+2 of q y_1^(i-1) m . S_{nu(i)+1, l}
+    with m running over TP_{p-1}[z_l] x Lambda_{l+1}, keeping summands whose
+    minimum dot degree is <= cutoff."""
+    return _assemble(p, _odd_parts(p, cutoff))
 
 
 def _round_up(n: int, step: int = 50) -> int:
@@ -235,7 +240,8 @@ def _round_up(n: int, step: int = 50) -> int:
 
 @lru_cache(maxsize=None)
 def full_chart(p: int, cutoff: int) -> Chart:
-    return direct_sum([even_part(p, cutoff), odd_part(p, cutoff)])
+    """even_part followed by odd_part, assembled as one direct sum."""
+    return _assemble(p, _even_parts(p, cutoff) + _odd_parts(p, cutoff))
 
 
 def ku_group_at(p: int, n: int, cutoff: int | None = None) -> list[int]:

@@ -11,13 +11,13 @@ Composite z-classes:
     Z_prod(i, j) = (z_i ... z_{j-1})^(p-1)        (Z_prod(i,i) = 1)
 
 Monomials are immutable; exponent vectors are stored plainly (composites are
-expanded).  Identity is structural, which is what every enumeration here
+expanded), and the degree is computed once, when the exponents are checked.  Identity is structural, which is what every enumeration here
 needs: within each family distinct exponent vectors are distinct elements.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator
 
@@ -47,16 +47,28 @@ class Monomial:
     q: int = 0
     ys: tuple[tuple[int, int], ...] = ()
     zs: tuple[tuple[int, int], ...] = ()
+    # derived from the exponents, so left out of ==, hash and repr
+    degree: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        p = self.p
         if self.q not in (0, 1):
             raise ValueError("q exponent must be 0 or 1")
-        for pairs in (self.ys, self.zs):
-            idxs = [i for i, _ in pairs]
-            if idxs != sorted(idxs) or len(set(idxs)) != len(idxs):
-                raise ValueError("exponent tuples must be sorted and keyed once")
-            if any(e <= 0 for _, e in pairs):
+        d = self.q * q_degree(p)
+        # one pass per tuple: strictly rising indices, positive exponents, and
+        # the degree
+        for pairs, gen_degree in ((self.ys, y_degree), (self.zs, z_degree)):
+            prev = None
+            positive = True
+            for i, e in pairs:
+                if prev is not None and i <= prev:
+                    raise ValueError("exponent tuples must be sorted and keyed once")
+                prev = i
+                positive = positive and e > 0
+                d += e * gen_degree(p, i)
+            if not positive:
                 raise ValueError("exponents must be positive")
+        object.__setattr__(self, "degree", d)
 
     # -- constructors -------------------------------------------------------
     @staticmethod
@@ -78,30 +90,14 @@ class Monomial:
     def __mul__(self, other: "Monomial") -> "Monomial":
         if self.p != other.p:
             raise ValueError("mixed primes")
-        ys = dict(self.ys)
-        for i, e in other.ys:
-            ys[i] = ys.get(i, 0) + e
-        zs = dict(self.zs)
-        for j, e in other.zs:
-            zs[j] = zs.get(j, 0) + e
         return Monomial(
             self.p,
             q=self.q + other.q,
-            ys=tuple(sorted(ys.items())),
-            zs=tuple(sorted(zs.items())),
+            ys=_add_exponents(self.ys, other.ys),
+            zs=_add_exponents(self.zs, other.zs),
         )
 
     # -- degree and keys -----------------------------------------------------
-    @property
-    def degree(self) -> int:
-        p = self.p
-        d = self.q * q_degree(p)
-        for i, e in self.ys:
-            d += e * y_degree(p, i)
-        for j, e in self.zs:
-            d += e * z_degree(p, j)
-        return d
-
     @property
     def y_weight(self) -> int:
         """Total y_0-exponent: y_i counts p^i."""
@@ -125,6 +121,16 @@ class Monomial:
 
     def __repr__(self) -> str:
         return f"<{self.render()}>"
+
+
+def _add_exponents(a: tuple, b: tuple) -> tuple:
+    """Sum of two ascending (index, exponent) tuples, ascending."""
+    if not (a and b):
+        return a or b
+    acc = dict(a)
+    for i, e in b:
+        acc[i] = acc.get(i, 0) + e
+    return tuple(sorted(acc.items()))
 
 
 def z_comp(p: int, i: int, j: int) -> Monomial:

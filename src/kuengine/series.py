@@ -89,13 +89,16 @@ class PSeries:
         top = min(self.top, other.top)
         out = PSeries(top)
         oc = out.c
+        # the other factor's nonzero terms, listed once in ascending degree
+        terms = [(j, b) for j, b in enumerate(other.c[: top + 1]) if b]
         for i, a in enumerate(self.c[: top + 1]):
             if a == 0:
                 continue
             lim = top - i
-            for j, b in enumerate(other.c[: lim + 1]):
-                if b:
-                    oc[i + j] += a * b
+            for j, b in terms:
+                if j > lim:
+                    break
+                oc[i + j] += a * b
         return out
 
     def shift(self, d: int) -> "PSeries":

@@ -76,10 +76,10 @@ def test_tensor_and_sum():
     p = 2
     c = chain_chart(p, 2)
     m = Monomial.gen(p, "y", 2)
-    shifted = c.tensor_monomial(m)
+    shifted = direct_sum([(c, m)])
     assert shifted.towers[0].gen_degree == c.towers[0].gen_degree + 8
     assert len(shifted.edges) == len(c.edges)
-    s = direct_sum([c, shifted])
+    s = direct_sum([(c, Monomial.one(p)), (shifted, Monomial.one(p))])
     assert len(s.towers) == 4
     n = c.towers[0].gen_degree
     assert s.dims_at(n) == c.dims_at(n) + shifted.dims_at(n)

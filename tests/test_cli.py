@@ -307,10 +307,20 @@ def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
         raise OSError("disk full")
 
     monkeypatch.setattr(cli.os, "replace", refuse)
-    with pytest.raises(OSError, match="disk full"):
-        cli.main(["chart", "A:1", "--prime", "2", "--out", str(target)])
+    rc, out, err = run(["chart", "A:1", "--prime", "2", "--out", str(target)], capsys)
+    assert (rc, out) == (2, "")
+    assert err == f"kuengine: cannot write {target}: disk full\n"
     assert os.listdir(tmp_path) == ["a1.json"]
     assert target.read_text() == "previous\n"
+
+
+def test_out_in_a_missing_directory_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    rc, out, err = run(["chart", "A:3", "--prime", "2", "--out", str(target)], capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"kuengine: cannot write {target}: ")
+    assert "Traceback" not in err
+    assert os.listdir(tmp_path) == []  # no .tmp debris, no directory made
 
 
 def test_emit_keeps_the_umask_file_mode(tmp_path, capsys):

@@ -1,12 +1,14 @@
 """The exact linear algebra kernel: F_p ranks from entry lists and dense
 rows, checked against a naive dense elimination written here, and the
-p-local cokernel exponents on cases whose group is known by hand."""
+p-local cokernel exponents on cases whose group is known by hand and
+against the dense p-local elimination the sparse one replaced."""
 
 import random
 
 import pytest
 
 from kuengine.linalg import cokernel_exponents, gf_rank, gf_rank_sparse, group_exponents
+from kuengine.modules import full_chart
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -171,6 +173,120 @@ def test_infinite_cokernel_raises():
         cokernel_exponents([[1, 0]], 2, 2)
     with pytest.raises(ArithmeticError):
         cokernel_exponents([], 1, 3)
+
+
+# -- the sparse p-local kernel against the dense one it replaced ---------------
+
+
+def dense_cokernel_exponents(rows, ncols, p):
+    """Reference: dense rows mod p^(ncols+2), the first unit in row-major
+    order as pivot, and one factor of p stripped when no unit is left."""
+    if ncols == 0:
+        return []
+    budget = ncols + 2
+    mod = p**budget
+    work = [[x % mod for x in row] for row in rows if any(x % mod for x in row)]
+    exps = []
+    offset = 0
+    cols = ncols
+    while cols:
+        piv = None
+        for ri, row in enumerate(work):
+            for ci, x in enumerate(row):
+                if x % p:
+                    piv = (ri, ci)
+                    break
+            if piv:
+                break
+        if piv is None:
+            if not work:
+                raise ArithmeticError("infinite cokernel: relations ran out")
+            offset += 1
+            mod //= p
+            if mod <= 1:
+                raise ArithmeticError("valuation budget exhausted")
+            work = [
+                [(x // p) % mod for x in row]
+                for row in work
+                if any((x // p) % mod for x in row)
+            ]
+            continue
+        ri, ci = piv
+        prow = work.pop(ri)
+        uinv = pow(prow[ci], -1, mod)
+        prow = [(x * uinv) % mod for x in prow]
+        for row in work:
+            f = row[ci]
+            if f:
+                for j in range(cols):
+                    row[j] = (row[j] - f * prow[j]) % mod
+        for row in work:
+            del row[ci]
+        work = [row for row in work if any(row)]
+        exps.append(offset)
+        cols -= 1
+    return sorted(exps, reverse=True)
+
+
+def outcome(kernel, rows, ncols, p):
+    """The exponents, or the ArithmeticError message for an infinite
+    cokernel; the kernel must leave its input rows as they were."""
+    before = [list(row) for row in rows]
+    try:
+        result = kernel(rows, ncols, p)
+    except ArithmeticError as exc:
+        result = str(exc)
+    assert rows == before
+    return result
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_cokernel_matches_the_dense_reference_on_random_matrices(p):
+    rng = random.Random(4200 + p)
+    values = (0, 0, 0, 1, -1, p, -p, p * p)
+    finite = infinite = 0
+    for _ in range(300):
+        ncols = rng.randint(0, 9)
+        nrows = rng.randint(0, ncols + 4)
+        rows = [[rng.choice(values) for _ in range(ncols)] for _ in range(nrows)]
+        want = outcome(dense_cokernel_exponents, rows, ncols, p)
+        assert outcome(cokernel_exponents, rows, ncols, p) == want, rows
+        finite += isinstance(want, list)
+        infinite += isinstance(want, str)
+    # both branches are among the compared cases
+    assert finite > 50 and infinite > 50
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_cokernel_matches_the_dense_reference_on_chart_relations(p):
+    """Every degree's relations of full_chart(p, 200), alone and with the
+    images of p^a v^b that RealizedWindow.rank_invariant appends."""
+    chart = full_chart(p, 200)
+    step = 2 * (p - 1)
+    calls = 0
+    for tgt in range(201):
+        tgt_dots = chart.dots_at(tgt)
+        rel = chart.relation_rows(tgt_dots)
+        ncols = len(tgt_dots)
+        assert cokernel_exponents(rel, ncols, p) == dense_cokernel_exponents(
+            rel, ncols, p
+        ), tgt
+        index = {d: i for i, d in enumerate(tgt_dots)}
+        for b in range(3):
+            src = [(t, al + b) for t, al in chart.dots_at(tgt + step * b)]
+            for a in range(3):
+                images = []
+                for dot in src:
+                    if dot in index:
+                        row = [0] * ncols
+                        row[index[dot]] = p**a
+                        images.append(row)
+                if not images:
+                    continue
+                got = cokernel_exponents(rel + images, ncols, p)
+                assert got == dense_cokernel_exponents(rel + images, ncols, p)
+                calls += 1
+    assert calls > 100
 
 
 if given is not None:

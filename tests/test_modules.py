@@ -1,13 +1,20 @@
-"""Core chart recursion, assemblies, and their frozen small cases.
+"""Core chart recursion, assemblies, and their frozen small cases; the
+one-pass assembly against the per-summand builder it replaced.
 
 Expected groups below were computed by hand from the recursive description
 (tower generators/heights plus the two glue rules) before the code existed.
 """
 
+import copy
+from dataclasses import replace
+from functools import lru_cache
+
 import pytest
 
-from kuengine.chart import realize
+from kuengine.chart import Chart, PEdge, Tower, realize
 from kuengine.modules import (
+    _even_parts,
+    _odd_parts,
     assoc_graded_dims,
     build_A,
     build_B,
@@ -18,7 +25,18 @@ from kuengine.modules import (
     ku_homology_group_at,
     odd_part,
 )
-from kuengine.monomial import z_decompose
+from kuengine.monomial import (
+    Monomial,
+    enumerate_family,
+    k0,
+    q_degree,
+    y_degree,
+    z_comp,
+    z_decompose,
+    z_degree,
+)
+
+PRIMES = (2, 3, 5, 7)
 
 
 def towers_by_gen(chart):
@@ -233,3 +251,169 @@ def test_B2_B3_self_duality_palindrome():
                     assert win.rank_invariant(m, a, b) == win.rank_invariant(
                         m2, a, b
                     ), (k, m, a, b)
+
+
+# -- one-pass assembly against the per-summand reference ---------------------
+
+
+def ref_tensor_monomial(chart, m):
+    """Reference: m . chart as its own validated chart."""
+    if m.p != chart.p:
+        raise ValueError("mixed primes")
+    return Chart(
+        chart.p, [replace(t, gen=t.gen * m) for t in chart.towers], list(chart.edges)
+    )
+
+
+def ref_direct_sum(charts):
+    """Reference: the sum of whole charts, tower ids renumbered in order."""
+    charts = list(charts)
+    p = charts[0].p
+    towers, edges = [], []
+    offset = 0
+    for c in charts:
+        if c.p != p:
+            raise ValueError("mixed primes")
+        remap = {}
+        for t in c.towers:
+            remap[t.id] = offset
+            towers.append(replace(t, id=offset))
+            offset += 1
+        for e in c.edges:
+            edges.append(
+                PEdge(
+                    (remap[e.src[0]], e.src[1]),
+                    tuple((remap[d[0]], d[1]) for d in e.dst),
+                    e.kind,
+                )
+            )
+    return Chart(p, towers, edges)
+
+
+def ref_glue(p, k, zcopy, new_height, ycopy):
+    """Reference core step on whole charts: (chart, handle) copies already
+    multiplied, summed around the new z_k tower, then glued."""
+    parts = [] if zcopy is None else [zcopy[0]]
+    parts.append(Chart(p, [Tower(0, Monomial.gen(p, "z", k), 0, new_height)]))
+    if ycopy is not None:
+        parts.append(ycopy[0])
+    summed = ref_direct_sum(parts)
+    offsets = [0]
+    for part in parts[:-1]:
+        offsets.append(offsets[-1] + len(part.towers))
+    new_id = offsets[0] if zcopy is None else offsets[1]
+    edge_by_src = {e.src: e for e in summed.edges}
+    if zcopy is not None and zcopy[1] is not None and k >= 2:
+        handle_id = offsets[0] + zcopy[1]
+        handle_h = summed.tower(handle_id).height
+        for a in range(new_height):
+            if handle_h is not None and a + 1 >= handle_h:
+                break
+            edge_by_src[(new_id, a)] = PEdge((new_id, a), ((handle_id, a + 1),), "h0")
+    if ycopy is not None and ycopy[1] is not None:
+        yh_id = offsets[-1] + ycopy[1]
+        shift = p ** (k - 1) * (p - 1)
+        for a in range(summed.tower(yh_id).height):
+            if shift + a >= new_height:
+                continue
+            old = edge_by_src.get((yh_id, a))
+            dst = (old.dst if old else ()) + ((new_id, shift + a),)
+            edge_by_src[(yh_id, a)] = PEdge((yh_id, a), dst, "exotic")
+    edges = sorted(edge_by_src.values(), key=lambda e: e.src)
+    return Chart(p, summed.towers, edges), new_id
+
+
+@lru_cache(maxsize=None)
+def ref_B(p, k):
+    if k < k0(p):
+        return Chart(p, []), None
+    sub, handle = ref_B(p, k - 1)
+    if handle is None:
+        return ref_glue(p, k, None, p**k - k, None)
+    zc = (ref_tensor_monomial(sub, Monomial.gen(p, "z", k - 1, p - 1)), handle)
+    yc = (ref_tensor_monomial(sub, Monomial.gen(p, "y", k - 1, p - 1)), handle)
+    return ref_glue(p, k, zc, p**k - k, yc)
+
+
+@lru_cache(maxsize=None)
+def ref_A(p, k):
+    if k == 0:
+        return Chart(p, [Tower(0, Monomial.gen(p, "z", 0), 0, 1)]), 0
+    subB, hb = ref_B(p, k - 1)
+    zc = None
+    if hb is not None:
+        zc = (ref_tensor_monomial(subB, Monomial.gen(p, "z", k - 1, p - 1)), hb)
+    subA, ha = ref_A(p, k - 1)
+    yc = (ref_tensor_monomial(subA, Monomial.gen(p, "y", k - 1, p - 1)), ha)
+    return ref_glue(p, k, zc, p**k, yc)
+
+
+def shape(chart):
+    return (
+        chart.p,
+        [(t.id, t.gen, t.gen_degree, t.base_s, t.height) for t in chart.towers],
+        [(e.src, e.dst, e.kind) for e in chart.edges],
+    )
+
+
+def ref_sum_of_parts(p, parts):
+    if not parts:
+        return Chart(p, [])
+    return ref_direct_sum(ref_tensor_monomial(c, m) for c, m in parts)
+
+
+def test_cores_match_the_reference_assembly():
+    assert shape(build_A(2, 8)) == shape(ref_A(2, 8)[0])
+    assert shape(build_B(3, 4)) == shape(ref_B(3, 4)[0])
+
+
+def test_parts_match_the_reference_assembly():
+    assert shape(even_part(2, 18)) == shape(ref_sum_of_parts(2, _even_parts(2, 18)))
+    assert shape(odd_part(2, 30)) == shape(ref_sum_of_parts(2, _odd_parts(2, 30)))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_full_chart_matches_the_reference_assembly(p):
+    cutoff = 300
+    even, odd = _even_parts(p, cutoff), _odd_parts(p, cutoff)
+    # the even summands multiply A_k and B_k cores equal to the reference's
+    used = {id(c) for c, _ in even}
+    cores = set()
+    k = 1
+    while build_A(p, k).min_dot_degree() <= cutoff:
+        for built, ref in ((build_A(p, k), ref_A), (build_B(p, k), ref_B)):
+            if id(built) in used:
+                assert shape(built) == shape(ref(p, k)[0]), (p, k)
+                cores.add(id(built))
+        k += 1
+    assert used == cores
+    want = ref_direct_sum([ref_sum_of_parts(p, even), ref_sum_of_parts(p, odd)])
+    assert shape(full_chart(p, cutoff)) == shape(want)
+
+
+def exponent_degree(m):
+    p = m.p
+    return (
+        m.q * q_degree(p)
+        + sum(e * y_degree(p, i) for i, e in m.ys)
+        + sum(e * z_degree(p, j) for j, e in m.zs)
+    )
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_stored_degree_is_the_exponent_sum(p):
+    parts = _even_parts(p, 300) + _odd_parts(p, 300)
+    gens = [m for _, m in parts] + [t.gen for t in full_chart(p, 300).towers]
+    for m in gens:
+        assert m.degree == exponent_degree(m), m
+    for tag, param in (("Lambda", 1), ("LambdaBar", 2), ("MkA", 1), ("MkB", 2)):
+        for m in enumerate_family(p, tag, param, 300):
+            assert m.degree == exponent_degree(m), m
+
+
+def test_equality_and_hash_ignore_the_stored_degree():
+    m = Monomial.gen(3, "q") * Monomial.gen(3, "y", 1, 2) * z_comp(3, 1, 3)
+    twin = copy.copy(m)
+    object.__setattr__(twin, "degree", m.degree + 1)
+    assert twin == m and hash(twin) == hash(m) and repr(twin) == repr(m)
+    assert {m: 1}[twin] == 1

@@ -284,19 +284,6 @@ class BigradedPage:
         h = self.heights[key]
         return a >= 0 and (h is None or a < h)
 
-    def dots_at(self, n: int, s: int) -> list[tuple[Key, int]]:
-        out = []
-        for key, tw in self.towers.items():
-            a = s - tw.s0
-            if a < 0 or tw.n0 - self.w * a != n:
-                continue
-            if self._alive(key, a):
-                out.append((key, a))
-        return out
-
-    def dims_at(self, n: int, s: int) -> int:
-        return len(self.dots_at(n, s))
-
     def window_runs(self, heights: dict[Key, int | None]):
         """(key, range of a) of every tower with a dot inside the window,
         each tower cut to its height in heights (None = v-free) and at
@@ -323,9 +310,6 @@ class BigradedPage:
             ns = (tw.n0 - self.w * a, tw.s0 + a)
             out[ns] = out.get(ns, 0) + 1
         return out
-
-    def basis_at(self, n: int, s: int) -> list[str]:
-        return [dot_label(self.p, key, a) for key, a in self.dots_at(n, s)]
 
     def v_op(self, key: Key, a: int) -> tuple[Key, int] | None:
         nxt = (key, a + 1)

@@ -157,17 +157,18 @@ class Chart:
 
     def relation_rows(
         self, dots: Sequence[tuple[int, int]]
-    ) -> list[list[int]]:
-        """One relation per dot: p.dot - sum(edge targets)."""
+    ) -> list[dict[int, int]]:
+        """One relation per dot, p.dot - sum(edge targets), as a sparse
+        {column: value} row over the given dots."""
         index = {d: i for i, d in enumerate(dots)}
         rows = []
-        for d in dots:
-            row = [0] * len(dots)
-            row[index[d]] = self.p
+        for i, d in enumerate(dots):
+            row = {i: self.p}
             e = self.edge_at(d)
             if e is not None:
                 for tgt in e.dst:
-                    row[index[tgt]] -= 1
+                    j = index[tgt]
+                    row[j] = row.get(j, 0) - 1
             rows.append(row)
         return rows
 
@@ -269,9 +270,7 @@ class RealizedWindow:
         for t, alpha in c.dots_at(n):
             shifted = (t, alpha + b)
             if shifted in index:
-                row = [0] * len(tgt_dots)
-                row[index[shifted]] = c.p**a
-                images.append(row)
+                images.append({index[shifted]: c.p**a})
         if not images or a >= max(group, default=0):
             # the image is zero, or p^a kills the whole target group
             val = 0
@@ -281,8 +280,3 @@ class RealizedWindow:
             val = sum(group) - sum(quot)
         self._order_cache[key] = val
         return val
-
-
-def realize(chart: Chart, window: tuple[int, int]) -> RealizedWindow:
-    lo, hi = window
-    return RealizedWindow(chart, lo, hi)

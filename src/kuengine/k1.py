@@ -21,6 +21,12 @@ which pins every dimension against the chart groups.
 The w_j are odd-degree classes with |w_1| = 2p^2 + 1 and
 w_{j+2} = y_j^{p-1} w_j z_{j+1}^{p-1} (see padic.w_degree).
 
+Each family, and each cofactor of the splitting families below, is a
+factor list walked by monomial.bounded_exponents: a (degree, max exponent)
+pair per generator, None for a polynomial y-power, 1 for eps, p-1 for the
+z-factors of Lambda, listed only up to the degree that can still reach the
+window.
+
 Two audits consume these dimensions:
 
   * bockstein_audit: the long exact sequence relating k(1)* to
@@ -44,8 +50,21 @@ from functools import lru_cache
 
 from .chart import tower_dots
 from .modules import _round_up, build_A, build_B, build_S, full_chart
-from .monomial import Z_prod, k0, lambda_exponents, q_degree, z_degree
+from .monomial import (
+    Z_prod,
+    bounded_exponents,
+    k0,
+    lambda_factors,
+    q_degree,
+    y_degree,
+    z_degree,
+)
 from .padic import r, r_prime, w_degree
+
+
+def _y_pair(p: int, k: int) -> list[tuple[int, int | None]]:
+    """The factors of TP_{p-1}[y_k] (x) P[y_{k+1}]."""
+    return [(y_degree(p, k), p - 2), (y_degree(p, k + 1), None)]
 
 
 @lru_cache(maxsize=None)
@@ -56,66 +75,39 @@ def k1_dims(p: int, n_max: int) -> tuple[int, ...]:
     w = 2 * (p - 1)
     dims = [0] * (n_max + 1)
 
-    def add(base: int, height: int) -> None:
-        for a in tower_dots(base, height, w, 0, n_max):
-            dims[base - w * a] += 1
+    def add(base: int, height: int, factors: list, lam: int | None) -> None:
+        """Count the window dots of every tower of the given height based in
+        degree base + |m|, m a monomial in the factors (times Lambda_lam)."""
+        cap = n_max + w * (height - 1) - base
+        if lam is not None:
+            factors = factors + lambda_factors(p, lam, cap)
+        for _, d in bounded_exponents(factors, cap):
+            for a in tower_dots(base + d, height, w, 0, n_max):
+                dims[base + d - w * a] += 1
 
     # W family.  The lowest reachable degree |w_j| - 2(p-1)(r(j)-1) grows
     # with j, so the loop terminates.
     j = 1
     while w_degree(p, j) - w * (r(p, j) - 1) <= n_max:
-        height = r(p, j)
-        pad = w * (height - 1)
-        for _, lam_deg in lambda_exponents(p, j + 1, n_max + pad - w_degree(p, j)):
-            for eps in (0, 1):
-                base0 = w_degree(p, j) + lam_deg + eps * w_degree(p, j + 1)
-                for d in range(p - 1):
-                    base1 = base0 + d * 2 * p**j
-                    if base1 - pad > n_max:
-                        break
-                    c = 0
-                    while base1 + c * 2 * p ** (j + 1) - pad <= n_max:
-                        add(base1 + c * 2 * p ** (j + 1), height)
-                        c += 1
+        add(w_degree(p, j), r(p, j), [(w_degree(p, j + 1), 1)] + _y_pair(p, j), j + 1)
         j += 1
 
     # Z family.
     j = k0(p)
     while z_degree(p, j) - w * (r_prime(p, j - 1) - 1) <= n_max:
-        height = r_prime(p, j - 1)
-        pad = w * (height - 1)
-        for _, lam_deg in lambda_exponents(p, j + 1, n_max + pad - z_degree(p, j)):
-            for eps in (0, 1):
-                for e in range(1, p):
-                    base1 = e * z_degree(p, j) + lam_deg + eps * w_degree(p, j)
-                    if base1 - pad > n_max:
-                        break
-                    c = 0
-                    while base1 + c * 2 * p**j - pad <= n_max:
-                        add(base1 + c * 2 * p**j, height)
-                        c += 1
+        cof = [(z_degree(p, j), p - 2), (y_degree(p, j), None), (w_degree(p, j), 1)]
+        add(z_degree(p, j), r_prime(p, j - 1), cof, j + 1)
         j += 1
 
     # Bottom family.
-    bottoms = [2 * (p - 1) + z_degree(p, 0)]
+    add(2 * (p - 1) + z_degree(p, 0), 1, [(y_degree(p, 1), None)], None)
     if p == 2:
-        bottoms.append(z_degree(p, 1))
-    for base0 in bottoms:
-        c = 0
-        while base0 + 2 * p * c <= n_max:
-            add(base0 + 2 * p * c, 1)
-            c += 1
+        add(z_degree(p, 1), 1, [(y_degree(p, 1), None)], None)
 
     # q family.
     j = k0(p)
     while p * z_degree(p, j) <= n_max:
-        for _, lam_deg in lambda_exponents(p, j + 1, n_max - p * z_degree(p, j)):
-            for eps in (0, 1):
-                base1 = p * z_degree(p, j) + lam_deg + eps * q_degree(p)
-                c = 0
-                while base1 + 2 * p * c <= n_max:
-                    add(base1 + 2 * p * c, 1)
-                    c += 1
+        add(p * z_degree(p, j), 1, [(y_degree(p, 1), None), (q_degree(p), 1)], j + 1)
         j += 1
 
     return tuple(dims)
@@ -201,42 +193,9 @@ def _tcounts(p: int, kind: str, k: int, ell: int = 0) -> dict:
     return {n: c for n, c in counts if c}
 
 
-def _pair_cofactors(p: int, k: int, budget: int) -> list[int]:
-    """Degrees of y_k^d y_{k+1}^c, d <= p-2, c >= 0, up to budget."""
-    out = []
-    for d in range(p - 1):
-        base = d * 2 * p**k
-        if base > budget:
-            break
-        c = 0
-        while base + c * 2 * p ** (k + 1) <= budget:
-            out.append(base + c * 2 * p ** (k + 1))
-            c += 1
-    return out
-
-
-def _ten_term_cofactors(p: int, k: int, ell: int, budget: int) -> list[int]:
-    """Degrees of y_k^d y_{k+1}^c z_l^f lam, d, f <= p-2, lam in
-    Lambda_{l+1}, up to budget."""
-    out = []
-    for _, lam_deg in lambda_exponents(p, ell + 1, budget):
-        for f in range(p - 1):
-            base = lam_deg + f * z_degree(p, ell)
-            if base > budget:
-                break
-            out.extend(base + d for d in _pair_cofactors(p, k, budget - base))
-    return out
-
-
-def _single_cofactors(p: int, k: int, budget: int) -> list[int]:
-    """Degrees of y_k^c lam, lam in Lambda_{k+1}, up to budget."""
-    out = []
-    for _, lam_deg in lambda_exponents(p, k + 1, budget):
-        c = 0
-        while lam_deg + c * 2 * p**k <= budget:
-            out.append(lam_deg + c * 2 * p**k)
-            c += 1
-    return out
+def _cofactor_degrees(factors: list, budget: int) -> list[int]:
+    """Degrees of the monomials in the factors, up to budget."""
+    return [d for _, d in bounded_exponents(factors, budget)]
 
 
 def _q_shift(p: int, k: int) -> int:
@@ -256,7 +215,6 @@ def _accumulate(
                 dims[n] += count
 
 
-@lru_cache(maxsize=None)
 def g_family_dims(p: int, i: int, params: tuple, n_max: int) -> tuple[int, ...]:
     """Per-degree dimensions of G^i with its cofactors, degrees 0..n_max.
 
@@ -271,12 +229,14 @@ def g_family_dims(p: int, i: int, params: tuple, n_max: int) -> tuple[int, ...]:
         (k,) = params
         t = _tcounts(p, "A", k)
         side = _KER if i == 1 else _COKER
-        _accumulate(dims, t, 0, side, _pair_cofactors(p, k, budget))
+        _accumulate(dims, t, 0, side, _cofactor_degrees(_y_pair(p, k), budget))
     elif i in (3, 4, 5, 6):
         k, ell = params
         if not 1 <= k < ell:
             raise ValueError("need 1 <= k < l")
-        cof = _ten_term_cofactors(p, k, ell, budget)
+        ten = [(z_degree(p, ell), p - 2)] + _y_pair(p, k)
+        ten += lambda_factors(p, ell + 1, budget)
+        cof = _cofactor_degrees(ten, budget)
         tb = _tcounts(p, "B", k)
         if i == 3:
             _accumulate(dims, tb, 2 * p**k + Z_prod(p, k, ell).degree, _KER, cof)
@@ -294,7 +254,9 @@ def g_family_dims(p: int, i: int, params: tuple, n_max: int) -> tuple[int, ...]:
             raise ValueError("need 1 <= e <= p-2")
         t = _tcounts(p, "B", k)
         side = _KER if i == 7 else _COKER
-        _accumulate(dims, t, e * z_degree(p, k), side, _single_cofactors(p, k, budget))
+        single = [(y_degree(p, k), None)] + lambda_factors(p, k + 1, budget)
+        cof = _cofactor_degrees(single, budget)
+        _accumulate(dims, t, e * z_degree(p, k), side, cof)
     return tuple(dims)
 
 

@@ -17,10 +17,10 @@ Two jobs:
   abelian p-groups.  Entries are tiny ({0, +-1, +-p} in practice), so the
   elimination tracks valuations by repeatedly stripping unit pivots and
   dividing the remainder by p; arithmetic runs modulo a power of p large
-  enough that no information is lost for a finite cokernel.  The dense
-  input rows are reduced as sparse {col: value} dicts: a chart relation
-  has at most three nonzeros, and the exponents are Smith invariants, so
-  the pivot order does not change them.
+  enough that no information is lost for a finite cokernel.  Rows come
+  and are reduced as sparse {col: value} dicts: a chart relation has at
+  most three nonzeros, and the exponents are Smith invariants, so the
+  pivot order does not change them.
 """
 
 from __future__ import annotations
@@ -78,17 +78,18 @@ def gf_rank_sparse(
     return len(pivots)
 
 
-def cokernel_exponents(rows: list[list[int]], ncols: int, p: int) -> list[int]:
+def cokernel_exponents(rows: list[dict[int, int]], ncols: int, p: int) -> list[int]:
     """Exponents e >= 0 (one per column) with coker = direct sum of Z/p^e,
-    sorted descending.  Raises ArithmeticError if the cokernel is infinite
-    (some column never meets a pivot)."""
+    sorted descending, for {col: value} rows over columns 0..ncols-1 (the
+    rows are not modified).  Raises ArithmeticError if the cokernel is
+    infinite (some column never meets a pivot)."""
     if ncols == 0:
         return []
     budget = ncols + 2
     mod = p**budget
     work = []
     for row in rows:
-        sparse = {c: y for c, x in enumerate(row) if (y := x % mod)}
+        sparse = {c: y for c, x in row.items() if (y := x % mod)}
         if sparse:
             work.append(sparse)
     exps: list[int] = []
@@ -135,7 +136,7 @@ def cokernel_exponents(rows: list[list[int]], ncols: int, p: int) -> list[int]:
     return sorted(exps, reverse=True)
 
 
-def group_exponents(rows: list[list[int]], ncols: int, p: int) -> list[int]:
+def group_exponents(rows: list[dict[int, int]], ncols: int, p: int) -> list[int]:
     """Like cokernel_exponents but dropping the trivial (e = 0) factors:
     the canonical descending exponent list of a finite abelian p-group."""
     return [e for e in cokernel_exponents(rows, ncols, p) if e > 0]

@@ -17,6 +17,12 @@ verification side of the package:
 * ext_bruteforce -- Ext_{E1}(F_p, M) dimensions computed literally from the
   standard Koszul-type resolution of the ground field.
 
+Monomial bases: each generator (GenSpec) carries an exponent cap `top`
+(None for a polynomial generator, 1 for an exterior one, p-1 or p-2 for
+the truncated cofactors of R), and a basis is every exponent vector under
+the degree cutoff, from monomial.bounded_exponents.  A product whose
+exponent passes its cap is zero.
+
 Degree-truncation discipline: every E1Module records the cutoff through
 which its basis is complete.  Q-images landing above the cutoff are not
 stored, so consumers must (and do) check the margin they need instead of
@@ -29,7 +35,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .linalg import gf_rank, gf_rank_sparse
-from .monomial import q_degree
+from .monomial import bounded_exponents, q_degree
 from .series import PSeries
 
 # Cutoff sentinel for modules that are finite (complete in all degrees).
@@ -47,12 +53,12 @@ Mono = tuple[tuple[int, int], ...]  # ((generator index, exponent), ...), sorted
 class GenSpec:
     name: str
     degree: int
-    exterior: bool = False  # odd-prime exterior generator: exponent <= 1
+    top: int | None = None  # exponent cap: 1 for exterior, None for polynomial
 
 
 def _normalize(blocks, gens: list[GenSpec], p: int):
     """Sort generator blocks by index, merging exponents and tracking the
-    Koszul sign; None when an exterior generator squares to zero."""
+    Koszul sign; None when an exponent passes its generator's cap."""
     seq = [(g, e) for g, e in blocks if e > 0]
     sign = 1
     for i in range(1, len(seq)):
@@ -69,7 +75,7 @@ def _normalize(blocks, gens: list[GenSpec], p: int):
     for g, e in seq:
         if out and out[-1][0] == g:
             e += out[-1][1]
-            if gens[g].exterior and e >= 2:
+            if gens[g].top is not None and e > gens[g].top:
                 return None
             out[-1] = (g, e)
         else:
@@ -86,9 +92,9 @@ def _derive(m: Mono, images: dict[int, dict[Mono, int]], gens, p: int) -> dict[M
         img = images.get(g)
         gdeg = gens[g].degree
         if img:
-            lead = 1 if gens[g].exterior else e % p
+            lead = e % p
             if lead:
-                par = prefix + (0 if gens[g].exterior else (e - 1) * gdeg)
+                par = prefix + (e - 1) * gdeg
                 outer = -1 if (p != 2 and par & 1) else 1
                 head = blocks[:pos] + ([(g, e - 1)] if e > 1 else [])
                 tail = blocks[pos + 1 :]
@@ -103,38 +109,12 @@ def _derive(m: Mono, images: dict[int, dict[Mono, int]], gens, p: int) -> dict[M
     return {k: v for k, v in out.items() if v}
 
 
-def _mono_degree(m: Mono, gens) -> int:
-    return sum(gens[g].degree * e for g, e in m)
-
-
 def _mono_label(m: Mono, gens) -> str:
     if not m:
         return "1"
     return " ".join(
         g_.name if e == 1 else f"{g_.name}^{e}" for g_, e in ((gens[g], e) for g, e in m)
     )
-
-
-def _enumerate_monomials(gens: list[GenSpec], D: int) -> list[Mono]:
-    """All monomials of degree <= D, exterior exponents <= 1."""
-    found: list[Mono] = []
-
-    def rec(i: int, acc: list[tuple[int, int]], left: int):
-        if i == len(gens):
-            found.append(tuple(acc))
-            return
-        rec(i + 1, acc, left)
-        spec = gens[i]
-        top = 1 if spec.exterior else left // spec.degree
-        for e in range(1, top + 1):
-            if e * spec.degree > left:
-                break
-            acc.append((i, e))
-            rec(i + 1, acc, left - e * spec.degree)
-            acc.pop()
-
-    rec(0, [], D)
-    return found
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +256,12 @@ class E1Module:
 
 def _module_from_monomials(p: int, gens: list[GenSpec], D: int, images0, images1) -> E1Module:
     mod = E1Module(p, D)
-    monos = _enumerate_monomials(gens, D)
-    monos.sort(key=lambda m: (_mono_degree(m, gens), m))
-    labels = {m: _mono_label(m, gens) for m in monos}
-    for m in monos:
-        mod.add(labels[m], _mono_degree(m, gens))
-    for m in monos:
-        d = _mono_degree(m, gens)
+    found = bounded_exponents([(g.degree, g.top) for g in gens], D)
+    monos = sorted((d, m) for m, d in found)
+    labels = {m: _mono_label(m, gens) for _, m in monos}
+    for d, m in monos:
+        mod.add(labels[m], d)
+    for d, m in monos:
         for images, attr, shift in ((images0, "q0", 1), (images1, "q1", 2 * p - 1)):
             if d + shift > D:
                 continue
@@ -356,7 +335,7 @@ def build_HK2(p: int, D: int) -> E1Module:
     i = 0
     while 2 * p**i + 1 <= D:
         uidx[i] = len(gens)
-        gens.append(GenSpec(f"u{i}", 2 * p**i + 1, exterior=True))
+        gens.append(GenSpec(f"u{i}", 2 * p**i + 1, top=1))
         i += 1
     images0 = {}
     images1 = {}
@@ -506,20 +485,20 @@ def _R(p: int, D: int) -> E1Module:
             gens = []
             k = j
             while 2 * (2**k + 1) <= D:
-                gens.append(GenSpec(f"e{k}", 2 * (2**k + 1), exterior=True))
+                gens.append(GenSpec(f"e{k}", 2 * (2**k + 1), top=1))
                 k += 1
             summands.append(_M(2, j).tensor(_trivial_polynomial(2, gens, D)))
             j += 1
     else:
         j = 2
         while 2 * p**j + 1 <= D:
-            gens = [GenSpec(f"g{j}", 2 * (p**j + 1))]
+            # TP_{p-1}[g_j] x TP_p[g_k : k > j]
+            gens = [GenSpec(f"g{j}", 2 * (p**j + 1), top=p - 2)]
             k = j + 1
             while 2 * (p**k + 1) <= D:
-                gens.append(GenSpec(f"g{k}", 2 * (p**k + 1)))
+                gens.append(GenSpec(f"g{k}", 2 * (p**k + 1), top=p - 1))
                 k += 1
-            cof = _truncated_trivial(p, gens, D, head=j)
-            summands.append(_M(p, j).tensor(cof))
+            summands.append(_M(p, j).tensor(_trivial_polynomial(p, gens, D)))
             j += 1
     if not summands:
         out = E1Module(p, D)
@@ -527,34 +506,6 @@ def _R(p: int, D: int) -> E1Module:
     out = E1Module.direct_sum(summands)
     out.cutoff = D
     return out
-
-
-def _truncated_trivial(p: int, gens: list[GenSpec], D: int, head: int) -> E1Module:
-    """TP_{p-1}[g_head] x TP_p[g_k : k > head] as a Q-trivial module."""
-    mod = E1Module(p, D)
-    heights = []
-    for g in gens:
-        h = p - 1 if g.name == f"g{head}" else p
-        heights.append(h - 1)  # top exponent
-
-    def rec(i: int, label_parts: list[str], deg: int):
-        if i == len(gens):
-            mod.add(" ".join(label_parts) if label_parts else "1", deg)
-            return
-        rec(i + 1, label_parts, deg)
-        for e in range(1, heights[i] + 1):
-            d2 = deg + e * gens[i].degree
-            if d2 > D:
-                break
-            rec(i + 1, label_parts + [gens[i].name if e == 1 else f"{gens[i].name}^{e}"], d2)
-
-    rec(0, [], 0)
-    # re-sort basis within degrees for determinism
-    ordered = E1Module(p, D)
-    for d in sorted(mod.by_degree):
-        for lbl in sorted(mod.by_degree[d]):
-            ordered.add(lbl, d)
-    return ordered
 
 
 def build_piece(p: int, kind: str, param: int | None = None, D: int | None = None) -> E1Module:

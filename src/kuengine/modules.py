@@ -17,9 +17,10 @@ finite chain chart of composite classes z[i,l].
 even_part / odd_part assemble the full even- and odd-degree answer as a
 direct sum of monomial multiples of the cores, now built in one pass from
 (core, multiplier) pairs with no chart per summand (full_chart sums both
-pair lists at once); ku_group_at slices it into explicit groups, and
-assoc_graded_dims provides the independent associated-graded dimension
-count used as a cross-check.
+pair lists at once); ku_group_at slices it into explicit groups.
+assoc_graded_dims is an independent associated-graded dimension count; only
+acceptance check 13 compares it with the chart, and no audit or CLI
+command reaches it.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ from functools import lru_cache
 from .chart import (
     Chart,
     PEdge,
+    RealizedWindow,
     Tower,
     append_shifted,
     direct_sum,
     empty_chart,
-    realize,
 )
 from .monomial import (
     Monomial,
@@ -371,8 +372,8 @@ def duality_audit(p: int, k_max: int = 4) -> dict:
         lo, hi = c.min_dot_degree(), c.max_dot_degree()
         a_max, b_max = k + 2, p**k
         pad = step * b_max
-        win = realize(
-            c, (min(lo, sigma - hi - pad) - pad, max(hi, sigma - lo + pad) + pad)
+        win = RealizedWindow(
+            c, min(lo, sigma - hi - pad) - pad, max(hi, sigma - lo + pad) + pad
         )
         dims = {n: c.dims_at(n) for n in range(win.lo, win.hi + 1)}
         checked = 0

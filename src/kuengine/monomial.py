@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator
 
 
 def k0(p: int) -> int:
@@ -216,42 +215,50 @@ def z_decompose(m: Monomial) -> tuple[int, int, int, Monomial]:
 # -- family enumerators ------------------------------------------------------
 
 
-def _bounded_products(
-    p: int, gens: list[tuple[Monomial, int]], cap: int
-) -> Iterator[Monomial]:
-    """All products of the given (generator, max exponent) factors with total
-    degree <= cap."""
+def bounded_exponents(
+    factors: list[tuple[int, int | None]], cap: int
+) -> list[tuple[tuple[tuple[int, int], ...], int]]:
+    """Every monomial in the given (degree, max exponent or None) factors
+    whose total degree is <= cap, as (ascending (factor position, exponent)
+    pairs of its nonzero exponents, degree), in lexicographic order of the
+    exponent vectors: the one walk over a bounded product of polynomial
+    (None), truncated and exterior (max exponent 1) generators.  A factor
+    whose degree exceeds what is left of the cap contributes exponent 0
+    only, so callers should list generators just up to the cap."""
+    out: list = [((), 0)] if cap >= 0 else []
+    for i, (deg, top) in enumerate(factors):
+        if deg <= 0:
+            raise ValueError("factor degrees must be positive")
+        nxt = []
+        for item in out:
+            nxt.append(item)  # exponent 0 keeps the pairs tuple as it is
+            pairs, d = item
+            most = (cap - d) // deg
+            if top is not None and top < most:
+                most = top
+            if most > 0:
+                nxt += [(pairs + ((i, e),), d + e * deg) for e in range(1, most + 1)]
+        out = nxt
+    return out
 
-    def rec(idx: int, acc: Monomial) -> Iterator[Monomial]:
-        if idx == len(gens):
-            yield acc
-            return
-        g, emax = gens[idx]
-        cur = acc
-        for e in range(emax + 1):
-            if e > 0:
-                cur = cur * g
-                if cur.degree > cap:
-                    return
-            yield from rec(idx + 1, cur)
 
-    yield from rec(0, Monomial.one(p))
+def lambda_factors(p: int, j: int, cap: int) -> list[tuple[int, int]]:
+    """The factors z_t (t >= j, exponent <= p-1) of Lambda_j with degree
+    <= cap."""
+    out = []
+    while z_degree(p, j) <= cap:
+        out.append((z_degree(p, j), p - 1))
+        j += 1
+    return out
 
 
 def lambda_exponents(p: int, j: int, cutoff: int) -> list[tuple[tuple, int]]:
     """Lambda_j = TP_p[z_i : i >= j]: exponents <= p-1, degree <= cutoff,
     as (ascending exponent pairs, degree) sorted by degree, then pairs."""
-    out: list[tuple[tuple, int]] = [((), 0)]
-    t = j
-    while z_degree(p, t) <= cutoff:
-        zd = z_degree(p, t)
-        out += [
-            (zs + ((t, e),), d + e * zd)
-            for zs, d in out
-            for e in range(1, p)
-            if d + e * zd <= cutoff
-        ]
-        t += 1
+    out = [
+        (tuple((j + t, e) for t, e in pairs), d)
+        for pairs, d in bounded_exponents(lambda_factors(p, j, cutoff), cutoff)
+    ]
     out.sort(key=lambda x: (x[1], x[0]))
     return out
 
@@ -263,18 +270,18 @@ def script_m_family(p: int, k: int, cutoff: int, part: str) -> list[Monomial]:
     (at least one z-factor)."""
     if part not in ("A", "B"):
         raise ValueError("part must be 'A' or 'B'")
-    gens: list[tuple[Monomial, int]] = []
-    i = k
-    while y_degree(p, i) <= cutoff:
-        gens.append((Monomial.gen(p, "y", i), p - 1))
-        i += 1
-    if part == "B":
-        t = k
-        while z_degree(p, t) <= cutoff:
-            gens.append((Monomial.gen(p, "z", t), p - 1))
-            t += 1
+    ys = []
+    while y_degree(p, k + len(ys)) <= cutoff:
+        ys.append((y_degree(p, k + len(ys)), p - 1))
+    zs = lambda_factors(p, k, cutoff) if part == "B" else []
     out = []
-    for m in _bounded_products(p, gens, cutoff):
+    n_y = len(ys)
+    for pairs, _ in bounded_exponents(ys + zs, cutoff):
+        m = Monomial(
+            p,
+            ys=tuple((k + i, e) for i, e in pairs if i < n_y),
+            zs=tuple((k + i - n_y, e) for i, e in pairs if i >= n_y),
+        )
         ez = m.z_dict().get(k, 0)
         ey = dict(m.ys).get(k, 0)
         if (ez, ey) in ((p - 1, 0), (0, p - 1)):

@@ -8,7 +8,10 @@ pins degree by degree.
 
 import pytest
 
+from kuengine import k1
+from kuengine.chart import tower_dots
 from kuengine.k1 import (
+    _cofactor_degrees,
     bockstein_audit,
     g_family_dim,
     g_family_dims,
@@ -16,8 +19,16 @@ from kuengine.k1 import (
     k1_dims,
     theorem61_audit,
 )
-from kuengine.monomial import Monomial
+from kuengine.monomial import (
+    Monomial,
+    k0,
+    lambda_exponents,
+    q_degree,
+    z_degree,
+)
 from kuengine.padic import r, r_prime, w_degree
+
+PRIMES = (2, 3, 5, 7)
 
 
 # -- w-class degrees -------------------------------------------------------
@@ -132,3 +143,133 @@ def test_theorem61_windows():
     assert rep["ok"]
     assert rep["rows"][19] == {"degree": 19, "lhs": 1, "rhs": 1, "pass": True}
     assert theorem61_audit(5, 120)["ok"]
+
+
+# -- the family walks against the hand-written loops they replaced ----------
+
+
+def ref_k1_dims(p, n_max):
+    """Reference: the four families walked by explicit loops, one per
+    exponent (y-powers by while loops), over lambda_exponents."""
+    w = 2 * (p - 1)
+    dims = [0] * (n_max + 1)
+
+    def add(base, height):
+        for a in tower_dots(base, height, w, 0, n_max):
+            dims[base - w * a] += 1
+
+    j = 1
+    while w_degree(p, j) - w * (r(p, j) - 1) <= n_max:
+        height = r(p, j)
+        pad = w * (height - 1)
+        for _, lam_deg in lambda_exponents(p, j + 1, n_max + pad - w_degree(p, j)):
+            for eps in (0, 1):
+                base0 = w_degree(p, j) + lam_deg + eps * w_degree(p, j + 1)
+                for d in range(p - 1):
+                    base1 = base0 + d * 2 * p**j
+                    if base1 - pad > n_max:
+                        break
+                    c = 0
+                    while base1 + c * 2 * p ** (j + 1) - pad <= n_max:
+                        add(base1 + c * 2 * p ** (j + 1), height)
+                        c += 1
+        j += 1
+    j = k0(p)
+    while z_degree(p, j) - w * (r_prime(p, j - 1) - 1) <= n_max:
+        height = r_prime(p, j - 1)
+        pad = w * (height - 1)
+        for _, lam_deg in lambda_exponents(p, j + 1, n_max + pad - z_degree(p, j)):
+            for eps in (0, 1):
+                for e in range(1, p):
+                    base1 = e * z_degree(p, j) + lam_deg + eps * w_degree(p, j)
+                    if base1 - pad > n_max:
+                        break
+                    c = 0
+                    while base1 + c * 2 * p**j - pad <= n_max:
+                        add(base1 + c * 2 * p**j, height)
+                        c += 1
+        j += 1
+    bottoms = [2 * (p - 1) + z_degree(p, 0)]
+    if p == 2:
+        bottoms.append(z_degree(p, 1))
+    for base0 in bottoms:
+        c = 0
+        while base0 + 2 * p * c <= n_max:
+            add(base0 + 2 * p * c, 1)
+            c += 1
+    j = k0(p)
+    while p * z_degree(p, j) <= n_max:
+        for _, lam_deg in lambda_exponents(p, j + 1, n_max - p * z_degree(p, j)):
+            for eps in (0, 1):
+                base1 = p * z_degree(p, j) + lam_deg + eps * q_degree(p)
+                c = 0
+                while base1 + 2 * p * c <= n_max:
+                    add(base1 + 2 * p * c, 1)
+                    c += 1
+        j += 1
+    return tuple(dims)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_k1_dims_match_the_loop_reference(p):
+    for n_max in (0, 1, 37, 250, 600):
+        assert k1_dims(p, n_max) == ref_k1_dims(p, n_max), n_max
+
+
+def ref_pair_cofactors(p, k, budget):
+    out = []
+    for d in range(p - 1):
+        base = d * 2 * p**k
+        if base > budget:
+            break
+        c = 0
+        while base + c * 2 * p ** (k + 1) <= budget:
+            out.append(base + c * 2 * p ** (k + 1))
+            c += 1
+    return out
+
+
+def ref_ten_term_cofactors(p, k, ell, budget):
+    out = []
+    for _, lam_deg in lambda_exponents(p, ell + 1, budget):
+        for f in range(p - 1):
+            base = lam_deg + f * z_degree(p, ell)
+            if base > budget:
+                break
+            out.extend(base + d for d in ref_pair_cofactors(p, k, budget - base))
+    return out
+
+
+def ref_single_cofactors(p, k, budget):
+    out = []
+    for _, lam_deg in lambda_exponents(p, k + 1, budget):
+        c = 0
+        while lam_deg + c * 2 * p**k <= budget:
+            out.append(lam_deg + c * 2 * p**k)
+            c += 1
+    return out
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_g_family_cofactors_match_the_loop_reference(p, monkeypatch):
+    # the cofactor degrees each G^i instance walks, against the loops
+    seen = []
+
+    def record(factors, budget):
+        seen.append(_cofactor_degrees(factors, budget))
+        return seen[-1]
+
+    monkeypatch.setattr(k1, "_cofactor_degrees", record)
+    for n_max in (0, 60, 400):
+        budget = n_max + 1
+        for k in (1, 2):
+            cases = [(i, (k,), ref_pair_cofactors(p, k, budget)) for i in (1, 2)]
+            for ell in (k + 1, k + 2):
+                want = ref_ten_term_cofactors(p, k, ell, budget)
+                cases += [(i, (k, ell), want) for i in (3, 4, 5, 6)]
+            want = ref_single_cofactors(p, k, budget)
+            cases += [(i, (k, e), want) for i in (7, 8) for e in range(1, p - 1)]
+            for i, params, want in cases:
+                seen.clear()
+                g_family_dims(p, i, params, n_max)
+                assert len(seen) == 1 and sorted(seen[0]) == sorted(want), (i, params)

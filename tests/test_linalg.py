@@ -3,6 +3,7 @@ rows, checked against a naive dense elimination written here, and the
 p-local cokernel exponents on cases whose group is known by hand and
 against the dense p-local elimination the sparse one replaced."""
 
+import copy
 import random
 
 import pytest
@@ -139,13 +140,25 @@ def test_full_rank_square_matrices(p):
     assert gf_rank_sparse([(i, n - 1 - i, 1) for i in range(n)], n, n, p) == n
 
 
+def sparse_rows(rows):
+    """The {col: value} rows the kernel takes, from dense rows."""
+    return [{c: x for c, x in enumerate(row) if x} for row in rows]
+
+
+def dense_rows(rows, ncols):
+    """Dense rows of width ncols, from {col: value} rows."""
+    return [[row.get(c, 0) for c in range(ncols)] for row in rows]
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_cokernel_of_diagonal_matrices(p):
     # Z/p^3 + Z/p + 0 + 0: a unit (p + 1 is prime to p) kills its column
-    rows = [[p**3, 0, 0, 0], [0, p, 0, 0], [0, 0, 1, 0], [0, 0, 0, p + 1]]
+    rows = sparse_rows(
+        [[p**3, 0, 0, 0], [0, p, 0, 0], [0, 0, 1, 0], [0, 0, 0, p + 1]]
+    )
     assert cokernel_exponents(rows, 4, p) == [3, 1, 0, 0]
     assert group_exponents(rows, 4, p) == [3, 1]
-    assert cokernel_exponents([[-p]], 1, p) == [1]
+    assert cokernel_exponents([{0: -p}], 1, p) == [1]
     assert cokernel_exponents([], 0, p) == []
 
 
@@ -154,10 +167,10 @@ def test_cokernel_of_triangular_matrices(p):
     # upper-triangular: the order, p^sum(exps), is the p-part of the
     # diagonal product
     rows = [[p, 1], [0, p]]  # Smith form diag(1, p^2): cyclic of order p^2
-    assert cokernel_exponents(rows, 2, p) == [2, 0]
+    assert cokernel_exponents(sparse_rows(rows), 2, p) == [2, 0]
 
     rows = [[p**2, p, 1], [0, p, p], [0, 0, p**2]]
-    exps = cokernel_exponents(rows, 3, p)
+    exps = cokernel_exponents(sparse_rows(rows), 3, p)
     assert sum(exps) == 2 + 1 + 2
     # Smith form: the entries have gcd 1, the 2x2 minors gcd p (p^2 - p from
     # rows 1-2, columns 2-3), and the determinant is p^5: diag(1, p, p^4)
@@ -165,12 +178,12 @@ def test_cokernel_of_triangular_matrices(p):
 
     # lower-triangular with p-multiples off the diagonal: diag(p, p, p)
     rows = [[p, 0, 0], [p, p, 0], [-p, p, p]]
-    assert cokernel_exponents(rows, 3, p) == [1, 1, 1]
+    assert cokernel_exponents(sparse_rows(rows), 3, p) == [1, 1, 1]
 
 
 def test_infinite_cokernel_raises():
     with pytest.raises(ArithmeticError):
-        cokernel_exponents([[1, 0]], 2, 2)
+        cokernel_exponents([{0: 1}], 2, 2)
     with pytest.raises(ArithmeticError):
         cokernel_exponents([], 1, 3)
 
@@ -231,7 +244,7 @@ def dense_cokernel_exponents(rows, ncols, p):
 def outcome(kernel, rows, ncols, p):
     """The exponents, or the ArithmeticError message for an infinite
     cokernel; the kernel must leave its input rows as they were."""
-    before = [list(row) for row in rows]
+    before = copy.deepcopy(rows)
     try:
         result = kernel(rows, ncols, p)
     except ArithmeticError as exc:
@@ -250,7 +263,8 @@ def test_cokernel_matches_the_dense_reference_on_random_matrices(p):
         nrows = rng.randint(0, ncols + 4)
         rows = [[rng.choice(values) for _ in range(ncols)] for _ in range(nrows)]
         want = outcome(dense_cokernel_exponents, rows, ncols, p)
-        assert outcome(cokernel_exponents, rows, ncols, p) == want, rows
+        got = outcome(cokernel_exponents, sparse_rows(rows), ncols, p)
+        assert got == want, rows
         finite += isinstance(want, list)
         infinite += isinstance(want, str)
     # both branches are among the compared cases
@@ -269,22 +283,19 @@ def test_cokernel_matches_the_dense_reference_on_chart_relations(p):
         rel = chart.relation_rows(tgt_dots)
         ncols = len(tgt_dots)
         assert cokernel_exponents(rel, ncols, p) == dense_cokernel_exponents(
-            rel, ncols, p
+            dense_rows(rel, ncols), ncols, p
         ), tgt
         index = {d: i for i, d in enumerate(tgt_dots)}
         for b in range(3):
             src = [(t, al + b) for t, al in chart.dots_at(tgt + step * b)]
             for a in range(3):
-                images = []
-                for dot in src:
-                    if dot in index:
-                        row = [0] * ncols
-                        row[index[dot]] = p**a
-                        images.append(row)
+                images = [{index[dot]: p**a} for dot in src if dot in index]
                 if not images:
                     continue
                 got = cokernel_exponents(rel + images, ncols, p)
-                assert got == dense_cokernel_exponents(rel + images, ncols, p)
+                dense = dense_rows(rel + images, ncols)
+                want = dense_cokernel_exponents(dense, ncols, p)
+                assert got == want
                 calls += 1
     assert calls > 100
 

@@ -7,6 +7,8 @@ import pytest
 from kuengine.margolis import (
     E1Module,
     EXACT,
+    GenSpec,
+    _M,
     assemble_T,
     build_HK2,
     build_piece,
@@ -18,6 +20,7 @@ from kuengine.margolis import (
     q1_homology_closed,
     trivial_summand_counts,
 )
+from kuengine import margolis as margolis_module
 from kuengine.series import PSeries
 
 
@@ -297,3 +300,107 @@ def test_validate_rejects_broken_anticommutator():
         mod.validate()
     mod.q1["a"] = {"c": 2}
     mod.validate()
+
+
+# -- monomial bases against the recursions bounded_exponents replaced --------
+
+
+def ref_truncated_trivial(p, gens, D, head):
+    """Reference: TP_{p-1}[g_head] x TP_p[others] as a Q-trivial module,
+    by recursion over the generators."""
+    mod = E1Module(p, D)
+    heights = [(p - 1 if g.name == f"g{head}" else p) - 1 for g in gens]
+
+    def rec(i, label_parts, deg):
+        if i == len(gens):
+            mod.add(" ".join(label_parts) if label_parts else "1", deg)
+            return
+        rec(i + 1, label_parts, deg)
+        for e in range(1, heights[i] + 1):
+            d2 = deg + e * gens[i].degree
+            if d2 > D:
+                break
+            name = gens[i].name if e == 1 else f"{gens[i].name}^{e}"
+            rec(i + 1, label_parts + [name], d2)
+
+    rec(0, [], 0)
+    return mod
+
+
+def ref_R(p, D):
+    """Reference R: each M_j tensored with its cofactor; at p = 2 the
+    exterior e_k are TP_2 generators."""
+    summands = []
+    first, name = (4, "e") if p == 2 else (2, "g")
+    j = first
+    while (2**j + 1 if p == 2 else 2 * p**j + 1) <= D:
+        gens = []
+        k = j
+        while 2 * (p**k + 1) <= D:
+            gens.append(GenSpec(f"{name}{k}", 2 * (p**k + 1)))
+            k += 1
+        head = None if p == 2 else j
+        summands.append(_M(p, j).tensor(ref_truncated_trivial(p, gens, D, head)))
+        j += 1
+    return E1Module.direct_sum(summands) if summands else E1Module(p, D)
+
+
+def labelled_degrees(mod):
+    return sorted((d, lbl) for d, lbls in mod.by_degree.items() for lbl in lbls)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_R_basis_matches_the_recursive_cofactor(p):
+    sizes = []
+    for D in (0, 20, 61, 150, 300, 500):
+        got = labelled_degrees(build_piece(p, "R", D=D))
+        assert got == labelled_degrees(ref_R(p, D)), D
+        sizes.append(len(got))
+    assert sizes[-1] > sizes[-2] > 0
+
+
+def ref_hk2_monomials(gens, D):
+    """Reference: the recursion that listed H*K2's monomials, exterior
+    (top = 1) exponents <= 1."""
+    found = []
+
+    def rec(i, acc, left):
+        if i == len(gens):
+            found.append(tuple(acc))
+            return
+        rec(i + 1, acc, left)
+        spec = gens[i]
+        top = left // spec.degree if spec.top is None else spec.top
+        for e in range(1, top + 1):
+            if e * spec.degree > left:
+                break
+            acc.append((i, e))
+            rec(i + 1, acc, left - e * spec.degree)
+            acc.pop()
+
+    rec(0, [], D)
+    return found
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_hk2_basis_matches_the_recursive_enumeration(p, monkeypatch):
+    seen = []
+    real = margolis_module._module_from_monomials
+
+    def record(p_, gens, D, images0, images1):
+        seen.append((gens, D))
+        return real(p_, gens, D, images0, images1)
+
+    monkeypatch.setattr(margolis_module, "_module_from_monomials", record)
+    D = {2: 70, 3: 90, 5: 120, 7: 150}[p]
+    mod = margolis_module.build_HK2.__wrapped__(p, D)
+    (gens, _), = seen
+    want = []
+    for m in ref_hk2_monomials(gens, D):
+        degree = sum(gens[g].degree * e for g, e in m)
+        label = " ".join(
+            gens[g].name if e == 1 else f"{gens[g].name}^{e}" for g, e in m
+        )
+        want.append((degree, label or "1"))
+    assert labelled_degrees(mod) == sorted(want)
+    assert any(g.top == 1 for g in gens) == (p != 2)

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import pytest
 
-from kuengine.chart import Chart, PEdge, Tower, realize
+from kuengine.chart import Chart, PEdge, RealizedWindow, Tower
 from kuengine.modules import (
     _even_parts,
     _odd_parts,
@@ -243,7 +243,7 @@ def test_B2_B3_self_duality_palindrome():
         chart = build_B(p, k)
         lo, hi = chart.min_dot_degree(), chart.max_dot_degree()
         pad = 2 * (p - 1) * p**k
-        win = realize(chart, (lo - pad, hi + pad))
+        win = RealizedWindow(chart, lo - pad, hi + pad)
         for m in range(lo, hi + 1):
             for a in range(0, k + 2):
                 for b in range(0, p**k + 1):

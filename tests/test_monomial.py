@@ -1,15 +1,24 @@
+import itertools
+import random
+
 import pytest
 
 from kuengine.monomial import (
     Monomial,
     Z_prod,
+    bounded_exponents,
     composite_of,
     enumerate_family,
     k0,
+    lambda_exponents,
     q_degree,
+    y_degree,
     z_comp,
     z_decompose,
+    z_degree,
 )
+
+PRIMES = (2, 3, 5, 7)
 
 
 def test_degrees():
@@ -108,3 +117,147 @@ def test_script_m():
             ez = m.z_dict().get(2, 0)
             ey = dict(m.ys).get(2, 0)
             assert (ez, ey) not in ((1, 0), (0, 1))
+
+
+# -- the one bounded-product enumerator -----------------------------------------
+
+
+def product_reference(factors, cap):
+    """Reference: every vector of itertools.product over the exponent ranges
+    a factor allows on its own, kept when its total degree is <= cap, as
+    its (position, exponent) pairs of nonzero exponents."""
+    ranges = [
+        range((cap // deg if top is None else min(top, cap // deg)) + 1)
+        for deg, top in factors
+    ]
+    out = []
+    for exps in itertools.product(*ranges):
+        d = sum(e * deg for e, (deg, _) in zip(exps, factors))
+        if d <= cap:
+            out.append((tuple((i, e) for i, e in enumerate(exps) if e), d))
+    return out
+
+
+def test_bounded_exponents_matches_the_product_reference():
+    rng = random.Random(9090)
+    cases = above_cap = 0
+    while cases < 400:
+        p = rng.choice(PRIMES)
+        cap = rng.randint(0, 200)
+        factors = [
+            (rng.randint(3, 260), rng.choice((None, 0, 1, p - 1)))
+            for _ in range(rng.randint(0, 6))
+        ]
+        size = 1
+        for deg, top in factors:
+            size *= (cap // deg if top is None else min(top, cap // deg)) + 1
+        if size > 20000:  # keep the naive product small
+            continue
+        got = bounded_exponents(factors, cap)
+        assert got == product_reference(factors, cap), (factors, cap)
+        cases += 1
+        above_cap += any(deg > cap for deg, _ in factors)
+    assert above_cap > 50
+
+
+def test_bounded_exponents_edges():
+    assert bounded_exponents([], 0) == [((), 0)]
+    assert bounded_exponents([(3, None)], -1) == []
+    assert bounded_exponents([(3, 0), (5, 1)], 5) == [((), 0), (((1, 1),), 5)]
+    want = [((), 0), (((0, 1),), 4), (((0, 2),), 8)]
+    assert bounded_exponents([(4, None)], 9) == want
+    assert bounded_exponents([(2, 1), (3, None)], 5) == [
+        ((), 0),
+        (((1, 1),), 3),
+        (((0, 1),), 2),
+        (((0, 1), (1, 1)), 5),
+    ]
+    for bad in (0, -2):
+        with pytest.raises(ValueError):
+            bounded_exponents([(bad, 1)], 10)
+
+
+# The walks bounded_exponents replaced, kept as references: products built
+# one Monomial multiplication at a time, and Lambda by a doubling loop.
+
+
+def ref_bounded_products(p, gens, cap):
+    def rec(idx, acc):
+        if idx == len(gens):
+            yield acc
+            return
+        g, emax = gens[idx]
+        cur = acc
+        for e in range(emax + 1):
+            if e > 0:
+                cur = cur * g
+                if cur.degree > cap:
+                    return
+            yield from rec(idx + 1, cur)
+
+    yield from rec(0, Monomial.one(p))
+
+
+def ref_lambda_exponents(p, j, cutoff):
+    out = [((), 0)]
+    t = j
+    while z_degree(p, t) <= cutoff:
+        zd = z_degree(p, t)
+        out += [
+            (zs + ((t, e),), d + e * zd)
+            for zs, d in out
+            for e in range(1, p)
+            if d + e * zd <= cutoff
+        ]
+        t += 1
+    out.sort(key=lambda x: (x[1], x[0]))
+    return out
+
+
+def ref_script_m_family(p, k, cutoff, part):
+    gens = []
+    i = k
+    while y_degree(p, i) <= cutoff:
+        gens.append((Monomial.gen(p, "y", i), p - 1))
+        i += 1
+    if part == "B":
+        t = k
+        while z_degree(p, t) <= cutoff:
+            gens.append((Monomial.gen(p, "z", t), p - 1))
+            t += 1
+    out = []
+    for m in ref_bounded_products(p, gens, cutoff):
+        ez = m.z_dict().get(k, 0)
+        ey = dict(m.ys).get(k, 0)
+        if (ez, ey) in ((p - 1, 0), (0, p - 1)):
+            continue
+        if part == "B" and not m.zs:
+            continue
+        out.append(m)
+    out.sort(key=Monomial.sort_key)
+    return out
+
+
+def ref_family(p, tag, param, cutoff):
+    if tag in ("Lambda", "LambdaBar"):
+        lams = ref_lambda_exponents(p, param, cutoff)
+        return [Monomial(p, zs=zs) for zs, _ in lams if zs or tag == "Lambda"]
+    return ref_script_m_family(p, param, cutoff, tag[-1])
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_families_match_the_replaced_enumerators(p):
+    compared = 0
+    for tag in ("MkA", "MkB", "Lambda", "LambdaBar"):
+        for param in (1, 2, 3):
+            for cutoff in (0, 1, 13, 37, 150, 300):
+                got = enumerate_family(p, tag, param, cutoff)
+                want = ref_family(p, tag, param, cutoff)
+                assert got == want, (tag, param, cutoff)  # order included
+                assert [m.degree for m in got] == [m.degree for m in want]
+                compared += len(want)
+    for j in (0, 1, 2, 3):
+        for cutoff in (0, 5, 56, 199, 400):
+            got = lambda_exponents(p, j, cutoff)
+            assert got == ref_lambda_exponents(p, j, cutoff), (j, cutoff)
+    assert compared > 100

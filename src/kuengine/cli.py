@@ -159,6 +159,8 @@ def cmd_chart(
         return document_from_einfty(p, lo, hi, s_max if s_max is not None else 40)
     if not selectors:
         raise UsageError("chart needs a module selector (or --einfty)")
+    if s_max is not None:
+        raise UsageError("--max-s caps only chart --einfty")
     cutoff = config.window[1] if config.window else None
     if len(selectors) == 1:
         return document_from_chart(
@@ -193,6 +195,15 @@ def cmd_audit(
     max_degree: int | None = None,
     max_s: int | None = None,
 ) -> dict:
+    if which not in AUDITS:
+        raise UsageError(f"unknown audit {which!r} (choose from {', '.join(AUDITS)})")
+    for flag, value, readers in (
+        ("--max", max_n, set(AUDITS) - {"ext"}),
+        ("--max-degree", max_degree, {"ext"}),
+        ("--max-s", max_s, {"matching", "einfty", "ext"}),
+    ):
+        if value is not None and which not in readers:
+            raise UsageError(f"audit {which} does not read {flag}")
     p = config.prime
     if which == "bockstein":
         return k1.bockstein_audit(p, max_n if max_n is not None else 200)
@@ -214,9 +225,7 @@ def cmd_audit(
             max_degree if max_degree is not None else 40,
             max_s if max_s is not None else 8,
         )
-    if which == "ps":
-        return margolis.ps_audit(p, max_n if max_n is not None else 100)
-    raise UsageError(f"unknown audit {which!r} (choose from {', '.join(AUDITS)})")
+    return margolis.ps_audit(p, max_n if max_n is not None else 100)
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +291,8 @@ def _nonnegative(text: str) -> int:
 
 def _parse_window(args) -> tuple[int, int] | None:
     if getattr(args, "window", None):
+        if getattr(args, "lo", None) is not None or getattr(args, "hi", None) is not None:
+            raise UsageError("give --window or --from/--to, not both")
         try:
             a, b = args.window.split(":")
             return (int(a), int(b))

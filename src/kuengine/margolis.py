@@ -6,7 +6,8 @@ a statement about Ext over E1, so this file carries the independent
 verification side of the package:
 
 * build_HK2 -- H*(K(Z/p,2); F_p) as an explicit E1-module: monomial basis,
-  Q0 and Q1 extended as derivations (with Koszul signs at odd primes).
+  Q0 and Q1 extended from the generator images by the Leibniz rule (with
+  Koszul signs at odd primes), each product found by key arithmetic.
 * margolis_homology -- per-degree dims of H(M; Q0) or H(M; Q1), plus the
   known closed forms they must reproduce (q0_homology_closed, ...).
 * build_piece -- the small non-free modules N, L_k, M_j and the locally
@@ -15,7 +16,8 @@ verification side of the package:
 * free_part_ps -- counts of free E1 summands per generator degree, obtained
   by subtracting the non-free model's Poincare series from the full one.
 * ext_bruteforce -- Ext_{E1}(F_p, M) dimensions computed literally from the
-  standard Koszul-type resolution of the ground field.
+  standard Koszul-type resolution of the ground field, its boundary
+  matrices laid out from per-degree tables of Q-image positions.
 
 Monomial bases: each generator (GenSpec) carries an exponent cap `top`
 (None for a polynomial generator, 1 for an exterior one, p-1 or p-2 for
@@ -54,59 +56,6 @@ class GenSpec:
     name: str
     degree: int
     top: int | None = None  # exponent cap: 1 for exterior, None for polynomial
-
-
-def _normalize(blocks, gens: list[GenSpec], p: int):
-    """Sort generator blocks by index, merging exponents and tracking the
-    Koszul sign; None when an exponent passes its generator's cap."""
-    seq = [(g, e) for g, e in blocks if e > 0]
-    sign = 1
-    for i in range(1, len(seq)):
-        j = i
-        while j > 0 and seq[j - 1][0] > seq[j][0]:
-            if p != 2:
-                pa = (gens[seq[j - 1][0]].degree * seq[j - 1][1]) & 1
-                pb = (gens[seq[j][0]].degree * seq[j][1]) & 1
-                if pa and pb:
-                    sign = -sign
-            seq[j - 1], seq[j] = seq[j], seq[j - 1]
-            j -= 1
-    out: list[tuple[int, int]] = []
-    for g, e in seq:
-        if out and out[-1][0] == g:
-            e += out[-1][1]
-            if gens[g].top is not None and e > gens[g].top:
-                return None
-            out[-1] = (g, e)
-        else:
-            out.append((g, e))
-    return sign, tuple(out)
-
-
-def _derive(m: Mono, images: dict[int, dict[Mono, int]], gens, p: int) -> dict[Mono, int]:
-    """Apply an odd-degree derivation with the given generator images."""
-    out: dict[Mono, int] = {}
-    blocks = list(m)
-    prefix = 0  # degree of everything left of the factor being derived
-    for pos, (g, e) in enumerate(blocks):
-        img = images.get(g)
-        gdeg = gens[g].degree
-        if img:
-            lead = e % p
-            if lead:
-                par = prefix + (e - 1) * gdeg
-                outer = -1 if (p != 2 and par & 1) else 1
-                head = blocks[:pos] + ([(g, e - 1)] if e > 1 else [])
-                tail = blocks[pos + 1 :]
-                for tmono, tcoeff in img.items():
-                    nm = _normalize(head + list(tmono) + tail, gens, p)
-                    if nm is None:
-                        continue
-                    s2, mono2 = nm
-                    coeff = (out.get(mono2, 0) + lead * outer * s2 * tcoeff) % p
-                    out[mono2] = coeff
-        prefix += e * gdeg
-    return {k: v for k, v in out.items() if v}
 
 
 def _mono_label(m: Mono, gens) -> str:
@@ -255,19 +204,45 @@ class E1Module:
 
 
 def _module_from_monomials(p: int, gens: list[GenSpec], D: int, images0, images1) -> E1Module:
+    """The monomial module with Q0, Q1 extended from the generator images
+    ({generator: (h, f, c)}, meaning Q(gen) = c gen_h^f) by the Leibniz
+    rule.  A monomial is keyed by its exponent vector read in mixed radix,
+    so m / g * gen_h^f is key - weight[g] + f * weight[h]."""
     mod = E1Module(p, D)
     found = bounded_exponents([(g.degree, g.top) for g in gens], D)
     monos = sorted((d, m) for m, d in found)
-    labels = {m: _mono_label(m, gens) for _, m in monos}
-    for d, m in monos:
-        mod.add(labels[m], d)
-    for d, m in monos:
-        for images, attr, shift in ((images0, "q0", 1), (images1, "q1", 2 * p - 1)):
+    weight, radix = [], 1
+    for g in gens:
+        weight.append(radix)
+        radix *= (D // g.degree if g.top is None else g.top) + 1
+    keys = [sum(e * weight[g] for g, e in m) for _, m in monos]
+    labels = [_mono_label(m, gens) for _, m in monos]
+    label_of = dict(zip(keys, labels))
+    for (d, _), label in zip(monos, labels):
+        mod.add(label, d)
+    odd = [p != 2 and g.degree & 1 for g in gens]
+    for (d, m), key, label in zip(monos, keys, labels):
+        # odd factors of m as a bitmask: Q crosses those left of an odd g,
+        # the odd image of an even g crosses those left of its generator h
+        mask = sum(1 << g for g, e in m if odd[g] and e & 1)
+        for images, qmap, shift in ((images0, mod.q0, 1), (images1, mod.q1, 2 * p - 1)):
             if d + shift > D:
                 continue
-            img = _derive(m, images, gens, p)
+            img: dict[str, int] = {}
+            for g, e in m:
+                if g not in images or not e % p:
+                    continue
+                h, f, c = images[g]
+                top = gens[h].top
+                if top is not None and key // weight[h] % (top + 1) - (h == g) + f > top:
+                    continue  # the product passes h's cap
+                if (mask & ((1 << (g if odd[g] else h)) - 1)).bit_count() & 1:
+                    c = -c
+                t = label_of[key - weight[g] + f * weight[h]]
+                img[t] = (img.get(t, 0) + e * c) % p
+            img = {t: c for t, c in img.items() if c}
             if img:
-                getattr(mod, attr)[labels[m]] = {labels[t]: c for t, c in img.items()}
+                qmap[label] = img
     return mod
 
 
@@ -301,11 +276,11 @@ def build_HK2(p: int, D: int) -> E1Module:
         gens = [GenSpec(f"u{d}", d) for d in degs]
         idx = {g.degree: i for i, g in enumerate(gens)}
 
-        def power(deg: int, e: int) -> dict[Mono, int]:
-            return {((idx[deg], e),): 1}
+        def power(deg: int, e: int) -> tuple[int, int, int]:
+            return (idx[deg], e, 1)
 
-        images0: dict[int, dict[Mono, int]] = {}
-        images1: dict[int, dict[Mono, int]] = {}
+        images0: dict[int, tuple[int, int, int]] = {}
+        images1: dict[int, tuple[int, int, int]] = {}
         for j, d in enumerate(degs):
             if j == 1:
                 images1[j] = power(3, 2)  # u_3 -> u_3^2
@@ -340,18 +315,18 @@ def build_HK2(p: int, D: int) -> E1Module:
     images0 = {}
     images1 = {}
     if 0 in uidx:
-        images0[0] = {((uidx[0], 1),): 1}  # y0 -> u0
+        images0[0] = (uidx[0], 1, 1)  # y0 -> u0
     if 1 in uidx:
-        images1[0] = {((uidx[1], 1),): 1}  # y0 -> u1
+        images1[0] = (uidx[1], 1, 1)  # y0 -> u1
     for i, ui in uidx.items():
         if i == 0:
             if 1 in gidx:
-                images1[ui] = {((gidx[1], 1),): p - 1}  # u0 -> -g1
+                images1[ui] = (gidx[1], 1, p - 1)  # u0 -> -g1
         else:
             if i in gidx:
-                images0[ui] = {((gidx[i], 1),): 1}  # u_i -> g_i
+                images0[ui] = (gidx[i], 1, 1)  # u_i -> g_i
             if i >= 2 and (i - 1) in gidx and 2 * p * (p ** (i - 1) + 1) <= D:
-                images1[ui] = {((gidx[i - 1], p),): 1}  # u_i -> g_{i-1}^p
+                images1[ui] = (gidx[i - 1], p, 1)  # u_i -> g_{i-1}^p
     return _module_from_monomials(p, gens, D, images0, images1)
 
 
@@ -681,52 +656,47 @@ def ext_bruteforce(
             f"window needs module degrees through {need}, cutoff is {M.cutoff}"
         )
 
-    @lru_cache(maxsize=None)
-    def components(tp: int, sigma: int) -> list[tuple[int, int, list[str]]]:
-        out = []
-        for b in range(sigma + 1):
-            a = sigma - b
-            out.append((a, b, M.basis_at(tp + a + w * b)))
-        return out
+    # M_d's Q0 and Q1 images as (basis element, position in M_{d+1} or
+    # M_{d+w}, coeff) triples, one table per degree, built on first use
+    index = {lbl: i for basis in M.by_degree.values() for i, lbl in enumerate(basis)}
+    tables: dict[int, list[list[tuple[int, int, int]]]] = {}
+    ranks: dict[tuple[int, int], int] = {}
 
-    @lru_cache(maxsize=None)
-    def dim_c(tp: int, sigma: int) -> int:
-        return sum(len(basis) for _, _, basis in components(tp, sigma))
+    def table(d: int) -> list[list[tuple[int, int, int]]]:
+        if d not in tables:
+            basis = list(enumerate(M.basis_at(d)))
+            tables[d] = [
+                [(j, index[t], c) for j, lbl in basis for t, c in q.get(lbl, {}).items()]
+                for q in (M.q0, M.q1)
+            ]
+        return tables[d]
 
-    @lru_cache(maxsize=None)
     def rank_delta(tp: int, sigma: int) -> int:
+        """Rank of C^sigma -> C^(sigma+1), one row per source basis element;
+        block b of C^sigma sits in degree tp + sigma + (w-1)b."""
         if sigma < 0:
             return 0
-        src = components(tp, sigma)
-        tgt = components(tp, sigma + 1)
-        col_off: dict[tuple[int, int], int] = {}
-        n_cols = 0
-        for a, b, basis in src:
-            col_off[(a, b)] = n_cols
-            n_cols += len(basis)
-        row_off: dict[tuple[int, int], int] = {}
-        row_pos: dict[tuple[int, int], dict[str, int]] = {}
-        n_rows = 0
-        for a, b, basis in tgt:
-            row_off[(a, b)] = n_rows
-            row_pos[(a, b)] = {lbl: i for i, lbl in enumerate(basis)}
-            n_rows += len(basis)
-        entries: list[tuple[int, int, int]] = []
-        for a, b, basis in src:
-            base = col_off[(a, b)]
-            for qmap, (ta, tb) in ((M.q0, (a + 1, b)), (M.q1, (a, b + 1))):
-                pos = row_pos[(ta, tb)]
-                off = row_off[(ta, tb)]
-                for j, lbl in enumerate(basis):
-                    for t, c in qmap.get(lbl, {}).items():
-                        entries.append((off + pos[t], base + j, c))
-        return gf_rank_sparse(entries, n_rows, n_cols, p)
+        if (tp, sigma) not in ranks:
+            off = [0]
+            for b in range(sigma + 2):
+                off.append(off[-1] + M.dim_at(tp + sigma + 1 + (w - 1) * b))
+            entries: list[tuple[int, int, int]] = []
+            row = 0
+            for b in range(sigma + 1):
+                d = tp + sigma + (w - 1) * b
+                img0, img1 = table(d)
+                entries += [(row + j, off[b] + i, c) for j, i, c in img0]
+                entries += [(row + j, off[b + 1] + i, c) for j, i, c in img1]
+                row += M.dim_at(d)
+            ranks[(tp, sigma)] = gf_rank_sparse(entries, row, off[-1], p)
+        return ranks[(tp, sigma)]
 
     out: dict[tuple[int, int], int] = {}
     for n in range(n0, n1 + 1):
         for s in range(s_max + 1):
             tp = n - s
-            dim = dim_c(tp, s) - rank_delta(tp, s) - rank_delta(tp, s - 1)
+            dim = sum(M.dim_at(n + (w - 1) * b) for b in range(s + 1))
+            dim -= rank_delta(tp, s) + rank_delta(tp, s - 1)
             if dim < 0:
                 raise ArithmeticError(f"negative Ext dimension at {(n, s)}")
             if dim:

@@ -332,3 +332,30 @@ def test_emit_keeps_the_umask_file_mode(tmp_path, capsys):
         os.umask(old)
     assert rc == 0
     assert target.stat().st_mode & 0o777 == 0o644
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["audit", "--which", "ext", "--prime", "2", "--max", "5"],
+        *(
+            ["audit", "--which", which, "--max-degree", "5"]
+            for which in cli.AUDITS
+            if which != "ext"
+        ),
+        *(
+            ["audit", "--which", which, "--max-s", "3"]
+            for which in ("bockstein", "duality", "theorem61", "margolis", "ps")
+        ),
+        ["chart", "A:2", "--prime", "2", "--max-s", "1"],
+        ["groups", "--prime", "2", "--window", "0:3", "--from", "0", "--to", "3"],
+        ["groups", "--prime", "2", "--window", "0:3", "--from", "0"],
+        ["groups", "--prime", "2", "--window", "0:3", "--to", "3"],
+    ),
+)
+def test_a_flag_the_mode_does_not_read_is_a_usage_error(argv, capsys):
+    # a silently dropped bound would report "ok" on a window nobody asked for
+    rc, out, err = run(argv, capsys)
+    assert rc == 2, argv
+    assert out == ""
+    assert err.startswith("kuengine: "), argv

@@ -2,8 +2,11 @@
 against closed forms, the non-free piece decomposition, free-summand
 counts, and the brute-force Ext calculator on small known modules."""
 
+import functools
+
 import pytest
 
+from kuengine.linalg import gf_rank_sparse
 from kuengine.margolis import (
     E1Module,
     EXACT,
@@ -73,9 +76,14 @@ def test_hk2_dimensions_match_generator_count(p):
         assert mod.basis_at(5) == ["u2 u3", "u5"]
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_hk2_is_a_valid_e1_module(p):
-    build_HK2(p, 30).validate()
+    # at odd p the cutoff 4p^2 passes |u_2| = 2p^2+1 and |g_2| = 2(p^2+1),
+    # so the Koszul signs of u_2, g_2 and their products with y0, u0, u1
+    # are checked against Q^2 = 0 and Q0Q1 + Q1Q0 = 0
+    mod = build_HK2(p, 30 if p == 2 else 4 * p * p)
+    assert p == 2 or {"u2", "g2", "y0 u0 u1 u2"} <= set(mod.degree_of)
+    mod.validate()
 
 
 def test_hk2_q_action_spot_checks_mod_2():
@@ -404,3 +412,234 @@ def test_hk2_basis_matches_the_recursive_enumeration(p, monkeypatch):
         want.append((degree, label or "1"))
     assert labelled_degrees(mod) == sorted(want)
     assert any(g.top == 1 for g in gens) == (p != 2)
+
+
+# -- the Leibniz builder and the integer-indexed Ext against the label loops --
+
+
+def ref_normalize(blocks, gens, p):
+    """Reference: sort generator blocks by index with the Koszul sign and
+    merge exponents; None when an exponent passes its generator's cap."""
+    seq = [(g, e) for g, e in blocks if e > 0]
+    sign = 1
+    for i in range(1, len(seq)):
+        j = i
+        while j > 0 and seq[j - 1][0] > seq[j][0]:
+            if p != 2:
+                pa = (gens[seq[j - 1][0]].degree * seq[j - 1][1]) & 1
+                pb = (gens[seq[j][0]].degree * seq[j][1]) & 1
+                if pa and pb:
+                    sign = -sign
+            seq[j - 1], seq[j] = seq[j], seq[j - 1]
+            j -= 1
+    out = []
+    for g, e in seq:
+        if out and out[-1][0] == g:
+            e += out[-1][1]
+            if gens[g].top is not None and e > gens[g].top:
+                return None
+            out[-1] = (g, e)
+        else:
+            out.append((g, e))
+    return sign, tuple(out)
+
+
+def ref_derive(m, images, gens, p):
+    """Reference: an odd derivation applied to one monomial, block by
+    block, each product re-sorted by ref_normalize."""
+    out = {}
+    blocks = list(m)
+    prefix = 0
+    for pos, (g, e) in enumerate(blocks):
+        img = images.get(g)
+        gdeg = gens[g].degree
+        if img:
+            lead = e % p
+            if lead:
+                par = prefix + (e - 1) * gdeg
+                outer = -1 if (p != 2 and par & 1) else 1
+                head = blocks[:pos] + ([(g, e - 1)] if e > 1 else [])
+                tail = blocks[pos + 1 :]
+                for tmono, tcoeff in img.items():
+                    nm = ref_normalize(head + list(tmono) + tail, gens, p)
+                    if nm is None:
+                        continue
+                    s2, mono2 = nm
+                    out[mono2] = (out.get(mono2, 0) + lead * outer * s2 * tcoeff) % p
+        prefix += e * gdeg
+    return {k: v for k, v in out.items() if v}
+
+
+def ref_module_from_monomials(p, gens, D, images0, images1):
+    """Reference builder: images as {generator: {monomial: coeff}}."""
+    mod = E1Module(p, D)
+    monos = sorted(
+        (sum(gens[g].degree * e for g, e in m), m) for m in ref_hk2_monomials(gens, D)
+    )
+    labels = {}
+    for d, m in monos:
+        labels[m] = " ".join(
+            gens[g].name if e == 1 else f"{gens[g].name}^{e}" for g, e in m
+        ) or "1"
+        mod.add(labels[m], d)
+    for d, m in monos:
+        for images, attr, shift in ((images0, "q0", 1), (images1, "q1", 2 * p - 1)):
+            if d + shift > D:
+                continue
+            img = ref_derive(m, images, gens, p)
+            if img:
+                getattr(mod, attr)[labels[m]] = {labels[t]: c for t, c in img.items()}
+    return mod
+
+
+def ref_ext_bruteforce(M, n_range, s_max):
+    """Reference: the Koszul complex laid out by label lookups, one
+    boundary-matrix row per target basis element."""
+    n0, n1 = n_range
+    p, w = M.p, 2 * M.p - 1
+    need = max((n1 - s) + w * (s + 1) for s in range(s_max + 1))
+    if need > M.cutoff:
+        raise ValueError(
+            f"window needs module degrees through {need}, cutoff is {M.cutoff}"
+        )
+
+    def components(tp, sigma):
+        return [(sigma - b, b, M.basis_at(tp + sigma - b + w * b)) for b in range(sigma + 1)]
+
+    @functools.lru_cache(maxsize=None)
+    def rank_delta(tp, sigma):
+        if sigma < 0:
+            return 0
+        src, tgt = components(tp, sigma), components(tp, sigma + 1)
+        col_off, n_cols = {}, 0
+        for a, b, basis in src:
+            col_off[(a, b)] = n_cols
+            n_cols += len(basis)
+        row_off, row_pos, n_rows = {}, {}, 0
+        for a, b, basis in tgt:
+            row_off[(a, b)] = n_rows
+            row_pos[(a, b)] = {lbl: i for i, lbl in enumerate(basis)}
+            n_rows += len(basis)
+        entries = []
+        for a, b, basis in src:
+            for qmap, key in ((M.q0, (a + 1, b)), (M.q1, (a, b + 1))):
+                for j, lbl in enumerate(basis):
+                    for t, c in qmap.get(lbl, {}).items():
+                        entries.append((row_off[key] + row_pos[key][t], col_off[(a, b)] + j, c))
+        return gf_rank_sparse(entries, n_rows, n_cols, p)
+
+    out = {}
+    for n in range(n0, n1 + 1):
+        for s in range(s_max + 1):
+            tp = n - s
+            dim = sum(len(basis) for _, _, basis in components(tp, s))
+            dim -= rank_delta(tp, s) + rank_delta(tp, s - 1)
+            if dim < 0:
+                raise ArithmeticError(f"negative Ext dimension at {(n, s)}")
+            if dim:
+                out[(n, s)] = dim
+    return out
+
+
+def hk2_inputs(p, D, monkeypatch):
+    """The generators and images build_HK2(p, D) hands to the builder, with
+    the images spelled as {generator: {monomial: coeff}}, and its module."""
+    seen = []
+    real = margolis_module._module_from_monomials
+
+    def record(p_, gens, D_, images0, images1):
+        seen.append((gens, images0, images1))
+        return real(p_, gens, D_, images0, images1)
+
+    monkeypatch.setattr(margolis_module, "_module_from_monomials", record)
+    mod = margolis_module.build_HK2.__wrapped__(p, D)
+    (gens, images0, images1), = seen
+    spelled = [{g: {((h, f),): c} for g, (h, f, c) in im.items()} for im in (images0, images1)]
+    return gens, spelled, mod
+
+
+def module_layout(mod):
+    """Everything the builders must agree on, insertion orders included."""
+    return (
+        mod.p,
+        mod.cutoff,
+        list(mod.degree_of.items()),
+        [(d, list(lbls)) for d, lbls in mod.by_degree.items()],
+        [(lbl, list(img.items())) for lbl, img in mod.q0.items()],
+        [(lbl, list(img.items())) for lbl, img in mod.q1.items()],
+    )
+
+
+@pytest.mark.parametrize("p,D", [(2, 70), (3, 90), (5, 120), (7, 150)])
+def test_hk2_leibniz_matches_the_derive_reference(p, D, monkeypatch):
+    gens, (images0, images1), mod = hk2_inputs(p, D, monkeypatch)
+    want = ref_module_from_monomials(p, gens, D, images0, images1)
+    assert module_layout(mod) == module_layout(want)
+    assert len(mod.q0) > 100 and len(mod.q1) > 50
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_R_q_maps_match_the_derive_reference(p, monkeypatch):
+    # R's cofactors are Q-trivial monomial modules: no generator images
+    D = 300
+    got = build_piece(p, "R", D=D)
+    monkeypatch.setattr(
+        margolis_module,
+        "_module_from_monomials",
+        lambda p_, gens, D_, i0, i1: ref_module_from_monomials(p_, gens, D_, i0, i1),
+    )
+    want = build_piece(p, "R", D=D)
+    assert module_layout(got) == module_layout(want)
+    assert got.q0 or got.q1
+
+
+@pytest.mark.parametrize(
+    "p,n1,s1",
+    [(2, 36, 8), (3, 48, 6), (5, 80, 5), (2, 20, 12), (3, 24, 4), (7, 60, 3)],
+)
+def test_ext_bruteforce_matches_the_label_reference_on_hk2(p, n1, s1):
+    need = max((n1 - s) + (2 * p - 1) * (s + 1) for s in range(s1 + 1))
+    mod = build_HK2(p, need)
+    got = ext_bruteforce(mod, (0, n1), s1)
+    assert got == ref_ext_bruteforce(mod, (0, n1), s1)
+    assert sum(got.values()) > n1
+
+
+SMALL_CASES = {
+    "ground_field_p2": (lambda: ground_field(2), (-4, 0), 4),
+    "ground_field_p5": (lambda: ground_field(5), (-16, 2), 5),
+    "N_p2": (lambda: build_piece(2, "N"), (0, 12), 4),
+    "N_p3_n_below_s": (lambda: build_piece(3, "N"), (0, 14), 6),
+    "M5_p2": (lambda: build_piece(2, "M", 5), (20, 40), 3),
+    "M3_p3": (lambda: build_piece(3, "M", 3), (40, 60), 2),
+    "free_tensor_N_p3": (
+        lambda: free_on_one_generator(3, 4).tensor(build_piece(3, "N")), (0, 30), 3
+    ),
+    "L3_tensor_N_p2": (lambda: build_piece(2, "L", 3).tensor(build_piece(2, "N")), (0, 20), 4),
+    "N_plus_L2_p3": (
+        lambda: E1Module.direct_sum([build_piece(3, "N"), build_piece(3, "L", 2)]), (0, 15), 4
+    ),
+    "N_suspended_p2": (lambda: build_piece(2, "N").suspend(7), (0, 20), 5),
+    "S_p3": (lambda: build_piece(3, "S", D=80), (40, 60), 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SMALL_CASES))
+def test_ext_bruteforce_matches_the_label_reference_on_small_modules(case):
+    build, window, s_max = SMALL_CASES[case]
+    mod = build()
+    got = ext_bruteforce(mod, window, s_max)
+    assert got == ref_ext_bruteforce(mod, window, s_max)
+    assert got
+
+
+def test_ext_cutoff_message_is_the_reference_one():
+    mod = build_HK2(3, 40)
+    with pytest.raises(ValueError) as got:
+        ext_bruteforce(mod, (0, 30), 2)
+    with pytest.raises(ValueError) as want:
+        ref_ext_bruteforce(mod, (0, 30), 2)
+    assert str(got.value) == str(want.value) == (
+        "window needs module degrees through 43, cutoff is 40"
+    )
+

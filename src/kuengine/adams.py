@@ -60,8 +60,9 @@ from functools import lru_cache
 from .chart import tower_dots, v_label
 from .modules import full_chart
 from .monomial import (
+    bounded_exponents,
     k0,
-    lambda_exponents,
+    lambda_factors,
     q_degree,
     render_exponents,
     z_comp_exponents,
@@ -236,24 +237,21 @@ def classify(p: int, key: Key) -> Fate:
 
 
 def _z_runs(p: int, budget: int) -> list[tuple[int, int, int, tuple, int]]:
-    """Canonical MAIN z-parts (i1, j2, e, lam, degree) up to the budget."""
+    """Canonical MAIN z-parts (i1, j2, e, lam, degree) up to the budget:
+    z_comp(i1, j2) times one walk over TP_{p-1}[z_j2] (x) Lambda_{j2+1},
+    whose factor at position t is z_{j2+t}."""
     kk = k0(p)
     out = []
     j2 = kk
     while z_degree(p, j2) <= budget:
-        lams = lambda_exponents(p, j2 + 1, budget - z_degree(p, j2))
         for i1 in range(kk, j2 + 1):
             base = 2 * (p ** (j2 + 1) + 1 + (p - 1) * (j2 - i1))  # |z_comp(i1, j2)|
-            if base > budget:
-                continue
-            for e in range(p - 1):
-                d0 = base + e * z_degree(p, j2)
-                if d0 > budget:
-                    break
-                for lam, deg in lams:
-                    if d0 + deg > budget:
-                        break
-                    out.append((i1, j2, e, lam, d0 + deg))
+            room = budget - base
+            factors = [(z_degree(p, j2), p - 2)] + lambda_factors(p, j2 + 1, room)
+            for pairs, deg in bounded_exponents(factors, room):
+                e = pairs[0][1] if pairs and pairs[0][0] == 0 else 0
+                lam = tuple((j2 + t, x) for t, x in pairs if t)
+                out.append((i1, j2, e, lam, base + deg))
         j2 += 1
     return out
 

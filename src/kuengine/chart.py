@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .linalg import group_exponents, cokernel_exponents
-from .monomial import Monomial
+from .monomial import Monomial, bounded_exponents, lambda_factors
 
 
 def tower_dots(
@@ -40,6 +40,23 @@ def tower_dots(
     if height is not None:
         stop = min(stop, height)
     return range(first, stop)
+
+
+def count_family_dots(
+    dims: list[int], p: int, base: int, height: int, factors: list,
+    lam: int | None = None, sign: int = 1,
+) -> None:
+    """Add sign to dims[n], 0 <= n < len(dims), for each dot in degree n of
+    the towers of that height based in degree base + |m|, m a monomial in the
+    (degree, max exponent) factors (times Lambda_lam when lam is given)."""
+    n_max = len(dims) - 1
+    w = 2 * (p - 1)
+    cap = n_max + w * (height - 1) - base
+    if lam is not None:
+        factors = factors + lambda_factors(p, lam, cap)
+    for _, d in bounded_exponents(factors, cap):
+        for a in tower_dots(base + d, height, w, 0, n_max):
+            dims[base + d - w * a] += sign
 
 
 def v_label(gen: str, a: int) -> str:
@@ -92,10 +109,6 @@ class Chart:
 
     def edge_at(self, dot: tuple[int, int]) -> PEdge | None:
         return self._edge_by_src.get(dot)
-
-    def dot_degree(self, dot: tuple[int, int]) -> int:
-        t = self.tower(dot[0])
-        return t.gen_degree - 2 * (self.p - 1) * dot[1]
 
     def dot_filtration(self, dot: tuple[int, int]) -> int:
         t = self.tower(dot[0])

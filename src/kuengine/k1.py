@@ -25,7 +25,8 @@ Each family, and each cofactor of the splitting families below, is a
 factor list walked by monomial.bounded_exponents: a (degree, max exponent)
 pair per generator, None for a polynomial y-power, 1 for eps, p-1 for the
 z-factors of Lambda, listed only up to the degree that can still reach the
-window.
+window.  k1_dims counts the towers of each family with
+chart.count_family_dots, the counter modules.assoc_graded_dims uses too.
 
 Two audits consume these dimensions:
 
@@ -39,17 +40,17 @@ Two audits consume these dimensions:
 
   * theorem61_audit (odd p): the same totals, but with the right-hand side
     re-derived from the splitting of the long exact sequence into 4- and
-    10-term pieces indexed by the core charts (g_family_dim).  Passing
+    10-term pieces indexed by the core charts (g_family_dims).  Passing
     means no exotic extension beyond the ones built into the charts can
     exist: an extra one would lower a ker/coker count and break a degree.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
-from .chart import tower_dots
-from .modules import _round_up, build_A, build_B, build_S, full_chart
+from .chart import count_family_dots
+from .modules import build_A, build_B, build_S, full_chart
 from .monomial import (
     Z_prod,
     bounded_exponents,
@@ -75,15 +76,7 @@ def k1_dims(p: int, n_max: int) -> tuple[int, ...]:
     w = 2 * (p - 1)
     dims = [0] * (n_max + 1)
 
-    def add(base: int, height: int, factors: list, lam: int | None) -> None:
-        """Count the window dots of every tower of the given height based in
-        degree base + |m|, m a monomial in the factors (times Lambda_lam)."""
-        cap = n_max + w * (height - 1) - base
-        if lam is not None:
-            factors = factors + lambda_factors(p, lam, cap)
-        for _, d in bounded_exponents(factors, cap):
-            for a in tower_dots(base + d, height, w, 0, n_max):
-                dims[base + d - w * a] += 1
+    add = partial(count_family_dots, dims, p)  # (base, height, factors, lam)
 
     # W family.  The lowest reachable degree |w_j| - 2(p-1)(r(j)-1) grows
     # with j, so the loop terminates.
@@ -100,9 +93,9 @@ def k1_dims(p: int, n_max: int) -> tuple[int, ...]:
         j += 1
 
     # Bottom family.
-    add(2 * (p - 1) + z_degree(p, 0), 1, [(y_degree(p, 1), None)], None)
+    add(2 * (p - 1) + z_degree(p, 0), 1, [(y_degree(p, 1), None)])
     if p == 2:
-        add(z_degree(p, 1), 1, [(y_degree(p, 1), None)], None)
+        add(z_degree(p, 1), 1, [(y_degree(p, 1), None)])
 
     # q family.
     j = k0(p)
@@ -111,13 +104,6 @@ def k1_dims(p: int, n_max: int) -> tuple[int, ...]:
         j += 1
 
     return tuple(dims)
-
-
-def k1_dim_at(p: int, n: int) -> int:
-    """dim_Fp k(1)^n(K2), trivial summand excluded."""
-    if n < 0:
-        return 0
-    return k1_dims(p, _round_up(n))[n]
 
 
 def bockstein_audit(p: int, n_max: int) -> dict:
@@ -260,14 +246,6 @@ def g_family_dims(p: int, i: int, params: tuple, n_max: int) -> tuple[int, ...]:
     return tuple(dims)
 
 
-def g_family_dim(p: int, i: int, params: tuple, n: int) -> int:
-    """Dimension of G^i (with cofactors) in degree n.  Odd p only."""
-    _odd_only(p)
-    if n < 0:
-        return 0
-    return g_family_dims(p, i, tuple(params), _round_up(n))[n]
-
-
 def _g_total(p: int, n_max: int) -> list[int]:
     """Sum of g_family_dims over every family instance that can reach the
     window.  All per-instance minimum degrees grow with k and l, so the
@@ -314,8 +292,8 @@ def _g_total(p: int, n_max: int) -> list[int]:
 
 
 def theorem61_audit(p: int, n_max: int) -> dict:
-    """Check sum_i sum_params g_family_dim(i, params, n) = k1_dim_at(n) for
-    all n <= n_max.  Odd p only."""
+    """Check sum_i sum_params g_family_dims(p, i, params, n_max)[n] =
+    k1_dims(p, n_max)[n] for all n <= n_max.  Odd p only."""
     _odd_only(p)
     lhs = _g_total(p, n_max)
     rhs = k1_dims(p, n_max)

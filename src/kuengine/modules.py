@@ -18,14 +18,15 @@ even_part / odd_part assemble the full even- and odd-degree answer as a
 direct sum of monomial multiples of the cores, now built in one pass from
 (core, multiplier) pairs with no chart per summand (full_chart sums both
 pair lists at once); ku_group_at slices it into explicit groups.
-assoc_graded_dims is an independent associated-graded dimension count; only
-acceptance check 13 compares it with the chart, and no audit or CLI
-command reaches it.
+assoc_graded_dims is an independent associated-graded dimension count,
+by the tower counter k1.k1_dims uses; acceptance check 13 and
+tests/test_modules.py compare it with the assembled chart, and no audit
+or CLI command reaches it.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .chart import (
     Chart,
@@ -33,13 +34,16 @@ from .chart import (
     RealizedWindow,
     Tower,
     append_shifted,
+    count_family_dots,
     direct_sum,
     empty_chart,
 )
 from .monomial import (
     Monomial,
+    bounded_exponents,
     enumerate_family,
     k0,
+    lambda_factors,
     q_degree,
     y_degree,
     z_comp,
@@ -205,13 +209,11 @@ def _odd_parts(p: int, cutoff: int) -> list[tuple[Chart, Monomial]]:
             if head > cutoff:
                 break
             room = cutoff - head
-            for e in range(p - 1):
-                ze = Monomial.gen(p, "z", ell, e) if e else Monomial.one(p)
-                if ze.degree > room:
-                    break
-                bz = base * ze
-                for lam in enumerate_family(p, "Lambda", ell + 1, room - ze.degree):
-                    parts.append((s_core, bz * lam))
+            # m runs over TP_{p-1}[z_l] (x) Lambda_{l+1}: position t is z_{l+t}
+            factors = [(z_degree(p, ell), p - 2)] + lambda_factors(p, ell + 1, room)
+            for pairs, _ in bounded_exponents(factors, room):
+                m = Monomial(p, zs=tuple((ell + t, x) for t, x in pairs))
+                parts.append((s_core, base * m))
             ell += 1
         i += 1
     return parts
@@ -257,87 +259,48 @@ def ku_group_at(p: int, n: int, cutoff: int | None = None) -> list[int]:
     return full_chart(p, d).group_at(n)
 
 
-def ku_homology_group_at(p: int, n: int, cutoff: int | None = None) -> list[int]:
-    """ku_n = dual of ku^(n+2p); finite groups are self-dual, so the
-    exponent list is ku_group_at(n + 2p)."""
-    return ku_group_at(p, n + 2 * p, cutoff)
-
-
 # -- associated-graded cross-check ----------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def assoc_graded_chart(p: int, cutoff: int) -> Chart:
-    """Edge-free chart of the three associated-graded lines:
+def assoc_graded_dims(p: int, n_max: int) -> tuple[int, ...]:
+    """Dot counts per degree 0..n_max of the three associated-graded lines:
 
       (line 1)  P[y_1] y_0^{p-1} z_0  and  TP_{p^t}[v] P[y_t] z_t   (t >= 1)
       (line 2)  TP_{p^t-t}[v] P[y_t] z_t LambdaBar_t               (t >= k0)
       (line 3)  TP_{nu(i)+2}[v] q y_1^{i-1} z[k0+l, l+nu(i)+2] Lambda_{l+nu(i)+2}
                                                                     (i >= 1, l >= 0)
-    """
-    towers: list[Tower] = []
 
-    def add(gen: Monomial, height: int) -> None:
-        if gen.degree - 2 * (p - 1) * (height - 1) <= cutoff:
-            towers.append(Tower(len(towers), gen, 0, height))
-
-    step = 2 * (p - 1)
+    counted by the same tower counter as k1.k1_dims; LambdaBar_t is
+    Lambda_t without its unit."""
+    w = 2 * (p - 1)
+    dims = [0] * (n_max + 1)
+    add = partial(count_family_dots, dims, p)  # (base, height, factors, lam, sign)
     # line 1
-    b = 0
-    while 4 * p + 2 * p * b <= cutoff:
-        add(
-            Monomial.gen(p, "y", 1, b) * Monomial.gen(p, "y", 0, p - 1) * Monomial.gen(p, "z", 0),
-            1,
-        )
-        b += 1
+    add(2 * (p - 1) + z_degree(p, 0), 1, [(y_degree(p, 1), None)])
     t = 1
-    while True:
-        h = p**t
-        slack = step * (h - 1)
-        if z_degree(p, t) - slack > cutoff:
-            break
-        e = 0
-        while z_degree(p, t) + y_degree(p, t) * e - slack <= cutoff:
-            add(Monomial.gen(p, "y", t, e) * Monomial.gen(p, "z", t), h)
-            e += 1
+    while z_degree(p, t) - w * (p**t - 1) <= n_max:
+        add(z_degree(p, t), p**t, [(y_degree(p, t), None)])
         t += 1
     # line 2
     t = k0(p)
-    while True:
-        h = p**t - t
-        slack = step * (h - 1)
-        if 2 * z_degree(p, t) - slack > cutoff:
-            break
-        for lam in enumerate_family(p, "LambdaBar", t, cutoff + slack - z_degree(p, t)):
-            e = 0
-            while z_degree(p, t) + lam.degree + y_degree(p, t) * e - slack <= cutoff:
-                add(Monomial.gen(p, "y", t, e) * Monomial.gen(p, "z", t) * lam, h)
-                e += 1
+    while 2 * z_degree(p, t) - w * (p**t - t - 1) <= n_max:
+        add(z_degree(p, t), p**t - t, [(y_degree(p, t), None)], t)
+        add(z_degree(p, t), p**t - t, [(y_degree(p, t), None)], None, -1)
         t += 1
     # line 3
-    qd = q_degree(p)
     i = 1
-    while qd + y_degree(p, 1) * (i - 1) <= cutoff:
-        v = nu(p, i)
-        h = v + 2
-        slack = step * (h - 1)
-        base = Monomial.gen(p, "q") * Monomial.gen(p, "y", 1, i - 1)
+    while q_degree(p) + y_degree(p, 1) * (i - 1) <= n_max:
+        h = nu(p, i) + 2
         ell = 0
         while True:
-            comp = z_comp(p, k0(p) + ell, ell + v + 2)
-            if base.degree + comp.degree - slack > cutoff:
+            comp = z_comp(p, k0(p) + ell, ell + h)
+            base = q_degree(p) + y_degree(p, 1) * (i - 1) + comp.degree
+            if base - w * (h - 1) > n_max:
                 break
-            room = cutoff + slack - base.degree - comp.degree
-            for lam in enumerate_family(p, "Lambda", ell + v + 2, room):
-                add(base * comp * lam, h)
+            add(base, h, [], ell + h)
             ell += 1
         i += 1
-    return Chart(p, towers, [])
-
-
-def assoc_graded_dims(p: int, n: int, cutoff: int | None = None) -> int:
-    d = cutoff if cutoff is not None else _round_up(n)
-    return assoc_graded_chart(p, d).dims_at(n)
+    return tuple(dims)
 
 
 # -- self-duality of the B_k ------------------------------------------------------

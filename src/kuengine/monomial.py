@@ -13,6 +13,10 @@ Composite z-classes:
 Monomials are immutable; exponent vectors are stored plainly (composites are
 expanded), and the degree is computed once, when the exponents are checked.  Identity is structural, which is what every enumeration here
 needs: within each family distinct exponent vectors are distinct elements.
+
+Families: bounded_exponents walks every bounded product of generators.
+Lambda_j = TP_p[z_j, z_{j+1}, ...] is the factor list lambda_factors, walked
+where it is used; enumerate_family lists the multiplier families MkA/MkB.
 """
 
 from __future__ import annotations
@@ -96,12 +100,7 @@ class Monomial:
             zs=_add_exponents(self.zs, other.zs),
         )
 
-    # -- degree and keys -----------------------------------------------------
-    @property
-    def y_weight(self) -> int:
-        """Total y_0-exponent: y_i counts p^i."""
-        return sum(e * self.p**i for i, e in self.ys)
-
+    # -- keys ----------------------------------------------------------------
     def z_dict(self) -> dict[int, int]:
         return dict(self.zs)
 
@@ -180,11 +179,6 @@ def _composite(p: int, c: dict[int, int]) -> tuple[int, int] | None:
     return None if max(c) >= t else (i, t)
 
 
-def composite_of(m: Monomial) -> tuple[int, int] | None:
-    """(i, j) if the z-part of m is exactly z_comp(i,j) with i < j, else None."""
-    return _composite(m.p, m.z_dict()) if m.zs else None
-
-
 def z_decompose_dict(p: int, c: dict[int, int]) -> tuple[int, int, int, tuple]:
     """Canonical reading (i, j, e, lam) of a z-part {index: exponent} as
     z_comp(i,j) z_j^e lam: lam ascending (index, exponent) pairs on indices
@@ -204,12 +198,6 @@ def z_decompose_dict(p: int, c: dict[int, int]) -> tuple[int, int, int, tuple]:
     if e > p - 2 or any(v > p - 1 for _, v in lam):
         raise ValueError(f"z-part {c} is not in canonical family form")
     return (i, j, e, lam)
-
-
-def z_decompose(m: Monomial) -> tuple[int, int, int, Monomial]:
-    """z_decompose_dict of the z-part of m, with lam as a monomial."""
-    i, j, e, lam = z_decompose_dict(m.p, m.z_dict())
-    return (i, j, e, Monomial(m.p, zs=lam))
 
 
 # -- family enumerators ------------------------------------------------------
@@ -252,17 +240,6 @@ def lambda_factors(p: int, j: int, cap: int) -> list[tuple[int, int]]:
     return out
 
 
-def lambda_exponents(p: int, j: int, cutoff: int) -> list[tuple[tuple, int]]:
-    """Lambda_j = TP_p[z_i : i >= j]: exponents <= p-1, degree <= cutoff,
-    as (ascending exponent pairs, degree) sorted by degree, then pairs."""
-    out = [
-        (tuple((j + t, e) for t, e in pairs), d)
-        for pairs, d in bounded_exponents(lambda_factors(p, j, cutoff), cutoff)
-    ]
-    out.sort(key=lambda x: (x[1], x[0]))
-    return out
-
-
 def script_m_family(p: int, k: int, cutoff: int, part: str) -> list[Monomial]:
     """The level-k multiplier family: monomials in {z_i, y_i : i >= k} with
     all exponents <= p-1, excluding those whose (z_k, y_k)-exponent pair is
@@ -295,10 +272,6 @@ def script_m_family(p: int, k: int, cutoff: int, part: str) -> list[Monomial]:
 
 @lru_cache(maxsize=None)
 def _cached_family(p: int, tag: str, param: int, cutoff: int) -> tuple[Monomial, ...]:
-    if tag in ("Lambda", "LambdaBar"):
-        # LambdaBar is the augmentation ideal: Lambda without 1
-        lams = lambda_exponents(p, param, cutoff)
-        return tuple(Monomial(p, zs=zs) for zs, _ in lams if zs or tag == "Lambda")
     if tag == "MkA":
         return tuple(script_m_family(p, param, cutoff, "A"))
     if tag == "MkB":
@@ -307,6 +280,7 @@ def _cached_family(p: int, tag: str, param: int, cutoff: int) -> tuple[Monomial,
 
 
 def enumerate_family(p: int, tag: str, param: int, cutoff: int) -> list[Monomial]:
-    """Stable, duplicate-free listing of a monomial family up to a degree
-    cutoff, sorted by (degree, z-part, y-part)."""
+    """Stable, duplicate-free listing of the multiplier family "MkA" or
+    "MkB" at level param up to a degree cutoff, sorted by (degree, z-part,
+    y-part)."""
     return list(_cached_family(p, tag, param, cutoff))

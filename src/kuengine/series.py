@@ -143,9 +143,3 @@ class PSeries:
         terms = [f"{a}*x^{i}" for i, a in enumerate(self.c) if a]
         return "PSeries(" + " + ".join(terms[:8]) + (" + ..." if len(terms) > 8 else "") + ")"
 
-
-def product(top: int, factors: Iterable[PSeries]) -> PSeries:
-    out = PSeries.one(top)
-    for f in factors:
-        out = out * f
-    return out

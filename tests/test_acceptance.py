@@ -9,7 +9,7 @@ desk-scale budgets and run on one core.
 import time
 from collections import Counter
 
-from kuengine import adams, k1, margolis, modules
+from kuengine import adams, cli, k1, margolis, modules
 from kuengine.padic import r, r_prime, table35_row
 
 
@@ -54,7 +54,7 @@ def test_03_extension_golden_value():
         tid = src[0].id
         edge = chart.edge_at((tid, 0))
         got = {(str(towers[i].gen).strip("<>"), a) for i, a in edge.dst}
-        ok = ok and chart.dot_degree((tid, 0)) == 116 and got == want
+        ok = ok and towers[tid].gen_degree == 116 and got == want
         detail.append(sorted(got))
     _verdict(3, "two-target extension on y3 z3 z4", ok, f"targets {detail}")
 
@@ -176,13 +176,18 @@ def test_11_margolis_closed_forms():
 
 
 def test_12_duality():
+    # the groups command's homology rows at n against its cohomology rows
+    # at n + 2p
     bad = []
     for p in (2, 3):
-        cutoff = modules._round_up(150 + 2 * p)
-        for n in range(151):
-            if modules.ku_homology_group_at(p, n, cutoff) != \
-                    modules.ku_group_at(p, n + 2 * p, cutoff):
+        hom = cli.cmd_groups(cli.RunConfig(p, window=(0, 150), homology=True))
+        coh = cli.cmd_groups(cli.RunConfig(p, window=(2 * p, 150 + 2 * p)))
+        for n, (h, c) in enumerate(zip(hom, coh)):
+            if h["degree"] != n or c["degree"] != n + 2 * p or \
+                    (h["group"], h["pretty"]) != (c["group"], c["pretty"]):
                 bad.append((p, n))
+        if len(hom) != 151 or len(coh) != 151:
+            bad.append((p, "rows"))
     d2 = modules.duality_audit(2, 4)
     d3 = modules.duality_audit(3, 4)
     ok = not bad and d2["ok"] and d3["ok"]
@@ -194,8 +199,9 @@ def test_13_assoc_graded_cross_check():
     bad = []
     for p in (2, 3):
         full = modules.full_chart(p, 200)
+        dims = modules.assoc_graded_dims(p, 200)
         for n in range(201):
-            if modules.assoc_graded_dims(p, n, 200) != full.dims_at(n):
+            if dims[n] != full.dims_at(n):
                 bad.append((p, n))
     _verdict(13, "associated-graded dims equal assembled dot counts", not bad,
              f"bad {bad}")

@@ -4,6 +4,7 @@ import pytest
 
 from kuengine.adams import (
     BigradedPage,
+    _z_runs,
     ETower,
     Fate,
     WindowError,
@@ -23,16 +24,16 @@ from kuengine.monomial import (
     k0,
     q_degree,
     z_comp,
-    z_decompose,
     z_decompose_dict,
+    z_degree,
 )
 from kuengine.padic import nu
+from test_monomial import ref_lambda_exponents
 
 
 def main_key(p, b, eps, **kw):
     m = Monomial(p, **kw)
-    i1, j2, e, lam = z_decompose(m)
-    return ("main", b, eps, i1, j2, e, lam.zs)
+    return ("main", b, eps, *z_decompose_dict(p, m.z_dict()))
 
 
 # -- first differentials and the four families --------------------------------
@@ -219,6 +220,7 @@ def test_truncation_heights_reproduce_chart_heights():
         ch = full_chart(p, n_hi)
         for t in ch.towers:
             g = t.gen
+            y_weight = sum(e * p**i for i, e in g.ys)  # y_i counts p^i y_0's
             zmin = min(j for j, _ in g.zs)
             if zmin < kk:
                 zs = dict(g.zs)
@@ -229,13 +231,11 @@ def test_truncation_heights_reproduce_chart_heights():
                     kind, expect = "yz" if p > 2 else "x8", 1
                 else:
                     raise AssertionError(f"unexpected low tower {g.render()}")
-                b = (g.y_weight - (0 if kind == "x10" else (p - 1))) // p
+                b = (y_weight - (0 if kind == "x10" else (p - 1))) // p
                 assert tower(p, ("sp", kind, b)).height == expect == t.height
                 continue
-            assert g.y_weight % p == 0
-            key = ("main", g.y_weight // p, g.q) + z_decompose(
-                Monomial(p, zs=g.zs)
-            )[:3] + (z_decompose(Monomial(p, zs=g.zs))[3].zs,)
+            assert y_weight % p == 0
+            key = ("main", y_weight // p, g.q, *z_decompose_dict(p, g.z_dict()))
             f = classify(p, key)
             assert f.role == "target", g.render()
             assert f.e0 == t.height, (g.render(), f.e0, t.height)
@@ -306,8 +306,7 @@ def _ref_zpart(p, key):
 
 
 def _ref_main_key(p, b, eps, zmono):
-    i1, j2, e, lam = z_decompose(zmono)
-    return ("main", b, eps, i1, j2, e, lam.zs)
+    return ("main", b, eps, *z_decompose_dict(p, zmono.z_dict()))
 
 
 def _ref_z_quot(m, d):
@@ -406,6 +405,41 @@ def test_key_arithmetic_matches_the_monomial_reference(p, n_hi, s_max):
     for key in keys:
         assert tower(p, key) == ref_tower(p, key), key
         assert classify(p, key) == ref_classify(p, key), key
+
+
+def ref_z_runs(p, budget):
+    """Reference: the canonical MAIN z-parts by the nested loop the one walk
+    replaced: i1, then e <= p-2, then Lambda_{j2+1} by degree."""
+    kk = k0(p)
+    out = []
+    j2 = kk
+    while z_degree(p, j2) <= budget:
+        lams = ref_lambda_exponents(p, j2 + 1, budget - z_degree(p, j2))
+        for i1 in range(kk, j2 + 1):
+            base = z_comp(p, i1, j2).degree
+            for e in range(p - 1):
+                d0 = base + e * z_degree(p, j2)
+                if d0 > budget:
+                    break
+                for lam, deg in lams:
+                    if d0 + deg > budget:
+                        break
+                    out.append((i1, j2, e, lam, d0 + deg))
+        j2 += 1
+    return out
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11))
+def test_z_runs_match_the_nested_loop(p):
+    # the walk's order differs; e2_window keys its towers, so compare sets
+    sizes = []
+    for budget in (0, 57, 200, 611, 2000):
+        got = _z_runs(p, budget)
+        want = ref_z_runs(p, budget)
+        assert len(got) == len(set(got)) == len(want), budget
+        assert set(got) == set(want), budget
+        sizes.append(len(got))
+    assert sizes[-1] > 5
 
 
 @pytest.mark.parametrize(

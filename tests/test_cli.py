@@ -258,6 +258,18 @@ PINNED_STDOUT = {
         "04be245b1a5979d4831df6abae1309b81cd1b02277929b493ded15bdb5b78be6",
     "chart full-odd --prime 3 --window 0:120":
         "07a875edb0109f72dc0a8edfcf895003400cece57321fbacf6aa6538dca80497",
+    # the walks over TP_{p-1}[z_j] (x) Lambda_{j+1}: the E2 MAIN towers
+    # (einfty, matching, the einfty chart) and the odd-part multipliers
+    "audit --which einfty --prime 3 --max 150":
+        "65ddd5fe11566e3af9072c118150328cdd89c988c9ab5cee0ef11a427a3a4f32",
+    "audit --which matching --prime 3 --max 120":
+        "79f56aa54e872bd142e903f86eb70a4bbaddec888091669dd6bf20793c9b9637",
+    "chart --einfty --prime 3 --window 0:100 --max-s 12":
+        "6c76efc7a333ea09d17324d4335e602e07981645888770aaba0dea6ff83f8c11",
+    "chart full-odd --prime 2 --window 0:160":
+        "f2bdf382416e6197465fcef8bb59ed34561f5ebf20ab5fa7f76423dba6006d03",
+    "chart full-odd --prime 5 --window 0:400":
+        "89964cecbe9dae80aa96cfe80718d18ff8c3707ec7fae455a4c4e1560db78a05",
 }
 
 

@@ -13,20 +13,13 @@ from kuengine.chart import tower_dots
 from kuengine.k1 import (
     _cofactor_degrees,
     bockstein_audit,
-    g_family_dim,
     g_family_dims,
-    k1_dim_at,
     k1_dims,
     theorem61_audit,
 )
-from kuengine.monomial import (
-    Monomial,
-    k0,
-    lambda_exponents,
-    q_degree,
-    z_degree,
-)
+from kuengine.monomial import Monomial, k0, q_degree, z_degree
 from kuengine.padic import r, r_prime, w_degree
+from test_monomial import ref_lambda_exponents
 
 PRIMES = (2, 3, 5, 7)
 
@@ -41,43 +34,46 @@ def test_w_recurrence_matches_direct_monomial_degree():
             assert w_degree(p, j + 2) == w_degree(p, j) + bump.degree
 
 
-# -- k1_dim_at -------------------------------------------------------------
+# -- k1_dims ---------------------------------------------------------------
 
 
 def test_w1_column_p2():
     # w_1 sits in degree 9 with v-height r(1) = 2: classes in 9 and 7.
     assert r(2, 1) == 2
-    assert k1_dim_at(2, 9) == 1
-    assert k1_dim_at(2, 7) == 1
-    assert k1_dim_at(2, 5) == 0
+    dims = k1_dims(2, 9)
+    assert (dims[9], dims[7], dims[5]) == (1, 1, 0)
 
 
 def test_low_even_degrees_vanish():
     # Every family carries a mandatory factor; the first even-degree class
     # is y_0^{p-1} z_0 in degree 4p.
     for p in (2, 3):
+        dims = k1_dims(p, 4 * p)
         for n in range(0, 2 * p + 2, 2):
-            assert k1_dim_at(p, n) == 0
-        assert k1_dim_at(p, 4 * p) == 1
+            assert dims[n] == 0
+        assert dims[4 * p] == 1
 
 
 def test_z1_column_is_height_one_at_p2():
     # At p = 2 the z_1 column belongs to the bottom family: one class in
     # each degree 10 + 4c and nothing one v-step below it.
-    assert k1_dim_at(2, 10) == 1
-    assert k1_dim_at(2, 8) == 1  # y_0 z_0 only
-    assert k1_dims(2, 6) == (0,) * 7
+    dims = k1_dims(2, 10)
+    assert dims[10] == 1
+    assert dims[8] == 1  # y_0 z_0 only
+    assert dims[:7] == k1_dims(2, 6) == (0,) * 7
 
 
 def test_zj_column_heights_p3():
     # z_1 has height r'(0) = 2 at p = 3: classes in 20 and 16.
     assert r_prime(3, 0) == 2
-    assert k1_dim_at(3, 20) == 1
-    assert k1_dim_at(3, 16) == 1
+    dims = k1_dims(3, 20)
+    assert dims[20] == dims[16] == 1
 
 
 def test_negative_degree_is_zero():
-    assert k1_dim_at(3, -1) == 0
+    # a window below degree 0 holds no degree, and no family reaches it
+    assert k1_dims(3, -1) == ()
+    assert g_family_dims(3, 2, (1,), -1) == ()
 
 
 # -- bockstein_audit -------------------------------------------------------
@@ -104,18 +100,18 @@ def test_bockstein_windows():
 
 def test_g_families_reject_p2():
     with pytest.raises(ValueError):
-        g_family_dim(2, 1, (1,), 10)
+        g_family_dims(2, 1, (1,), 10)
     with pytest.raises(ValueError):
         theorem61_audit(2, 10)
 
 
 def test_g_family_validation():
     with pytest.raises(ValueError):
-        g_family_dim(3, 9, (1,), 10)
+        g_family_dims(3, 9, (1,), 10)
     with pytest.raises(ValueError):
-        g_family_dim(3, 3, (2, 2), 10)  # need k < l
+        g_family_dims(3, 3, (2, 2), 10)  # need k < l
     with pytest.raises(ValueError):
-        g_family_dim(3, 7, (1, 2), 10)  # need e <= p-2
+        g_family_dims(3, 7, (1, 2), 10)  # need e <= p-2
 
 
 def test_g1_g2_low_degrees_p3():
@@ -133,9 +129,11 @@ def test_g1_g2_low_degrees_p3():
 def test_g2_matches_k1_below_z1_degree():
     # Below |z_1| = 20 (p = 3) the only even-degree classes are the bottom
     # family ones, and they are carried by cokernels (degree preserved).
+    dims = k1_dims(3, 18)
+    g2 = [g_family_dims(3, 2, (k,), 18) for k in (1, 2)]
     for n in (12, 18):
-        assert k1_dim_at(3, n) == 1
-        assert g_family_dim(3, 2, (1,), n) + g_family_dim(3, 2, (2,), n) >= 1
+        assert dims[n] == 1
+        assert g2[0][n] + g2[1][n] >= 1
 
 
 def test_theorem61_windows():
@@ -150,7 +148,7 @@ def test_theorem61_windows():
 
 def ref_k1_dims(p, n_max):
     """Reference: the four families walked by explicit loops, one per
-    exponent (y-powers by while loops), over lambda_exponents."""
+    exponent (y-powers by while loops), over the doubling-loop Lambda."""
     w = 2 * (p - 1)
     dims = [0] * (n_max + 1)
 
@@ -162,7 +160,7 @@ def ref_k1_dims(p, n_max):
     while w_degree(p, j) - w * (r(p, j) - 1) <= n_max:
         height = r(p, j)
         pad = w * (height - 1)
-        for _, lam_deg in lambda_exponents(p, j + 1, n_max + pad - w_degree(p, j)):
+        for _, lam_deg in ref_lambda_exponents(p, j + 1, n_max + pad - w_degree(p, j)):
             for eps in (0, 1):
                 base0 = w_degree(p, j) + lam_deg + eps * w_degree(p, j + 1)
                 for d in range(p - 1):
@@ -178,7 +176,7 @@ def ref_k1_dims(p, n_max):
     while z_degree(p, j) - w * (r_prime(p, j - 1) - 1) <= n_max:
         height = r_prime(p, j - 1)
         pad = w * (height - 1)
-        for _, lam_deg in lambda_exponents(p, j + 1, n_max + pad - z_degree(p, j)):
+        for _, lam_deg in ref_lambda_exponents(p, j + 1, n_max + pad - z_degree(p, j)):
             for eps in (0, 1):
                 for e in range(1, p):
                     base1 = e * z_degree(p, j) + lam_deg + eps * w_degree(p, j)
@@ -199,7 +197,7 @@ def ref_k1_dims(p, n_max):
             c += 1
     j = k0(p)
     while p * z_degree(p, j) <= n_max:
-        for _, lam_deg in lambda_exponents(p, j + 1, n_max - p * z_degree(p, j)):
+        for _, lam_deg in ref_lambda_exponents(p, j + 1, n_max - p * z_degree(p, j)):
             for eps in (0, 1):
                 base1 = p * z_degree(p, j) + lam_deg + eps * q_degree(p)
                 c = 0
@@ -231,7 +229,7 @@ def ref_pair_cofactors(p, k, budget):
 
 def ref_ten_term_cofactors(p, k, ell, budget):
     out = []
-    for _, lam_deg in lambda_exponents(p, ell + 1, budget):
+    for _, lam_deg in ref_lambda_exponents(p, ell + 1, budget):
         for f in range(p - 1):
             base = lam_deg + f * z_degree(p, ell)
             if base > budget:
@@ -242,7 +240,7 @@ def ref_ten_term_cofactors(p, k, ell, budget):
 
 def ref_single_cofactors(p, k, budget):
     out = []
-    for _, lam_deg in lambda_exponents(p, k + 1, budget):
+    for _, lam_deg in ref_lambda_exponents(p, k + 1, budget):
         c = 0
         while lam_deg + c * 2 * p**k <= budget:
             out.append(lam_deg + c * 2 * p**k)

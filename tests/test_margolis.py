@@ -108,6 +108,93 @@ def test_hk2_q_action_spot_checks_mod_3():
     assert "y0 u0" not in mod.q0
 
 
+# -- the Q-maps as derivations, from a product computed here ----------------
+
+
+def hk2_generators(p, D):
+    """(name, degree, exterior) of each generator of H*(K(Z/p,2)) through
+    D, in the order basis labels list them."""
+    if p == 2:
+        return [(f"u{2**j + 1}", 2**j + 1, False) for j in range(D) if 2**j + 1 <= D]
+    gens = [("y0", 2, False)]
+    gens += [(f"g{j}", 2 * (p**j + 1), False) for j in range(1, D) if 2 * (p**j + 1) <= D]
+    gens += [(f"u{i}", 2 * p**i + 1, True) for i in range(D) if 2 * p**i + 1 <= D]
+    return gens
+
+
+def parse_label(label):
+    """{generator name: exponent} of a basis label such as "y0^2 u0"."""
+    if label == "1":
+        return {}
+    out = {}
+    for token in label.split():
+        name, _, e = token.partition("^")
+        out[name] = int(e or 1)
+    return out
+
+
+def times(p, gens, a, b):
+    """(sign, label) of the product a . b of two monomials, or None when an
+    exterior exponent passes 1.  Reordering a . b moves each odd generator
+    of b left past the odd generators of a listed after it."""
+    order = {name: i for i, (name, _, _) in enumerate(gens)}
+    odd = {name for name, deg, _ in gens if p != 2 and deg % 2}
+    prod = dict(a)
+    for name, e in b.items():
+        prod[name] = prod.get(name, 0) + e
+    if any(ext and prod.get(name, 0) > 1 for name, _, ext in gens):
+        return None
+    swaps = sum(
+        ea * eb
+        for na, ea in a.items()
+        for nb, eb in b.items()
+        if na in odd and nb in odd and order[na] > order[nb]
+    )
+    label = " ".join(
+        name if prod[name] == 1 else f"{name}^{prod[name]}"
+        for name, _, _ in gens
+        if prod.get(name)
+    )
+    return (-1) ** swaps, label or "1"
+
+
+@pytest.mark.parametrize("p,D", [(2, 40), (3, 60), (5, 120), (7, 150)])
+def test_hk2_q_maps_are_derivations(p, D):
+    # Q_i(ab) = Q_i(a) b + (-1)^|a| a Q_i(b) for every basis element times a
+    # generator, on either side (by induction on b, this gives every
+    # product); it pins the Leibniz coefficients, which no rank oracle sees
+    # (Q0(y0^2) = 2 y0 u0 at p = 3, not y0 u0)
+    mod = build_HK2(p, D)
+    gens = hk2_generators(p, D)
+    assert {name for name, _, _ in gens} == {
+        name for lbl in mod.degree_of for name in parse_label(lbl)
+    }
+    basis = [(lbl, d, parse_label(lbl)) for lbl, d in mod.degree_of.items()]
+    singles = [(name, deg, {name: 1}) for name, deg, _ in gens]
+    pairs = [pair for x in basis for g in singles for pair in ((x, g), (g, x))]
+    checked = 0
+    for qmap, shift in ((mod.q0, 1), (mod.q1, 2 * p - 1)):
+        for (la, da, a), (lb, db, b) in pairs:
+            ab = times(p, gens, a, b)
+            if da + db + shift > D or ab is None:
+                continue
+            want = {}
+            for t, c in qmap.get(la, {}).items():
+                tb = times(p, gens, parse_label(t), b)
+                if tb is not None:
+                    want[tb[1]] = want.get(tb[1], 0) + tb[0] * c
+            for t, c in qmap.get(lb, {}).items():
+                at = times(p, gens, a, parse_label(t))
+                if at is not None:
+                    want[at[1]] = want.get(at[1], 0) + (-1) ** da * at[0] * c
+            want = {t: c % p for t, c in want.items() if c % p}
+            # Q(a b) = sign Q(the basis element a b reorders to)
+            got = {t: c * ab[0] % p for t, c in qmap.get(ab[1], {}).items()}
+            assert got == want, (shift, la, lb)
+            checked += 1
+    assert checked > 1000
+
+
 @pytest.mark.parametrize(
     "p,D", [(2, 60), (3, 40)]
 )

@@ -12,6 +12,7 @@ from functools import lru_cache
 import pytest
 
 from kuengine.chart import Chart, PEdge, RealizedWindow, Tower
+from kuengine.cli import RunConfig, cmd_groups
 from kuengine.modules import (
     _even_parts,
     _odd_parts,
@@ -22,7 +23,6 @@ from kuengine.modules import (
     even_part,
     full_chart,
     ku_group_at,
-    ku_homology_group_at,
     odd_part,
 )
 from kuengine.monomial import (
@@ -32,9 +32,11 @@ from kuengine.monomial import (
     q_degree,
     y_degree,
     z_comp,
-    z_decompose,
+    z_decompose_dict,
     z_degree,
 )
+from kuengine.padic import nu
+from test_monomial import ref_lambda_exponents
 
 PRIMES = (2, 3, 5, 7)
 
@@ -145,10 +147,10 @@ def test_height_law():
     for p in (2, 3):
         for k in range(1, 7):
             for t in build_B(p, k).towers:
-                i = z_decompose(t.gen)[0]
+                i = z_decompose_dict(p, t.gen.z_dict())[0]
                 assert t.height == p**i - i, (p, k, t.gen.render())
             for t in build_A(p, k).towers:
-                i = z_decompose(t.gen)[0]
+                i = z_decompose_dict(p, t.gen.z_dict())[0]
                 total = sum(e for _, e in t.gen.zs)
                 want = p**i if total == 1 else p**i - i
                 assert t.height == want, (p, k, t.gen.render())
@@ -216,9 +218,11 @@ def test_odd_part_towers_p2():
 
 
 def test_ku_homology_shift():
+    # ku_n is dual to ku^(n+2p), and finite groups are self-dual
+    rows = cmd_groups(RunConfig(2, window=(0, 23), homology=True))
     for n in (4, 8, 10, 23):
-        assert ku_homology_group_at(2, n) == ku_group_at(2, n + 4)
-    assert ku_homology_group_at(2, 4) == [2]
+        assert rows[n]["group"] == [2**e for e in ku_group_at(2, n + 4)]
+    assert rows[4]["group"] == [4]
 
 
 def test_cutoff_independence():
@@ -231,8 +235,124 @@ def test_cutoff_independence():
 def test_assoc_graded_matches_dot_count():
     for p in (2, 3):
         big = full_chart(p, 60)
+        dims = assoc_graded_dims(p, 60)
+        assert len(dims) == 61
         for n in range(0, 61):
-            assert assoc_graded_dims(p, n, cutoff=60) == big.dims_at(n), (p, n)
+            assert dims[n] == big.dims_at(n), (p, n)
+
+
+def ref_lambda(p, j, cutoff):
+    return [Monomial(p, zs=zs) for zs, _ in ref_lambda_exponents(p, j, cutoff)]
+
+
+def ref_assoc_graded_chart(p, cutoff):
+    """Reference: the edge-free chart of the three associated-graded lines,
+    built tower by tower with y-powers in while loops, as assoc_graded_dims
+    counted them before it shared k1_dims' counter."""
+    towers = []
+
+    def add(gen, height):
+        if gen.degree - 2 * (p - 1) * (height - 1) <= cutoff:
+            towers.append(Tower(len(towers), gen, 0, height))
+
+    step = 2 * (p - 1)
+    b = 0
+    while 4 * p + 2 * p * b <= cutoff:
+        y = Monomial.gen(p, "y", 1, b) * Monomial.gen(p, "y", 0, p - 1)
+        add(y * Monomial.gen(p, "z", 0), 1)
+        b += 1
+    t = 1
+    while z_degree(p, t) - step * (p**t - 1) <= cutoff:
+        h = p**t
+        e = 0
+        while z_degree(p, t) + y_degree(p, t) * e - step * (h - 1) <= cutoff:
+            add(Monomial.gen(p, "y", t, e) * Monomial.gen(p, "z", t), h)
+            e += 1
+        t += 1
+    t = k0(p)
+    while 2 * z_degree(p, t) - step * (p**t - t - 1) <= cutoff:
+        h = p**t - t
+        slack = step * (h - 1)
+        for lam in ref_lambda(p, t, cutoff + slack - z_degree(p, t))[1:]:  # LambdaBar
+            e = 0
+            while z_degree(p, t) + lam.degree + y_degree(p, t) * e - slack <= cutoff:
+                add(Monomial.gen(p, "y", t, e) * Monomial.gen(p, "z", t) * lam, h)
+                e += 1
+        t += 1
+    i = 1
+    while q_degree(p) + y_degree(p, 1) * (i - 1) <= cutoff:
+        h = nu(p, i) + 2
+        slack = step * (h - 1)
+        base = Monomial.gen(p, "q") * Monomial.gen(p, "y", 1, i - 1)
+        ell = 0
+        while True:
+            comp = z_comp(p, k0(p) + ell, ell + h)
+            if base.degree + comp.degree - slack > cutoff:
+                break
+            room = cutoff + slack - base.degree - comp.degree
+            for lam in ref_lambda(p, ell + h, room):
+                add(base * comp * lam, h)
+            ell += 1
+        i += 1
+    return Chart(p, towers, [])
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_assoc_graded_dims_match_the_tower_reference(p):
+    ref = ref_assoc_graded_chart(p, 400)
+    assert assoc_graded_dims(p, 400) == tuple(ref.dims_at(n) for n in range(401))
+    assert assoc_graded_dims(p, 0) == (0,)
+
+
+def ref_odd_parts(p, cutoff):
+    """Reference: the odd-part summands by the nested loop the one walk
+    replaced (z_l^e, e <= p-2, then Lambda_{l+1} by degree), each with the
+    (i, l) of its block."""
+    parts = []
+    i = 1
+    while q_degree(p) + y_degree(p, 1) * (i - 1) <= cutoff:
+        v = nu(p, i)
+        ell = v + 2
+        while True:
+            s_core = build_S(p, v + 1, ell)
+            base = Monomial.gen(p, "q") * Monomial.gen(p, "y", 1, i - 1)
+            head = base.degree + s_core.min_dot_degree()
+            if head > cutoff:
+                break
+            room = cutoff - head
+            for e in range(p - 1):
+                ze = Monomial.gen(p, "z", ell, e)
+                if ze.degree > room:
+                    break
+                for lam in ref_lambda(p, ell + 1, room - ze.degree):
+                    parts.append((i, ell, s_core, base * ze * lam))
+            ell += 1
+        i += 1
+    return parts
+
+
+def walk_order(part):
+    """The order of the one walk: blocks by (i, l), and within a block the
+    multipliers in lexicographic order of their exponent vectors
+    (z_l, z_{l+1}, ...)."""
+    i, ell, _, m = part
+    z = m.z_dict()
+    assert all(ell <= j < ell + 12 for j in z)
+    return (i, ell, [z.get(j, 0) for j in range(ell, ell + 12)])
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_odd_parts_match_the_nested_loop(p):
+    # the same summands; the reference re-pinned to the walk's order, which
+    # fixes the tower ids of odd_part
+    for cutoff in (0, 40, 160, 400):
+        got = _odd_parts(p, cutoff)
+        want = sorted(ref_odd_parts(p, cutoff), key=walk_order)
+        assert [m for _, m in got] == [m for *_, m in want], cutoff
+        assert [shape(c) for c, _ in got] == [shape(c) for _, _, c, _ in want]
+        if cutoff <= 160:
+            parts = [(c, m) for _, _, c, m in want]
+            assert shape(odd_part(p, cutoff)) == shape(ref_sum_of_parts(p, parts))
 
 
 def test_B2_B3_self_duality_palindrome():
@@ -406,7 +526,7 @@ def test_stored_degree_is_the_exponent_sum(p):
     gens = [m for _, m in parts] + [t.gen for t in full_chart(p, 300).towers]
     for m in gens:
         assert m.degree == exponent_degree(m), m
-    for tag, param in (("Lambda", 1), ("LambdaBar", 2), ("MkA", 1), ("MkB", 2)):
+    for tag, param in (("MkA", 1), ("MkA", 2), ("MkB", 1), ("MkB", 2)):
         for m in enumerate_family(p, tag, param, 300):
             assert m.degree == exponent_degree(m), m
 

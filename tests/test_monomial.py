@@ -6,15 +6,15 @@ import pytest
 from kuengine.monomial import (
     Monomial,
     Z_prod,
+    _composite,
     bounded_exponents,
-    composite_of,
     enumerate_family,
     k0,
-    lambda_exponents,
+    lambda_factors,
     q_degree,
     y_degree,
     z_comp,
-    z_decompose,
+    z_decompose_dict,
     z_degree,
 )
 
@@ -71,38 +71,39 @@ def test_render():
 
 
 def test_composite_detection():
-    assert composite_of(z_comp(2, 2, 5)) == (2, 5)
-    assert composite_of(z_comp(3, 1, 4)) == (1, 4)
-    assert composite_of(Monomial.gen(2, "z", 3)) is None
+    assert _composite(2, z_comp(2, 2, 5).z_dict()) == (2, 5)
+    assert _composite(3, z_comp(3, 1, 4).z_dict()) == (1, 4)
+    assert _composite(2, {3: 1}) is None
     mixed = z_comp(2, 2, 5) * Monomial.gen(2, "z", 6)
-    assert composite_of(mixed) is None
+    assert _composite(2, mixed.z_dict()) is None
+    assert mixed.render() == "z2^2 z3 z4 z6"
 
 
 def test_z_decompose():
     p = 2
-    i, j, e, lam = z_decompose(z_comp(p, 2, 5))
-    assert (i, j, e) == (2, 5, 0) and lam.degree == 0
-    i, j, e, lam = z_decompose(Monomial.gen(p, "z", 3) * Monomial.gen(p, "z", 5))
-    assert (i, j, e) == (3, 3, 0) and lam.z_dict() == {5: 1}
+    assert z_decompose_dict(p, z_comp(p, 2, 5).z_dict()) == (2, 5, 0, ())
+    assert z_decompose_dict(p, {3: 1, 5: 1}) == (3, 3, 0, ((5, 1),))
     # greedy run extension: z_2^2 z_3 at p=2 is the composite z_comp(2,4)
-    m = Monomial.gen(p, "z", 2, 2) * Monomial.gen(p, "z", 3)
-    assert z_decompose(m)[:3] == (2, 4, 0)
+    assert z_decompose_dict(p, {2: 2, 3: 1})[:3] == (2, 4, 0)
     p = 3
-    i, j, e, lam = z_decompose(z_comp(p, 1, 3) * Monomial.gen(p, "z", 3, 1))
-    assert (i, j, e) == (1, 3, 1) and not lam.zs
-    i, j, e, lam = z_decompose(Monomial.gen(p, "z", 2, 2))
-    assert (i, j, e) == (2, 2, 1)
+    m = z_comp(p, 1, 3) * Monomial.gen(p, "z", 3, 1)
+    assert z_decompose_dict(p, m.z_dict()) == (1, 3, 1, ())
+    assert z_decompose_dict(p, {2: 2})[:3] == (2, 2, 1)
     with pytest.raises(ValueError):
-        z_decompose(Monomial.one(2))
+        z_decompose_dict(2, {})
+
+
+def lambda_walk(p, j, cutoff):
+    """Lambda_j up to the cutoff as (z-part pairs, degree), from the one
+    walk every caller makes: position t of lambda_factors is z_{j+t}."""
+    walk = bounded_exponents(lambda_factors(p, j, cutoff), cutoff)
+    return [(tuple((j + t, e) for t, e in pairs), d) for pairs, d in walk]
 
 
 def test_lambda_family():
-    fam = enumerate_family(2, "Lambda", 3, 40)
-    assert [m.render() for m in fam] == ["1", "z3"]
-    assert len(enumerate_family(2, "LambdaBar", 3, 40)) == 1
-    fam3 = enumerate_family(3, "Lambda", 1, 60)
+    assert lambda_walk(2, 3, 40) == [((), 0), (((3, 1),), 34)]
     # 1, z_1 (20), z_1^2 (40), z_2 (56); z_1^3 excluded by the exponent cap
-    assert sorted(m.degree for m in fam3) == [0, 20, 40, 56]
+    assert sorted(d for _, d in lambda_walk(3, 1, 60)) == [0, 20, 40, 56]
 
 
 def test_script_m():
@@ -238,26 +239,20 @@ def ref_script_m_family(p, k, cutoff, part):
     return out
 
 
-def ref_family(p, tag, param, cutoff):
-    if tag in ("Lambda", "LambdaBar"):
-        lams = ref_lambda_exponents(p, param, cutoff)
-        return [Monomial(p, zs=zs) for zs, _ in lams if zs or tag == "Lambda"]
-    return ref_script_m_family(p, param, cutoff, tag[-1])
-
-
 @pytest.mark.parametrize("p", PRIMES)
 def test_families_match_the_replaced_enumerators(p):
     compared = 0
-    for tag in ("MkA", "MkB", "Lambda", "LambdaBar"):
+    for tag in ("MkA", "MkB"):
         for param in (1, 2, 3):
             for cutoff in (0, 1, 13, 37, 150, 300):
                 got = enumerate_family(p, tag, param, cutoff)
-                want = ref_family(p, tag, param, cutoff)
+                want = ref_script_m_family(p, param, cutoff, tag[-1])
                 assert got == want, (tag, param, cutoff)  # order included
                 assert [m.degree for m in got] == [m.degree for m in want]
                 compared += len(want)
     for j in (0, 1, 2, 3):
         for cutoff in (0, 5, 56, 199, 400):
-            got = lambda_exponents(p, j, cutoff)
+            got = sorted(lambda_walk(p, j, cutoff), key=lambda x: (x[1], x[0]))
             assert got == ref_lambda_exponents(p, j, cutoff), (j, cutoff)
+            compared += len(got)
     assert compared > 100

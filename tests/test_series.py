@@ -1,4 +1,4 @@
-from kuengine.series import PSeries, product
+from kuengine.series import PSeries
 
 
 def test_basic_arithmetic():
@@ -22,6 +22,6 @@ def test_divide_exact_roundtrip():
 
 def test_product_and_shift():
     top = 20
-    s = product(top, [PSeries.truncated_poly(top, 2, 2), PSeries.truncated_poly(top, 3, 2)])
+    s = PSeries.truncated_poly(top, 2, 2) * PSeries.truncated_poly(top, 3, 2)
     assert [s[d] for d in range(7)] == [1, 0, 1, 1, 0, 1, 0]
     assert s.shift(2)[4] == s[2]

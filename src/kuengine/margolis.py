@@ -6,8 +6,8 @@ a statement about Ext over E1, so this file carries the independent
 verification side of the package:
 
 * build_HK2 -- H*(K(Z/p,2); F_p) as an explicit E1-module: monomial basis,
-  Q0 and Q1 extended from the generator images by the Leibniz rule (with
-  Koszul signs at odd primes), each product found by key arithmetic.
+  Q0 and Q1 extended by the Leibniz rule (with Koszul signs at odd primes)
+  from a table of generator images, each product found by key arithmetic.
 * margolis_homology -- per-degree dims of H(M; Q0) or H(M; Q1), plus the
   known closed forms they must reproduce (q0_homology_closed, ...).
 * build_piece -- the small non-free modules N, L_k, M_j and the locally
@@ -17,7 +17,11 @@ verification side of the package:
   by subtracting the non-free model's Poincare series from the full one.
 * ext_bruteforce -- Ext_{E1}(F_p, M) dimensions computed literally from the
   standard Koszul-type resolution of the ground field, its boundary
-  matrices laid out from per-degree tables of Q-image positions.
+  matrices laid out straight from the stored Q-maps.
+
+Module layout: per degree, a list of basis labels, and Q0, Q1 as (source
+position, target position, coeff) triples that every consumer reads as
+stored.  Hand-written modules spell their labels once, in from_labels.
 
 Monomial bases: each generator (GenSpec) carries an exponent cap `top`
 (None for a polynomial generator, 1 for an exterior one, p-1 or p-2 for
@@ -75,29 +79,43 @@ def _mono_label(m: Mono, gens) -> str:
 class E1Module:
     """Degreewise F_p vector space with Q0 (degree +1) and Q1 (degree +2p-1).
 
-    `by_degree` lists basis labels per degree (complete through `cutoff`);
-    `q0`/`q1` give the action on each basis element as {target: coeff},
-    recorded only when the target degree is still <= cutoff.
+    `by_degree[d]` lists the basis labels of degree d (complete through
+    `cutoff`); a basis element is addressed by its degree and its position
+    in that list.  `q0[d]`/`q1[d]` give the action on degree d as
+    (source position, target position, coeff) triples, the target read in
+    degree d+1 or d+2p-1, recorded only when that degree is <= cutoff.
     """
 
     p: int
     cutoff: int
-    degree_of: dict[str, int] = field(default_factory=dict)
     by_degree: dict[int, list[str]] = field(default_factory=dict)
-    q0: dict[str, dict[str, int]] = field(default_factory=dict)
-    q1: dict[str, dict[str, int]] = field(default_factory=dict)
+    q0: dict[int, list[tuple[int, int, int]]] = field(default_factory=dict)
+    q1: dict[int, list[tuple[int, int, int]]] = field(default_factory=dict)
 
-    def add(self, label: str, degree: int) -> None:
-        if label in self.degree_of:
-            raise ValueError(f"duplicate basis label {label!r}")
-        self.degree_of[label] = degree
-        self.by_degree.setdefault(degree, []).append(label)
+    @staticmethod
+    def from_labels(p: int, cutoff: int, basis, q0, q1) -> "E1Module":
+        """The module on `basis` ([(label, degree), ...], listed in basis
+        order) whose Q-maps are spelled by label: {label: {label: coeff}}."""
+        mod = E1Module(p, cutoff)
+        where: dict[str, tuple[int, int]] = {}
+        for label, d in basis:
+            if label in where:
+                raise ValueError(f"duplicate basis label {label!r}")
+            labels = mod.by_degree.setdefault(d, [])
+            where[label] = (d, len(labels))
+            labels.append(label)
+        for name, qmap, out, shift in (("q0", q0, mod.q0, 1), ("q1", q1, mod.q1, 2 * p - 1)):
+            for label, img in qmap.items():
+                d, s = where[label]
+                for t, c in img.items():
+                    dt, pos = where[t]
+                    if dt != d + shift:
+                        raise ValueError(f"{name}[{label}] is not degree +{shift}")
+                    out.setdefault(d, []).append((s, pos, c))
+        return mod
 
     def dim_at(self, n: int) -> int:
         return len(self.by_degree.get(n, ()))
-
-    def basis_at(self, n: int) -> list[str]:
-        return self.by_degree.get(n, [])
 
     def ps(self, top: int | None = None) -> PSeries:
         if top is None:
@@ -110,97 +128,117 @@ class E1Module:
 
     @staticmethod
     def direct_sum(mods: list["E1Module"]) -> "E1Module":
+        """Summand i's labels get the prefix "i:" and follow summands
+        0..i-1 in every degree."""
         p = mods[0].p
         if any(m.p != p for m in mods):
             raise ValueError("direct_sum across different primes")
         out = E1Module(p, min(m.cutoff for m in mods))
         for i, m in enumerate(mods):
+            # where summand i starts in each degree of the sum
+            start = {d: out.dim_at(d) for d in m.by_degree}
             for d in sorted(m.by_degree):
-                for lbl in m.by_degree[d]:
-                    out.add(f"{i}:{lbl}", d)
-            for src, qmap in (("q0", m.q0), ("q1", m.q1)):
-                tgt = getattr(out, src)
-                for lbl, img in qmap.items():
-                    tgt[f"{i}:{lbl}"] = {f"{i}:{t}": c for t, c in img.items()}
+                out.by_degree.setdefault(d, []).extend(f"{i}:{lbl}" for lbl in m.by_degree[d])
+            for q, qo, shift in ((m.q0, out.q0, 1), (m.q1, out.q1, 2 * p - 1)):
+                for d, triples in q.items():
+                    a, b = start[d], start[d + shift]
+                    qo.setdefault(d, []).extend((s + a, t + b, c) for s, t, c in triples)
         return out
 
     def tensor(self, other: "E1Module") -> "E1Module":
-        """Graded tensor product; Q(a x b) = Qa x b + (-1)^|a| a x Qb."""
+        """Graded tensor product; Q(a x b) = Qa x b + (-1)^|a| a x Qb.
+
+        Degree n lists the products a*b block by block, |a| ascending, each
+        block a-major: a at position i of degree da times b at position j
+        sits at start[n, da] + i * dim_at(n - da) + j."""
         if self.p != other.p:
             raise ValueError("tensor across different primes")
         p = self.p
         out = E1Module(p, min(self.cutoff, other.cutoff))
-        pairs: list[tuple[str, str, int, int]] = []
+        start: dict[tuple[int, int], int] = {}
         for da in sorted(self.by_degree):
-            for la in self.by_degree[da]:
-                for db in sorted(other.by_degree):
-                    if da + db > out.cutoff:
-                        break
-                    for lb in other.by_degree[db]:
-                        pairs.append((la, lb, da, db))
-        pairs.sort(key=lambda t: t[2] + t[3])  # stable: keeps factor order
-        for la, lb, da, db in pairs:
-            out.add(f"{la}*{lb}", da + db)
-        shifts = {"q0": 1, "q1": 2 * p - 1}
-        for attr, shift in shifts.items():
-            qa, qb, qo = getattr(self, attr), getattr(other, attr), getattr(out, attr)
-            for la, lb, da, db in pairs:
-                if da + db + shift > out.cutoff:
+            for db in sorted(other.by_degree):
+                if da + db > out.cutoff:
+                    break
+                basis = out.by_degree.setdefault(da + db, [])
+                start[da + db, da] = len(basis)
+                basis += [f"{la}*{lb}" for la in self.by_degree[da] for lb in other.by_degree[db]]
+        for qa, qb, qo, shift in (
+            (self.q0, other.q0, out.q0, 1),
+            (self.q1, other.q1, out.q1, 2 * p - 1),
+        ):
+            for (n, da), s0 in start.items():
+                if n + shift > out.cutoff:
                     continue
-                img: dict[str, int] = {}
-                for t, c in qa.get(la, {}).items():
-                    img[f"{t}*{lb}"] = c % p
-                sign = -1 if (p != 2 and da & 1) else 1
-                for t, c in qb.get(lb, {}).items():
-                    key = f"{la}*{t}"
-                    img[key] = (img.get(key, 0) + sign * c) % p
-                img = {k: v for k, v in img.items() if v}
-                if img:
-                    qo[f"{la}*{lb}"] = img
+                db = n - da
+                wa, wb = self.dim_at(da), other.dim_at(db)
+                img: dict[tuple[int, int], int] = {}
+                if da in qa:
+                    t0 = start[n + shift, da + shift]
+                    for i, t, c in qa[da]:
+                        for j in range(wb):
+                            img[s0 + i * wb + j, t0 + t * wb + j] = c % p
+                if db in qb:
+                    t0, wt = start[n + shift, da], other.dim_at(db + shift)
+                    sign = -1 if (p != 2 and da & 1) else 1
+                    for j, t, c in qb[db]:
+                        for i in range(wa):
+                            key = (s0 + i * wb + j, t0 + i * wt + t)
+                            img[key] = (img.get(key, 0) + sign * c) % p
+                triples = [(s, t, c) for (s, t), c in img.items() if c]
+                if triples:
+                    qo.setdefault(n, []).extend(triples)
         return out
 
     def suspend(self, d: int) -> "E1Module":
         out = E1Module(self.p, min(self.cutoff + d, EXACT))
-        for deg in sorted(self.by_degree):
-            for lbl in self.by_degree[deg]:
-                out.add(lbl, deg + d)
-        out.q0 = {k: dict(v) for k, v in self.q0.items()}
-        out.q1 = {k: dict(v) for k, v in self.q1.items()}
+        out.by_degree = {deg + d: list(ls) for deg, ls in self.by_degree.items()}
+        out.q0 = {deg + d: list(ts) for deg, ts in self.q0.items()}
+        out.q1 = {deg + d: list(ts) for deg, ts in self.q1.items()}
         return out
 
     # -- integrity ---------------------------------------------------------
 
-    def _apply(self, qmap: dict[str, dict[str, int]], vec: dict[str, int]) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for lbl, c in vec.items():
-            for t, c2 in qmap.get(lbl, {}).items():
-                out[t] = (out.get(t, 0) + c * c2) % self.p
-        return {k: v for k, v in out.items() if v}
-
     def validate(self) -> None:
-        """Degree homogeneity, Q0^2 = Q1^2 = 0, and Q0Q1 + Q1Q0 = 0,
-        checked on every basis element far enough below the cutoff."""
+        """Targets inside the basis with nonzero coefficients, and Q0^2 =
+        Q1^2 = 0 and Q0Q1 + Q1Q0 = 0 on every basis element far enough
+        below the cutoff; an error names the first bad label."""
         p, w = self.p, 2 * self.p - 1
-        for attr, shift in (("q0", 1), ("q1", w)):
-            for lbl, img in getattr(self, attr).items():
-                d = self.degree_of[lbl]
-                for t, c in img.items():
-                    if self.degree_of[t] != d + shift:
-                        raise ValueError(f"{attr}[{lbl}] is not degree +{shift}")
+        for name, q, shift in (("q0", self.q0, 1), ("q1", self.q1, w)):
+            for d, triples in q.items():
+                for s, t, c in triples:
+                    if t >= self.dim_at(d + shift):
+                        raise ValueError(f"{name}[{self.by_degree[d][s]}] is not degree +{shift}")
                     if c % p == 0:
-                        raise ValueError(f"{attr}[{lbl}] stores a zero coefficient")
-        for lbl, d in self.degree_of.items():
-            start = {lbl: 1}
-            if d + 2 <= self.cutoff and self._apply(self.q0, self._apply(self.q0, start)):
-                raise ValueError(f"Q0^2 != 0 on {lbl}")
-            if d + 2 * w <= self.cutoff and self._apply(self.q1, self._apply(self.q1, start)):
-                raise ValueError(f"Q1^2 != 0 on {lbl}")
+                        raise ValueError(f"{name}[{self.by_degree[d][s]}] stores a zero coefficient")
+
+        def compose(first, d, second, e) -> dict[tuple[int, int], int]:
+            """{(source, target): coeff} of `second` (read at degree e)
+            after `first` (read at degree d)."""
+            after: dict[int, list[tuple[int, int]]] = {}
+            for m, t, c in second.get(e, ()):
+                after.setdefault(m, []).append((t, c))
+            out: dict[tuple[int, int], int] = {}
+            for s, m, c in first.get(d, ()):
+                for t, c2 in after.get(m, ()):
+                    out[s, t] = (out.get((s, t), 0) + c * c2) % p
+            return out
+
+        for d, basis in self.by_degree.items():
+            checks = []
+            if d + 2 <= self.cutoff:
+                checks.append(("Q0^2 != 0", compose(self.q0, d, self.q0, d + 1)))
+            if d + 2 * w <= self.cutoff:
+                checks.append(("Q1^2 != 0", compose(self.q1, d, self.q1, d + w)))
             if d + w + 1 <= self.cutoff:
-                anti = self._apply(self.q0, self._apply(self.q1, start))
-                for t, c in self._apply(self.q1, self._apply(self.q0, start)).items():
-                    anti[t] = (anti.get(t, 0) + c) % p
-                if any(v % p for v in anti.values()):
-                    raise ValueError(f"Q0Q1 + Q1Q0 != 0 on {lbl}")
+                anti = compose(self.q1, d, self.q0, d + w)
+                for k, c in compose(self.q0, d, self.q1, d + 1).items():
+                    anti[k] = (anti.get(k, 0) + c) % p
+                checks.append(("Q0Q1 + Q1Q0 != 0", anti))
+            bad = [(s, i) for i, (_, prod) in enumerate(checks) for (s, _), c in prod.items() if c]
+            if bad:
+                s, i = min(bad)
+                raise ValueError(f"{checks[i][0]} on {basis[s]}")
 
 
 def _module_from_monomials(p: int, gens: list[GenSpec], D: int, images0, images1) -> E1Module:
@@ -215,20 +253,20 @@ def _module_from_monomials(p: int, gens: list[GenSpec], D: int, images0, images1
     for g in gens:
         weight.append(radix)
         radix *= (D // g.degree if g.top is None else g.top) + 1
-    keys = [sum(e * weight[g] for g, e in m) for _, m in monos]
-    labels = [_mono_label(m, gens) for _, m in monos]
-    label_of = dict(zip(keys, labels))
-    for (d, _), label in zip(monos, labels):
-        mod.add(label, d)
+    position: dict[int, int] = {}  # key -> position in its degree
+    for d, m in monos:
+        basis = mod.by_degree.setdefault(d, [])
+        position[sum(e * weight[g] for g, e in m)] = len(basis)
+        basis.append(_mono_label(m, gens))
     odd = [p != 2 and g.degree & 1 for g in gens]
-    for (d, m), key, label in zip(monos, keys, labels):
+    for (d, m), (key, s) in zip(monos, position.items()):
         # odd factors of m as a bitmask: Q crosses those left of an odd g,
         # the odd image of an even g crosses those left of its generator h
         mask = sum(1 << g for g, e in m if odd[g] and e & 1)
         for images, qmap, shift in ((images0, mod.q0, 1), (images1, mod.q1, 2 * p - 1)):
             if d + shift > D:
                 continue
-            img: dict[str, int] = {}
+            img: dict[int, int] = {}
             for g, e in m:
                 if g not in images or not e % p:
                     continue
@@ -238,11 +276,11 @@ def _module_from_monomials(p: int, gens: list[GenSpec], D: int, images0, images1
                     continue  # the product passes h's cap
                 if (mask & ((1 << (g if odd[g] else h)) - 1)).bit_count() & 1:
                     c = -c
-                t = label_of[key - weight[g] + f * weight[h]]
+                t = position[key - weight[g] + f * weight[h]]
                 img[t] = (img.get(t, 0) + e * c) % p
-            img = {t: c for t, c in img.items() if c}
-            if img:
-                qmap[label] = img
+            triples = [(s, t, c) for t, c in img.items() if c]
+            if triples:
+                qmap.setdefault(d, []).extend(triples)
     return mod
 
 
@@ -263,70 +301,35 @@ def build_HK2(p: int, D: int) -> E1Module:
     |g_j| = 2(p^j+1), |u_i| = 2p^i+1, and
         Q0: y_0 -> u_0,  u_i -> g_i            (i >= 1)
         Q1: y_0 -> u_1,  u_0 -> -g_1,  u_i -> g_{i-1}^p  (i >= 2)
-    (the sign on Q1 u_0 is forced by Q0Q1 + Q1Q0 = 0 on y_0).
+    (the sign on Q1 u_0 is forced by Q0Q1 + Q1Q0 = 0 on y_0).  Each rule
+    (source, target, exponent, coeff) reads Q(source) = coeff target^exponent
+    and applies when both generators lie in the cutoff.
     """
     if D < 0:
         raise ValueError("cutoff must be nonnegative")
+    js = range(D.bit_length())  # p^j <= D needs j < D.bit_length()
     if p == 2:
-        degs = []
-        j = 0
-        while 2**j + 1 <= D:
-            degs.append(2**j + 1)
-            j += 1
-        gens = [GenSpec(f"u{d}", d) for d in degs]
-        idx = {g.degree: i for i, g in enumerate(gens)}
-
-        def power(deg: int, e: int) -> tuple[int, int, int]:
-            return (idx[deg], e, 1)
-
-        images0: dict[int, tuple[int, int, int]] = {}
-        images1: dict[int, tuple[int, int, int]] = {}
-        for j, d in enumerate(degs):
-            if j == 1:
-                images1[j] = power(3, 2)  # u_3 -> u_3^2
-                continue
-            lower0 = 2 ** (j - 1) + 1 if j >= 1 else None
-            lower1 = 2 ** (j - 2) + 1 if j >= 2 else None
-            if j == 0:
-                if 3 in idx:
-                    images0[j] = power(3, 1)
-                if 5 in idx:
-                    images1[j] = power(5, 1)
-            else:
-                if lower0 in idx and 2 * lower0 <= D:
-                    images0[j] = power(lower0, 2)
-                if j >= 3 and lower1 in idx and 4 * lower1 <= D:
-                    images1[j] = power(lower1, 4)
-        return _module_from_monomials(2, gens, D, images0, images1)
-
-    gens = [GenSpec("y0", 2)]
-    gidx: dict[int, int] = {}
-    j = 1
-    while 2 * (p**j + 1) <= D:
-        gidx[j] = len(gens)
-        gens.append(GenSpec(f"g{j}", 2 * (p**j + 1)))
-        j += 1
-    uidx: dict[int, int] = {}
-    i = 0
-    while 2 * p**i + 1 <= D:
-        uidx[i] = len(gens)
-        gens.append(GenSpec(f"u{i}", 2 * p**i + 1, top=1))
-        i += 1
-    images0 = {}
-    images1 = {}
-    if 0 in uidx:
-        images0[0] = (uidx[0], 1, 1)  # y0 -> u0
-    if 1 in uidx:
-        images1[0] = (uidx[1], 1, 1)  # y0 -> u1
-    for i, ui in uidx.items():
-        if i == 0:
-            if 1 in gidx:
-                images1[ui] = (gidx[1], 1, p - 1)  # u0 -> -g1
-        else:
-            if i in gidx:
-                images0[ui] = (gidx[i], 1, 1)  # u_i -> g_i
-            if i >= 2 and (i - 1) in gidx and 2 * p * (p ** (i - 1) + 1) <= D:
-                images1[ui] = (gidx[i - 1], p, 1)  # u_i -> g_{i-1}^p
+        gens = [GenSpec(f"u{2**j + 1}", 2**j + 1) for j in js if 2**j + 1 <= D]
+        u = [g.name for g in gens]
+        rules = (
+            [("u2", "u3", 1, 1)] + [(u[j], u[j - 1], 2, 1) for j in range(2, len(u))],
+            [("u2", "u5", 1, 1), ("u3", "u3", 2, 1)]
+            + [(u[j], u[j - 2], 4, 1) for j in range(3, len(u))],
+        )
+    else:
+        u = [f"u{i}" for i in js if 2 * p**i + 1 <= D]
+        gens = [GenSpec("y0", 2)]
+        gens += [GenSpec(f"g{j}", 2 * (p**j + 1)) for j in js if j and 2 * (p**j + 1) <= D]
+        gens += [GenSpec(name, 2 * p**i + 1, top=1) for i, name in enumerate(u)]
+        rules = (
+            [("y0", "u0", 1, 1)] + [(u[i], f"g{i}", 1, 1) for i in range(1, len(u))],
+            [("y0", "u1", 1, 1), ("u0", "g1", 1, p - 1)]
+            + [(u[i], f"g{i - 1}", p, 1) for i in range(2, len(u))],
+        )
+    at = {g.name: i for i, g in enumerate(gens)}
+    images0, images1 = (
+        {at[s]: (at[t], f, c) for s, t, f, c in table if s in at and t in at} for table in rules
+    )
     return _module_from_monomials(p, gens, D, images0, images1)
 
 
@@ -340,25 +343,15 @@ def margolis_homology(M: E1Module, which: str, D: int) -> list[int]:
             f"module cutoff {M.cutoff} too small: H(Q) at degree {D} needs {D + shift}"
         )
     qmap = M.q0 if which == "Q0" else M.q1
-
-    @lru_cache(maxsize=None)
-    def rank_at(n: int) -> int:
-        src = M.basis_at(n)
-        tgt = M.basis_at(n + shift)
-        if not src or not tgt:
-            return 0
-        tpos = {l: i for i, l in enumerate(tgt)}
-        mat = [[0] * len(src) for _ in tgt]
-        for j, lbl in enumerate(src):
-            for t, c in qmap.get(lbl, {}).items():
-                mat[tpos[t]][j] = c
-        return gf_rank(mat, M.p)
-
-    out = []
+    ranks = []
     for n in range(D + 1):
-        ker = M.dim_at(n) - rank_at(n)
-        out.append(ker - (rank_at(n - shift) if n - shift >= 0 else 0))
-    return out
+        mat = [[0] * M.dim_at(n) for _ in range(M.dim_at(n + shift))]
+        for s, t, c in qmap.get(n, ()):
+            mat[t][s] = c
+        ranks.append(gf_rank(mat, M.p) if mat and mat[0] else 0)
+    return [
+        M.dim_at(n) - ranks[n] - (ranks[n - shift] if n >= shift else 0) for n in range(D + 1)
+    ]
 
 
 def q0_homology_closed(p: int, D: int) -> PSeries:
@@ -398,9 +391,7 @@ def q1_homology_closed(p: int, D: int) -> PSeries:
 
 
 def _single(p: int, label: str, degree: int) -> E1Module:
-    mod = E1Module(p, EXACT)
-    mod.add(label, degree)
-    return mod
+    return E1Module.from_labels(p, EXACT, [(label, degree)], {}, {})
 
 
 def _trivial_polynomial(p: int, gens: list[GenSpec], D: int) -> E1Module:
@@ -412,31 +403,21 @@ def _L(p: int, k: int) -> E1Module:
     if k < 0:
         raise ValueError("L_k needs k >= 0")
     step = 2 if p == 2 else 2 * (p - 1)
-    mod = E1Module(p, EXACT)
-    for i in range(k + 1):
-        mod.add(f"a{i}", step * i)
-        mod.add(f"b{i}", step * i + 1)
-    for i in range(k + 1):
-        mod.q0[f"a{i}"] = {f"b{i}": 1}
-        if i < k:
-            mod.q1[f"a{i}"] = {f"b{i+1}": 1}
-    return mod
+    basis = [(f"{x}{i}", step * i + (x == "b")) for i in range(k + 1) for x in "ab"]
+    q0 = {f"a{i}": {f"b{i}": 1} for i in range(k + 1)}
+    q1 = {f"a{i}": {f"b{i + 1}": 1} for i in range(k)}
+    return E1Module.from_labels(p, EXACT, basis, q0, q1)
 
 
 def _N(p: int) -> E1Module:
-    mod = E1Module(p, EXACT)
     if p == 2:
-        for d in (5, 7, 8, 9, 10):
-            mod.add(f"x{d}", d)
-        mod.q0 = {"x7": {"x8": 1}, "x9": {"x10": 1}}
-        mod.q1 = {"x5": {"x8": 1}, "x7": {"x10": 1}}
-    else:
-        mod.add("n1", 2 * p + 1)  # y0^{p-1} u0
-        mod.add("q", 4 * p - 1)  # y0^{p-1} u1
-        mod.add("c", 4 * p)  # Q0 q = Q1 n1
-        mod.q0 = {"q": {"c": 1}}
-        mod.q1 = {"n1": {"c": 1}}
-    return mod
+        basis = [(f"x{d}", d) for d in (5, 7, 8, 9, 10)]
+        return E1Module.from_labels(
+            p, EXACT, basis, {"x7": {"x8": 1}, "x9": {"x10": 1}}, {"x5": {"x8": 1}, "x7": {"x10": 1}}
+        )
+    # n1 = y0^{p-1} u0, q = y0^{p-1} u1, and c = Q0 q = Q1 n1
+    basis = [("n1", 2 * p + 1), ("q", 4 * p - 1), ("c", 4 * p)]
+    return E1Module.from_labels(p, EXACT, basis, {"q": {"c": 1}}, {"n1": {"c": 1}})
 
 
 def _M(p: int, j: int) -> E1Module:
@@ -476,8 +457,7 @@ def _R(p: int, D: int) -> E1Module:
             summands.append(_M(p, j).tensor(_trivial_polynomial(p, gens, D)))
             j += 1
     if not summands:
-        out = E1Module(p, D)
-        return out
+        return E1Module(p, D)
     out = E1Module.direct_sum(summands)
     out.cutoff = D
     return out
@@ -656,20 +636,7 @@ def ext_bruteforce(
             f"window needs module degrees through {need}, cutoff is {M.cutoff}"
         )
 
-    # M_d's Q0 and Q1 images as (basis element, position in M_{d+1} or
-    # M_{d+w}, coeff) triples, one table per degree, built on first use
-    index = {lbl: i for basis in M.by_degree.values() for i, lbl in enumerate(basis)}
-    tables: dict[int, list[list[tuple[int, int, int]]]] = {}
     ranks: dict[tuple[int, int], int] = {}
-
-    def table(d: int) -> list[list[tuple[int, int, int]]]:
-        if d not in tables:
-            basis = list(enumerate(M.basis_at(d)))
-            tables[d] = [
-                [(j, index[t], c) for j, lbl in basis for t, c in q.get(lbl, {}).items()]
-                for q in (M.q0, M.q1)
-            ]
-        return tables[d]
 
     def rank_delta(tp: int, sigma: int) -> int:
         """Rank of C^sigma -> C^(sigma+1), one row per source basis element;
@@ -684,9 +651,8 @@ def ext_bruteforce(
             row = 0
             for b in range(sigma + 1):
                 d = tp + sigma + (w - 1) * b
-                img0, img1 = table(d)
-                entries += [(row + j, off[b] + i, c) for j, i, c in img0]
-                entries += [(row + j, off[b + 1] + i, c) for j, i, c in img1]
+                entries += [(row + j, off[b] + i, c) for j, i, c in M.q0.get(d, ())]
+                entries += [(row + j, off[b + 1] + i, c) for j, i, c in M.q1.get(d, ())]
                 row += M.dim_at(d)
             ranks[(tp, sigma)] = gf_rank_sparse(entries, row, off[-1], p)
         return ranks[(tp, sigma)]

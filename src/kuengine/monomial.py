@@ -75,10 +75,6 @@ class Monomial:
 
     # -- constructors -------------------------------------------------------
     @staticmethod
-    def one(p: int) -> "Monomial":
-        return Monomial(p)
-
-    @staticmethod
     def gen(p: int, kind: str, index: int = 0, exp: int = 1) -> "Monomial":
         if exp == 0:
             return Monomial(p)

@@ -78,7 +78,7 @@ def test_tensor_and_sum():
     shifted = direct_sum([(c, m)])
     assert shifted.towers[0].gen_degree == c.towers[0].gen_degree + 8
     assert len(shifted.edges) == len(c.edges)
-    s = direct_sum([(c, Monomial.one(p)), (shifted, Monomial.one(p))])
+    s = direct_sum([(c, Monomial(p)), (shifted, Monomial(p))])
     assert len(s.towers) == 4
     n = c.towers[0].gen_degree
     assert s.dims_at(n) == c.dims_at(n) + shifted.dims_at(n)
@@ -91,7 +91,7 @@ def test_render_grammar():
         return Monomial.gen(p, *args)
 
     cases = {
-        "1": Monomial.one(p),
+        "1": Monomial(p),
         "q": g("q"),
         "y1^3": g("y", 1, 3),
         "y3 z3 z4": g("y", 3) * g("z", 3) * g("z", 4),

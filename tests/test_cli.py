@@ -270,6 +270,20 @@ PINNED_STDOUT = {
         "f2bdf382416e6197465fcef8bb59ed34561f5ebf20ab5fa7f76423dba6006d03",
     "chart full-odd --prime 5 --window 0:400":
         "89964cecbe9dae80aa96cfe80718d18ff8c3707ec7fae455a4c4e1560db78a05",
+    # the E1-module oracles: Margolis homology, the free-part subtraction
+    # against the explicit model, and brute-force Ext at a dense prime
+    "audit --which margolis --prime 2 --max 60":
+        "ee020425f1d70bd498d8b8f03c1abb8b7e10304e5296670f44ef8c9a21240764",
+    "audit --which margolis --prime 3 --max 60":
+        "3846b95b0b300f23d0a359f0dc258088f4526be397db1b50a59c87cecf57b586",
+    "audit --which margolis --prime 5 --max 100":
+        "13f2bbd0e41a0a6696052f420a7cf1653164f2378ecf4aa277828aa5deee72d9",
+    "audit --which ps --prime 2 --max 100":
+        "5d17048bc3d4ab5aa15a63b6f102c5731240c7ed9e1205c01c9d2f40767b56b7",
+    "audit --which ps --prime 3 --max 150":
+        "142daf08f601be5baeec2765aaef0b0467cc36198357964cc58d38b85db24614",
+    "audit --which ext --prime 7 --max-degree 60 --max-s 3":
+        "8e3e49b07acc7a6a575625802e346008a03f536570730335c380aa498e596b07",
 }
 
 

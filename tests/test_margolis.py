@@ -24,6 +24,7 @@ from kuengine.margolis import (
     trivial_summand_counts,
 )
 from kuengine import margolis as margolis_module
+from kuengine.monomial import q_degree
 from kuengine.series import PSeries
 
 
@@ -49,20 +50,34 @@ def hk2_ps(p: int, D: int) -> PSeries:
 
 
 def ground_field(p: int) -> E1Module:
-    mod = E1Module(p, EXACT)
-    mod.add("1", 0)
-    return mod
+    return E1Module.from_labels(p, EXACT, [("1", 0)], {}, {})
 
 
 def free_on_one_generator(p: int, d: int) -> E1Module:
-    mod = E1Module(p, EXACT)
-    mod.add("m", d)
-    mod.add("m0", d + 1)
-    mod.add("m1", d + 2 * p - 1)
-    mod.add("m01", d + 2 * p)
-    mod.q0 = {"m": {"m0": 1}, "m1": {"m01": 1}}
-    mod.q1 = {"m": {"m1": 1}, "m0": {"m01": p - 1}}
-    return mod
+    basis = [("m", d), ("m0", d + 1), ("m1", d + 2 * p - 1), ("m01", d + 2 * p)]
+    q0 = {"m": {"m0": 1}, "m1": {"m01": 1}}
+    q1 = {"m": {"m1": 1}, "m0": {"m01": p - 1}}
+    return E1Module.from_labels(p, EXACT, basis, q0, q1)
+
+
+def label_view(mod: E1Module, which: str) -> dict:
+    """{label: {label: coeff}} of mod's Q0 or Q1 (which = "q0" or "q1"),
+    read off the stored (source, target, coeff) triples in their order."""
+    q, shift = (mod.q0, 1) if which == "q0" else (mod.q1, 2 * mod.p - 1)
+    out = {}
+    for d, triples in q.items():
+        for s, t, c in triples:
+            out.setdefault(mod.by_degree[d][s], {})[mod.by_degree[d + shift][t]] = c
+    return out
+
+
+def basis_degrees(mod: E1Module) -> list:
+    """(label, degree) of every basis element, in basis order."""
+    return [(lbl, d) for d, lbls in mod.by_degree.items() for lbl in lbls]
+
+
+def degrees(mod: E1Module) -> list:
+    return sorted(d for _, d in basis_degrees(mod))
 
 
 # -- the big module ---------------------------------------------------------
@@ -73,7 +88,7 @@ def test_hk2_dimensions_match_generator_count(p):
     mod = build_HK2(p, 40)
     assert mod.ps() == hk2_ps(p, 40)
     if p == 2:
-        assert mod.basis_at(5) == ["u2 u3", "u5"]
+        assert mod.by_degree[5] == ["u2 u3", "u5"]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -82,30 +97,32 @@ def test_hk2_is_a_valid_e1_module(p):
     # so the Koszul signs of u_2, g_2 and their products with y0, u0, u1
     # are checked against Q^2 = 0 and Q0Q1 + Q1Q0 = 0
     mod = build_HK2(p, 30 if p == 2 else 4 * p * p)
-    assert p == 2 or {"u2", "g2", "y0 u0 u1 u2"} <= set(mod.degree_of)
+    assert p == 2 or {"u2", "g2", "y0 u0 u1 u2"} <= {lbl for lbl, _ in basis_degrees(mod)}
     mod.validate()
 
 
 def test_hk2_q_action_spot_checks_mod_2():
     mod = build_HK2(2, 40)
-    assert mod.q0["u2"] == {"u3": 1}
-    assert "u3" not in mod.q0  # Q0 u3 = 0
-    assert mod.q1["u3"] == {"u3^2": 1}
-    assert "u5" not in mod.q1  # Q1 u5 = 0
-    assert mod.q0["u9"] == {"u5^2": 1}
-    assert mod.q1["u9"] == {"u3^4": 1}
-    assert mod.q0["u2 u3"] == {"u3^2": 1}  # Leibniz: u3*u3 + u2*0
+    q0, q1 = label_view(mod, "q0"), label_view(mod, "q1")
+    assert q0["u2"] == {"u3": 1}
+    assert "u3" not in q0  # Q0 u3 = 0
+    assert q1["u3"] == {"u3^2": 1}
+    assert "u5" not in q1  # Q1 u5 = 0
+    assert q0["u9"] == {"u5^2": 1}
+    assert q1["u9"] == {"u3^4": 1}
+    assert q0["u2 u3"] == {"u3^2": 1}  # Leibniz: u3*u3 + u2*0
 
 
 def test_hk2_q_action_spot_checks_mod_3():
     mod = build_HK2(3, 30)
-    assert mod.q0["y0"] == {"u0": 1}
-    assert mod.q1["y0"] == {"u1": 1}
-    assert mod.q0["u1"] == {"g1": 1}
-    assert mod.q1["u0"] == {"g1": 2}  # the sign that makes Q0Q1 + Q1Q0 = 0
-    assert mod.q1["u2"] == {"g1^3": 1}
+    q0, q1 = label_view(mod, "q0"), label_view(mod, "q1")
+    assert q0["y0"] == {"u0": 1}
+    assert q1["y0"] == {"u1": 1}
+    assert q0["u1"] == {"g1": 1}
+    assert q1["u0"] == {"g1": 2}  # the sign that makes Q0Q1 + Q1Q0 = 0
+    assert q1["u2"] == {"g1^3": 1}
     # Leibniz with the exterior square: Q0(y0 u0) = u0^2 + 0 = 0, no entry.
-    assert "y0 u0" not in mod.q0
+    assert "y0 u0" not in q0
 
 
 # -- the Q-maps as derivations, from a product computed here ----------------
@@ -167,13 +184,13 @@ def test_hk2_q_maps_are_derivations(p, D):
     mod = build_HK2(p, D)
     gens = hk2_generators(p, D)
     assert {name for name, _, _ in gens} == {
-        name for lbl in mod.degree_of for name in parse_label(lbl)
+        name for lbl, _ in basis_degrees(mod) for name in parse_label(lbl)
     }
-    basis = [(lbl, d, parse_label(lbl)) for lbl, d in mod.degree_of.items()]
+    basis = [(lbl, d, parse_label(lbl)) for lbl, d in basis_degrees(mod)]
     singles = [(name, deg, {name: 1}) for name, deg, _ in gens]
     pairs = [pair for x in basis for g in singles for pair in ((x, g), (g, x))]
     checked = 0
-    for qmap, shift in ((mod.q0, 1), (mod.q1, 2 * p - 1)):
+    for qmap, shift in ((label_view(mod, "q0"), 1), (label_view(mod, "q1"), 2 * p - 1)):
         for (la, da, a), (lb, db, b) in pairs:
             ab = times(p, gens, a, b)
             if da + db + shift > D or ab is None:
@@ -223,10 +240,10 @@ def test_piece_N(p):
     n = build_piece(p, "N")
     n.validate()
     if p == 2:
-        assert sorted(n.degree_of.values()) == [5, 7, 8, 9, 10]
+        assert degrees(n) == [5, 7, 8, 9, 10]
         top_q0, top_q1 = 5, 9
     else:
-        assert sorted(n.degree_of.values()) == [7, 11, 12]
+        assert degrees(n) == [7, 11, 12]
         top_q0, top_q1 = 7, 11
     h0 = margolis_homology(n, "Q0", 14)
     h1 = margolis_homology(n, "Q1", 14)
@@ -237,7 +254,7 @@ def test_piece_N(p):
 def test_piece_L3_mod_2():
     l3 = build_piece(2, "L", 3)
     l3.validate()
-    assert sorted(l3.degree_of.values()) == [0, 1, 2, 3, 4, 5, 6, 7]
+    assert degrees(l3) == [0, 1, 2, 3, 4, 5, 6, 7]
     assert margolis_homology(l3, "Q0", 9) == [0] * 10
     h1 = margolis_homology(l3, "Q1", 9)
     assert [d for d, v in enumerate(h1) if v] == [1, 6]
@@ -245,12 +262,12 @@ def test_piece_L3_mod_2():
 
 def test_piece_M_suspensions():
     m4 = build_piece(2, "M", 4)
-    assert sorted(m4.degree_of.values()) == [17, 18]
+    assert degrees(m4) == [17, 18]
     m7 = build_piece(2, "M", 7)
-    assert min(m7.degree_of.values()) == 129
-    assert sorted(m7.degree_of.values()) == [129 + d for d in range(8)]
+    assert min(degrees(m7)) == 129
+    assert degrees(m7) == [129 + d for d in range(8)]
     m2 = build_piece(3, "M", 2)
-    assert sorted(m2.degree_of.values()) == [19, 20]
+    assert degrees(m2) == [19, 20]
     with pytest.raises(ValueError):
         build_piece(2, "M", 3)
     with pytest.raises(ValueError):
@@ -386,15 +403,27 @@ def test_ext_window_margin_is_enforced():
 
 
 def test_validate_rejects_broken_anticommutator():
-    mod = E1Module(3, EXACT)
-    for lbl, d in (("y", 2), ("a", 3), ("b", 7), ("c", 8)):
-        mod.add(lbl, d)
-    mod.q0 = {"y": {"a": 1}, "b": {"c": 1}}
-    mod.q1 = {"y": {"b": 1}, "a": {"c": 1}}  # should be -1
-    with pytest.raises(ValueError):
+    basis = [("y", 2), ("a", 3), ("b", 7), ("c", 8)]
+    q0 = {"y": {"a": 1}, "b": {"c": 1}}
+    mod = E1Module.from_labels(3, EXACT, basis, q0, {"y": {"b": 1}, "a": {"c": 1}})  # should be -1
+    with pytest.raises(ValueError, match="Q0Q1 \\+ Q1Q0 != 0 on y"):
         mod.validate()
-    mod.q1["a"] = {"c": 2}
-    mod.validate()
+    E1Module.from_labels(3, EXACT, basis, q0, {"y": {"b": 1}, "a": {"c": 2}}).validate()
+
+
+def test_from_labels_and_validate_reject_malformed_modules():
+    basis = [("m", 0), ("m0", 1), ("m1", 3), ("m01", 4)]
+    with pytest.raises(ValueError, match="duplicate basis label 'm0'"):
+        E1Module.from_labels(2, EXACT, basis + [("m0", 5)], {}, {})
+    with pytest.raises(ValueError, match="q1\\[m0\\] is not degree \\+3"):
+        E1Module.from_labels(2, EXACT, basis, {"m": {"m0": 1}}, {"m0": {"m1": 1}})
+    with pytest.raises(ValueError, match="q0\\[m1\\] stores a zero coefficient"):
+        E1Module.from_labels(2, EXACT, basis, {"m": {"m0": 1}, "m1": {"m01": 2}}, {}).validate()
+    free = E1Module.from_labels(
+        2, EXACT, basis, {"m": {"m0": 1}, "m1": {"m01": 1}}, {"m": {"m1": 1}, "m0": {"m01": 1}}
+    )
+    free.validate()
+    assert [(d, ts) for d, ts in free.q1.items()] == [(0, [(0, 0, 1)]), (1, [(0, 0, 1)])]
 
 
 # -- monomial bases against the recursions bounded_exponents replaced --------
@@ -403,12 +432,12 @@ def test_validate_rejects_broken_anticommutator():
 def ref_truncated_trivial(p, gens, D, head):
     """Reference: TP_{p-1}[g_head] x TP_p[others] as a Q-trivial module,
     by recursion over the generators."""
-    mod = E1Module(p, D)
+    basis = []
     heights = [(p - 1 if g.name == f"g{head}" else p) - 1 for g in gens]
 
     def rec(i, label_parts, deg):
         if i == len(gens):
-            mod.add(" ".join(label_parts) if label_parts else "1", deg)
+            basis.append((" ".join(label_parts) if label_parts else "1", deg))
             return
         rec(i + 1, label_parts, deg)
         for e in range(1, heights[i] + 1):
@@ -419,7 +448,7 @@ def ref_truncated_trivial(p, gens, D, head):
             rec(i + 1, label_parts + [name], d2)
 
     rec(0, [], 0)
-    return mod
+    return E1Module.from_labels(p, D, basis, {}, {})
 
 
 def ref_R(p, D):
@@ -559,7 +588,6 @@ def ref_derive(m, images, gens, p):
 
 def ref_module_from_monomials(p, gens, D, images0, images1):
     """Reference builder: images as {generator: {monomial: coeff}}."""
-    mod = E1Module(p, D)
     monos = sorted(
         (sum(gens[g].degree * e for g, e in m), m) for m in ref_hk2_monomials(gens, D)
     )
@@ -568,15 +596,15 @@ def ref_module_from_monomials(p, gens, D, images0, images1):
         labels[m] = " ".join(
             gens[g].name if e == 1 else f"{gens[g].name}^{e}" for g, e in m
         ) or "1"
-        mod.add(labels[m], d)
+    qmaps = ({}, {})
     for d, m in monos:
-        for images, attr, shift in ((images0, "q0", 1), (images1, "q1", 2 * p - 1)):
+        for images, qmap, shift in ((images0, qmaps[0], 1), (images1, qmaps[1], 2 * p - 1)):
             if d + shift > D:
                 continue
             img = ref_derive(m, images, gens, p)
             if img:
-                getattr(mod, attr)[labels[m]] = {labels[t]: c for t, c in img.items()}
-    return mod
+                qmap[labels[m]] = {labels[t]: c for t, c in img.items()}
+    return E1Module.from_labels(p, D, [(labels[m], d) for d, m in monos], *qmaps)
 
 
 def ref_ext_bruteforce(M, n_range, s_max):
@@ -590,8 +618,10 @@ def ref_ext_bruteforce(M, n_range, s_max):
             f"window needs module degrees through {need}, cutoff is {M.cutoff}"
         )
 
+    views = {"q0": label_view(M, "q0"), "q1": label_view(M, "q1")}
+
     def components(tp, sigma):
-        return [(sigma - b, b, M.basis_at(tp + sigma - b + w * b)) for b in range(sigma + 1)]
+        return [(sigma - b, b, M.by_degree.get(tp + sigma - b + w * b, [])) for b in range(sigma + 1)]
 
     @functools.lru_cache(maxsize=None)
     def rank_delta(tp, sigma):
@@ -609,7 +639,7 @@ def ref_ext_bruteforce(M, n_range, s_max):
             n_rows += len(basis)
         entries = []
         for a, b, basis in src:
-            for qmap, key in ((M.q0, (a + 1, b)), (M.q1, (a, b + 1))):
+            for qmap, key in ((views["q0"], (a + 1, b)), (views["q1"], (a, b + 1))):
                 for j, lbl in enumerate(basis):
                     for t, c in qmap.get(lbl, {}).items():
                         entries.append((row_off[key] + row_pos[key][t], col_off[(a, b)] + j, c))
@@ -650,10 +680,9 @@ def module_layout(mod):
     return (
         mod.p,
         mod.cutoff,
-        list(mod.degree_of.items()),
         [(d, list(lbls)) for d, lbls in mod.by_degree.items()],
-        [(lbl, list(img.items())) for lbl, img in mod.q0.items()],
-        [(lbl, list(img.items())) for lbl, img in mod.q1.items()],
+        [(lbl, list(img.items())) for lbl, img in label_view(mod, "q0").items()],
+        [(lbl, list(img.items())) for lbl, img in label_view(mod, "q1").items()],
     )
 
 
@@ -662,7 +691,7 @@ def test_hk2_leibniz_matches_the_derive_reference(p, D, monkeypatch):
     gens, (images0, images1), mod = hk2_inputs(p, D, monkeypatch)
     want = ref_module_from_monomials(p, gens, D, images0, images1)
     assert module_layout(mod) == module_layout(want)
-    assert len(mod.q0) > 100 and len(mod.q1) > 50
+    assert len(label_view(mod, "q0")) > 100 and len(label_view(mod, "q1")) > 50
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -678,6 +707,94 @@ def test_R_q_maps_match_the_derive_reference(p, monkeypatch):
     want = build_piece(p, "R", D=D)
     assert module_layout(got) == module_layout(want)
     assert got.q0 or got.q1
+
+
+# -- the positional constructions against label-keyed references -----------
+
+
+def spelled(mod):
+    """mod with every basis element and Q-image spelled by label."""
+    by_degree = {d: list(lbls) for d, lbls in mod.by_degree.items()}
+    return mod.p, mod.cutoff, by_degree, label_view(mod, "q0"), label_view(mod, "q1")
+
+
+def ref_direct_sum(mods):
+    """Reference: the label-keyed direct sum, summand i's labels prefixed
+    with "i:" and listed after summands 0..i-1 in each degree."""
+    by_degree, q0, q1 = {}, {}, {}
+    for i, mod in enumerate(mods):
+        _, _, basis, m0, m1 = spelled(mod)
+        for d in sorted(basis):
+            by_degree.setdefault(d, []).extend(f"{i}:{lbl}" for lbl in basis[d])
+        for qmap, out in ((m0, q0), (m1, q1)):
+            for lbl, img in qmap.items():
+                out[f"{i}:{lbl}"] = {f"{i}:{t}": c for t, c in img.items()}
+    return mods[0].p, min(mod.cutoff for mod in mods), by_degree, q0, q1
+
+
+def ref_tensor(a, b):
+    """Reference: the label-keyed tensor product, Q(x*y) = Qx*y +
+    (-1)^|x| x*Qy, products listed by total degree, then |x|, x, y."""
+    p, cut_a, basis_a, a0, a1 = spelled(a)
+    _, cut_b, basis_b, b0, b1 = spelled(b)
+    cutoff = min(cut_a, cut_b)
+    pairs = sorted(
+        (
+            (x, y, dx, dy)
+            for dx in sorted(basis_a)
+            for x in basis_a[dx]
+            for dy in sorted(basis_b)
+            if dx + dy <= cutoff
+            for y in basis_b[dy]
+        ),
+        key=lambda pair: pair[2] + pair[3],
+    )
+    by_degree = {}
+    for x, y, dx, dy in pairs:
+        by_degree.setdefault(dx + dy, []).append(f"{x}*{y}")
+    qmaps = []
+    for qa, qb, shift in ((a0, b0, 1), (a1, b1, 2 * p - 1)):
+        out = {}
+        for x, y, dx, dy in pairs:
+            if dx + dy + shift > cutoff:
+                continue
+            img = {f"{t}*{y}": c % p for t, c in qa.get(x, {}).items()}
+            sign = -1 if p != 2 and dx & 1 else 1
+            for t, c in qb.get(y, {}).items():
+                img[f"{x}*{t}"] = (img.get(f"{x}*{t}", 0) + sign * c) % p
+            img = {t: c for t, c in img.items() if c}
+            if img:
+                out[f"{x}*{y}"] = img
+        qmaps.append(out)
+    return (p, cutoff, by_degree, *qmaps)
+
+
+def ref_suspend(mod, shift):
+    p, cutoff, basis, q0, q1 = spelled(mod)
+    return p, min(cutoff + shift, EXACT), {d + shift: lbls for d, lbls in basis.items()}, q0, q1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_constructions_match_the_label_references(p):
+    # the summands share degrees, so each one's targets start at their own
+    # offset; the tensor factors have odd-degree elements under a nonzero Q
+    piece_n, free = build_piece(p, "N"), free_on_one_generator(p, 4)
+    l2, l1_up = build_piece(p, "L", 2), build_piece(p, "L", 1).suspend(1)
+    summands = [l2, piece_n, l1_up, free]
+    q = q_degree(p)
+    cases = [
+        (E1Module.direct_sum(summands), ref_direct_sum(summands)),
+        (free.tensor(piece_n), ref_tensor(free, piece_n)),
+        (piece_n.tensor(l2), ref_tensor(piece_n, l2)),
+        (l1_up.tensor(free), ref_tensor(l1_up, free)),
+        (piece_n.suspend(7), ref_suspend(piece_n, 7)),
+        (build_piece(p, "S", D=80), ref_suspend(build_piece(p, "R", D=80 - q), q)),
+    ]
+    for got, want in cases:
+        got.validate()
+        assert spelled(got) == want
+    summed = cases[0][0].by_degree.values()
+    assert any(len({lbl.split(":")[0] for lbl in lbls}) > 1 for lbls in summed)
 
 
 @pytest.mark.parametrize(

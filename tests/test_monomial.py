@@ -67,7 +67,7 @@ def test_render():
     assert m.render() == "y3 z3 z4"
     m2 = Monomial.gen(2, "q") * Monomial.gen(2, "y", 1, 3) * z_comp(2, 2, 5)
     assert m2.render() == "q y1^3 z[2,5]"
-    assert Monomial.one(3).render() == "1"
+    assert Monomial(3).render() == "1"
 
 
 def test_composite_detection():
@@ -196,7 +196,7 @@ def ref_bounded_products(p, gens, cap):
                     return
             yield from rec(idx + 1, cur)
 
-    yield from rec(0, Monomial.one(p))
+    yield from rec(0, Monomial(p))
 
 
 def ref_lambda_exponents(p, j, cutoff):

@@ -562,7 +562,7 @@ def einfty_audit(p: int, n_hi: int, s_max: int | None = None) -> dict:
     """
     ch = full_chart(p, n_hi)
     chart_counts = Counter(
-        (n, ch.dot_filtration(d)) for n in range(n_hi + 1) for d in ch.dots_at(n)
+        (n, a) for n in range(n_hi + 1) for _, a in ch.dots_at(n)
     )
     top = max((s for _, s in chart_counts), default=0)
     if s_max is None:

@@ -3,9 +3,11 @@ edges, plus the machinery that turns a degree slice of a chart into an
 explicit finite abelian p-group with v-action.
 
 Conventions (cohomological):
-  * a tower with generator monomial g, base filtration s0 and height h has
-    dots (tower, a) for 0 <= a < h; dot degree = |g| - 2(p-1)a, dot
-    filtration = s0 + a; v sends (tower, a) to (tower, a+1) (0 at the top);
+  * a tower is a generator monomial g and a finite height h; its id is its
+    position in Chart.towers;
+  * tower t has dots (t, a) for 0 <= a < h; dot degree = |g| - 2(p-1)a, dot
+    filtration = a (every tower is based at filtration 0); v sends (t, a) to
+    (t, a+1) (0 at the top);
   * a p-edge says p.(source dot) = sum of its target dots (all unit
     coefficients; targets share the source's degree and sit in strictly
     higher filtration);
@@ -15,10 +17,10 @@ group_at never reads filtrations: they are chart metadata for rendering and
 for E-infinity comparison.
 
 Sums of monomial multiples m . C of charts are assembled in one pass:
-append_shifted copies the towers (generators multiplied by m, ids
-renumbered) and edges of one (C, m) part onto lists under construction, and
-direct_sum builds a single Chart from all parts, so the id, edge-source and
-validate checks run once, over the finished chart.
+append_shifted copies the towers (generators multiplied by m) and edges
+(tower positions shifted by the list's length) of one (C, m) part onto lists
+under construction, and direct_sum builds a single Chart from all parts, so
+the edge-source and validate checks run once, over the finished chart.
 """
 
 from __future__ import annotations
@@ -68,10 +70,8 @@ def v_label(gen: str, a: int) -> str:
 
 @dataclass(frozen=True, slots=True)
 class Tower:
-    id: int
     gen: Monomial
-    base_s: int = 0
-    height: int | None = 1  # None = unbounded
+    height: int
 
     @property
     def gen_degree(self) -> int:
@@ -80,7 +80,7 @@ class Tower:
 
 @dataclass(frozen=True, slots=True)
 class PEdge:
-    src: tuple[int, int]  # (tower id, a)
+    src: tuple[int, int]  # (tower position, a)
     dst: tuple[tuple[int, int], ...]  # 1 or 2 targets
     kind: str = "h0"  # {"h0", "exotic"}: rendering annotation only
 
@@ -92,9 +92,6 @@ class Chart:
     edges: list[PEdge] = field(default_factory=list)
 
     def __post_init__(self):
-        self._by_id = {t.id: t for t in self.towers}
-        if len(self._by_id) != len(self.towers):
-            raise ValueError("duplicate tower ids")
         self._edge_by_src = {}
         for e in self.edges:
             if e.src in self._edge_by_src:
@@ -104,35 +101,30 @@ class Chart:
         self.validate()
 
     # -- basic access --------------------------------------------------------
-    def tower(self, tid: int) -> Tower:
-        return self._by_id[tid]
-
     def edge_at(self, dot: tuple[int, int]) -> PEdge | None:
         return self._edge_by_src.get(dot)
 
-    def dot_filtration(self, dot: tuple[int, int]) -> int:
-        t = self.tower(dot[0])
-        return t.base_s + dot[1]
-
     def validate(self) -> None:
         step = 2 * (self.p - 1)
-        shape = {t.id: (t.gen.degree, t.base_s, t.height) for t in self.towers}
+        towers = self.towers
+
+        def dot_degree(dot: tuple[int, int], role: str, e: PEdge) -> int:
+            tid, a = dot
+            if not 0 <= tid < len(towers):
+                raise ValueError(f"edge {role} names no tower: {e}")
+            t = towers[tid]
+            if not 0 <= a < t.height:
+                raise ValueError(f"edge {role} dot missing: {e}")
+            return t.gen.degree - step * a
+
         for e in self.edges:
             if not (1 <= len(e.dst) <= 2):
                 raise ValueError("edges carry 1 or 2 targets")
-            deg, s0, height = shape[e.src[0]]
-            a = e.src[1]
-            if a < 0 or (height is not None and a >= height):
-                raise ValueError(f"edge source dot missing: {e}")
-            sdeg = deg - step * a
-            sfil = s0 + a
-            for tid, b in e.dst:
-                deg, s0, height = shape[tid]
-                if b < 0 or (height is not None and b >= height):
-                    raise ValueError(f"edge target dot missing: {e}")
-                if deg - step * b != sdeg:
+            sdeg = dot_degree(e.src, "source", e)
+            for dst in e.dst:
+                if dot_degree(dst, "target", e) != sdeg:
                     raise ValueError(f"edge changes degree: {e}")
-                if s0 + b <= sfil:
+                if dst[1] <= e.src[1]:
                     raise ValueError(f"edge target must raise filtration: {e}")
 
     # -- dots and groups ------------------------------------------------------
@@ -141,12 +133,10 @@ class Chart:
         if self._by_degree is None:
             step = 2 * (self.p - 1)
             index: dict[int, list[tuple[int, int]]] = {}
-            for t in self.towers:
-                if t.height is None:
-                    raise ValueError(f"tower {t.gen.render()} is unbounded")
+            for tid, t in enumerate(self.towers):
                 top = t.gen_degree
                 for a in range(t.height):
-                    index.setdefault(top - step * a, []).append((t.id, a))
+                    index.setdefault(top - step * a, []).append((tid, a))
             self._by_degree = index
         return self._by_degree
 
@@ -158,8 +148,6 @@ class Chart:
         best = None
         step = 2 * (self.p - 1)
         for t in self.towers:
-            if t.height is None:
-                raise ValueError("unbounded tower has no minimal dot degree")
             d = t.gen_degree - step * (t.height - 1)
             best = d if best is None else min(best, d)
         return best
@@ -200,20 +188,17 @@ def append_shifted(
     towers: list[Tower], edges: list[PEdge], chart: Chart, m: Monomial
 ) -> None:
     """Append m . chart to a tower and edge list under construction: every
-    generator multiplied by m, tower ids renumbered from len(towers) in
-    tower order, and the edges carried along."""
+    generator multiplied by m, and the edges carried along with their tower
+    positions shifted by len(towers)."""
     if chart.p != m.p:
         raise ValueError("mixed primes")
     offset = len(towers)
-    pos = {}
-    for t in chart.towers:
-        pos[t.id] = tid = offset + len(pos)
-        towers.append(Tower(tid, t.gen * m, t.base_s, t.height))
+    towers += [Tower(t.gen * m, t.height) for t in chart.towers]
     for e in chart.edges:
         edges.append(
             PEdge(
-                (pos[e.src[0]], e.src[1]),
-                tuple((pos[tid], b) for tid, b in e.dst),
+                (offset + e.src[0], e.src[1]),
+                tuple((offset + tid, b) for tid, b in e.dst),
                 e.kind,
             )
         )
@@ -235,10 +220,6 @@ def direct_sum(parts: Iterable[tuple[Chart, Monomial]]) -> Chart:
     return Chart(p, towers, edges)
 
 
-def empty_chart(p: int) -> Chart:
-    return Chart(p, [], [])
-
-
 # -- realized windows ---------------------------------------------------------
 
 
@@ -258,10 +239,6 @@ class RealizedWindow:
     def _check(self, n: int) -> None:
         if not (self.lo <= n <= self.hi):
             raise ValueError(f"degree {n} outside window [{self.lo}, {self.hi}]")
-
-    def group_at(self, n: int) -> list[int]:
-        self._check(n)
-        return self.chart.group_at(n)
 
     # -- rank invariant -------------------------------------------------------
     def rank_invariant(self, n: int, a: int, b: int) -> int:

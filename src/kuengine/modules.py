@@ -36,7 +36,6 @@ from .chart import (
     append_shifted,
     count_family_dots,
     direct_sum,
-    empty_chart,
 )
 from .monomial import (
     Monomial,
@@ -75,7 +74,7 @@ def _glue(
     if zsub is not None:
         append_shifted(towers, edges, zsub.chart, Monomial.gen(p, "z", k - 1, p - 1))
     new_id = len(towers)
-    towers.append(Tower(new_id, Monomial.gen(p, "z", k), 0, new_height))
+    towers.append(Tower(Monomial.gen(p, "z", k), new_height))
     yoffset = len(towers)
     if ysub is not None:
         append_shifted(towers, edges, ysub.chart, Monomial.gen(p, "y", k - 1, p - 1))
@@ -86,7 +85,7 @@ def _glue(
         handle_id = zsub.handle
         handle_h = towers[handle_id].height
         for a in range(new_height):
-            if handle_h is not None and a + 1 >= handle_h:
+            if a + 1 >= handle_h:
                 break
             edge_by_src[(new_id, a)] = PEdge((new_id, a), ((handle_id, a + 1),), "h0")
 
@@ -115,7 +114,7 @@ def _glue(
 @lru_cache(maxsize=None)
 def _build_B(p: int, k: int) -> CoreChart:
     if k < k0(p):
-        return CoreChart(empty_chart(p), None)
+        return CoreChart(Chart(p), None)
     sub = _build_B(p, k - 1)
     sub = sub if sub.handle is not None else None
     return _glue(p, k, sub, p**k - k, sub)
@@ -126,7 +125,7 @@ def _build_A(p: int, k: int) -> CoreChart:
     if k < 0:
         raise ValueError("A_k needs k >= 0")
     if k == 0:
-        c = Chart(p, [Tower(0, Monomial.gen(p, "z", 0), 0, 1)])
+        c = Chart(p, [Tower(Monomial.gen(p, "z", 0), 1)])
         return CoreChart(c, 0)
     subB = _build_B(p, k - 1)
     zsub = subB if subB.handle is not None else None
@@ -153,10 +152,8 @@ def build_S(p: int, k: int, ell: int) -> Chart:
         raise ValueError("build_S needs 1 <= k < ell")
     lo = k0(p)
     hi = ell - k - 1 + lo
-    towers = []
+    towers = [Tower(z_comp(p, i, ell), k + 1) for i in range(lo, hi + 1)]
     edges = []
-    for t, i in enumerate(range(lo, hi + 1)):
-        towers.append(Tower(t, z_comp(p, i, ell), 0, k + 1))
     for t, i in enumerate(range(lo, hi + 1)):
         if i == lo:
             continue
@@ -220,7 +217,7 @@ def _odd_parts(p: int, cutoff: int) -> list[tuple[Chart, Monomial]]:
 
 
 def _assemble(p: int, parts: list[tuple[Chart, Monomial]]) -> Chart:
-    return direct_sum(parts) if parts else empty_chart(p)
+    return direct_sum(parts) if parts else Chart(p)
 
 
 def even_part(p: int, cutoff: int) -> Chart:

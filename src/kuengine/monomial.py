@@ -236,17 +236,18 @@ def lambda_factors(p: int, j: int, cap: int) -> list[tuple[int, int]]:
     return out
 
 
-def script_m_family(p: int, k: int, cutoff: int, part: str) -> list[Monomial]:
+@lru_cache(maxsize=None)
+def _cached_family(p: int, tag: str, k: int, cutoff: int) -> tuple[Monomial, ...]:
     """The level-k multiplier family: monomials in {z_i, y_i : i >= k} with
     all exponents <= p-1, excluding those whose (z_k, y_k)-exponent pair is
-    exactly (p-1, 0) or (0, p-1).  part selects "A" (no z-factors) or "B"
+    exactly (p-1, 0) or (0, p-1).  tag selects "MkA" (no z-factors) or "MkB"
     (at least one z-factor)."""
-    if part not in ("A", "B"):
-        raise ValueError("part must be 'A' or 'B'")
+    if tag not in ("MkA", "MkB"):
+        raise ValueError(f"unknown family tag {tag!r}")
     ys = []
     while y_degree(p, k + len(ys)) <= cutoff:
         ys.append((y_degree(p, k + len(ys)), p - 1))
-    zs = lambda_factors(p, k, cutoff) if part == "B" else []
+    zs = lambda_factors(p, k, cutoff) if tag == "MkB" else []
     out = []
     n_y = len(ys)
     for pairs, _ in bounded_exponents(ys + zs, cutoff):
@@ -259,20 +260,11 @@ def script_m_family(p: int, k: int, cutoff: int, part: str) -> list[Monomial]:
         ey = dict(m.ys).get(k, 0)
         if (ez, ey) in ((p - 1, 0), (0, p - 1)):
             continue
-        if part == "B" and not m.zs:
+        if tag == "MkB" and not m.zs:
             continue
         out.append(m)
     out.sort(key=Monomial.sort_key)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _cached_family(p: int, tag: str, param: int, cutoff: int) -> tuple[Monomial, ...]:
-    if tag == "MkA":
-        return tuple(script_m_family(p, param, cutoff, "A"))
-    if tag == "MkB":
-        return tuple(script_m_family(p, param, cutoff, "B"))
-    raise ValueError(f"unknown family tag {tag!r}")
+    return tuple(out)
 
 
 def enumerate_family(p: int, tag: str, param: int, cutoff: int) -> list[Monomial]:

@@ -175,13 +175,11 @@ def _chart_dots_and_lines(chart: Chart, lo: int, hi: int):
     step = 2 * (chart.p - 1)
     index: dict[tuple[int, int], int] = {}
     dots: list[DocDot] = []
-    for t in chart.towers:
-        if t.height is None:
-            raise ValueError(f"tower {t.gen.render()} is unbounded; cut it first")
+    for tid, t in enumerate(chart.towers):
         gen, top = t.gen.render(), t.gen_degree
         for a in tower_dots(top, t.height, step, lo, hi):
-            index[(t.id, a)] = len(dots)
-            dots.append(DocDot(top - step * a, t.base_s + a, v_label(gen, a)))
+            index[(tid, a)] = len(dots)
+            dots.append(DocDot(top - step * a, a, v_label(gen, a)))
     lines = [
         ("v", i, index[(tid, a + 1)])
         for (tid, a), i in index.items()

@@ -46,15 +46,15 @@ def test_03_extension_golden_value():
     ok = True
     detail = []
     for chart in (modules.build_A(2, 5), modules.build_B(2, 5)):
-        towers = {t.id: t for t in chart.towers}
-        src = [t for t in chart.towers if str(t.gen).strip("<>") == "y3 z3 z4"]
-        if len(src) != 1 or src[0].base_s != 0:
+        towers = chart.towers
+        src = [t for t, tw in enumerate(towers) if str(tw.gen).strip("<>") == "y3 z3 z4"]
+        # the source dot is (t, 0): the tower's top, in filtration 0
+        edge = chart.edge_at((src[0], 0)) if len(src) == 1 else None
+        if edge is None:
             ok = False
             continue
-        tid = src[0].id
-        edge = chart.edge_at((tid, 0))
         got = {(str(towers[i].gen).strip("<>"), a) for i, a in edge.dst}
-        ok = ok and towers[tid].gen_degree == 116 and got == want
+        ok = ok and towers[src[0]].gen_degree == 116 and got == want
         detail.append(sorted(got))
     _verdict(3, "two-target extension on y3 z3 z4", ok, f"targets {detail}")
 

@@ -16,26 +16,29 @@ from kuengine.monomial import Monomial, z_comp
 
 
 def chain_chart(p, length):
-    """length towers of height 1 at the same degree joined in a p-chain,
-    filtrations 0,1,2,..."""
+    """A Z/p^length chain: towers of heights 1..length whose top dots share
+    one degree, so the chain's dots (i, i) sit in filtrations 0, 1, 2, ..."""
     g = Monomial.gen(p, "z", 2)  # any generator; degree only matters
-    towers = [Tower(i, g, base_s=i, height=1) for i in range(length)]
-    edges = [PEdge((i, 0), ((i + 1, 0),)) for i in range(length - 1)]
+    # |y0| = 2, so tower i's generator sits 2(p-1)i above |g|, and its dot
+    # a = i back in degree |g|
+    towers = [Tower(g * Monomial.gen(p, "y", 0, (p - 1) * i), i + 1) for i in range(length)]
+    edges = [PEdge((i, i), ((i + 1, i + 1),)) for i in range(length - 1)]
     return Chart(p, towers, edges)
 
 
 def test_group_chain():
     c = chain_chart(2, 3)
     n = c.towers[0].gen_degree
+    assert c.dots_at(n) == [(0, 0), (1, 1), (2, 2)]
     assert c.group_at(n) == [3]  # Z/p^3
     assert c.dims_at(n) == 3
-    c2 = Chart(2, [Tower(0, Monomial.gen(2, "z", 2)), Tower(1, Monomial.gen(2, "z", 2), 1)])
+    c2 = Chart(2, [Tower(Monomial.gen(2, "z", 2), 1), Tower(Monomial.gen(2, "z", 2), 1)])
     assert c2.group_at(c2.towers[0].gen_degree) == [1, 1]
 
 
 def test_tower_dots_and_length():
     p = 3
-    t = Tower(0, Monomial.gen(p, "z", 1), 0, 3)  # degree 20, height 3
+    t = Tower(Monomial.gen(p, "z", 1), 3)  # degree 20, height 3
     c = Chart(p, [t])
     assert c.dots_at(20) == [(0, 0)]
     assert c.dots_at(16) == [(0, 1)]
@@ -50,25 +53,31 @@ def test_edge_validation():
     p = 2
     g = Monomial.gen(p, "z", 2)
     g2 = Monomial.gen(p, "z", 3)
-    pair = [Tower(0, g), Tower(1, g, 1)]  # same degree, filtrations 0 and 1
-    # dots (0, 0) at (|g|, 0), (0, 1) at (|g| - 2, 1); (1, 0) at (|g|, 1)
-    tall = [Tower(0, g, 0, 2), Tower(1, g, 1, 1)]
+    gy = g * Monomial.gen(p, "y", 0)  # |g| + 2: its v-dot sits at (|g|, 1)
+    # dots (0, 0) at (|g|, 0); (1, 0) at (|g| + 2, 0), (1, 1) at (|g|, 1)
+    tall = [Tower(g, 1), Tower(gy, 2)]
     cases = [
-        ("1 or 2 targets", pair, [PEdge((0, 0), ())]),
-        ("1 or 2 targets", pair, [PEdge((0, 0), ((1, 0),) * 3)]),
-        ("source dot missing", tall, [PEdge((0, 2), ((1, 0),))]),
-        ("source dot missing", tall, [PEdge((0, -1), ((1, 0),))]),
-        ("target dot missing", tall, [PEdge((0, 0), ((1, 1),))]),
-        ("target dot missing", tall, [PEdge((0, 0), ((1, 0), (0, -1)))]),
-        ("changes degree", [Tower(0, g), Tower(1, g2, 1)], [PEdge((0, 0), ((1, 0),))]),
-        ("must raise filtration", [Tower(0, g), Tower(1, g)], [PEdge((0, 0), ((1, 0),))]),
-        ("must raise filtration", [Tower(0, g, 2), Tower(1, g, 1)], [PEdge((0, 0), ((1, 0),))]),
+        ("1 or 2 targets", tall, [PEdge((0, 0), ())]),
+        ("1 or 2 targets", tall, [PEdge((0, 0), ((1, 1),) * 3)]),
+        ("source dot missing", tall, [PEdge((0, 1), ((1, 1),))]),
+        ("source dot missing", tall, [PEdge((0, -1), ((1, 1),))]),
+        ("target dot missing", tall, [PEdge((0, 0), ((1, 2),))]),
+        ("target dot missing", tall, [PEdge((0, 0), ((1, 1), (0, -1)))]),
+        ("source names no tower", [Tower(g, 1)], [PEdge((5, 0), ((0, 0),))]),
+        ("source names no tower", tall, [PEdge((-1, 1), ((1, 1),))]),
+        ("target names no tower", tall, [PEdge((0, 0), ((2, 1),))]),
+        ("target names no tower", tall, [PEdge((0, 0), ((-1, 1),))]),
+        ("changes degree", [Tower(g, 1), Tower(g2, 2)], [PEdge((0, 0), ((1, 1),))]),
+        ("must raise filtration", [Tower(g, 1), Tower(g, 1)], [PEdge((0, 0), ((1, 0),))]),
+        ("must raise filtration", [Tower(gy, 3), Tower(g, 2)], [PEdge((0, 2), ((1, 1),))]),
     ]
     for message, towers, edges in cases:
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=message) as err:
             Chart(p, towers, edges)
+        if "names no tower" in message:
+            assert str(edges[0]) in str(err.value)
     # the legal edge they all perturb
-    assert Chart(p, tall, [PEdge((0, 0), ((1, 0),))]).group_at(g.degree) == [2]
+    assert Chart(p, tall, [PEdge((0, 0), ((1, 1),))]).group_at(g.degree) == [2]
 
 
 def test_tensor_and_sum():
@@ -105,10 +114,10 @@ def test_render_grammar():
 def test_rank_invariant():
     p = 2
     # single tower of height 3: groups Z/2 at deg, deg-2, deg-4
-    t = Tower(0, Monomial.gen(p, "z", 2, 2), 0, 3)  # degree 36
+    t = Tower(Monomial.gen(p, "z", 2, 2), 3)  # degree 36
     c = Chart(p, [t])
     w = RealizedWindow(c, 28, 40)
-    assert w.group_at(36) == [1]
+    assert c.group_at(36) == [1]
     assert w.rank_invariant(36, 0, 0) == 1
     assert w.rank_invariant(36, 1, 0) == 0  # p kills Z/p
     assert w.rank_invariant(36, 0, 1) == 1  # v: dot -> dot is onto Z/p
@@ -161,7 +170,7 @@ def test_dual_window_bounds():
     c = chain_chart(p, 2)
     w = RealizedWindow(c, 0, 10)
     with pytest.raises(ValueError):
-        w.group_at(50)
+        w.rank_invariant(50, 0, 0)
 
 
 # -- the tower walker and the degree index --------------------------------------
@@ -202,13 +211,13 @@ def scanned_dots_at(chart, n):
     """The per-degree scan the degree index replaced."""
     out = []
     step = 2 * (chart.p - 1)
-    for t in chart.towers:
+    for tid, t in enumerate(chart.towers):
         diff = t.gen_degree - n
         if diff < 0 or diff % step:
             continue
         a = diff // step
-        if t.height is None or a < t.height:
-            out.append((t.id, a))
+        if a < t.height:
+            out.append((tid, a))
     return out
 
 
@@ -231,10 +240,3 @@ def test_dots_at_hands_out_copies():
     c.dots_at(n).clear()
     assert len(c.dots_at(n)) == 3
 
-
-def test_unbounded_tower_refuses_the_degree_index():
-    p = 2
-    g = Monomial.gen(p, "y", 1, 3) * Monomial.gen(p, "q")
-    c = Chart(p, [Tower(0, g, 0, None)])  # construction stays lazy
-    with pytest.raises(ValueError, match="unbounded"):
-        c.dots_at(g.degree)

@@ -45,6 +45,12 @@ def towers_by_gen(chart):
     return {t.gen.render(): t for t in chart.towers}
 
 
+def position_of(chart, gen):
+    """The position (tower id) of the one tower on the named generator."""
+    (tid,) = [i for i, t in enumerate(chart.towers) if t.gen.render() == gen]
+    return tid
+
+
 # -- B_k ------------------------------------------------------------------
 
 
@@ -92,12 +98,11 @@ def test_B3_p2_structure_and_groups():
 def test_two_target_edge_in_B5_and_A5():
     # the dot y3 z3 z4 at degree 116 supports p . x = v y3 z2^2 z4 + v^8 z4^2
     for chart in (build_B(2, 5), build_A(2, 5)):
-        gens = towers_by_gen(chart)
-        src = gens["y3 z3 z4"]
-        assert src.gen_degree == 116
-        e = chart.edge_at((src.id, 0))
+        src = position_of(chart, "y3 z3 z4")
+        assert chart.towers[src].gen_degree == 116
+        e = chart.edge_at((src, 0))
         assert e is not None and e.kind == "exotic"
-        tgt = {(chart.tower(tid).gen.render(), a) for tid, a in e.dst}
+        tgt = {(chart.towers[tid].gen.render(), a) for tid, a in e.dst}
         assert tgt == {("y3 z2^2 z4", 1), ("z[4,5]", 8)}
 
 
@@ -108,8 +113,8 @@ def test_A1_p2():
     a1 = build_A(2, 1)
     dots = set()
     for n in range(0, 20):
-        for tid, a in a1.dots_at(n):
-            dots.add((n, a1.dot_filtration((tid, a))))
+        for _, a in a1.dots_at(n):
+            dots.add((n, a))
     assert dots == {(8, 0), (10, 0), (8, 1)}
     assert len(a1.edges) == 1
     assert a1.group_at(8) == [2]
@@ -121,9 +126,9 @@ def test_A1_p3_exotic_jump():
     gens = towers_by_gen(a1)
     assert gens["z1"].height == 3
     assert gens["y0^2 z0"].gen_degree == 12
-    e = a1.edge_at((gens["y0^2 z0"].id, 0))
+    e = a1.edge_at((position_of(a1, "y0^2 z0"), 0))
     assert e is not None
-    assert {(a1.tower(t).gen.render(), a) for t, a in e.dst} == {("z1", 2)}
+    assert {(a1.towers[t].gen.render(), a) for t, a in e.dst} == {("z1", 2)}
     assert a1.group_at(12) == [2]  # Z/9
 
 
@@ -184,7 +189,7 @@ def test_even_part_small_window_p2():
     by_deg = {}
     for n in range(0, 19, 2):
         for tid, a in ch.dots_at(n):
-            by_deg.setdefault(n, []).append((ch.tower(tid).gen.render(), a))
+            by_deg.setdefault(n, []).append((ch.towers[tid].gen.render(), a))
     assert ("y0 z0", 0) in by_deg[8]
     assert ("z1", 0) in by_deg[10]
     assert ("y0 y1 z0", 0) in by_deg[12]
@@ -253,7 +258,7 @@ def ref_assoc_graded_chart(p, cutoff):
 
     def add(gen, height):
         if gen.degree - 2 * (p - 1) * (height - 1) <= cutoff:
-            towers.append(Tower(len(towers), gen, 0, height))
+            towers.append(Tower(gen, height))
 
     step = 2 * (p - 1)
     b = 0
@@ -386,7 +391,8 @@ def ref_tensor_monomial(chart, m):
 
 
 def ref_direct_sum(charts):
-    """Reference: the sum of whole charts, tower ids renumbered in order."""
+    """Reference: the sum of whole charts, tower positions renumbered in
+    order."""
     charts = list(charts)
     p = charts[0].p
     towers, edges = [], []
@@ -395,9 +401,9 @@ def ref_direct_sum(charts):
         if c.p != p:
             raise ValueError("mixed primes")
         remap = {}
-        for t in c.towers:
-            remap[t.id] = offset
-            towers.append(replace(t, id=offset))
+        for i, t in enumerate(c.towers):
+            remap[i] = offset
+            towers.append(t)
             offset += 1
         for e in c.edges:
             edges.append(
@@ -414,7 +420,7 @@ def ref_glue(p, k, zcopy, new_height, ycopy):
     """Reference core step on whole charts: (chart, handle) copies already
     multiplied, summed around the new z_k tower, then glued."""
     parts = [] if zcopy is None else [zcopy[0]]
-    parts.append(Chart(p, [Tower(0, Monomial.gen(p, "z", k), 0, new_height)]))
+    parts.append(Chart(p, [Tower(Monomial.gen(p, "z", k), new_height)]))
     if ycopy is not None:
         parts.append(ycopy[0])
     summed = ref_direct_sum(parts)
@@ -425,15 +431,15 @@ def ref_glue(p, k, zcopy, new_height, ycopy):
     edge_by_src = {e.src: e for e in summed.edges}
     if zcopy is not None and zcopy[1] is not None and k >= 2:
         handle_id = offsets[0] + zcopy[1]
-        handle_h = summed.tower(handle_id).height
+        handle_h = summed.towers[handle_id].height
         for a in range(new_height):
-            if handle_h is not None and a + 1 >= handle_h:
+            if a + 1 >= handle_h:
                 break
             edge_by_src[(new_id, a)] = PEdge((new_id, a), ((handle_id, a + 1),), "h0")
     if ycopy is not None and ycopy[1] is not None:
         yh_id = offsets[-1] + ycopy[1]
         shift = p ** (k - 1) * (p - 1)
-        for a in range(summed.tower(yh_id).height):
+        for a in range(summed.towers[yh_id].height):
             if shift + a >= new_height:
                 continue
             old = edge_by_src.get((yh_id, a))
@@ -458,7 +464,7 @@ def ref_B(p, k):
 @lru_cache(maxsize=None)
 def ref_A(p, k):
     if k == 0:
-        return Chart(p, [Tower(0, Monomial.gen(p, "z", 0), 0, 1)]), 0
+        return Chart(p, [Tower(Monomial.gen(p, "z", 0), 1)]), 0
     subB, hb = ref_B(p, k - 1)
     zc = None
     if hb is not None:
@@ -471,7 +477,7 @@ def ref_A(p, k):
 def shape(chart):
     return (
         chart.p,
-        [(t.id, t.gen, t.gen_degree, t.base_s, t.height) for t in chart.towers],
+        [(i, t.gen, t.gen_degree, t.height) for i, t in enumerate(chart.towers)],
         [(e.src, e.dst, e.kind) for e in chart.edges],
     )
 

@@ -609,13 +609,18 @@ def ext_audit(p: int, n_max: int, s_max: int) -> dict:
     model, so it sees two layers the reduced page omits: the unit, whose
     Ext is P[h0, v] and meets the window in one class at (0, s) for every s,
     and the free-summand socles, one filtration-0 class at n = d + 2p per
-    free generator in degree d.  Equality with those two corrections, dot
-    for dot, is the check.
+    free generator in degree d.  The oracle counts its own free generators:
+    it splits them off the model (margolis.strip_free), ranks only the
+    rest, and adds one class per generator at (d + 2p, 0).  The closed side
+    takes the counts from free_part_ps instead, so the (n, 0) rows check
+    the two counts against each other.  Equality with those two
+    corrections, dot for dot, is the check.
     """
-    from .margolis import build_HK2, ext_bruteforce, free_part_ps
+    from .margolis import build_HK2, ext_bruteforce, free_part_ps, strip_free
 
     need = max((n_max - s) + (2 * p - 1) * (s + 1) for s in range(s_max + 1))
-    oracle = ext_bruteforce(build_HK2(p, need), (0, n_max), s_max)
+    stripped, free = strip_free(build_HK2(p, need))
+    oracle = ext_bruteforce(stripped, (0, n_max), s_max)
     closed = e2_dims(p, 0, n_max, s_max)
     gens = free_part_ps(p, need)
     mismatches = []
@@ -623,11 +628,12 @@ def ext_audit(p: int, n_max: int, s_max: int) -> dict:
     for n in range(n_max + 1):
         for s in range(s_max + 1):
             want = closed.get((n, s), 0)
+            got = oracle.get((n, s), 0)
             if s == 0 and n >= 2 * p:
                 want += gens[n - 2 * p]
+                got += free.get(n - 2 * p, 0)
             if n == 0:
                 want += 1
-            got = oracle.get((n, s), 0)
             checked += 1
             if got != want:
                 mismatches.append(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -31,8 +32,6 @@ from .render import (
     render_svg,
     render_tikz,
 )
-
-SUPPORTED_PRIMES = (2, 3, 5, 7)
 
 AUDITS = (
     "bockstein",
@@ -62,12 +61,14 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self):
-        if self.prime not in SUPPORTED_PRIMES:
-            raise UsageError(
-                f"prime {self.prime} not in supported set {SUPPORTED_PRIMES}"
-            )
+        if not _is_prime(self.prime):
+            raise UsageError(f"--prime {self.prime} is not a prime")
         if self.window is not None and self.window[0] > self.window[1]:
             raise UsageError(f"empty window {self.window}")
+
+
+def _is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def _pretty_group(exponents: list[int], p: int) -> str:

@@ -3,14 +3,16 @@ Python.
 
 Two jobs:
 
-* gf_rank_sparse: the rank over F_p of a matrix given as a
-  (row, col, coeff) entry list.  This is the one elimination kernel; it
-  serves the Margolis-homology and brute-force Ext oracles, whose
-  boundary matrices are large but very sparse.  For p = 2 each row is a
-  Python int used as a bitset and reduced by XOR against pivots keyed by
-  leading bit; for odd p each row is a {col: coeff} dict reduced against
-  monic pivots keyed by lowest column.  No dense nrows x ncols array is
-  ever built.  gf_rank is a thin adapter for a dense list of rows.
+* Echelon: the one F_p elimination kernel.  It grows a subspace one
+  vector at a time, reports whether each new vector was independent, and
+  reduces any vector modulo the span.  For p = 2 each row is a Python int
+  used as a bitset and reduced by XOR against pivots keyed by leading
+  bit; for odd p each row is a {col: coeff} dict reduced against monic
+  pivots keyed by lowest column.  No dense array is ever built.
+  gf_rank_sparse is its rank-only mode, for a matrix given as a
+  (row, col, coeff) entry list; it serves the Margolis-homology and
+  brute-force Ext oracles, whose boundary matrices are large but very
+  sparse.  gf_rank is a thin adapter for a dense list of rows.
 
 * cokernel_exponents: the p-exponents e_i of a finite cokernel
   Z_(p)^ncols / rowspan, used to turn chart presentations into explicit
@@ -24,6 +26,97 @@ Two jobs:
 """
 
 from __future__ import annotations
+
+import heapq
+from collections.abc import Iterable
+
+
+class Echelon:
+    """A subspace of F_p^n held as rows in echelon form, one per lead
+    column, grown one vector at a time.
+
+    A vector is given as (col, coeff) pairs; coefficients are any integers
+    and a repeated column accumulates.  Every stored row is reduced against
+    the rows stored before it, so a vector reduced against all of them in
+    turn has no entry left at any lead column, and it is zero exactly when
+    it lies in the span.
+    """
+
+    def __init__(self, p: int):
+        self.p = p
+        # lead column -> row: an int bitset (lead = highest bit) at p = 2,
+        # else a {col: coeff} dict, monic at its lead = lowest column
+        self.rows: dict = {}
+        self._leads = 0  # p = 2: the lead columns as one bitset
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def _reduced(self, vec: Iterable[tuple[int, int]]):
+        """vec in the row format, minus the combination of stored rows that
+        clears every lead column."""
+        rows = self.rows
+        if self.p == 2:
+            row = 0
+            for c, v in vec:
+                if v & 1:
+                    row ^= 1 << c
+            hit = row & self._leads
+            while hit:
+                # a row's other bits lie below its lead: clear from the top
+                row ^= rows[hit.bit_length() - 1]
+                hit = row & self._leads
+            return row
+        p = self.p
+        acc: dict[int, int] = {}
+        for c, v in vec:
+            acc[c] = acc.get(c, 0) + v
+        row = {c: x for c, v in acc.items() if (x := v % p)}
+        # a row's other columns lie above its lead: clear from the bottom
+        todo = [c for c in row if c in rows]
+        heapq.heapify(todo)
+        while todo:
+            lead = heapq.heappop(todo)
+            f = row.get(lead)
+            if f is None:  # pushed twice, already cleared
+                continue
+            for c, v in rows[lead].items():
+                x = (row.get(c, 0) - f * v) % p
+                if x:
+                    if c not in row and c in rows:
+                        heapq.heappush(todo, c)
+                    row[c] = x
+                else:  # c is in row: f and v are units, so x != 0 otherwise
+                    del row[c]
+        return row
+
+    def add(self, vec: Iterable[tuple[int, int]]) -> bool:
+        """Adjoin vec to the span; True when it was independent of it."""
+        row = self._reduced(vec)
+        if not row:
+            return False
+        if self.p == 2:
+            lead = row.bit_length() - 1
+            self._leads |= 1 << lead
+        else:
+            lead = min(row)
+            inv = pow(row[lead], self.p - 2, self.p)
+            row = {c: v * inv % self.p for c, v in row.items()}
+        self.rows[lead] = row
+        return True
+
+    def reduce(self, vec: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+        """vec modulo the span as (col, coeff) pairs, coeff in 1..p-1, by
+        ascending column, none at a lead column."""
+        row = self._reduced(vec)
+        if self.p != 2:
+            return sorted(row.items())
+        out = []
+        while row:
+            low = row & -row
+            out.append((low.bit_length() - 1, 1))
+            row ^= low
+        return out
 
 
 def gf_rank(mat: list[list[int]], p: int) -> int:
@@ -40,42 +133,13 @@ def gf_rank_sparse(
     (row, col, coeff) entries (duplicates accumulate)."""
     if nrows == 0 or ncols == 0 or not entries:
         return 0
-    if p == 2:
-        bits = [0] * nrows
-        for r, c, v in entries:
-            if v & 1:
-                bits[r] ^= 1 << c
-        lead_pivots: dict[int, int] = {}
-        for row in bits:
-            while row:
-                lead = row.bit_length() - 1
-                piv = lead_pivots.get(lead)
-                if piv is None:
-                    lead_pivots[lead] = row
-                    break
-                row ^= piv
-        return len(lead_pivots)
-    acc: list[dict[int, int]] = [{} for _ in range(nrows)]
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(nrows)]
     for r, c, v in entries:
-        acc[r][c] = acc[r].get(c, 0) + v
-    pivots: dict[int, dict[int, int]] = {}
-    for raw in acc:
-        row = {c: v % p for c, v in raw.items() if v % p}
-        while row:
-            lead = min(row)
-            piv = pivots.get(lead)
-            if piv is None:
-                inv = pow(row[lead], p - 2, p)
-                pivots[lead] = {c: v * inv % p for c, v in row.items()}
-                break
-            f = row[lead]
-            for c, v in piv.items():
-                x = (row.get(c, 0) - f * v) % p
-                if x:
-                    row[c] = x
-                else:  # c is in row: f and v are units, so x != 0 otherwise
-                    del row[c]
-    return len(pivots)
+        rows[r].append((c, v))
+    span = Echelon(p)
+    for row in rows:
+        span.add(row)
+    return len(span)
 
 
 def cokernel_exponents(rows: list[dict[int, int]], ncols: int, p: int) -> list[int]:

@@ -13,10 +13,12 @@ from kuengine.adams import (
     e2_dims,
     e2_window,
     einfty_audit,
+    ext_audit,
     matching_audit,
     run_differentials,
     tower,
 )
+from kuengine import margolis
 from kuengine.margolis import build_HK2, ext_bruteforce, free_part_ps
 from kuengine.modules import full_chart
 from kuengine.monomial import (
@@ -256,6 +258,28 @@ def test_e2_dims_match_ext_bruteforce_window():
             if n == 0:
                 want += 1
             assert oracle.get((n, s), 0) == want, (n, s)
+
+
+@pytest.mark.parametrize("p,n1,s1", [(2, 36, 8), (3, 48, 6)])
+def test_ext_audit_fails_when_the_strip_keeps_a_dependent_generator(p, n1, s1, monkeypatch):
+    # the oracle's own free-generator count meets free_part_ps in the (n, 0)
+    # rows: one generator whose Q0Q1 image depends on the others spans no
+    # free summand, and must show there
+    assert ext_audit(p, n1, s1)["ok"]
+    real = margolis._free_generators
+    picked = []
+
+    def one_too_many(p, socles):
+        gens = real(p, socles)
+        d, s = min((d, s) for d in gens for s in socles[d] if s not in gens[d])
+        picked.append(d)
+        return {**gens, d: gens[d] + [s]}
+
+    monkeypatch.setattr(margolis, "_free_generators", one_too_many)
+    report = ext_audit(p, n1, s1)
+    assert not report["ok"]
+    row = next(m for m in report["mismatches"] if (m["n"], m["s"]) == (picked[0] + 2 * p, 0))
+    assert row["oracle"] == row["closed_plus_free"] + 1
 
 
 def test_geometry_of_every_applied_differential():

@@ -239,6 +239,30 @@ def test_usage_errors(capsys):
         assert err.startswith("kuengine: "), argv
 
 
+@pytest.mark.parametrize("prime", ("0", "1", "4", "6", "9", "-3"))
+def test_a_prime_that_is_not_prime_is_a_usage_error(prime, capsys):
+    for argv in (["groups", "--window", "0:4"], ["audit", "--which", "ext"], ["ps"]):
+        rc, out, err = run([*argv, "--prime", prime], capsys)
+        assert rc == 2 and out == "", argv
+        assert err == f"kuengine: --prime {prime} is not a prime\n", argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["groups", "--prime", "11", "--window", "0:120"],
+        ["chart", "A:3", "--prime", "11"],
+        ["ps", "--prime", "11", "--max", "120"],
+        ["audit", "--which", "ext", "--prime", "11", "--max-degree", "120", "--max-s", "3"],
+        ["audit", "--which", "margolis", "--prime", "13", "--max", "200"],
+        ["audit", "--which", "ps", "--prime", "13", "--max", "200"],
+    ),
+)
+def test_primes_past_seven_run(argv, capsys):
+    rc, out, _ = run(argv, capsys)
+    assert rc == 0 and out
+
+
 # sha256 of stdout: these reports slice one assembled chart per command,
 # and any refactor of that path must leave their bytes as they are
 PINNED_STDOUT = {

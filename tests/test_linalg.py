@@ -1,6 +1,6 @@
 """The exact linear algebra kernel: F_p ranks from entry lists and dense
-rows, checked against a naive dense elimination written here, and the
-p-local cokernel exponents on cases whose group is known by hand and
+rows and the Echelon span's pivots and reductions, checked against a naive
+dense elimination written here, and the p-local cokernel exponents on cases whose group is known by hand and
 against the dense p-local elimination the sparse one replaced."""
 
 import copy
@@ -8,7 +8,13 @@ import random
 
 import pytest
 
-from kuengine.linalg import cokernel_exponents, gf_rank, gf_rank_sparse, group_exponents
+from kuengine.linalg import (
+    Echelon,
+    cokernel_exponents,
+    gf_rank,
+    gf_rank_sparse,
+    group_exponents,
+)
 from kuengine.modules import full_chart
 
 try:
@@ -138,6 +144,69 @@ def test_full_rank_square_matrices(p):
     assert gf_rank_sparse(entries, n, n, p) == n
     # the anti-diagonal: every pivot is found out of row order
     assert gf_rank_sparse([(i, n - 1 - i, 1) for i in range(n)], n, n, p) == n
+
+
+def as_entries(vectors):
+    """(row, col, coeff) entries of a list of (col, coeff) vectors."""
+    return [(r, c, v) for r, vec in enumerate(vectors) for c, v in vec]
+
+
+def in_span(vec, vectors, ncols, p):
+    """vec lies in the span of vectors, by naive ranks."""
+    return naive_rank(as_entries(vectors + [vec]), len(vectors) + 1, ncols, p) == naive_rank(
+        as_entries(vectors), len(vectors), ncols, p
+    )
+
+
+def random_vector(rng, ncols, density, p):
+    """(col, coeff) pairs with repeats, coefficients outside 0..p-1, and
+    now and then no pairs at all."""
+    count = int(density * ncols) if rng.random() > 0.1 else 0
+    return [(rng.randrange(ncols), rng.randint(-2 * p, 2 * p)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("density", (0.1, 0.4, 1.5))
+def test_echelon_matches_the_naive_elimination(p, density):
+    rng = random.Random(2000 * p + int(100 * density))
+    for _ in range(15):
+        ncols = rng.randint(1, 25)
+        vectors = [random_vector(rng, ncols, density, p) for _ in range(rng.randint(0, 25))]
+        span, added = Echelon(p), []
+        for vec in vectors:
+            # add is True exactly when the vector is independent of those before
+            assert span.add(vec) == (not in_span(vec, added, ncols, p))
+            added.append(vec)
+        assert len(span) == naive_rank(as_entries(vectors), len(vectors), ncols, p)
+        for _ in range(10):
+            # half the probes are combinations of the rows, so they lie in the span
+            vec = random_vector(rng, ncols, density, p)
+            if vectors and rng.random() < 0.5:
+                vec = [(c, v * rng.randrange(p)) for row in vectors for c, v in row]
+            got = span.reduce(vec)
+            assert (not got) == in_span(vec, vectors, ncols, p)
+            assert [c for c, _ in got] == sorted({c for c, _ in got})
+            assert all(c not in span.rows and 0 < v < p for c, v in got)
+            # vec minus its reduction lies in the span
+            diff = vec + [(c, -v) for c, v in got]
+            assert in_span(diff, vectors, ncols, p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_echelon_empty_vectors_and_cancellation(p):
+    span = Echelon(p)
+    assert not span.add([])
+    assert not span.add([(3, p), (5, -p)])  # zero mod p
+    assert not span.add([(2, 1)] * p)  # p repeats of one column cancel
+    assert len(span) == 0 and span.reduce([(4, 2 * p + 1)]) == [(4, 1)]
+    assert span.add([(0, 1), (1, 1)])
+    assert span.add([(1, 1), (2, p + 1)])
+    # the sum of the two rows, spelled with multiples of p added
+    assert not span.add([(0, 1 + p), (1, 2), (2, 1)])
+    assert span.reduce([(0, 1), (2, -1)]) == []
+    assert span.add([(2, 1)]) and len(span) == 3
+    assert span.reduce([(c, 1) for c in range(3)]) == []
+    assert span.reduce([(3, -1)]) == [(3, p - 1)]
 
 
 def sparse_rows(rows):

@@ -1,6 +1,7 @@
 """Oracle layer: the E1-module model of H*(K(Z/p,2)), Margolis homology
 against closed forms, the non-free piece decomposition, free-summand
-counts, and the brute-force Ext calculator on small known modules."""
+counts, the brute-force Ext calculator on small known modules, and the
+split that takes the free summands off before Ext is ranked."""
 
 import functools
 
@@ -21,6 +22,7 @@ from kuengine.margolis import (
     margolis_homology,
     q0_homology_closed,
     q1_homology_closed,
+    strip_free,
     trivial_summand_counts,
 )
 from kuengine import margolis as margolis_module
@@ -847,3 +849,100 @@ def test_ext_cutoff_message_is_the_reference_one():
         "window needs module degrees through 43, cutoff is 40"
     )
 
+
+
+# -- splitting off the free summands -------------------------------------------
+
+
+def ext_window(p, n1, s1):
+    """The cutoff the (0..n1, 0..s1) Ext window needs."""
+    return max((n1 - s) + (2 * p - 1) * (s + 1) for s in range(s1 + 1))
+
+
+def total_dim(mod: E1Module) -> int:
+    return sum(len(lbls) for lbls in mod.by_degree.values())
+
+
+@pytest.mark.parametrize(
+    "p,n1,s1",
+    [(2, 36, 8), (3, 48, 6), (5, 80, 5), (7, 90, 3), (2, 20, 12), (3, 24, 4)],
+)
+def test_stripped_ext_plus_free_socles_is_the_full_ext(p, n1, s1):
+    mod = build_HK2(p, ext_window(p, n1, s1))
+    stripped, free = strip_free(mod)
+    stripped.validate()
+    assert stripped.p == p and stripped.cutoff == mod.cutoff
+    assert total_dim(stripped) < total_dim(mod) // 3
+    got = ext_bruteforce(stripped, (0, n1), s1)
+    for d, count in free.items():
+        if d + 2 * p <= n1:
+            got[d + 2 * p, 0] = got.get((d + 2 * p, 0), 0) + count
+    assert got == ext_bruteforce(mod, (0, n1), s1)
+
+
+@pytest.mark.parametrize("p,D", [(2, 60), (3, 80), (5, 120), (7, 150)])
+def test_strip_counts_are_the_free_part_series(p, D):
+    mod = build_HK2(p, D)
+    stripped, free = strip_free(mod)
+    stripped.validate()
+    g = free_part_ps(p, D)
+    assert [free.get(d, 0) for d in range(D - 2 * p + 1)] == g.c[: D - 2 * p + 1]
+    assert all(d <= D - 2 * p for d in free)
+    # four classes per free generator leave, and the labels that stay keep
+    # their degree and their order
+    assert total_dim(mod) - total_dim(stripped) == 4 * sum(free.values())
+    for d, lbls in stripped.by_degree.items():
+        order = {lbl: i for i, lbl in enumerate(mod.by_degree[d])}
+        assert [order[lbl] for lbl in lbls] == sorted(order[lbl] for lbl in lbls)
+
+
+@pytest.mark.parametrize("p,D", [(2, 40), (3, 60), (5, 80), (7, 100)])
+def test_stripped_margolis_homology_is_the_full_one(p, D):
+    mod = build_HK2(p, D + 2 * p - 1)
+    stripped, _ = strip_free(mod)
+    for which in ("Q0", "Q1"):
+        assert margolis_homology(stripped, which, D) == margolis_homology(mod, which, D)
+
+
+def test_strip_of_free_and_non_free_modules():
+    # a free module, free tensor anything included, strips to nothing
+    p = 3
+    free = free_on_one_generator(p, 4)
+    stripped, counts = strip_free(free.tensor(build_piece(p, "N")))
+    assert total_dim(stripped) == 0 and not stripped.q0 and not stripped.q1
+    assert counts == {d + 4: 1 for d in (2 * p + 1, 4 * p - 1, 4 * p)}
+    # a module with no free summand is left as it is
+    mod = E1Module.direct_sum([build_piece(p, "N"), build_piece(p, "L", 2)])
+    stripped, counts = strip_free(mod)
+    assert counts == {}
+    assert stripped.by_degree == mod.by_degree
+    assert label_view(stripped, "q0") == label_view(mod, "q0")
+    assert label_view(stripped, "q1") == label_view(mod, "q1")
+    # E1<y0> = {2, 3, 7, 8} is free: it leaves once its top cell is below
+    # the cutoff, and stays as it is while it is not
+    stripped, counts = strip_free(build_HK2(p, 8))
+    assert counts == {2: 1} and stripped.dim_at(2) == 0
+    mod = build_HK2(p, 7)
+    stripped, counts = strip_free(mod)
+    assert counts == {}
+    assert stripped.by_degree == mod.by_degree
+    assert label_view(stripped, "q0") == label_view(mod, "q0")
+    assert label_view(stripped, "q1") == label_view(mod, "q1")
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_strip_reduces_q_images_modulo_the_free_part(p):
+    # m generates a free summand; Q0 n = n0 + m0 and Q1 n0 = m01 leave it
+    # only modulo the free part
+    w = 2 * p - 1
+    basis = [("m", 2), ("n", 2), ("m0", 3), ("n0", 3), ("m1", 2 + w), ("m01", 3 + w)]
+    q0 = {"m": {"m0": 1}, "n": {"n0": 1, "m0": 1}, "m1": {"m01": 1}}
+    q1 = {"m": {"m1": 1}, "m0": {"m01": p - 1}, "n0": {"m01": 1}}
+    mod = E1Module.from_labels(p, EXACT, basis, q0, q1)
+    mod.validate()
+    stripped, counts = strip_free(mod)
+    stripped.validate()
+    assert counts == {2: 1}
+    assert stripped.by_degree == {2: ["n"], 3: ["n0"]}
+    assert label_view(stripped, "q0") == {"n": {"n0": 1}}
+    assert stripped.q1 == {}

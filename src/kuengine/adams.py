@@ -616,9 +616,9 @@ def ext_audit(p: int, n_max: int, s_max: int) -> dict:
     the two counts against each other.  Equality with those two
     corrections, dot for dot, is the check.
     """
-    from .margolis import build_HK2, ext_bruteforce, free_part_ps, strip_free
+    from .margolis import build_HK2, ext_bruteforce, ext_cutoff, free_part_ps, strip_free
 
-    need = max((n_max - s) + (2 * p - 1) * (s + 1) for s in range(s_max + 1))
+    need = ext_cutoff(p, n_max, s_max)
     stripped, free = strip_free(build_HK2(p, need))
     oracle = ext_bruteforce(stripped, (0, n_max), s_max)
     closed = e2_dims(p, 0, n_max, s_max)

@@ -33,18 +33,28 @@ from .render import (
     render_tikz,
 )
 
-AUDITS = (
-    "bockstein",
-    "matching",
-    "einfty",
-    "duality",
-    "theorem61",
-    "margolis",
-    "ext",
-    "ps",
-)
+# name -> (call, {flag dest: default}).  Each call looks its function up when
+# it runs, so a wrapper installed on the module (a tracer, a test) is seen.
+AUDITS = {
+    "bockstein": (lambda p, n: k1.bockstein_audit(p, n), {"max_n": 200}),
+    "matching": (lambda p, n, s: adams.matching_audit(p, 0, n, s), {"max_n": 120, "max_s": 40}),
+    "einfty": (lambda p, n, s: adams.einfty_audit(p, n, s), {"max_n": 120, "max_s": None}),
+    "duality": (lambda p, k: modules.duality_audit(p, k), {"max_n": 4}),
+    "theorem61": (lambda p, n: k1.theorem61_audit(p, n), {"max_n": 200}),
+    "margolis": (lambda p, n: margolis.margolis_audit(p, n), {"max_n": 60}),
+    "ext": (lambda p, d, s: adams.ext_audit(p, d, s), {"max_degree": 40, "max_s": 8}),
+    "ps": (lambda p, n: margolis.ps_audit(p, n), {"max_n": 100}),
+}
 
-SERIES = ("free", "free-total", "trivial", "k1")
+# audit flag dest -> the flag as typed
+AUDIT_FLAGS = {"max_n": "--max", "max_degree": "--max-degree", "max_s": "--max-s"}
+
+SERIES = {
+    "free": lambda p, top: margolis.free_part_ps(p, top).c,
+    "free-total": lambda p, top: margolis.free_part_total_ps(p, top).c,
+    "trivial": lambda p, top: margolis.trivial_summand_counts(p, top).c,
+    "k1": lambda p, top: k1.k1_dims(p, top),
+}
 
 
 class UsageError(Exception):
@@ -129,14 +139,10 @@ def _chart_for_selector(p: int, sel: str, cutoff: int | None):
             return modules.build_B(p, int(parts[1]))
         if parts[0] == "S" and len(parts) == 3:
             return modules.build_S(p, int(parts[1]), int(parts[2]))
-        if sel == "full-even":
+        if sel in ("full-even", "full-odd"):
             if cutoff is None:
-                raise UsageError("full-even needs --window to bound the chart")
-            return modules.even_part(p, cutoff)
-        if sel == "full-odd":
-            if cutoff is None:
-                raise UsageError("full-odd needs --window to bound the chart")
-            return modules.odd_part(p, cutoff)
+                raise UsageError(f"{sel} needs --window to bound the chart")
+            return (modules.even_part if sel == "full-even" else modules.odd_part)(p, cutoff)
     except ValueError as exc:
         raise UsageError(f"selector {sel!r}: {exc}") from exc
     raise UsageError(
@@ -198,35 +204,17 @@ def cmd_audit(
 ) -> dict:
     if which not in AUDITS:
         raise UsageError(f"unknown audit {which!r} (choose from {', '.join(AUDITS)})")
-    for flag, value, readers in (
-        ("--max", max_n, set(AUDITS) - {"ext"}),
-        ("--max-degree", max_degree, {"ext"}),
-        ("--max-s", max_s, {"matching", "einfty", "ext"}),
-    ):
-        if value is not None and which not in readers:
-            raise UsageError(f"audit {which} does not read {flag}")
-    p = config.prime
-    if which == "bockstein":
-        return k1.bockstein_audit(p, max_n if max_n is not None else 200)
-    if which == "matching":
-        return adams.matching_audit(
-            p, 0, max_n if max_n is not None else 120, max_s if max_s is not None else 40
-        )
-    if which == "einfty":
-        return adams.einfty_audit(p, max_n if max_n is not None else 120, max_s)
-    if which == "duality":
-        return modules.duality_audit(p, max_n if max_n is not None else 4)
-    if which == "theorem61":
-        return k1.theorem61_audit(p, max_n if max_n is not None else 200)
-    if which == "margolis":
-        return margolis.margolis_audit(p, max_n if max_n is not None else 60)
-    if which == "ext":
-        return adams.ext_audit(
-            p,
-            max_degree if max_degree is not None else 40,
-            max_s if max_s is not None else 8,
-        )
-    return margolis.ps_audit(p, max_n if max_n is not None else 100)
+    call, defaults = AUDITS[which]
+    given = {"max_n": max_n, "max_degree": max_degree, "max_s": max_s}
+    given = {dest: value for dest, value in given.items() if value is not None}
+    for dest in given:
+        if dest not in defaults:
+            raise UsageError(f"audit {which} does not read {AUDIT_FLAGS[dest]}")
+    try:
+        return call(config.prime, *{**defaults, **given}.values())
+    except ValueError as exc:
+        # an audit raises ValueError for a window or cap it cannot check
+        raise UsageError(f"audit {which}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -235,16 +223,9 @@ def cmd_audit(
 
 
 def cmd_ps(config: RunConfig, which: str, top: int) -> list[int]:
-    p = config.prime
-    if which == "free":
-        return list(margolis.free_part_ps(p, top).c)
-    if which == "free-total":
-        return list(margolis.free_part_total_ps(p, top).c)
-    if which == "trivial":
-        return list(margolis.trivial_summand_counts(p, top).c)
-    if which == "k1":
-        return list(k1.k1_dims(p, top))
-    raise UsageError(f"unknown series {which!r} (choose from {', '.join(SERIES)})")
+    if which not in SERIES:
+        raise UsageError(f"unknown series {which!r} (choose from {', '.join(SERIES)})")
+    return list(SERIES[which](config.prime, top))
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +320,8 @@ def _build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("audit", help="run a cross-check and report")
     common(a, ("json",))
     a.add_argument("--which", required=True, choices=AUDITS)
-    a.add_argument("--max", dest="max_n", type=_nonnegative)
-    a.add_argument("--max-degree", dest="max_degree", type=_nonnegative)
-    a.add_argument("--max-s", dest="max_s", type=_nonnegative)
+    for dest, flag in AUDIT_FLAGS.items():
+        a.add_argument(flag, dest=dest, type=_nonnegative)
 
     s = sub.add_parser("ps", help="Poincare series dump")
     common(s, ("json", "csv"))
@@ -374,22 +354,14 @@ def main(argv: list[str] | None = None) -> int:
                 _emit(doc.to_json() + "\n", config.out)
             return 0
         if args.command == "audit":
-            try:
-                report = cmd_audit(
-                    config, args.which, args.max_n, args.max_degree, args.max_s
-                )
-            except ValueError as exc:
-                # an audit raises ValueError for a window or cap it cannot check
-                raise UsageError(f"audit {args.which}: {exc}") from exc
+            report = cmd_audit(config, args.which, args.max_n, args.max_degree, args.max_s)
             _emit(_dump(report), config.out)
             return 0 if report["ok"] else 1
         if args.command == "ps":
             coeffs = cmd_ps(config, args.which, args.max_n)
             if config.fmt == "csv":
-                body = "degree,count\n" + "\n".join(
-                    f"{n},{c}" for n, c in enumerate(coeffs)
-                )
-                _emit(body + "\n", config.out)
+                rows = "".join(f"{n},{c}\n" for n, c in enumerate(coeffs))
+                _emit("degree,count\n" + rows, config.out)
             else:
                 _emit(_dump(coeffs), config.out)
             return 0

@@ -61,6 +61,7 @@ from .monomial import (
     z_degree,
 )
 from .padic import r, r_prime, w_degree
+from .series import degree_rows, report
 
 
 def _y_pair(p: int, k: int) -> list[tuple[int, int | None]]:
@@ -111,20 +112,9 @@ def bockstein_audit(p: int, n_max: int) -> dict:
     t counts cyclic summands (= dim of both coker and ker of multiplication
     by p in that degree)."""
     chart = full_chart(p, n_max + 1)
-    lhs = k1_dims(p, n_max)
-    rows = []
-    for n in range(n_max + 1):
-        rhs = len(chart.group_at(n)) + len(chart.group_at(n + 1))
-        rows.append({"degree": n, "lhs": lhs[n], "rhs": rhs, "pass": lhs[n] == rhs})
-    failures = [row for row in rows if not row["pass"]]
-    return {
-        "p": p,
-        "n_max": n_max,
-        "checked": len(rows),
-        "rows": rows,
-        "failures": failures,
-        "ok": not failures,
-    }
+    t = [len(chart.group_at(n)) for n in range(n_max + 2)]
+    rhs = [t[n] + t[n + 1] for n in range(n_max + 1)]
+    return report({"p": p, "n_max": n_max}, degree_rows(n_max, k1_dims(p, n_max), rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -295,18 +285,5 @@ def theorem61_audit(p: int, n_max: int) -> dict:
     """Check sum_i sum_params g_family_dims(p, i, params, n_max)[n] =
     k1_dims(p, n_max)[n] for all n <= n_max.  Odd p only."""
     _odd_only(p)
-    lhs = _g_total(p, n_max)
-    rhs = k1_dims(p, n_max)
-    rows = [
-        {"degree": n, "lhs": lhs[n], "rhs": rhs[n], "pass": lhs[n] == rhs[n]}
-        for n in range(n_max + 1)
-    ]
-    failures = [row for row in rows if not row["pass"]]
-    return {
-        "p": p,
-        "n_max": n_max,
-        "checked": len(rows),
-        "rows": rows,
-        "failures": failures,
-        "ok": not failures,
-    }
+    rows = degree_rows(n_max, _g_total(p, n_max), k1_dims(p, n_max))
+    return report({"p": p, "n_max": n_max}, rows)

@@ -47,7 +47,7 @@ from functools import lru_cache
 # gf_rank is not called here, but perfbench/tracer.py wraps it at this lookup site
 from .linalg import Echelon, gf_rank, gf_rank_sparse  # noqa: F401
 from .monomial import bounded_exponents, q_degree
-from .series import PSeries
+from .series import PSeries, degree_rows, report
 
 # Cutoff sentinel for modules that are finite (complete in all degrees).
 EXACT = 10**9
@@ -694,6 +694,13 @@ def strip_free(M: E1Module) -> tuple[E1Module, dict[int, int]]:
 # ---------------------------------------------------------------------------
 
 
+def ext_cutoff(p: int, n_max: int, s_max: int) -> int:
+    """The top module degree the Ext window n <= n_max, s <= s_max reads:
+    C^s at chart position (n, s) reaches M_{(n-s)+(2p-1)s}, and its
+    coboundary one Q1 step higher."""
+    return max((n_max - s) + (2 * p - 1) * (s + 1) for s in range(s_max + 1))
+
+
 def ext_bruteforce(
     M: E1Module, n_range: tuple[int, int], s_max: int
 ) -> dict[tuple[int, int], int]:
@@ -714,7 +721,7 @@ def ext_bruteforce(
     """
     n0, n1 = n_range
     p, w = M.p, 2 * M.p - 1
-    need = max((n1 - s) + w * (s + 1) for s in range(s_max + 1))
+    need = ext_cutoff(p, n1, s_max)
     if need > M.cutoff:
         raise ValueError(
             f"window needs module degrees through {need}, cutoff is {M.cutoff}"
@@ -766,30 +773,10 @@ def margolis_audit(p: int, n_max: int) -> dict:
     model with them split off (strip_free)."""
     mod, _ = strip_free(build_HK2(p, n_max + 2 * p - 1))
     rows = []
-    for which, closed in (
-        ("Q0", q0_homology_closed(p, n_max)),
-        ("Q1", q1_homology_closed(p, n_max)),
-    ):
+    for which, closed in (("Q0", q0_homology_closed), ("Q1", q1_homology_closed)):
         oracle = margolis_homology(mod, which, n_max)
-        for n in range(n_max + 1):
-            rows.append(
-                {
-                    "which": which,
-                    "degree": n,
-                    "oracle": oracle[n],
-                    "closed": closed[n],
-                    "pass": oracle[n] == closed[n],
-                }
-            )
-    failures = [row for row in rows if not row["pass"]]
-    return {
-        "p": p,
-        "n_max": n_max,
-        "checked": len(rows),
-        "rows": rows,
-        "failures": failures,
-        "ok": not failures,
-    }
+        rows += degree_rows(n_max, oracle, closed(p, n_max), ("oracle", "closed"), which=which)
+    return report({"p": p, "n_max": n_max}, rows)
 
 
 def ps_audit(p: int, n_max: int) -> dict:
@@ -800,26 +787,7 @@ def ps_audit(p: int, n_max: int) -> dict:
     documented value 245 whenever the window reaches it."""
     by_series = free_part_total_ps(p, n_max)
     by_modules = build_HK2(p, n_max).ps() - assemble_T(p, n_max, with_unit=True).ps(n_max)
-    rows = []
-    for n in range(n_max + 1):
-        rows.append(
-            {
-                "degree": n,
-                "series": by_series[n],
-                "model": by_modules[n],
-                "pass": by_series[n] == by_modules[n],
-            }
-        )
-    failures = [row for row in rows if not row["pass"]]
-    golden_ok = True
-    if p == 2 and n_max >= 79:
-        golden_ok = free_part_ps(2, n_max)[79] == 245
-    return {
-        "p": p,
-        "n_max": n_max,
-        "checked": len(rows),
-        "rows": rows,
-        "failures": failures,
-        "golden_79_ok": golden_ok,
-        "ok": golden_ok and not failures,
-    }
+    rows = degree_rows(n_max, by_series, by_modules, ("series", "model"))
+    golden_ok = p != 2 or n_max < 79 or free_part_ps(2, n_max)[79] == 245
+    head = {"p": p, "n_max": n_max, "golden_79_ok": golden_ok}
+    return report(head, rows, ok=golden_ok)

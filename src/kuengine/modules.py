@@ -49,6 +49,7 @@ from .monomial import (
     z_degree,
 )
 from .padic import nu
+from .series import report
 
 
 class CoreChart:
@@ -361,12 +362,4 @@ def duality_audit(p: int, k_max: int = 4) -> dict:
                 "pass": not mismatches,
             }
         )
-    failures = [row for row in rows if not row["pass"]]
-    return {
-        "p": p,
-        "k_max": k_max,
-        "checked": sum(row["checked"] for row in rows),
-        "rows": rows,
-        "failures": failures,
-        "ok": not failures,
-    }
+    return report({"p": p, "k_max": k_max}, rows)

@@ -2,9 +2,10 @@
 
 Used for Poincare-series bookkeeping: counting monomials of graded tensor
 factors, the free-summand generating function, and the per-degree audits
-that compare dimension counts.  Coefficients are exact Python ints; every
-series carries an inclusive truncation bound `top` and all arithmetic is
-performed modulo x^(top+1).
+that compare dimension counts, whose rows and report degree_rows and
+report build.  Coefficients are exact Python ints; every series carries an
+inclusive truncation bound `top` and all arithmetic is performed modulo
+x^(top+1).
 """
 
 from __future__ import annotations
@@ -143,3 +144,30 @@ class PSeries:
         terms = [f"{a}*x^{i}" for i, a in enumerate(self.c) if a]
         return "PSeries(" + " + ".join(terms[:8]) + (" + ..." if len(terms) > 8 else "") + ")"
 
+
+# -- per-degree audit reports ------------------------------------------------
+
+
+def degree_rows(n_max: int, left, right, names=("lhs", "rhs"), **fixed) -> list[dict]:
+    """One row per degree 0 <= n <= n_max comparing left[n] with right[n],
+    under the keys `names`, with the `fixed` fields on every row."""
+    a, b = names
+    return [
+        {**fixed, "degree": n, a: left[n], b: right[n], "pass": left[n] == right[n]}
+        for n in range(n_max + 1)
+    ]
+
+
+def report(head: dict, rows: list[dict], ok: bool = True) -> dict:
+    """The audit report shared by the row audits: `head`, the number of
+    checks (one per row, unless a row counts its own under "checked"), the
+    rows, the rows that did not pass, and the verdict; `ok` is a further
+    condition the verdict needs."""
+    failures = [row for row in rows if not row["pass"]]
+    return {
+        **head,
+        "checked": sum(row.get("checked", 1) for row in rows),
+        "rows": rows,
+        "failures": failures,
+        "ok": ok and not failures,
+    }

@@ -178,12 +178,27 @@ def test_ps_audit_below_the_q_degree_checks_every_degree(prime, capsys):
         assert report["checked"] == top + 1
 
 
-def test_traced_run_prints_the_untraced_output(tmp_path):
+@pytest.mark.parametrize(
+    "argv, counted",
+    (
+        (
+            ["groups", "--prime", "2", "--window", "0:40"],
+            lambda metrics: metrics["chart.Chart.dots_at.calls"] > 0,
+        ),
+        (
+            # the audit table looks the audit up on its module when it runs;
+            # an entry holding the function object would bypass the wrapper
+            ["audit", "--which", "einfty", "--prime", "2", "--max", "60"],
+            lambda metrics: metrics["adams.einfty_audit.calls"] == 1,
+        ),
+    ),
+    ids=("groups", "einfty"),
+)
+def test_traced_run_prints_the_untraced_output(argv, counted, tmp_path):
     # the benchmark's layer tracer wraps names in the package; a rename
     # would make it fail instead of tracing
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    argv = ["groups", "--prime", "2", "--window", "0:40"]
     plain = subprocess.run(
         [sys.executable, "-m", "kuengine.cli", *argv],
         capture_output=True, text=True, env=env, cwd=tmp_path,
@@ -197,16 +212,27 @@ def test_traced_run_prints_the_untraced_output(tmp_path):
     assert traced.returncode == 0, traced.stderr
     assert traced.stdout == plain.stdout
     stats = json.loads((tmp_path / "stats.json").read_text())
-    assert stats["metrics"]["chart.Chart.dots_at.calls"] > 0
+    assert counted(stats["metrics"])
 
 
-def test_audit_failure_exits_one(monkeypatch, capsys):
-    monkeypatch.setattr(
-        cli.k1, "bockstein_audit", lambda p, n: {"ok": False, "p": p, "n_max": n}
-    )
-    rc, out, _ = run(["audit", "--which", "bockstein", "--max", "10"], capsys)
+@pytest.mark.parametrize(
+    "which, module, name",
+    (
+        ("bockstein", "k1", "bockstein_audit"),
+        ("matching", "adams", "matching_audit"),
+        ("einfty", "adams", "einfty_audit"),
+        ("duality", "modules", "duality_audit"),
+        ("theorem61", "k1", "theorem61_audit"),
+        ("margolis", "margolis", "margolis_audit"),
+        ("ext", "adams", "ext_audit"),
+        ("ps", "margolis", "ps_audit"),
+    ),
+)
+def test_audit_failure_exits_one(which, module, name, monkeypatch, capsys):
+    monkeypatch.setattr(getattr(cli, module), name, lambda *args: {"ok": False})
+    rc, out, _ = run(["audit", "--which", which], capsys)
     assert rc == 1
-    assert json.loads(out)["ok"] is False
+    assert json.loads(out) == {"ok": False}
 
 
 def test_ps_formats_agree_with_the_series(capsys):
@@ -308,6 +334,31 @@ PINNED_STDOUT = {
         "142daf08f601be5baeec2765aaef0b0467cc36198357964cc58d38b85db24614",
     "audit --which ext --prime 7 --max-degree 60 --max-s 3":
         "8e3e49b07acc7a6a575625802e346008a03f536570730335c380aa498e596b07",
+    # no bound flag: the defaults the audit and series tables hold
+    "audit --which bockstein --prime 3":
+        "de804d5eef11a9f25428c569526396e99d67a80be971de608529648ab6dfaac1",
+    "audit --which matching --prime 3":
+        "79f56aa54e872bd142e903f86eb70a4bbaddec888091669dd6bf20793c9b9637",
+    "audit --which einfty --prime 3":
+        "9974645ee86e0fe4a09e6d48e58f265eb5178cc82aedd3c95baf1eb86f73b5f2",
+    "audit --which duality --prime 3":
+        "a9280efc17a4b7319b32c68ae141db618984c210f6dd93298198ecdbdd252722",
+    "audit --which theorem61 --prime 3":
+        "de804d5eef11a9f25428c569526396e99d67a80be971de608529648ab6dfaac1",
+    "audit --which margolis --prime 3":
+        "3846b95b0b300f23d0a359f0dc258088f4526be397db1b50a59c87cecf57b586",
+    "audit --which ext --prime 3":
+        "8d1111795cb8c8d1dd2db9f3f5fd67713684e573620b8e66186177636ee57652",
+    "audit --which ps --prime 3":
+        "2884f19137e06288a4f5897f4cc1c2b625b2ff859066a8856e62177f6e149a21",
+    "ps --which free --prime 3":
+        "ca4b53776199053a93a370f65bdd1b6285948ede4215fbe21ea8232ea9397007",
+    "ps --which free-total --prime 3":
+        "30793d93621469d286364bf5a0a592384e7e6541933b297eed949934276cf929",
+    "ps --which trivial --prime 3":
+        "69a6a3ddd38dcb17240d3cae1556d3c51d24b02ea2f6e1339cd19b28156a38be",
+    "ps --which k1 --prime 3":
+        "1cad8d4d96514971336a9df0b5fbefd7c1d66d3a2dd7425af5dd973c91f85a89",
 }
 
 

@@ -17,6 +17,7 @@ from kuengine.margolis import (
     build_HK2,
     build_piece,
     ext_bruteforce,
+    ext_cutoff,
     free_part_ps,
     free_part_total_ps,
     margolis_homology,
@@ -402,6 +403,15 @@ def test_ext_window_margin_is_enforced():
     mod = build_HK2(2, 40)
     with pytest.raises(ValueError):
         ext_bruteforce(mod, (0, 40), 4)
+
+
+@pytest.mark.parametrize("p, n_max, s_max", ((2, 12, 3), (3, 20, 2)))
+def test_ext_cutoff_is_the_margin_ext_bruteforce_enforces(p, n_max, s_max):
+    need = ext_cutoff(p, n_max, s_max)
+    assert need == n_max - s_max + (2 * p - 1) * (s_max + 1)
+    ext_bruteforce(build_HK2(p, need), (0, n_max), s_max)
+    with pytest.raises(ValueError, match=f"through {need}, cutoff is {need - 1}"):
+        ext_bruteforce(build_HK2(p, need - 1), (0, n_max), s_max)
 
 
 def test_validate_rejects_broken_anticommutator():

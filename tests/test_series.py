@@ -1,4 +1,4 @@
-from kuengine.series import PSeries
+from kuengine.series import PSeries, degree_rows, report
 
 
 def test_basic_arithmetic():
@@ -25,3 +25,15 @@ def test_product_and_shift():
     s = PSeries.truncated_poly(top, 2, 2) * PSeries.truncated_poly(top, 3, 2)
     assert [s[d] for d in range(7)] == [1, 0, 1, 1, 0, 1, 0]
     assert s.shift(2)[4] == s[2]
+
+
+def test_report_counts_rows_and_lists_failures():
+    rows = degree_rows(2, [1, 2, 3], [1, 0, 3], ("oracle", "closed"), which="Q0")
+    assert rows[1] == {"which": "Q0", "degree": 1, "oracle": 2, "closed": 0, "pass": False}
+    rep = report({"p": 3}, rows)
+    assert (rep["p"], rep["checked"], rep["failures"], rep["ok"]) == (3, 3, [rows[1]], False)
+    # a row carrying its own count, and a verdict condition outside the rows
+    counted = [{"checked": 5, "pass": True}, {"checked": 2, "pass": True}]
+    assert report({}, counted)["checked"] == 7
+    assert report({}, counted, ok=False)["ok"] is False
+    assert report({}, counted)["ok"] is True

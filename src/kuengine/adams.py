@@ -1,6 +1,6 @@
 """Adams spectral sequence engine for ku^*(K(Z/p, 2)): closed-form E2 page,
-the four differential families, replay to E-infinity, and the source/target
-matching audit.
+the four differential families, one source/target pairing pass shared by the
+replay to E-infinity and the matching audit.
 
 Conventions (cohomological, shared with chart.py):
   * bidegrees are (codegree n, filtration s); a v-tower with base (n0, s0)
@@ -75,7 +75,7 @@ Key = tuple
 
 
 class WindowError(RuntimeError):
-    """A basis element needed by the replay is missing from the window."""
+    """The window's tower pairing is broken (see pair_towers)."""
 
 
 @dataclass(frozen=True)
@@ -183,7 +183,7 @@ def classify(p: int, key: Key) -> Fate:
     """Which differential family a tower belongs to, with its partner key.
 
     The fate is a function of the tower's own coordinates; classify(partner)
-    always inverts to the tower itself (matching_audit checks this), so the
+    always inverts to the tower itself (pair_towers checks this), so the
     differential pairing is a perfect matching on MAIN + H0 and the SP
     towers are permanent cycles.
     """
@@ -374,14 +374,83 @@ def e2_window(p: int, n_lo: int, n_hi: int, s_max: int) -> BigradedPage:
     return BigradedPage(p, n_lo, n_hi, s_max, pad, towers, heights)
 
 
-# -- replay -------------------------------------------------------------------
+# -- pairing and replay -------------------------------------------------------
 
 
-def _absence_ok(page: BigradedPage, key: Key) -> bool:
-    tw = tower(page.p, key)
+def _absence_ok(page: BigradedPage, tw: ETower) -> bool:
+    """May a partner be missing: beyond the pad, or an h0 coset above s_max?"""
     if tw.n0 > page.n_pad:
         return True
-    return key[0] == "h0" and key[1] > page.s_max
+    return tw.key[0] == "h0" and tw.key[1] > page.s_max
+
+
+def pair_towers(page: BigradedPage):
+    """Pair every window tower with its differential partner, in one pass.
+
+    Returns (fates, pairs, problems): each window tower's classify fate;
+    (source, target, fate) with ETower ends, one per differential with an
+    end in the window; and, in tower order, "orphans" (partners missing
+    without a window excuse), "double_hits" and "mismatches" ("round-trip":
+    the partner's fate does not invert the tower's; "geometry", once per
+    pair: n0(target) != n0(source) + 1 + w e0 or s0(target) != s0(source) +
+    r - e0).
+    """
+    p, towers = page.p, page.towers
+    fates = {k: classify(p, k) for k in towers}
+    pairs: list[tuple[ETower, ETower, Fate]] = []
+    orphans: list[dict] = []
+    mismatches: list[dict] = []
+    hits: dict[Key, list[Key]] = {}
+
+    for key, f in fates.items():
+        mate = f.partner
+        if mate is None:
+            continue  # survives
+        if f.role == "source":
+            hits.setdefault(mate, []).append(key)
+        tw, mt = towers[key], towers.get(mate)
+        inside = mt is not None
+        back = fates[mate] if inside else classify(p, mate)
+        if (
+            back.partner != key
+            or back.role == f.role
+            or back.r != f.r
+            or back.e0 != f.e0
+            or back.family != f.family
+        ):
+            mismatches.append({"kind": "round-trip", "tower": tw.label, "partner": mate})
+            continue
+        if inside and f.role == "target":
+            continue  # listed by its source
+        mt = mt or tower(p, mate)
+        st, tt = (tw, mt) if f.role == "source" else (mt, tw)
+        if tt.n0 != st.n0 + 1 + page.w * f.e0 or tt.s0 != st.s0 + f.r - f.e0:
+            mismatches.append(
+                {
+                    "kind": "geometry",
+                    "source": st.label,
+                    "target": tt.label,
+                    "r": f.r,
+                    "e0": f.e0,
+                }
+            )
+        if not inside and not _absence_ok(page, mt):
+            orphans.append(
+                {
+                    "kind": f"missing-{back.role}",
+                    "tower": tw.label,
+                    "partner": mt.label,
+                }
+            )
+        pairs.append((st, tt, f))
+
+    double_hits = [
+        {"target": tower(p, t).label, "sources": [towers[s].label for s in srcs]}
+        for t, srcs in hits.items()
+        if len(srcs) > 1
+    ]
+    problems = dict(orphans=orphans, double_hits=double_hits, mismatches=mismatches)
+    return fates, pairs, problems
 
 
 def run_differentials(page: BigradedPage):
@@ -390,67 +459,24 @@ def run_differentials(page: BigradedPage):
     Returns (einf, applied): einf maps (n, s) inside the window to its
     E-infinity dimension; applied lists the replayed differentials as
     {"r", "source_label", "target_label"} records, ordered by (r, source
-    base codegree, source label).  Raises WindowError if a partner that the
-    window should contain is missing (window too small -- cannot happen for
-    windows built by e2_window, but guards hand-edited pages).
+    base codegree, source label).  Raises WindowError, naming the kind and
+    the towers, on the first problem pair_towers finds or on a paired window
+    tower that is already height-bounded: never for pages built by
+    e2_window, but it guards hand-edited ones.
     """
-    p = page.p
-    fates = {k: classify(p, k) for k in page.towers}
+    _, pairs, problems = pair_towers(page)
+    for kind, found in problems.items():
+        if found:
+            raise WindowError(f"{kind}: {found[0]}")
     heights = dict(page.heights)
     records: list[tuple[int, int, str, str]] = []
-    hit_by: dict[Key, Key] = {}
-
-    sources = [k for k, f in fates.items() if f.role == "source"]
-    sources.sort(key=lambda k: (fates[k].r, page.towers[k].n0, page.towers[k].label))
-    for k in sources:
-        f = fates[k]
-        if heights[k] is not None:
-            raise WindowError(f"source {page.towers[k].label} is not v-free")
-        if f.partner in hit_by:
-            other = tower(p, hit_by[f.partner]).label
-            raise WindowError(
-                f"{page.towers[k].label} and {other} both hit {f.partner}"
-            )
-        hit_by[f.partner] = k
-        mate = page.towers.get(f.partner)
-        if mate is None:
-            if not _absence_ok(page, f.partner):
-                miss = tower(p, f.partner)
-                raise WindowError(
-                    f"target {miss.label} at ({miss.n0}, {miss.s0}) missing "
-                    f"from window (pad {page.n_pad}): window too small"
-                )
-        else:
-            if heights[f.partner] is not None:
-                raise WindowError(f"target {mate.label} already truncated")
-            heights[f.partner] = f.e0
-        heights[k] = 0
-        records.append(
-            (
-                f.r,
-                page.towers[k].n0,
-                page.towers[k].label,
-                dot_label(p, f.partner, f.e0),
-            )
-        )
-
-    # targets of sources that sit outside the window still truncate
-    for k, f in fates.items():
-        if f.role != "target" or heights[k] is not None:
-            continue
-        if f.partner in page.towers:
-            raise WindowError(
-                f"matched source {tower(p, f.partner).label} never fired"
-            )
-        if not _absence_ok(page, f.partner):
-            miss = tower(p, f.partner)
-            raise WindowError(
-                f"source {miss.label} at ({miss.n0}, {miss.s0}) missing "
-                f"from window: window too small"
-            )
-        heights[k] = f.e0
-        src = tower(p, f.partner)
-        records.append((f.r, src.n0, src.label, dot_label(p, k, f.e0)))
+    for st, tt, f in pairs:
+        for tw, h in ((st, 0), (tt, f.e0)):
+            if tw.key in heights:
+                if heights[tw.key] is not None:
+                    raise WindowError(f"paired tower {tw.label} is height-bounded")
+                heights[tw.key] = h
+        records.append((f.r, st.n0, st.label, dot_label(page.p, tt.key, f.e0)))
 
     einf = page.dims(heights)
     records.sort()
@@ -464,84 +490,27 @@ def run_differentials(page: BigradedPage):
 
 
 def matching_audit(p: int, n_lo: int, n_hi: int, s_max: int) -> dict:
-    """Pair every window tower with its differential partner and verify the
-    pairing is a perfect matching with consistent geometry.
+    """Pair every window tower with its differential partner (pair_towers)
+    and verify the pairing is a perfect matching with consistent geometry.
 
-    Orphans (partner missing without a window excuse), double hits and
-    geometry mismatches are report entries, not exceptions.  A window with
-    no tower raises ValueError: it would pass without checking anything.
+    Orphans, double hits and mismatches are report entries, not
+    exceptions.  A window with no tower raises ValueError: it would pass
+    without checking anything.
     """
     page = e2_window(p, n_lo, n_hi, s_max)
     if not page.towers:
         raise ValueError(f"the window {n_lo}..{n_hi}, s <= {s_max} holds no tower")
-    w = page.w
-    by_family: Counter = Counter()
-    orphans: list[dict] = []
-    double_hits: list[dict] = []
-    mismatches: list[dict] = []
-    hits: dict[Key, list[Key]] = {}
-    survivors = 0
-
-    for key, tw in page.towers.items():
-        f = classify(p, key)
-        if f.role == "survives":
-            survivors += 1
-            continue
-        by_family[(f.family, f.role)] += 1
-        back = classify(p, f.partner)
-        if (
-            back.partner != key
-            or back.r != f.r
-            or back.e0 != f.e0
-            or back.family != f.family
-            or back.role == f.role
-        ):
-            mismatches.append(
-                {"kind": "round-trip", "tower": tw.label, "partner": f.partner}
-            )
-            continue
-        src, tgt = (key, f.partner) if f.role == "source" else (f.partner, key)
-        st, tt = tower(p, src), tower(p, tgt)
-        if tt.n0 != st.n0 + 1 + w * f.e0 or tt.s0 != st.s0 + f.r - f.e0:
-            mismatches.append(
-                {
-                    "kind": "geometry",
-                    "source": st.label,
-                    "target": tt.label,
-                    "r": f.r,
-                    "e0": f.e0,
-                }
-            )
-        if f.role == "source":
-            hits.setdefault(f.partner, []).append(key)
-        if f.partner not in page.towers and not _absence_ok(page, f.partner):
-            orphans.append(
-                {
-                    "kind": f"missing-{back.role}",
-                    "tower": tw.label,
-                    "partner": tower(p, f.partner).label,
-                }
-            )
-    for tgt_key, srcs in hits.items():
-        if len(srcs) > 1:
-            double_hits.append(
-                {
-                    "target": tower(p, tgt_key).label,
-                    "sources": [tower(p, s).label for s in srcs],
-                }
-            )
-
+    fates, _, problems = pair_towers(page)
+    by_family = Counter((f.family, f.role) for f in fates.values() if f.family)
     report = {
         "p": p,
         "window": {"n_lo": n_lo, "n_hi": n_hi, "s_max": s_max, "n_pad": page.n_pad},
         "towers": len(page.towers),
-        "survivors": survivors,
+        "survivors": sum(f.role == "survives" for f in fates.values()),
         "by_family": {f"{fam}-{role}": c for (fam, role), c in sorted(by_family.items())},
-        "orphans": orphans,
-        "double_hits": double_hits,
-        "mismatches": mismatches,
+        **problems,
     }
-    report["ok"] = not (orphans or double_hits or mismatches)
+    report["ok"] = not any(problems.values())
     return report
 
 

@@ -1,7 +1,12 @@
 """Spectral sequence engine: E2 window, differential families, replay, audits."""
 
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
+from kuengine import adams
 from kuengine.adams import (
     BigradedPage,
     _z_runs,
@@ -15,6 +20,7 @@ from kuengine.adams import (
     einfty_audit,
     ext_audit,
     matching_audit,
+    pair_towers,
     run_differentials,
     tower,
 )
@@ -171,27 +177,147 @@ def test_applied_list_reproduces_closed_forms():
         assert set(d) == {"r", "source_label", "target_label"} and d["r"] >= 2
 
 
-def test_missing_target_is_a_hard_error():
+def crippled_without(gone):
     page = e2_window(2, 0, 40, 8)
-    bad = dict(page.towers)
-    gone = main_key(2, 0, 1, zs=((2, 1),))  # q z2, target of y1 z2
-    del bad[gone]
-    crippled = BigradedPage(
+    bad = {k: t for k, t in page.towers.items() if k != gone}
+    return BigradedPage(
         2, 0, 40, 8, page.n_pad, bad, {k: t.height for k, t in bad.items()}
     )
+
+
+def test_missing_target_is_a_hard_error():
+    gone = main_key(2, 0, 1, zs=((2, 1),))  # q z2, target of y1 z2
+    crippled = crippled_without(gone)
     with pytest.raises(WindowError, match="missing"):
         run_differentials(crippled)
+    orphans = pair_towers(crippled)[2]["orphans"]
+    assert orphans == [
+        {
+            "kind": "missing-target",
+            "tower": tower(2, classify(2, gone).partner).label,
+            "partner": tower(2, gone).label,
+        }
+    ]
+    assert orphans[0]["tower"] == "y1 z2"
 
 
 def test_missing_source_is_a_hard_error():
-    page = e2_window(2, 0, 40, 8)
-    bad = dict(page.towers)
-    del bad[("h0", 0, 1, 1)]  # v^2 q y1, the source under the z2 tower
-    crippled = BigradedPage(
-        2, 0, 40, 8, page.n_pad, bad, {k: t.height for k, t in bad.items()}
-    )
-    with pytest.raises(WindowError):
+    gone = ("h0", 0, 1, 1)  # v^2 q y1, the source under the z2 tower
+    crippled = crippled_without(gone)
+    with pytest.raises(WindowError, match="missing"):
         run_differentials(crippled)
+    orphans = pair_towers(crippled)[2]["orphans"]
+    assert orphans == [
+        {
+            "kind": "missing-source",
+            "tower": tower(2, classify(2, gone).partner).label,
+            "partner": tower(2, gone).label,
+        }
+    ]
+    assert orphans[0]["tower"] == "z2"
+
+
+def in_window_pairs(page):
+    """(source key, its fate) of every differential with both ends in the
+    window, in tower order."""
+    fates = {k: classify(page.p, k) for k in page.towers}
+    return [
+        (k, f) for k, f in fates.items() if f.role == "source" and f.partner in fates
+    ]
+
+
+def patch_fates(monkeypatch, changed):
+    """Make adams.classify return changed[key] for the keys listed."""
+    real = adams.classify
+    monkeypatch.setattr(adams, "classify", lambda p, k: changed.get(k) or real(p, k))
+
+
+def shift_e0(monkeypatch, src, f):
+    """Add 1 to e0 on both ends of the differential src -> f.partner."""
+    tgt = f.partner
+    patch_fates(
+        monkeypatch,
+        {
+            src: dataclasses.replace(f, e0=f.e0 + 1),
+            tgt: dataclasses.replace(classify(2, tgt), e0=f.e0 + 1),
+        },
+    )
+
+
+def test_replay_rejects_a_one_sided_round_trip(monkeypatch):
+    page = e2_window(2, 0, 60, 12)
+    (s1, f1), (s2, _) = in_window_pairs(page)[:2]
+    # the target of s1 names s2 as its source; s2 still hits its own target
+    patch_fates(
+        monkeypatch,
+        {f1.partner: dataclasses.replace(classify(2, f1.partner), partner=s2)},
+    )
+    with pytest.raises(WindowError, match="round-trip"):
+        run_differentials(page)
+    assert not matching_audit(2, 0, 60, 12)["ok"]
+
+
+def test_replay_rejects_a_pair_with_broken_geometry(monkeypatch):
+    page = e2_window(2, 0, 60, 12)
+    shift_e0(monkeypatch, *in_window_pairs(page)[0])
+    with pytest.raises(WindowError, match="geometry"):
+        run_differentials(page)
+    assert not matching_audit(2, 0, 60, 12)["ok"]
+
+
+def test_a_double_hit_is_reported_and_raised(monkeypatch):
+    page = e2_window(2, 0, 60, 12)
+    (s1, f1), (s2, f2) = in_window_pairs(page)[:2]
+    patch_fates(monkeypatch, {s2: dataclasses.replace(f2, partner=f1.partner)})
+    with pytest.raises(WindowError, match="double_hits"):
+        run_differentials(page)
+    rep = matching_audit(2, 0, 60, 12)
+    label = {k: t.label for k, t in page.towers.items()}
+    assert rep["double_hits"] == [
+        {"target": label[f1.partner], "sources": [label[s1], label[s2]]}
+    ]
+    # s2 and its own target no longer invert each other
+    bad = sorted(m["tower"] for m in rep["mismatches"])
+    assert bad == sorted([label[s2], label[f2.partner]])
+
+
+def test_matching_audit_reports_a_bad_pair_once(monkeypatch):
+    page = e2_window(2, 0, 60, 12)
+    src, f = in_window_pairs(page)[0]
+    shift_e0(monkeypatch, src, f)
+    rep = matching_audit(2, 0, 60, 12)
+    assert rep["mismatches"] == [
+        {
+            "kind": "geometry",
+            "source": page.towers[src].label,
+            "target": page.towers[f.partner].label,
+            "r": f.r,
+            "e0": f.e0 + 1,
+        }
+    ]
+    assert rep["orphans"] == [] and rep["double_hits"] == []
+
+
+# sha256 of json.dumps([sorted(einf.items()), applied]): no CLI output
+# prints the applied list, only its length
+REPLAY_DIGESTS = {
+    (2, 0, 120, 35): "5071b8dd233a8ff4add37fe47196e50138a0a2817decc269371c58690da1258f",
+    (3, 0, 150, 30): "8793cd6270e77c8360e5ae5eb164e34adff774b3a2bf8314d780242cebec95cb",
+    (5, 0, 400, 20): "c5b81db1ba092c29232bca6c5888c1b63f7520b50a948549798a7bb419fd56e3",
+}
+
+
+@pytest.mark.parametrize("window", sorted(REPLAY_DIGESTS))
+def test_replay_is_pinned_and_ordered(window):
+    p = window[0]
+    page = e2_window(*window)
+    einf, applied = run_differentials(page)
+    blob = json.dumps([sorted(einf.items()), applied])
+    assert hashlib.sha256(blob.encode()).hexdigest() == REPLAY_DIGESTS[window]
+    keys = set(page.towers) | {classify(p, k).partner for k in page.towers}
+    n0 = {tower(p, k).label: tower(p, k).n0 for k in keys - {None}}
+    order = [(d["r"], n0[d["source_label"]], d["source_label"]) for d in applied]
+    assert order == sorted(order)
 
 
 # -- audits --------------------------------------------------------------------

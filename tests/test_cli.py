@@ -314,6 +314,13 @@ PINNED_STDOUT = {
         "65ddd5fe11566e3af9072c118150328cdd89c988c9ab5cee0ef11a427a3a4f32",
     "audit --which matching --prime 3 --max 120":
         "79f56aa54e872bd142e903f86eb70a4bbaddec888091669dd6bf20793c9b9637",
+    # the tower pairing the replay and the matching audit share, at p = 2, 5
+    "audit --which matching --prime 2":
+        "51df3c5a1e176c905c07d6a1347c98424e4c6fab9cc72e3b89e6d0d40070171b",
+    "audit --which matching --prime 5 --max 400 --max-s 20":
+        "c8e2bfe2a01a9bcedd6aab7270c3e6e33f7b4c076e022a132c5a529870ef996e",
+    "audit --which einfty --prime 5 --max 400":
+        "de801b683c632cea00f1e8a274d8cc340eea6dec22acb72ead3b5994275e956c",
     "chart --einfty --prime 3 --window 0:100 --max-s 12":
         "6c76efc7a333ea09d17324d4335e602e07981645888770aaba0dea6ff83f8c11",
     "chart full-odd --prime 2 --window 0:160":

@@ -21,12 +21,17 @@ append_shifted copies the towers (generators multiplied by m) and edges
 (tower positions shifted by the list's length) of one (C, m) part onto lists
 under construction, and direct_sum builds a single Chart from all parts, so
 the edge-source and validate checks run once, over the finished chart.
+
+A monomial family of towers is a table of FamilyRow rows, counted dot by dot
+by count_family_dots; walk_family walks an indexed family while the lowest
+reach among its rows, row_reach = base - 2(p-1)(height - 1), is in the window.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .linalg import group_exponents, cokernel_exponents
 from .monomial import Monomial, bounded_exponents, lambda_factors
@@ -44,21 +49,38 @@ def tower_dots(
     return range(first, stop)
 
 
-def count_family_dots(
-    dims: list[int], p: int, base: int, height: int, factors: list,
-    lam: int | None = None, sign: int = 1,
-) -> None:
-    """Add sign to dims[n], 0 <= n < len(dims), for each dot in degree n of
-    the towers of that height based in degree base + |m|, m a monomial in the
-    (degree, max exponent) factors (times Lambda_lam when lam is given)."""
-    n_max = len(dims) - 1
+# Towers of one height based in degree base + |m|, m a monomial in the (degree,
+# max exponent) factors times Lambda_lam (none if lam is None); a dot counts sign.
+FamilyRow = namedtuple("FamilyRow", "base height factors lam sign", defaults=(None, 1))
+
+
+def row_reach(p: int, row: FamilyRow) -> int:
+    """The bottom degree of the row's tower on the unit monomial."""
+    return row.base - 2 * (p - 1) * (row.height - 1)
+
+
+def walk_family(rows_at: Callable, reach: Callable, n_max: int, start: int) -> Iterator:
+    """Yield rows_at(j) for j = start, start + 1, ... while the lowest reach
+    among them is <= n_max (an index with no rows ends the walk too): each
+    family's reach grows with its index, so its own rows say where it ends."""
+    j = start
+    while (rows := rows_at(j)) and min(map(reach, rows)) <= n_max:
+        yield from rows
+        j += 1
+
+
+def count_family_dots(p: int, rows: Iterable[FamilyRow], n_max: int) -> tuple[int, ...]:
+    """Dot counts in degrees 0..n_max of the towers of the rows."""
+    dims = [0] * (n_max + 1)
     w = 2 * (p - 1)
-    cap = n_max + w * (height - 1) - base
-    if lam is not None:
-        factors = factors + lambda_factors(p, lam, cap)
-    for _, d in bounded_exponents(factors, cap):
-        for a in tower_dots(base + d, height, w, 0, n_max):
-            dims[base + d - w * a] += sign
+    for base, height, factors, lam, sign in rows:
+        cap = n_max + w * (height - 1) - base
+        if lam is not None:
+            factors = factors + lambda_factors(p, lam, cap)
+        for _, d in bounded_exponents(factors, cap):
+            for a in tower_dots(base + d, height, w, 0, n_max):
+                dims[base + d - w * a] += sign
+    return tuple(dims)
 
 
 def v_label(gen: str, a: int) -> str:

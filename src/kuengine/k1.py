@@ -21,12 +21,11 @@ which pins every dimension against the chart groups.
 The w_j are odd-degree classes with |w_1| = 2p^2 + 1 and
 w_{j+2} = y_j^{p-1} w_j z_{j+1}^{p-1} (see padic.w_degree).
 
-Each family, and each cofactor of the splitting families below, is a
-factor list walked by monomial.bounded_exponents: a (degree, max exponent)
-pair per generator, None for a polynomial y-power, 1 for eps, p-1 for the
-z-factors of Lambda, listed only up to the degree that can still reach the
-window.  k1_dims counts the towers of each family with
-chart.count_family_dots, the counter modules.assoc_graded_dims uses too.
+k1_towers lists the families as chart.FamilyRow rows: a base, a height and
+the cofactor factors walked by monomial.bounded_exponents.  W, Z and q are
+walked by index (chart.walk_family) while a row reaches the window: its
+lowest dot, base - 2(p-1)(height - 1), is <= n_max.  k1_dims counts the
+rows' dots with chart.count_family_dots, as modules.assoc_graded_dims does.
 
 Two audits consume these dimensions:
 
@@ -40,16 +39,17 @@ Two audits consume these dimensions:
 
   * theorem61_audit (odd p): the same totals, but with the right-hand side
     re-derived from the splitting of the long exact sequence into 4- and
-    10-term pieces indexed by the core charts (g_family_dims).  Passing
-    means no exotic extension beyond the ones built into the charts can
-    exist: an extra one would lower a ker/coker count and break a degree.
+    10-term pieces indexed by the core charts (g_family_dims, read off the
+    term table _g_terms).  Passing means no exotic extension beyond the
+    ones built into the charts can exist: an extra one would lower a
+    ker/coker count and break a degree.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, partial
 
-from .chart import count_family_dots
+from .chart import FamilyRow, count_family_dots, row_reach, walk_family
 from .modules import build_A, build_B, build_S, full_chart
 from .monomial import (
     Z_prod,
@@ -69,42 +69,33 @@ def _y_pair(p: int, k: int) -> list[tuple[int, int | None]]:
     return [(y_degree(p, k), p - 2), (y_degree(p, k + 1), None)]
 
 
+def k1_towers(p: int, n_max: int) -> list[tuple[str, FamilyRow]]:
+    """The k(1) family rows, each tagged with its family name: the bottom
+    rows, then W, Z and q, each walked while its rows reach degree <= n_max."""
+    y, z, w = partial(y_degree, p), partial(z_degree, p), partial(w_degree, p)
+    y1 = (y(1), None)
+    rows = [("bottom", FamilyRow(2 * (p - 1) + z(0), 1, [y1]))]
+    if p == 2:
+        rows.append(("bottom", FamilyRow(z(1), 1, [y1])))
+    families = (
+        ("W", 1, lambda j: [FamilyRow(
+            w(j), r(p, j), [(w(j + 1), 1)] + _y_pair(p, j), j + 1)]),
+        ("Z", k0(p), lambda j: [FamilyRow(
+            z(j), r_prime(p, j - 1), [(z(j), p - 2), (y(j), None), (w(j), 1)], j + 1)]),
+        ("q", k0(p), lambda j: [FamilyRow(p * z(j), 1, [y1, (q_degree(p), 1)], j + 1)]),
+    )
+    walk = partial(walk_family, reach=partial(row_reach, p), n_max=n_max)
+    for name, start, rows_at in families:
+        rows += [(name, row) for row in walk(rows_at, start=start)]
+    return rows
+
+
 @lru_cache(maxsize=None)
 def k1_dims(p: int, n_max: int) -> tuple[int, ...]:
     """F_p-dimensions of k(1)^n(K2) for 0 <= n <= n_max, trivial summand
     excluded.  Entry [n] is the number of monomial-family classes in
     degree n."""
-    w = 2 * (p - 1)
-    dims = [0] * (n_max + 1)
-
-    add = partial(count_family_dots, dims, p)  # (base, height, factors, lam)
-
-    # W family.  The lowest reachable degree |w_j| - 2(p-1)(r(j)-1) grows
-    # with j, so the loop terminates.
-    j = 1
-    while w_degree(p, j) - w * (r(p, j) - 1) <= n_max:
-        add(w_degree(p, j), r(p, j), [(w_degree(p, j + 1), 1)] + _y_pair(p, j), j + 1)
-        j += 1
-
-    # Z family.
-    j = k0(p)
-    while z_degree(p, j) - w * (r_prime(p, j - 1) - 1) <= n_max:
-        cof = [(z_degree(p, j), p - 2), (y_degree(p, j), None), (w_degree(p, j), 1)]
-        add(z_degree(p, j), r_prime(p, j - 1), cof, j + 1)
-        j += 1
-
-    # Bottom family.
-    add(2 * (p - 1) + z_degree(p, 0), 1, [(y_degree(p, 1), None)])
-    if p == 2:
-        add(z_degree(p, 1), 1, [(y_degree(p, 1), None)])
-
-    # q family.
-    j = k0(p)
-    while p * z_degree(p, j) <= n_max:
-        add(p * z_degree(p, j), 1, [(y_degree(p, 1), None), (q_degree(p), 1)], j + 1)
-        j += 1
-
-    return tuple(dims)
+    return count_family_dots(p, [row for _, row in k1_towers(p, n_max)], n_max)
 
 
 def bockstein_audit(p: int, n_max: int) -> dict:
@@ -140,6 +131,8 @@ def bockstein_audit(p: int, n_max: int) -> dict:
 # class keeps its degree.  Since multiplication by p preserves degree, both
 # ker and coker dimensions in a given degree equal the number of cyclic
 # summands there.
+# _g_terms holds this table; an instance reaches min(_tcounts) + shift - side
+# over its own terms.
 # ---------------------------------------------------------------------------
 
 _KER, _COKER = 1, 0  # degree shift applied to the chart lookup
@@ -154,19 +147,11 @@ def _odd_only(p: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _tcounts(p: int, kind: str, k: int, ell: int = 0) -> dict:
-    """degree -> number of cyclic summands, for a core chart."""
-    if kind == "A":
-        chart = build_A(p, k)
-    elif kind == "B":
-        chart = build_B(p, k)
-    else:
-        chart = build_S(p, k, ell)
-    counts = (
-        (n, len(chart.group_at(n)))
-        for n in range(chart.min_dot_degree(), chart.max_dot_degree() + 1)
-    )
-    return {n: c for n, c in counts if c}
+def _tcounts(p: int, kind: str, *params: int) -> dict:
+    """degree -> number of cyclic summands, for core chart A, B or S at params."""
+    chart = {"A": build_A, "B": build_B, "S": build_S}[kind](p, *params)
+    degrees = range(chart.min_dot_degree(), chart.max_dot_degree() + 1)
+    return {n: c for n in degrees if (c := len(chart.group_at(n)))}
 
 
 def _cofactor_degrees(factors: list, budget: int) -> list[int]:
@@ -174,110 +159,86 @@ def _cofactor_degrees(factors: list, budget: int) -> list[int]:
     return [d for _, d in bounded_exponents(factors, budget)]
 
 
-def _q_shift(p: int, k: int) -> int:
-    """|y_1^{p^{k-1}-1} q|."""
-    return 2 * p * (p ** (k - 1) - 1) + q_degree(p)
+def _g_terms(p: int, i: int, params: tuple) -> tuple[list, list, int | None]:
+    """G^i at params as data: its terms ((chart kind, *chart params), shift,
+    side) and its cofactor, the factors times Lambda_lam (lam None: none).
+    The ker of a piece's chart c lies in G^(first + c), its coker in the next."""
+    _odd_only(p)
+    if i not in range(1, 9):
+        raise ValueError(f"no family G^{i}")
+    if i <= 2:
+        (k,) = params
+        first, charts = 1, [(("A", k), 0)]
+        factors, lam = _y_pair(p, k), None
+    elif i <= 6:
+        k, ell = params
+        if ell <= k:
+            raise ValueError("need 1 <= k < l")
+        first = 3
+        charts = [  # shifted by |y_k Z_k^l|, |y_1^{p^{k-1}-1} q| and |z_l|
+            (("B", k), 2 * p**k + Z_prod(p, k, ell).degree),
+            (("S", k, ell), 2 * p * (p ** (k - 1) - 1) + q_degree(p)),
+            (("B", k), z_degree(p, ell)),
+        ]
+        factors, lam = [(z_degree(p, ell), p - 2)] + _y_pair(p, k), ell + 1
+    else:
+        k, e = params
+        if not 1 <= e <= p - 2:
+            raise ValueError("need 1 <= e <= p-2")
+        first, charts = 7, [(("B", k), e * z_degree(p, k))]
+        factors, lam = [(y_degree(p, k), None)], k + 1
+    if k < 1:
+        raise ValueError("need k >= 1")
+    c = i - first  # the coker of chart c - 1 and the ker of chart c
+    terms = [(*charts[c - 1], _COKER)] if c > 0 else []
+    terms += [(*charts[c], _KER)] if c < len(charts) else []
+    return terms, factors, lam
 
 
-def _accumulate(
-    dims: list[int], t: dict, shift: int, side: int, cofactors: list[int]
-) -> None:
-    """dims[n] += t[n + side - shift - cof] for every cofactor degree."""
-    n_max = len(dims) - 1
-    for deg, count in t.items():
-        for cof in cofactors:
-            n = deg + shift + cof - side
-            if 0 <= n <= n_max:
-                dims[n] += count
+def _g_reach(p: int, i: int, params: tuple) -> int:
+    """The lowest degree a class of G^i at params lands in."""
+    terms, _, _ = _g_terms(p, i, params)
+    return min(min(_tcounts(p, *key)) + shift - side for key, shift, side in terms)
 
 
 def g_family_dims(p: int, i: int, params: tuple, n_max: int) -> tuple[int, ...]:
     """Per-degree dimensions of G^i with its cofactors, degrees 0..n_max.
 
     params is (k,) for i in {1, 2}, (k, l) for i in {3..6}, and (k, e)
-    for i in {7, 8}.  Odd p only."""
-    _odd_only(p)
-    if i not in range(1, 9):
-        raise ValueError(f"no family G^{i}")
+    for i in {7, 8}, always with k >= 1.  Odd p only."""
+    terms, factors, lam = _g_terms(p, i, params)
     dims = [0] * (n_max + 1)
     budget = n_max + 1  # ker classes reach one degree below the chart
-    if i in (1, 2):
-        (k,) = params
-        t = _tcounts(p, "A", k)
-        side = _KER if i == 1 else _COKER
-        _accumulate(dims, t, 0, side, _cofactor_degrees(_y_pair(p, k), budget))
-    elif i in (3, 4, 5, 6):
-        k, ell = params
-        if not 1 <= k < ell:
-            raise ValueError("need 1 <= k < l")
-        ten = [(z_degree(p, ell), p - 2)] + _y_pair(p, k)
-        ten += lambda_factors(p, ell + 1, budget)
-        cof = _cofactor_degrees(ten, budget)
-        tb = _tcounts(p, "B", k)
-        if i == 3:
-            _accumulate(dims, tb, 2 * p**k + Z_prod(p, k, ell).degree, _KER, cof)
-        elif i == 4:
-            _accumulate(dims, tb, 2 * p**k + Z_prod(p, k, ell).degree, _COKER, cof)
-            _accumulate(dims, _tcounts(p, "S", k, ell), _q_shift(p, k), _KER, cof)
-        elif i == 5:
-            _accumulate(dims, _tcounts(p, "S", k, ell), _q_shift(p, k), _COKER, cof)
-            _accumulate(dims, tb, z_degree(p, ell), _KER, cof)
-        else:
-            _accumulate(dims, tb, z_degree(p, ell), _COKER, cof)
-    else:
-        k, e = params
-        if not 1 <= e <= p - 2:
-            raise ValueError("need 1 <= e <= p-2")
-        t = _tcounts(p, "B", k)
-        side = _KER if i == 7 else _COKER
-        single = [(y_degree(p, k), None)] + lambda_factors(p, k + 1, budget)
-        cof = _cofactor_degrees(single, budget)
-        _accumulate(dims, t, e * z_degree(p, k), side, cof)
+    if lam is not None:
+        factors = factors + lambda_factors(p, lam, budget)
+    cof = _cofactor_degrees(factors, budget)
+    for key, shift, side in terms:
+        for deg, count in _tcounts(p, *key).items():
+            for n in (deg + shift + c - side for c in cof):
+                if 0 <= n <= n_max:
+                    dims[n] += count
     return tuple(dims)
 
 
 def _g_total(p: int, n_max: int) -> list[int]:
-    """Sum of g_family_dims over every family instance that can reach the
-    window.  All per-instance minimum degrees grow with k and l, so the
-    loops terminate."""
+    """Sum of g_family_dims over every (i, params) instance of the splitting
+    families, each walked by k (G^3..G^6 by l within k) while it reaches
+    degree <= n_max."""
+    walk = partial(walk_family, reach=lambda inst: _g_reach(p, *inst), n_max=n_max)
+
+    def ten_term(k: int, ell: int) -> list:
+        return [(i, (k, ell)) for i in (3, 4, 5, 6)]
+
+    families = (
+        lambda k: [(1, (k,)), (2, (k,))],
+        lambda k: list(walk(partial(ten_term, k), start=k + 1)),
+        lambda k: [(i, (k, e)) for e in range(1, p - 1) for i in (7, 8)],
+    )
     total = [0] * (n_max + 1)
-
-    def fold(vec: tuple[int, ...]) -> None:
-        for n, d in enumerate(vec):
-            total[n] += d
-
-    k = 1
-    while min(_tcounts(p, "A", k)) - 1 <= n_max:
-        fold(g_family_dims(p, 1, (k,), n_max))
-        fold(g_family_dims(p, 2, (k,), n_max))
-        k += 1
-
-    k = 1
-    while True:
-        min_b = min(_tcounts(p, "B", k))
-        if min_b + 2 * p**k + Z_prod(p, k, k + 1).degree - 1 > n_max:
-            break
-        ell = k + 1
-        while True:
-            reach = min(
-                min_b + 2 * p**k + Z_prod(p, k, ell).degree,
-                min(_tcounts(p, "S", k, ell)) + _q_shift(p, k),
-                min_b + z_degree(p, ell),
-            )
-            if reach - 1 > n_max:
-                break
-            for i in (3, 4, 5, 6):
-                fold(g_family_dims(p, i, (k, ell), n_max))
-            ell += 1
-        k += 1
-
-    k = 1
-    while min(_tcounts(p, "B", k)) + z_degree(p, k) - 1 <= n_max:
-        for e in range(1, p - 1):
-            fold(g_family_dims(p, 7, (k, e), n_max))
-            fold(g_family_dims(p, 8, (k, e), n_max))
-        k += 1
-
+    for family in families:
+        for i, params in walk(family, start=1):
+            for n, d in enumerate(g_family_dims(p, i, params, n_max)):
+                total[n] += d
     return total
 
 

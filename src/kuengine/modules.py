@@ -18,8 +18,9 @@ even_part / odd_part assemble the full even- and odd-degree answer as a
 direct sum of monomial multiples of the cores, now built in one pass from
 (core, multiplier) pairs with no chart per summand (full_chart sums both
 pair lists at once); ku_group_at slices it into explicit groups.
-assoc_graded_dims is an independent associated-graded dimension count,
-by the tower counter k1.k1_dims uses; acceptance check 13 and
+assoc_graded_dims is an independent associated-graded dimension count: its
+three lines are chart.FamilyRow tables, counted by the counter k1.k1_dims
+uses and walked while their rows reach the window; acceptance check 13 and
 tests/test_modules.py compare it with the assembled chart, and no audit
 or CLI command reaches it.
 """
@@ -30,12 +31,15 @@ from functools import lru_cache, partial
 
 from .chart import (
     Chart,
+    FamilyRow,
     PEdge,
     RealizedWindow,
     Tower,
     append_shifted,
     count_family_dots,
     direct_sum,
+    row_reach,
+    walk_family,
 )
 from .monomial import (
     Monomial,
@@ -268,37 +272,30 @@ def assoc_graded_dims(p: int, n_max: int) -> tuple[int, ...]:
       (line 3)  TP_{nu(i)+2}[v] q y_1^{i-1} z[k0+l, l+nu(i)+2] Lambda_{l+nu(i)+2}
                                                                     (i >= 1, l >= 0)
 
-    counted by the same tower counter as k1.k1_dims; LambdaBar_t is
-    Lambda_t without its unit."""
-    w = 2 * (p - 1)
-    dims = [0] * (n_max + 1)
-    add = partial(count_family_dots, dims, p)  # (base, height, factors, lam, sign)
-    # line 1
-    add(2 * (p - 1) + z_degree(p, 0), 1, [(y_degree(p, 1), None)])
-    t = 1
-    while z_degree(p, t) - w * (p**t - 1) <= n_max:
-        add(z_degree(p, t), p**t, [(y_degree(p, t), None)])
-        t += 1
-    # line 2
-    t = k0(p)
-    while 2 * z_degree(p, t) - w * (p**t - t - 1) <= n_max:
-        add(z_degree(p, t), p**t - t, [(y_degree(p, t), None)], t)
-        add(z_degree(p, t), p**t - t, [(y_degree(p, t), None)], None, -1)
-        t += 1
-    # line 3
-    i = 1
-    while q_degree(p) + y_degree(p, 1) * (i - 1) <= n_max:
-        h = nu(p, i) + 2
-        ell = 0
-        while True:
-            comp = z_comp(p, k0(p) + ell, ell + h)
-            base = q_degree(p) + y_degree(p, 1) * (i - 1) + comp.degree
-            if base - w * (h - 1) > n_max:
-                break
-            add(base, h, [], ell + h)
-            ell += 1
-        i += 1
-    return tuple(dims)
+    as FamilyRow tables walked while they reach the window.  LambdaBar_t is
+    a Lambda_t row plus a sign -1 unit row.  Line 3 is walked by v = nu(i),
+    as its reach is not monotone in i: i = p^v (c + p m), 1 <= c <= p-1, so
+    q y_1^{i-1} = q y_1^{p^v c - 1} (y_1^{p^(v+1)})^m, of degree |y_{v+2}| m more."""
+    y, z = partial(y_degree, p), partial(z_degree, p)
+    walk = partial(walk_family, reach=partial(row_reach, p), n_max=n_max)
+
+    def line2(t: int) -> list[FamilyRow]:
+        row = FamilyRow(z(t), p**t - t, [(y(t), None)], t)
+        return [row, row._replace(lam=None, sign=-1)]
+
+    def line3(v: int) -> list[FamilyRow]:
+        def at_l(ell: int) -> list[FamilyRow]:
+            base = q_degree(p) - y(1) + z_comp(p, k0(p) + ell, ell + v + 2).degree
+            row = FamilyRow(base, v + 2, [(y(v + 2), None)], ell + v + 2)
+            return [row._replace(base=base + c * y(v + 1)) for c in range(1, p)]
+
+        return list(walk(at_l, start=0))
+
+    rows = [FamilyRow(2 * (p - 1) + z(0), 1, [(y(1), None)])]
+    rows += walk(lambda t: [FamilyRow(z(t), p**t, [(y(t), None)])], start=1)
+    rows += walk(line2, start=k0(p))
+    rows += walk(line3, start=0)
+    return count_family_dots(p, rows, n_max)
 
 
 # -- self-duality of the B_k ------------------------------------------------------

@@ -9,12 +9,15 @@ pins degree by degree.
 import pytest
 
 from kuengine import k1
-from kuengine.chart import tower_dots
+from kuengine.chart import count_family_dots, row_reach, tower_dots
 from kuengine.k1 import (
     _cofactor_degrees,
+    _g_reach,
+    _g_total,
     bockstein_audit,
     g_family_dims,
     k1_dims,
+    k1_towers,
     theorem61_audit,
 )
 from kuengine.monomial import Monomial, k0, q_degree, z_degree
@@ -112,6 +115,11 @@ def test_g_family_validation():
         g_family_dims(3, 3, (2, 2), 10)  # need k < l
     with pytest.raises(ValueError):
         g_family_dims(3, 7, (1, 2), 10)  # need e <= p-2
+    # G^1_0 is no family (A_0 would lend it classes), and B_0 is empty
+    for p, i, params in ((3, 1, (0,)), (3, 2, (0,)), (3, 3, (0, 1)), (3, 6, (-1, 2)),
+                         (3, 7, (0, 1)), (5, 8, (0, 3))):
+        with pytest.raises(ValueError, match="need k >= 1"):
+            g_family_dims(p, i, params, 40)
 
 
 def test_g1_g2_low_degrees_p3():
@@ -271,3 +279,92 @@ def test_g_family_cofactors_match_the_loop_reference(p, monkeypatch):
                 seen.clear()
                 g_family_dims(p, i, params, n_max)
                 assert len(seen) == 1 and sorted(seen[0]) == sorted(want), (i, params)
+
+
+# -- the walks stop where their rows say ------------------------------------
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_k1_walks_stop_at_the_first_row_past_the_window(p):
+    far = k1_towers(p, 10**6)
+    for n_max in (0, 60, 400):
+        walked = k1_towers(p, n_max)
+        for name in ("W", "Z", "q"):
+            rows = [row for f, row in walked if f == name]
+            more = [row for f, row in far if f == name]
+            assert more[: len(rows)] == rows, (name, n_max)
+            past = more[len(rows)]  # the first index past the walk
+            assert row_reach(p, past) > n_max
+            assert not any(count_family_dots(p, [past], n_max)), (name, n_max)
+            # the reach is the row's lowest dot, not just a bound below it
+            assert count_family_dots(p, [past], row_reach(p, past))[-1] == 1
+
+
+# the first k whose A_k and B_k lie wholly above degree 401
+G_GRID = {3: 5, 5: 4, 7: 3}
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_g_walks_drop_no_instance(p):
+    top = G_GRID[p]
+    ks = range(1, top + 1)
+    grid = [(i, (k,)) for k in ks for i in (1, 2)]
+    grid += [(i, (k, ell)) for k in ks for ell in range(k + 1, top + 2) for i in (3, 4, 5, 6)]
+    grid += [(i, (k, e)) for k in ks for e in range(1, p - 1) for i in (7, 8)]
+    # the grid's far edges: k = top, or l = top + 1
+    edge = [(i, ps) for i, ps in grid if ps[0] == top or (3 <= i <= 6 and ps[1] == top + 1)]
+    for i, ps in grid:
+        # the reach is the instance's lowest class, not just a bound below it
+        reach = _g_reach(p, i, ps)
+        if reach <= 1000:
+            dims = g_family_dims(p, i, ps, reach)
+            assert dims[-1] and not any(dims[:-1]), (i, ps)
+    for n_max in (0, 60, 400):
+        assert all(_g_reach(p, i, ps) > n_max for i, ps in edge), n_max
+        brute = [0] * (n_max + 1)
+        for i, ps in grid:
+            for n, d in enumerate(g_family_dims(p, i, ps, n_max)):
+                brute[n] += d
+        assert _g_total(p, n_max) == brute, n_max
+
+
+# -- the tables carry the audits ---------------------------------------------
+
+
+@pytest.fixture
+def fresh_caches():
+    """Empty the k(1) caches around a test that mutates a table."""
+    k1.k1_dims.cache_clear()
+    k1._tcounts.cache_clear()
+    yield
+    k1.k1_dims.cache_clear()
+    k1._tcounts.cache_clear()
+
+
+def test_a_lower_z_row_fails_both_audits(monkeypatch, fresh_caches):
+    towers = k1.k1_towers
+
+    def lowered(p, n_max):
+        rows = towers(p, n_max)
+        at = next(t for t, (name, _) in enumerate(rows) if name == "Z")
+        row = rows[at][1]
+        rows[at] = ("Z", row._replace(height=row.height - 1))
+        return rows
+
+    monkeypatch.setattr(k1, "k1_towers", lowered)
+    assert not bockstein_audit(3, 300)["ok"]
+    assert not theorem61_audit(3, 300)["ok"]
+
+
+def test_dropping_g4s_s_term_fails_theorem61_only(monkeypatch, fresh_caches):
+    terms = k1._g_terms
+
+    def without_s(p, i, params):
+        got, factors, lam = terms(p, i, params)
+        if i == 4:
+            got = [term for term in got if term[0][0] != "S"]
+        return got, factors, lam
+
+    monkeypatch.setattr(k1, "_g_terms", without_s)
+    assert bockstein_audit(3, 300)["ok"]
+    assert not theorem61_audit(3, 300)["ok"]

@@ -1,6 +1,6 @@
 """Adams spectral sequence engine for ku^*(K(Z/p, 2)): closed-form E2 page,
 the four differential families, one source/target pairing pass shared by the
-replay to E-infinity and the matching audit.
+replay to E-infinity, the matching audit and the E-infinity audit.
 
 Conventions (cohomological, shared with chart.py):
   * bidegrees are (codegree n, filtration s); a v-tower with base (n0, s0)
@@ -29,6 +29,16 @@ arithmetic, with z-parts as {index: exponent} dicts and |z_comp(i, j)| =
 monomial.render_exponents, the spelling of Monomial.render.  No Monomial is
 built here.
 
+What the page holds per key and what it holds as a block.  The MAIN and SP
+towers and the H0 cosets that are F3 sources (eps = 1, c < nu(b+1) + odd)
+are per-key towers: each has an ETower, a label and a classify fate.  Every
+other H0 coset is an F1 source (eps = 0) or an F1 target, and those form
+the h0 block: s_max plus one b-range per eps, each (b, eps) a column over
+c.  h0_fate is the integer h0 branch of classify; pair_towers walks the
+block column by column with it and builds no ETower, Fate or label per
+coset.  Every F1 end dies entirely (e0 = 0), so the block shares one
+height entry, heights[BLOCK]: None on E2, 0 on E-infinity.
+
 Differentials come in four closed families (nu = nu(p, -), t >= k0, target
 truncation height e0 listed last):
 
@@ -53,9 +63,11 @@ degree by degree against the chart built by modules.py.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .chart import tower_dots, v_label
 from .modules import full_chart
@@ -72,6 +84,7 @@ from .monomial import (
 from .padic import nu
 
 Key = tuple
+BLOCK: Key = ("h0",)  # the heights entry every coset of the h0 block shares
 
 
 class WindowError(RuntimeError):
@@ -125,6 +138,12 @@ def _key(p: int, b: int, eps: int, z: dict[int, int]) -> Key:
     return ("main", b, eps, *z_decompose_dict(p, z))
 
 
+def h0_base(p: int, c: int, b: int, eps: int) -> tuple[int, int]:
+    """Base bidegree (n0, s0) of the coset h0^c (v^k0 q)^eps y1^b, with
+    |q| - 2(p-1) k0 = 2p + 1 at every prime."""
+    return 2 * p * (b + eps) + eps, c + k0(p) * eps
+
+
 def dot_label(p: int, key: Key, a: int) -> str:
     """Display name of the dot v^a . (tower generator), v-powers merged."""
     if key[0] == "h0":
@@ -146,7 +165,6 @@ def dot_label(p: int, key: Key, a: int) -> str:
 @lru_cache(maxsize=None)
 def tower(p: int, key: Key) -> ETower:
     """Base bidegree, height and display label of a tower key."""
-    kk = k0(p)
     if key[0] == "main":
         _, b, eps, *_ = key
         zs = tuple(_z_of(p, key).items())
@@ -157,8 +175,7 @@ def tower(p: int, key: Key) -> ETower:
         _, c, b, eps = key
         if (b, eps) == (0, 0) or c < 0:
             raise ValueError(f"bad h0 key {key}")
-        n0 = 2 * p * b + eps * (q_degree(p) - 2 * (p - 1) * kk)
-        return ETower(key, n0, c + kk * eps, None, dot_label(p, key, 0))
+        return ETower(key, *h0_base(p, c, b, eps), None, dot_label(p, key, 0))
     if key[0] == "sp":
         _, kind, b = key
         if p == 2 and kind == "x8":
@@ -178,6 +195,29 @@ def tower(p: int, key: Key) -> ETower:
 # -- intrinsic fate of a tower ------------------------------------------------
 
 
+def h0_fate(p: int, c: int, b: int, eps: int) -> tuple:
+    """The h0 branch of classify as plain values: (role, family, r, e0,
+    partner key) of the coset h0^c (v^k0 q)^eps y1^b."""
+    odd = 0 if p == 2 else 1
+    if eps == 0:
+        d = nu(p, b) if b % p == 0 else 0
+        return "source", "F1", d + 2, 0, ("h0", c + d + odd, b - 1, 1)
+    d = nu(p, b + 1) if (b + 1) % p == 0 else 0
+    if c >= d + odd:
+        return "target", "F1", d + 2, 0, ("h0", c - d - odd, b + 1, 0)
+    t = c + k0(p)
+    bare = ("main", b + 1 - p ** (t - 1), 0, t, t, 0, ())  # y1^(b+1-p^(t-1)) z_t
+    return "source", "F3", p**t - t, p**t, bare
+
+
+def fate(p: int, key: Key) -> tuple:
+    """classify's fields as a plain tuple; an h0 coset builds no Fate."""
+    if key[0] == "h0":
+        return h0_fate(p, key[1], key[2], key[3])
+    f = classify(p, key)
+    return f.role, f.family, f.r, f.e0, f.partner
+
+
 @lru_cache(maxsize=None)
 def classify(p: int, key: Key) -> Fate:
     """Which differential family a tower belongs to, with its partner key.
@@ -191,18 +231,8 @@ def classify(p: int, key: Key) -> Fate:
     odd = 0 if p == 2 else 1
     if key[0] == "sp":
         return Fate("survives", None, None, None, None)
-
     if key[0] == "h0":
-        _, c, b, eps = key
-        if eps == 0:
-            d = nu(p, b)
-            return Fate("source", "F1", d + 2, 0, ("h0", c + d + odd, b - 1, 1))
-        thr = nu(p, b + 1) + odd
-        if c >= thr:
-            return Fate("target", "F1", nu(p, b + 1) + 2, 0, ("h0", c - thr, b + 1, 0))
-        t = c + kk
-        bare = ("main", b + 1 - p ** (t - 1), 0, t, t, 0, ())  # y1^(b+1-p^(t-1)) z_t
-        return Fate("source", "F3", p**t - t, p**t, bare)
+        return Fate(*h0_fate(p, key[1], key[2], key[3]))
 
     _, b, eps, i1, j2, e, lam = key
     z = _z_of(p, key)
@@ -263,7 +293,10 @@ class BigradedPage:
     Towers are complete out to codegree n_pad = n_hi + 2(p-1) s_max (and
     h0-cosets out to filtration s_max), which is enough to see every dot
     with n_lo <= n <= n_hi and s <= s_max: a tower based beyond n_pad has
-    all its window-codegree dots above filtration s_max.
+    all its window-codegree dots above filtration s_max.  towers holds the
+    per-key towers and columns the h0 block, (b, eps) -> the range of c of
+    its F1 cosets (see the module docstring); `key in page` and len(page)
+    count both.
     """
 
     p: int
@@ -272,41 +305,55 @@ class BigradedPage:
     s_max: int
     n_pad: int
     towers: dict[Key, ETower]
-    heights: dict[Key, int | None]
+    heights: dict[Key, int | None]  # per-key towers, and BLOCK for the block
+    columns: dict[tuple[int, int], range]
 
     @property
     def w(self) -> int:
         return 2 * (self.p - 1)
 
+    def __contains__(self, key: Key) -> bool:
+        if key[0] == "h0" and len(key) == 4 and key[1] in self.columns.get(key[2:], ()):
+            return True
+        return key in self.towers
+
+    def __len__(self) -> int:
+        return len(self.towers) + sum(map(len, self.columns.values()))
+
     def _alive(self, key: Key, a: int) -> bool:
-        h = self.heights[key]
+        h = self.heights[key if key in self.towers else BLOCK]
         return a >= 0 and (h is None or a < h)
 
     def window_runs(self, heights: dict[Key, int | None]):
-        """(key, range of a) of every tower with a dot inside the window,
-        each tower cut to its height in heights (None = v-free) and at
+        """(key, n0, s0, range of a) of every tower and block coset with a
+        dot inside the window, each cut to its height in heights (None =
+        v-free; heights[BLOCK] for every coset of the block) and at
         filtration s_max: the one place that cuts the page to its window."""
+        w, lo, hi, top = self.w, self.n_lo, self.n_hi, self.s_max + 1
         for key, tw in self.towers.items():
             h = heights[key]
-            cap = self.s_max - tw.s0 + 1
-            cap = cap if h is None else min(h, cap)
-            run = tower_dots(tw.n0, cap, self.w, self.n_lo, self.n_hi)
+            cap = top - tw.s0 if h is None else min(h, top - tw.s0)
+            run = tower_dots(tw.n0, cap, w, lo, hi)
             if run:
-                yield key, run
-
-    def window_dots(self, heights: dict[Key, int | None]):
-        """Every (key, a) inside the window (see window_runs)."""
-        for key, run in self.window_runs(heights):
-            for a in run:
-                yield key, a
+                yield key, tw.n0, tw.s0, run
+        h = heights[BLOCK]
+        for (b, eps), cs in self.columns.items():
+            n0, s0 = h0_base(self.p, 0, b, eps)
+            full = tower_dots(n0, h, w, lo, hi)
+            for c in cs:
+                stop = min(full.stop, top - s0 - c)
+                if stop <= full.start:
+                    break  # the cosets above c start higher still
+                yield ("h0", c, b, eps), n0, s0 + c, range(full.start, stop)
 
     def dims(self, heights: dict[Key, int | None]) -> dict[tuple[int, int], int]:
         """(n, s) -> number of window dots, towers cut to heights."""
         out: dict[tuple[int, int], int] = {}
-        for key, a in self.window_dots(heights):
-            tw = self.towers[key]
-            ns = (tw.n0 - self.w * a, tw.s0 + a)
-            out[ns] = out.get(ns, 0) + 1
+        w = self.w
+        for _, n0, s0, run in self.window_runs(heights):
+            for a in run:
+                ns = (n0 - w * a, s0 + a)
+                out[ns] = out.get(ns, 0) + 1
         return out
 
     def v_op(self, key: Key, a: int) -> tuple[Key, int] | None:
@@ -327,7 +374,7 @@ class BigradedPage:
             mate, a2 = ("sp", "x10", key[2]), a + 1
         else:
             return None
-        if mate in self.towers and self._alive(mate, a2):
+        if mate in self and self._alive(mate, a2):
             return (mate, a2)
         return None
 
@@ -336,9 +383,7 @@ def e2_window(p: int, n_lo: int, n_hi: int, s_max: int) -> BigradedPage:
     """The reduced E2 page over a rectangular window (see BigradedPage)."""
     if p < 2 or n_hi < n_lo or s_max < 0:
         raise ValueError("bad window")
-    kk = k0(p)
-    w = 2 * (p - 1)
-    pad = n_hi + w * s_max
+    pad = n_hi + 2 * (p - 1) * s_max
     towers: dict[Key, ETower] = {}
 
     def add(key: Key) -> None:
@@ -354,12 +399,17 @@ def e2_window(p: int, n_lo: int, n_hi: int, s_max: int) -> BigradedPage:
             while base + 2 * p * b <= pad:
                 add(("main", b, eps, i1, j2, e, lam))
                 b += 1
+    columns: dict[tuple[int, int], range] = {}
     for eps in (0, 1):
-        for c in range(s_max + 1):
-            b = 1 - eps
-            while 2 * p * b + eps * (q_degree(p) - w * kk) <= pad:
-                add(("h0", c, b, eps))
-                b += 1
+        b = 1 - eps
+        while h0_base(p, 0, b, eps)[0] <= pad:
+            c = 0
+            while c <= s_max and h0_fate(p, c, b, eps)[1] != "F1":
+                add(("h0", c, b, eps))  # an F3 source
+                c += 1
+            if c <= s_max:
+                columns[(b, eps)] = range(c, s_max + 1)
+            b += 1
     kinds = ("x8", "x10") if p == 2 else ("yz",)
     for kind in kinds:
         b = 0
@@ -371,86 +421,194 @@ def e2_window(p: int, n_lo: int, n_hi: int, s_max: int) -> BigradedPage:
     if len(set(labels)) != len(labels):
         raise ValueError("tower labels are not unique")
     heights = {k: t.height for k, t in towers.items()}
-    return BigradedPage(p, n_lo, n_hi, s_max, pad, towers, heights)
+    heights[BLOCK] = None
+    return BigradedPage(p, n_lo, n_hi, s_max, pad, towers, heights, columns)
 
 
 # -- pairing and replay -------------------------------------------------------
 
 
-def _absence_ok(page: BigradedPage, tw: ETower) -> bool:
+def _base(p: int, key: Key) -> tuple[int, int]:
+    """Base bidegree (n0, s0) of any key, a coset's without its ETower."""
+    if key[0] == "h0":
+        return h0_base(p, key[1], key[2], key[3])
+    tw = tower(p, key)
+    return tw.n0, tw.s0
+
+
+def _absence_ok(page: BigradedPage, key: Key, n0: int) -> bool:
     """May a partner be missing: beyond the pad, or an h0 coset above s_max?"""
-    if tw.n0 > page.n_pad:
-        return True
-    return tw.key[0] == "h0" and tw.key[1] > page.s_max
+    return n0 > page.n_pad or (key[0] == "h0" and key[1] > page.s_max)
 
 
-def pair_towers(page: BigradedPage):
+class Pairing(NamedTuple):
+    pairs: list[tuple[Key, Key, int, int]]  # (source, target, r, e0), per-key towers
+    block_pairs: int  # differentials of the h0 block (see _block_differentials)
+    families: Counter  # (family, role) -> towers and cosets
+    problems: dict[str, list[dict]]
+
+
+def pair_towers(page: BigradedPage) -> Pairing:
     """Pair every window tower with its differential partner, in one pass.
 
-    Returns (fates, pairs, problems): each window tower's classify fate;
-    (source, target, fate) with ETower ends, one per differential with an
-    end in the window; and, in tower order, "orphans" (partners missing
-    without a window excuse), "double_hits" and "mismatches" ("round-trip":
-    the partner's fate does not invert the tower's; "geometry", once per
-    pair: n0(target) != n0(source) + 1 + w e0 or s0(target) != s0(source) +
-    r - e0).
+    Every per-key tower and then the h0 block go through _pair.  Returns a
+    Pairing: (source, target, r, e0) of each differential of a per-key
+    tower with an end in the window; the count of the block's; every tower
+    and coset by (family, role); and the problems: "orphans" (partners
+    missing without a window excuse), "double_hits" and "mismatches"
+    ("round-trip": the partner's fate does not invert the tower's;
+    "geometry", once per pair: n0(target) != n0(source) + 1 + w e0 or
+    s0(target) != s0(source) + r - e0; "block": a block coset whose own
+    fate is not the F1 end with e0 = 0 its column holds).  Only per-key
+    sources keep a hit list: a second source on a block target fails its
+    round trip.
     """
-    p, towers = page.p, page.towers
-    fates = {k: classify(p, k) for k in towers}
-    pairs: list[tuple[ETower, ETower, Fate]] = []
+    p = page.p
+    pairs: list[tuple[Key, Key, int, int]] = []
     orphans: list[dict] = []
     mismatches: list[dict] = []
     hits: dict[Key, list[Key]] = {}
-
-    for key, f in fates.items():
-        mate = f.partner
-        if mate is None:
+    families: Counter = Counter()
+    for key, tw in page.towers.items():
+        own = fate(p, key)
+        families[own[1], own[0]] += 1
+        if own[4] is None:
             continue  # survives
-        if f.role == "source":
-            hits.setdefault(mate, []).append(key)
-        tw, mt = towers[key], towers.get(mate)
-        inside = mt is not None
-        back = fates[mate] if inside else classify(p, mate)
-        if (
-            back.partner != key
-            or back.role == f.role
-            or back.r != f.r
-            or back.e0 != f.e0
-            or back.family != f.family
-        ):
-            mismatches.append({"kind": "round-trip", "tower": tw.label, "partner": mate})
-            continue
-        if inside and f.role == "target":
-            continue  # listed by its source
-        mt = mt or tower(p, mate)
-        st, tt = (tw, mt) if f.role == "source" else (mt, tw)
-        if tt.n0 != st.n0 + 1 + page.w * f.e0 or tt.s0 != st.s0 + f.r - f.e0:
-            mismatches.append(
-                {
-                    "kind": "geometry",
-                    "source": st.label,
-                    "target": tt.label,
-                    "r": f.r,
-                    "e0": f.e0,
-                }
-            )
-        if not inside and not _absence_ok(page, mt):
-            orphans.append(
-                {
-                    "kind": f"missing-{back.role}",
-                    "tower": tw.label,
-                    "partner": mt.label,
-                }
-            )
-        pairs.append((st, tt, f))
-
+        if own[0] == "source":
+            hits.setdefault(own[4], []).append(key)
+        pair = _pair(page, key, own, tw.n0, tw.s0, orphans, mismatches)
+        if pair:
+            pairs.append(pair)
+    block_pairs = _walk_block(page, families, orphans, mismatches)
     double_hits = [
-        {"target": tower(p, t).label, "sources": [towers[s].label for s in srcs]}
+        {"target": dot_label(p, t, 0), "sources": [dot_label(p, s, 0) for s in srcs]}
         for t, srcs in hits.items()
         if len(srcs) > 1
     ]
     problems = dict(orphans=orphans, double_hits=double_hits, mismatches=mismatches)
-    return fates, pairs, problems
+    return Pairing(pairs, block_pairs, families, problems)
+
+
+def _pair(
+    page: BigradedPage, key: Key, own: tuple, n0: int, s0: int, orphans: list, mismatches: list
+):
+    """Check one tower or coset (fate own, base (n0, s0)) against its
+    partner: the round trip, then, once per pair (from its source, or from
+    a target whose source is missing), the geometry and the partner's
+    presence or excuse.  Returns that pair as (source, target, r, e0), or
+    None if the round trip fails or the source lists the pair.  A label is
+    spelled only for a problem."""
+    p = page.p
+    role, family, r, e0, mate = own
+    back = fate(p, mate)
+    if back[4] != key or back[0] == role or back[1] != family or back[2:4] != (r, e0):
+        mismatches.append({"kind": "round-trip", "tower": dot_label(p, key, 0), "partner": mate})
+        return None
+    inside = mate in page
+    if inside and role == "target":
+        return None  # listed by its source
+    mn0, ms0 = _base(p, mate)
+    if role == "source":
+        src, tgt, dn, ds = key, mate, mn0 - n0, ms0 - s0
+    else:
+        src, tgt, dn, ds = mate, key, n0 - mn0, s0 - ms0
+    if dn != 1 + 2 * (p - 1) * e0 or ds != r - e0:
+        mismatches.append(
+            {
+                "kind": "geometry",
+                "source": dot_label(p, src, 0),
+                "target": dot_label(p, tgt, 0),
+                "r": r,
+                "e0": e0,
+            }
+        )
+    if not inside and not _absence_ok(page, mate, mn0):
+        orphans.append(
+            {
+                "kind": f"missing-{back[0]}",
+                "tower": dot_label(p, key, 0),
+                "partner": dot_label(p, mate, 0),
+            }
+        )
+    return src, tgt, r, e0
+
+
+def _walk_block(page: BigradedPage, families: Counter, orphans: list, mismatches: list) -> int:
+    """pair_towers on the h0 block, column by column, with h0_fate and no
+    object per coset: every source column, then every target column only
+    if some block target was not reached from a source whose round trip
+    held.  A reached target needs no check of its own: its fate is its
+    source's back fate, so its checks hold with the source's, and no two
+    such sources reach one target.  Adds the cosets to families; returns
+    the pairs listed."""
+    p, kk = page.p, k0(page.p)
+    n_targets = 0
+    for (b, eps), cs in page.columns.items():
+        families["F1", "target" if eps else "source"] += len(cs)
+        n_targets += eps * len(cs)
+
+    def walk(eps: int) -> tuple[int, int]:
+        listed = reached = 0
+        role = "target" if eps else "source"
+        for (b, e), cs in page.columns.items():
+            if e != eps:
+                continue
+            n0 = h0_base(p, 0, b, eps)[0]
+            for c in cs:
+                key = ("h0", c, b, eps)
+                own = h0_fate(p, c, b, eps)
+                if own[0] != role or own[1] != "F1" or own[3]:
+                    label = dot_label(p, key, 0)
+                    mismatches.append({"kind": "block", "tower": label, "fate": list(own[:4])})
+                    continue
+                pair = _pair(page, key, own, n0, c + kk * eps, orphans, mismatches)
+                if pair:
+                    listed += 1
+                    tgt = pair[1]
+                    if not eps and tgt[0] == "h0" and tgt[3] == 1:
+                        reached += tgt[1] in page.columns.get(tgt[2:], ())
+        return listed, reached
+
+    listed, reached = walk(0)
+    if reached != n_targets:
+        listed += walk(1)[0]
+    return listed
+
+
+def _block_differentials(page: BigradedPage) -> list[tuple[int, int, Key, Key]]:
+    """(r, source n0, source key, target key) of the block's differentials,
+    one per F1 source (a block target's source lies one codegree below it,
+    always in the window), in the order of the applied records, computed
+    from the integers: by r, n0, then c in the spelling order of h0^c
+    ("h0 y1" < "h0^10 y1" < "h0^2 y1" < "y1": a space sorts before "^"
+    and every digit, "h" before "y")."""
+    p = page.p
+    spelled = sorted(range(page.s_max + 1), key=lambda c: (c == 0, c > 1, str(c)))
+    rank = {c: i for i, c in enumerate(spelled)}
+    out = []
+    for (b, eps), cs in page.columns.items():
+        if eps:
+            continue
+        n0 = h0_base(p, 0, b, 0)[0]
+        for c in cs:
+            _, _, r, _, mate = h0_fate(p, c, b, 0)
+            out.append((r, n0, rank[c], c, b, mate))
+    out.sort()
+    return [(r, n0, ("h0", c, b, 0), mate) for r, n0, _, c, b, mate in out]
+
+
+def _einfty_heights(page: BigradedPage, pairs) -> dict[Key, int | None]:
+    """The page's heights after the replay: sources die, targets keep e0
+    dots, and the whole block dies (every coset an F1 end, e0 = 0)."""
+    heights = dict(page.heights)
+    heights[BLOCK] = 0
+    for src, tgt, _, e0 in pairs:
+        for key, h in ((src, 0), (tgt, e0)):
+            if key in heights:
+                if heights[key] is not None:
+                    raise WindowError(f"paired tower {dot_label(page.p, key, 0)} is height-bounded")
+                heights[key] = h
+    return heights
 
 
 def run_differentials(page: BigradedPage):
@@ -464,24 +622,23 @@ def run_differentials(page: BigradedPage):
     tower that is already height-bounded: never for pages built by
     e2_window, but it guards hand-edited ones.
     """
-    _, pairs, problems = pair_towers(page)
-    for kind, found in problems.items():
+    pairing = pair_towers(page)
+    for kind, found in pairing.problems.items():
         if found:
             raise WindowError(f"{kind}: {found[0]}")
-    heights = dict(page.heights)
-    records: list[tuple[int, int, str, str]] = []
-    for st, tt, f in pairs:
-        for tw, h in ((st, 0), (tt, f.e0)):
-            if tw.key in heights:
-                if heights[tw.key] is not None:
-                    raise WindowError(f"paired tower {tw.label} is height-bounded")
-                heights[tw.key] = h
-        records.append((f.r, st.n0, st.label, dot_label(page.p, tt.key, f.e0)))
-
-    einf = page.dims(heights)
-    records.sort()
+    p = page.p
+    einf = page.dims(_einfty_heights(page, pairing.pairs))
+    records = sorted(
+        (r, _base(p, src)[0], dot_label(p, src, 0), dot_label(p, tgt, e0))
+        for src, tgt, r, e0 in pairing.pairs
+    )
+    block = (
+        (r, n0, dot_label(p, src, 0), dot_label(p, tgt, 0))
+        for r, n0, src, tgt in _block_differentials(page)
+    )
     applied = [
-        {"r": r, "source_label": sl, "target_label": tl} for r, _, sl, tl in records
+        {"r": r, "source_label": sl, "target_label": tl}
+        for r, _, sl, tl in heapq.merge(records, block)
     ]
     return einf, applied
 
@@ -498,16 +655,16 @@ def matching_audit(p: int, n_lo: int, n_hi: int, s_max: int) -> dict:
     without checking anything.
     """
     page = e2_window(p, n_lo, n_hi, s_max)
-    if not page.towers:
+    if not len(page):
         raise ValueError(f"the window {n_lo}..{n_hi}, s <= {s_max} holds no tower")
-    fates, _, problems = pair_towers(page)
-    by_family = Counter((f.family, f.role) for f in fates.values() if f.family)
+    _, _, families, problems = pair_towers(page)
+    survivors = families.pop((None, "survives"), 0)
     report = {
         "p": p,
         "window": {"n_lo": n_lo, "n_hi": n_hi, "s_max": s_max, "n_pad": page.n_pad},
-        "towers": len(page.towers),
-        "survivors": sum(f.role == "survives" for f in fates.values()),
-        "by_family": {f"{fam}-{role}": c for (fam, role), c in sorted(by_family.items())},
+        "towers": len(page),
+        "survivors": survivors,
+        "by_family": {f"{fam}-{role}": c for (fam, role), c in sorted(families.items())},
         **problems,
     }
     report["ok"] = not any(problems.values())
@@ -527,7 +684,10 @@ def einfty_audit(p: int, n_hi: int, s_max: int | None = None) -> dict:
     against the chart dots of modules.full_chart (same filtrations), and
     the per-degree totals against the F_p-length of ku^n.  s_max defaults
     to the chart's top filtration plus 4; a cap below that top filtration
-    would cut E-infinity short of the chart and raises ValueError.
+    would cut E-infinity short of the chart and raises ValueError.  The
+    replay is run_differentials' without its records; a broken tower
+    pairing fails the audit, its problems listed under matching_audit's
+    keys.
     """
     ch = full_chart(p, n_hi)
     chart_counts = Counter(
@@ -542,7 +702,9 @@ def einfty_audit(p: int, n_hi: int, s_max: int | None = None) -> dict:
             f"{top} through n = {n_hi}: the smallest accepted cap is {top}"
         )
     page = e2_window(p, 0, n_hi, s_max)
-    einf, applied = run_differentials(page)
+    pairs, block_pairs, _, problems = pair_towers(page)
+    einf = page.dims(_einfty_heights(page, pairs))
+    problems = {kind: found for kind, found in problems.items() if found}
 
     mismatches = []
     for key in sorted(set(einf) | set(chart_counts)):
@@ -563,11 +725,12 @@ def einfty_audit(p: int, n_hi: int, s_max: int | None = None) -> dict:
         "p": p,
         "n_hi": n_hi,
         "s_max": s_max,
-        "towers": len(page.towers),
-        "differentials": len(applied),
+        "towers": len(page),
+        "differentials": len(pairs) + block_pairs,
         "bidegree_mismatches": mismatches,
         "length_mismatches": length_mismatches,
-        "ok": not (mismatches or length_mismatches),
+        **problems,
+        "ok": not (mismatches or length_mismatches or problems),
     }
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
-from .adams import Key, classify, dot_label, e2_window
+from .adams import Key, dot_label, e2_window, fate
 from .chart import Chart, tower_dots, v_label
 
 _KIND = re.compile(r"v|h0|exotic|differential\((\d+)\)")
@@ -243,10 +243,9 @@ def document_from_einfty(
     # each window tower's run: (doc index of its a = 0 dot, window range of a)
     runs: dict[Key, tuple[int, range]] = {}
     dots: list[DocDot] = []
-    for key, run in page.window_runs(page.heights):
-        tw = page.towers[key]
+    for key, n0, s0, run in page.window_runs(page.heights):
         runs[key] = (len(dots) - run.start, run)
-        dots += [DocDot(tw.n0 - w * a, tw.s0 + a, dot_label(p, key, a)) for a in run]
+        dots += [DocDot(n0 - w * a, s0 + a, dot_label(p, key, a)) for a in run]
 
     lines: list[tuple[str, int, int]] = []
     for key, (base, run) in runs.items():
@@ -260,14 +259,14 @@ def document_from_einfty(
                 lines.append(("h0", base + a, runs[mate][0] + a2))
         if run.start:
             continue  # arrows leave only towers whose a = 0 dot is drawn
-        f = classify(p, key)
-        if f.role != "source" or f.partner not in runs:
+        role, _, r, e0, partner = fate(p, key)
+        if role != "source" or partner not in runs:
             continue
-        tgt_base, tgt_run = runs[f.partner]
-        kind = f"differential({f.r})"
+        tgt_base, tgt_run = runs[partner]
+        kind = f"differential({r})"
         for a in run:
-            if f.e0 + a in tgt_run:
-                lines.append((kind, base + a, tgt_base + f.e0 + a))
+            if e0 + a in tgt_run:
+                lines.append((kind, base + a, tgt_base + e0 + a))
     return ChartDocument(p, (n_lo, n_hi), "einfty-overlay", dots, lines)
 
 

@@ -3,12 +3,13 @@
 import dataclasses
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
 from kuengine import adams
 from kuengine.adams import (
-    BigradedPage,
+    BLOCK,
     _z_runs,
     ETower,
     Fate,
@@ -25,6 +26,7 @@ from kuengine.adams import (
     tower,
 )
 from kuengine import margolis
+from kuengine.chart import tower_dots
 from kuengine.margolis import build_HK2, ext_bruteforce, free_part_ps
 from kuengine.modules import full_chart
 from kuengine.monomial import (
@@ -112,13 +114,51 @@ def test_z_monomial_towers_are_never_sources():
 # -- window contents -----------------------------------------------------------
 
 
+def page_keys(page):
+    """Every key of the page: its per-key towers, then the h0 block column
+    by column."""
+    block = (("h0", c, b, eps) for (b, eps), cs in page.columns.items() for c in cs)
+    return [*page.towers, *block]
+
+
+def height_of(page, key):
+    return page.heights[key if key in page.towers else BLOCK]
+
+
+def test_the_page_walk_covers_both_parts():
+    for p, n_hi, s_max in ((2, 120, 35), (3, 150, 30), (5, 300, 10)):
+        page = e2_window(p, 0, n_hi, s_max)
+        keys = page_keys(page)
+        assert len(keys) == len(set(keys)) == len(page)
+        assert all(k in page for k in keys)
+        assert sum(k[0] == "h0" for k in keys) > 2 * sum(k[0] == "h0" for k in page.towers)
+        walked = [k for k, *_ in page.window_runs(page.heights)]
+        seen = set(walked)
+        assert seen <= set(keys) and any(k not in page.towers for k in walked)
+        assert [k for k in keys if k in seen] == walked  # the page's own order
+        for key, n0, s0, _ in page.window_runs(page.heights):
+            assert (n0, s0) == (tower(p, key).n0, tower(p, key).s0)
+    outside = e2_window(2, 0, 40, 8)
+    assert ("h0", 9, 1, 0) not in outside and ("h0", 0, 99, 0) not in outside
+    assert ("h0", 0, 0, 0) not in outside and BLOCK not in outside
+
+
+def test_labels_are_unique_across_the_whole_page():
+    # e2_window's own check spells only the per-key towers
+    for p, n_hi, s_max in ((2, 120, 35), (3, 150, 30)):
+        page = e2_window(p, 0, n_hi, s_max)
+        labels = [dot_label(p, k, 0) for k in page_keys(page)]
+        assert len(labels) == len(set(labels)) == len(page)
+
+
 def scanned_dots_at(page, n, s):
     """Reference: the (key, a) at bidegree (n, s), found by scanning every
-    tower of the page (window_runs is the walker the package uses)."""
+    key of the page (window_runs is the walker the package uses)."""
     out = []
-    for key, tw in page.towers.items():
+    for key in page_keys(page):
+        tw = tower(page.p, key)
         a = s - tw.s0
-        h = page.heights[key]
+        h = height_of(page, key)
         if a >= 0 and (h is None or a < h) and tw.n0 - page.w * a == n:
             out.append((key, a))
     return out
@@ -179,10 +219,10 @@ def test_applied_list_reproduces_closed_forms():
 
 def crippled_without(gone):
     page = e2_window(2, 0, 40, 8)
+    assert gone in page_keys(page) and gone in page.towers
     bad = {k: t for k, t in page.towers.items() if k != gone}
-    return BigradedPage(
-        2, 0, 40, 8, page.n_pad, bad, {k: t.height for k, t in bad.items()}
-    )
+    heights = {k: h for k, h in page.heights.items() if k != gone}
+    return dataclasses.replace(page, towers=bad, heights=heights)
 
 
 def test_missing_target_is_a_hard_error():
@@ -190,7 +230,7 @@ def test_missing_target_is_a_hard_error():
     crippled = crippled_without(gone)
     with pytest.raises(WindowError, match="missing"):
         run_differentials(crippled)
-    orphans = pair_towers(crippled)[2]["orphans"]
+    orphans = pair_towers(crippled).problems["orphans"]
     assert orphans == [
         {
             "kind": "missing-target",
@@ -206,7 +246,7 @@ def test_missing_source_is_a_hard_error():
     crippled = crippled_without(gone)
     with pytest.raises(WindowError, match="missing"):
         run_differentials(crippled)
-    orphans = pair_towers(crippled)[2]["orphans"]
+    orphans = pair_towers(crippled).problems["orphans"]
     assert orphans == [
         {
             "kind": "missing-source",
@@ -314,10 +354,232 @@ def test_replay_is_pinned_and_ordered(window):
     einf, applied = run_differentials(page)
     blob = json.dumps([sorted(einf.items()), applied])
     assert hashlib.sha256(blob.encode()).hexdigest() == REPLAY_DIGESTS[window]
-    keys = set(page.towers) | {classify(p, k).partner for k in page.towers}
+    keys = set(page_keys(page)) | {classify(p, k).partner for k in page_keys(page)}
     n0 = {tower(p, k).label: tower(p, k).n0 for k in keys - {None}}
     order = [(d["r"], n0[d["source_label"]], d["source_label"]) for d in applied]
     assert order == sorted(order)
+
+
+# -- the per-coset reference replay ----------------------------------------------
+#
+# The replay as it ran before the h0 block: one ETower and one classify Fate
+# per h0 coset, one hit list over every target, the applied records sorted
+# by their labels.  The package must agree with it exactly.
+
+
+@dataclasses.dataclass
+class RefPage:
+    p: int
+    n_lo: int
+    n_hi: int
+    s_max: int
+    n_pad: int
+    towers: dict
+    heights: dict
+
+    @property
+    def w(self):
+        return 2 * (self.p - 1)
+
+
+def ref_e2_window(p, n_lo, n_hi, s_max):
+    """The MAIN and SP towers of e2_window plus every h0 coset as a tower,
+    enumerated by c, then b, up to the pad."""
+    page = e2_window(p, n_lo, n_hi, s_max)
+    towers = {k: t for k, t in page.towers.items() if k[0] != "h0"}
+    offset = q_degree(p) - 2 * (p - 1) * k0(p)
+    for eps in (0, 1):
+        for c in range(s_max + 1):
+            b = 1 - eps
+            while 2 * p * b + eps * offset <= page.n_pad:
+                towers[("h0", c, b, eps)] = tower(p, ("h0", c, b, eps))
+                b += 1
+    labels = [t.label for t in towers.values()]
+    assert len(set(labels)) == len(labels)
+    heights = {k: t.height for k, t in towers.items()}
+    return RefPage(p, n_lo, n_hi, s_max, page.n_pad, towers, heights)
+
+
+def ref_dims(page, heights):
+    out = {}
+    for key, tw in page.towers.items():
+        h = heights[key]
+        cap = page.s_max - tw.s0 + 1
+        cap = cap if h is None else min(h, cap)
+        for a in tower_dots(tw.n0, cap, page.w, page.n_lo, page.n_hi):
+            ns = (tw.n0 - page.w * a, tw.s0 + a)
+            out[ns] = out.get(ns, 0) + 1
+    return out
+
+
+def ref_pair_towers(page):
+    p, towers = page.p, page.towers
+    fates = {k: classify(p, k) for k in towers}
+    pairs, orphans, mismatches, hits = [], [], [], {}
+    for key, f in fates.items():
+        mate = f.partner
+        if mate is None:
+            continue
+        if f.role == "source":
+            hits.setdefault(mate, []).append(key)
+        tw, mt = towers[key], towers.get(mate)
+        inside = mt is not None
+        back = fates[mate] if inside else classify(p, mate)
+        if (back.partner, back.r, back.e0, back.family) != (key, f.r, f.e0, f.family) or (
+            back.role == f.role
+        ):
+            mismatches.append({"kind": "round-trip", "tower": tw.label, "partner": mate})
+            continue
+        if inside and f.role == "target":
+            continue
+        mt = mt or tower(p, mate)
+        st, tt = (tw, mt) if f.role == "source" else (mt, tw)
+        if tt.n0 != st.n0 + 1 + page.w * f.e0 or tt.s0 != st.s0 + f.r - f.e0:
+            mismatches.append(
+                {"kind": "geometry", "source": st.label, "target": tt.label, "r": f.r, "e0": f.e0}
+            )
+        excused = mt.n0 > page.n_pad or (mate[0] == "h0" and mate[1] > page.s_max)
+        if not inside and not excused:
+            orphans.append(
+                {"kind": f"missing-{back.role}", "tower": tw.label, "partner": mt.label}
+            )
+        pairs.append((st, tt, f))
+    double_hits = [
+        {"target": tower(p, t).label, "sources": [towers[s].label for s in srcs]}
+        for t, srcs in hits.items()
+        if len(srcs) > 1
+    ]
+    problems = dict(orphans=orphans, double_hits=double_hits, mismatches=mismatches)
+    return fates, pairs, problems
+
+
+def ref_run_differentials(page):
+    _, pairs, problems = ref_pair_towers(page)
+    assert not any(problems.values()), problems
+    heights = dict(page.heights)
+    records = []
+    for st, tt, f in pairs:
+        for tw, h in ((st, 0), (tt, f.e0)):
+            if tw.key in heights:
+                assert heights[tw.key] is None
+                heights[tw.key] = h
+        records.append((f.r, st.n0, st.label, dot_label(page.p, tt.key, f.e0)))
+    records.sort()
+    applied = [{"r": r, "source_label": s, "target_label": t} for r, _, s, t in records]
+    return ref_dims(page, heights), applied
+
+
+def ref_matching_audit(p, n_lo, n_hi, s_max):
+    page = ref_e2_window(p, n_lo, n_hi, s_max)
+    fates, _, problems = ref_pair_towers(page)
+    by_family = Counter((f.family, f.role) for f in fates.values() if f.family)
+    report = {
+        "p": p,
+        "window": {"n_lo": n_lo, "n_hi": n_hi, "s_max": s_max, "n_pad": page.n_pad},
+        "towers": len(page.towers),
+        "survivors": sum(f.role == "survives" for f in fates.values()),
+        "by_family": {f"{fam}-{role}": c for (fam, role), c in sorted(by_family.items())},
+        **problems,
+    }
+    report["ok"] = not any(problems.values())
+    return report
+
+
+def ref_einfty_audit(p, n_hi):
+    ch = full_chart(p, n_hi)
+    chart_counts = Counter((n, a) for n in range(n_hi + 1) for _, a in ch.dots_at(n))
+    s_max = max(s for _, s in chart_counts) + 4
+    page = ref_e2_window(p, 0, n_hi, s_max)
+    einf, applied = ref_run_differentials(page)
+    mismatches = [
+        {"n": n, "s": s, "einfty": einf.get((n, s), 0), "chart": chart_counts.get((n, s), 0)}
+        for n, s in sorted(set(einf) | set(chart_counts))
+        if einf.get((n, s), 0) != chart_counts.get((n, s), 0)
+    ]
+    totals = Counter()
+    for (n, _), v in einf.items():
+        totals[n] += v
+    lengths = [
+        {"n": n, "einfty": totals[n], "ku_length": sum(ch.group_at(n))}
+        for n in range(n_hi + 1)
+        if totals[n] != sum(ch.group_at(n))
+    ]
+    return {
+        "p": p,
+        "n_hi": n_hi,
+        "s_max": s_max,
+        "towers": len(page.towers),
+        "differentials": len(applied),
+        "bidegree_mismatches": mismatches,
+        "length_mismatches": lengths,
+        "ok": not (mismatches or lengths),
+    }
+
+
+REFERENCE_WINDOWS = ((2, 0, 250, 67), *sorted(REPLAY_DIGESTS))
+
+
+@pytest.mark.parametrize("window", REFERENCE_WINDOWS)
+def test_the_block_replay_matches_the_per_coset_reference(window):
+    p, n_lo, n_hi, s_max = window
+    page, ref = e2_window(*window), ref_e2_window(*window)
+    assert len(page) == len(ref.towers) and len(page.towers) < len(ref.towers) / 2
+    assert set(page_keys(page)) == set(ref.towers)
+    assert run_differentials(page) == ref_run_differentials(ref)
+    assert pair_towers(page).problems == ref_pair_towers(ref)[2]
+    assert page.dims(page.heights) == ref_dims(ref, ref.heights)
+    assert matching_audit(*window) == ref_matching_audit(*window)
+    assert einfty_audit(p, n_hi) == ref_einfty_audit(p, n_hi)
+
+
+@pytest.mark.parametrize("window", sorted(REPLAY_DIGESTS))
+def test_the_block_order_is_the_label_sort(window):
+    # _block_differentials orders the cosets by integers; the applied
+    # records are ordered by label, and the two must agree
+    page = e2_window(*window)
+    p = page.p
+    records = [
+        (r, n0, dot_label(p, src, 0), dot_label(p, tgt, 0))
+        for r, n0, src, tgt in adams._block_differentials(page)
+    ]
+    assert records == sorted(records)
+    assert {src[1] for _, _, src, _ in adams._block_differentials(page)} >= {0, 1, 2, 10, 19}
+
+
+@pytest.fixture
+def fresh_fates():
+    """classify caches its fates: drop them around a patched h0 helper."""
+    adams.classify.cache_clear()
+    yield
+    adams.classify.cache_clear()
+
+
+def shift_f1_partner(p, c, b, eps, real=adams.h0_fate):
+    role, family, r, e0, mate = real(p, c, b, eps)
+    if family == "F1":
+        mate = ("h0", mate[1] + 1, mate[2], mate[3])
+    return role, family, r, e0, mate
+
+
+def bump_r_on_one_column(p, c, b, eps, real=adams.h0_fate):
+    role, family, r, e0, mate = real(p, c, b, eps)
+    return role, family, r + ((b, eps) == (3, 0)), e0, mate
+
+
+@pytest.mark.parametrize("p", (2, 3))
+@pytest.mark.parametrize("mutant", (shift_f1_partner, bump_r_on_one_column))
+def test_a_broken_block_fails_the_replay_and_both_audits(p, mutant, monkeypatch, fresh_fates):
+    assert matching_audit(p, 0, 60, 12)["ok"] and einfty_audit(p, 60)["ok"]
+    monkeypatch.setattr(adams, "h0_fate", mutant)
+    page = e2_window(p, 0, 60, 12)
+    assert page.columns  # the mutants keep every coset's family
+    with pytest.raises(WindowError, match="round-trip"):
+        run_differentials(page)
+    matching = matching_audit(p, 0, 60, 12)
+    assert not matching["ok"] and {m["kind"] for m in matching["mismatches"]} == {"round-trip"}
+    einfty = einfty_audit(p, 60)
+    assert not einfty["ok"] and einfty["mismatches"]
+    assert einfty["bidegree_mismatches"] == [] == einfty["length_mismatches"]
 
 
 # -- audits --------------------------------------------------------------------
@@ -413,7 +675,7 @@ def test_geometry_of_every_applied_differential():
     # the first killed dot of the target tower.
     for p in (2, 3):
         page = e2_window(p, 0, 60, 12)
-        for key in page.towers:
+        for key in page_keys(page):
             f = classify(p, key)
             if f.role != "source":
                 continue
@@ -549,9 +811,9 @@ def ref_classify(p, key):
 )
 def test_key_arithmetic_matches_the_monomial_reference(p, n_hi, s_max):
     page = e2_window(p, 0, n_hi, s_max)
-    keys = set(page.towers)
-    keys |= {classify(p, k).partner for k in page.towers} - {None}
-    assert len(keys) > len(page.towers)  # partners outside the window count too
+    keys = set(page_keys(page))
+    keys |= {classify(p, k).partner for k in page_keys(page)} - {None}
+    assert len(keys) > len(page)  # partners outside the window count too
     for key in keys:
         assert tower(p, key) == ref_tower(p, key), key
         assert classify(p, key) == ref_classify(p, key), key

@@ -321,6 +321,20 @@ PINNED_STDOUT = {
         "c8e2bfe2a01a9bcedd6aab7270c3e6e33f7b4c076e022a132c5a529870ef996e",
     "audit --which einfty --prime 5 --max 400":
         "de801b683c632cea00f1e8a274d8cc340eea6dec22acb72ead3b5994275e956c",
+    # the h0 block: its coset counts, its differentials, at p = 2, 5, 7; the
+    # last window holds one F1 source and one F1 target and nothing else
+    "audit --which einfty --prime 2":
+        "13483e2c4670430c8df3587f64fedd97c25f967bbd0c2f226689b35d5cadcac2",
+    "audit --which einfty --prime 5 --max 200":
+        "92e66d99f8ce820a0ae2757eb1d5d999f4acb407822fcd4680a2e880a82d332a",
+    "audit --which matching --prime 5 --max 200 --max-s 10":
+        "bd5f59ad765a858bba3cbd5f7f43fb50684e00a56800cea41f825b28fded32f4",
+    "audit --which einfty --prime 7 --max 400":
+        "839f74ed748a36d32a1ca6df07c6a43f8e849b1b66a2c370b2e2219e2972d0a2",
+    "audit --which matching --prime 7 --max 400 --max-s 12":
+        "f3524e0e4bfbeb334de33ccffbc8dbf65460535a02f63dd945c9919e8c4cb5dd",
+    "audit --which matching --prime 2 --max 5 --max-s 0":
+        "d7d40fdcd7fa68ebda259082fadce353105160617293078ba3184ce65a5a5646",
     "chart --einfty --prime 3 --window 0:100 --max-s 12":
         "6c76efc7a333ea09d17324d4335e602e07981645888770aaba0dea6ff83f8c11",
     "chart full-odd --prime 2 --window 0:160":

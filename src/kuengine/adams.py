@@ -30,14 +30,14 @@ monomial.render_exponents, the spelling of Monomial.render.  No Monomial is
 built here.
 
 What the page holds per key and what it holds as a block.  The MAIN and SP
-towers and the H0 cosets that are F3 sources (eps = 1, c < nu(b+1) + odd)
-are per-key towers: each has an ETower, a label and a classify fate.  Every
-other H0 coset is an F1 source (eps = 0) or an F1 target, and those form
-the h0 block: s_max plus one b-range per eps, each (b, eps) a column over
-c.  h0_fate is the integer h0 branch of classify; pair_towers walks the
-block column by column with it and builds no ETower, Fate or label per
-coset.  Every F1 end dies entirely (e0 = 0), so the block shares one
-height entry, heights[BLOCK]: None on E2, 0 on E-infinity.
+towers are per-key towers: each has an ETower, a label and a classify fate.
+The H0 cosets form the h0 block: one column per (b, eps), each over
+c = 0..s_max, with no ETower, Fate or label per coset.  h0_base and h0_fate
+give a coset's base and fate from its integers (tower and classify take no
+h0 key).  A column is a run of sources from c = 0 (F1 at eps = 0, F3 while
+c < nu(b+1) + odd at eps = 1) and then F1 targets with e0 = 0, so every
+coset dies and the block shares one height entry, heights[BLOCK]: None on
+E2, 0 on E-infinity.
 
 Differentials come in four closed families (nu = nu(p, -), t >= k0, target
 truncation height e0 listed last):
@@ -63,7 +63,6 @@ degree by degree against the chart built by modules.py.
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -100,8 +99,7 @@ class ETower:
     label: str
 
 
-@dataclass(frozen=True)
-class Fate:
+class Fate(NamedTuple):
     role: str  # "source" | "target" | "survives"
     family: str | None  # "F1" .. "F4"
     r: int | None
@@ -164,18 +162,14 @@ def dot_label(p: int, key: Key, a: int) -> str:
 
 @lru_cache(maxsize=None)
 def tower(p: int, key: Key) -> ETower:
-    """Base bidegree, height and display label of a tower key."""
+    """Base bidegree, height and display label of a MAIN or SP key (an h0
+    coset has h0_base and dot_label instead)."""
     if key[0] == "main":
         _, b, eps, *_ = key
         zs = tuple(_z_of(p, key).items())
         n0 = eps * q_degree(p) + 2 * p * b + sum(x * z_degree(p, j) for j, x in zs)
         ys = ((1, b),) if b else ()
         return ETower(key, n0, 0, None, render_exponents(p, eps, ys, zs))
-    if key[0] == "h0":
-        _, c, b, eps = key
-        if (b, eps) == (0, 0) or c < 0:
-            raise ValueError(f"bad h0 key {key}")
-        return ETower(key, *h0_base(p, c, b, eps), None, dot_label(p, key, 0))
     if key[0] == "sp":
         _, kind, b = key
         if p == 2 and kind == "x8":
@@ -196,8 +190,8 @@ def tower(p: int, key: Key) -> ETower:
 
 
 def h0_fate(p: int, c: int, b: int, eps: int) -> tuple:
-    """The h0 branch of classify as plain values: (role, family, r, e0,
-    partner key) of the coset h0^c (v^k0 q)^eps y1^b."""
+    """The fate of the coset h0^c (v^k0 q)^eps y1^b as a plain tuple in
+    Fate's field order (role, family, r, e0, partner key)."""
     odd = 0 if p == 2 else 1
     if eps == 0:
         d = nu(p, b) if b % p == 0 else 0
@@ -211,18 +205,18 @@ def h0_fate(p: int, c: int, b: int, eps: int) -> tuple:
 
 
 def fate(p: int, key: Key) -> tuple:
-    """classify's fields as a plain tuple; an h0 coset builds no Fate."""
+    """The fate of any key: classify's, or h0_fate's for an h0 coset."""
     if key[0] == "h0":
         return h0_fate(p, key[1], key[2], key[3])
-    f = classify(p, key)
-    return f.role, f.family, f.r, f.e0, f.partner
+    return classify(p, key)
 
 
 @lru_cache(maxsize=None)
 def classify(p: int, key: Key) -> Fate:
-    """Which differential family a tower belongs to, with its partner key.
+    """Which differential family a MAIN or SP tower belongs to, with its
+    partner key (an h0 coset's fate is h0_fate's).
 
-    The fate is a function of the tower's own coordinates; classify(partner)
+    The fate is a function of the tower's own coordinates; fate(partner)
     always inverts to the tower itself (pair_towers checks this), so the
     differential pairing is a perfect matching on MAIN + H0 and the SP
     towers are permanent cycles.
@@ -231,8 +225,8 @@ def classify(p: int, key: Key) -> Fate:
     odd = 0 if p == 2 else 1
     if key[0] == "sp":
         return Fate("survives", None, None, None, None)
-    if key[0] == "h0":
-        return Fate(*h0_fate(p, key[1], key[2], key[3]))
+    if key[0] != "main":
+        raise ValueError(f"classify takes MAIN and SP keys, not {key!r}")
 
     _, b, eps, i1, j2, e, lam = key
     z = _z_of(p, key)
@@ -294,9 +288,9 @@ class BigradedPage:
     h0-cosets out to filtration s_max), which is enough to see every dot
     with n_lo <= n <= n_hi and s <= s_max: a tower based beyond n_pad has
     all its window-codegree dots above filtration s_max.  towers holds the
-    per-key towers and columns the h0 block, (b, eps) -> the range of c of
-    its F1 cosets (see the module docstring); `key in page` and len(page)
-    count both.
+    MAIN and SP towers and columns the h0 block, (b, eps) -> range(s_max + 1)
+    over c (see the module docstring); `key in page`, len(page) and
+    iter(page), towers first, cover both.
     """
 
     p: int
@@ -305,7 +299,7 @@ class BigradedPage:
     s_max: int
     n_pad: int
     towers: dict[Key, ETower]
-    heights: dict[Key, int | None]  # per-key towers, and BLOCK for the block
+    heights: dict[Key, int | None]  # MAIN and SP towers, and BLOCK for the block
     columns: dict[tuple[int, int], range]
 
     @property
@@ -313,15 +307,21 @@ class BigradedPage:
         return 2 * (self.p - 1)
 
     def __contains__(self, key: Key) -> bool:
-        if key[0] == "h0" and len(key) == 4 and key[1] in self.columns.get(key[2:], ()):
-            return True
+        if key[0] == "h0":
+            return len(key) == 4 and key[1] in self.columns.get(key[2:], ())
         return key in self.towers
 
     def __len__(self) -> int:
         return len(self.towers) + sum(map(len, self.columns.values()))
 
+    def __iter__(self):
+        yield from self.towers
+        for (b, eps), cs in self.columns.items():
+            for c in cs:
+                yield ("h0", c, b, eps)
+
     def _alive(self, key: Key, a: int) -> bool:
-        h = self.heights[key if key in self.towers else BLOCK]
+        h = self.heights[BLOCK if key[0] == "h0" else key]
         return a >= 0 and (h is None or a < h)
 
     def window_runs(self, heights: dict[Key, int | None]):
@@ -403,12 +403,7 @@ def e2_window(p: int, n_lo: int, n_hi: int, s_max: int) -> BigradedPage:
     for eps in (0, 1):
         b = 1 - eps
         while h0_base(p, 0, b, eps)[0] <= pad:
-            c = 0
-            while c <= s_max and h0_fate(p, c, b, eps)[1] != "F1":
-                add(("h0", c, b, eps))  # an F3 source
-                c += 1
-            if c <= s_max:
-                columns[(b, eps)] = range(c, s_max + 1)
+            columns[(b, eps)] = range(s_max + 1)
             b += 1
     kinds = ("x8", "x10") if p == 2 else ("yz",)
     for kind in kinds:
@@ -442,9 +437,8 @@ def _absence_ok(page: BigradedPage, key: Key, n0: int) -> bool:
 
 
 class Pairing(NamedTuple):
-    pairs: list[tuple[Key, Key, int, int]]  # (source, target, r, e0), per-key towers
-    block_pairs: int  # differentials of the h0 block (see _block_differentials)
-    families: Counter  # (family, role) -> towers and cosets
+    pairs: list[tuple[Key, Key, int, int]]  # (source, target, r, e0), a per-key end
+    block_pairs: int  # differentials with both ends in the h0 block (F1)
     problems: dict[str, list[dict]]
 
 
@@ -452,15 +446,15 @@ def pair_towers(page: BigradedPage) -> Pairing:
     """Pair every window tower with its differential partner, in one pass.
 
     Every per-key tower and then the h0 block go through _pair.  Returns a
-    Pairing: (source, target, r, e0) of each differential of a per-key
-    tower with an end in the window; the count of the block's; every tower
-    and coset by (family, role); and the problems: "orphans" (partners
-    missing without a window excuse), "double_hits" and "mismatches"
-    ("round-trip": the partner's fate does not invert the tower's;
-    "geometry", once per pair: n0(target) != n0(source) + 1 + w e0 or
-    s0(target) != s0(source) + r - e0; "block": a block coset whose own
-    fate is not the F1 end with e0 = 0 its column holds).  Only per-key
-    sources keep a hit list: a second source on a block target fails its
+    Pairing: (source, target, r, e0) of each differential with a per-key
+    end (the F3 pairs, sourced in the block, included) and an end in the
+    window; the count of the block's own; and the problems: "orphans"
+    (partners missing without a window excuse), "double_hits" and
+    "mismatches" ("round-trip": the partner's fate does not invert the
+    tower's; "geometry", once per pair: n0(target) != n0(source) + 1 + w e0
+    or s0(target) != s0(source) + r - e0; "block": a coset above its
+    column's sources that is not a target with e0 = 0).  Only per-key
+    targets keep a hit list: a second source on a block target fails its
     round trip.
     """
     p = page.p
@@ -468,10 +462,8 @@ def pair_towers(page: BigradedPage) -> Pairing:
     orphans: list[dict] = []
     mismatches: list[dict] = []
     hits: dict[Key, list[Key]] = {}
-    families: Counter = Counter()
     for key, tw in page.towers.items():
         own = fate(p, key)
-        families[own[1], own[0]] += 1
         if own[4] is None:
             continue  # survives
         if own[0] == "source":
@@ -479,14 +471,14 @@ def pair_towers(page: BigradedPage) -> Pairing:
         pair = _pair(page, key, own, tw.n0, tw.s0, orphans, mismatches)
         if pair:
             pairs.append(pair)
-    block_pairs = _walk_block(page, families, orphans, mismatches)
+    block_pairs = _walk_block(page, pairs, hits, orphans, mismatches)
     double_hits = [
         {"target": dot_label(p, t, 0), "sources": [dot_label(p, s, 0) for s in srcs]}
         for t, srcs in hits.items()
         if len(srcs) > 1
     ]
     problems = dict(orphans=orphans, double_hits=double_hits, mismatches=mismatches)
-    return Pairing(pairs, block_pairs, families, problems)
+    return Pairing(pairs, block_pairs, problems)
 
 
 def _pair(
@@ -533,73 +525,55 @@ def _pair(
     return src, tgt, r, e0
 
 
-def _walk_block(page: BigradedPage, families: Counter, orphans: list, mismatches: list) -> int:
-    """pair_towers on the h0 block, column by column, with h0_fate and no
-    object per coset: every source column, then every target column only
-    if some block target was not reached from a source whose round trip
-    held.  A reached target needs no check of its own: its fate is its
-    source's back fate, so its checks hold with the source's, and no two
-    such sources reach one target.  Adds the cosets to families; returns
-    the pairs listed."""
-    p, kk = page.p, k0(page.p)
-    n_targets = 0
-    for (b, eps), cs in page.columns.items():
-        families["F1", "target" if eps else "source"] += len(cs)
-        n_targets += eps * len(cs)
+def _walk_block(
+    page: BigradedPage, pairs: list, hits: dict, orphans: list, mismatches: list
+) -> int:
+    """pair_towers on the h0 block, with h0_fate and no object per coset.
 
-    def walk(eps: int) -> tuple[int, int]:
-        listed = reached = 0
-        role = "target" if eps else "source"
-        for (b, e), cs in page.columns.items():
-            if e != eps:
-                continue
-            n0 = h0_base(p, 0, b, eps)[0]
-            for c in cs:
-                key = ("h0", c, b, eps)
-                own = h0_fate(p, c, b, eps)
-                if own[0] != role or own[1] != "F1" or own[3]:
-                    label = dot_label(p, key, 0)
-                    mismatches.append({"kind": "block", "tower": label, "fate": list(own[:4])})
-                    continue
-                pair = _pair(page, key, own, n0, c + kk * eps, orphans, mismatches)
-                if pair:
-                    listed += 1
-                    tgt = pair[1]
-                    if not eps and tgt[0] == "h0" and tgt[3] == 1:
-                        reached += tgt[1] in page.columns.get(tgt[2:], ())
-        return listed, reached
-
-    listed, reached = walk(0)
-    if reached != n_targets:
-        listed += walk(1)[0]
-    return listed
-
-
-def _block_differentials(page: BigradedPage) -> list[tuple[int, int, Key, Key]]:
-    """(r, source n0, source key, target key) of the block's differentials,
-    one per F1 source (a block target's source lies one codegree below it,
-    always in the window), in the order of the applied records, computed
-    from the integers: by r, n0, then c in the spelling order of h0^c
-    ("h0 y1" < "h0^10 y1" < "h0^2 y1" < "y1": a space sorts before "^"
-    and every digit, "h" before "y")."""
-    p = page.p
-    spelled = sorted(range(page.s_max + 1), key=lambda c: (c == 0, c > 1, str(c)))
-    rank = {c: i for i, c in enumerate(spelled)}
-    out = []
-    for (b, eps), cs in page.columns.items():
-        if eps:
-            continue
-        n0 = h0_base(p, 0, b, 0)[0]
+    Pass 1 checks each column's sources from c = 0; an F3 pair (its target
+    a MAIN tower) joins pairs and the hit list.  Pass 2 checks the cosets
+    above them, only if some was not reached with e0 = 0 from a source
+    whose round trip held.  A reached coset needs no check of its own: its
+    fate is its source's back fate, so its checks hold with the source's,
+    and no two such sources reach one coset.  Returns the block pairs
+    listed."""
+    p, kk, cols = page.p, k0(page.p), page.columns
+    listed = reached = 0
+    rest = []  # (b, eps, n0, the cosets above the column's sources)
+    for (b, eps), cs in cols.items():
+        n0 = h0_base(p, 0, b, eps)[0]
         for c in cs:
-            _, _, r, _, mate = h0_fate(p, c, b, 0)
-            out.append((r, n0, rank[c], c, b, mate))
-    out.sort()
-    return [(r, n0, ("h0", c, b, 0), mate) for r, n0, _, c, b, mate in out]
+            own = h0_fate(p, c, b, eps)
+            if own[0] != "source":
+                rest.append((b, eps, n0, range(c, cs.stop)))
+                break
+            key, mate = ("h0", c, b, eps), own[4]
+            pair = _pair(page, key, own, n0, c + kk * eps, orphans, mismatches)
+            if mate[0] != "h0":
+                hits.setdefault(mate, []).append(key)
+                if pair:
+                    pairs.append(pair)
+            elif pair:
+                listed += 1
+                reached += not own[3] and mate[1] in cols.get(mate[2:], ())
+    if reached == sum(len(cs) for *_, cs in rest):
+        return listed
+    for b, eps, n0, cs in rest:
+        for c in cs:
+            key = ("h0", c, b, eps)
+            own = h0_fate(p, c, b, eps)
+            if own[0] != "target" or own[3]:
+                label = dot_label(p, key, 0)
+                mismatches.append({"kind": "block", "tower": label, "fate": list(own[:4])})
+            elif _pair(page, key, own, n0, c + kk * eps, orphans, mismatches):
+                listed += 1
+    return listed
 
 
 def _einfty_heights(page: BigradedPage, pairs) -> dict[Key, int | None]:
     """The page's heights after the replay: sources die, targets keep e0
-    dots, and the whole block dies (every coset an F1 end, e0 = 0)."""
+    dots, and the whole block dies (every coset a source or a target with
+    e0 = 0)."""
     heights = dict(page.heights)
     heights[BLOCK] = 0
     for src, tgt, _, e0 in pairs:
@@ -617,10 +591,10 @@ def run_differentials(page: BigradedPage):
     Returns (einf, applied): einf maps (n, s) inside the window to its
     E-infinity dimension; applied lists the replayed differentials as
     {"r", "source_label", "target_label"} records, ordered by (r, source
-    base codegree, source label).  Raises WindowError, naming the kind and
-    the towers, on the first problem pair_towers finds or on a paired window
-    tower that is already height-bounded: never for pages built by
-    e2_window, but it guards hand-edited ones.
+    base codegree, source label, target label).  Raises WindowError, naming
+    the kind and the towers, on the first problem pair_towers finds or on a
+    paired window tower that is already height-bounded: never for pages
+    built by e2_window, but it guards hand-edited ones.
     """
     pairing = pair_towers(page)
     for kind, found in pairing.problems.items():
@@ -628,18 +602,17 @@ def run_differentials(page: BigradedPage):
             raise WindowError(f"{kind}: {found[0]}")
     p = page.p
     einf = page.dims(_einfty_heights(page, pairing.pairs))
+    pairs = list(pairing.pairs)
+    for (b, eps), cs in page.columns.items():
+        for c in cs:
+            role, _, r, e0, mate = h0_fate(p, c, b, eps)
+            if role == "source" and mate[0] == "h0":
+                pairs.append((("h0", c, b, eps), mate, r, e0))
     records = sorted(
         (r, _base(p, src)[0], dot_label(p, src, 0), dot_label(p, tgt, e0))
-        for src, tgt, r, e0 in pairing.pairs
+        for src, tgt, r, e0 in pairs
     )
-    block = (
-        (r, n0, dot_label(p, src, 0), dot_label(p, tgt, 0))
-        for r, n0, src, tgt in _block_differentials(page)
-    )
-    applied = [
-        {"r": r, "source_label": sl, "target_label": tl}
-        for r, _, sl, tl in heapq.merge(records, block)
-    ]
+    applied = [{"r": r, "source_label": sl, "target_label": tl} for r, _, sl, tl in records]
     return einf, applied
 
 
@@ -657,7 +630,8 @@ def matching_audit(p: int, n_lo: int, n_hi: int, s_max: int) -> dict:
     page = e2_window(p, n_lo, n_hi, s_max)
     if not len(page):
         raise ValueError(f"the window {n_lo}..{n_hi}, s <= {s_max} holds no tower")
-    _, _, families, problems = pair_towers(page)
+    problems = pair_towers(page).problems
+    families = Counter((f[1], f[0]) for f in (fate(p, key) for key in page))
     survivors = families.pop((None, "survives"), 0)
     report = {
         "p": p,
@@ -702,7 +676,7 @@ def einfty_audit(p: int, n_hi: int, s_max: int | None = None) -> dict:
             f"{top} through n = {n_hi}: the smallest accepted cap is {top}"
         )
     page = e2_window(p, 0, n_hi, s_max)
-    pairs, block_pairs, _, problems = pair_towers(page)
+    pairs, block_pairs, problems = pair_towers(page)
     einf = page.dims(_einfty_heights(page, pairs))
     problems = {kind: found for kind, found in problems.items() if found}
 

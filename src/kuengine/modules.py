@@ -201,12 +201,12 @@ def _odd_parts(p: int, cutoff: int) -> list[tuple[Chart, Monomial]]:
         v = nu(p, i)
         k = v + 1
         ell = v + 2
+        base = Monomial.gen(p, "q") * Monomial.gen(p, "y", 1, i - 1)
         while True:
             if (k, ell) not in cores:
                 cores[k, ell] = build_S(p, k, ell)
             s_core = cores[k, ell]
             s_min = s_core.min_dot_degree()
-            base = Monomial.gen(p, "q") * Monomial.gen(p, "y", 1, i - 1)
             head = base.degree + s_min
             if head > cutoff:
                 break

@@ -20,6 +20,8 @@ from kuengine.adams import (
     e2_window,
     einfty_audit,
     ext_audit,
+    fate,
+    h0_base,
     matching_audit,
     pair_towers,
     run_differentials,
@@ -46,25 +48,43 @@ def main_key(p, b, eps, **kw):
     return ("main", b, eps, *z_decompose_dict(p, m.z_dict()))
 
 
+def any_tower(p, key):
+    """tower(p, key), or for an h0 coset the ETower its integers spell."""
+    if key[0] == "h0":
+        return ETower(key, *h0_base(p, *key[1:]), None, dot_label(p, key, 0))
+    return tower(p, key)
+
+
+def any_fate(p, key):
+    return Fate(*fate(p, key))
+
+
 # -- first differentials and the four families --------------------------------
 
 
 def test_d2_on_y1():
-    f = classify(2, ("h0", 0, 1, 0))
-    assert (f.role, f.family, f.r, f.e0) == ("source", "F1", 2, 0)
-    assert f.partner == ("h0", 0, 0, 1)  # v^2 q
+    assert fate(2, ("h0", 0, 1, 0)) == ("source", "F1", 2, 0, ("h0", 0, 0, 1))  # -> v^2 q
 
 
 def test_d3_on_y1_squared():
-    f = classify(2, ("h0", 0, 2, 0))
+    f = any_fate(2, ("h0", 0, 2, 0))
     assert (f.family, f.r) == ("F1", 3)
     assert f.partner == ("h0", 1, 1, 1)  # h0 v^2 q y1
 
 
 def test_d2_on_y1_odd():
-    f = classify(3, ("h0", 0, 1, 0))
+    f = any_fate(3, ("h0", 0, 1, 0))
     assert (f.family, f.r) == ("F1", 2)
     assert f.partner == ("h0", 1, 0, 1)  # h0 v q
+
+
+def test_fate_is_classify_for_a_tower_and_h0_fate_for_a_coset():
+    key = main_key(2, 0, 0, zs=((2, 1),))
+    assert fate(2, key) is classify(2, key)
+    assert fate(2, ("h0", 0, 1, 1)) == ("source", "F3", 2, 4, key)  # v^2 q y1 -> z2
+    for bad in (tower, classify):
+        with pytest.raises(ValueError):
+            bad(2, ("h0", 0, 1, 1))
 
 
 def test_bare_z2_truncated_to_its_chart_height():
@@ -122,7 +142,7 @@ def page_keys(page):
 
 
 def height_of(page, key):
-    return page.heights[key if key in page.towers else BLOCK]
+    return page.heights[BLOCK if key[0] == "h0" else key]
 
 
 def test_the_page_walk_covers_both_parts():
@@ -130,14 +150,15 @@ def test_the_page_walk_covers_both_parts():
         page = e2_window(p, 0, n_hi, s_max)
         keys = page_keys(page)
         assert len(keys) == len(set(keys)) == len(page)
-        assert all(k in page for k in keys)
-        assert sum(k[0] == "h0" for k in keys) > 2 * sum(k[0] == "h0" for k in page.towers)
+        assert list(page) == keys and all(k in page for k in keys)
+        assert {k[0] for k in page.towers} == {"main", "sp"}
+        assert all(cs == range(s_max + 1) for cs in page.columns.values())
         walked = [k for k, *_ in page.window_runs(page.heights)]
         seen = set(walked)
         assert seen <= set(keys) and any(k not in page.towers for k in walked)
         assert [k for k in keys if k in seen] == walked  # the page's own order
         for key, n0, s0, _ in page.window_runs(page.heights):
-            assert (n0, s0) == (tower(p, key).n0, tower(p, key).s0)
+            assert (n0, s0) == (any_tower(p, key).n0, any_tower(p, key).s0)
     outside = e2_window(2, 0, 40, 8)
     assert ("h0", 9, 1, 0) not in outside and ("h0", 0, 99, 0) not in outside
     assert ("h0", 0, 0, 0) not in outside and BLOCK not in outside
@@ -156,7 +177,7 @@ def scanned_dots_at(page, n, s):
     key of the page (window_runs is the walker the package uses)."""
     out = []
     for key in page_keys(page):
-        tw = tower(page.p, key)
+        tw = any_tower(page.p, key)
         a = s - tw.s0
         h = height_of(page, key)
         if a >= 0 and (h is None or a < h) and tw.n0 - page.w * a == n:
@@ -219,7 +240,12 @@ def test_applied_list_reproduces_closed_forms():
 
 def crippled_without(gone):
     page = e2_window(2, 0, 40, 8)
-    assert gone in page_keys(page) and gone in page.towers
+    assert gone in page_keys(page)
+    if gone[0] == "h0":  # the bottom of its column
+        cs = page.columns[gone[2:]]
+        assert gone[1] == cs.start
+        columns = {**page.columns, gone[2:]: cs[1:]}
+        return dataclasses.replace(page, columns=columns)
     bad = {k: t for k, t in page.towers.items() if k != gone}
     heights = {k: h for k, h in page.heights.items() if k != gone}
     return dataclasses.replace(page, towers=bad, heights=heights)
@@ -244,17 +270,18 @@ def test_missing_target_is_a_hard_error():
 def test_missing_source_is_a_hard_error():
     gone = ("h0", 0, 1, 1)  # v^2 q y1, the source under the z2 tower
     crippled = crippled_without(gone)
+    assert gone not in crippled and ("h0", 1, 1, 1) in crippled
     with pytest.raises(WindowError, match="missing"):
         run_differentials(crippled)
     orphans = pair_towers(crippled).problems["orphans"]
     assert orphans == [
         {
             "kind": "missing-source",
-            "tower": tower(2, classify(2, gone).partner).label,
-            "partner": tower(2, gone).label,
+            "tower": tower(2, fate(2, gone)[4]).label,
+            "partner": dot_label(2, gone, 0),
         }
     ]
-    assert orphans[0]["tower"] == "z2"
+    assert orphans[0] == {"kind": "missing-source", "tower": "z2", "partner": "v^2 q y1"}
 
 
 def in_window_pairs(page):
@@ -278,8 +305,8 @@ def shift_e0(monkeypatch, src, f):
     patch_fates(
         monkeypatch,
         {
-            src: dataclasses.replace(f, e0=f.e0 + 1),
-            tgt: dataclasses.replace(classify(2, tgt), e0=f.e0 + 1),
+            src: f._replace(e0=f.e0 + 1),
+            tgt: classify(2, tgt)._replace(e0=f.e0 + 1),
         },
     )
 
@@ -290,7 +317,7 @@ def test_replay_rejects_a_one_sided_round_trip(monkeypatch):
     # the target of s1 names s2 as its source; s2 still hits its own target
     patch_fates(
         monkeypatch,
-        {f1.partner: dataclasses.replace(classify(2, f1.partner), partner=s2)},
+        {f1.partner: classify(2, f1.partner)._replace(partner=s2)},
     )
     with pytest.raises(WindowError, match="round-trip"):
         run_differentials(page)
@@ -308,7 +335,7 @@ def test_replay_rejects_a_pair_with_broken_geometry(monkeypatch):
 def test_a_double_hit_is_reported_and_raised(monkeypatch):
     page = e2_window(2, 0, 60, 12)
     (s1, f1), (s2, f2) = in_window_pairs(page)[:2]
-    patch_fates(monkeypatch, {s2: dataclasses.replace(f2, partner=f1.partner)})
+    patch_fates(monkeypatch, {s2: f2._replace(partner=f1.partner)})
     with pytest.raises(WindowError, match="double_hits"):
         run_differentials(page)
     rep = matching_audit(2, 0, 60, 12)
@@ -354,17 +381,19 @@ def test_replay_is_pinned_and_ordered(window):
     einf, applied = run_differentials(page)
     blob = json.dumps([sorted(einf.items()), applied])
     assert hashlib.sha256(blob.encode()).hexdigest() == REPLAY_DIGESTS[window]
-    keys = set(page_keys(page)) | {classify(p, k).partner for k in page_keys(page)}
-    n0 = {tower(p, k).label: tower(p, k).n0 for k in keys - {None}}
-    order = [(d["r"], n0[d["source_label"]], d["source_label"]) for d in applied]
+    keys = set(page_keys(page)) | {fate(p, k)[4] for k in page_keys(page)}
+    n0 = {any_tower(p, k).label: any_tower(p, k).n0 for k in keys - {None}}
+    order = [
+        (d["r"], n0[d["source_label"]], d["source_label"], d["target_label"]) for d in applied
+    ]
     assert order == sorted(order)
 
 
 # -- the per-coset reference replay ----------------------------------------------
 #
-# The replay as it ran before the h0 block: one ETower and one classify Fate
-# per h0 coset, one hit list over every target, the applied records sorted
-# by their labels.  The package must agree with it exactly.
+# The replay as it ran before the h0 block: one ETower and one Fate per h0
+# coset, one hit list over every target, the applied records sorted by their
+# labels.  The package must agree with it exactly.
 
 
 @dataclasses.dataclass
@@ -392,7 +421,7 @@ def ref_e2_window(p, n_lo, n_hi, s_max):
         for c in range(s_max + 1):
             b = 1 - eps
             while 2 * p * b + eps * offset <= page.n_pad:
-                towers[("h0", c, b, eps)] = tower(p, ("h0", c, b, eps))
+                towers[("h0", c, b, eps)] = any_tower(p, ("h0", c, b, eps))
                 b += 1
     labels = [t.label for t in towers.values()]
     assert len(set(labels)) == len(labels)
@@ -414,7 +443,7 @@ def ref_dims(page, heights):
 
 def ref_pair_towers(page):
     p, towers = page.p, page.towers
-    fates = {k: classify(p, k) for k in towers}
+    fates = {k: any_fate(p, k) for k in towers}
     pairs, orphans, mismatches, hits = [], [], [], {}
     for key, f in fates.items():
         mate = f.partner
@@ -424,7 +453,7 @@ def ref_pair_towers(page):
             hits.setdefault(mate, []).append(key)
         tw, mt = towers[key], towers.get(mate)
         inside = mt is not None
-        back = fates[mate] if inside else classify(p, mate)
+        back = fates[mate] if inside else any_fate(p, mate)
         if (back.partner, back.r, back.e0, back.family) != (key, f.r, f.e0, f.family) or (
             back.role == f.role
         ):
@@ -432,7 +461,7 @@ def ref_pair_towers(page):
             continue
         if inside and f.role == "target":
             continue
-        mt = mt or tower(p, mate)
+        mt = mt or any_tower(p, mate)
         st, tt = (tw, mt) if f.role == "source" else (mt, tw)
         if tt.n0 != st.n0 + 1 + page.w * f.e0 or tt.s0 != st.s0 + f.r - f.e0:
             mismatches.append(
@@ -445,7 +474,7 @@ def ref_pair_towers(page):
             )
         pairs.append((st, tt, f))
     double_hits = [
-        {"target": tower(p, t).label, "sources": [towers[s].label for s in srcs]}
+        {"target": any_tower(p, t).label, "sources": [towers[s].label for s in srcs]}
         for t, srcs in hits.items()
         if len(srcs) > 1
     ]
@@ -532,23 +561,9 @@ def test_the_block_replay_matches_the_per_coset_reference(window):
     assert einfty_audit(p, n_hi) == ref_einfty_audit(p, n_hi)
 
 
-@pytest.mark.parametrize("window", sorted(REPLAY_DIGESTS))
-def test_the_block_order_is_the_label_sort(window):
-    # _block_differentials orders the cosets by integers; the applied
-    # records are ordered by label, and the two must agree
-    page = e2_window(*window)
-    p = page.p
-    records = [
-        (r, n0, dot_label(p, src, 0), dot_label(p, tgt, 0))
-        for r, n0, src, tgt in adams._block_differentials(page)
-    ]
-    assert records == sorted(records)
-    assert {src[1] for _, _, src, _ in adams._block_differentials(page)} >= {0, 1, 2, 10, 19}
-
-
 @pytest.fixture
 def fresh_fates():
-    """classify caches its fates: drop them around a patched h0 helper."""
+    """classify caches its fates: run a patched h0_fate on fresh caches."""
     adams.classify.cache_clear()
     yield
     adams.classify.cache_clear()
@@ -572,7 +587,6 @@ def test_a_broken_block_fails_the_replay_and_both_audits(p, mutant, monkeypatch,
     assert matching_audit(p, 0, 60, 12)["ok"] and einfty_audit(p, 60)["ok"]
     monkeypatch.setattr(adams, "h0_fate", mutant)
     page = e2_window(p, 0, 60, 12)
-    assert page.columns  # the mutants keep every coset's family
     with pytest.raises(WindowError, match="round-trip"):
         run_differentials(page)
     matching = matching_audit(p, 0, 60, 12)
@@ -580,6 +594,42 @@ def test_a_broken_block_fails_the_replay_and_both_audits(p, mutant, monkeypatch,
     einfty = einfty_audit(p, 60)
     assert not einfty["ok"] and einfty["mismatches"]
     assert einfty["bidegree_mismatches"] == [] == einfty["length_mismatches"]
+
+
+# a column whose c = 0 and 1 are F3 sources and c = 2 its first F1 target
+COLUMN_BOTTOM = {2: (3, 1), 3: (2, 1)}
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_a_column_runs_from_its_f3_sources_to_its_f1_targets(p):
+    b, eps = COLUMN_BOTTOM[p]
+    page = e2_window(p, 0, 60, 12)
+    keys = [("h0", c, b, eps) for c in range(3)]
+    assert [fate(p, k)[:2] for k in keys] == [("source", "F3")] * 2 + [("target", "F1")]
+    assert all(k in page for k in keys)
+    assert page.h0_op(keys[1], 0) == (keys[2], 0)
+    assert set(keys) <= {k for k, *_ in page.window_runs(page.heights)}
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_a_block_target_that_keeps_a_dot_breaks_the_block(p, monkeypatch, fresh_fates):
+    # a coset must die on E-infinity for the block's one shared height
+    b, eps = COLUMN_BOTTOM[p]
+    real = adams.h0_fate
+
+    def keeps_a_dot(p, c, b2, eps2):
+        f = real(p, c, b2, eps2)
+        return (*f[:3], 1, f[4]) if (c, b2, eps2) == (2, b, eps) else f
+
+    monkeypatch.setattr(adams, "h0_fate", keeps_a_dot)
+    with pytest.raises(WindowError):
+        run_differentials(e2_window(p, 0, 60, 12))
+    rep = matching_audit(p, 0, 60, 12)
+    r = real(p, 2, b, eps)[2]
+    label = dot_label(p, ("h0", 2, b, eps), 0)
+    assert [m for m in rep["mismatches"] if m["kind"] == "block"] == [
+        {"kind": "block", "tower": label, "fate": ["target", "F1", r, 1]}
+    ]
 
 
 # -- audits --------------------------------------------------------------------
@@ -676,10 +726,10 @@ def test_geometry_of_every_applied_differential():
     for p in (2, 3):
         page = e2_window(p, 0, 60, 12)
         for key in page_keys(page):
-            f = classify(p, key)
+            f = any_fate(p, key)
             if f.role != "source":
                 continue
-            st, tt = tower(p, key), tower(p, f.partner)
+            st, tt = any_tower(p, key), any_tower(p, f.partner)
             w = 2 * (p - 1)
             assert tt.n0 - w * f.e0 == st.n0 + 1
             assert tt.s0 + f.e0 == st.s0 + f.r
@@ -812,11 +862,16 @@ def ref_classify(p, key):
 def test_key_arithmetic_matches_the_monomial_reference(p, n_hi, s_max):
     page = e2_window(p, 0, n_hi, s_max)
     keys = set(page_keys(page))
-    keys |= {classify(p, k).partner for k in page_keys(page)} - {None}
+    keys |= {fate(p, k)[4] for k in page_keys(page)} - {None}
     assert len(keys) > len(page)  # partners outside the window count too
+    assert {k[0] for k in keys} == {"main", "h0", "sp"}
     for key in keys:
-        assert tower(p, key) == ref_tower(p, key), key
-        assert classify(p, key) == ref_classify(p, key), key
+        want = ref_tower(p, key)
+        if key[0] == "h0":
+            assert (*h0_base(p, *key[1:]), dot_label(p, key, 0)) == (want.n0, want.s0, want.label)
+        else:
+            assert tower(p, key) == want, key
+        assert fate(p, key) == ref_classify(p, key), key
 
 
 def ref_z_runs(p, budget):

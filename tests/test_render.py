@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from kuengine.adams import classify, dot_label, e2_window, tower
+from kuengine.adams import dot_label, e2_window
 from kuengine.chart import tower_dots
 from kuengine.modules import build_A, build_B, build_S
 from kuengine.render import (
@@ -17,7 +17,7 @@ from kuengine.render import (
     render_svg,
     render_tikz,
 )
-from test_adams import height_of, page_keys
+from test_adams import any_fate, any_tower, height_of, page_keys
 
 # Hand-extracted (codegree, filtration) positions of the solid dots in the
 # reference rendering of the k = 5 even block at p = 2, drawn over the window
@@ -300,7 +300,7 @@ def ref_document_from_einfty(p, n_lo, n_hi, s_max):
     index = {}
     dots = []
     for key in page_keys(page):
-        tw, h = tower(p, key), height_of(page, key)
+        tw, h = any_tower(p, key), height_of(page, key)
         cap = page.s_max - tw.s0 + 1
         cap = cap if h is None else min(h, cap)
         for a in tower_dots(tw.n0, cap, page.w, page.n_lo, page.n_hi):
@@ -315,7 +315,7 @@ def ref_document_from_einfty(p, n_lo, n_hi, s_max):
         if h0 is not None and (h0 in index):
             lines.append(DocLine("h0", i, index[h0]))
     for key in page_keys(page):
-        f = classify(p, key)
+        f = any_fate(p, key)
         if f.role != "source" or f.partner not in page:
             continue
         a = 0

@@ -226,13 +226,10 @@ def append_shifted(
         )
 
 
-def direct_sum(parts: Iterable[tuple[Chart, Monomial]]) -> Chart:
+def direct_sum(p: int, parts: Iterable[tuple[Chart, Monomial]]) -> Chart:
     """The chart of the direct sum of the multiples m . chart over the given
-    (chart, m) parts, built in one pass and validated once."""
-    parts = list(parts)
-    if not parts:
-        raise ValueError("direct_sum needs at least one chart (prime unknown)")
-    p = parts[0][0].p
+    (chart, m) parts at prime p (the empty chart for no parts), built in one
+    pass and validated once."""
     towers: list[Tower] = []
     edges: list[PEdge] = []
     for c, m in parts:

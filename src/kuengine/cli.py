@@ -106,11 +106,10 @@ def cmd_groups(config: RunConfig) -> list[dict]:
         raise UsageError(f"groups degrees must be >= 0, got window {config.window}")
     p = config.prime
     shift = 2 * p if config.homology else 0
-    cutoff = modules._round_up(max(hi + shift, 1))
     free = None
     if config.include_free:
         free = margolis.trivial_summand_counts(p, hi + shift)
-    chart = modules.full_chart(p, cutoff)
+    chart = modules.full_chart(p, hi + shift)
     rows = []
     for n in range(lo, hi + 1):
         exps = chart.group_at(n + shift)

@@ -10,9 +10,10 @@ verification side of the package:
   from a table of generator images, each product found by key arithmetic.
 * margolis_homology -- per-degree dims of H(M; Q0) or H(M; Q1), plus the
   known closed forms they must reproduce (q0_homology_closed, ...).
-* build_piece -- the small non-free modules N, L_k, M_j and the locally
-  finite sums R, S that carry all of the Margolis homology; assemble_T
-  glues them into the full non-free model, so that H ~ unit + T + free.
+* _N, _L, _M, _R, _S -- the small non-free modules N, L_k, M_j and the
+  locally finite sums R, S = qR that carry all of the Margolis homology,
+  one constructor each; assemble_T glues them and the unit class into the
+  full non-free model, so that H ~ unit + T + free.
 * free_part_ps -- counts of free E1 summands per generator degree, obtained
   by subtracting the non-free model's Poincare series from the full one.
 * strip_free -- M / F for the free summand F spanned by the basis elements
@@ -122,9 +123,10 @@ class E1Module:
     def dim_at(self, n: int) -> int:
         return len(self.by_degree.get(n, ()))
 
-    def ps(self, top: int | None = None) -> PSeries:
-        if top is None:
-            top = self.cutoff if self.cutoff < EXACT else max(self.by_degree, default=0)
+    def ps(self) -> PSeries:
+        """Dimensions through the cutoff (through the top degree of a finite
+        module)."""
+        top = self.cutoff if self.cutoff < EXACT else max(self.by_degree, default=0)
         return PSeries.from_degrees(
             top, (d for d, ls in self.by_degree.items() for _ in ls)
         )
@@ -457,63 +459,29 @@ def _R(p: int, D: int) -> E1Module:
                 k += 1
             summands.append(_M(p, j).tensor(_trivial_polynomial(p, gens, D)))
             j += 1
-    if not summands:
+    return E1Module.direct_sum(summands) if summands else E1Module(p, D)
+
+
+def _S(p: int, D: int) -> E1Module:
+    """qR: R suspended by |q|, truncated at D."""
+    q = q_degree(p)
+    if D < q:  # the suspension starts above the cutoff: nothing survives
         return E1Module(p, D)
-    out = E1Module.direct_sum(summands)
-    out.cutoff = D
-    return out
+    return _R(p, D - q).suspend(q)
 
 
-def build_piece(p: int, kind: str, param: int | None = None, D: int | None = None) -> E1Module:
-    """The named non-free building block.
-
-    kind: "N" | "L" (param = k) | "M" (param = j) | "R" (needs D) | "S"
-    (needs D).  R and S are infinite direct sums and come back truncated at
-    D; the others are finite and exact in every degree.
-    """
-    if kind == "N":
-        return _N(p)
-    if kind == "L":
-        if param is None:
-            raise ValueError("L needs its index")
-        return _L(p, param)
-    if kind == "M":
-        if param is None:
-            raise ValueError("M needs its index")
-        return _M(p, param)
-    if kind == "R":
-        if D is None:
-            raise ValueError("R needs a cutoff")
-        return _R(p, D)
-    if kind == "S":
-        if D is None:
-            raise ValueError("S needs a cutoff")
-        q = q_degree(p)
-        if D < q:  # the suspension starts above the cutoff: nothing survives
-            return E1Module(p, D)
-        return _R(p, D - q).suspend(q)
-    raise ValueError(f"unknown piece kind {kind!r}")
-
-
-def assemble_T(p: int, D: int, with_unit: bool = False) -> E1Module:
-    """The non-free model: P[u_2^2] x (<u_2^2> + N + R + S) at p = 2, and
-    P[y_1] x (<y_1> + N + R + qR) at odd p.  Optionally with the unit class,
-    which makes its Margolis homology degreewise equal to that of H*K2."""
+def assemble_T(p: int, D: int) -> E1Module:
+    """The non-free model with the unit class: 1 + P[u_2^2] x (<u_2^2> + N
+    + R + S) at p = 2, and 1 + P[y_1] x (<y_1> + N + R + qR) at odd p.  Its
+    Margolis homology is degreewise that of H*K2."""
     if p == 2:
         outer = _trivial_polynomial(2, [GenSpec("u2^2", 4)], D)
         lead = _single(2, "u2^2", 4)
     else:
         outer = _trivial_polynomial(p, [GenSpec("y1", 2 * p)], D)
         lead = _single(p, "y1", 2 * p)
-    inner = E1Module.direct_sum(
-        [lead, _N(p), build_piece(p, "R", D=D), build_piece(p, "S", D=D)]
-    )
-    inner.cutoff = D
-    t = outer.tensor(inner)
-    if with_unit:
-        t = E1Module.direct_sum([_single(p, "1", 0), t])
-        t.cutoff = D
-    return t
+    inner = E1Module.direct_sum([lead, _N(p), _R(p, D), _S(p, D)])
+    return E1Module.direct_sum([_single(p, "1", 0), outer.tensor(inner)])
 
 
 # ---------------------------------------------------------------------------
@@ -786,7 +754,7 @@ def ps_audit(p: int, n_max: int) -> dict:
     degree.  At p = 2 the degree-79 generator count is pinned to its
     documented value 245 whenever the window reaches it."""
     by_series = free_part_total_ps(p, n_max)
-    by_modules = build_HK2(p, n_max).ps() - assemble_T(p, n_max, with_unit=True).ps(n_max)
+    by_modules = build_HK2(p, n_max).ps() - assemble_T(p, n_max).ps()
     rows = degree_rows(n_max, by_series, by_modules, ("series", "model"))
     golden_ok = p != 2 or n_max < 79 or free_part_ps(2, n_max)[79] == 245
     head = {"p": p, "n_max": n_max, "golden_79_ok": golden_ok}

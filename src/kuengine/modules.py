@@ -1,6 +1,6 @@
 """Closed-form construction of the answer charts.
 
-Core charts (recursive):
+Core charts (level by level):
 
     B_k  built from  z_{k-1}^{p-1} B_{k-1},  TP_{p^k-k}[v] z_k,  y_{k-1}^{p-1} B_{k-1}
     A_k  built from  z_{k-1}^{p-1} B_{k-1},  TP_{p^k}[v]   z_k,  y_{k-1}^{p-1} A_{k-1}
@@ -11,8 +11,11 @@ with B_{k0-1} = 0 (k0 = 2 at p = 2, else 1) and A_0 = <z_0>, glued by
     rule2 (k >= 1):  p . (y-copy top) = v^(p^(k-1)(p-1)) z_k      [exotic]
 
 rule2 targets are appended to whatever edge the y-copy's top tower already
-inherited, which is how the two-target extensions arise.  S_{k,l} is the
-finite chain chart of composite classes z[i,l].
+inherited, which is how the two-target extensions arise.  The cores are
+glued in one upward walk with no memo: a generator glues B_k from B_{k-1},
+and the A walk glues A_k from B_{k-1} and A_{k-1} on top of it, so build_A,
+build_B and even_part each glue from the bottom only the levels they read.
+S_{k,l} is the finite chain chart of composite classes z[i,l].
 
 even_part / odd_part assemble the full even- and odd-degree answer as a
 direct sum of monomial multiples of the cores, now built in one pass from
@@ -28,6 +31,8 @@ or CLI command reaches it.
 from __future__ import annotations
 
 from functools import lru_cache, partial
+from itertools import count, islice
+from typing import Iterator, NamedTuple
 
 from .chart import (
     Chart,
@@ -56,37 +61,32 @@ from .padic import nu
 from .series import report
 
 
-class CoreChart:
-    """A chart together with its handle: the id of the level-k z-tower that
-    glue edges attach to (None for an empty chart)."""
+class CoreChart(NamedTuple):
+    """A chart together with its handle: the position of the level-k z-tower
+    that glue edges attach to (None for an empty chart)."""
 
-    def __init__(self, chart: Chart, handle: int | None):
-        self.chart = chart
-        self.handle = handle
+    chart: Chart
+    handle: int | None
 
 
 def _glue(
-    p: int,
-    k: int,
-    zsub: CoreChart | None,
-    new_height: int,
-    ysub: CoreChart | None,
+    p: int, k: int, zsub: CoreChart, new_height: int, ysub: CoreChart
 ) -> CoreChart:
-    """Shared assembly for build_A/build_B: [z_{k-1}^(p-1) . zsub] + new z_k
-    tower + [y_{k-1}^(p-1) . ysub] with rule1/rule2 edges."""
+    """One core step: [z_{k-1}^(p-1) . zsub] + new z_k tower +
+    [y_{k-1}^(p-1) . ysub] with rule1/rule2 edges (an empty core adds
+    nothing)."""
     towers: list[Tower] = []
     edges: list[PEdge] = []
-    if zsub is not None:
-        append_shifted(towers, edges, zsub.chart, Monomial.gen(p, "z", k - 1, p - 1))
+    append_shifted(towers, edges, zsub.chart, Monomial.gen(p, "z", k - 1, p - 1))
     new_id = len(towers)
     towers.append(Tower(Monomial.gen(p, "z", k), new_height))
     yoffset = len(towers)
-    if ysub is not None:
-        append_shifted(towers, edges, ysub.chart, Monomial.gen(p, "y", k - 1, p - 1))
+    append_shifted(towers, edges, ysub.chart, Monomial.gen(p, "y", k - 1, p - 1))
     edge_by_src = {e.src: e for e in edges}
 
-    # rule1: p . v^a z_k = v^(a+1) on the z-copy's handle tower (k >= 2)
-    if zsub is not None and zsub.handle is not None and k >= 2:
+    # rule1: p . v^a z_k = v^(a+1) on the z-copy's handle tower (a z-copy
+    # B_{k-1} is nonempty only for k - 1 >= k0, so k >= 2)
+    if zsub.handle is not None:
         handle_id = zsub.handle
         handle_h = towers[handle_id].height
         for a in range(new_height):
@@ -95,7 +95,7 @@ def _glue(
             edge_by_src[(new_id, a)] = PEdge((new_id, a), ((handle_id, a + 1),), "h0")
 
     # rule2: p . (y-copy handle dot a) gains target v^(p^(k-1)(p-1)+a) z_k
-    if ysub is not None and ysub.handle is not None:
+    if ysub.handle is not None:
         yh_id = yoffset + ysub.handle
         yh_height = towers[yh_id].height
         shift = p ** (k - 1) * (p - 1)
@@ -105,36 +105,32 @@ def _glue(
                 continue
             src = (yh_id, a)
             old = edge_by_src.get(src)
-            if old is None:
-                edge_by_src[src] = PEdge(src, ((new_id, tgt_a),), "exotic")
-            else:
-                edge_by_src[src] = PEdge(
-                    src, old.dst + ((new_id, tgt_a),), "exotic"
-                )
+            dst = (old.dst if old else ()) + ((new_id, tgt_a),)
+            edge_by_src[src] = PEdge(src, dst, "exotic")
 
     edges = sorted(edge_by_src.values(), key=lambda e: e.src)
     return CoreChart(Chart(p, towers, edges), new_id)
 
 
-@lru_cache(maxsize=None)
-def _build_B(p: int, k: int) -> CoreChart:
-    if k < k0(p):
-        return CoreChart(Chart(p), None)
-    sub = _build_B(p, k - 1)
-    sub = sub if sub.handle is not None else None
-    return _glue(p, k, sub, p**k - k, sub)
+def _b_walk(p: int) -> Iterator[CoreChart]:
+    """B_{-1}, B_0, B_1, ...: empty below k0, then each glued from the one
+    before.  A level is glued only when the walk is asked for it."""
+    b = CoreChart(Chart(p), None)
+    for k in count():
+        yield b
+        if k >= k0(p):
+            b = _glue(p, k, b, p**k - k, b)
 
 
-@lru_cache(maxsize=None)
-def _build_A(p: int, k: int) -> CoreChart:
-    if k < 0:
-        raise ValueError("A_k needs k >= 0")
-    if k == 0:
-        c = Chart(p, [Tower(Monomial.gen(p, "z", 0), 1)])
-        return CoreChart(c, 0)
-    subB = _build_B(p, k - 1)
-    zsub = subB if subB.handle is not None else None
-    return _glue(p, k, zsub, p**k, _build_A(p, k - 1))
+def _a_walk(p: int) -> Iterator[tuple[CoreChart, CoreChart]]:
+    """(B_{k-1}, A_k) for k = 0, 1, 2, ...: A_0 = <z_0>, then A_k glued
+    from B_{k-1} and A_{k-1} on top of the B walk, which is never asked for
+    the B_k that A_k does not read."""
+    a = CoreChart(Chart(p, [Tower(Monomial.gen(p, "z", 0), 1)]), 0)
+    for k, b in enumerate(_b_walk(p)):
+        if k:
+            a = _glue(p, k, b, p**k, a)
+        yield b, a
 
 
 def build_B(p: int, k: int) -> Chart:
@@ -142,11 +138,14 @@ def build_B(p: int, k: int) -> Chart:
     tower on z_2)."""
     if k < k0(p) - 1:
         raise ValueError(f"B_k defined for k >= {k0(p) - 1}")
-    return _build_B(p, k).chart
+    return next(islice(_b_walk(p), k + 1, None)).chart
+
 
 def build_A(p: int, k: int) -> Chart:
     """The chart A_k (A_0 is the single dot z_0)."""
-    return _build_A(p, k).chart
+    if k < 0:
+        raise ValueError("A_k needs k >= 0")
+    return next(islice(_a_walk(p), k, None))[1].chart
 
 
 def build_S(p: int, k: int, ell: int) -> Chart:
@@ -171,24 +170,26 @@ def build_S(p: int, k: int, ell: int) -> Chart:
 # -- assemblies ----------------------------------------------------------------
 
 
+def _multiples(
+    p: int, core: Chart, family: str, k: int, cutoff: int
+) -> list[tuple[Chart, Monomial]]:
+    """The (core, M) summands with M in the family whose lowest dot is <=
+    cutoff (none for an empty core)."""
+    low = core.min_dot_degree()
+    if low is None or low > cutoff:
+        return []
+    return [(core, m) for m in enumerate_family(p, family, k, cutoff - low)]
+
+
 def _even_parts(p: int, cutoff: int) -> list[tuple[Chart, Monomial]]:
-    """The (core, multiplier) summands of even_part, in chart order."""
+    """The (core, multiplier) summands of even_part, in chart order: A_1,
+    B_1, A_2, B_2, ... while A_k reaches the cutoff."""
     parts: list[tuple[Chart, Monomial]] = []
-    k = 1
-    while True:
-        core_a = _build_A(p, k).chart
-        min_a = core_a.min_dot_degree()
-        if min_a is None or min_a > cutoff:
-            break
-        parts += [(core_a, m) for m in enumerate_family(p, "MkA", k, cutoff - min_a)]
-        core_b = _build_B(p, k).chart
-        min_b = core_b.min_dot_degree()
-        if min_b is not None and min_b <= cutoff:
-            parts += [
-                (core_b, m) for m in enumerate_family(p, "MkB", k, cutoff - min_b)
-            ]
-        k += 1
-    return parts
+    for k, (b, a) in islice(enumerate(_a_walk(p)), 1, None):
+        parts += _multiples(p, b.chart, "MkB", k - 1, cutoff)  # B_{k-1} follows A_{k-1}
+        if a.chart.min_dot_degree() > cutoff:
+            return parts
+        parts += _multiples(p, a.chart, "MkA", k, cutoff)
 
 
 def _odd_parts(p: int, cutoff: int) -> list[tuple[Chart, Monomial]]:
@@ -221,22 +222,18 @@ def _odd_parts(p: int, cutoff: int) -> list[tuple[Chart, Monomial]]:
     return parts
 
 
-def _assemble(p: int, parts: list[tuple[Chart, Monomial]]) -> Chart:
-    return direct_sum(parts) if parts else Chart(p)
-
-
 def even_part(p: int, cutoff: int) -> Chart:
     """Direct sum over k >= 1 and multiplier monomials M of M.A_k (M with no
     z-factors) and M.B_k (M with z-factors), keeping summands whose minimum
     dot degree is <= cutoff."""
-    return _assemble(p, _even_parts(p, cutoff))
+    return direct_sum(p, _even_parts(p, cutoff))
 
 
 def odd_part(p: int, cutoff: int) -> Chart:
     """Direct sum over i >= 1, l >= nu(i)+2 of q y_1^(i-1) m . S_{nu(i)+1, l}
     with m running over TP_{p-1}[z_l] x Lambda_{l+1}, keeping summands whose
     minimum dot degree is <= cutoff."""
-    return _assemble(p, _odd_parts(p, cutoff))
+    return direct_sum(p, _odd_parts(p, cutoff))
 
 
 def _round_up(n: int, step: int = 50) -> int:
@@ -246,7 +243,7 @@ def _round_up(n: int, step: int = 50) -> int:
 @lru_cache(maxsize=None)
 def full_chart(p: int, cutoff: int) -> Chart:
     """even_part followed by odd_part, assembled as one direct sum."""
-    return _assemble(p, _even_parts(p, cutoff) + _odd_parts(p, cutoff))
+    return direct_sum(p, _even_parts(p, cutoff) + _odd_parts(p, cutoff))
 
 
 def ku_group_at(p: int, n: int, cutoff: int | None = None) -> list[int]:

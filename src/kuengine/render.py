@@ -61,13 +61,6 @@ class DocLine(NamedTuple):
         return tuple(self)
 
 
-def _check_endpoints(lines: list[tuple[str, int, int]], n_dots: int) -> None:
-    for _, src, dst in lines:
-        if not (0 <= src < n_dots and 0 <= dst < n_dots):
-            end = dst if 0 <= src < n_dots else src
-            raise ValueError(f"line endpoint {end} references no dot")
-
-
 _OVERLAY = ',\n   "overlay": true'  # the key a dot record carries only when set
 
 
@@ -80,8 +73,9 @@ def _json_list(records: list[str]) -> str:
 @dataclass
 class ChartDocument:
     """A canonical chart document.  Builders may pass lines as plain
-    (kind, src, dst) tuples indexing the unsorted dots; construction sorts
-    the dots and rebuilds each line once as a DocLine on the sorted ones."""
+    (kind, src, dst) tuples indexing the unsorted dots; construction
+    validates the input once, then sorts the dots and rebuilds each line
+    once as a DocLine on the sorted ones."""
 
     prime: int
     window: tuple[int, int]
@@ -95,8 +89,8 @@ class ChartDocument:
         lo, hi = self.window
         if lo > hi:
             raise ValueError("empty window")
+        self.validate()
         dots = self.dots
-        _check_endpoints(self.lines, len(dots))
         # canonicalize: sort dots, remap and sort line endpoints
         order = sorted(range(len(dots)), key=dots.__getitem__)
         remap = [0] * len(order)
@@ -106,7 +100,6 @@ class ChartDocument:
         lines = [DocLine(kind, remap[src], remap[dst]) for kind, src, dst in self.lines]
         lines.sort()
         self.lines = lines
-        self.validate()
 
     def validate(self) -> None:
         lo, hi = self.window
@@ -117,7 +110,11 @@ class ChartDocument:
         for kind in dict.fromkeys(map(itemgetter(0), self.lines)):
             if not _KIND.fullmatch(kind):
                 raise ValueError(f"unknown line kind {kind!r}")
-        _check_endpoints(self.lines, len(self.dots))
+        n_dots = len(self.dots)
+        for _, src, dst in self.lines:
+            if not (0 <= src < n_dots and 0 <= dst < n_dots):
+                end = dst if 0 <= src < n_dots else src
+                raise ValueError(f"line endpoint {end} references no dot")
 
     # -- JSON -------------------------------------------------------------
     def to_json(self) -> str:

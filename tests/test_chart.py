@@ -84,13 +84,23 @@ def test_tensor_and_sum():
     p = 2
     c = chain_chart(p, 2)
     m = Monomial.gen(p, "y", 2)
-    shifted = direct_sum([(c, m)])
+    shifted = direct_sum(p, [(c, m)])
     assert shifted.towers[0].gen_degree == c.towers[0].gen_degree + 8
     assert len(shifted.edges) == len(c.edges)
-    s = direct_sum([(c, Monomial(p)), (shifted, Monomial(p))])
+    s = direct_sum(p, [(c, Monomial(p)), (shifted, Monomial(p))])
     assert len(s.towers) == 4
     n = c.towers[0].gen_degree
     assert s.dims_at(n) == c.dims_at(n) + shifted.dims_at(n)
+
+
+def test_empty_and_mixed_prime_sums():
+    empty = direct_sum(3, [])
+    assert (empty.p, empty.towers, empty.edges) == (3, [], [])
+    c = chain_chart(2, 2)
+    with pytest.raises(ValueError, match="mixed primes"):
+        direct_sum(3, [(c, Monomial(2))])
+    with pytest.raises(ValueError, match="mixed primes"):
+        direct_sum(2, [(c, Monomial(2)), (chain_chart(3, 2), Monomial(3))])
 
 
 def test_render_grammar():

@@ -12,10 +12,13 @@ from kuengine.margolis import (
     E1Module,
     EXACT,
     GenSpec,
+    _L,
     _M,
+    _N,
+    _R,
+    _S,
     assemble_T,
     build_HK2,
-    build_piece,
     ext_bruteforce,
     ext_cutoff,
     free_part_ps,
@@ -240,7 +243,7 @@ def test_margolis_homology_margin_is_enforced():
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_piece_N(p):
-    n = build_piece(p, "N")
+    n = _N(p)
     n.validate()
     if p == 2:
         assert degrees(n) == [5, 7, 8, 9, 10]
@@ -255,7 +258,7 @@ def test_piece_N(p):
 
 
 def test_piece_L3_mod_2():
-    l3 = build_piece(2, "L", 3)
+    l3 = _L(2, 3)
     l3.validate()
     assert degrees(l3) == [0, 1, 2, 3, 4, 5, 6, 7]
     assert margolis_homology(l3, "Q0", 9) == [0] * 10
@@ -264,17 +267,23 @@ def test_piece_L3_mod_2():
 
 
 def test_piece_M_suspensions():
-    m4 = build_piece(2, "M", 4)
+    m4 = _M(2, 4)
     assert degrees(m4) == [17, 18]
-    m7 = build_piece(2, "M", 7)
+    m7 = _M(2, 7)
     assert min(degrees(m7)) == 129
     assert degrees(m7) == [129 + d for d in range(8)]
-    m2 = build_piece(3, "M", 2)
+    m2 = _M(3, 2)
     assert degrees(m2) == [19, 20]
     with pytest.raises(ValueError):
-        build_piece(2, "M", 3)
+        _M(2, 3)
     with pytest.raises(ValueError):
-        build_piece(3, "M", 1)
+        _M(3, 1)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_S_below_its_suspension_is_empty(p):
+    below = _S(p, q_degree(p) - 1)
+    assert (below.cutoff, below.by_degree) == (q_degree(p) - 1, {})
 
 
 @pytest.mark.parametrize(
@@ -284,7 +293,7 @@ def test_nonfree_model_carries_all_margolis_homology(p, D):
     """unit + T has the same Q0- and Q1-homology as the full cohomology,
     degreewise: the leftover part of the module is free."""
     full = build_HK2(p, D)
-    model = assemble_T(p, D, with_unit=True)
+    model = assemble_T(p, D)
     top = D - (2 * p - 1)
     for which in ("Q0", "Q1"):
         assert margolis_homology(model, which, top) == margolis_homology(full, which, top)
@@ -310,7 +319,7 @@ def test_free_summand_generator_counts_mod_3():
 @pytest.mark.parametrize("p,D", [(2, 50), (3, 40)])
 def test_free_part_total_agrees_with_module_subtraction(p, D):
     total = free_part_total_ps(p, D)
-    by_modules = build_HK2(p, D).ps() - assemble_T(p, D, with_unit=True).ps(D)
+    by_modules = build_HK2(p, D).ps() - assemble_T(p, D).ps()
     assert total == by_modules
 
 
@@ -343,7 +352,7 @@ def test_ext_of_free_module_is_socle_only(p, d):
 
 
 def test_ext_of_N_mod_2_window():
-    ext = ext_bruteforce(build_piece(2, "N"), (0, 12), 4)
+    ext = ext_bruteforce(_N(2), (0, 12), 4)
     assert ext == {
         (8, 0): 1,
         (10, 0): 1,
@@ -358,7 +367,7 @@ def test_ext_of_N_mod_2_window():
 
 
 def test_ext_of_N_mod_3_has_q_tower_and_bottom_class():
-    ext = ext_bruteforce(build_piece(3, "N"), (0, 12), 3)
+    ext = ext_bruteforce(_N(3), (0, 12), 3)
     # <c> at codegree 4p = 12 with vc = h0 c = 0, and the v^{1+e}q ladder
     # at (2p+1-(2p-2)e, 1+e) carrying an infinite h0 tower.
     assert ext == {
@@ -372,12 +381,12 @@ def test_ext_of_N_mod_3_has_q_tower_and_bottom_class():
 
 
 def test_ext_of_M4_mod_2_is_one_v_tower():
-    ext = ext_bruteforce(build_piece(2, "M", 4), (12, 20), 3)
+    ext = ext_bruteforce(_M(2, 4), (12, 20), 3)
     assert ext == {(18, 0): 1, (16, 1): 1, (14, 2): 1, (12, 3): 1}
 
 
 def test_ext_of_M5_mod_2_is_two_chained_v_towers():
-    ext = ext_bruteforce(build_piece(2, "M", 5), (28, 36), 2)
+    ext = ext_bruteforce(_M(2, 5), (28, 36), 2)
     assert ext == {
         (34, 0): 1,
         (36, 0): 1,
@@ -389,7 +398,7 @@ def test_ext_of_M5_mod_2_is_two_chained_v_towers():
 
 
 def test_ext_of_M3_mod_3_is_two_chained_v_towers():
-    ext = ext_bruteforce(build_piece(3, "M", 3), (52, 60), 2)
+    ext = ext_bruteforce(_M(3, 3), (52, 60), 2)
     assert ext == {
         (56, 0): 1,
         (60, 0): 1,
@@ -489,7 +498,7 @@ def labelled_degrees(mod):
 def test_R_basis_matches_the_recursive_cofactor(p):
     sizes = []
     for D in (0, 20, 61, 150, 300, 500):
-        got = labelled_degrees(build_piece(p, "R", D=D))
+        got = labelled_degrees(_R(p, D))
         assert got == labelled_degrees(ref_R(p, D)), D
         sizes.append(len(got))
     assert sizes[-1] > sizes[-2] > 0
@@ -710,13 +719,13 @@ def test_hk2_leibniz_matches_the_derive_reference(p, D, monkeypatch):
 def test_R_q_maps_match_the_derive_reference(p, monkeypatch):
     # R's cofactors are Q-trivial monomial modules: no generator images
     D = 300
-    got = build_piece(p, "R", D=D)
+    got = _R(p, D)
     monkeypatch.setattr(
         margolis_module,
         "_module_from_monomials",
         lambda p_, gens, D_, i0, i1: ref_module_from_monomials(p_, gens, D_, i0, i1),
     )
-    want = build_piece(p, "R", D=D)
+    want = _R(p, D)
     assert module_layout(got) == module_layout(want)
     assert got.q0 or got.q1
 
@@ -790,8 +799,8 @@ def ref_suspend(mod, shift):
 def test_constructions_match_the_label_references(p):
     # the summands share degrees, so each one's targets start at their own
     # offset; the tensor factors have odd-degree elements under a nonzero Q
-    piece_n, free = build_piece(p, "N"), free_on_one_generator(p, 4)
-    l2, l1_up = build_piece(p, "L", 2), build_piece(p, "L", 1).suspend(1)
+    piece_n, free = _N(p), free_on_one_generator(p, 4)
+    l2, l1_up = _L(p, 2), _L(p, 1).suspend(1)
     summands = [l2, piece_n, l1_up, free]
     q = q_degree(p)
     cases = [
@@ -800,7 +809,7 @@ def test_constructions_match_the_label_references(p):
         (piece_n.tensor(l2), ref_tensor(piece_n, l2)),
         (l1_up.tensor(free), ref_tensor(l1_up, free)),
         (piece_n.suspend(7), ref_suspend(piece_n, 7)),
-        (build_piece(p, "S", D=80), ref_suspend(build_piece(p, "R", D=80 - q), q)),
+        (_S(p, 80), ref_suspend(_R(p, 80 - q), q)),
     ]
     for got, want in cases:
         got.validate()
@@ -824,19 +833,19 @@ def test_ext_bruteforce_matches_the_label_reference_on_hk2(p, n1, s1):
 SMALL_CASES = {
     "ground_field_p2": (lambda: ground_field(2), (-4, 0), 4),
     "ground_field_p5": (lambda: ground_field(5), (-16, 2), 5),
-    "N_p2": (lambda: build_piece(2, "N"), (0, 12), 4),
-    "N_p3_n_below_s": (lambda: build_piece(3, "N"), (0, 14), 6),
-    "M5_p2": (lambda: build_piece(2, "M", 5), (20, 40), 3),
-    "M3_p3": (lambda: build_piece(3, "M", 3), (40, 60), 2),
+    "N_p2": (lambda: _N(2), (0, 12), 4),
+    "N_p3_n_below_s": (lambda: _N(3), (0, 14), 6),
+    "M5_p2": (lambda: _M(2, 5), (20, 40), 3),
+    "M3_p3": (lambda: _M(3, 3), (40, 60), 2),
     "free_tensor_N_p3": (
-        lambda: free_on_one_generator(3, 4).tensor(build_piece(3, "N")), (0, 30), 3
+        lambda: free_on_one_generator(3, 4).tensor(_N(3)), (0, 30), 3
     ),
-    "L3_tensor_N_p2": (lambda: build_piece(2, "L", 3).tensor(build_piece(2, "N")), (0, 20), 4),
+    "L3_tensor_N_p2": (lambda: _L(2, 3).tensor(_N(2)), (0, 20), 4),
     "N_plus_L2_p3": (
-        lambda: E1Module.direct_sum([build_piece(3, "N"), build_piece(3, "L", 2)]), (0, 15), 4
+        lambda: E1Module.direct_sum([_N(3), _L(3, 2)]), (0, 15), 4
     ),
-    "N_suspended_p2": (lambda: build_piece(2, "N").suspend(7), (0, 20), 5),
-    "S_p3": (lambda: build_piece(3, "S", D=80), (40, 60), 3),
+    "N_suspended_p2": (lambda: _N(2).suspend(7), (0, 20), 5),
+    "S_p3": (lambda: _S(3, 80), (40, 60), 3),
 }
 
 
@@ -918,11 +927,11 @@ def test_strip_of_free_and_non_free_modules():
     # a free module, free tensor anything included, strips to nothing
     p = 3
     free = free_on_one_generator(p, 4)
-    stripped, counts = strip_free(free.tensor(build_piece(p, "N")))
+    stripped, counts = strip_free(free.tensor(_N(p)))
     assert total_dim(stripped) == 0 and not stripped.q0 and not stripped.q1
     assert counts == {d + 4: 1 for d in (2 * p + 1, 4 * p - 1, 4 * p)}
     # a module with no free summand is left as it is
-    mod = E1Module.direct_sum([build_piece(p, "N"), build_piece(p, "L", 2)])
+    mod = E1Module.direct_sum([_N(p), _L(p, 2)])
     stripped, counts = strip_free(mod)
     assert counts == {}
     assert stripped.by_degree == mod.by_degree

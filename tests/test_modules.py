@@ -6,11 +6,15 @@ Expected groups below were computed by hand from the recursive description
 """
 
 import copy
+import importlib
+import pkgutil
 from dataclasses import replace
 from functools import lru_cache
 
 import pytest
 
+import kuengine
+from kuengine import modules
 from kuengine.chart import Chart, PEdge, RealizedWindow, Tower
 from kuengine.cli import RunConfig, cmd_groups
 from kuengine.modules import (
@@ -491,6 +495,29 @@ def ref_sum_of_parts(p, parts):
 def test_cores_match_the_reference_assembly():
     assert shape(build_A(2, 8)) == shape(ref_A(2, 8)[0])
     assert shape(build_B(3, 4)) == shape(ref_B(3, 4)[0])
+    assert shape(build_B(2, 8)) == shape(ref_B(2, 8)[0])
+    assert shape(build_A(3, 4)) == shape(ref_A(3, 4)[0])
+
+
+def test_each_walk_glues_only_the_levels_it_reads(monkeypatch):
+    glued = []
+    real = modules._glue
+
+    def counted(p, k, zsub, height, ysub):
+        glued.append((k, height))
+        return real(p, k, zsub, height, ysub)
+
+    monkeypatch.setattr(modules, "_glue", counted)
+    build_B(2, 5)  # B_2..B_5 and no A
+    assert glued == [(k, 2**k - k) for k in range(2, 6)]
+    glued.clear()
+    build_A(2, 5)  # A_1..A_5 and B_2..B_4, each once
+    assert sorted(glued) == sorted(
+        [(k, 2**k) for k in range(1, 6)] + [(k, 2**k - k) for k in range(2, 5)]
+    )
+    glued.clear()
+    build_A(3, 0)
+    assert glued == []
 
 
 def test_parts_match_the_reference_assembly():
@@ -503,18 +530,41 @@ def test_full_chart_matches_the_reference_assembly(p):
     cutoff = 300
     even, odd = _even_parts(p, cutoff), _odd_parts(p, cutoff)
     # the even summands multiply A_k and B_k cores equal to the reference's
-    used = {id(c) for c, _ in even}
-    cores = set()
+    # levels, in the order A_1, B_1, A_2, B_2, ...
+    cores = []
+    for c, _ in even:
+        if not cores or c is not cores[-1]:
+            cores.append(c)
+    levels = []
     k = 1
-    while build_A(p, k).min_dot_degree() <= cutoff:
-        for built, ref in ((build_A(p, k), ref_A), (build_B(p, k), ref_B)):
-            if id(built) in used:
-                assert shape(built) == shape(ref(p, k)[0]), (p, k)
-                cores.add(id(built))
+    while ref_A(p, k)[0].min_dot_degree() <= cutoff:
+        levels += [shape(ref_A(p, k)[0]), shape(ref_B(p, k)[0])]
         k += 1
-    assert used == cores
+    rest = iter(levels)
+    assert all(any(shape(c) == level for level in rest) for c in cores), p
     want = ref_direct_sum([ref_sum_of_parts(p, even), ref_sum_of_parts(p, odd)])
     assert shape(full_chart(p, cutoff)) == shape(want)
+
+
+def test_the_caches_are_the_pinned_seven():
+    # one cache policy: every other level is rebuilt or owned by its caller
+    cached = set()
+    for info in pkgutil.iter_modules(kuengine.__path__):
+        mod = importlib.import_module(f"kuengine.{info.name}")
+        found = list(vars(mod).values())
+        found += [v for c in found if isinstance(c, type) for v in vars(c).values()]
+        for obj in found:
+            if hasattr(obj, "cache_info") and obj.__module__ == mod.__name__:
+                cached.add(f"{info.name}.{obj.__qualname__}")
+    assert cached == {
+        "adams.tower",
+        "adams.classify",
+        "k1.k1_dims",
+        "k1._tcounts",
+        "margolis.build_HK2",
+        "modules.full_chart",
+        "monomial._cached_family",
+    }
 
 
 def exponent_degree(m):

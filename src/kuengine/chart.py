@@ -150,8 +150,9 @@ class Chart:
                     raise ValueError(f"edge target must raise filtration: {e}")
 
     # -- dots and groups ------------------------------------------------------
-    def _degree_index(self) -> dict[int, list[tuple[int, int]]]:
-        """degree -> dots in tower order, built on the first query."""
+    def degree_index(self) -> dict[int, list[tuple[int, int]]]:
+        """degree -> dots in tower order, built on the first query (shared,
+        not copied: callers must not mutate it)."""
         if self._by_degree is None:
             step = 2 * (self.p - 1)
             index: dict[int, list[tuple[int, int]]] = {}
@@ -163,7 +164,7 @@ class Chart:
         return self._by_degree
 
     def dots_at(self, n: int) -> list[tuple[int, int]]:
-        return list(self._degree_index().get(n, ()))
+        return list(self.degree_index().get(n, ()))
 
     def min_dot_degree(self) -> int | None:
         """Smallest degree carrying a dot (None for an empty chart)."""
@@ -203,7 +204,7 @@ class Chart:
 
     def dims_at(self, n: int) -> int:
         """F_p-dimension of dots in degree n (composition length)."""
-        return len(self._degree_index().get(n, ()))
+        return len(self.degree_index().get(n, ()))
 
 
 def append_shifted(
@@ -244,7 +245,10 @@ def direct_sum(p: int, parts: Iterable[tuple[Chart, Monomial]]) -> Chart:
 
 class RealizedWindow:
     """A degree-window slice of a chart, exposing explicit groups and the
-    rank invariants of the maps x -> p^a v^b x."""
+    rank invariants of the maps x -> p^a v^b x, one (n, a, b) per call: the
+    per-call reference that tests compare modules.duality_audit's one-pass
+    walk with.  Only the groups of the target degrees are kept between
+    calls."""
 
     def __init__(self, chart: Chart, lo: int, hi: int):
         if lo > hi:
@@ -252,7 +256,6 @@ class RealizedWindow:
         self.chart = chart
         self.lo = lo
         self.hi = hi
-        self._order_cache: dict[tuple, int] = {}
         self._groups: dict[int, list[int]] = {}
 
     def _check(self, n: int) -> None:
@@ -267,9 +270,6 @@ class RealizedWindow:
         tgt_n = n - 2 * (c.p - 1) * b
         self._check(n)
         self._check(tgt_n)
-        key = (n, a, b)
-        if key in self._order_cache:
-            return self._order_cache[key]
         group = self._groups.get(tgt_n)
         if group is None:
             group = self._groups[tgt_n] = c.group_at(tgt_n)
@@ -282,10 +282,6 @@ class RealizedWindow:
                 images.append({index[shifted]: c.p**a})
         if not images or a >= max(group, default=0):
             # the image is zero, or p^a kills the whole target group
-            val = 0
-        else:
-            rel = c.relation_rows(tgt_dots)
-            quot = cokernel_exponents(rel + images, len(tgt_dots), c.p)
-            val = sum(group) - sum(quot)
-        self._order_cache[key] = val
-        return val
+            return 0
+        rel = c.relation_rows(tgt_dots)
+        return sum(group) - sum(cokernel_exponents(rel + images, len(tgt_dots), c.p))

@@ -40,6 +40,7 @@ from kuengine.monomial import (
     z_degree,
 )
 from kuengine.padic import nu
+from kuengine.series import report
 from test_monomial import ref_lambda_exponents
 
 PRIMES = (2, 3, 5, 7)
@@ -380,6 +381,98 @@ def test_B2_B3_self_duality_palindrome():
                     assert win.rank_invariant(m, a, b) == win.rank_invariant(
                         m2, a, b
                     ), (k, m, a, b)
+
+
+def ref_duality_visits(p, k):
+    """The per-(n, a, b) loop the one-pass duality audit replaced, on B_k:
+    its window and, in visiting order (n over the support band, then b, then
+    a), each (n, m, a, b) it compares, m the mirror of n."""
+    c = modules.build_B(p, k)
+    step = 2 * (p - 1)
+    sigma = 2 * (p ** (k + 1) + p**k + (k + 1) * p - k + 1)
+    lo, hi = c.min_dot_degree(), c.max_dot_degree()
+    pad = step * p**k
+    win = RealizedWindow(
+        c, min(lo, sigma - hi - pad) - pad, max(hi, sigma - lo + pad) + pad
+    )
+    visits = (
+        (n, m, a, b)
+        for n in range(lo, hi + 1)
+        for b in range(p**k + 1)
+        for m in [sigma - n + step * b]
+        if c.dims_at(n) or c.dims_at(m)
+        for a in range(k + 3)
+    )
+    return win, sigma, visits
+
+
+def ref_duality_audit(p, k_max):
+    """The duality report from RealizedWindow.rank_invariant, one call per
+    side of each visited (n, a, b)."""
+    rows = []
+    for k in range(k0(p), k_max + 1):
+        win, sigma, visits = ref_duality_visits(p, k)
+        rank = lru_cache(maxsize=None)(win.rank_invariant)
+        checked = 0
+        mismatches = []
+        for n, m, a, b in visits:
+            lhs, rhs = rank(n, a, b), rank(m, a, b)
+            checked += 1
+            if lhs != rhs:
+                mismatches.append({"n": n, "a": a, "b": b, "lhs": lhs, "rhs": rhs})
+        rows.append(
+            {
+                "k": k,
+                "sigma": sigma,
+                "support": [win.chart.min_dot_degree(), win.chart.max_dot_degree()],
+                "checked": checked,
+                "mismatches": mismatches,
+                "pass": not mismatches,
+            }
+        )
+    return report({"p": p, "k_max": k_max}, rows)
+
+
+@pytest.mark.parametrize("p, k_max", ((2, 5), (3, 4), (5, 3), (7, 2)))
+def test_duality_audit_matches_the_per_call_reference(p, k_max):
+    got = modules.duality_audit(p, k_max)
+    assert got["ok"]
+    assert got == ref_duality_audit(p, k_max)
+
+
+def drop_first_edge(chart):
+    return Chart(chart.p, chart.towers, chart.edges[1:])
+
+
+def shorten_last_tower(chart):
+    """The last tower one dot shorter, with the edges that touched its top
+    dot."""
+    *rest, last = chart.towers
+    top = (len(rest), last.height - 1)
+    edges = [e for e in chart.edges if e.src != top and top not in e.dst]
+    return Chart(chart.p, rest + [replace(last, height=top[1])], edges)
+
+
+@pytest.mark.parametrize(
+    "mutate, p, k_max, entries",
+    (
+        (drop_first_edge, 2, 4, 4),
+        (drop_first_edge, 3, 3, 4),
+        (drop_first_edge, 5, 2, 2),
+        (shorten_last_tower, 2, 4, 7),
+        (shorten_last_tower, 3, 3, 7),
+        (shorten_last_tower, 5, 2, 12),
+    ),
+)
+def test_duality_audit_catches_a_broken_block(mutate, p, k_max, entries, monkeypatch):
+    # a B_k with an edge dropped or a tower one dot short is no longer
+    # self-dual: both audits fail with the same mismatches in the same order
+    build = modules.build_B
+    monkeypatch.setattr(modules, "build_B", lambda p, k: mutate(build(p, k)))
+    got = modules.duality_audit(p, k_max)
+    assert not got["ok"]
+    assert got == ref_duality_audit(p, k_max)
+    assert sum(len(row["mismatches"]) for row in got["rows"]) == entries
 
 
 # -- one-pass assembly against the per-summand reference ---------------------

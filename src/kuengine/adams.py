@@ -30,14 +30,15 @@ monomial.render_exponents, the spelling of Monomial.render.  No Monomial is
 built here.
 
 What the page holds per key and what it holds as a block.  The MAIN and SP
-towers are per-key towers: each has an ETower, a label and a classify fate.
-The H0 cosets form the h0 block: one column per (b, eps), each over
-c = 0..s_max, with no ETower, Fate or label per coset.  h0_base and h0_fate
-give a coset's base and fate from its integers (tower and classify take no
-h0 key).  A column is a run of sources from c = 0 (F1 at eps = 0, F3 while
-c < nu(b+1) + odd at eps = 1) and then F1 targets with e0 = 0, so every
-coset dies and the block shares one height entry, heights[BLOCK]: None on
-E2, 0 on E-infinity.
+towers are per-key towers: each has an ETower (base and height, no label)
+and a classify fate.  The H0 cosets form the h0 block: one column per
+(b, eps), each over c = 0..s_max, with no ETower, Fate or label per coset.
+h0_segments lists a column's fates as runs of c: an eps = 0 column is one
+F1 source run; an eps = 1 column is nu(b+1) + odd F3 sources, one coset
+each, then one F1 target run with e0 = 0.  So every coset dies and the
+block shares one height entry, heights[BLOCK]: None on E2, 0 on
+E-infinity.  h0_base and h0_fate give one coset's base and fate (tower and
+classify take no h0 key), and dot_label spells every label from its key.
 
 Differentials come in four closed families (nu = nu(p, -), t >= k0, target
 truncation height e0 listed last):
@@ -63,6 +64,7 @@ degree by degree against the chart built by modules.py.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -96,7 +98,6 @@ class ETower:
     n0: int  # base codegree (the a = 0 dot)
     s0: int  # base filtration
     height: int | None  # E2 height (None = v-free)
-    label: str
 
 
 class Fate(NamedTuple):
@@ -107,12 +108,26 @@ class Fate(NamedTuple):
     partner: Key | None
 
 
+class Segment(NamedTuple):
+    """A run of cosets of one h0 column that share a fate."""
+
+    cs: range  # the levels c it covers; the column's last run is unbounded
+    role: str
+    family: str
+    r: int
+    e0: int
+    partner: tuple  # F1: the partner column (b, eps); F3: the MAIN target key
+    offset: int | None  # F1: partner level c' - c; None for an F3 source
+
+
+OPEN = sys.maxsize  # the stop of a column's last run, which has no top
+
+
 # -- key arithmetic -------------------------------------------------------------
 
 
-def _z_of(p: int, key: Key) -> dict[int, int]:
+def _z_of(p: int, i1: int, j2: int, e: int, lam: tuple) -> dict[int, int]:
     """The z-part z_comp(i1, j2) z_j2^e lam of a MAIN key, ascending."""
-    _, _, _, i1, j2, e, lam = key
     z = z_comp_exponents(p, i1, j2)
     if e:
         z[j2] = z.get(j2, 0) + e
@@ -136,6 +151,14 @@ def _key(p: int, b: int, eps: int, z: dict[int, int]) -> Key:
     return ("main", b, eps, *z_decompose_dict(p, z))
 
 
+def _sp_shape(p: int, key: Key) -> tuple[int, int, int]:
+    """(y0 exponent, z index, height) of an SP key: y1^b y0^x z_j."""
+    shapes = {"x8": (1, 0, 1), "x10": (0, 1, 2)} if p == 2 else {"yz": (p - 1, 0, 1)}
+    if key[1] not in shapes:
+        raise ValueError(f"bad sp key {key}")
+    return shapes[key[1]]
+
+
 def h0_base(p: int, c: int, b: int, eps: int) -> tuple[int, int]:
     """Base bidegree (n0, s0) of the coset h0^c (v^k0 q)^eps y1^b, with
     |q| - 2(p-1) k0 = 2p + 1 at every prime."""
@@ -143,7 +166,8 @@ def h0_base(p: int, c: int, b: int, eps: int) -> tuple[int, int]:
 
 
 def dot_label(p: int, key: Key, a: int) -> str:
-    """Display name of the dot v^a . (tower generator), v-powers merged."""
+    """Display name of the dot v^a . (tower generator), v-powers merged:
+    the one spelling of every label on the page, from the key alone."""
     if key[0] == "h0":
         _, c, b, eps = key
         v = k0(p) * eps + a
@@ -157,51 +181,69 @@ def dot_label(p: int, key: Key, a: int) -> str:
         if b:
             parts.append("y1" if b == 1 else f"y1^{b}")
         return " ".join(parts)
-    return v_label(tower(p, key).label, a)
+    if key[0] == "main":
+        _, b, eps, *z = key
+        ys = ((1, b),) if b else ()
+        return v_label(render_exponents(p, eps, ys, tuple(_z_of(p, *z).items())), a)
+    if key[0] == "sp":
+        y0, zj, _ = _sp_shape(p, key)
+        ys = tuple((i, x) for i, x in ((0, y0), (1, key[2])) if x)
+        return v_label(render_exponents(p, 0, ys, ((zj, 1),)), a)
+    raise ValueError(f"unknown tower family {key!r}")
 
 
 @lru_cache(maxsize=None)
 def tower(p: int, key: Key) -> ETower:
-    """Base bidegree, height and display label of a MAIN or SP key (an h0
-    coset has h0_base and dot_label instead)."""
+    """Base bidegree and height of a MAIN or SP key (an h0 coset has
+    h0_base instead)."""
     if key[0] == "main":
-        _, b, eps, *_ = key
-        zs = tuple(_z_of(p, key).items())
-        n0 = eps * q_degree(p) + 2 * p * b + sum(x * z_degree(p, j) for j, x in zs)
-        ys = ((1, b),) if b else ()
-        return ETower(key, n0, 0, None, render_exponents(p, eps, ys, zs))
+        _, b, eps, *z = key
+        zdeg = sum(x * z_degree(p, j) for j, x in _z_of(p, *z).items())
+        return ETower(key, eps * q_degree(p) + 2 * p * b + zdeg, 0, None)
     if key[0] == "sp":
-        _, kind, b = key
-        if p == 2 and kind == "x8":
-            y0, zj, height = 1, 0, 1
-        elif p == 2 and kind == "x10":
-            y0, zj, height = 0, 1, 2
-        elif p > 2 and kind == "yz":
-            y0, zj, height = p - 1, 0, 1
-        else:
-            raise ValueError(f"bad sp key {key}")
-        n0 = 2 * y0 + 2 * p * b + z_degree(p, zj)
-        ys = tuple((i, x) for i, x in ((0, y0), (1, b)) if x)
-        return ETower(key, n0, 0, height, render_exponents(p, 0, ys, ((zj, 1),)))
+        y0, zj, height = _sp_shape(p, key)
+        return ETower(key, 2 * y0 + 2 * p * key[2] + z_degree(p, zj), 0, height)
     raise ValueError(f"unknown tower family {key!r}")
 
 
 # -- intrinsic fate of a tower ------------------------------------------------
 
 
-def h0_fate(p: int, c: int, b: int, eps: int) -> tuple:
-    """The fate of the coset h0^c (v^k0 q)^eps y1^b as a plain tuple in
-    Fate's field order (role, family, r, e0, partner key)."""
+def h0_segments(p: int, b: int, eps: int) -> list[Segment]:
+    """The fates of the column h0^c (v^k0 q)^eps y1^b, c >= 0, as runs of c
+    in order: the one definition of the h0 block's differentials.
+
+    An eps = 0 column is one F1 source run into column (b - 1, 1) at
+    c + nu(b) + odd.  An eps = 1 column is nu(b+1) + odd F3 sources, one
+    coset each (the source h0^(t-k0) v^k0 q y1^b of y1^(b+1-p^(t-1)) z_t),
+    then one F1 target run from column (b + 1, 0)."""
     odd = 0 if p == 2 else 1
     if eps == 0:
-        d = nu(p, b) if b % p == 0 else 0
-        return "source", "F1", d + 2, 0, ("h0", c + d + odd, b - 1, 1)
-    d = nu(p, b + 1) if (b + 1) % p == 0 else 0
-    if c >= d + odd:
-        return "target", "F1", d + 2, 0, ("h0", c - d - odd, b + 1, 0)
-    t = c + k0(p)
-    bare = ("main", b + 1 - p ** (t - 1), 0, t, t, 0, ())  # y1^(b+1-p^(t-1)) z_t
-    return "source", "F3", p**t - t, p**t, bare
+        d = nu(p, b)
+        return [Segment(range(OPEN), "source", "F1", d + 2, 0, (b - 1, 1), d + odd)]
+    d = nu(p, b + 1)
+    out = []
+    for c in range(d + odd):
+        t = c + k0(p)
+        bare = ("main", b + 1 - p ** (t - 1), 0, t, t, 0, ())  # y1^(b+1-p^(t-1)) z_t
+        out.append(Segment(range(c, c + 1), "source", "F3", p**t - t, p**t, bare, None))
+    out.append(Segment(range(d + odd, OPEN), "target", "F1", d + 2, 0, (b + 1, 0), -d - odd))
+    return out
+
+
+def _mate(seg: Segment, c: int) -> Key:
+    """The partner key of the coset at level c of a segment."""
+    return seg.partner if seg.offset is None else ("h0", c + seg.offset, *seg.partner)
+
+
+def h0_fate(p: int, c: int, b: int, eps: int) -> tuple:
+    """The fate of the coset h0^c (v^k0 q)^eps y1^b as a plain tuple in
+    Fate's field order (role, family, r, e0, partner key), read off
+    h0_segments."""
+    for seg in h0_segments(p, b, eps):
+        if c in seg.cs:
+            return (*seg[1:5], _mate(seg, c))
+    raise ValueError(f"no coset h0^{c} in column {(b, eps)}")
 
 
 def fate(p: int, key: Key) -> tuple:
@@ -229,7 +271,7 @@ def classify(p: int, key: Key) -> Fate:
         raise ValueError(f"classify takes MAIN and SP keys, not {key!r}")
 
     _, b, eps, i1, j2, e, lam = key
-    z = _z_of(p, key)
+    z = _z_of(p, i1, j2, e, lam)
     if eps == 0:
         if b >= 1 and i1 >= nu(p, b) + 2:
             d = nu(p, b)
@@ -361,43 +403,54 @@ class BigradedPage:
         return nxt if self._alive(key, a + 1) else None
 
     def h0_op(self, key: Key, a: int) -> tuple[Key, int] | None:
-        """h0 on tower bases: the W-chain h0 . z_comp(i,j) = v . z_comp(i-1,j),
-        h0 on h0-cosets, and h0 . (y1^b y0 z0) = v . (y1^b z1) at p = 2."""
-        if key[0] == "main":
-            _, b, eps, i1, j2, e, lam = key
-            if i1 <= k0(self.p):
-                return None
-            mate, a2 = ("main", b, eps, i1 - 1, j2, e, lam), a + 1
-        elif key[0] == "h0":
-            mate, a2 = ("h0", key[1] + 1, key[2], key[3]), a
-        elif key[0] == "sp" and key[1] == "x8":
-            mate, a2 = ("sp", "x10", key[2]), a + 1
-        else:
-            return None
-        if mate in self and self._alive(mate, a2):
-            return (mate, a2)
+        """h0 on the dot (key, a), when its image is a dot of the page (see
+        h0_mate)."""
+        m = h0_mate(self.p, key)
+        if m is not None and m[0] in self and self._alive(m[0], a + m[1]):
+            return m[0], a + m[1]
         return None
 
 
+def h0_mate(p: int, key: Key) -> tuple[Key, int] | None:
+    """h0 on tower bases, as (mate, shift): h0 . v^a (key) = v^(a + shift)
+    (mate).  The W-chain h0 . z_comp(i,j) = v . z_comp(i-1,j), h0 on
+    h0-cosets, and h0 . (y1^b y0 z0) = v . (y1^b z1) at p = 2; None for a
+    tower h0 annihilates."""
+    if key[0] == "main":
+        _, b, eps, i1, j2, e, lam = key
+        return None if i1 <= k0(p) else (("main", b, eps, i1 - 1, j2, e, lam), 1)
+    if key[0] == "h0":
+        return ("h0", key[1] + 1, key[2], key[3]), 0
+    if key[0] == "sp" and key[1] == "x8":
+        return ("sp", "x10", key[2]), 1
+    return None
+
+
 def e2_window(p: int, n_lo: int, n_hi: int, s_max: int) -> BigradedPage:
-    """The reduced E2 page over a rectangular window (see BigradedPage)."""
+    """The reduced E2 page over a rectangular window (see BigradedPage).
+
+    Raises ValueError if two of its towers would spell one label.  A MAIN
+    label spells (eps, b, z-part) one to one, and an SP label spells its
+    key, with a z-part z0 or z1 below k0; so the labels are unique exactly
+    when the canonical z-parts of _z_runs are pairwise distinct and none
+    reaches below k0, which is what is checked, with no label spelled."""
     if p < 2 or n_hi < n_lo or s_max < 0:
         raise ValueError("bad window")
     pad = n_hi + 2 * (p - 1) * s_max
+    runs = _z_runs(p, pad)
+    zparts = [_z_of(p, *run[:4]) for run in runs]
+    if len({frozenset(z.items()) for z in zparts}) != len(runs) or any(
+        min(z) < k0(p) for z in zparts
+    ):
+        raise ValueError("tower labels are not unique")
     towers: dict[Key, ETower] = {}
-
-    def add(key: Key) -> None:
-        tw = tower(p, key)
-        if key in towers:
-            raise ValueError(f"duplicate tower {key}")
-        towers[key] = tw
-
-    for i1, j2, e, lam, zdeg in _z_runs(p, pad):
+    for i1, j2, e, lam, zdeg in runs:
         for eps in (0, 1):
             base = eps * q_degree(p) + zdeg
             b = 0
             while base + 2 * p * b <= pad:
-                add(("main", b, eps, i1, j2, e, lam))
+                key = ("main", b, eps, i1, j2, e, lam)
+                towers[key] = ETower(key, base + 2 * p * b, 0, None)
                 b += 1
     columns: dict[tuple[int, int], range] = {}
     for eps in (0, 1):
@@ -408,13 +461,10 @@ def e2_window(p: int, n_lo: int, n_hi: int, s_max: int) -> BigradedPage:
     kinds = ("x8", "x10") if p == 2 else ("yz",)
     for kind in kinds:
         b = 0
-        while tower(p, ("sp", kind, b)).n0 <= pad:
-            add(("sp", kind, b))
+        while (tw := tower(p, ("sp", kind, b))).n0 <= pad:
+            towers[tw.key] = tw
             b += 1
 
-    labels = [t.label for t in towers.values()]
-    if len(set(labels)) != len(labels):
-        raise ValueError("tower labels are not unique")
     heights = {k: t.height for k, t in towers.items()}
     heights[BLOCK] = None
     return BigradedPage(p, n_lo, n_hi, s_max, pad, towers, heights, columns)
@@ -423,11 +473,12 @@ def e2_window(p: int, n_lo: int, n_hi: int, s_max: int) -> BigradedPage:
 # -- pairing and replay -------------------------------------------------------
 
 
-def _base(p: int, key: Key) -> tuple[int, int]:
-    """Base bidegree (n0, s0) of any key, a coset's without its ETower."""
+def _base(page: BigradedPage, key: Key) -> tuple[int, int]:
+    """Base bidegree (n0, s0) of any key: a window tower's from the page,
+    a coset's from its integers."""
     if key[0] == "h0":
-        return h0_base(p, key[1], key[2], key[3])
-    tw = tower(p, key)
+        return h0_base(page.p, key[1], key[2], key[3])
+    tw = page.towers.get(key) or tower(page.p, key)
     return tw.n0, tw.s0
 
 
@@ -445,17 +496,17 @@ class Pairing(NamedTuple):
 def pair_towers(page: BigradedPage) -> Pairing:
     """Pair every window tower with its differential partner, in one pass.
 
-    Every per-key tower and then the h0 block go through _pair.  Returns a
-    Pairing: (source, target, r, e0) of each differential with a per-key
-    end (the F3 pairs, sourced in the block, included) and an end in the
-    window; the count of the block's own; and the problems: "orphans"
-    (partners missing without a window excuse), "double_hits" and
-    "mismatches" ("round-trip": the partner's fate does not invert the
-    tower's; "geometry", once per pair: n0(target) != n0(source) + 1 + w e0
-    or s0(target) != s0(source) + r - e0; "block": a coset above its
-    column's sources that is not a target with e0 = 0).  Only per-key
-    targets keep a hit list: a second source on a block target fails its
-    round trip.
+    Every per-key tower goes through _pair, then the h0 block through
+    _walk_block.  Returns a Pairing: (source, target, r, e0) of each
+    differential with a per-key end (the F3 pairs, sourced in the block,
+    included) and an end in the window; the count of the block's own; and
+    the problems: "orphans" (partners missing without a window excuse),
+    "double_hits" and "mismatches" ("round-trip": the partner's fate does
+    not invert the tower's; "geometry", once per pair: n0(target) !=
+    n0(source) + 1 + w e0 or s0(target) != s0(source) + r - e0; "block": a
+    coset above its column's sources that is not a target with e0 = 0).
+    Only per-key targets keep a hit list: a second source on a block target
+    fails its round trip.
     """
     p = page.p
     pairs: list[tuple[Key, Key, int, int]] = []
@@ -499,7 +550,7 @@ def _pair(
     inside = mate in page
     if inside and role == "target":
         return None  # listed by its source
-    mn0, ms0 = _base(p, mate)
+    mn0, ms0 = _base(page, mate)
     if role == "source":
         src, tgt, dn, ds = key, mate, mn0 - n0, ms0 - s0
     else:
@@ -525,37 +576,82 @@ def _pair(
     return src, tgt, r, e0
 
 
+def _cut(a: range, b: range) -> range:
+    """The levels c two runs share."""
+    return range(max(a.start, b.start), min(a.stop, b.stop))
+
+
+def _run_checks(page: BigradedPage, b: int, eps: int, seg: Segment, run: range):
+    """_pair's checks on every source of the F1 run `run` of column (b, eps),
+    made once against the segments of the partner column: (pairs listed,
+    partners reached in the page with e0 = 0), or None if some source of
+    the run fails a check, which only _pair, coset by coset, spells."""
+    p, off, col = page.p, seg.offset, seg.partner
+    image = range(run.start + off, run.stop + off)
+    covered = 0  # partners whose fate inverts their source's
+    for back in h0_segments(p, *col):
+        part = _cut(back.cs, image)
+        if not part:
+            continue
+        if back.role == seg.role or (back.partner, back.offset, *back[2:5]) != (
+            (b, eps), -off, *seg[2:5]
+        ):
+            return None
+        covered += len(part)
+    (n0, s0), (mn0, ms0) = h0_base(p, 0, b, eps), h0_base(p, off, *col)
+    if covered != len(image) or mn0 - n0 != 1 + page.w * seg.e0 or ms0 - s0 != seg.r - seg.e0:
+        return None
+    # a partner at or below s_max is in the page unless its column is past the pad
+    present = page.columns.get(col, range(0))
+    low = _cut(image, range(page.s_max + 1))
+    if mn0 <= page.n_pad and len(_cut(low, present)) != len(low):
+        return None
+    return len(run), 0 if seg.e0 else len(_cut(image, present))
+
+
 def _walk_block(
     page: BigradedPage, pairs: list, hits: dict, orphans: list, mismatches: list
 ) -> int:
-    """pair_towers on the h0 block, with h0_fate and no object per coset.
+    """pair_towers on the h0 block, by h0_segments, with no object per coset.
 
-    Pass 1 checks each column's sources from c = 0; an F3 pair (its target
-    a MAIN tower) joins pairs and the hit list.  Pass 2 checks the cosets
-    above them, only if some was not reached with e0 = 0 from a source
-    whose round trip held.  A reached coset needs no check of its own: its
-    fate is its source's back fate, so its checks hold with the source's,
-    and no two such sources reach one coset.  Returns the block pairs
-    listed."""
+    Pass 1 takes each column's source segments from c = 0, cut to the
+    column.  An F1 run is checked once, against its partner column's
+    segments (_run_checks); a run that fails there, and each F3 source (its
+    target a MAIN tower: the pair joins pairs and the hit list), goes
+    through _pair coset by coset, which spells the problems.
+    Pass 2 checks the cosets above the sources, one by one, only if some
+    was not reached with e0 = 0 from a source whose round trip held.  A
+    reached coset needs no check of its own: its fate is its source's back
+    fate, so its checks hold with the source's, and no two such sources
+    reach one coset.  Returns the block pairs listed."""
     p, kk, cols = page.p, k0(page.p), page.columns
     listed = reached = 0
     rest = []  # (b, eps, n0, the cosets above the column's sources)
     for (b, eps), cs in cols.items():
         n0 = h0_base(p, 0, b, eps)[0]
-        for c in cs:
-            own = h0_fate(p, c, b, eps)
-            if own[0] != "source":
-                rest.append((b, eps, n0, range(c, cs.stop)))
+        for seg in h0_segments(p, b, eps):
+            run = _cut(seg.cs, cs)
+            if not run:
+                continue
+            if seg.role != "source":
+                rest.append((b, eps, n0, range(run.start, cs.stop)))
                 break
-            key, mate = ("h0", c, b, eps), own[4]
-            pair = _pair(page, key, own, n0, c + kk * eps, orphans, mismatches)
-            if mate[0] != "h0":
-                hits.setdefault(mate, []).append(key)
-                if pair:
-                    pairs.append(pair)
-            elif pair:
-                listed += 1
-                reached += not own[3] and mate[1] in cols.get(mate[2:], ())
+            counts = seg.offset is not None and _run_checks(page, b, eps, seg, run)
+            if counts:
+                listed += counts[0]
+                reached += counts[1]
+                continue
+            for c in run:
+                key, mate = ("h0", c, b, eps), _mate(seg, c)
+                own = (*seg[1:5], mate)
+                pair = _pair(page, key, own, n0, c + kk * eps, orphans, mismatches)
+                if mate[0] != "h0":
+                    hits.setdefault(mate, []).append(key)
+                    if pair:
+                        pairs.append(pair)
+                elif pair:
+                    listed += 1
+                    reached += not seg.e0 and mate[1] in cols.get(mate[2:], ())
     if reached == sum(len(cs) for *_, cs in rest):
         return listed
     for b, eps, n0, cs in rest:
@@ -604,12 +700,12 @@ def run_differentials(page: BigradedPage):
     einf = page.dims(_einfty_heights(page, pairing.pairs))
     pairs = list(pairing.pairs)
     for (b, eps), cs in page.columns.items():
-        for c in cs:
-            role, _, r, e0, mate = h0_fate(p, c, b, eps)
-            if role == "source" and mate[0] == "h0":
-                pairs.append((("h0", c, b, eps), mate, r, e0))
+        for seg in h0_segments(p, b, eps):
+            if seg.role == "source" and seg.offset is not None:
+                run = _cut(seg.cs, cs)
+                pairs += [(("h0", c, b, eps), _mate(seg, c), seg.r, seg.e0) for c in run]
     records = sorted(
-        (r, _base(p, src)[0], dot_label(p, src, 0), dot_label(p, tgt, e0))
+        (r, _base(page, src)[0], dot_label(p, src, 0), dot_label(p, tgt, e0))
         for src, tgt, r, e0 in pairs
     )
     applied = [{"r": r, "source_label": sl, "target_label": tl} for r, _, sl, tl in records]
@@ -631,7 +727,11 @@ def matching_audit(p: int, n_lo: int, n_hi: int, s_max: int) -> dict:
     if not len(page):
         raise ValueError(f"the window {n_lo}..{n_hi}, s <= {s_max} holds no tower")
     problems = pair_towers(page).problems
-    families = Counter((f[1], f[0]) for f in (fate(p, key) for key in page))
+    families = Counter((f.family, f.role) for f in (classify(p, key) for key in page.towers))
+    for (b, eps), cs in page.columns.items():
+        for seg in h0_segments(p, b, eps):
+            if n := len(_cut(seg.cs, cs)):
+                families[seg.family, seg.role] += n
     survivors = families.pop((None, "survives"), 0)
     report = {
         "p": p,

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
-from .adams import Key, dot_label, e2_window, fate
+from .adams import Key, dot_label, e2_window, fate, h0_mate
 from .chart import Chart, tower_dots, v_label
 
 _KIND = re.compile(r"v|h0|exotic|differential\((\d+)\)")
@@ -242,18 +242,22 @@ def document_from_einfty(
     dots: list[DocDot] = []
     for key, n0, s0, run in page.window_runs(page.heights):
         runs[key] = (len(dots) - run.start, run)
-        dots += [DocDot(n0 - w * a, s0 + a, dot_label(p, key, a)) for a in run]
+        if key[0] == "h0":  # a coset's v-power merges into its label
+            labels = [dot_label(p, key, a) for a in run]
+        else:
+            gen = dot_label(p, key, 0)
+            labels = [v_label(gen, a) for a in run]
+        dots += [DocDot(n0 - w * a, s0 + a, label) for a, label in zip(run, labels)]
 
     lines: list[tuple[str, int, int]] = []
     for key, (base, run) in runs.items():
         lines += [("v", base + a, base + a + 1) for a in run[:-1]]
-        for a in run:
-            h0 = page.h0_op(key, a)
-            if h0 is None:
-                continue
-            mate, a2 = h0
-            if mate in runs and a2 in runs[mate][1]:
-                lines.append(("h0", base + a, runs[mate][0] + a2))
+        # h0 . v^a (key) = v^(a + shift) (mate), drawn where both dots are
+        h0 = h0_mate(p, key)
+        if h0 is not None and h0[0] in runs:
+            (mate_base, mate_run), shift = runs[h0[0]], h0[1]
+            lo, hi = max(run.start, mate_run.start - shift), min(run.stop, mate_run.stop - shift)
+            lines += [("h0", base + a, mate_base + a + shift) for a in range(lo, hi)]
         if run.start:
             continue  # arrows leave only towers whose a = 0 dot is drawn
         role, _, r, e0, partner = fate(p, key)

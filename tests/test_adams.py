@@ -51,7 +51,7 @@ def main_key(p, b, eps, **kw):
 def any_tower(p, key):
     """tower(p, key), or for an h0 coset the ETower its integers spell."""
     if key[0] == "h0":
-        return ETower(key, *h0_base(p, *key[1:]), None, dot_label(p, key, 0))
+        return ETower(key, *h0_base(p, *key[1:]), None)
     return tower(p, key)
 
 
@@ -164,6 +164,30 @@ def test_the_page_walk_covers_both_parts():
     assert ("h0", 0, 0, 0) not in outside and BLOCK not in outside
 
 
+@pytest.mark.parametrize(
+    "p, extra",
+    (
+        (3, (1, 1, 2, ())),  # z1^3 = z_comp(1, 2) read as z1 z1^2
+        (2, (2, 2, 0, ())),  # z2 twice
+        (2, (1, 1, 0, ())),  # z1, the x10 tower's z-part
+    ),
+)
+def test_two_keys_spelling_one_label_raise(p, extra, monkeypatch):
+    # e2_window checks keys, not labels: a z-part under a second
+    # decomposition, or one below k0 as the SP towers have, would give two
+    # towers one label
+    real = adams._z_runs
+
+    def one_more(p, budget):
+        z = adams._z_of(p, *extra)
+        return real(p, budget) + [(*extra, sum(x * z_degree(p, j) for j, x in z.items()))]
+
+    e2_window(p, 0, 60, 8)
+    monkeypatch.setattr(adams, "_z_runs", one_more)
+    with pytest.raises(ValueError, match="not unique"):
+        e2_window(p, 0, 60, 8)
+
+
 def test_labels_are_unique_across_the_whole_page():
     # e2_window's own check spells only the per-key towers
     for p, n_hi, s_max in ((2, 120, 35), (3, 150, 30)):
@@ -260,8 +284,8 @@ def test_missing_target_is_a_hard_error():
     assert orphans == [
         {
             "kind": "missing-target",
-            "tower": tower(2, classify(2, gone).partner).label,
-            "partner": tower(2, gone).label,
+            "tower": dot_label(2, classify(2, gone).partner, 0),
+            "partner": dot_label(2, gone, 0),
         }
     ]
     assert orphans[0]["tower"] == "y1 z2"
@@ -277,11 +301,21 @@ def test_missing_source_is_a_hard_error():
     assert orphans == [
         {
             "kind": "missing-source",
-            "tower": tower(2, fate(2, gone)[4]).label,
+            "tower": dot_label(2, fate(2, gone)[4], 0),
             "partner": dot_label(2, gone, 0),
         }
     ]
     assert orphans[0] == {"kind": "missing-source", "tower": "z2", "partner": "v^2 q y1"}
+
+
+def test_a_missing_block_target_is_an_orphan():
+    gone = ("h0", 0, 2, 1)  # v^2 q y1^2, the F1 target of y1^3
+    crippled = crippled_without(gone)
+    with pytest.raises(WindowError, match="missing"):
+        run_differentials(crippled)
+    assert pair_towers(crippled).problems["orphans"] == [
+        {"kind": "missing-target", "tower": "y1^3", "partner": "v^2 q y1^2"}
+    ]
 
 
 def in_window_pairs(page):
@@ -339,7 +373,7 @@ def test_a_double_hit_is_reported_and_raised(monkeypatch):
     with pytest.raises(WindowError, match="double_hits"):
         run_differentials(page)
     rep = matching_audit(2, 0, 60, 12)
-    label = {k: t.label for k, t in page.towers.items()}
+    label = {k: dot_label(2, k, 0) for k in page.towers}
     assert rep["double_hits"] == [
         {"target": label[f1.partner], "sources": [label[s1], label[s2]]}
     ]
@@ -356,8 +390,8 @@ def test_matching_audit_reports_a_bad_pair_once(monkeypatch):
     assert rep["mismatches"] == [
         {
             "kind": "geometry",
-            "source": page.towers[src].label,
-            "target": page.towers[f.partner].label,
+            "source": dot_label(2, src, 0),
+            "target": dot_label(2, f.partner, 0),
             "r": f.r,
             "e0": f.e0 + 1,
         }
@@ -382,7 +416,7 @@ def test_replay_is_pinned_and_ordered(window):
     blob = json.dumps([sorted(einf.items()), applied])
     assert hashlib.sha256(blob.encode()).hexdigest() == REPLAY_DIGESTS[window]
     keys = set(page_keys(page)) | {fate(p, k)[4] for k in page_keys(page)}
-    n0 = {any_tower(p, k).label: any_tower(p, k).n0 for k in keys - {None}}
+    n0 = {dot_label(p, k, 0): any_tower(p, k).n0 for k in keys - {None}}
     order = [
         (d["r"], n0[d["source_label"]], d["source_label"], d["target_label"]) for d in applied
     ]
@@ -423,7 +457,7 @@ def ref_e2_window(p, n_lo, n_hi, s_max):
             while 2 * p * b + eps * offset <= page.n_pad:
                 towers[("h0", c, b, eps)] = any_tower(p, ("h0", c, b, eps))
                 b += 1
-    labels = [t.label for t in towers.values()]
+    labels = [dot_label(p, k, 0) for k in towers]
     assert len(set(labels)) == len(labels)
     heights = {k: t.height for k, t in towers.items()}
     return RefPage(p, n_lo, n_hi, s_max, page.n_pad, towers, heights)
@@ -444,6 +478,10 @@ def ref_dims(page, heights):
 def ref_pair_towers(page):
     p, towers = page.p, page.towers
     fates = {k: any_fate(p, k) for k in towers}
+
+    def label(tw):
+        return dot_label(p, tw.key, 0)
+
     pairs, orphans, mismatches, hits = [], [], [], {}
     for key, f in fates.items():
         mate = f.partner
@@ -457,7 +495,7 @@ def ref_pair_towers(page):
         if (back.partner, back.r, back.e0, back.family) != (key, f.r, f.e0, f.family) or (
             back.role == f.role
         ):
-            mismatches.append({"kind": "round-trip", "tower": tw.label, "partner": mate})
+            mismatches.append({"kind": "round-trip", "tower": label(tw), "partner": mate})
             continue
         if inside and f.role == "target":
             continue
@@ -465,16 +503,16 @@ def ref_pair_towers(page):
         st, tt = (tw, mt) if f.role == "source" else (mt, tw)
         if tt.n0 != st.n0 + 1 + page.w * f.e0 or tt.s0 != st.s0 + f.r - f.e0:
             mismatches.append(
-                {"kind": "geometry", "source": st.label, "target": tt.label, "r": f.r, "e0": f.e0}
+                {"kind": "geometry", "source": label(st), "target": label(tt), "r": f.r, "e0": f.e0}
             )
         excused = mt.n0 > page.n_pad or (mate[0] == "h0" and mate[1] > page.s_max)
         if not inside and not excused:
             orphans.append(
-                {"kind": f"missing-{back.role}", "tower": tw.label, "partner": mt.label}
+                {"kind": f"missing-{back.role}", "tower": label(tw), "partner": label(mt)}
             )
         pairs.append((st, tt, f))
     double_hits = [
-        {"target": any_tower(p, t).label, "sources": [towers[s].label for s in srcs]}
+        {"target": dot_label(p, t, 0), "sources": [dot_label(p, s, 0) for s in srcs]}
         for t, srcs in hits.items()
         if len(srcs) > 1
     ]
@@ -492,7 +530,7 @@ def ref_run_differentials(page):
             if tw.key in heights:
                 assert heights[tw.key] is None
                 heights[tw.key] = h
-        records.append((f.r, st.n0, st.label, dot_label(page.p, tt.key, f.e0)))
+        records.append((f.r, st.n0, dot_label(page.p, st.key, 0), dot_label(page.p, tt.key, f.e0)))
     records.sort()
     applied = [{"r": r, "source_label": s, "target_label": t} for r, _, s, t in records]
     return ref_dims(page, heights), applied
@@ -563,29 +601,26 @@ def test_the_block_replay_matches_the_per_coset_reference(window):
 
 @pytest.fixture
 def fresh_fates():
-    """classify caches its fates: run a patched h0_fate on fresh caches."""
+    """classify caches its fates: run a patched h0_segments on fresh caches."""
     adams.classify.cache_clear()
     yield
     adams.classify.cache_clear()
 
 
-def shift_f1_partner(p, c, b, eps, real=adams.h0_fate):
-    role, family, r, e0, mate = real(p, c, b, eps)
-    if family == "F1":
-        mate = ("h0", mate[1] + 1, mate[2], mate[3])
-    return role, family, r, e0, mate
+def shift_f1_partner(p, b, eps, real=adams.h0_segments):
+    return [s._replace(offset=s.offset + 1) if s.family == "F1" else s for s in real(p, b, eps)]
 
 
-def bump_r_on_one_column(p, c, b, eps, real=adams.h0_fate):
-    role, family, r, e0, mate = real(p, c, b, eps)
-    return role, family, r + ((b, eps) == (3, 0)), e0, mate
+def bump_r_on_one_column(p, b, eps, real=adams.h0_segments):
+    segs = real(p, b, eps)
+    return [s._replace(r=s.r + 1) for s in segs] if (b, eps) == (3, 0) else segs
 
 
 @pytest.mark.parametrize("p", (2, 3))
 @pytest.mark.parametrize("mutant", (shift_f1_partner, bump_r_on_one_column))
 def test_a_broken_block_fails_the_replay_and_both_audits(p, mutant, monkeypatch, fresh_fates):
     assert matching_audit(p, 0, 60, 12)["ok"] and einfty_audit(p, 60)["ok"]
-    monkeypatch.setattr(adams, "h0_fate", mutant)
+    monkeypatch.setattr(adams, "h0_segments", mutant)
     page = e2_window(p, 0, 60, 12)
     with pytest.raises(WindowError, match="round-trip"):
         run_differentials(page)
@@ -594,6 +629,34 @@ def test_a_broken_block_fails_the_replay_and_both_audits(p, mutant, monkeypatch,
     einfty = einfty_audit(p, 60)
     assert not einfty["ok"] and einfty["mismatches"]
     assert einfty["bidegree_mismatches"] == [] == einfty["length_mismatches"]
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_a_block_pair_with_broken_geometry_is_reported_per_coset(p, monkeypatch, fresh_fates):
+    # r bumped on both ends of the F1 run from column (3, 0): every round
+    # trip holds, and each source in the window reports its geometry once
+    real = adams.h0_segments
+    src_col, (seg,) = (3, 0), real(p, 3, 0)
+
+    def bump_r_on_one_pair(p, b, eps):
+        segs = real(p, b, eps)
+        if (b, eps) not in (src_col, seg.partner):
+            return segs
+        return [s._replace(r=s.r + 1) if s.family == "F1" else s for s in segs]
+
+    monkeypatch.setattr(adams, "h0_segments", bump_r_on_one_pair)
+    rep = matching_audit(p, 0, 60, 12)
+    assert rep["mismatches"] == [
+        {
+            "kind": "geometry",
+            "source": dot_label(p, ("h0", c, *src_col), 0),
+            "target": dot_label(p, ("h0", c + seg.offset, *seg.partner), 0),
+            "r": seg.r + 1,
+            "e0": 0,
+        }
+        for c in range(13)
+    ]
+    assert rep["orphans"] == [] == rep["double_hits"]
 
 
 # a column whose c = 0 and 1 are F3 sources and c = 2 its first F1 target
@@ -615,21 +678,54 @@ def test_a_column_runs_from_its_f3_sources_to_its_f1_targets(p):
 def test_a_block_target_that_keeps_a_dot_breaks_the_block(p, monkeypatch, fresh_fates):
     # a coset must die on E-infinity for the block's one shared height
     b, eps = COLUMN_BOTTOM[p]
-    real = adams.h0_fate
+    real = adams.h0_segments
+    r = adams.h0_fate(p, 2, b, eps)[2]
 
-    def keeps_a_dot(p, c, b2, eps2):
-        f = real(p, c, b2, eps2)
-        return (*f[:3], 1, f[4]) if (c, b2, eps2) == (2, b, eps) else f
+    def keeps_a_dot(p, b2, eps2):
+        segs = real(p, b2, eps2)
+        if (b2, eps2) != (b, eps):
+            return segs
+        *sources, targets = segs  # the targets start at c = 2
+        kept = targets._replace(cs=targets.cs[:1], e0=1)
+        return [*sources, kept, targets._replace(cs=targets.cs[1:])]
 
-    monkeypatch.setattr(adams, "h0_fate", keeps_a_dot)
+    monkeypatch.setattr(adams, "h0_segments", keeps_a_dot)
     with pytest.raises(WindowError):
         run_differentials(e2_window(p, 0, 60, 12))
     rep = matching_audit(p, 0, 60, 12)
-    r = real(p, 2, b, eps)[2]
     label = dot_label(p, ("h0", 2, b, eps), 0)
     assert [m for m in rep["mismatches"] if m["kind"] == "block"] == [
         {"kind": "block", "tower": label, "fate": ["target", "F1", r, 1]}
     ]
+
+
+def ref_h0_fate(p, c, b, eps):
+    """The fate of the coset h0^c (v^k0 q)^eps y1^b, one coset at a time."""
+    kk, odd = k0(p), p % 2
+    if eps == 0:
+        d = nu(p, b)
+        return ("source", "F1", d + 2, 0, ("h0", c + d + odd, b - 1, 1))
+    d = nu(p, b + 1)
+    if c >= d + odd:
+        return ("target", "F1", d + 2, 0, ("h0", c - d - odd, b + 1, 0))
+    t = c + kk
+    z_t = ("main", b + 1 - p ** (t - 1), 0, *z_decompose_dict(p, {t: 1}))
+    return ("source", "F3", p**t - t, p**t, z_t)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
+def test_h0_segments_match_the_per_coset_formula(p):
+    # every column reaching nu(b+1) = 3, every coset to 4 levels past its
+    # last F3 source; the segments tile c >= 0 in order, the last one open
+    for eps in (0, 1):
+        for b in range(1 - eps, p**3 + p):
+            segs = adams.h0_segments(p, b, eps)
+            assert [s.cs.start for s in segs] == [0, *(s.cs.stop for s in segs[:-1])]
+            assert segs[-1].cs.stop == adams.OPEN and segs[-1].family == "F1"
+            top = segs[-1].cs.start + 4
+            assert [adams.h0_fate(p, c, b, eps) for c in range(top)] == [
+                ref_h0_fate(p, c, b, eps) for c in range(top)
+            ]
 
 
 # -- audits --------------------------------------------------------------------
@@ -781,6 +877,7 @@ def _ref_z_quot(m, d):
 
 
 def ref_tower(p, key):
+    """(ETower, label) of any key, from Monomial products and render()."""
     kk = k0(p)
     if key[0] == "main":
         _, b, eps, *_ = key
@@ -789,11 +886,11 @@ def ref_tower(p, key):
             mono = mono * Monomial.gen(p, "y", 1, b)
         if eps:
             mono = mono * Monomial.gen(p, "q")
-        return ETower(key, mono.degree, 0, None, mono.render())
+        return ETower(key, mono.degree, 0, None), mono.render()
     if key[0] == "h0":
         _, c, b, eps = key
         n0 = 2 * p * b + eps * (q_degree(p) - 2 * (p - 1) * kk)
-        return ETower(key, n0, c + kk * eps, None, dot_label(p, key, 0))
+        return ETower(key, n0, c + kk * eps, None), dot_label(p, key, 0)
     _, kind, b = key
     ys = ((1, b),) if b else ()
     if kind == "x8":
@@ -802,7 +899,7 @@ def ref_tower(p, key):
         mono, height = Monomial(p, ys=ys, zs=((1, 1),)), 2
     else:
         mono, height = Monomial(p, ys=((0, p - 1),) + ys, zs=((0, 1),)), 1
-    return ETower(key, mono.degree, 0, height, mono.render())
+    return ETower(key, mono.degree, 0, height), mono.render()
 
 
 def ref_classify(p, key):
@@ -811,18 +908,7 @@ def ref_classify(p, key):
     if key[0] == "sp":
         return Fate("survives", None, None, None, None)
     if key[0] == "h0":
-        _, c, b, eps = key
-        if eps == 0:
-            d = nu(p, b)
-            return Fate("source", "F1", d + 2, 0, ("h0", c + d + odd, b - 1, 1))
-        thr = nu(p, b + 1) + odd
-        if c >= thr:
-            return Fate("target", "F1", nu(p, b + 1) + 2, 0, ("h0", c - thr, b + 1, 0))
-        t = c + kk
-        zt = Monomial.gen(p, "z", t)
-        return Fate(
-            "source", "F3", p**t - t, p**t, _ref_main_key(p, b + 1 - p ** (t - 1), 0, zt)
-        )
+        return Fate(*ref_h0_fate(p, *key[1:]))
     _, b, eps, i1, j2, e, lam = key
     zm = _ref_zpart(p, key)
     if eps == 0:
@@ -866,11 +952,8 @@ def test_key_arithmetic_matches_the_monomial_reference(p, n_hi, s_max):
     assert len(keys) > len(page)  # partners outside the window count too
     assert {k[0] for k in keys} == {"main", "h0", "sp"}
     for key in keys:
-        want = ref_tower(p, key)
-        if key[0] == "h0":
-            assert (*h0_base(p, *key[1:]), dot_label(p, key, 0)) == (want.n0, want.s0, want.label)
-        else:
-            assert tower(p, key) == want, key
+        want, label = ref_tower(p, key)
+        assert (any_tower(p, key), dot_label(p, key, 0)) == (want, label), key
         assert fate(p, key) == ref_classify(p, key), key
 
 

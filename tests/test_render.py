@@ -328,9 +328,21 @@ def ref_document_from_einfty(p, n_lo, n_hi, s_max):
 
 
 @pytest.mark.parametrize(
-    "window", [(2, 0, 120, 30), (2, 17, 93, 11), (3, 5, 61, 3), (5, 0, 300, 10), (7, 0, 400, 8)]
+    "window",
+    [
+        (2, 0, 120, 30),
+        (2, 17, 93, 11),
+        (3, 5, 61, 3),
+        (5, 0, 300, 10),
+        (7, 0, 400, 8),
+        (2, 0, 40, 10),
+        (3, 0, 60, 12),
+    ],
 )
 def test_einfty_builder_matches_the_dot_indexed_reference(window):
+    # the builder spells a tower's generator once per run and draws its h0
+    # lines per run (adams.h0_mate); the reference asks h0_op and dot_label
+    # at every dot
     got, want = document_from_einfty(*window), ref_document_from_einfty(*window)
     assert got.dots == want.dots
     assert got.lines == want.lines

@@ -30,15 +30,17 @@ monomial.render_exponents, the spelling of Monomial.render.  No Monomial is
 built here.
 
 What the page holds per key and what it holds as a block.  The MAIN and SP
-towers are per-key towers: each has an ETower (base and height, no label)
-and a classify fate.  The H0 cosets form the h0 block: one column per
-(b, eps), each over c = 0..s_max, with no ETower, Fate or label per coset.
+towers are per-key towers: each sits at s = 0 with its base codegree in
+page.towers, its height in page.heights and a classify fate.  The H0 cosets
+form the h0 block: one column per (b, eps), each over c = 0..s_max, with no
+entry, Fate or label per coset.
 h0_segments lists a column's fates as runs of c: an eps = 0 column is one
 F1 source run; an eps = 1 column is nu(b+1) + odd F3 sources, one coset
 each, then one F1 target run with e0 = 0.  So every coset dies and the
 block shares one height entry, heights[BLOCK]: None on E2, 0 on
 E-infinity.  h0_base and h0_fate give one coset's base and fate (tower and
-classify take no h0 key), and dot_label spells every label from its key.
+classify take no h0 key; fate reads either), and dot_label spells every
+label from its key.
 
 Differentials come in four closed families (nu = nu(p, -), t >= k0, target
 truncation height e0 listed last):
@@ -90,14 +92,6 @@ BLOCK: Key = ("h0",)  # the heights entry every coset of the h0 block shares
 
 class WindowError(RuntimeError):
     """The window's tower pairing is broken (see pair_towers)."""
-
-
-@dataclass(frozen=True)
-class ETower:
-    key: Key
-    n0: int  # base codegree (the a = 0 dot)
-    s0: int  # base filtration
-    height: int | None  # E2 height (None = v-free)
 
 
 class Fate(NamedTuple):
@@ -193,16 +187,17 @@ def dot_label(p: int, key: Key, a: int) -> str:
 
 
 @lru_cache(maxsize=None)
-def tower(p: int, key: Key) -> ETower:
-    """Base bidegree and height of a MAIN or SP key (an h0 coset has
-    h0_base instead)."""
+def tower(p: int, key: Key) -> tuple[int, int | None]:
+    """(base codegree n0, E2 height) of a MAIN or SP key, whose base sits at
+    s = 0; the height is None for a v-free tower (an h0 coset has h0_base
+    instead)."""
     if key[0] == "main":
         _, b, eps, *z = key
         zdeg = sum(x * z_degree(p, j) for j, x in _z_of(p, *z).items())
-        return ETower(key, eps * q_degree(p) + 2 * p * b + zdeg, 0, None)
+        return eps * q_degree(p) + 2 * p * b + zdeg, None
     if key[0] == "sp":
         y0, zj, height = _sp_shape(p, key)
-        return ETower(key, 2 * y0 + 2 * p * key[2] + z_degree(p, zj), 0, height)
+        return 2 * y0 + 2 * p * key[2] + z_degree(p, zj), height
     raise ValueError(f"unknown tower family {key!r}")
 
 
@@ -236,17 +231,15 @@ def _mate(seg: Segment, c: int) -> Key:
     return seg.partner if seg.offset is None else ("h0", c + seg.offset, *seg.partner)
 
 
-def h0_fate(p: int, c: int, b: int, eps: int) -> tuple:
-    """The fate of the coset h0^c (v^k0 q)^eps y1^b as a plain tuple in
-    Fate's field order (role, family, r, e0, partner key), read off
-    h0_segments."""
+def h0_fate(p: int, c: int, b: int, eps: int) -> Fate:
+    """The fate of the coset h0^c (v^k0 q)^eps y1^b, read off h0_segments."""
     for seg in h0_segments(p, b, eps):
         if c in seg.cs:
-            return (*seg[1:5], _mate(seg, c))
+            return Fate(*seg[1:5], _mate(seg, c))
     raise ValueError(f"no coset h0^{c} in column {(b, eps)}")
 
 
-def fate(p: int, key: Key) -> tuple:
+def fate(p: int, key: Key) -> Fate:
     """The fate of any key: classify's, or h0_fate's for an h0 coset."""
     if key[0] == "h0":
         return h0_fate(p, key[1], key[2], key[3])
@@ -329,24 +322,28 @@ class BigradedPage:
     Towers are complete out to codegree n_pad = n_hi + 2(p-1) s_max (and
     h0-cosets out to filtration s_max), which is enough to see every dot
     with n_lo <= n <= n_hi and s <= s_max: a tower based beyond n_pad has
-    all its window-codegree dots above filtration s_max.  towers holds the
-    MAIN and SP towers and columns the h0 block, (b, eps) -> range(s_max + 1)
-    over c (see the module docstring); `key in page`, len(page) and
-    iter(page), towers first, cover both.
+    all its window-codegree dots above filtration s_max.  towers maps each
+    MAIN and SP key to its base codegree (every one is based at s = 0) and
+    columns holds the h0 block, (b, eps) -> range(s_max + 1) over c (see the
+    module docstring); `key in page`, len(page) and iter(page), towers
+    first, cover both.
     """
 
     p: int
     n_lo: int
     n_hi: int
     s_max: int
-    n_pad: int
-    towers: dict[Key, ETower]
+    towers: dict[Key, int]  # MAIN and SP key -> n0
     heights: dict[Key, int | None]  # MAIN and SP towers, and BLOCK for the block
     columns: dict[tuple[int, int], range]
 
     @property
     def w(self) -> int:
         return 2 * (self.p - 1)
+
+    @property
+    def n_pad(self) -> int:
+        return self.n_hi + self.w * self.s_max
 
     def __contains__(self, key: Key) -> bool:
         if key[0] == "h0":
@@ -372,12 +369,11 @@ class BigradedPage:
         v-free; heights[BLOCK] for every coset of the block) and at
         filtration s_max: the one place that cuts the page to its window."""
         w, lo, hi, top = self.w, self.n_lo, self.n_hi, self.s_max + 1
-        for key, tw in self.towers.items():
+        for key, n0 in self.towers.items():
             h = heights[key]
-            cap = top - tw.s0 if h is None else min(h, top - tw.s0)
-            run = tower_dots(tw.n0, cap, w, lo, hi)
+            run = tower_dots(n0, top if h is None else min(h, top), w, lo, hi)
             if run:
-                yield key, tw.n0, tw.s0, run
+                yield key, n0, 0, run
         h = heights[BLOCK]
         for (b, eps), cs in self.columns.items():
             n0, s0 = h0_base(self.p, 0, b, eps)
@@ -436,22 +432,22 @@ def e2_window(p: int, n_lo: int, n_hi: int, s_max: int) -> BigradedPage:
     reaches below k0, which is what is checked, with no label spelled."""
     if p < 2 or n_hi < n_lo or s_max < 0:
         raise ValueError("bad window")
-    pad = n_hi + 2 * (p - 1) * s_max
+    pad = n_hi + 2 * (p - 1) * s_max  # the page's n_pad
     runs = _z_runs(p, pad)
     zparts = [_z_of(p, *run[:4]) for run in runs]
     if len({frozenset(z.items()) for z in zparts}) != len(runs) or any(
         min(z) < k0(p) for z in zparts
     ):
         raise ValueError("tower labels are not unique")
-    towers: dict[Key, ETower] = {}
+    towers: dict[Key, int] = {}
     for i1, j2, e, lam, zdeg in runs:
         for eps in (0, 1):
             base = eps * q_degree(p) + zdeg
             b = 0
             while base + 2 * p * b <= pad:
-                key = ("main", b, eps, i1, j2, e, lam)
-                towers[key] = ETower(key, base + 2 * p * b, 0, None)
+                towers[("main", b, eps, i1, j2, e, lam)] = base + 2 * p * b
                 b += 1
+    heights: dict[Key, int | None] = dict.fromkeys(towers)  # MAIN towers are v-free
     columns: dict[tuple[int, int], range] = {}
     for eps in (0, 1):
         b = 1 - eps
@@ -460,14 +456,12 @@ def e2_window(p: int, n_lo: int, n_hi: int, s_max: int) -> BigradedPage:
             b += 1
     kinds = ("x8", "x10") if p == 2 else ("yz",)
     for kind in kinds:
-        b = 0
-        while (tw := tower(p, ("sp", kind, b))).n0 <= pad:
-            towers[tw.key] = tw
-            b += 1
-
-    heights = {k: t.height for k, t in towers.items()}
+        key = ("sp", kind, 0)
+        while (n0_height := tower(p, key))[0] <= pad:
+            towers[key], heights[key] = n0_height
+            key = ("sp", kind, key[2] + 1)
     heights[BLOCK] = None
-    return BigradedPage(p, n_lo, n_hi, s_max, pad, towers, heights, columns)
+    return BigradedPage(p, n_lo, n_hi, s_max, towers, heights, columns)
 
 
 # -- pairing and replay -------------------------------------------------------
@@ -478,8 +472,8 @@ def _base(page: BigradedPage, key: Key) -> tuple[int, int]:
     a coset's from its integers."""
     if key[0] == "h0":
         return h0_base(page.p, key[1], key[2], key[3])
-    tw = page.towers.get(key) or tower(page.p, key)
-    return tw.n0, tw.s0
+    n0 = page.towers.get(key)
+    return (tower(page.p, key)[0] if n0 is None else n0), 0
 
 
 def _absence_ok(page: BigradedPage, key: Key, n0: int) -> bool:
@@ -513,13 +507,13 @@ def pair_towers(page: BigradedPage) -> Pairing:
     orphans: list[dict] = []
     mismatches: list[dict] = []
     hits: dict[Key, list[Key]] = {}
-    for key, tw in page.towers.items():
+    for key, n0 in page.towers.items():
         own = fate(p, key)
-        if own[4] is None:
+        if own.partner is None:
             continue  # survives
-        if own[0] == "source":
-            hits.setdefault(own[4], []).append(key)
-        pair = _pair(page, key, own, tw.n0, tw.s0, orphans, mismatches)
+        if own.role == "source":
+            hits.setdefault(own.partner, []).append(key)
+        pair = _pair(page, key, own, n0, 0, orphans, mismatches)
         if pair:
             pairs.append(pair)
     block_pairs = _walk_block(page, pairs, hits, orphans, mismatches)
@@ -533,7 +527,7 @@ def pair_towers(page: BigradedPage) -> Pairing:
 
 
 def _pair(
-    page: BigradedPage, key: Key, own: tuple, n0: int, s0: int, orphans: list, mismatches: list
+    page: BigradedPage, key: Key, own: Fate, n0: int, s0: int, orphans: list, mismatches: list
 ):
     """Check one tower or coset (fate own, base (n0, s0)) against its
     partner: the round trip, then, once per pair (from its source, or from
@@ -643,7 +637,7 @@ def _walk_block(
                 continue
             for c in run:
                 key, mate = ("h0", c, b, eps), _mate(seg, c)
-                own = (*seg[1:5], mate)
+                own = Fate(*seg[1:5], mate)
                 pair = _pair(page, key, own, n0, c + kk * eps, orphans, mismatches)
                 if mate[0] != "h0":
                     hits.setdefault(mate, []).append(key)
@@ -658,7 +652,7 @@ def _walk_block(
         for c in cs:
             key = ("h0", c, b, eps)
             own = h0_fate(p, c, b, eps)
-            if own[0] != "target" or own[3]:
+            if own.role != "target" or own.e0:
                 label = dot_label(p, key, 0)
                 mismatches.append({"kind": "block", "tower": label, "fate": list(own[:4])})
             elif _pair(page, key, own, n0, c + kk * eps, orphans, mismatches):

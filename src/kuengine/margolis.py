@@ -359,9 +359,8 @@ def margolis_homology(M: E1Module, which: str, D: int) -> list[int]:
 
 def q0_homology_closed(p: int, D: int) -> PSeries:
     """Known closed form of H(H*K2; Q0): P[u_2^2] x E[x_5] at p = 2,
-    P[y_1] x E[y_0^{p-1} u_0] at odd p (unit included)."""
-    if p == 2:
-        return PSeries.geometric(D, 4) * (PSeries.one(D) + PSeries.monomial(D, 5))
+    P[y_1] x E[y_0^{p-1} u_0] at odd p (unit included); both are
+    P[degree 2p] x E[degree 2p + 1]."""
     return PSeries.geometric(D, 2 * p) * (PSeries.one(D) + PSeries.monomial(D, 2 * p + 1))
 
 
@@ -405,7 +404,7 @@ def _trivial_polynomial(p: int, gens: list[GenSpec], D: int) -> E1Module:
 def _L(p: int, k: int) -> E1Module:
     if k < 0:
         raise ValueError("L_k needs k >= 0")
-    step = 2 if p == 2 else 2 * (p - 1)
+    step = 2 * (p - 1)
     basis = [(f"{x}{i}", step * i + (x == "b")) for i in range(k + 1) for x in "ab"]
     q0 = {f"a{i}": {f"b{i}": 1} for i in range(k + 1)}
     q1 = {f"a{i}": {f"b{i + 1}": 1} for i in range(k)}
@@ -474,12 +473,9 @@ def assemble_T(p: int, D: int) -> E1Module:
     """The non-free model with the unit class: 1 + P[u_2^2] x (<u_2^2> + N
     + R + S) at p = 2, and 1 + P[y_1] x (<y_1> + N + R + qR) at odd p.  Its
     Margolis homology is degreewise that of H*K2."""
-    if p == 2:
-        outer = _trivial_polynomial(2, [GenSpec("u2^2", 4)], D)
-        lead = _single(2, "u2^2", 4)
-    else:
-        outer = _trivial_polynomial(p, [GenSpec("y1", 2 * p)], D)
-        lead = _single(p, "y1", 2 * p)
+    name = "u2^2" if p == 2 else "y1"  # the generator of degree 2p
+    outer = _trivial_polynomial(p, [GenSpec(name, 2 * p)], D)
+    lead = _single(p, name, 2 * p)
     inner = E1Module.direct_sum([lead, _N(p), _R(p, D), _S(p, D)])
     return E1Module.direct_sum([_single(p, "1", 0), outer.tensor(inner)])
 
@@ -490,7 +486,7 @@ def assemble_T(p: int, D: int) -> E1Module:
 
 
 def _ps_L(p: int, k: int, top: int) -> PSeries:
-    step = 2 if p == 2 else 2 * (p - 1)
+    step = 2 * (p - 1)
     body = PSeries(top)
     for i in range(k + 1):
         if step * i > top:

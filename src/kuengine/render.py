@@ -46,19 +46,11 @@ class DocDot(NamedTuple):
     label: str
     overlay: bool = False
 
-    @property
-    def key(self) -> tuple:
-        return tuple(self)
-
 
 class DocLine(NamedTuple):
     kind: str
     src: int
     dst: int
-
-    @property
-    def key(self) -> tuple:
-        return tuple(self)
 
 
 _OVERLAY = ',\n   "overlay": true'  # the key a dot record carries only when set
@@ -191,17 +183,21 @@ def _chart_dots_and_lines(chart: Chart, lo: int, hi: int):
     return dots, lines
 
 
+def _window(chart: Chart, window: tuple[int, int] | None) -> tuple[int, int]:
+    """The given window, or by default the chart's dot degrees (0..0 for a
+    chart with no dot)."""
+    if window is not None:
+        return window
+    lo = chart.min_dot_degree()
+    return (0, 0) if lo is None else (lo, chart.max_dot_degree())
+
+
 def document_from_chart(
     chart: Chart, window: tuple[int, int] | None = None
 ) -> ChartDocument:
     """Closed-form document: tower dots, v-lines, and p-edge lines (h0 or
     exotic).  Lines with an endpoint outside the window are dropped."""
-    if window is None:
-        lo, hi = chart.min_dot_degree(), chart.max_dot_degree()
-        if lo is None:
-            lo = hi = 0
-    else:
-        lo, hi = window
+    lo, hi = _window(chart, window)
     dots, lines = _chart_dots_and_lines(chart, lo, hi)
     return ChartDocument(chart.p, (lo, hi), "closed-form", dots, lines)
 
@@ -211,12 +207,7 @@ def document_overlay(
 ) -> ChartDocument:
     """Document of the ambient chart with everything outside the base chart
     flagged as overlay (rendered dashed/open): the A-minus-B view."""
-    if window is None:
-        lo, hi = ambient.min_dot_degree(), ambient.max_dot_degree()
-        if lo is None:
-            lo = hi = 0
-    else:
-        lo, hi = window
+    lo, hi = _window(ambient, window)
     base_dots, _ = _chart_dots_and_lines(base, lo, hi)
     base_keys = {d[:3] for d in base_dots}
     dots, lines = _chart_dots_and_lines(ambient, lo, hi)

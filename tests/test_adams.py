@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 from collections import Counter
+from typing import NamedTuple
 
 import pytest
 
@@ -11,7 +12,6 @@ from kuengine import adams
 from kuengine.adams import (
     BLOCK,
     _z_runs,
-    ETower,
     Fate,
     WindowError,
     classify,
@@ -48,15 +48,22 @@ def main_key(p, b, eps, **kw):
     return ("main", b, eps, *z_decompose_dict(p, m.z_dict()))
 
 
+class RefTower(NamedTuple):
+    """The references' record of one tower or coset."""
+
+    key: tuple
+    n0: int  # base codegree (the a = 0 dot)
+    s0: int  # base filtration
+    height: int | None  # E2 height (None = v-free)
+
+
 def any_tower(p, key):
-    """tower(p, key), or for an h0 coset the ETower its integers spell."""
+    """The RefTower of any key: tower(p, key) based at s = 0, or the v-free
+    coset its integers spell."""
     if key[0] == "h0":
-        return ETower(key, *h0_base(p, *key[1:]), None)
-    return tower(p, key)
-
-
-def any_fate(p, key):
-    return Fate(*fate(p, key))
+        return RefTower(key, *h0_base(p, *key[1:]), None)
+    n0, height = tower(p, key)
+    return RefTower(key, n0, 0, height)
 
 
 # -- first differentials and the four families --------------------------------
@@ -67,13 +74,13 @@ def test_d2_on_y1():
 
 
 def test_d3_on_y1_squared():
-    f = any_fate(2, ("h0", 0, 2, 0))
+    f = fate(2, ("h0", 0, 2, 0))
     assert (f.family, f.r) == ("F1", 3)
     assert f.partner == ("h0", 1, 1, 1)  # h0 v^2 q y1
 
 
 def test_d2_on_y1_odd():
-    f = any_fate(3, ("h0", 0, 1, 0))
+    f = fate(3, ("h0", 0, 1, 0))
     assert (f.family, f.r) == ("F1", 2)
     assert f.partner == ("h0", 1, 0, 1)  # h0 v q
 
@@ -85,6 +92,24 @@ def test_fate_is_classify_for_a_tower_and_h0_fate_for_a_coset():
     for bad in (tower, classify):
         with pytest.raises(ValueError):
             bad(2, ("h0", 0, 1, 1))
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_fate_returns_a_fate_for_every_key_family(p):
+    b, eps = COLUMN_BOTTOM[p]  # c = 0 is an F3 source, c = 2 an F1 target
+    keys = {
+        "main": main_key(p, 0, 0, zs=((k0(p), 1),)),
+        "sp": ("sp", "x8" if p == 2 else "yz", 1),
+        "F1 source": ("h0", 0, 1, 0),
+        "F1 target": ("h0", 2, b, eps),
+        "F3 source": ("h0", 0, b, eps),
+    }
+    fates = {name: fate(p, key) for name, key in keys.items()}
+    assert all(type(f) is Fate for f in fates.values())
+    assert [(f.role, f.family) for f in fates.values()] == [
+        ("target", "F3"), ("survives", None), ("source", "F1"), ("target", "F1"),
+        ("source", "F3"),
+    ]
 
 
 def test_bare_z2_truncated_to_its_chart_height():
@@ -159,6 +184,9 @@ def test_the_page_walk_covers_both_parts():
         assert [k for k in keys if k in seen] == walked  # the page's own order
         for key, n0, s0, _ in page.window_runs(page.heights):
             assert (n0, s0) == (any_tower(p, key).n0, any_tower(p, key).s0)
+            if key in page.towers:  # a per-key tower sits at s = 0
+                assert (n0, s0) == (page.towers[key], 0)
+        assert page.n_pad == n_hi + page.w * s_max
     outside = e2_window(2, 0, 40, 8)
     assert ("h0", 9, 1, 0) not in outside and ("h0", 0, 99, 0) not in outside
     assert ("h0", 0, 0, 0) not in outside and BLOCK not in outside
@@ -425,7 +453,7 @@ def test_replay_is_pinned_and_ordered(window):
 
 # -- the per-coset reference replay ----------------------------------------------
 #
-# The replay as it ran before the h0 block: one ETower and one Fate per h0
+# The replay as it ran before the h0 block: one tower record and one Fate per h0
 # coset, one hit list over every target, the applied records sorted by their
 # labels.  The package must agree with it exactly.
 
@@ -449,7 +477,7 @@ def ref_e2_window(p, n_lo, n_hi, s_max):
     """The MAIN and SP towers of e2_window plus every h0 coset as a tower,
     enumerated by c, then b, up to the pad."""
     page = e2_window(p, n_lo, n_hi, s_max)
-    towers = {k: t for k, t in page.towers.items() if k[0] != "h0"}
+    towers = {k: RefTower(k, n0, 0, page.heights[k]) for k, n0 in page.towers.items()}
     offset = q_degree(p) - 2 * (p - 1) * k0(p)
     for eps in (0, 1):
         for c in range(s_max + 1):
@@ -477,7 +505,7 @@ def ref_dims(page, heights):
 
 def ref_pair_towers(page):
     p, towers = page.p, page.towers
-    fates = {k: any_fate(p, k) for k in towers}
+    fates = {k: fate(p, k) for k in towers}
 
     def label(tw):
         return dot_label(p, tw.key, 0)
@@ -491,7 +519,7 @@ def ref_pair_towers(page):
             hits.setdefault(mate, []).append(key)
         tw, mt = towers[key], towers.get(mate)
         inside = mt is not None
-        back = fates[mate] if inside else any_fate(p, mate)
+        back = fates[mate] if inside else fate(p, mate)
         if (back.partner, back.r, back.e0, back.family) != (key, f.r, f.e0, f.family) or (
             back.role == f.role
         ):
@@ -768,7 +796,7 @@ def test_truncation_heights_reproduce_chart_heights():
                 else:
                     raise AssertionError(f"unexpected low tower {g.render()}")
                 b = (y_weight - (0 if kind == "x10" else (p - 1))) // p
-                assert tower(p, ("sp", kind, b)).height == expect == t.height
+                assert tower(p, ("sp", kind, b))[1] == expect == t.height
                 continue
             assert y_weight % p == 0
             key = ("main", y_weight // p, g.q, *z_decompose_dict(p, g.z_dict()))
@@ -822,7 +850,7 @@ def test_geometry_of_every_applied_differential():
     for p in (2, 3):
         page = e2_window(p, 0, 60, 12)
         for key in page_keys(page):
-            f = any_fate(p, key)
+            f = fate(p, key)
             if f.role != "source":
                 continue
             st, tt = any_tower(p, key), any_tower(p, f.partner)
@@ -877,7 +905,7 @@ def _ref_z_quot(m, d):
 
 
 def ref_tower(p, key):
-    """(ETower, label) of any key, from Monomial products and render()."""
+    """(RefTower, label) of any key, from Monomial products and render()."""
     kk = k0(p)
     if key[0] == "main":
         _, b, eps, *_ = key
@@ -886,11 +914,11 @@ def ref_tower(p, key):
             mono = mono * Monomial.gen(p, "y", 1, b)
         if eps:
             mono = mono * Monomial.gen(p, "q")
-        return ETower(key, mono.degree, 0, None), mono.render()
+        return RefTower(key, mono.degree, 0, None), mono.render()
     if key[0] == "h0":
         _, c, b, eps = key
         n0 = 2 * p * b + eps * (q_degree(p) - 2 * (p - 1) * kk)
-        return ETower(key, n0, c + kk * eps, None), dot_label(p, key, 0)
+        return RefTower(key, n0, c + kk * eps, None), dot_label(p, key, 0)
     _, kind, b = key
     ys = ((1, b),) if b else ()
     if kind == "x8":
@@ -899,7 +927,7 @@ def ref_tower(p, key):
         mono, height = Monomial(p, ys=ys, zs=((1, 1),)), 2
     else:
         mono, height = Monomial(p, ys=((0, p - 1),) + ys, zs=((0, 1),)), 1
-    return ETower(key, mono.degree, 0, height), mono.render()
+    return RefTower(key, mono.degree, 0, height), mono.render()
 
 
 def ref_classify(p, key):

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from kuengine.adams import dot_label, e2_window
+from kuengine.adams import dot_label, e2_window, fate
 from kuengine.chart import tower_dots
 from kuengine.modules import build_A, build_B, build_S
 from kuengine.render import (
@@ -17,7 +17,7 @@ from kuengine.render import (
     render_svg,
     render_tikz,
 )
-from test_adams import any_fate, any_tower, height_of, page_keys
+from test_adams import any_tower, height_of, page_keys
 
 # Hand-extracted (codegree, filtration) positions of the solid dots in the
 # reference rendering of the k = 5 even block at p = 2, drawn over the window
@@ -128,9 +128,9 @@ def test_document_roundtrip_and_canonical_order():
     text = doc.to_json()
     again = ChartDocument.from_json(text)
     assert again.to_json() == text
-    keys = [d.key for d in doc.dots]
+    keys = [tuple(d) for d in doc.dots]
     assert keys == sorted(keys)
-    lkeys = [l.key for l in doc.lines]
+    lkeys = [tuple(l) for l in doc.lines]
     assert lkeys == sorted(lkeys)
 
 
@@ -315,7 +315,7 @@ def ref_document_from_einfty(p, n_lo, n_hi, s_max):
         if h0 is not None and (h0 in index):
             lines.append(DocLine("h0", i, index[h0]))
     for key in page_keys(page):
-        f = any_fate(p, key)
+        f = fate(p, key)
         if f.role != "source" or f.partner not in page:
             continue
         a = 0

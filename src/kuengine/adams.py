@@ -23,11 +23,11 @@ element lies in exactly one tower:
         v.(y1^b z1) = h0.(y1^b y0 z0) counted once, on the z1 tower);
         p odd: y1^b y0^(p-1) z0 (height 1).
 
-Keys are plain integers.  Base bidegrees, fates and partner keys are key
-arithmetic, with z-parts as {index: exponent} dicts and |z_comp(i, j)| =
-2(p^(j+1) + 1 + (p-1)(j-i)); labels are spelled from the key by
-monomial.render_exponents, the spelling of Monomial.render.  No Monomial is
-built here.
+Keys are tuples of a family tag and integers.  Base bidegrees, fates and
+partner keys are closed formulas in those integers (see classify), with
+|z_comp(i, j)| = 2(p^(j+1) + 1 + (p-1)(j-i)); labels are spelled from the
+key by monomial.render_exponents, the spelling of Monomial.render.  No
+Monomial is built here.
 
 What the page holds per key and what it holds as a block.  The MAIN and SP
 towers are per-key towers: each sits at s = 0 with its base codegree in
@@ -39,8 +39,8 @@ F1 source run; an eps = 1 column is nu(b+1) + odd F3 sources, one coset
 each, then one F1 target run with e0 = 0.  So every coset dies and the
 block shares one height entry, heights[BLOCK]: None on E2, 0 on
 E-infinity.  h0_base and h0_fate give one coset's base and fate (tower and
-classify take no h0 key; fate reads either), and dot_label spells every
-label from its key.
+classify take no h0 key; fate reads either), and run_labels spells every
+label from its key, once per run of dots.
 
 Differentials come in four closed families (nu = nu(p, -), t >= k0, target
 truncation height e0 listed last):
@@ -129,22 +129,6 @@ def _z_of(p: int, i1: int, j2: int, e: int, lam: tuple) -> dict[int, int]:
     return z
 
 
-def _swap(z: dict[int, int], out, into) -> dict[int, int]:
-    """z / out * into for (index, exponent) pairs; the division must be exact."""
-    res = dict(z)
-    for j, x in out:
-        if res.get(j, 0) < x:
-            raise ValueError(f"z-part {dict(out)} does not divide {z}")
-        res[j] -= x
-    for j, x in into:
-        res[j] = res.get(j, 0) + x
-    return {j: x for j, x in res.items() if x}
-
-
-def _key(p: int, b: int, eps: int, z: dict[int, int]) -> Key:
-    return ("main", b, eps, *z_decompose_dict(p, z))
-
-
 def _sp_shape(p: int, key: Key) -> tuple[int, int, int]:
     """(y0 exponent, z index, height) of an SP key: y1^b y0^x z_j."""
     shapes = {"x8": (1, 0, 1), "x10": (0, 1, 2)} if p == 2 else {"yz": (p - 1, 0, 1)}
@@ -159,31 +143,32 @@ def h0_base(p: int, c: int, b: int, eps: int) -> tuple[int, int]:
     return 2 * p * (b + eps) + eps, c + k0(p) * eps
 
 
-def dot_label(p: int, key: Key, a: int) -> str:
-    """Display name of the dot v^a . (tower generator), v-powers merged:
-    the one spelling of every label on the page, from the key alone."""
+def run_labels(p: int, key: Key, run: range) -> list[str]:
+    """Display names of the dots v^a . (tower generator), a in run, v-powers
+    merged: the one spelling of every label on the page, from the key
+    alone.  A coset h0^c (v^k0 q)^eps y1^b spells its h0^c head and q y1^b
+    tail once per run; only its v-power changes along the run."""
     if key[0] == "h0":
         _, c, b, eps = key
-        v = k0(p) * eps + a
-        parts = []
-        if c:
-            parts.append("h0" if c == 1 else f"h0^{c}")
-        if v:
-            parts.append("v" if v == 1 else f"v^{v}")
-        if eps:
-            parts.append("q")
-        if b:
-            parts.append("y1" if b == 1 else f"y1^{b}")
-        return " ".join(parts)
+        head = "" if not c else "h0 " if c == 1 else f"h0^{c} "
+        tail = render_exponents(p, eps, ((1, b),) if b else (), ())
+        v0 = k0(p) * eps
+        return [head + v_label(tail, v0 + a) for a in run]
     if key[0] == "main":
         _, b, eps, *z = key
-        ys = ((1, b),) if b else ()
-        return v_label(render_exponents(p, eps, ys, tuple(_z_of(p, *z).items())), a)
-    if key[0] == "sp":
+        gen = render_exponents(p, eps, ((1, b),) if b else (), tuple(_z_of(p, *z).items()))
+    elif key[0] == "sp":
         y0, zj, _ = _sp_shape(p, key)
         ys = tuple((i, x) for i, x in ((0, y0), (1, key[2])) if x)
-        return v_label(render_exponents(p, 0, ys, ((zj, 1),)), a)
-    raise ValueError(f"unknown tower family {key!r}")
+        gen = render_exponents(p, 0, ys, ((zj, 1),))
+    else:
+        raise ValueError(f"unknown tower family {key!r}")
+    return [v_label(gen, a) for a in run]
+
+
+def dot_label(p: int, key: Key, a: int) -> str:
+    """Display name of the dot v^a . (tower generator) (see run_labels)."""
+    return run_labels(p, key, range(a, a + 1))[0]
 
 
 @lru_cache(maxsize=None)
@@ -249,12 +234,28 @@ def fate(p: int, key: Key) -> Fate:
 @lru_cache(maxsize=None)
 def classify(p: int, key: Key) -> Fate:
     """Which differential family a MAIN or SP tower belongs to, with its
-    partner key (an h0 coset's fate is h0_fate's).
+    partner key (an h0 coset's fate is h0_fate's), read off the integers of
+    ("main", b, eps, i1, j2, e, lam); b' is the partner's y1-exponent:
 
-    The fate is a function of the tower's own coordinates; fate(partner)
-    always inverts to the tower itself (pair_towers checks this), so the
-    differential pairing is a perfect matching on MAIN + H0 and the SP
-    towers are permanent cycles.
+      eps = 0, d = nu(b), i1 >= d+2  F2 source of (b-1, 1, i1-d-odd, j2, e, lam)
+      eps = 0 otherwise, t = i1, b' = b + p^(t-1) - 1:
+        z_t bare                     F3 target of the coset h0^(t-k0) (v^k0 q) y1^b'
+        j2 > t                       F4 target of (b', 1, k0, t, p-2, run + lam)
+        j2 = t, e >= 1               F4 target of (b', 1, k0, t, e-1, lam)
+        j2 = t, e = 0, lam = ((j, x), *rest)
+                                     F4 target of (b', 1, j-t+k0, j, x-1, rest)
+      eps = 1, d = nu(b+1), t = j2-i1+k0, d < t-1
+                                     F2 target of (b+1, 0, i1+d+odd, j2, e, lam)
+      eps = 1 otherwise, b' = b + 1 - p^(t-1):
+        t < j2                       F4 source of (b', 0, t, t, 0, ((j2, e+1),) + lam)
+        t = j2, e < p-2              F4 source of (b', 0, t, t, e+1, lam)
+        t = j2, e = p-2              F4 source of z_t^p lam (z_decompose_dict)
+
+    where run is (t+1, p-1) .. (j2-1, p-1), then (j2, e) if e > 0.
+    fate(partner) always inverts to the tower itself (pair_towers checks
+    this), so the pairing is a perfect matching on MAIN + H0 and the SP
+    towers are permanent cycles.  A MAIN key with e > p-2 or a lam exponent
+    above p-1 raises ValueError.
     """
     kk = k0(p)
     odd = 0 if p == 2 else 1
@@ -264,32 +265,39 @@ def classify(p: int, key: Key) -> Fate:
         raise ValueError(f"classify takes MAIN and SP keys, not {key!r}")
 
     _, b, eps, i1, j2, e, lam = key
-    z = _z_of(p, i1, j2, e, lam)
+    if e > p - 2 or any(x > p - 1 for _, x in lam):
+        raise ValueError(f"key {key!r} is not in canonical family form")
     if eps == 0:
         if b >= 1 and i1 >= nu(p, b) + 2:
             d = nu(p, b)
-            zt = _swap(z, ((i1, 1),), z_comp_exponents(p, i1 - d - odd, i1).items())
-            return Fate("source", "F2", d + 2, d + 2, _key(p, b - 1, 1, zt))
+            return Fate("source", "F2", d + 2, d + 2, ("main", b - 1, 1, i1 - d - odd, j2, e, lam))
         # not an F2 source forces nu(b) >= i1 - 1, i.e. y1^b in P[y_t]
         t = i1
-        if i1 == j2 and e == 0 and not lam:
-            return Fate(
-                "target", "F3", p**t - t, p**t, ("h0", t - kk, b + p ** (t - 1) - 1, 1)
-            )
-        j = t if (j2 > i1 or e >= 1) else lam[0][0]
-        zs = _swap(z, ((t, 1), (j, 1)), z_comp_exponents(p, j - t + kk, j).items())
         r = p**t - t
-        return Fate("target", "F4", r, r, _key(p, b + p ** (t - 1) - 1, 1, zs))
+        if j2 == t and e == 0 and not lam:
+            return Fate("target", "F3", r, p**t, ("h0", t - kk, b + p ** (t - 1) - 1, 1))
+        if j2 > t:
+            run = tuple((j, p - 1) for j in range(t + 1, j2)) + (((j2, e),) if e else ())
+            z = (kk, t, p - 2, run + lam)
+        elif e:
+            z = (kk, t, e - 1, lam)
+        else:
+            j, x = lam[0]
+            z = (j - t + kk, j, x - 1, lam[1:])
+        return Fate("target", "F4", r, r, ("main", b + p ** (t - 1) - 1, 1, *z))
 
     t = j2 - i1 + kk
-    if nu(p, b + 1) >= t - 1:
-        zt = _swap(z, z_comp_exponents(p, i1, j2).items(), ((t, 1), (j2, 1)))
-        r = p**t - t
-        return Fate("source", "F4", r, r, _key(p, b + 1 - p ** (t - 1), 0, zt))
     d = nu(p, b + 1)
-    isrc = i1 + d + odd
-    zs = _swap(z, z_comp_exponents(p, i1, isrc).items(), ((isrc, 1),))
-    return Fate("target", "F2", d + 2, d + 2, _key(p, b + 1, 0, zs))
+    if d < t - 1:
+        return Fate("target", "F2", d + 2, d + 2, ("main", b + 1, 0, i1 + d + odd, j2, e, lam))
+    if t < j2:
+        z = (t, t, 0, ((j2, e + 1),) + lam)
+    elif e < p - 2:
+        z = (t, t, e + 1, lam)
+    else:
+        z = z_decompose_dict(p, {t: p, **dict(lam)})
+    r = p**t - t
+    return Fate("source", "F4", r, r, ("main", b + 1 - p ** (t - 1), 0, *z))
 
 
 # -- E2 window ----------------------------------------------------------------
@@ -476,11 +484,6 @@ def _base(page: BigradedPage, key: Key) -> tuple[int, int]:
     return (tower(page.p, key)[0] if n0 is None else n0), 0
 
 
-def _absence_ok(page: BigradedPage, key: Key, n0: int) -> bool:
-    """May a partner be missing: beyond the pad, or an h0 coset above s_max?"""
-    return n0 > page.n_pad or (key[0] == "h0" and key[1] > page.s_max)
-
-
 class Pairing(NamedTuple):
     pairs: list[tuple[Key, Key, int, int]]  # (source, target, r, e0), a per-key end
     block_pairs: int  # differentials with both ends in the h0 block (F1)
@@ -559,7 +562,8 @@ def _pair(
                 "e0": e0,
             }
         )
-    if not inside and not _absence_ok(page, mate, mn0):
+    # a partner may be missing beyond the pad, or as an h0 coset above s_max
+    if not inside and not (mn0 > page.n_pad or (mate[0] == "h0" and mate[1] > page.s_max)):
         orphans.append(
             {
                 "kind": f"missing-{back[0]}",

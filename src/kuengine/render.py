@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
-from .adams import Key, dot_label, e2_window, fate, h0_mate
+from .adams import Key, e2_window, fate, h0_mate, run_labels
 from .chart import Chart, tower_dots, v_label
 
 _KIND = re.compile(r"v|h0|exotic|differential\((\d+)\)")
@@ -233,12 +233,7 @@ def document_from_einfty(
     dots: list[DocDot] = []
     for key, n0, s0, run in page.window_runs(page.heights):
         runs[key] = (len(dots) - run.start, run)
-        if key[0] == "h0":  # a coset's v-power merges into its label
-            labels = [dot_label(p, key, a) for a in run]
-        else:
-            gen = dot_label(p, key, 0)
-            labels = [v_label(gen, a) for a in run]
-        dots += [DocDot(n0 - w * a, s0 + a, label) for a, label in zip(run, labels)]
+        dots += [DocDot(n0 - w * a, s0 + a, lab) for a, lab in zip(run, run_labels(p, key, run))]
 
     lines: list[tuple[str, int, int]] = []
     for key, (base, run) in runs.items():

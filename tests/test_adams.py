@@ -25,10 +25,11 @@ from kuengine.adams import (
     matching_audit,
     pair_towers,
     run_differentials,
+    run_labels,
     tower,
 )
 from kuengine import margolis
-from kuengine.chart import tower_dots
+from kuengine.chart import tower_dots, v_label
 from kuengine.margolis import build_HK2, ext_bruteforce, free_part_ps
 from kuengine.modules import full_chart
 from kuengine.monomial import (
@@ -222,6 +223,28 @@ def test_labels_are_unique_across_the_whole_page():
         page = e2_window(p, 0, n_hi, s_max)
         labels = [dot_label(p, k, 0) for k in page_keys(page)]
         assert len(labels) == len(set(labels)) == len(page)
+
+
+def ref_coset_label(p, c, b, eps, a):
+    """Reference: the label of v^a on the coset h0^c (v^k0 q)^eps y1^b,
+    spelled factor by factor."""
+    factors = (("h0", c), ("v", k0(p) * eps + a), ("q", eps), ("y1", b))
+    return " ".join(g if x == 1 else f"{g}^{x}" for g, x in factors if x)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_a_run_spells_the_labels_of_its_dots(p):
+    run = range(5)
+    for c in range(3):
+        for b, eps in ((0, 1), (1, 0), (1, 1), (3, 0), (p, 1)):
+            got = run_labels(p, ("h0", c, b, eps), run)
+            assert got == [ref_coset_label(p, c, b, eps, a) for a in run]
+    page = e2_window(p, 0, 60 * p, 4)
+    assert {k[0] for k in page.towers} == {"main", "sp"}
+    for key in page.towers:
+        gen = ref_tower(p, key)[1]
+        assert run_labels(p, key, range(2, 6)) == [v_label(gen, a) for a in range(2, 6)]
+    assert run_labels(3, ("h0", 2, 3, 1), range(2)) == ["h0^2 v q y1^3", "h0^2 v^2 q y1^3"]
 
 
 def scanned_dots_at(page, n, s):
@@ -971,7 +994,8 @@ def ref_classify(p, key):
 
 
 @pytest.mark.parametrize(
-    "p, n_hi, s_max", ((2, 120, 30), (3, 200, 20), (5, 300, 10), (7, 400, 8))
+    "p, n_hi, s_max",
+    ((2, 120, 30), (3, 200, 20), (5, 300, 10), (7, 400, 8), (11, 3000, 3)),
 )
 def test_key_arithmetic_matches_the_monomial_reference(p, n_hi, s_max):
     page = e2_window(p, 0, n_hi, s_max)
@@ -1029,6 +1053,6 @@ def test_a_non_canonical_z_part_raises(p, z):
 
 
 def test_a_non_canonical_key_has_no_partner():
-    # q z1 z2^3 at p = 3: its F4 partner keeps the z2^3 outside Lambda
+    # q z1 z2^3 at p = 3: the z2^3 in lam is above p - 1, so the key is rejected
     with pytest.raises(ValueError, match="canonical"):
         classify(3, ("main", 0, 1, 1, 1, 0, ((2, 3),)))

@@ -5,12 +5,14 @@ wrap."""
 import hashlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import kuengine
 from kuengine import cli, margolis
 from kuengine.monomial import q_degree
 from kuengine.render import ChartDocument
@@ -213,6 +215,27 @@ def test_traced_run_prints_the_untraced_output(argv, counted, tmp_path):
     assert traced.stdout == plain.stdout
     stats = json.loads((tmp_path / "stats.json").read_text())
     assert counted(stats["metrics"])
+
+
+def test_the_package_has_no_runtime_dependency(tmp_path):
+    # dependencies = []: importing the CLI loads every module of the package
+    # and nothing outside it but the standard library.  A fresh interpreter
+    # takes its snapshot after site's .pth imports, so they are not counted.
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        "import json, sys; before = set(sys.modules); import kuengine.cli; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=tmp_path
+    )
+    assert proc.returncode == 0, proc.stderr
+    new = json.loads(proc.stdout)
+    package = {f"kuengine.{m.name}" for m in pkgutil.iter_modules(kuengine.__path__)}
+    assert {m for m in new if m.startswith("kuengine.")} == package
+    tops = {m.split(".")[0] for m in new} - {"kuengine"}
+    assert sorted(tops - set(sys.stdlib_module_names)) == []
 
 
 @pytest.mark.parametrize(

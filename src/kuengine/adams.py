@@ -367,6 +367,15 @@ class BigradedPage:
             for c in cs:
                 yield ("h0", c, b, eps)
 
+    def block_runs(self):
+        """(b, eps, seg, run) for each h0_segments segment that meets its
+        column, run the levels they share: the one walk over the h0 block."""
+        for (b, eps), cs in self.columns.items():
+            for seg in h0_segments(self.p, b, eps):
+                run = _cut(seg.cs, cs)
+                if run:
+                    yield b, eps, seg, run
+
     def _alive(self, key: Key, a: int) -> bool:
         h = self.heights[BLOCK if key[0] == "h0" else key]
         return a >= 0 and (h is None or a < h)
@@ -440,14 +449,14 @@ def e2_window(p: int, n_lo: int, n_hi: int, s_max: int) -> BigradedPage:
     reaches below k0, which is what is checked, with no label spelled."""
     if p < 2 or n_hi < n_lo or s_max < 0:
         raise ValueError("bad window")
-    pad = n_hi + 2 * (p - 1) * s_max  # the page's n_pad
+    page = BigradedPage(p, n_lo, n_hi, s_max, {}, {}, {})
+    towers, heights, columns, pad = page.towers, page.heights, page.columns, page.n_pad
     runs = _z_runs(p, pad)
     zparts = [_z_of(p, *run[:4]) for run in runs]
     if len({frozenset(z.items()) for z in zparts}) != len(runs) or any(
         min(z) < k0(p) for z in zparts
     ):
         raise ValueError("tower labels are not unique")
-    towers: dict[Key, int] = {}
     for i1, j2, e, lam, zdeg in runs:
         for eps in (0, 1):
             base = eps * q_degree(p) + zdeg
@@ -455,8 +464,7 @@ def e2_window(p: int, n_lo: int, n_hi: int, s_max: int) -> BigradedPage:
             while base + 2 * p * b <= pad:
                 towers[("main", b, eps, i1, j2, e, lam)] = base + 2 * p * b
                 b += 1
-    heights: dict[Key, int | None] = dict.fromkeys(towers)  # MAIN towers are v-free
-    columns: dict[tuple[int, int], range] = {}
+    heights.update(dict.fromkeys(towers))  # MAIN towers are v-free
     for eps in (0, 1):
         b = 1 - eps
         while h0_base(p, 0, b, eps)[0] <= pad:
@@ -469,7 +477,7 @@ def e2_window(p: int, n_lo: int, n_hi: int, s_max: int) -> BigradedPage:
             towers[key], heights[key] = n0_height
             key = ("sp", kind, key[2] + 1)
     heights[BLOCK] = None
-    return BigradedPage(p, n_lo, n_hi, s_max, towers, heights, columns)
+    return page
 
 
 # -- pairing and replay -------------------------------------------------------
@@ -612,48 +620,44 @@ def _walk_block(
 ) -> int:
     """pair_towers on the h0 block, by h0_segments, with no object per coset.
 
-    Pass 1 takes each column's source segments from c = 0, cut to the
-    column.  An F1 run is checked once, against its partner column's
-    segments (_run_checks); a run that fails there, and each F3 source (its
-    target a MAIN tower: the pair joins pairs and the hit list), goes
-    through _pair coset by coset, which spells the problems.
-    Pass 2 checks the cosets above the sources, one by one, only if some
-    was not reached with e0 = 0 from a source whose round trip held.  A
+    Pass 1 walks block_runs, each column's F1 target run set aside.  An F1
+    source run is checked once, against its partner column's segments
+    (_run_checks); a run that fails there, and each F3 source (its target a
+    MAIN tower: the pair joins pairs and the hit list), goes through _pair
+    coset by coset, which spells the problems.
+    Pass 2 checks the target runs, coset by coset, only if some coset was
+    not reached with e0 = 0 from a source whose round trip held.  A
     reached coset needs no check of its own: its fate is its source's back
     fate, so its checks hold with the source's, and no two such sources
     reach one coset.  Returns the block pairs listed."""
     p, kk, cols = page.p, k0(page.p), page.columns
     listed = reached = 0
-    rest = []  # (b, eps, n0, the cosets above the column's sources)
-    for (b, eps), cs in cols.items():
+    rest = []  # (b, eps, n0, a column's target run)
+    for b, eps, seg, run in page.block_runs():
         n0 = h0_base(p, 0, b, eps)[0]
-        for seg in h0_segments(p, b, eps):
-            run = _cut(seg.cs, cs)
-            if not run:
-                continue
-            if seg.role != "source":
-                rest.append((b, eps, n0, range(run.start, cs.stop)))
-                break
-            counts = seg.offset is not None and _run_checks(page, b, eps, seg, run)
-            if counts:
-                listed += counts[0]
-                reached += counts[1]
-                continue
-            for c in run:
-                key, mate = ("h0", c, b, eps), _mate(seg, c)
-                own = Fate(*seg[1:5], mate)
-                pair = _pair(page, key, own, n0, c + kk * eps, orphans, mismatches)
-                if mate[0] != "h0":
-                    hits.setdefault(mate, []).append(key)
-                    if pair:
-                        pairs.append(pair)
-                elif pair:
-                    listed += 1
-                    reached += not seg.e0 and mate[1] in cols.get(mate[2:], ())
-    if reached == sum(len(cs) for *_, cs in rest):
+        if seg.role != "source":
+            rest.append((b, eps, n0, run))
+            continue
+        counts = seg.offset is not None and _run_checks(page, b, eps, seg, run)
+        if counts:
+            listed += counts[0]
+            reached += counts[1]
+            continue
+        for c in run:
+            key, mate = ("h0", c, b, eps), _mate(seg, c)
+            own = Fate(*seg[1:5], mate)
+            pair = _pair(page, key, own, n0, c + kk * eps, orphans, mismatches)
+            if mate[0] != "h0":
+                hits.setdefault(mate, []).append(key)
+                if pair:
+                    pairs.append(pair)
+            elif pair:
+                listed += 1
+                reached += not seg.e0 and mate[1] in cols.get(mate[2:], ())
+    if reached == sum(len(run) for *_, run in rest):
         return listed
-    for b, eps, n0, cs in rest:
-        for c in cs:
+    for b, eps, n0, run in rest:
+        for c in run:
             key = ("h0", c, b, eps)
             own = h0_fate(p, c, b, eps)
             if own.role != "target" or own.e0:
@@ -697,11 +701,9 @@ def run_differentials(page: BigradedPage):
     p = page.p
     einf = page.dims(_einfty_heights(page, pairing.pairs))
     pairs = list(pairing.pairs)
-    for (b, eps), cs in page.columns.items():
-        for seg in h0_segments(p, b, eps):
-            if seg.role == "source" and seg.offset is not None:
-                run = _cut(seg.cs, cs)
-                pairs += [(("h0", c, b, eps), _mate(seg, c), seg.r, seg.e0) for c in run]
+    for b, eps, seg, run in page.block_runs():
+        if seg.role == "source" and seg.offset is not None:
+            pairs += [(("h0", c, b, eps), _mate(seg, c), seg.r, seg.e0) for c in run]
     records = sorted(
         (r, _base(page, src)[0], dot_label(p, src, 0), dot_label(p, tgt, e0))
         for src, tgt, r, e0 in pairs
@@ -726,10 +728,8 @@ def matching_audit(p: int, n_lo: int, n_hi: int, s_max: int) -> dict:
         raise ValueError(f"the window {n_lo}..{n_hi}, s <= {s_max} holds no tower")
     problems = pair_towers(page).problems
     families = Counter((f.family, f.role) for f in (classify(p, key) for key in page.towers))
-    for (b, eps), cs in page.columns.items():
-        for seg in h0_segments(p, b, eps):
-            if n := len(_cut(seg.cs, cs)):
-                families[seg.family, seg.role] += n
+    for _, _, seg, run in page.block_runs():
+        families[seg.family, seg.role] += len(run)
     survivors = families.pop((None, "survives"), 0)
     report = {
         "p": p,

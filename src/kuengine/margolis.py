@@ -13,7 +13,10 @@ verification side of the package:
 * _N, _L, _M, _R, _S -- the small non-free modules N, L_k, M_j and the
   locally finite sums R, S = qR that carry all of the Margolis homology,
   one constructor each; assemble_T glues them and the unit class into the
-  full non-free model, so that H ~ unit + T + free.
+  full non-free model, so that H ~ unit + T + free.  Only N and the
+  generator names differ by prime: L_k, M_j, R, S, both Margolis closed
+  forms and T's Poincare series are one formula at every prime, indexed by
+  k0 (2 at p = 2, 1 at odd p) with the paper's M_j index kept (j >= 2k0).
 * free_part_ps -- counts of free E1 summands per generator degree, obtained
   by subtracting the non-free model's Poincare series from the full one.
 * strip_free -- M / F for the free summand F spanned by the basis elements
@@ -47,7 +50,7 @@ from functools import lru_cache
 
 # gf_rank is not called here, but perfbench/tracer.py wraps it at this lookup site
 from .linalg import Echelon, gf_rank, gf_rank_sparse  # noqa: F401
-from .monomial import bounded_exponents, q_degree
+from .monomial import bounded_exponents, k0, q_degree
 from .series import PSeries, degree_rows, report
 
 # Cutoff sentinel for modules that are finite (complete in all degrees).
@@ -365,22 +368,16 @@ def q0_homology_closed(p: int, D: int) -> PSeries:
 
 
 def q1_homology_closed(p: int, D: int) -> PSeries:
-    """Known closed form of H(H*K2; Q1): at p = 2
-    P[u_2^2] x TP_4[x_9] x TP_4[x_17] x E[u_{2^j+1}^2 : j >= 5]; at odd p
-    P[y_1] x E[q] x E[w_1] x TP_p[g_2, g_3, ...] (unit included)."""
-    if p == 2:
-        out = PSeries.geometric(D, 4)
-        out = out * PSeries.truncated_poly(D, 9, 4)
-        out = out * PSeries.truncated_poly(D, 17, 4)
-        j = 5
-        while 2 * (2**j + 1) <= D:
-            out = out * (PSeries.one(D) + PSeries.monomial(D, 2 * (2**j + 1)))
-            j += 1
-        return out
+    """Known closed form of H(H*K2; Q1), unit included: P[y_1] x E[q] x
+    E[w_1] x TP_p[g_2, g_3, ...] at odd p, one formula at every prime as
+        G(2p) (1 + x^|q|) (1 + x^(2p^(k0+1)+1)) prod_{j>k0} TP_p[2(p^j+1)].
+    At p = 2 the product is P[u_2^2] x TP_4[x_9] x TP_4[x_17] x
+    E[u_{2^j+1}^2 : j >= 5], as TP_4[x9] TP_4[x17] = E[9]E[18] E[17]E[34]."""
+    kk = k0(p)
     out = PSeries.geometric(D, 2 * p)
-    out = out * (PSeries.one(D) + PSeries.monomial(D, 4 * p - 1))
-    out = out * (PSeries.one(D) + PSeries.monomial(D, 2 * p**2 + 1))
-    j = 2
+    out = out * (PSeries.one(D) + PSeries.monomial(D, q_degree(p)))
+    out = out * (PSeries.one(D) + PSeries.monomial(D, 2 * p ** (kk + 1) + 1))
+    j = kk + 1
     while 2 * (p**j + 1) <= D:
         out = out * PSeries.truncated_poly(D, 2 * (p**j + 1), p)
         j += 1
@@ -394,11 +391,6 @@ def q1_homology_closed(p: int, D: int) -> PSeries:
 
 def _single(p: int, label: str, degree: int) -> E1Module:
     return E1Module.from_labels(p, EXACT, [(label, degree)], {}, {})
-
-
-def _trivial_polynomial(p: int, gens: list[GenSpec], D: int) -> E1Module:
-    """Q-trivial monomial module (all primitives act by zero)."""
-    return _module_from_monomials(p, gens, D, {}, {})
 
 
 def _L(p: int, k: int) -> E1Module:
@@ -423,41 +415,40 @@ def _N(p: int) -> E1Module:
 
 
 def _M(p: int, j: int) -> E1Module:
-    if p == 2:
-        if j < 4:
-            raise ValueError("M_j at p = 2 needs j >= 4")
-        return _L(2, j - 4).suspend(2**j + 1)
-    if j < 2:
-        raise ValueError("M_j at odd p needs j >= 2")
-    return _L(p, j - 2).suspend(2 * p**j + 1)
+    """L_{j-2k0} with its bottom at 2p^(j-k0+1) + 1: 2^j + 1 at p = 2 (j >= 4)
+    and 2p^j + 1 at odd p (j >= 2)."""
+    kk = k0(p)
+    if j < 2 * kk:
+        raise ValueError(f"M_j at p = {p} needs j >= {2 * kk}")
+    return _L(p, j - 2 * kk).suspend(2 * p ** (j - kk + 1) + 1)
+
+
+def _R_terms(p: int, D: int):
+    """(j, i, cofactor) for each M_j in R whose bottom 2p^i + 1 is <= D,
+    i = j - k0 + 1: the (degree, exponent cap) factors of its Q-trivial
+    cofactor TP_{p-1}[g_i] x TP_p[g_k : k > i], |g_k| = 2(p^k + 1).  At
+    p = 2 the g_i factor is TP_1 = 1 and the rest is E[e_k : k >= j]."""
+    kk = k0(p)
+    i = kk + 1
+    while 2 * p**i + 1 <= D:
+        cof = [(2 * (p**i + 1), p - 2)]
+        k = i + 1
+        while 2 * (p**k + 1) <= D:
+            cof.append((2 * (p**k + 1), p - 1))
+            k += 1
+        yield i + kk - 1, i, cof
+        i += 1
 
 
 def _R(p: int, D: int) -> E1Module:
     """Locally finite sum of M_j tensored with its Q-trivial cofactor."""
     if D < 0:
         raise ValueError("R needs a nonnegative cutoff")
+    letter = "e" if p == 2 else "g"
     summands: list[E1Module] = []
-    if p == 2:
-        j = 4
-        while 2**j + 1 <= D:
-            gens = []
-            k = j
-            while 2 * (2**k + 1) <= D:
-                gens.append(GenSpec(f"e{k}", 2 * (2**k + 1), top=1))
-                k += 1
-            summands.append(_M(2, j).tensor(_trivial_polynomial(2, gens, D)))
-            j += 1
-    else:
-        j = 2
-        while 2 * p**j + 1 <= D:
-            # TP_{p-1}[g_j] x TP_p[g_k : k > j]
-            gens = [GenSpec(f"g{j}", 2 * (p**j + 1), top=p - 2)]
-            k = j + 1
-            while 2 * (p**k + 1) <= D:
-                gens.append(GenSpec(f"g{k}", 2 * (p**k + 1), top=p - 1))
-                k += 1
-            summands.append(_M(p, j).tensor(_trivial_polynomial(p, gens, D)))
-            j += 1
+    for j, i, cof in _R_terms(p, D):
+        gens = [GenSpec(f"{letter}{i + n}", d, top) for n, (d, top) in enumerate(cof)]
+        summands.append(_M(p, j).tensor(_module_from_monomials(p, gens, D, {}, {})))
     return E1Module.direct_sum(summands) if summands else E1Module(p, D)
 
 
@@ -474,7 +465,7 @@ def assemble_T(p: int, D: int) -> E1Module:
     + R + S) at p = 2, and 1 + P[y_1] x (<y_1> + N + R + qR) at odd p.  Its
     Margolis homology is degreewise that of H*K2."""
     name = "u2^2" if p == 2 else "y1"  # the generator of degree 2p
-    outer = _trivial_polynomial(p, [GenSpec(name, 2 * p)], D)
+    outer = _module_from_monomials(p, [GenSpec(name, 2 * p)], D, {}, {})
     lead = _single(p, name, 2 * p)
     inner = E1Module.direct_sum([lead, _N(p), _R(p, D), _S(p, D)])
     return E1Module.direct_sum([_single(p, "1", 0), outer.tensor(inner)])
@@ -496,7 +487,11 @@ def _ps_L(p: int, k: int, top: int) -> PSeries:
 
 
 def free_part_total_ps(p: int, D: int) -> PSeries:
-    """Poincare series of the free complement of unit + T inside H*K2."""
+    """Poincare series of the free complement of unit + T inside H*K2.
+
+    Only H*K2's product and N's degrees are written per prime; T's series
+    G(2p) (1 + N + (1 + x^|q|) R) is one formula, R the sum over j >= 2k0
+    of M_j's series times its cofactor's (_R_terms)."""
     one = PSeries.one(D)
     if p == 2:
         full = one
@@ -505,43 +500,26 @@ def free_part_total_ps(p: int, D: int) -> PSeries:
             full = full * PSeries.geometric(D, 2**j + 1)
             j += 1
         ps_n = PSeries.from_degrees(D, (5, 7, 8, 9, 10))
-        sub = PSeries.geometric(D, 4) * (one + ps_n)
-        tail = PSeries(D)
-        j = 4
-        while 2**j + 1 <= D:
-            cof = one
-            k = j
-            while 2 * (2**k + 1) <= D:
-                cof = cof * (one + PSeries.monomial(D, 2 * (2**k + 1)))
-                k += 1
-            tail = tail + _ps_L(2, j - 4, D).shift(2**j + 1) * cof
+    else:
+        full = PSeries.geometric(D, 2)
+        j = 1
+        while 2 * (p**j + 1) <= D:
+            full = full * PSeries.geometric(D, 2 * (p**j + 1))
             j += 1
-        sub = sub + PSeries.geometric(D, 4) * (one + PSeries.monomial(D, 9)) * tail
-        return full - sub
-    full = PSeries.geometric(D, 2)
-    j = 1
-    while 2 * (p**j + 1) <= D:
-        full = full * PSeries.geometric(D, 2 * (p**j + 1))
-        j += 1
-    i = 0
-    while 2 * p**i + 1 <= D:
-        full = full * (one + PSeries.monomial(D, 2 * p**i + 1))
-        i += 1
-    ps_n = PSeries.from_degrees(D, (2 * p + 1, 4 * p - 1, 4 * p))
+        i = 0
+        while 2 * p**i + 1 <= D:
+            full = full * (one + PSeries.monomial(D, 2 * p**i + 1))
+            i += 1
+        ps_n = PSeries.from_degrees(D, (2 * p + 1, 4 * p - 1, 4 * p))
     tail = PSeries(D)
-    j = 2
-    while 2 * p**j + 1 <= D:
-        cof = PSeries.truncated_poly(D, 2 * (p**j + 1), p - 1)
-        k = j + 1
-        while 2 * (p**k + 1) <= D:
-            cof = cof * PSeries.truncated_poly(D, 2 * (p**k + 1), p)
-            k += 1
-        tail = tail + _ps_L(p, j - 2, D).shift(2 * p**j + 1) * cof
-        j += 1
-    sub = PSeries.geometric(D, 2 * p) * (
-        one + ps_n + (one + PSeries.monomial(D, 4 * p - 1)) * tail
+    for j, i, cof in _R_terms(p, D):
+        term = _ps_L(p, j - 2 * k0(p), D).shift(2 * p**i + 1)
+        for d, top in cof:
+            term = term * PSeries.truncated_poly(D, d, top + 1)
+        tail = tail + term
+    return full - PSeries.geometric(D, 2 * p) * (
+        one + ps_n + (one + PSeries.monomial(D, q_degree(p))) * tail
     )
-    return full - sub
 
 
 def free_part_ps(p: int, D: int) -> PSeries:

@@ -218,8 +218,9 @@ def test_hk2_q_maps_are_derivations(p, D):
     assert checked > 1000
 
 
+# (2, 70) reaches E[66]; (5, 300) reaches TP_5[g_3] at 252
 @pytest.mark.parametrize(
-    "p,D", [(2, 60), (3, 40)]
+    "p,D", [(2, 60), (3, 40), (2, 70), (5, 300)]
 )
 def test_margolis_homology_of_hk2_matches_closed_forms(p, D):
     mod = build_HK2(p, D + 2 * p - 1)
@@ -316,7 +317,8 @@ def test_free_summand_generator_counts_mod_3():
     assert all(c >= 0 for c in g.c)
 
 
-@pytest.mark.parametrize("p,D", [(2, 50), (3, 40)])
+# each window past the first two reaches one more M_j: M_6 at 65, M_3 at 55, M_3 at 251
+@pytest.mark.parametrize("p,D", [(2, 50), (3, 40), (2, 70), (3, 120), (5, 260)])
 def test_free_part_total_agrees_with_module_subtraction(p, D):
     total = free_part_total_ps(p, D)
     by_modules = build_HK2(p, D).ps() - assemble_T(p, D).ps()

@@ -509,7 +509,7 @@ def pair_towers(page: BigradedPage) -> Pairing:
     "double_hits" and "mismatches" ("round-trip": the partner's fate does
     not invert the tower's; "geometry", once per pair: n0(target) !=
     n0(source) + 1 + w e0 or s0(target) != s0(source) + r - e0; "block": a
-    coset above its column's sources that is not a target with e0 = 0).
+    coset of a block run that is neither a source nor a target with e0 = 0).
     Only per-key targets keep a hit list: a second source on a block target
     fails its round trip.
     """
@@ -587,14 +587,16 @@ def _cut(a: range, b: range) -> range:
     return range(max(a.start, b.start), min(a.stop, b.stop))
 
 
-def _run_checks(page: BigradedPage, b: int, eps: int, seg: Segment, run: range):
-    """_pair's checks on every source of the F1 run `run` of column (b, eps),
-    made once against the segments of the partner column: (pairs listed,
-    partners reached in the page with e0 = 0), or None if some source of
-    the run fails a check, which only _pair, coset by coset, spells."""
+def _run_checks(page: BigradedPage, b: int, eps: int, seg: Segment, run: range) -> int | None:
+    """_pair's checks on every coset of the F1 run `run` of column (b, eps),
+    source or target, made once against the segments of the partner column,
+    the geometry's sign read from the run's role.  Returns the number of
+    pairs the run lists (a source run all of them; a target run those whose
+    source is missing with an excuse), or None if some coset of the run
+    fails a check, which only _pair, coset by coset, spells."""
     p, off, col = page.p, seg.offset, seg.partner
     image = range(run.start + off, run.stop + off)
-    covered = 0  # partners whose fate inverts their source's
+    covered = 0  # partners whose fate inverts their coset's
     for back in h0_segments(p, *col):
         part = _cut(back.cs, image)
         if not part:
@@ -605,14 +607,16 @@ def _run_checks(page: BigradedPage, b: int, eps: int, seg: Segment, run: range):
             return None
         covered += len(part)
     (n0, s0), (mn0, ms0) = h0_base(p, 0, b, eps), h0_base(p, off, *col)
-    if covered != len(image) or mn0 - n0 != 1 + page.w * seg.e0 or ms0 - s0 != seg.r - seg.e0:
+    sign = 1 if seg.role == "source" else -1
+    dn, ds = sign * (mn0 - n0), sign * (ms0 - s0)
+    if covered != len(image) or dn != 1 + page.w * seg.e0 or ds != seg.r - seg.e0:
         return None
     # a partner at or below s_max is in the page unless its column is past the pad
     present = page.columns.get(col, range(0))
     low = _cut(image, range(page.s_max + 1))
     if mn0 <= page.n_pad and len(_cut(low, present)) != len(low):
         return None
-    return len(run), 0 if seg.e0 else len(_cut(image, present))
+    return len(run) if seg.role == "source" else len(run) - len(_cut(image, present))
 
 
 def _walk_block(
@@ -620,50 +624,34 @@ def _walk_block(
 ) -> int:
     """pair_towers on the h0 block, by h0_segments, with no object per coset.
 
-    Pass 1 walks block_runs, each column's F1 target run set aside.  An F1
-    source run is checked once, against its partner column's segments
-    (_run_checks); a run that fails there, and each F3 source (its target a
-    MAIN tower: the pair joins pairs and the hit list), goes through _pair
-    coset by coset, which spells the problems.
-    Pass 2 checks the target runs, coset by coset, only if some coset was
-    not reached with e0 = 0 from a source whose round trip held.  A
-    reached coset needs no check of its own: its fate is its source's back
-    fate, so its checks hold with the source's, and no two such sources
-    reach one coset.  Returns the block pairs listed."""
-    p, kk, cols = page.p, k0(page.p), page.columns
-    listed = reached = 0
-    rest = []  # (b, eps, n0, a column's target run)
+    One walk over block_runs.  Every F1 run, source or target, is checked
+    once against its partner column's segments (_run_checks); a run that
+    fails there, and each F3 source (its target a MAIN tower: the pair joins
+    pairs and the hit list), goes through _pair coset by coset, which
+    spells the problems.  A run that is neither a source nor a target with
+    e0 = 0 is a "block" mismatch, coset by coset.  Returns the block pairs
+    listed."""
+    p, kk = page.p, k0(page.p)
+    listed = 0
     for b, eps, seg, run in page.block_runs():
+        if seg.role != "source" and (seg.role != "target" or seg.e0):
+            for c in run:
+                label = dot_label(p, ("h0", c, b, eps), 0)
+                mismatches.append({"kind": "block", "tower": label, "fate": list(seg[1:5])})
+            continue
+        count = None if seg.offset is None else _run_checks(page, b, eps, seg, run)
+        if count is not None:
+            listed += count
+            continue
         n0 = h0_base(p, 0, b, eps)[0]
-        if seg.role != "source":
-            rest.append((b, eps, n0, run))
-            continue
-        counts = seg.offset is not None and _run_checks(page, b, eps, seg, run)
-        if counts:
-            listed += counts[0]
-            reached += counts[1]
-            continue
         for c in run:
             key, mate = ("h0", c, b, eps), _mate(seg, c)
-            own = Fate(*seg[1:5], mate)
-            pair = _pair(page, key, own, n0, c + kk * eps, orphans, mismatches)
+            pair = _pair(page, key, Fate(*seg[1:5], mate), n0, c + kk * eps, orphans, mismatches)
             if mate[0] != "h0":
                 hits.setdefault(mate, []).append(key)
                 if pair:
                     pairs.append(pair)
             elif pair:
-                listed += 1
-                reached += not seg.e0 and mate[1] in cols.get(mate[2:], ())
-    if reached == sum(len(run) for *_, run in rest):
-        return listed
-    for b, eps, n0, run in rest:
-        for c in run:
-            key = ("h0", c, b, eps)
-            own = h0_fate(p, c, b, eps)
-            if own.role != "target" or own.e0:
-                label = dot_label(p, key, 0)
-                mismatches.append({"kind": "block", "tower": label, "fate": list(own[:4])})
-            elif _pair(page, key, own, n0, c + kk * eps, orphans, mismatches):
                 listed += 1
     return listed
 

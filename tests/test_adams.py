@@ -359,14 +359,18 @@ def test_missing_source_is_a_hard_error():
     assert orphans[0] == {"kind": "missing-source", "tower": "z2", "partner": "v^2 q y1"}
 
 
-def test_a_missing_block_target_is_an_orphan():
-    gone = ("h0", 0, 2, 1)  # v^2 q y1^2, the F1 target of y1^3
-    crippled = crippled_without(gone)
-    with pytest.raises(WindowError, match="missing"):
-        run_differentials(crippled)
-    assert pair_towers(crippled).problems["orphans"] == [
-        {"kind": "missing-target", "tower": "y1^3", "partner": "v^2 q y1^2"}
-    ]
+def test_a_missing_block_end_is_an_orphan():
+    # both ends of the F1 pair y1^3 -> v^2 q y1^2, each missing in turn: the
+    # run of the other end fails its check and spells the orphan
+    ends = {
+        ("h0", 0, 2, 1): {"kind": "missing-target", "tower": "y1^3", "partner": "v^2 q y1^2"},
+        ("h0", 0, 3, 0): {"kind": "missing-source", "tower": "v^2 q y1^2", "partner": "y1^3"},
+    }
+    for gone, orphan in ends.items():
+        crippled = crippled_without(gone)
+        with pytest.raises(WindowError, match="missing"):
+            run_differentials(crippled)
+        assert pair_towers(crippled).problems["orphans"] == [orphan]
 
 
 def in_window_pairs(page):
@@ -708,6 +712,26 @@ def test_a_block_pair_with_broken_geometry_is_reported_per_coset(p, monkeypatch,
         for c in range(13)
     ]
     assert rep["orphans"] == [] == rep["double_hits"]
+
+
+@pytest.mark.parametrize("window", ((2, 0, 120, 35), (3, 0, 150, 30)))
+def test_a_valid_block_checks_no_f1_coset_one_at_a_time(window, monkeypatch):
+    # on a valid page every F1 run passes its run check, so _pair sees only
+    # the F3 sources, whose targets are per-key towers
+    p = window[0]
+    seen = []
+    real = adams._pair
+
+    def recording(page, key, *rest):
+        if key[0] == "h0":
+            seen.append(key)
+        return real(page, key, *rest)
+
+    monkeypatch.setattr(adams, "_pair", recording)
+    page = e2_window(*window)
+    assert not any(pair_towers(page).problems.values())
+    f3 = [k for k in page_keys(page) if k[0] == "h0" and fate(p, k).family == "F3"]
+    assert f3 and sorted(seen) == sorted(f3)
 
 
 # a column whose c = 0 and 1 are F3 sources and c = 2 its first F1 target

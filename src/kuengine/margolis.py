@@ -7,13 +7,16 @@ verification side of the package:
 
 * build_HK2 -- H*(K(Z/p,2); F_p) as an explicit E1-module: monomial basis,
   Q0 and Q1 extended by the Leibniz rule (with Koszul signs at odd primes)
-  from a table of generator images, each product found by key arithmetic.
+  from hk2_generators' table of generator images, each product found by
+  key arithmetic.
 * margolis_homology -- per-degree dims of H(M; Q0) or H(M; Q1), plus the
   known closed forms they must reproduce (q0_homology_closed, ...).
 * _N, _L, _M, _R, _S -- the small non-free modules N, L_k, M_j and the
   locally finite sums R, S = qR that carry all of the Margolis homology,
-  one constructor each; assemble_T glues them and the unit class into the
-  full non-free model, so that H ~ unit + T + free.  Only N and the
+  one constructor each; E1Module.times, the one product (by a Q-trivial
+  monomial module), makes R from the M_j and their cofactors, and
+  assemble_T the non-free model with the unit class, P[y_1] x (1 + N + R
+  + qR), so that H ~ unit + T + free.  Only N and the
   generator names differ by prime: L_k, M_j, R, S, both Margolis closed
   forms and T's Poincare series are one formula at every prime, indexed by
   k0 (2 at p = 2, 1 at odd p) with the paper's M_j index kept (j >= 2k0).
@@ -155,49 +158,33 @@ class E1Module:
                     qo.setdefault(d, []).extend((s + a, t + b, c) for s, t, c in triples)
         return out
 
-    def tensor(self, other: "E1Module") -> "E1Module":
-        """Graded tensor product; Q(a x b) = Qa x b + (-1)^|a| a x Qb.
-
-        Degree n lists the products a*b block by block, |a| ascending, each
-        block a-major: a at position i of degree da times b at position j
-        sits at start[n, da] + i * dim_at(n - da) + j."""
-        if self.p != other.p:
-            raise ValueError("tensor across different primes")
-        p = self.p
-        out = E1Module(p, min(self.cutoff, other.cutoff))
+    def times(self, gens: list[GenSpec], D: int) -> "E1Module":
+        """self times the Q-trivial monomial module on `gens` through D:
+        a*m sits in degree |a| + |m| and Q(a*m) = (Qa)*m, with no sign, as
+        Q kills m and m stands on the right.  Degree n lists the products
+        block by block, |a| ascending, each block a-major: a at position i
+        of degree da times the monomial at position j of degree n - da sits
+        at start[n, da] + i * w + j, w the monomial count of degree n - da."""
+        factors = [(g.degree, g.top) for g in gens]
+        monos: dict[int, list[str]] = {}
+        for d, m in sorted((d, m) for m, d in bounded_exponents(factors, D)):
+            monos.setdefault(d, []).append(_mono_label(m, gens))
+        out = E1Module(self.p, min(self.cutoff, D))
         start: dict[tuple[int, int], int] = {}
         for da in sorted(self.by_degree):
-            for db in sorted(other.by_degree):
-                if da + db > out.cutoff:
+            for dm in sorted(monos):
+                if da + dm > out.cutoff:
                     break
-                basis = out.by_degree.setdefault(da + db, [])
-                start[da + db, da] = len(basis)
-                basis += [f"{la}*{lb}" for la in self.by_degree[da] for lb in other.by_degree[db]]
-        for qa, qb, qo, shift in (
-            (self.q0, other.q0, out.q0, 1),
-            (self.q1, other.q1, out.q1, 2 * p - 1),
-        ):
+                basis = out.by_degree.setdefault(da + dm, [])
+                start[da + dm, da] = len(basis)
+                basis += [f"{a}*{m}" for a in self.by_degree[da] for m in monos[dm]]
+        for q, qo, shift in ((self.q0, out.q0, 1), (self.q1, out.q1, 2 * self.p - 1)):
             for (n, da), s0 in start.items():
-                if n + shift > out.cutoff:
-                    continue
-                db = n - da
-                wa, wb = self.dim_at(da), other.dim_at(db)
-                img: dict[tuple[int, int], int] = {}
-                if da in qa:
-                    t0 = start[n + shift, da + shift]
-                    for i, t, c in qa[da]:
-                        for j in range(wb):
-                            img[s0 + i * wb + j, t0 + t * wb + j] = c % p
-                if db in qb:
-                    t0, wt = start[n + shift, da], other.dim_at(db + shift)
-                    sign = -1 if (p != 2 and da & 1) else 1
-                    for j, t, c in qb[db]:
-                        for i in range(wa):
-                            key = (s0 + i * wb + j, t0 + i * wt + t)
-                            img[key] = (img.get(key, 0) + sign * c) % p
-                triples = [(s, t, c) for (s, t), c in img.items() if c]
-                if triples:
-                    qo.setdefault(n, []).extend(triples)
+                if da in q and n + shift <= out.cutoff:
+                    t0, w = start[n + shift, da + shift], len(monos[n - da])
+                    qo.setdefault(n, []).extend(
+                        (s0 + i * w + j, t0 + t * w + j, c) for i, t, c in q[da] for j in range(w)
+                    )
         return out
 
     def suspend(self, d: int) -> "E1Module":
@@ -297,9 +284,10 @@ def _module_from_monomials(p: int, gens: list[GenSpec], D: int, images0, images1
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def build_HK2(p: int, D: int) -> E1Module:
-    """The full mod-p cohomology of K(Z/p, 2) through degree D.
+def hk2_generators(p: int, D: int) -> tuple[list[GenSpec], dict, dict]:
+    """H*(K(Z/p, 2))'s generators through degree D and its Q0, Q1 images,
+    as (gens, images0, images1), images {generator: (h, f, c)} as
+    _module_from_monomials reads them.
 
     p = 2: polynomial on u_{2^j+1} (u_2 the fundamental class, each next
     generator its iterated Sq), with
@@ -338,6 +326,14 @@ def build_HK2(p: int, D: int) -> E1Module:
     images0, images1 = (
         {at[s]: (at[t], f, c) for s, t, f, c in table if s in at and t in at} for table in rules
     )
+    return gens, images0, images1
+
+
+@lru_cache(maxsize=None)
+def build_HK2(p: int, D: int) -> E1Module:
+    """The full mod-p cohomology of K(Z/p, 2) through degree D: the monomials
+    on hk2_generators' generators, Q0 and Q1 by the Leibniz rule."""
+    gens, images0, images1 = hk2_generators(p, D)
     return _module_from_monomials(p, gens, D, images0, images1)
 
 
@@ -387,10 +383,6 @@ def q1_homology_closed(p: int, D: int) -> PSeries:
 # ---------------------------------------------------------------------------
 # the non-free pieces
 # ---------------------------------------------------------------------------
-
-
-def _single(p: int, label: str, degree: int) -> E1Module:
-    return E1Module.from_labels(p, EXACT, [(label, degree)], {}, {})
 
 
 def _L(p: int, k: int) -> E1Module:
@@ -445,10 +437,10 @@ def _R(p: int, D: int) -> E1Module:
     if D < 0:
         raise ValueError("R needs a nonnegative cutoff")
     letter = "e" if p == 2 else "g"
-    summands: list[E1Module] = []
-    for j, i, cof in _R_terms(p, D):
-        gens = [GenSpec(f"{letter}{i + n}", d, top) for n, (d, top) in enumerate(cof)]
-        summands.append(_M(p, j).tensor(_module_from_monomials(p, gens, D, {}, {})))
+    summands = [
+        _M(p, j).times([GenSpec(f"{letter}{i + n}", d, top) for n, (d, top) in enumerate(cof)], D)
+        for j, i, cof in _R_terms(p, D)
+    ]
     return E1Module.direct_sum(summands) if summands else E1Module(p, D)
 
 
@@ -461,14 +453,13 @@ def _S(p: int, D: int) -> E1Module:
 
 
 def assemble_T(p: int, D: int) -> E1Module:
-    """The non-free model with the unit class: 1 + P[u_2^2] x (<u_2^2> + N
-    + R + S) at p = 2, and 1 + P[y_1] x (<y_1> + N + R + qR) at odd p.  Its
-    Margolis homology is degreewise that of H*K2."""
+    """The non-free model with the unit class, P[y_1] x (1 + N + R + qR),
+    y_1 = u_2^2 at p = 2: the same module as 1 + P[y_1] x (<y_1> + N + R +
+    qR), built as one product by the Q-trivial P[y_1].  Its Margolis
+    homology is degreewise that of H*K2."""
     name = "u2^2" if p == 2 else "y1"  # the generator of degree 2p
-    outer = _module_from_monomials(p, [GenSpec(name, 2 * p)], D, {}, {})
-    lead = _single(p, name, 2 * p)
-    inner = E1Module.direct_sum([lead, _N(p), _R(p, D), _S(p, D)])
-    return E1Module.direct_sum([_single(p, "1", 0), outer.tensor(inner)])
+    inner = E1Module.direct_sum([E1Module(p, EXACT, {0: ["1"]}), _N(p), _R(p, D), _S(p, D)])
+    return inner.times([GenSpec(name, 2 * p)], D)
 
 
 # ---------------------------------------------------------------------------
@@ -723,12 +714,18 @@ def margolis_audit(p: int, n_max: int) -> dict:
 
 def ps_audit(p: int, n_max: int) -> dict:
     """Two-path check on the free-part Poincare series: the generating-
-    function subtraction (free_part_total_ps) must equal the dimension count
-    of the explicit model minus the explicit non-free submodule, degree by
-    degree.  At p = 2 the degree-79 generator count is pinned to its
-    documented value 245 whenever the window reaches it."""
+    function subtraction (free_part_total_ps) must equal H*K2's monomial
+    count minus the dimensions of the explicit non-free model, degree by
+    degree.  The monomials are counted as the product of one series per
+    entry of hk2_generators' table, so no Q-map of H*K2 is built.  At p = 2
+    the degree-79 generator count is pinned to its documented value 245
+    whenever the window reaches it."""
     by_series = free_part_total_ps(p, n_max)
-    by_modules = build_HK2(p, n_max).ps() - assemble_T(p, n_max).ps()
+    full = PSeries.one(n_max)
+    for g in hk2_generators(p, n_max)[0]:
+        height = n_max // g.degree if g.top is None else g.top
+        full = full * PSeries.truncated_poly(n_max, g.degree, height + 1)
+    by_modules = full - assemble_T(p, n_max).ps()
     rows = degree_rows(n_max, by_series, by_modules, ("series", "model"))
     golden_ok = p != 2 or n_max < 79 or free_part_ps(2, n_max)[79] == 245
     head = {"p": p, "n_max": n_max, "golden_79_ok": golden_ok}

@@ -287,14 +287,16 @@ def test_S_below_its_suspension_is_empty(p):
     assert (below.cutoff, below.by_degree) == (q_degree(p) - 1, {})
 
 
+# (5, 120) and (7, 300) cover T at primes above 3, past M_2 (bottom 51 and 99)
 @pytest.mark.parametrize(
-    "p,D", [(2, 50), (3, 40)]
+    "p,D", [(2, 50), (3, 40), (5, 120), (7, 300)]
 )
 def test_nonfree_model_carries_all_margolis_homology(p, D):
     """unit + T has the same Q0- and Q1-homology as the full cohomology,
     degreewise: the leftover part of the module is free."""
     full = build_HK2(p, D)
     model = assemble_T(p, D)
+    assert model.cutoff == D
     top = D - (2 * p - 1)
     for which in ("Q0", "Q1"):
         assert margolis_homology(model, which, top) == margolis_homology(full, which, top)
@@ -323,6 +325,17 @@ def test_free_part_total_agrees_with_module_subtraction(p, D):
     total = free_part_total_ps(p, D)
     by_modules = build_HK2(p, D).ps() - assemble_T(p, D).ps()
     assert total == by_modules
+
+
+def test_ps_audit_builds_no_leibniz_module(monkeypatch):
+    # the model side counts H*K2's monomials as a series product, and T
+    # takes its monomials through `times`: no Leibniz Q-map is built
+    def refuse(*args):
+        raise AssertionError("ps_audit built a Leibniz monomial module")
+
+    build_HK2.cache_clear()
+    monkeypatch.setattr(margolis_module, "_module_from_monomials", refuse)
+    assert margolis_module.ps_audit(3, 200)["ok"]
 
 
 def test_trivial_summand_counts_are_shifted_generator_counts():
@@ -487,9 +500,10 @@ def ref_R(p, D):
             gens.append(GenSpec(f"{name}{k}", 2 * (p**k + 1)))
             k += 1
         head = None if p == 2 else j
-        summands.append(_M(p, j).tensor(ref_truncated_trivial(p, gens, D, head)))
+        cofactor = ref_truncated_trivial(p, gens, D, head)
+        summands.append(from_spelled(ref_tensor(_M(p, j), cofactor)))
         j += 1
-    return E1Module.direct_sum(summands) if summands else E1Module(p, D)
+    return from_spelled(ref_direct_sum(summands)) if summands else E1Module(p, D)
 
 
 def labelled_degrees(mod):
@@ -718,18 +732,15 @@ def test_hk2_leibniz_matches_the_derive_reference(p, D, monkeypatch):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_R_q_maps_match_the_derive_reference(p, monkeypatch):
-    # R's cofactors are Q-trivial monomial modules: no generator images
-    D = 300
-    got = _R(p, D)
-    monkeypatch.setattr(
-        margolis_module,
-        "_module_from_monomials",
-        lambda p_, gens, D_, i0, i1: ref_module_from_monomials(p_, gens, D_, i0, i1),
-    )
-    want = _R(p, D)
-    assert module_layout(got) == module_layout(want)
-    assert got.q0 or got.q1
+def test_R_q_maps_match_the_derive_reference(p):
+    # R's Q-maps by label against the reference R, each M_j tensored with
+    # its recursively listed cofactor by the label-keyed tensor; at p = 7
+    # the window reaches M_3 (bottom 687), the first M_j with a Q1
+    D = 800 if p == 7 else 300
+    got, want = _R(p, D), ref_R(p, D)
+    for which in ("q0", "q1"):
+        assert label_view(got, which) == label_view(want, which)
+        assert label_view(got, which)
 
 
 # -- the positional constructions against label-keyed references -----------
@@ -792,6 +803,14 @@ def ref_tensor(a, b):
     return (p, cutoff, by_degree, *qmaps)
 
 
+def from_spelled(spelled_mod):
+    """The E1Module of a spelled (p, cutoff, by_degree, q0, q1) tuple, its
+    basis in the listed order."""
+    p, cutoff, by_degree, q0, q1 = spelled_mod
+    basis = [(lbl, d) for d, lbls in by_degree.items() for lbl in lbls]
+    return E1Module.from_labels(p, cutoff, basis, q0, q1)
+
+
 def ref_suspend(mod, shift):
     p, cutoff, basis, q0, q1 = spelled(mod)
     return p, min(cutoff + shift, EXACT), {d + shift: lbls for d, lbls in basis.items()}, q0, q1
@@ -800,16 +819,20 @@ def ref_suspend(mod, shift):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_constructions_match_the_label_references(p):
     # the summands share degrees, so each one's targets start at their own
-    # offset; the tensor factors have odd-degree elements under a nonzero Q
+    # offset; the left factors of `times` have odd-degree elements under a
+    # nonzero Q, and its right factor, Q-trivial, mixes a polynomial and a
+    # truncated generator
     piece_n, free = _N(p), free_on_one_generator(p, 4)
     l2, l1_up = _L(p, 2), _L(p, 1).suspend(1)
     summands = [l2, piece_n, l1_up, free]
     q = q_degree(p)
+    gens = [GenSpec("y", 2 * p), GenSpec("z", 2 * p + 2, top=p - 1)]
+    trivial = ref_module_from_monomials(p, gens, 40, {}, {})
     cases = [
         (E1Module.direct_sum(summands), ref_direct_sum(summands)),
-        (free.tensor(piece_n), ref_tensor(free, piece_n)),
-        (piece_n.tensor(l2), ref_tensor(piece_n, l2)),
-        (l1_up.tensor(free), ref_tensor(l1_up, free)),
+        (free.times(gens, 40), ref_tensor(free, trivial)),
+        (piece_n.times(gens, 40), ref_tensor(piece_n, trivial)),
+        (l1_up.times(gens, 40), ref_tensor(l1_up, trivial)),
         (piece_n.suspend(7), ref_suspend(piece_n, 7)),
         (_S(p, 80), ref_suspend(_R(p, 80 - q), q)),
     ]
@@ -840,9 +863,9 @@ SMALL_CASES = {
     "M5_p2": (lambda: _M(2, 5), (20, 40), 3),
     "M3_p3": (lambda: _M(3, 3), (40, 60), 2),
     "free_tensor_N_p3": (
-        lambda: free_on_one_generator(3, 4).tensor(_N(3)), (0, 30), 3
+        lambda: from_spelled(ref_tensor(free_on_one_generator(3, 4), _N(3))), (0, 30), 3
     ),
-    "L3_tensor_N_p2": (lambda: _L(2, 3).tensor(_N(2)), (0, 20), 4),
+    "L3_tensor_N_p2": (lambda: from_spelled(ref_tensor(_L(2, 3), _N(2))), (0, 20), 4),
     "N_plus_L2_p3": (
         lambda: E1Module.direct_sum([_N(3), _L(3, 2)]), (0, 15), 4
     ),
@@ -929,7 +952,7 @@ def test_strip_of_free_and_non_free_modules():
     # a free module, free tensor anything included, strips to nothing
     p = 3
     free = free_on_one_generator(p, 4)
-    stripped, counts = strip_free(free.tensor(_N(p)))
+    stripped, counts = strip_free(from_spelled(ref_tensor(free, _N(p))))
     assert total_dim(stripped) == 0 and not stripped.q0 and not stripped.q1
     assert counts == {d + 4: 1 for d in (2 * p + 1, 4 * p - 1, 4 * p)}
     # a module with no free summand is left as it is

@@ -3,6 +3,7 @@ codes, and that the emitted artifacts agree with the library calls they
 wrap."""
 
 import hashlib
+import importlib
 import json
 import os
 import pkgutil
@@ -218,12 +219,15 @@ def test_traced_run_prints_the_untraced_output(argv, counted, tmp_path):
 
 
 def test_the_package_has_no_runtime_dependency(tmp_path):
-    # dependencies = []: importing the CLI loads every module of the package
-    # and nothing outside it but the standard library.  A fresh interpreter
-    # takes its snapshot after site's .pth imports, so they are not counted.
+    # dependencies = []: importing every module of the package loads nothing
+    # outside it but the standard library.  A fresh interpreter takes its
+    # snapshot after site's .pth imports, so they are not counted.
     root = Path(__file__).resolve().parent.parent
     code = (
-        "import json, sys; before = set(sys.modules); import kuengine.cli; "
+        "import importlib, json, pkgutil, sys; before = set(sys.modules); "
+        "import kuengine; "
+        "[importlib.import_module(f'kuengine.{m.name}') "
+        "for m in pkgutil.iter_modules(kuengine.__path__)]; "
         "print(json.dumps(sorted(set(sys.modules) - before)))"
     )
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
@@ -236,6 +240,110 @@ def test_the_package_has_no_runtime_dependency(tmp_path):
     assert {m for m in new if m.startswith("kuengine.")} == package
     tops = {m.split(".")[0] for m in new} - {"kuengine"}
     assert sorted(tops - set(sys.stdlib_module_names)) == []
+
+
+# Each command imports only the modules it runs: a fresh interpreter's
+# kuengine.* modules at exit, for one command of every dispatch branch at a
+# tiny window.  An eager import fails here instead of slowing every command.
+GROUPS = {"chart", "linalg", "modules", "monomial", "padic", "series"}
+EINFTY = GROUPS | {"adams"}
+CHART = EINFTY | {"render"}
+SERIES_ONLY = {"linalg", "margolis", "monomial", "series"}
+K1 = GROUPS | {"k1"}
+FRESH_IMPORTS = {
+    "--help": set(),
+    "groups --prime 3 --window 0:6": GROUPS,
+    "groups --prime 2 --window 0:3 --homology --include-free": GROUPS | {"margolis"},
+    "audit --which bockstein --prime 2 --max 20": K1,
+    "audit --which matching --prime 2 --max 12 --max-s 6": EINFTY,
+    "audit --which einfty --prime 2 --max 12": EINFTY,
+    "audit --which duality --prime 3 --max 2": GROUPS,
+    "audit --which theorem61 --prime 3 --max 20": K1,
+    "audit --which margolis --prime 2 --max 12": SERIES_ONLY,
+    "audit --which ext --prime 2 --max-degree 8 --max-s 2": EINFTY | {"margolis"},
+    "audit --which ps --prime 2 --max 12": SERIES_ONLY,
+    **{
+        f"ps --which {which} --prime 3 --max 12 --format {fmt}":
+            K1 if which == "k1" else SERIES_ONLY
+        for which in ("free", "free-total", "trivial", "k1")
+        for fmt in ("json", "csv")
+    },
+    "chart A:3 --prime 3": CHART,
+    "chart B:2 --prime 2 --format svg --out {out}": CHART,
+    "chart S:1:2 --prime 2 --format tikz": CHART,
+    "chart full-even --prime 2 --window 0:20 --format svg": CHART,
+    "chart full-odd --prime 3 --window 0:30 --format tikz": CHART,
+    "chart A:2 B:2 --prime 2 --window 8:40": CHART,
+    "chart --einfty --prime 2 --window 0:12 --max-s 6 --out {out}": CHART,
+}
+
+# runs the CLI as `python -m kuengine.cli` does, then reports sys.modules on
+# stderr, whether main returned or exited
+FRESH_RUN = (
+    "import json, runpy, sys\n"
+    "try:\n"
+    "    runpy.run_module('kuengine.cli', run_name='__main__', alter_sys=True)\n"
+    "finally:\n"
+    "    print(json.dumps(sorted(sys.modules)), file=sys.stderr)\n"
+)
+
+
+@pytest.mark.parametrize("command", list(FRESH_IMPORTS))
+def test_a_fresh_process_imports_only_what_it_runs(command, tmp_path, monkeypatch, capsys):
+    # the in-process run sees every module earlier tests imported, so a name
+    # that resolves only through an earlier import fails in the fresh run
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the same width
+    root = Path(__file__).resolve().parent.parent
+    fresh_out, here_out = tmp_path / "fresh.out", tmp_path / "here.out"
+    argv = command.format(out=fresh_out).split()
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_RUN, *argv],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    *_, modules_line = proc.stderr.splitlines()
+    loaded = {m for m in json.loads(modules_line) if m.startswith("kuengine.")}
+    assert loaded == {f"kuengine.{m}" for m in FRESH_IMPORTS[command]}
+
+    try:
+        rc = cli.main(command.format(out=here_out).split())
+    except SystemExit as exc:
+        rc = exc.code
+    out = capsys.readouterr().out
+    assert proc.returncode == rc == 0, proc.stderr
+    assert proc.stdout == out
+    if "{out}" in command:
+        assert out == ""
+        assert fresh_out.read_bytes() == here_out.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, module, name",
+    (
+        (["chart", "A:1", "--prime", "2", "--format", "svg"], "render", "render_svg"),
+        (["chart", "A:1", "--prime", "2"], "render", "document_from_chart"),
+        (["audit", "--which", "einfty", "--prime", "2", "--max", "12"], "adams", "einfty_audit"),
+        (["groups", "--prime", "2", "--window", "0:6"], "modules", "full_chart"),
+    ),
+)
+def test_a_wrapper_on_the_module_is_what_the_command_calls(argv, module, name, monkeypatch, capsys):
+    # the benchmark's tracer wraps each function on its module after
+    # importing the CLI, and reads the render names back off cli
+    target = importlib.import_module(f"kuengine.{module}")
+    inner = getattr(target, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(target, name, wrapper)
+    assert getattr(cli, module) is target
+    if module == "render":
+        assert getattr(cli, name) is wrapper
+    rc, out, _ = run(argv, capsys)
+    assert rc == 0 and out
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

@@ -104,8 +104,9 @@ def bockstein_audit(p: int, n_max: int) -> dict:
     by p in that degree)."""
     chart = full_chart(p, n_max + 1)
     t = [len(chart.group_at(n)) for n in range(n_max + 2)]
-    rhs = [t[n] + t[n + 1] for n in range(n_max + 1)]
-    return report({"p": p, "n_max": n_max}, degree_rows(n_max, k1_dims(p, n_max), rhs))
+    cyclic = [t[n] + t[n + 1] for n in range(n_max + 1)]
+    rows = degree_rows(n_max, k1_dims(p, n_max), cyclic, ("k1", "ku_cyclic"))
+    return report({"p": p, "n_max": n_max}, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -246,5 +247,5 @@ def theorem61_audit(p: int, n_max: int) -> dict:
     """Check sum_i sum_params g_family_dims(p, i, params, n_max)[n] =
     k1_dims(p, n_max)[n] for all n <= n_max.  Odd p only."""
     _odd_only(p)
-    rows = degree_rows(n_max, _g_total(p, n_max), k1_dims(p, n_max))
+    rows = degree_rows(n_max, _g_total(p, n_max), k1_dims(p, n_max), ("splitting", "k1"))
     return report({"p": p, "n_max": n_max}, rows)

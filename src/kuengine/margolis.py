@@ -11,15 +11,16 @@ verification side of the package:
   key arithmetic.
 * margolis_homology -- per-degree dims of H(M; Q0) or H(M; Q1), plus the
   known closed forms they must reproduce (q0_homology_closed, ...).
-* _N, _L, _M, _R, _S -- the small non-free modules N, L_k, M_j and the
-  locally finite sums R, S = qR that carry all of the Margolis homology,
-  one constructor each; E1Module.times, the one product (by a Q-trivial
-  monomial module), makes R from the M_j and their cofactors, and
-  assemble_T the non-free model with the unit class, P[y_1] x (1 + N + R
-  + qR), so that H ~ unit + T + free.  Only N and the
-  generator names differ by prime: L_k, M_j, R, S, both Margolis closed
-  forms and T's Poincare series are one formula at every prime, indexed by
-  k0 (2 at p = 2, 1 at odd p) with the paper's M_j index kept (j >= 2k0).
+* _N, _L, _M, _R -- the small non-free modules N, L_k, M_j and the
+  locally finite sum R that carry all of the Margolis homology, one
+  constructor each; E1Module.times, the one product (by a Q-trivial
+  monomial module), makes R from the M_j and their cofactors, R + qR as
+  R x E[q], and assemble_T the non-free model with the unit class,
+  T = P[y_1] x (1 + N + E[q] x R), so that H ~ unit + T + free.  Only N
+  and the generator names differ by prime: L_k, M_j, R, both Margolis
+  closed forms and T's Poincare series are one formula at every prime,
+  indexed by k0 (2 at p = 2, 1 at odd p) with the paper's M_j index kept
+  (j >= 2k0).
 * free_part_ps -- counts of free E1 summands per generator degree, obtained
   by subtracting the non-free model's Poincare series from the full one.
 * strip_free -- M / F for the free summand F spanned by the basis elements
@@ -185,13 +186,6 @@ class E1Module:
                     qo.setdefault(n, []).extend(
                         (s0 + i * w + j, t0 + t * w + j, c) for i, t, c in q[da] for j in range(w)
                     )
-        return out
-
-    def suspend(self, d: int) -> "E1Module":
-        out = E1Module(self.p, min(self.cutoff + d, EXACT))
-        out.by_degree = {deg + d: list(ls) for deg, ls in self.by_degree.items()}
-        out.q0 = {deg + d: list(ts) for deg, ts in self.q0.items()}
-        out.q1 = {deg + d: list(ts) for deg, ts in self.q1.items()}
         return out
 
     # -- integrity ---------------------------------------------------------
@@ -385,11 +379,12 @@ def q1_homology_closed(p: int, D: int) -> PSeries:
 # ---------------------------------------------------------------------------
 
 
-def _L(p: int, k: int) -> E1Module:
+def _L(p: int, k: int, bottom: int) -> E1Module:
+    """L_k with its bottom class a0 in degree `bottom`."""
     if k < 0:
         raise ValueError("L_k needs k >= 0")
     step = 2 * (p - 1)
-    basis = [(f"{x}{i}", step * i + (x == "b")) for i in range(k + 1) for x in "ab"]
+    basis = [(f"{x}{i}", bottom + step * i + (x == "b")) for i in range(k + 1) for x in "ab"]
     q0 = {f"a{i}": {f"b{i}": 1} for i in range(k + 1)}
     q1 = {f"a{i}": {f"b{i + 1}": 1} for i in range(k)}
     return E1Module.from_labels(p, EXACT, basis, q0, q1)
@@ -412,7 +407,7 @@ def _M(p: int, j: int) -> E1Module:
     kk = k0(p)
     if j < 2 * kk:
         raise ValueError(f"M_j at p = {p} needs j >= {2 * kk}")
-    return _L(p, j - 2 * kk).suspend(2 * p ** (j - kk + 1) + 1)
+    return _L(p, j - 2 * kk, 2 * p ** (j - kk + 1) + 1)
 
 
 def _R_terms(p: int, D: int):
@@ -444,21 +439,14 @@ def _R(p: int, D: int) -> E1Module:
     return E1Module.direct_sum(summands) if summands else E1Module(p, D)
 
 
-def _S(p: int, D: int) -> E1Module:
-    """qR: R suspended by |q|, truncated at D."""
-    q = q_degree(p)
-    if D < q:  # the suspension starts above the cutoff: nothing survives
-        return E1Module(p, D)
-    return _R(p, D - q).suspend(q)
-
-
 def assemble_T(p: int, D: int) -> E1Module:
-    """The non-free model with the unit class, P[y_1] x (1 + N + R + qR),
+    """The non-free model with the unit class, P[y_1] x (1 + N + E[q] x R),
     y_1 = u_2^2 at p = 2: the same module as 1 + P[y_1] x (<y_1> + N + R +
-    qR), built as one product by the Q-trivial P[y_1].  Its Margolis
-    homology is degreewise that of H*K2."""
+    qR), built from one R by two products by Q-trivial monomial modules,
+    E[q] and P[y_1].  Its Margolis homology is degreewise that of H*K2."""
     name = "u2^2" if p == 2 else "y1"  # the generator of degree 2p
-    inner = E1Module.direct_sum([E1Module(p, EXACT, {0: ["1"]}), _N(p), _R(p, D), _S(p, D)])
+    rq = _R(p, D).times([GenSpec("q", q_degree(p), 1)], D)
+    inner = E1Module.direct_sum([E1Module(p, EXACT, {0: ["1"]}), _N(p), rq])
     return inner.times([GenSpec(name, 2 * p)], D)
 
 

@@ -148,7 +148,7 @@ class PSeries:
 # -- per-degree audit reports ------------------------------------------------
 
 
-def degree_rows(n_max: int, left, right, names=("lhs", "rhs"), **fixed) -> list[dict]:
+def degree_rows(n_max: int, left, right, names: tuple[str, str], **fixed) -> list[dict]:
     """One row per degree 0 <= n <= n_max comparing left[n] with right[n],
     under the keys `names`, with the `fixed` fields on every row."""
     a, b = names

@@ -87,9 +87,9 @@ def test_bockstein_row_shape_and_trivial_degrees():
     assert rep["ok"]
     assert rep["checked"] == 31
     row = rep["rows"][9]
-    assert row == {"degree": 9, "lhs": 1, "rhs": 1, "pass": True}
+    assert row == {"degree": 9, "k1": 1, "ku_cyclic": 1, "pass": True}
     # degrees where both theories vanish
-    assert rep["rows"][3] == {"degree": 3, "lhs": 0, "rhs": 0, "pass": True}
+    assert rep["rows"][3] == {"degree": 3, "k1": 0, "ku_cyclic": 0, "pass": True}
 
 
 def test_bockstein_windows():
@@ -147,7 +147,7 @@ def test_g2_matches_k1_below_z1_degree():
 def test_theorem61_windows():
     rep = theorem61_audit(3, 150)
     assert rep["ok"]
-    assert rep["rows"][19] == {"degree": 19, "lhs": 1, "rhs": 1, "pass": True}
+    assert rep["rows"][19] == {"degree": 19, "splitting": 1, "k1": 1, "pass": True}
     assert theorem61_audit(5, 120)["ok"]
 
 

@@ -16,7 +16,6 @@ from kuengine.margolis import (
     _M,
     _N,
     _R,
-    _S,
     assemble_T,
     build_HK2,
     ext_bruteforce,
@@ -259,7 +258,7 @@ def test_piece_N(p):
 
 
 def test_piece_L3_mod_2():
-    l3 = _L(2, 3)
+    l3 = _L(2, 3, 0)
     l3.validate()
     assert degrees(l3) == [0, 1, 2, 3, 4, 5, 6, 7]
     assert margolis_homology(l3, "Q0", 9) == [0] * 10
@@ -281,10 +280,29 @@ def test_piece_M_suspensions():
         _M(3, 1)
 
 
+def times_q(mod, D):
+    """mod x E[q], q Q-trivial in degree |q|: R + qR when mod is R."""
+    return mod.times([GenSpec("q", q_degree(mod.p), 1)], D)
+
+
 @pytest.mark.parametrize("p", [2, 3])
-def test_S_below_its_suspension_is_empty(p):
-    below = _S(p, q_degree(p) - 1)
-    assert (below.cutoff, below.by_degree) == (q_degree(p) - 1, {})
+def test_R_times_Eq_below_q_has_no_q_part(p):
+    q = q_degree(p)
+    below = times_q(_R(p, q - 1), q - 1)
+    assert (below.cutoff, below.by_degree) == (q - 1, {})
+
+
+def test_assemble_T_builds_R_once(monkeypatch):
+    calls = []
+    real = margolis_module._R
+
+    def counted(p, D):
+        calls.append((p, D))
+        return real(p, D)
+
+    monkeypatch.setattr(margolis_module, "_R", counted)
+    assemble_T(3, 120)
+    assert calls == [(3, 120)]
 
 
 # (5, 120) and (7, 300) cover T at primes above 3, past M_2 (bottom 51 and 99)
@@ -823,18 +841,18 @@ def test_constructions_match_the_label_references(p):
     # nonzero Q, and its right factor, Q-trivial, mixes a polynomial and a
     # truncated generator
     piece_n, free = _N(p), free_on_one_generator(p, 4)
-    l2, l1_up = _L(p, 2), _L(p, 1).suspend(1)
+    l2, l1_up = _L(p, 2, 0), _L(p, 1, 1)
     summands = [l2, piece_n, l1_up, free]
-    q = q_degree(p)
     gens = [GenSpec("y", 2 * p), GenSpec("z", 2 * p + 2, top=p - 1)]
     trivial = ref_module_from_monomials(p, gens, 40, {}, {})
+    exterior_q = ref_module_from_monomials(p, [GenSpec("q", q_degree(p), 1)], 80, {}, {})
     cases = [
         (E1Module.direct_sum(summands), ref_direct_sum(summands)),
         (free.times(gens, 40), ref_tensor(free, trivial)),
         (piece_n.times(gens, 40), ref_tensor(piece_n, trivial)),
         (l1_up.times(gens, 40), ref_tensor(l1_up, trivial)),
-        (piece_n.suspend(7), ref_suspend(piece_n, 7)),
-        (_S(p, 80), ref_suspend(_R(p, 80 - q), q)),
+        (l1_up, ref_suspend(_L(p, 1, 0), 1)),
+        (times_q(_R(p, 80), 80), ref_tensor(_R(p, 80), exterior_q)),
     ]
     for got, want in cases:
         got.validate()
@@ -865,12 +883,12 @@ SMALL_CASES = {
     "free_tensor_N_p3": (
         lambda: from_spelled(ref_tensor(free_on_one_generator(3, 4), _N(3))), (0, 30), 3
     ),
-    "L3_tensor_N_p2": (lambda: from_spelled(ref_tensor(_L(2, 3), _N(2))), (0, 20), 4),
+    "L3_tensor_N_p2": (lambda: from_spelled(ref_tensor(_L(2, 3, 0), _N(2))), (0, 20), 4),
     "N_plus_L2_p3": (
-        lambda: E1Module.direct_sum([_N(3), _L(3, 2)]), (0, 15), 4
+        lambda: E1Module.direct_sum([_N(3), _L(3, 2, 0)]), (0, 15), 4
     ),
-    "N_suspended_p2": (lambda: _N(2).suspend(7), (0, 20), 5),
-    "S_p3": (lambda: _S(3, 80), (40, 60), 3),
+    "N_suspended_p2": (lambda: from_spelled(ref_suspend(_N(2), 7)), (0, 20), 5),
+    "R_times_Eq_p3": (lambda: times_q(_R(3, 80), 80), (40, 60), 3),
 }
 
 
@@ -956,7 +974,7 @@ def test_strip_of_free_and_non_free_modules():
     assert total_dim(stripped) == 0 and not stripped.q0 and not stripped.q1
     assert counts == {d + 4: 1 for d in (2 * p + 1, 4 * p - 1, 4 * p)}
     # a module with no free summand is left as it is
-    mod = E1Module.direct_sum([_N(p), _L(p, 2)])
+    mod = E1Module.direct_sum([_N(p), _L(p, 2, 0)])
     stripped, counts = strip_free(mod)
     assert counts == {}
     assert stripped.by_degree == mod.by_degree

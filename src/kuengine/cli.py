@@ -18,11 +18,16 @@ CPython 3.11 on a 2-core Xeon VM, the imports add to a bare interpreter:
 the front end alone (--help) 28 ms; groups and the duality audit 55 ms;
 the einfty audit 72 ms; chart 81 ms; the ext audit 89 ms; importing
 every module would add 104 ms.
+
+`main` runs each command with the cyclic garbage collector off, then gives
+the caller back the collector state it had, and the program (`run`) freezes
+what the command left before it exits; library calls keep Python's default.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import json
 import math
@@ -258,7 +263,16 @@ def cmd_ps(config: RunConfig, which: str, top: int) -> list[int]:
 def _emit(text: str, out: str | None) -> None:
     """Write the fully composed output in one atomic step."""
     if out is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            # a closed pipe or a full device: the interpreter flushes stdout
+            # again at exit, so send what its buffer holds to the null device
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+            raise UsageError(f"cannot write stdout: {exc.strerror or exc}") from exc
         return
     import tempfile
 
@@ -355,6 +369,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command with the cyclic garbage collector off, then give the
+    caller back the collector state it had.  What a command builds (towers,
+    keys, document records, matrix rows) is acyclic, so a collection frees
+    nothing; tests/test_cli.py checks that a command's cyclic garbage does
+    not grow with its window."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv: list[str] | None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = RunConfig(
@@ -397,5 +426,18 @@ def main(argv: list[str] | None = None) -> int:
     raise AssertionError("unreachable")
 
 
+def run() -> None:
+    """The `kuengine` program: `main` on sys.argv, then exit with its status.
+    The collector stays off to the end, and what the command left alive (its
+    caches) is frozen first, so the collections at interpreter exit skip it:
+    after `audit --which einfty --prime 3 --max 1500` they took about 1.1 s
+    unfrozen (0.45 s had the collector run throughout, since its passes
+    untrack tuples of atoms), and 0.02 s frozen."""
+    gc.disable()
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

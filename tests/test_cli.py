@@ -2,6 +2,7 @@
 codes, and that the emitted artifacts agree with the library calls they
 wrap."""
 
+import gc
 import hashlib
 import importlib
 import json
@@ -586,6 +587,147 @@ def test_out_in_a_missing_directory_is_a_usage_error(tmp_path, capsys):
     assert err.startswith(f"kuengine: cannot write {target}: ")
     assert "Traceback" not in err
     assert os.listdir(tmp_path) == []  # no .tmp debris, no directory made
+
+
+def _cli_process(argv, stdout):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    return subprocess.Popen(
+        [sys.executable, "-m", "kuengine.cli", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+    )
+
+
+def test_a_closed_stdout_pipe_is_a_usage_error():
+    # as `kuengine chart ... | head -c 1`: the 425 kB document overfills the
+    # pipe, so the write fails however late the reader closes its end
+    proc = _cli_process(["chart", "A:8", "--prime", "2", "--format", "svg"], subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 2
+    assert err == "kuengine: cannot write stdout: Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_full_stdout_device_is_a_usage_error():
+    # the report fits stdout's buffer, so only the flush sees the full device
+    with open("/dev/full", "w") as full:
+        proc = _cli_process(["audit", "--which", "ext", "--prime", "2"], full)
+        err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 2
+    assert err == "kuengine: cannot write stdout: No space left on device\n"
+
+
+def _raise(*args):
+    raise RuntimeError("audit crashed")
+
+
+# every way out of main: (argv, stand-in for margolis.ps_audit, outcome)
+MAIN_EXITS = {
+    "exit 0": (["ps", "--max", "3"], None, 0),
+    "exit 1": (["audit", "--which", "ps"], lambda *args: {"ok": False}, 1),
+    "exit 2": (["groups", "--prime", "6", "--window", "0:3"], None, 2),
+    "--help": (["--help"], None, SystemExit(0)),
+    "bad choice": (["audit", "--which", "nope"], None, SystemExit(2)),
+    "exception": (["audit", "--which", "ps"], _raise, RuntimeError("audit crashed")),
+}
+
+
+@pytest.mark.parametrize("enabled", (True, False), ids=("gc-on", "gc-off"))
+@pytest.mark.parametrize("argv, audit, outcome", MAIN_EXITS.values(), ids=MAIN_EXITS)
+def test_main_runs_with_the_collector_off_and_gives_its_state_back(
+    argv, audit, outcome, enabled, monkeypatch, capsys
+):
+    seen = []
+    if audit is not None:
+        def audit_seeing_the_collector(*args):
+            seen.append(gc.isenabled())
+            return audit(*args)
+
+        monkeypatch.setattr(margolis, "ps_audit", audit_seeing_the_collector)
+    before = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        try:
+            got = cli.main(argv)
+        except (SystemExit, RuntimeError) as exc:
+            got = exc
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if before else gc.disable)()
+    assert repr(got) == repr(outcome)
+    assert seen == ([] if audit is None else [False])
+
+
+def test_the_program_exits_with_the_command_left_frozen(monkeypatch, capsys):
+    # the collections at interpreter exit skip frozen objects, so they do not
+    # walk the caches the command filled with the collector off
+    monkeypatch.setattr(sys, "argv", ["kuengine", "ps", "--max", "3"])
+    before = gc.isenabled()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert (exc.value.code, gc.isenabled()) == (0, False)
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+        (gc.enable if before else gc.disable)()
+    assert json.loads(capsys.readouterr().out) == list(margolis.free_part_ps(2, 3).c)
+
+
+# A command's cyclic garbage is set-up (argparse, dataclass creation), not
+# work: in a fresh interpreter, gc.collect() after main finds as much at a
+# small window as at a large one.  Were the work to leave cycles, the
+# collector main turns off would be needed to free them.
+GARBAGE_WINDOWS = {
+    "einfty-chart": (
+        "chart --einfty --prime 2 --window 0:40",
+        "chart --einfty --prime 2 --window 0:80",
+    ),
+    "A-chart": ("chart A:4 --prime 2", "chart A:8 --prime 2"),
+    "einfty": (
+        "audit --which einfty --prime 2 --max 60",
+        "audit --which einfty --prime 2 --max 200",
+    ),
+    "ext": (
+        "audit --which ext --prime 2 --max-degree 20 --max-s 4",
+        "audit --which ext --prime 2 --max-degree 36 --max-s 8",
+    ),
+    "margolis": (
+        "audit --which margolis --prime 2 --max 20",
+        "audit --which margolis --prime 2 --max 60",
+    ),
+    "duality": (
+        "audit --which duality --prime 2 --max 3",
+        "audit --which duality --prime 2 --max 5",
+    ),
+    "groups": ("groups --prime 2 --window 0:50", "groups --prime 2 --window 0:300"),
+    "ps": ("ps --prime 2 --max 50", "ps --prime 2 --max 400"),
+}
+
+COUNT_GARBAGE = (
+    "import gc, sys\n"
+    "from kuengine import cli\n"
+    "gc.collect()\n"
+    "rc = cli.main(sys.argv[1:])\n"
+    "print(rc, gc.collect(), file=sys.stderr)\n"
+)
+
+
+@pytest.mark.parametrize("small, large", GARBAGE_WINDOWS.values(), ids=GARBAGE_WINDOWS)
+def test_cyclic_garbage_does_not_grow_with_the_window(small, large, tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    counts = []
+    for command in (small, large):
+        proc = subprocess.run(
+            [sys.executable, "-c", COUNT_GARBAGE, *command.split()],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+        )
+        rc, garbage = proc.stderr.split()
+        assert rc == "0", proc.stderr
+        counts.append(int(garbage))
+    assert counts[0] == counts[1], (small, large, counts)
 
 
 def test_emit_keeps_the_umask_file_mode(tmp_path, capsys):

@@ -68,7 +68,6 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -323,7 +322,6 @@ def _z_runs(p: int, budget: int) -> list[tuple[int, int, int, tuple, int]]:
     return out
 
 
-@dataclass
 class BigradedPage:
     """A rectangular window onto the E2 page.
 
@@ -337,13 +335,11 @@ class BigradedPage:
     first, cover both.
     """
 
-    p: int
-    n_lo: int
-    n_hi: int
-    s_max: int
-    towers: dict[Key, int]  # MAIN and SP key -> n0
-    heights: dict[Key, int | None]  # MAIN and SP towers, and BLOCK for the block
-    columns: dict[tuple[int, int], range]
+    def __init__(self, p: int, n_lo: int, n_hi: int, s_max: int, towers, heights, columns):
+        self.p, self.n_lo, self.n_hi, self.s_max = p, n_lo, n_hi, s_max
+        self.towers: dict[Key, int] = towers  # MAIN and SP key -> n0
+        self.heights: dict[Key, int | None] = heights  # MAIN and SP towers, and BLOCK for the block
+        self.columns: dict[tuple[int, int], range] = columns
 
     @property
     def w(self) -> int:
@@ -744,10 +740,11 @@ def einfty_audit(p: int, n_hi: int, s_max: int | None = None) -> dict:
     against the chart dots of modules.full_chart (same filtrations), and
     the per-degree totals against the F_p-length of ku^n.  s_max defaults
     to the chart's top filtration plus 4; a cap below that top filtration
-    would cut E-infinity short of the chart and raises ValueError.  The
-    replay is run_differentials' without its records; a broken tower
-    pairing fails the audit, its problems listed under matching_audit's
-    keys.
+    would cut E-infinity short of the chart and raises ValueError, and so
+    does a window with no tower, which would pass without checking
+    anything.  The replay is run_differentials' without its records; a
+    broken tower pairing fails the audit, its problems listed under
+    matching_audit's keys.
     """
     ch = full_chart(p, n_hi)
     chart_counts = Counter(
@@ -762,6 +759,8 @@ def einfty_audit(p: int, n_hi: int, s_max: int | None = None) -> dict:
             f"{top} through n = {n_hi}: the smallest accepted cap is {top}"
         )
     page = e2_window(p, 0, n_hi, s_max)
+    if not len(page):
+        raise ValueError(f"the window 0..{n_hi}, s <= {s_max} holds no tower")
     pairs, block_pairs, problems = pair_towers(page)
     einf = page.dims(_einfty_heights(page, pairs))
     problems = {kind: found for kind, found in problems.items() if found}

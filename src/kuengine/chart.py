@@ -30,8 +30,7 @@ reach among its rows, row_reach = base - 2(p-1)(height - 1), is in the window.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .linalg import group_exponents, cokernel_exponents
 from .monomial import Monomial, bounded_exponents, lambda_factors
@@ -90,8 +89,7 @@ def v_label(gen: str, a: int) -> str:
     return f"v {gen}" if a == 1 else f"v^{a} {gen}"
 
 
-@dataclass(frozen=True, slots=True)
-class Tower:
+class Tower(NamedTuple):
     gen: Monomial
     height: int
 
@@ -100,20 +98,17 @@ class Tower:
         return self.gen.degree
 
 
-@dataclass(frozen=True, slots=True)
-class PEdge:
+class PEdge(NamedTuple):
     src: tuple[int, int]  # (tower position, a)
     dst: tuple[tuple[int, int], ...]  # 1 or 2 targets
     kind: str = "h0"  # {"h0", "exotic"}: rendering annotation only
 
 
-@dataclass
 class Chart:
-    p: int
-    towers: list[Tower] = field(default_factory=list)
-    edges: list[PEdge] = field(default_factory=list)
-
-    def __post_init__(self):
+    def __init__(self, p: int, towers: list | None = None, edges: list | None = None):
+        self.p = p
+        self.towers = [] if towers is None else towers
+        self.edges = [] if edges is None else edges
         self._edge_by_src = {}
         for e in self.edges:
             if e.src in self._edge_by_src:

@@ -12,12 +12,12 @@ All output is deterministic (no timestamps) and, with --out, written
 atomically.  Exit status: 0 on success (for audits: all checks passed),
 1 on a failed audit, 2 on usage errors or unsupported combinations.
 
-Each subcommand imports only the modules it runs, since every command
-pays interpreter start and imports.  Compiling from source (no .pyc) with
-CPython 3.11 on a 2-core Xeon VM, the imports add to a bare interpreter:
-the front end alone (--help) 28 ms; groups and the duality audit 55 ms;
-the einfty audit 72 ms; chart 81 ms; the ext audit 89 ms; importing
-every module would add 104 ms.
+Each subcommand imports only the modules it runs, and records are
+NamedTuples or plain classes, since every command pays interpreter start
+and imports.  Compiling from source (no .pyc) with CPython 3.11 on a
+2-core Xeon VM, the imports add to a bare interpreter: the front end
+alone (--help) 13 ms; groups and the duality audit 37 ms; the einfty
+audit 53 ms; chart 63 ms; the ext audit 69 ms; every module 78 ms.
 
 `main` runs each command with the cyclic garbage collector off, then gives
 the caller back the collector state it had, and the program (`run`) freezes
@@ -33,7 +33,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 # The subsystems are imported by the commands that run them.  The module
 # __getattr__ (PEP 562) keeps the render names the benchmark's tracer reads
@@ -81,16 +80,11 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
 class RunConfig:
-    prime: int
-    window: tuple[int, int] | None = None
-    homology: bool = False
-    include_free: bool = False
-    fmt: str = "json"
-    out: str | None = None
-
-    def __post_init__(self):
+    def __init__(self, prime: int, window: tuple[int, int] | None = None, homology: bool = False,
+                 include_free: bool = False, fmt: str = "json", out: str | None = None):
+        self.prime, self.window, self.homology = prime, window, homology
+        self.include_free, self.fmt, self.out = include_free, fmt, out
         if not _is_prime(self.prime):
             raise UsageError(f"--prime {self.prime} is not a prime")
         if self.window is not None and self.window[0] > self.window[1]:

@@ -49,8 +49,8 @@ silently reading truncated maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 # gf_rank is not called here, but perfbench/tracer.py wraps it at this lookup site
 from .linalg import Echelon, gf_rank, gf_rank_sparse  # noqa: F401
@@ -68,8 +68,7 @@ Mono = tuple[tuple[int, int], ...]  # ((generator index, exponent), ...), sorted
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GenSpec:
+class GenSpec(NamedTuple):
     name: str
     degree: int
     top: int | None = None  # exponent cap: 1 for exterior, None for polynomial
@@ -88,7 +87,6 @@ def _mono_label(m: Mono, gens) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class E1Module:
     """Degreewise F_p vector space with Q0 (degree +1) and Q1 (degree +2p-1).
 
@@ -99,11 +97,9 @@ class E1Module:
     degree d+1 or d+2p-1, recorded only when that degree is <= cutoff.
     """
 
-    p: int
-    cutoff: int
-    by_degree: dict[int, list[str]] = field(default_factory=dict)
-    q0: dict[int, list[tuple[int, int, int]]] = field(default_factory=dict)
-    q1: dict[int, list[tuple[int, int, int]]] = field(default_factory=dict)
+    def __init__(self, p: int, cutoff: int, by_degree: dict[int, list[str]] | None = None):
+        self.p, self.cutoff, self.q0, self.q1 = p, cutoff, {}, {}
+        self.by_degree = {} if by_degree is None else by_degree
 
     @staticmethod
     def from_labels(p: int, cutoff: int, basis, q0, q1) -> "E1Module":

@@ -21,7 +21,6 @@ where it is used; enumerate_family lists the multiplier families MkA/MkB.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 
@@ -42,25 +41,23 @@ def z_degree(p: int, j: int) -> int:
     return 2 * (p ** (j + 1) + 1)
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__  # how Monomial.__init__ fills its read-only slots
+
+
 class Monomial:
-    """q^q_flag * prod y_i^{e_i} * prod z_j^{c_j} at a fixed prime."""
+    """q^q_flag * prod y_i^{e_i} * prod z_j^{c_j} at a fixed prime.  Fields
+    cannot be assigned; the degree is derived from the exponents, so ==,
+    hash and repr leave it out."""
 
-    p: int
-    q: int = 0
-    ys: tuple[tuple[int, int], ...] = ()
-    zs: tuple[tuple[int, int], ...] = ()
-    # derived from the exponents, so left out of ==, hash and repr
-    degree: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("p", "q", "ys", "zs", "degree")
 
-    def __post_init__(self):
-        p = self.p
-        if self.q not in (0, 1):
+    def __init__(self, p: int, q: int = 0, ys: tuple = (), zs: tuple = ()):
+        if q not in (0, 1):
             raise ValueError("q exponent must be 0 or 1")
-        d = self.q * q_degree(p)
+        d = q * q_degree(p)
         # one pass per tuple: strictly rising indices, positive exponents, and
         # the degree
-        for pairs, gen_degree in ((self.ys, y_degree), (self.zs, z_degree)):
+        for pairs, gen_degree in ((ys, y_degree), (zs, z_degree)):
             prev = None
             positive = True
             for i, e in pairs:
@@ -71,7 +68,27 @@ class Monomial:
                 d += e * gen_degree(p, i)
             if not positive:
                 raise ValueError("exponents must be positive")
-        object.__setattr__(self, "degree", d)
+        _set(self, "p", p)
+        _set(self, "q", q)
+        _set(self, "ys", ys)
+        _set(self, "zs", zs)
+        _set(self, "degree", d)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"Monomial field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not Monomial:
+            return NotImplemented
+        return (self.p, self.q, self.ys, self.zs) == (other.p, other.q, other.ys, other.zs)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.q, self.ys, self.zs))
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return Monomial, (self.p, self.q, self.ys, self.zs)
 
     # -- constructors -------------------------------------------------------
     @staticmethod

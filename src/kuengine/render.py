@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
@@ -54,6 +53,7 @@ class DocLine(NamedTuple):
 
 
 _OVERLAY = ',\n   "overlay": true'  # the key a dot record carries only when set
+_DOC_FIELDS = attrgetter("prime", "window", "source", "dots", "lines")
 
 
 def _json_list(records: list[str]) -> str:
@@ -62,20 +62,15 @@ def _json_list(records: list[str]) -> str:
     return "[\n" + ",\n".join(records) + "\n ]" if records else "[]"
 
 
-@dataclass
 class ChartDocument:
     """A canonical chart document.  Builders may pass lines as plain
     (kind, src, dst) tuples indexing the unsorted dots; construction
     validates the input once, then sorts the dots and rebuilds each line
     once as a DocLine on the sorted ones."""
 
-    prime: int
-    window: tuple[int, int]
-    source: str
-    dots: list[DocDot] = field(default_factory=list)
-    lines: list[DocLine] = field(default_factory=list)
-
-    def __post_init__(self):
+    def __init__(self, prime: int, window: tuple[int, int], source: str, dots=(), lines=()):
+        self.prime, self.window, self.source = prime, window, source
+        self.dots, self.lines = dots, lines  # replaced by sorted lists below
         if self.source not in SOURCES:
             raise ValueError(f"unknown source {self.source!r}")
         lo, hi = self.window
@@ -92,6 +87,9 @@ class ChartDocument:
         lines = [DocLine(kind, remap[src], remap[dst]) for kind, src, dst in self.lines]
         lines.sort()
         self.lines = lines
+
+    def __eq__(self, other):
+        return other.__class__ is ChartDocument and _DOC_FIELDS(self) == _DOC_FIELDS(other)
 
     def validate(self) -> None:
         lo, hi = self.window

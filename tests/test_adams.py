@@ -11,6 +11,7 @@ import pytest
 from kuengine import adams
 from kuengine.adams import (
     BLOCK,
+    BigradedPage,
     _z_runs,
     Fate,
     WindowError,
@@ -315,15 +316,16 @@ def test_applied_list_reproduces_closed_forms():
 
 def crippled_without(gone):
     page = e2_window(2, 0, 40, 8)
+    window = (page.p, page.n_lo, page.n_hi, page.s_max)
     assert gone in page_keys(page)
     if gone[0] == "h0":  # the bottom of its column
         cs = page.columns[gone[2:]]
         assert gone[1] == cs.start
         columns = {**page.columns, gone[2:]: cs[1:]}
-        return dataclasses.replace(page, columns=columns)
+        return BigradedPage(*window, page.towers, page.heights, columns)
     bad = {k: t for k, t in page.towers.items() if k != gone}
     heights = {k: h for k, h in page.heights.items() if k != gone}
-    return dataclasses.replace(page, towers=bad, heights=heights)
+    return BigradedPage(*window, bad, heights, page.columns)
 
 
 def test_missing_target_is_a_hard_error():

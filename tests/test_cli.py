@@ -159,6 +159,14 @@ def test_matching_over_an_empty_window_is_a_usage_error(capsys):
     assert "holds no tower" in err
 
 
+def test_einfty_over_a_window_with_no_tower_is_a_usage_error(capsys):
+    argv = ["audit", "--which", "einfty", "--prime", "3", "--max", "2", "--max-s", "0"]
+    rc, out, err = run(argv, capsys)
+    assert rc == 2
+    assert out == ""
+    assert "holds no tower" in err
+
+
 @pytest.mark.parametrize("prime", (2, 3))
 def test_duality_at_max_two_checks_something(prime, capsys):
     argv = ["audit", "--which", "duality", "--prime", str(prime), "--max", "2"]
@@ -278,15 +286,20 @@ FRESH_IMPORTS = {
     "chart --einfty --prime 2 --window 0:12 --max-s 6 --out {out}": CHART,
 }
 
-# runs the CLI as `python -m kuengine.cli` does, then reports sys.modules on
-# stderr, whether main returned or exited
+# runs the CLI as `python -m kuengine.cli` does, then reports on stderr the
+# modules new since a snapshot taken after site, whether main returned or exited
 FRESH_RUN = (
-    "import json, runpy, sys\n"
+    "import sys\n"
+    "before = set(sys.modules)\n"
+    "import json, runpy\n"
     "try:\n"
     "    runpy.run_module('kuengine.cli', run_name='__main__', alter_sys=True)\n"
     "finally:\n"
-    "    print(json.dumps(sorted(sys.modules)), file=sys.stderr)\n"
+    "    print(json.dumps(sorted(set(sys.modules) - before)), file=sys.stderr)\n"
 )
+# stdlib modules no command needs: dataclasses pulls in inspect, ast, dis and
+# tokenize, which every fresh process would then load
+NEVER_IMPORTED = {"dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize("command", list(FRESH_IMPORTS))
@@ -303,8 +316,10 @@ def test_a_fresh_process_imports_only_what_it_runs(command, tmp_path, monkeypatc
         capture_output=True, text=True, env=env, cwd=tmp_path,
     )
     *_, modules_line = proc.stderr.splitlines()
-    loaded = {m for m in json.loads(modules_line) if m.startswith("kuengine.")}
+    new = set(json.loads(modules_line))
+    loaded = {m for m in new if m.startswith("kuengine.")}
     assert loaded == {f"kuengine.{m}" for m in FRESH_IMPORTS[command]}
+    assert not new & NEVER_IMPORTED
 
     try:
         rc = cli.main(command.format(out=here_out).split())
@@ -675,7 +690,7 @@ def test_the_program_exits_with_the_command_left_frozen(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out) == list(margolis.free_part_ps(2, 3).c)
 
 
-# A command's cyclic garbage is set-up (argparse, dataclass creation), not
+# A command's cyclic garbage is set-up (the argparse parser), not
 # work: in a fresh interpreter, gc.collect() after main finds as much at a
 # small window as at a large one.  Were the work to leave cycles, the
 # collector main turns off would be needed to free them.

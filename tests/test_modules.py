@@ -8,7 +8,6 @@ Expected groups below were computed by hand from the recursive description
 import copy
 import importlib
 import pkgutil
-from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -17,6 +16,7 @@ import kuengine
 from kuengine import modules
 from kuengine.chart import Chart, PEdge, RealizedWindow, Tower
 from kuengine.cli import RunConfig, cmd_groups
+from kuengine.margolis import GenSpec
 from kuengine.modules import (
     _even_parts,
     _odd_parts,
@@ -450,7 +450,7 @@ def shorten_last_tower(chart):
     *rest, last = chart.towers
     top = (len(rest), last.height - 1)
     edges = [e for e in chart.edges if e.src != top and top not in e.dst]
-    return Chart(chart.p, rest + [replace(last, height=top[1])], edges)
+    return Chart(chart.p, rest + [last._replace(height=top[1])], edges)
 
 
 @pytest.mark.parametrize(
@@ -483,7 +483,7 @@ def ref_tensor_monomial(chart, m):
     if m.p != chart.p:
         raise ValueError("mixed primes")
     return Chart(
-        chart.p, [replace(t, gen=t.gen * m) for t in chart.towers], list(chart.edges)
+        chart.p, [t._replace(gen=t.gen * m) for t in chart.towers], list(chart.edges)
     )
 
 
@@ -686,3 +686,22 @@ def test_equality_and_hash_ignore_the_stored_degree():
     object.__setattr__(twin, "degree", m.degree + 1)
     assert twin == m and hash(twin) == hash(m) and repr(twin) == repr(m)
     assert {m: 1}[twin] == 1
+
+
+def test_value_records_cannot_be_assigned():
+    m = Monomial.gen(3, "q") * Monomial.gen(3, "y", 1, 2)
+    records = (
+        (m, ("p", "q", "ys", "zs", "degree")),
+        (Tower(m, 2), ("gen", "height")),
+        (PEdge((0, 0), ((1, 1),)), ("src", "dst", "kind")),
+        (GenSpec("q", 11, 1), ("name", "degree", "top")),
+    )
+    for record, names in records:
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+    with pytest.raises(AttributeError):
+        del m.q
+    twin = copy.copy(m)
+    assert twin is not m and twin == m and hash(twin) == hash(m)
+    assert twin.degree == m.degree

@@ -25,6 +25,8 @@ the edge-source and validate checks run once, over the finished chart.
 A monomial family of towers is a table of FamilyRow rows, counted dot by dot
 by count_family_dots; walk_family walks an indexed family while the lowest
 reach among its rows, row_reach = base - 2(p-1)(height - 1), is in the window.
+The one counter also counts the Theorem 6.1 terms (k1._g_rows), and
+walk_family also walks the chart's odd blocks (modules._odd_parts).
 """
 
 from __future__ import annotations

@@ -16,8 +16,9 @@ Each subcommand imports only the modules it runs, and records are
 NamedTuples or plain classes, since every command pays interpreter start
 and imports.  Compiling from source (no .pyc) with CPython 3.11 on a
 2-core Xeon VM, the imports add to a bare interpreter: the front end
-alone (--help) 13 ms; groups and the duality audit 37 ms; the einfty
-audit 53 ms; chart 63 ms; the ext audit 69 ms; every module 78 ms.
+alone (--help) 13 ms; groups and the duality audit 37 ms, less about 1 ms
+since they stopped compiling padic.py; the einfty audit 53 ms; chart 63 ms;
+the ext audit 69 ms; every module 78 ms.
 
 `main` runs each command with the cyclic garbage collector off, then gives
 the caller back the collector state it had, and the program (`run`) freezes

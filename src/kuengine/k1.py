@@ -39,8 +39,9 @@ Two audits consume these dimensions:
 
   * theorem61_audit (odd p): the same totals, but with the right-hand side
     re-derived from the splitting of the long exact sequence into 4- and
-    10-term pieces indexed by the core charts (g_family_dims, read off the
-    term table _g_terms).  Passing means no exotic extension beyond the
+    10-term pieces indexed by the core charts (g_family_dims: the term table
+    _g_terms read through _g_rows as height-1 FamilyRows, walked and counted
+    as the k(1) rows are).  Passing means no exotic extension beyond the
     ones built into the charts can exist: an extra one would lower a
     ker/coker count and break a degree.
 """
@@ -51,15 +52,7 @@ from functools import lru_cache, partial
 
 from .chart import FamilyRow, count_family_dots, row_reach, walk_family
 from .modules import build_A, build_B, build_S, full_chart
-from .monomial import (
-    Z_prod,
-    bounded_exponents,
-    k0,
-    lambda_factors,
-    q_degree,
-    y_degree,
-    z_degree,
-)
+from .monomial import Z_prod, k0, q_degree, y_degree, z_degree
 from .padic import r, r_prime, w_degree
 from .series import degree_rows, report
 
@@ -132,8 +125,8 @@ def bockstein_audit(p: int, n_max: int) -> dict:
 # class keeps its degree.  Since multiplication by p preserves degree, both
 # ker and coker dimensions in a given degree equal the number of cyclic
 # summands there.
-# _g_terms holds this table; an instance reaches min(_tcounts) + shift - side
-# over its own terms.
+# _g_terms holds this table, and _g_rows reads it as height-1 FamilyRows:
+# walked and counted as the k(1) rows are, by row_reach and count_family_dots.
 # ---------------------------------------------------------------------------
 
 _KER, _COKER = 1, 0  # degree shift applied to the chart lookup
@@ -153,11 +146,6 @@ def _tcounts(p: int, kind: str, *params: int) -> dict:
     chart = {"A": build_A, "B": build_B, "S": build_S}[kind](p, *params)
     degrees = range(chart.min_dot_degree(), chart.max_dot_degree() + 1)
     return {n: c for n in degrees if (c := len(chart.group_at(n)))}
-
-
-def _cofactor_degrees(factors: list, budget: int) -> list[int]:
-    """Degrees of the monomials in the factors, up to budget."""
-    return [d for _, d in bounded_exponents(factors, budget)]
 
 
 def _g_terms(p: int, i: int, params: tuple) -> tuple[list, list, int | None]:
@@ -196,10 +184,15 @@ def _g_terms(p: int, i: int, params: tuple) -> tuple[list, list, int | None]:
     return terms, factors, lam
 
 
-def _g_reach(p: int, i: int, params: tuple) -> int:
-    """The lowest degree a class of G^i at params lands in."""
-    terms, _, _ = _g_terms(p, i, params)
-    return min(min(_tcounts(p, *key)) + shift - side for key, shift, side in terms)
+def _g_rows(p: int, i: int, params: tuple) -> list[FamilyRow]:
+    """G^i at params as height-1 family rows: one per degree of each term's
+    chart, based where its classes land and counting its cyclic summands."""
+    terms, factors, lam = _g_terms(p, i, params)
+    return [
+        FamilyRow(deg + shift - side, 1, factors, lam, count)
+        for key, shift, side in terms
+        for deg, count in _tcounts(p, *key).items()
+    ]
 
 
 def g_family_dims(p: int, i: int, params: tuple, n_max: int) -> tuple[int, ...]:
@@ -207,40 +200,27 @@ def g_family_dims(p: int, i: int, params: tuple, n_max: int) -> tuple[int, ...]:
 
     params is (k,) for i in {1, 2}, (k, l) for i in {3..6}, and (k, e)
     for i in {7, 8}, always with k >= 1.  Odd p only."""
-    terms, factors, lam = _g_terms(p, i, params)
-    dims = [0] * (n_max + 1)
-    budget = n_max + 1  # ker classes reach one degree below the chart
-    if lam is not None:
-        factors = factors + lambda_factors(p, lam, budget)
-    cof = _cofactor_degrees(factors, budget)
-    for key, shift, side in terms:
-        for deg, count in _tcounts(p, *key).items():
-            for n in (deg + shift + c - side for c in cof):
-                if 0 <= n <= n_max:
-                    dims[n] += count
-    return tuple(dims)
+    return count_family_dots(p, _g_rows(p, i, params), n_max)
 
 
-def _g_total(p: int, n_max: int) -> list[int]:
-    """Sum of g_family_dims over every (i, params) instance of the splitting
-    families, each walked by k (G^3..G^6 by l within k) while it reaches
-    degree <= n_max."""
-    walk = partial(walk_family, reach=lambda inst: _g_reach(p, *inst), n_max=n_max)
+def _g_total(p: int, n_max: int) -> tuple[int, ...]:
+    """Dot counts in degrees 0..n_max of the rows of every (i, params)
+    instance of the splitting families, each walked by k (G^3..G^6 by l
+    within k) while its rows reach degree <= n_max."""
+    walk = partial(walk_family, reach=partial(row_reach, p), n_max=n_max)
 
-    def ten_term(k: int, ell: int) -> list:
-        return [(i, (k, ell)) for i in (3, 4, 5, 6)]
+    def rows(*instances: tuple) -> list[FamilyRow]:
+        return [row for i, params in instances for row in _g_rows(p, i, params)]
+
+    def ten_term(k: int, ell: int) -> list[FamilyRow]:
+        return rows(*((i, (k, ell)) for i in (3, 4, 5, 6)))
 
     families = (
-        lambda k: [(1, (k,)), (2, (k,))],
+        lambda k: rows((1, (k,)), (2, (k,))),
         lambda k: list(walk(partial(ten_term, k), start=k + 1)),
-        lambda k: [(i, (k, e)) for e in range(1, p - 1) for i in (7, 8)],
+        lambda k: rows(*((i, (k, e)) for e in range(1, p - 1) for i in (7, 8))),
     )
-    total = [0] * (n_max + 1)
-    for family in families:
-        for i, params in walk(family, start=1):
-            for n, d in enumerate(g_family_dims(p, i, params, n_max)):
-                total[n] += d
-    return total
+    return count_family_dots(p, [row for f in families for row in walk(f, start=1)], n_max)
 
 
 def theorem61_audit(p: int, n_max: int) -> dict:

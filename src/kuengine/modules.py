@@ -20,7 +20,9 @@ S_{k,l} is the finite chain chart of composite classes z[i,l].
 even_part / odd_part assemble the full even- and odd-degree answer as a
 direct sum of monomial multiples of the cores, now built in one pass from
 (core, multiplier) pairs with no chart per summand (full_chart sums both
-pair lists at once); ku_group_at slices it into explicit groups.
+pair lists at once); ku_group_at slices it into explicit groups.  The odd
+part walks its (v, l, c) blocks (see odd_part) with chart.walk_family, each
+S_{k,l} glued once, in order, with no memo.
 assoc_graded_dims is an independent associated-graded dimension count: its
 three lines are chart.FamilyRow tables, counted by the counter k1.k1_dims
 uses and walked while their rows reach the window; acceptance check 13 and
@@ -57,7 +59,6 @@ from .monomial import (
     z_comp,
     z_degree,
 )
-from .padic import nu
 from .series import report
 
 
@@ -193,32 +194,29 @@ def _even_parts(p: int, cutoff: int) -> list[tuple[Chart, Monomial]]:
 
 
 def _odd_parts(p: int, cutoff: int) -> list[tuple[Chart, Monomial]]:
-    """The (core, multiplier) summands of odd_part, in chart order."""
+    """The (core, multiplier) summands of odd_part, in chart order: blocks
+    (v, l, c) by v, then l >= v + 2, while their bottom reaches the cutoff."""
+    y1 = y_degree(p, 1)
+    walk = partial(walk_family, reach=lambda block: block[0], n_max=cutoff)
+
+    def level(v: int) -> list[tuple]:
+        def at_l(ell: int) -> list[tuple]:
+            core = build_S(p, v + 1, ell)
+            low = q_degree(p) + core.min_dot_degree()
+            return [(low + y1 * (p**v * c - 1), v, ell, p**v * c, core) for c in range(1, p)]
+
+        return list(walk(at_l, start=v + 2))
+
     parts: list[tuple[Chart, Monomial]] = []
-    cores: dict[tuple[int, int], Chart] = {}  # S_{k,l} recurs across i
-    qd = q_degree(p)
-    i = 1
-    while qd + y_degree(p, 1) * (i - 1) <= cutoff:
-        v = nu(p, i)
-        k = v + 1
-        ell = v + 2
-        base = Monomial.gen(p, "q") * Monomial.gen(p, "y", 1, i - 1)
-        while True:
-            if (k, ell) not in cores:
-                cores[k, ell] = build_S(p, k, ell)
-            s_core = cores[k, ell]
-            s_min = s_core.min_dot_degree()
-            head = base.degree + s_min
-            if head > cutoff:
-                break
-            room = cutoff - head
-            # m runs over TP_{p-1}[z_l] (x) Lambda_{l+1}: position t is z_{l+t}
-            factors = [(z_degree(p, ell), p - 2)] + lambda_factors(p, ell + 1, room)
-            for pairs, _ in bounded_exponents(factors, room):
-                m = Monomial(p, zs=tuple((ell + t, x) for t, x in pairs))
-                parts.append((s_core, base * m))
-            ell += 1
-        i += 1
+    for bottom, v, ell, pvc, core in walk(level, start=0):
+        room = cutoff - bottom
+        # i = p^v c + p^(v+1) m: position 0 is m, position t >= 1 is z_{l+t-1}
+        factors = [(y_degree(p, v + 2), None), (z_degree(p, ell), p - 2)]
+        for pairs, _ in bounded_exponents(factors + lambda_factors(p, ell + 1, room), room):
+            m = pairs[0][1] if pairs and not pairs[0][0] else 0
+            e = pvc - 1 + p ** (v + 1) * m  # the y_1 exponent i - 1
+            zs = tuple((ell + t - 1, x) for t, x in pairs if t)
+            parts.append((core, Monomial(p, 1, ((1, e),) if e else (), zs)))
     return parts
 
 
@@ -232,7 +230,8 @@ def even_part(p: int, cutoff: int) -> Chart:
 def odd_part(p: int, cutoff: int) -> Chart:
     """Direct sum over i >= 1, l >= nu(i)+2 of q y_1^(i-1) m . S_{nu(i)+1, l}
     with m running over TP_{p-1}[z_l] x Lambda_{l+1}, keeping summands whose
-    minimum dot degree is <= cutoff."""
+    minimum dot degree is <= cutoff.  For i = p^v (c + p m'), v = nu(i) and
+    1 <= c <= p-1, block (v, l, c) holds every m' with S_{v+1,l}."""
     return direct_sum(p, _odd_parts(p, cutoff))
 
 

@@ -254,11 +254,11 @@ def test_the_package_has_no_runtime_dependency(tmp_path):
 # Each command imports only the modules it runs: a fresh interpreter's
 # kuengine.* modules at exit, for one command of every dispatch branch at a
 # tiny window.  An eager import fails here instead of slowing every command.
-GROUPS = {"chart", "linalg", "modules", "monomial", "padic", "series"}
-EINFTY = GROUPS | {"adams"}
+GROUPS = {"chart", "linalg", "modules", "monomial", "series"}
+EINFTY = GROUPS | {"adams", "padic"}
 CHART = EINFTY | {"render"}
 SERIES_ONLY = {"linalg", "margolis", "monomial", "series"}
-K1 = GROUPS | {"k1"}
+K1 = GROUPS | {"k1", "padic"}
 FRESH_IMPORTS = {
     "--help": set(),
     "groups --prime 3 --window 0:6": GROUPS,

@@ -11,9 +11,10 @@ import pytest
 from kuengine import k1
 from kuengine.chart import count_family_dots, row_reach, tower_dots
 from kuengine.k1 import (
-    _cofactor_degrees,
-    _g_reach,
+    _g_rows,
+    _g_terms,
     _g_total,
+    _tcounts,
     bockstein_audit,
     g_family_dims,
     k1_dims,
@@ -257,28 +258,26 @@ def ref_single_cofactors(p, k, budget):
 
 
 @pytest.mark.parametrize("p", (3, 5, 7))
-def test_g_family_cofactors_match_the_loop_reference(p, monkeypatch):
-    # the cofactor degrees each G^i instance walks, against the loops
-    seen = []
-
-    def record(factors, budget):
-        seen.append(_cofactor_degrees(factors, budget))
-        return seen[-1]
-
-    monkeypatch.setattr(k1, "_cofactor_degrees", record)
+def test_g_family_cofactors_match_the_loop_reference(p):
+    # each G^i instance's dimensions against its terms' cyclic-summand counts
+    # times the cofactor degrees of the loops
     for n_max in (0, 60, 400):
         budget = n_max + 1
         for k in (1, 2):
             cases = [(i, (k,), ref_pair_cofactors(p, k, budget)) for i in (1, 2)]
             for ell in (k + 1, k + 2):
-                want = ref_ten_term_cofactors(p, k, ell, budget)
-                cases += [(i, (k, ell), want) for i in (3, 4, 5, 6)]
-            want = ref_single_cofactors(p, k, budget)
-            cases += [(i, (k, e), want) for i in (7, 8) for e in range(1, p - 1)]
-            for i, params, want in cases:
-                seen.clear()
-                g_family_dims(p, i, params, n_max)
-                assert len(seen) == 1 and sorted(seen[0]) == sorted(want), (i, params)
+                cof = ref_ten_term_cofactors(p, k, ell, budget)
+                cases += [(i, (k, ell), cof) for i in (3, 4, 5, 6)]
+            cof = ref_single_cofactors(p, k, budget)
+            cases += [(i, (k, e), cof) for i in (7, 8) for e in range(1, p - 1)]
+            for i, params, cof in cases:
+                want = [0] * (n_max + 1)
+                for key, shift, side in _g_terms(p, i, params)[0]:
+                    for deg, count in _tcounts(p, *key).items():
+                        for n in (deg + shift + c - side for c in cof):
+                            if 0 <= n <= n_max:
+                                want[n] += count
+                assert g_family_dims(p, i, params, n_max) == tuple(want), (i, params)
 
 
 # -- the walks stop where their rows say ------------------------------------
@@ -313,19 +312,23 @@ def test_g_walks_drop_no_instance(p):
     grid += [(i, (k, e)) for k in ks for e in range(1, p - 1) for i in (7, 8)]
     # the grid's far edges: k = top, or l = top + 1
     edge = [(i, ps) for i, ps in grid if ps[0] == top or (3 <= i <= 6 and ps[1] == top + 1)]
+
+    def g_reach(i, ps):
+        return min(row_reach(p, row) for row in _g_rows(p, i, ps))
+
     for i, ps in grid:
         # the reach is the instance's lowest class, not just a bound below it
-        reach = _g_reach(p, i, ps)
+        reach = g_reach(i, ps)
         if reach <= 1000:
             dims = g_family_dims(p, i, ps, reach)
             assert dims[-1] and not any(dims[:-1]), (i, ps)
     for n_max in (0, 60, 400):
-        assert all(_g_reach(p, i, ps) > n_max for i, ps in edge), n_max
+        assert all(g_reach(i, ps) > n_max for i, ps in edge), n_max
         brute = [0] * (n_max + 1)
         for i, ps in grid:
             for n, d in enumerate(g_family_dims(p, i, ps, n_max)):
                 brute[n] += d
-        assert _g_total(p, n_max) == brute, n_max
+        assert _g_total(p, n_max) == tuple(brute), n_max
 
 
 # -- the tables carry the audits ---------------------------------------------

@@ -342,13 +342,15 @@ def ref_odd_parts(p, cutoff):
 
 
 def walk_order(part):
-    """The order of the one walk: blocks by (i, l), and within a block the
-    multipliers in lexicographic order of their exponent vectors
-    (z_l, z_{l+1}, ...)."""
-    i, ell, _, m = part
-    z = m.z_dict()
+    """The order of the one walk: blocks by (v, l, c) for i = p^v (c + p m),
+    then m, and for each m the multipliers in lexicographic order of their
+    exponent vectors (z_l, z_{l+1}, ...)."""
+    i, ell, _, mult = part
+    v = nu(mult.p, i)
+    m, c = divmod(i // mult.p**v, mult.p)
+    z = mult.z_dict()
     assert all(ell <= j < ell + 12 for j in z)
-    return (i, ell, [z.get(j, 0) for j in range(ell, ell + 12)])
+    return (v, ell, c, m, [z.get(j, 0) for j in range(ell, ell + 12)])
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -611,6 +613,36 @@ def test_each_walk_glues_only_the_levels_it_reads(monkeypatch):
     glued.clear()
     build_A(3, 0)
     assert glued == []
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_the_odd_walk_glues_each_s_core_once(p, monkeypatch):
+    built = []
+    real = modules.build_S
+
+    def recorded(p, k, ell):
+        built.append(((k, ell), real(p, k, ell)))
+        return built[-1][1]
+
+    monkeypatch.setattr(modules, "build_S", recorded)
+    for cutoff in (0, 160, 400):
+        built.clear()
+        used = {id(c) for c, _ in _odd_parts(p, cutoff)}
+        keys = [key for key, _ in built]
+        assert len(set(keys)) == len(keys), cutoff
+        # level v = k - 1 walks l up from k + 1; every S_{k,l} it glues
+        # carries a summand but the last, whose lowest block (c = 1, m = 0)
+        # lies above the cutoff; the last level glues only that one
+        ks = sorted({k for k, _ in keys})
+        assert ks == list(range(1, len(ks) + 1)), cutoff
+        for k in ks:
+            level = [(ell, c) for (kk, ell), c in built if kk == k]
+            *inner, (top, last) = level
+            assert [ell for ell, _ in level] == list(range(k + 1, top + 1)), (cutoff, k)
+            assert all(id(c) in used for _, c in inner), (cutoff, k)
+            lowest = q_degree(p) + y_degree(p, 1) * (p ** (k - 1) - 1) + last.min_dot_degree()
+            assert id(last) not in used and lowest > cutoff, (cutoff, k, top)
+        assert [key for key in keys if key[0] == ks[-1]] == [(ks[-1], ks[-1] + 1)]
 
 
 def test_parts_match_the_reference_assembly():

@@ -9,8 +9,10 @@ Poincare-series dumps.
     kuengine ps --prime 2 --max 120 --format csv
 
 All output is deterministic (no timestamps) and, with --out, written
-atomically.  Exit status: 0 on success (for audits: all checks passed),
-1 on a failed audit, 2 on usage errors or unsupported combinations.
+atomically: a temporary file beside the target replaces it once the whole
+output is in.  A chart is written block by block, never held whole.  Exit
+status: 0 on success (for audits: all checks passed), 1 on a failed audit,
+2 on usage errors or unsupported combinations.
 
 Each subcommand imports only the modules it runs, and records are
 NamedTuples or plain classes, since every command pays interpreter start
@@ -28,6 +30,7 @@ what the command left before it exits; library calls keep Python's default.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import importlib
 import json
@@ -165,17 +168,11 @@ def _chart_for_selector(p: int, sel: str, cutoff: int | None):
             return (modules.even_part if sel == "full-even" else modules.odd_part)(p, cutoff)
     except ValueError as exc:
         raise UsageError(f"selector {sel!r}: {exc}") from exc
-    raise UsageError(
-        f"unknown selector {sel!r} (expected A:k, B:k, S:k:l, full-even, full-odd)"
-    )
+    raise UsageError(f"unknown selector {sel!r} (expected A:k, B:k, S:k:l, full-even, full-odd)")
 
 
-def cmd_chart(
-    config: RunConfig,
-    selectors: list[str],
-    einfty: bool = False,
-    s_max: int | None = None,
-) -> ChartDocument:
+def cmd_chart(config: RunConfig, selectors: list[str], einfty: bool = False,
+              s_max: int | None = None) -> ChartDocument:
     from . import render
 
     p = config.prime
@@ -192,9 +189,7 @@ def cmd_chart(
         raise UsageError("--max-s caps only chart --einfty")
     cutoff = config.window[1] if config.window else None
     if len(selectors) == 1:
-        return render.document_from_chart(
-            _chart_for_selector(p, selectors[0], cutoff), config.window
-        )
+        return render.document_from_chart(_chart_for_selector(p, selectors[0], cutoff), config.window)
     if len(selectors) == 2:
         kinds = {s.split(":")[0] for s in selectors}
         tails = {s.split(":", 1)[1] if ":" in s else "" for s in selectors}
@@ -255,11 +250,13 @@ def cmd_ps(config: RunConfig, which: str, top: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _emit(text: str, out: str | None) -> None:
-    """Write the fully composed output in one atomic step."""
+@contextlib.contextmanager
+def _output(out: str | None):
+    """The text file a command writes its output to: stdout, or a temporary
+    file beside --out that replaces it only once the whole output is in."""
     if out is None:
         try:
-            sys.stdout.write(text)
+            yield sys.stdout
             sys.stdout.flush()
         except OSError as exc:
             # a closed pipe or a full device: the interpreter flushes stdout
@@ -273,16 +270,14 @@ def _emit(text: str, out: str | None) -> None:
 
     directory, name = os.path.split(out)
     try:
-        fd, tmp = tempfile.mkstemp(
-            dir=directory or ".", prefix=name + ".", suffix=".tmp"
-        )
+        fd, tmp = tempfile.mkstemp(dir=directory or ".", prefix=name + ".", suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
                 # mkstemp makes the file 0600; give it the mode open() would
                 umask = os.umask(0)
                 os.umask(umask)
                 os.fchmod(fh.fileno(), 0o666 & ~umask)
-                fh.write(text)
+                yield fh
             os.replace(tmp, out)
         except BaseException:
             os.unlink(tmp)
@@ -290,6 +285,12 @@ def _emit(text: str, out: str | None) -> None:
     except OSError as exc:
         # a missing directory or an unwritable target is the caller's to fix
         raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from exc
+
+
+def _emit(text: str, out: str | None) -> None:
+    """Write a fully composed output in one atomic step."""
+    with _output(out) as fh:
+        fh.write(text)
 
 
 def _dump(obj) -> str:
@@ -396,12 +397,11 @@ def _run(argv: list[str] | None) -> int:
             from . import render
 
             doc = cmd_chart(config, args.selector, args.einfty, args.max_s)
-            if config.fmt == "svg":
-                _emit(render.render_svg(doc), config.out)
-            elif config.fmt == "tikz":
-                _emit(render.render_tikz(doc), config.out)
-            else:
-                _emit(doc.to_json() + "\n", config.out)
+            with _output(config.out) as fh:  # block by block, never whole
+                if config.fmt == "json":
+                    fh.writelines((doc.to_json(), "\n"))
+                else:
+                    fh.writelines(getattr(render, f"render_{config.fmt}")(doc))
             return 0
         if args.command == "audit":
             report = cmd_audit(config, args.which, args.max_n, args.max_degree, args.max_s)

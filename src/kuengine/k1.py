@@ -51,6 +51,7 @@ from __future__ import annotations
 from functools import lru_cache, partial
 
 from .chart import FamilyRow, count_family_dots, row_reach, walk_family
+from .linalg import gf_rank_sparse
 from .modules import build_A, build_B, build_S, full_chart
 from .monomial import Z_prod, k0, q_degree, y_degree, z_degree
 from .padic import r, r_prime, w_degree
@@ -142,10 +143,19 @@ def _odd_only(p: int) -> None:
 
 @lru_cache(maxsize=None)
 def _tcounts(p: int, kind: str, *params: int) -> dict:
-    """degree -> number of cyclic summands, for core chart A, B or S at params."""
+    """degree -> number of cyclic summands, for core chart A, B or S at
+    params.  That number is dim M/pM: mod p each p-edge says the sum of its
+    targets is 0, so it is the degree's dots less the F_p rank of those sums,
+    and no Smith form is needed."""
     chart = {"A": build_A, "B": build_B, "S": build_S}[kind](p, *params)
-    degrees = range(chart.min_dot_degree(), chart.max_dot_degree() + 1)
-    return {n: c for n in degrees if (c := len(chart.group_at(n)))}
+    counts = {}
+    for n, dots in sorted(chart.degree_index().items()):
+        col = {d: i for i, d in enumerate(dots)}
+        edges = [e for e in map(chart.edge_at, dots) if e is not None]
+        sums = [(i, col[t], 1) for i, e in enumerate(edges) for t in e.dst]
+        if c := len(dots) - gf_rank_sparse(sums, len(edges), len(dots), p):
+            counts[n] = c
+    return counts
 
 
 def _g_terms(p: int, i: int, params: tuple) -> tuple[list, list, int | None]:

@@ -20,15 +20,25 @@ and DocLine are named tuples whose field order is that canonical key, so a
 document sorts its records natively.  to_json writes exactly the text of
 json.dumps(document, indent=1, sort_keys=True), but formats it one dot or
 line record at a time instead of through the pure-Python indent encoder;
-strings still go through json.dumps, so their escaping is json's.
+strings go through json's own escaper, encode_basestring_ascii, which is
+what json.dumps calls on a str.  to_json returns the whole text as a str,
+which from_json reads back.
+
+render_svg and render_tikz are generators: they yield the text in blocks of
+a few thousand records (the header and axis, the lines, the dots, the
+closing tag), and "".join of the blocks is the whole document, so a caller
+writes a chart block by block and never holds all of its text.  The SVG
+writer formats each distinct line geometry once.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from itertools import islice
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .adams import Key, e2_window, fate, h0_mate, run_labels
 from .chart import Chart, tower_dots, v_label
@@ -84,7 +94,9 @@ class ChartDocument:
         for new, old in enumerate(order):
             remap[old] = new
         self.dots = [dots[i] for i in order]
-        lines = [DocLine(kind, remap[src], remap[dst]) for kind, src, dst in self.lines]
+        # tuple.__new__ skips the NamedTuple's Python-level __new__ per line
+        new = tuple.__new__
+        lines = [new(DocLine, (kind, remap[src], remap[dst])) for kind, src, dst in self.lines]
         lines.sort()
         self.lines = lines
 
@@ -110,7 +122,7 @@ class ChartDocument:
     def to_json(self) -> str:
         """json.dumps of the document dict with indent=1 and sort_keys=True,
         byte for byte, written one record at a time."""
-        enc = json.dumps
+        enc = encode_basestring_ascii  # what json.dumps calls on a str
         dots = [
             f'  {{\n   "degree": {d.degree},\n   "filtration": {d.filtration},\n'
             f'   "label": {enc(d.label)}{_OVERLAY if d.overlay else ""}\n  }}'
@@ -263,15 +275,25 @@ _CELL = 16
 _MARGIN = 34
 _COLOR = {"v": "#000000", "h0": "#000000", "exotic": "#cc0000"}
 _DIFF_COLOR = "#1144bb"
+_BLOCK = 2048  # records per yielded block
 
 
 def _fmt(x: float) -> str:
     return f"{x:.1f}".rstrip("0").rstrip(".")
 
 
-def render_svg(doc: ChartDocument) -> str:
-    """Deterministic standalone SVG.  Codegrees increase right-to-left:
-    the window's top degree sits at the left edge."""
+def _blocks(records: Iterable[str]) -> Iterator[str]:
+    """The records joined by newlines, _BLOCK at a time: each block ends in
+    the newline that one join of every record would put after its last."""
+    records = iter(records)
+    while block := list(islice(records, _BLOCK)):
+        block.append("")
+        yield "\n".join(block)
+
+
+def render_svg(doc: ChartDocument) -> Iterator[str]:
+    """Deterministic standalone SVG, yielded in blocks.  Codegrees increase
+    right-to-left: the window's top degree sits at the left edge."""
     lo, hi = doc.window
     dots = doc.dots
     filtrations = set(map(attrgetter("filtration"), dots))
@@ -289,7 +311,7 @@ def render_svg(doc: ChartDocument) -> str:
     xs = {n: _fmt(x(n)) for n in set(map(attrgetter("degree"), dots))}
     ys = {s: _fmt(y(s)) for s in filtrations}
 
-    out = [
+    head = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">',
         "<defs><marker id='arrow' viewBox='0 0 10 10' refX='9' refY='5' "
@@ -304,48 +326,60 @@ def render_svg(doc: ChartDocument) -> str:
     tick = 2 * doc.prime
     first = lo + (-lo) % tick
     for n in range(first, hi + 1, tick):
-        out.append(
+        head.append(
             f'<text x="{_fmt(x(n))}" y="{axis_y + 10}" font-size="9" '
             f'font-family="monospace" text-anchor="middle">{n}</text>'
         )
-        out.append(
+        head.append(
             f'<line x1="{_fmt(x(n))}" y1="{axis_y}" x2="{_fmt(x(n))}" '
             f'y2="{axis_y - 4}" stroke="#888888" stroke-width="1"/>'
         )
-    for l in doc.lines:
-        a, b = dots[l.src], dots[l.dst]
+    yield from _blocks(head)
+
+    def line(kind: str, a: DocDot, b: DocDot, dashed: bool) -> str:
         x1, y1 = xs[a.degree], ys[a.filtration]
         x2, y2 = xs[b.degree], ys[b.filtration]
-        dashed = ' stroke-dasharray="4 3"' if (a.overlay or b.overlay) else ""
-        if l.kind.startswith("differential"):
-            out.append(
+        dash = ' stroke-dasharray="4 3"' if dashed else ""
+        if kind.startswith("differential"):
+            return (
                 f'<line x1="{x1}" y1="{y1}" x2="{x2}" '
                 f'y2="{y2}" stroke="{_DIFF_COLOR}" stroke-width="1.2" '
-                f'marker-end="url(#arrow)"{dashed}/>'
+                f'marker-end="url(#arrow)"{dash}/>'
             )
-        elif l.kind == "exotic":
+        if kind == "exotic":
             cx = (x(a.degree) + x(b.degree)) / 2 + 0.55 * _CELL
             cy = (y(a.filtration) + y(b.filtration)) / 2
-            out.append(
+            return (
                 f'<path d="M {x1} {y1} Q {_fmt(cx)} {_fmt(cy)} '
                 f'{x2} {y2}" fill="none" '
-                f'stroke="{_COLOR["exotic"]}" stroke-width="1.2"{dashed}/>'
+                f'stroke="{_COLOR["exotic"]}" stroke-width="1.2"{dash}/>'
             )
-        else:
-            out.append(
-                f'<line x1="{x1}" y1="{y1}" x2="{x2}" '
-                f'y2="{y2}" stroke="{_COLOR[l.kind]}" '
-                f'stroke-width="1.2"{dashed}/>'
-            )
-    for d in dots:
-        fill = "#ffffff" if d.overlay else "#000000"
-        out.append(
-            f'<circle cx="{xs[d.degree]}" cy="{ys[d.filtration]}" r="3" fill="{fill}" '
-            f'stroke="#000000" stroke-width="1"><title>{d.label} '
-            f"({d.degree}, {d.filtration})</title></circle>"
+        return (
+            f'<line x1="{x1}" y1="{y1}" x2="{x2}" '
+            f'y2="{y2}" stroke="{_COLOR[kind]}" '
+            f'stroke-width="1.2"{dash}/>'
         )
-    out.append("</svg>\n")  # the trailing newline, without copying the whole text
-    return "\n".join(out)
+
+    def lines() -> Iterator[str]:
+        # lines repeat a few geometries many times: format each once
+        seen: dict[tuple, str] = {}
+        for kind, src, dst in doc.lines:
+            a, b = dots[src], dots[dst]
+            key = (kind, a.degree, a.filtration, b.degree, b.filtration, a.overlay or b.overlay)
+            record = seen.get(key)
+            if record is None:
+                record = seen[key] = line(kind, a, b, key[-1])
+            yield record
+
+    yield from _blocks(lines())
+    yield from _blocks(
+        f'<circle cx="{xs[d.degree]}" cy="{ys[d.filtration]}" r="3" '
+        f'fill="{"#ffffff" if d.overlay else "#000000"}" '
+        f'stroke="#000000" stroke-width="1"><title>{d.label} '
+        f"({d.degree}, {d.filtration})</title></circle>"
+        for d in dots
+    )
+    yield "</svg>\n"
 
 
 # ---------------------------------------------------------------------------
@@ -353,44 +387,41 @@ def render_svg(doc: ChartDocument) -> str:
 # ---------------------------------------------------------------------------
 
 
-def render_tikz(doc: ChartDocument) -> str:
-    """Deterministic tikzpicture body (same layout conventions as the SVG,
-    in chart cells: x = hi - degree, y = filtration)."""
+def render_tikz(doc: ChartDocument) -> Iterator[str]:
+    """Deterministic tikzpicture body, yielded in blocks (same layout
+    conventions as the SVG, in chart cells: x = hi - degree, y = filtration)."""
     lo, hi = doc.window
-    out = [
+    dots = doc.dots
+    head = [
         f"% chart document: p={doc.prime} window=[{lo},{hi}] source={doc.source}",
         "\\begin{tikzpicture}[scale=.45]",
     ]
     tick = 2 * doc.prime
     first = lo + (-lo) % tick
     for n in range(first, hi + 1, tick):
-        out.append(
+        head.append(
             "\\node[font=\\tiny, below] at (%d,-.4) {$%d$};" % (hi - n, n)
         )
-    for l in doc.lines:
-        a, b = doc.dots[l.src], doc.dots[l.dst]
+    yield from _blocks(head)
+
+    def line(l: DocLine) -> str:
+        a, b = dots[l.src], dots[l.dst]
         pa = "(%d,%d)" % (hi - a.degree, a.filtration)
         pb = "(%d,%d)" % (hi - b.degree, b.filtration)
         dashed = a.overlay or b.overlay
         opts = ["dashed"] if dashed else []
         if l.kind.startswith("differential"):
             opts += ["->", "blue"]
-            out.append("\\draw[%s] %s -- %s;" % (",".join(opts), pa, pb))
-        elif l.kind == "exotic":
+            return "\\draw[%s] %s -- %s;" % (",".join(opts), pa, pb)
+        if l.kind == "exotic":
             opts += ["red"]
-            out.append(
-                "\\draw[%s] %s to[bend right=35] %s;" % (",".join(opts), pa, pb)
-            )
-        else:
-            out.append(
-                "\\draw%s %s -- %s;"
-                % ("[%s]" % ",".join(opts) if opts else "", pa, pb)
-            )
-    for d in doc.dots:
-        pos = "(%d,%d)" % (hi - d.degree, d.filtration)
-        if d.overlay:
-            out.append("\\draw %s circle (3.2pt);" % pos)
-        else:
-            out.append("\\fill %s circle (3.2pt);" % pos)
-    out.append("\\end{tikzpicture}")
-    return "\n".join(out) + "\n"
+            return "\\draw[%s] %s to[bend right=35] %s;" % (",".join(opts), pa, pb)
+        return "\\draw%s %s -- %s;" % ("[%s]" % ",".join(opts) if opts else "", pa, pb)
+
+    yield from _blocks(map(line, doc.lines))
+    yield from _blocks(
+        "\\%s (%d,%d) circle (3.2pt);"
+        % ("draw" if d.overlay else "fill", hi - d.degree, d.filtration)
+        for d in dots
+    )
+    yield "\\end{tikzpicture}\n"

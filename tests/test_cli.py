@@ -595,6 +595,28 @@ def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
     assert target.read_text() == "previous\n"
 
 
+def test_a_renderer_failing_midway_leaves_the_target(tmp_path, monkeypatch, capsys):
+    # the chart is written block by block: a renderer that fails after its
+    # first block must leave the previous target and no temporary file
+    from kuengine import render
+
+    target = tmp_path / "a8.svg"
+    target.write_text("previous\n")
+    inner = render.render_svg
+
+    def failing(doc):
+        blocks = inner(doc)
+        yield next(blocks)
+        raise RuntimeError("renderer crashed")
+
+    monkeypatch.setattr(render, "render_svg", failing)
+    with pytest.raises(RuntimeError, match="renderer crashed"):
+        cli.main(["chart", "A:8", "--prime", "2", "--format", "svg", "--out", str(target)])
+    assert capsys.readouterr().out == ""
+    assert os.listdir(tmp_path) == ["a8.svg"]
+    assert target.read_text() == "previous\n"
+
+
 def test_out_in_a_missing_directory_is_a_usage_error(tmp_path, capsys):
     target = tmp_path / "missing" / "x.json"
     rc, out, err = run(["chart", "A:3", "--prime", "2", "--out", str(target)], capsys)

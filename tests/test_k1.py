@@ -21,6 +21,7 @@ from kuengine.k1 import (
     k1_towers,
     theorem61_audit,
 )
+from kuengine.modules import build_A, build_B, build_S
 from kuengine.monomial import Monomial, k0, q_degree, z_degree
 from kuengine.padic import r, r_prime, w_degree
 from test_monomial import ref_lambda_exponents
@@ -278,6 +279,23 @@ def test_g_family_cofactors_match_the_loop_reference(p):
                             if 0 <= n <= n_max:
                                 want[n] += count
                 assert g_family_dims(p, i, params, n_max) == tuple(want), (i, params)
+
+
+def ref_tcounts(p, kind, *params):
+    """degree -> number of cyclic summands, read off the Smith form of each
+    degree's group."""
+    chart = {"A": build_A, "B": build_B, "S": build_S}[kind](p, *params)
+    degrees = range(chart.min_dot_degree(), chart.max_dot_degree() + 1)
+    return {n: c for n in degrees if (c := len(chart.group_at(n)))}
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_tcounts_match_the_group_reference(p):
+    # _tcounts counts dim M/pM as dots less an F_p rank, with no Smith form
+    keys = [("A", k) for k in range(5)] + [("B", k) for k in range(1, 5)]
+    keys += [("S", k, ell) for ell in range(2, 6) for k in range(1, ell)]
+    for key in keys:
+        assert _tcounts(p, *key) == ref_tcounts(p, *key), key
 
 
 # -- the walks stop where their rows say ------------------------------------

@@ -1,9 +1,11 @@
 import hashlib
 import json
+import tracemalloc
 from collections import Counter
 
 import pytest
 
+from kuengine import cli
 from kuengine.adams import dot_label, e2_window, fate
 from kuengine.chart import tower_dots
 from kuengine.modules import build_A, build_B, build_S
@@ -45,6 +47,14 @@ FIGURE_K5_DOTS = [
 
 def positions(doc):
     return Counter((d.degree, d.filtration) for d in doc.dots)
+
+
+def svg(doc):
+    return "".join(render_svg(doc))
+
+
+def tikz(doc):
+    return "".join(render_tikz(doc))
 
 
 def test_a1_document_is_the_three_dot_chart():
@@ -163,25 +173,24 @@ def test_document_validation():
 
 def test_renders_are_deterministic_and_right_to_left():
     doc = document_from_chart(build_A(2, 5))
-    svg1, svg2 = render_svg(doc), render_svg(document_from_chart(build_A(2, 5)))
-    assert svg1 == svg2
-    tikz = render_tikz(doc)
-    assert tikz == render_tikz(document_from_chart(build_A(2, 5)))
+    assert svg(doc) == svg(document_from_chart(build_A(2, 5)))
+    text = tikz(doc)
+    assert text == tikz(document_from_chart(build_A(2, 5)))
     # codegree 136 dot sits at tikz x = 0 (left edge), codegree 68 at x = 68
-    assert "\\fill (0,0) circle" in tikz
-    assert "\\node[font=\\tiny, below] at (0,-.4) {$136$};" in tikz
-    assert "\\node[font=\\tiny, below] at (68,-.4) {$68$};" in tikz
+    assert "\\fill (0,0) circle" in text
+    assert "\\node[font=\\tiny, below] at (0,-.4) {$136$};" in text
+    assert "\\node[font=\\tiny, below] at (68,-.4) {$68$};" in text
     # overlay dots render open / dashed
-    ov = render_tikz(document_overlay(build_B(2, 5), build_A(2, 5)))
+    ov = tikz(document_overlay(build_B(2, 5), build_A(2, 5)))
     assert "circle (3.2pt);" in ov and "\\draw (" in ov
 
 
 def test_svg_contains_dots_and_kind_colors():
     doc = document_from_chart(build_A(2, 1))
-    svg = render_svg(doc)
-    assert svg.count("<circle") == 3
-    assert "#cc0000" in svg  # the exotic extension
-    e = render_svg(document_from_einfty(2, 0, 20, 6))
+    text = svg(doc)
+    assert text.count("<circle") == 3
+    assert "#cc0000" in text  # the exotic extension
+    e = svg(document_from_einfty(2, 0, 20, 6))
     assert "marker-end" in e  # differential arrows
 
 
@@ -208,7 +217,8 @@ PINNED_SHA256 = {
     ("einfty-3", "tikz"): "d1dbcd2a7545afd0edba784f7a5d8e06b3106883123dc40f14683168ef01029b",
     ("einfty-3", "json"): "744b09e67b81fd5e2b0947c65b3617223222c4ad633805537cb13e8655adc44e",
 }
-RENDERERS = {"svg": render_svg, "tikz": render_tikz, "json": ChartDocument.to_json}
+# the writers yield blocks: their join is the document
+RENDERERS = {"svg": svg, "tikz": tikz, "json": ChartDocument.to_json}
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_DOCUMENTS))
@@ -217,6 +227,40 @@ def test_emitted_bytes_are_pinned(name):
     for fmt, render in RENDERERS.items():
         got = hashlib.sha256(render(doc).encode()).hexdigest()
         assert got == PINNED_SHA256[(name, fmt)], (name, fmt)
+
+
+def test_writers_yield_a_chart_in_blocks():
+    # A_8 has thousands of lines and dots: more than one block each, every
+    # block ending in the newline the whole join puts after its last record
+    doc = document_from_chart(build_A(2, 8))
+    for render, head, tail in (
+        (render_svg, "<svg ", "</svg>\n"),
+        (render_tikz, "% chart document", "\\end{tikzpicture}\n"),
+    ):
+        blocks = list(render(doc))
+        assert len(blocks) > 3, render
+        assert blocks[0].startswith(head) and blocks[-1] == tail
+        assert all(block.endswith("\n") and "\n\n" not in block for block in blocks)
+    # an empty document yields no empty block
+    empty = ChartDocument(2, (0, 0), "closed-form", [], [])
+    assert all(render_svg(empty)) and all(render_tikz(empty))
+
+
+def test_writing_an_einfty_chart_never_holds_its_text(tmp_path):
+    # chart-emit's einfty command: 12.9 MB of SVG, which the writer used to
+    # hold whole, as every record string and their join (33 MB traced)
+    doc = document_from_einfty(2, 0, 120, 30)
+    target = tmp_path / "einfty.svg"
+    tracemalloc.start()
+    try:
+        with cli._output(str(target)) as fh:
+            fh.writelines(render_svg(doc))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = target.stat().st_size
+    assert size > 10**7
+    assert peak < size / 2, (peak, size)
 
 
 # ---------------------------------------------------------------------------

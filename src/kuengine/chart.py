@@ -14,7 +14,8 @@ Conventions (cohomological):
   * dots without an edge satisfy p.(dot) = 0.
 
 group_at never reads filtrations: they are chart metadata for rendering and
-for E-infinity comparison.
+for E-infinity comparison.  summands_at counts group_at's summands as dim
+M/pM with no Smith form, for the Bockstein identity and Theorem 6.1 (k1).
 
 Sums of monomial multiples m . C of charts are assembled in one pass:
 append_shifted copies the towers (generators multiplied by m) and edges
@@ -34,7 +35,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .linalg import group_exponents, cokernel_exponents
+from .linalg import cokernel_exponents, gf_rank_sparse, group_exponents
 from .monomial import Monomial, bounded_exponents, lambda_factors
 
 
@@ -198,6 +199,15 @@ class Chart:
         component isomorphic to the direct sum of Z/p^{e_i}."""
         dots = self.dots_at(n)
         return group_exponents(self.relation_rows(dots), len(dots), self.p)
+
+    def summands_at(self, n: int) -> int:
+        """len(group_at(n)) with no Smith form, as dim M/pM: the degree's dots
+        less the F_p rank of its p-edges' target sums (relation_rows mod p)."""
+        dots = self.degree_index().get(n, ())
+        col = {d: i for i, d in enumerate(dots)}
+        edges = [e for e in map(self.edge_at, dots) if e is not None]
+        sums = [(i, col[t], 1) for i, e in enumerate(edges) for t in e.dst]
+        return len(dots) - gf_rank_sparse(sums, len(edges), len(dots), self.p)
 
     def dims_at(self, n: int) -> int:
         """F_p-dimension of dots in degree n (composition length)."""

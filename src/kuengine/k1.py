@@ -33,9 +33,9 @@ Two audits consume these dimensions:
     multiplication by p forces, degree by degree,
         dim k(1)^n = dim coker(p | ku^n) + dim ker(p | ku^{n+1}),
     and both right-hand dimensions equal the number of cyclic summands
-    (multiplication by p preserves degree).  Trivial summands are omitted
-    on both sides; a free generator contributes one class to each side in
-    matching degrees, so the identity restricts cleanly.
+    (multiplication by p preserves degree), read by Chart.summands_at.
+    Trivial summands are omitted on both sides; a free generator gives one
+    class to each side in matching degrees, so the identity restricts cleanly.
 
   * theorem61_audit (odd p): the same totals, but with the right-hand side
     re-derived from the splitting of the long exact sequence into 4- and
@@ -51,7 +51,6 @@ from __future__ import annotations
 from functools import lru_cache, partial
 
 from .chart import FamilyRow, count_family_dots, row_reach, walk_family
-from .linalg import gf_rank_sparse
 from .modules import build_A, build_B, build_S, full_chart
 from .monomial import Z_prod, k0, q_degree, y_degree, z_degree
 from .padic import r, r_prime, w_degree
@@ -97,7 +96,7 @@ def bockstein_audit(p: int, n_max: int) -> dict:
     t counts cyclic summands (= dim of both coker and ker of multiplication
     by p in that degree)."""
     chart = full_chart(p, n_max + 1)
-    t = [len(chart.group_at(n)) for n in range(n_max + 2)]
+    t = [chart.summands_at(n) for n in range(n_max + 2)]
     cyclic = [t[n] + t[n + 1] for n in range(n_max + 1)]
     rows = degree_rows(n_max, k1_dims(p, n_max), cyclic, ("k1", "ku_cyclic"))
     return report({"p": p, "n_max": n_max}, rows)
@@ -143,19 +142,10 @@ def _odd_only(p: int) -> None:
 
 @lru_cache(maxsize=None)
 def _tcounts(p: int, kind: str, *params: int) -> dict:
-    """degree -> number of cyclic summands, for core chart A, B or S at
-    params.  That number is dim M/pM: mod p each p-edge says the sum of its
-    targets is 0, so it is the degree's dots less the F_p rank of those sums,
-    and no Smith form is needed."""
+    """degree -> number of cyclic summands (Chart.summands_at), for core
+    chart A, B or S at params."""
     chart = {"A": build_A, "B": build_B, "S": build_S}[kind](p, *params)
-    counts = {}
-    for n, dots in sorted(chart.degree_index().items()):
-        col = {d: i for i, d in enumerate(dots)}
-        edges = [e for e in map(chart.edge_at, dots) if e is not None]
-        sums = [(i, col[t], 1) for i, e in enumerate(edges) for t in e.dst]
-        if c := len(dots) - gf_rank_sparse(sums, len(edges), len(dots), p):
-            counts[n] = c
-    return counts
+    return {n: c for n in sorted(chart.degree_index()) if (c := chart.summands_at(n))}
 
 
 def _g_terms(p: int, i: int, params: tuple) -> tuple[list, list, int | None]:

@@ -10,6 +10,9 @@ label) plus a list of lines referencing dots by index.  Line kinds:
 
 Documents come from two sources: the closed-form ku charts ("closed-form")
 and the Adams E2 window with its replayed differentials ("einfty-overlay").
+Both builders read every line endpoint off tower runs (a window range of a
+and the index of the a = 0 dot); the closed-form one flags the A-minus-B
+overlay in that pass.  ChartDocument sorts the line list it is given in place.
 
 Rendering follows the chart conventions used throughout: codegrees increase
 from right to left, filtration increases bottom to top.  Everything is
@@ -74,20 +77,20 @@ def _json_list(records: list[str]) -> str:
 
 class ChartDocument:
     """A canonical chart document.  Builders may pass lines as plain
-    (kind, src, dst) tuples indexing the unsorted dots; construction
-    validates the input once, then sorts the dots and rebuilds each line
-    once as a DocLine on the sorted ones."""
+    (kind, src, dst) tuples indexing the unsorted dots.  The document takes
+    ownership of a lines list (any other iterable is copied into one once):
+    it validates the input, sorts the dots, then replaces each line in place
+    with its DocLine on the sorted dots and sorts the list it keeps."""
 
     def __init__(self, prime: int, window: tuple[int, int], source: str, dots=(), lines=()):
         self.prime, self.window, self.source = prime, window, source
-        self.dots, self.lines = dots, lines  # replaced by sorted lists below
+        self.dots, self.lines = dots, lines if isinstance(lines, list) else list(lines)
         if self.source not in SOURCES:
             raise ValueError(f"unknown source {self.source!r}")
         lo, hi = self.window
         if lo > hi:
             raise ValueError("empty window")
         self.validate()
-        dots = self.dots
         # canonicalize: sort dots, remap and sort line endpoints
         order = sorted(range(len(dots)), key=dots.__getitem__)
         remap = [0] * len(order)
@@ -95,10 +98,10 @@ class ChartDocument:
             remap[old] = new
         self.dots = [dots[i] for i in order]
         # tuple.__new__ skips the NamedTuple's Python-level __new__ per line
-        new = tuple.__new__
-        lines = [new(DocLine, (kind, remap[src], remap[dst])) for kind, src, dst in self.lines]
+        new, lines = tuple.__new__, self.lines
+        for i, (kind, src, dst) in enumerate(lines):
+            lines[i] = new(DocLine, (kind, remap[src], remap[dst]))
         lines.sort()
-        self.lines = lines
 
     def __eq__(self, other):
         return other.__class__ is ChartDocument and _DOC_FIELDS(self) == _DOC_FIELDS(other)
@@ -168,28 +171,28 @@ class ChartDocument:
 # ---------------------------------------------------------------------------
 
 
-def _chart_dots_and_lines(chart: Chart, lo: int, hi: int):
+def _chart_dots_and_lines(chart: Chart, lo: int, hi: int, base: Chart | None = None):
     """Window dots of a closed-form chart, with v-lines and p-edge lines as
-    (kind, src, dst) tuples."""
+    (kind, src, dst) tuples, in one pass over the towers' window runs.  With
+    a base chart, v^a . g is flagged as overlay unless the base has a tower on
+    g taller than a (towers sit at filtration 0, so g and a fix the dot)."""
     step = 2 * (chart.p - 1)
-    index: dict[tuple[int, int], int] = {}
-    dots: list[DocDot] = []
-    for tid, t in enumerate(chart.towers):
+    tall: dict = {}  # generator -> the base's tallest tower on it
+    for t in base.towers if base is not None else ():
+        tall[t.gen] = max(tall.get(t.gen, 0), t.height)
+    # runs[tid]: (doc index of the tower's a = 0 dot, window range of its a)
+    runs, dots, lines = [], [], []
+    for t in chart.towers:
         gen, top = t.gen.render(), t.gen_degree
-        for a in tower_dots(top, t.height, step, lo, hi):
-            index[(tid, a)] = len(dots)
-            dots.append(DocDot(top - step * a, a, v_label(gen, a)))
-    lines = [
-        ("v", i, index[(tid, a + 1)])
-        for (tid, a), i in index.items()
-        if (tid, a + 1) in index
-    ]
-    for e in chart.edges:
-        if e.src not in index:
-            continue
-        for d in e.dst:
-            if d in index:
-                lines.append((e.kind, index[e.src], index[d]))
+        run, first = tower_dots(top, t.height, step, lo, hi), len(dots)
+        runs.append((first - run.start, run))
+        h = t.height if base is None else tall.get(t.gen, 0)
+        dots += [DocDot(top - step * a, a, v_label(gen, a), a >= h) for a in run]
+        lines += [("v", i, i + 1) for i in range(first, len(dots) - 1)]
+    for e in chart.edges:  # targets share the source's degree: in the window with it
+        (src_base, src_run), a = runs[e.src[0]], e.src[1]
+        if a in src_run:
+            lines += [(e.kind, src_base + a, runs[t][0] + b) for t, b in e.dst]
     return dots, lines
 
 
@@ -218,11 +221,8 @@ def document_overlay(
     """Document of the ambient chart with everything outside the base chart
     flagged as overlay (rendered dashed/open): the A-minus-B view."""
     lo, hi = _window(ambient, window)
-    base_dots, _ = _chart_dots_and_lines(base, lo, hi)
-    base_keys = {d[:3] for d in base_dots}
-    dots, lines = _chart_dots_and_lines(ambient, lo, hi)
-    flagged = [d._replace(overlay=d[:3] not in base_keys) for d in dots]
-    return ChartDocument(ambient.p, (lo, hi), "closed-form", flagged, lines)
+    dots, lines = _chart_dots_and_lines(ambient, lo, hi, base)
+    return ChartDocument(ambient.p, (lo, hi), "closed-form", dots, lines)
 
 
 def document_from_einfty(

@@ -11,7 +11,7 @@ from kuengine.chart import (
     tower_dots,
 )
 from kuengine.linalg import cokernel_exponents
-from kuengine.modules import full_chart
+from kuengine.modules import build_A, build_B, build_S, full_chart
 from kuengine.monomial import Monomial, k0, z_comp
 from test_modules import ref_duality_visits
 
@@ -248,3 +248,18 @@ def test_dots_at_hands_out_copies():
     c.dots_at(n).clear()
     assert len(c.dots_at(n)) == 3
 
+
+@pytest.mark.parametrize("p,n_max", [(2, 400), (3, 600), (5, 1500)])
+def test_summands_at_counts_the_group_summands(p, n_max):
+    # summands_at reads dim M/pM off an F_p rank; group_at takes a Smith form
+    charts = [full_chart(p, n_max)]
+    charts += [build_A(p, k) for k in range(6)] + [build_B(p, k) for k in range(1, 6)]
+    charts += [build_S(p, k, ell) for ell in range(2, 6) for k in range(1, ell)]
+    extended = 0  # degrees where some summand is Z/p^e with e > 1
+    for c in charts:
+        degrees = range(n_max + 1) if c is charts[0] else c.degree_index()
+        for n in degrees:
+            group = c.group_at(n)
+            assert c.summands_at(n) == len(group), (p, n)
+            extended += sum(group) > len(group)
+    assert extended

@@ -7,8 +7,9 @@ import pytest
 
 from kuengine import cli
 from kuengine.adams import dot_label, e2_window, fate
-from kuengine.chart import tower_dots
+from kuengine.chart import Chart, Tower, tower_dots, v_label
 from kuengine.modules import build_A, build_B, build_S
+from kuengine.monomial import Monomial
 from kuengine.render import (
     ChartDocument,
     DocDot,
@@ -246,6 +247,37 @@ def test_writers_yield_a_chart_in_blocks():
     assert all(render_svg(empty)) and all(render_tikz(empty))
 
 
+def traced_build(build):
+    """The document build() returns, what it holds when finished and the
+    peak of building it, both as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        doc = build()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return doc, held, peak
+
+
+def test_an_einfty_document_keeps_one_copy_of_its_lines():
+    # the builder's (kind, src, dst) list is the document's DocLine list,
+    # rewritten in place: holding both at once peaked at 2.0 times the
+    # finished document
+    document_from_einfty(2, 0, 120, 30)  # fill the tower caches first
+    doc, held, peak = traced_build(lambda: document_from_einfty(2, 0, 120, 30))
+    assert len(doc.lines) > 80_000
+    assert peak <= 1.7 * held, (peak, held)
+
+
+def test_an_overlay_is_built_in_one_pass():
+    # A_12 over B_12 with no document of the base and no copy of the dots:
+    # the two-pass overlay peaked at 3.1 times the finished document
+    base, ambient = build_B(2, 12), build_A(2, 12)
+    doc, held, peak = traced_build(lambda: document_overlay(base, ambient))
+    assert any(d.overlay for d in doc.dots)
+    assert peak <= 1.7 * held, (peak, held)
+
+
 def test_writing_an_einfty_chart_never_holds_its_text(tmp_path):
     # chart-emit's einfty command: 12.9 MB of SVG, which the writer used to
     # hold whole, as every record string and their join (33 MB traced)
@@ -264,8 +296,8 @@ def test_writing_an_einfty_chart_never_holds_its_text(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# reference implementations: the record writer and the run-indexed einfty
-# builder must agree with the straightforward versions they replace
+# reference implementations: the record writer and the run-indexed builders
+# must agree with the straightforward versions they replace
 # ---------------------------------------------------------------------------
 
 
@@ -392,3 +424,70 @@ def test_einfty_builder_matches_the_dot_indexed_reference(window):
     assert got.lines == want.lines
     kinds = Counter(l.kind.split("(")[0] for l in got.lines)
     assert kinds["v"] and kinds["h0"] and kinds["differential"], kinds
+
+
+def ref_chart_dots_and_lines(chart, lo, hi):
+    """The (tower, a)-indexed closed-form builder the run-indexed one
+    replaced."""
+    step = 2 * (chart.p - 1)
+    index = {}
+    dots = []
+    for tid, t in enumerate(chart.towers):
+        gen, top = t.gen.render(), t.gen_degree
+        for a in tower_dots(top, t.height, step, lo, hi):
+            index[(tid, a)] = len(dots)
+            dots.append(DocDot(top - step * a, a, v_label(gen, a)))
+    lines = [("v", i, index[(tid, a + 1)]) for (tid, a), i in index.items() if (tid, a + 1) in index]
+    for e in chart.edges:
+        if e.src in index:
+            lines += [(e.kind, index[e.src], index[d]) for d in e.dst if d in index]
+    return dots, lines
+
+
+def ref_document_overlay(base, ambient, window):
+    """The two-pass overlay the one-pass builder replaced: the base's own
+    window dots, then every ambient dot they lack flagged."""
+    base_dots, _ = ref_chart_dots_and_lines(base, *window)
+    base_keys = {d[:3] for d in base_dots}
+    dots, lines = ref_chart_dots_and_lines(ambient, *window)
+    flagged = [d._replace(overlay=d[:3] not in base_keys) for d in dots]
+    return ChartDocument(ambient.p, window, "closed-form", flagged, lines)
+
+
+@pytest.mark.parametrize(
+    "p,k", [(2, k) for k in range(3, 10)] + [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3)]
+)
+def test_overlay_matches_the_two_pass_reference(p, k):
+    base, ambient = build_B(p, k), build_A(p, k)
+    lo, hi = document_from_chart(ambient).window
+    # a window from just above the lowest dot to half-way up: it cuts towers
+    # of both charts in the middle and keeps some of the overlay's dots
+    cut = (lo + 1, (lo + hi) // 2 + 1)
+    step = 2 * (p - 1)
+    for c in (base, ambient):
+        assert any(
+            0 < len(tower_dots(t.gen_degree, t.height, step, *cut)) < t.height
+            for t in c.towers
+        )
+    for window in ((lo, hi), cut):
+        got = document_overlay(base, ambient, window)
+        assert got == ref_document_overlay(base, ambient, window), window
+        assert any(d.overlay for d in got.dots) and not all(d.overlay for d in got.dots)
+        dots, lines = ref_chart_dots_and_lines(ambient, *window)
+        assert document_from_chart(ambient, window) == ChartDocument(
+            p, window, "closed-form", dots, lines
+        )
+
+
+def test_overlay_reads_the_tallest_base_tower_on_a_generator():
+    # no core chart repeats a generator, so make one that does: the base's
+    # towers on g have heights 1 and 3 (either order), the ambient's has 5
+    g, h = Monomial.gen(2, "z", 3), Monomial.gen(2, "z", 4)
+    ambient = Chart(2, [Tower(g, 5), Tower(h, 2)])
+    for heights in ((1, 3), (3, 1)):
+        base = Chart(2, [Tower(g, height) for height in heights])
+        window = (0, h.degree)
+        doc = document_overlay(base, ambient, window)
+        assert doc == ref_document_overlay(base, ambient, window)
+        flagged = {d.label for d in doc.dots if d.overlay}
+        assert flagged == {"v^3 z3", "v^4 z3", "z4", "v z4"}

@@ -796,18 +796,19 @@ def einfty_audit(p: int, n_hi: int, s_max: int | None = None) -> dict:
 def ext_audit(p: int, n_max: int, s_max: int) -> dict:
     """Compare the closed-form E2 page against brute-force Ext over E1.
 
-    The oracle resolves F_p over E1 and computes Ext into the full cohomology
-    model, so it sees two layers the reduced page omits: the unit, whose
+    The oracle resolves F_p over E1 and computes Ext into the whole of
+    H*(K2), so it sees two layers the reduced page omits: the unit, whose
     Ext is P[h0, v] and meets the window in one class at (0, s) for every s,
     and the free-summand socles, one filtration-0 class at n = d + 2p per
     free generator in degree d.  The oracle counts its own free generators:
-    it splits them off the model (margolis.strip_free), ranks only the
-    rest, and adds one class per generator at (d + 2p, 0).  The closed side
-    takes the counts from free_part_ps instead, so the (n, 0) rows check
+    it splits them off H*(K2) (margolis.strip_free), ranks only the rest,
+    and adds one class per generator at (d + 2p, 0).  The closed side
+    takes the counts from model.free_part_ps instead, so the (n, 0) rows check
     the two counts against each other.  Equality with those two
     corrections, dot for dot, is the check.
     """
-    from .margolis import build_HK2, ext_bruteforce, ext_cutoff, free_part_ps, strip_free
+    from .margolis import build_HK2, ext_bruteforce, ext_cutoff, strip_free
+    from .model import free_part_ps
 
     need = ext_cutoff(p, n_max, s_max)
     stripped, free = strip_free(build_HK2(p, need))

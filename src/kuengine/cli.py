@@ -17,10 +17,11 @@ status: 0 on success (for audits: all checks passed), 1 on a failed audit,
 Each subcommand imports only the modules it runs, and records are
 NamedTuples or plain classes, since every command pays interpreter start
 and imports.  Compiling from source (no .pyc) with CPython 3.11 on a
-2-core Xeon VM, the imports add to a bare interpreter: the front end
-alone (--help) 13 ms; groups and the duality audit 37 ms, less about 1 ms
-since they stopped compiling padic.py; the einfty audit 53 ms; chart 63 ms;
-the ext audit 69 ms; every module 78 ms.
+2-core Xeon VM, the imports add to a bare interpreter (medians of 41
+runs): the front end alone (--help) 9 ms; ps 16 ms; groups and the
+duality audit 24 ms, 26 ms with --include-free; the margolis and ps
+audits 24 ms; the einfty audit 34 ms; chart 38 ms; the ext audit 42 ms;
+every module 49 ms.
 
 `main` runs each command with the cyclic garbage collector off, then gives
 the caller back the collector state it had, and the program (`run`) freezes
@@ -64,18 +65,18 @@ AUDITS = {
     "einfty": (lambda p, n, s: _load("adams").einfty_audit(p, n, s), {"max_n": 120, "max_s": None}),
     "duality": (lambda p, k: _load("modules").duality_audit(p, k), {"max_n": 4}),
     "theorem61": (lambda p, n: _load("k1").theorem61_audit(p, n), {"max_n": 200}),
-    "margolis": (lambda p, n: _load("margolis").margolis_audit(p, n), {"max_n": 60}),
+    "margolis": (lambda p, n: _load("model").margolis_audit(p, n), {"max_n": 60}),
     "ext": (lambda p, d, s: _load("adams").ext_audit(p, d, s), {"max_degree": 40, "max_s": 8}),
-    "ps": (lambda p, n: _load("margolis").ps_audit(p, n), {"max_n": 100}),
+    "ps": (lambda p, n: _load("model").ps_audit(p, n), {"max_n": 100}),
 }
 
 # audit flag dest -> the flag as typed
 AUDIT_FLAGS = {"max_n": "--max", "max_degree": "--max-degree", "max_s": "--max-s"}
 
 SERIES = {
-    "free": lambda p, top: _load("margolis").free_part_ps(p, top).c,
-    "free-total": lambda p, top: _load("margolis").free_part_total_ps(p, top).c,
-    "trivial": lambda p, top: _load("margolis").trivial_summand_counts(p, top).c,
+    "free": lambda p, top: _load("model").free_part_ps(p, top).c,
+    "free-total": lambda p, top: _load("model").free_part_total_ps(p, top).c,
+    "trivial": lambda p, top: _load("model").trivial_summand_counts(p, top).c,
     "k1": lambda p, top: _load("k1").k1_dims(p, top),
 }
 
@@ -128,9 +129,9 @@ def cmd_groups(config: RunConfig) -> list[dict]:
     shift = 2 * p if config.homology else 0
     free = None
     if config.include_free:
-        from . import margolis
+        from . import model
 
-        free = margolis.trivial_summand_counts(p, hi + shift)
+        free = model.trivial_summand_counts(p, hi + shift)
     chart = modules.full_chart(p, hi + shift)
     rows = []
     for n in range(lo, hi + 1):
@@ -199,11 +200,9 @@ def cmd_chart(config: RunConfig, selectors: list[str], einfty: bool = False,
                 "(the dashed A-minus-B overlay)"
             )
         a_sel, b_sel = sorted(selectors)
-        return render.document_overlay(
-            _chart_for_selector(p, b_sel, cutoff),
-            _chart_for_selector(p, a_sel, cutoff),
-            config.window,
-        )
+        base = _chart_for_selector(p, b_sel, cutoff)
+        ambient = _chart_for_selector(p, a_sel, cutoff)
+        return render.document_from_chart(ambient, config.window, base=base)
     raise UsageError("at most two selectors")
 
 

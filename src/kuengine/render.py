@@ -206,23 +206,15 @@ def _window(chart: Chart, window: tuple[int, int] | None) -> tuple[int, int]:
 
 
 def document_from_chart(
-    chart: Chart, window: tuple[int, int] | None = None
+    chart: Chart, window: tuple[int, int] | None = None, base: Chart | None = None
 ) -> ChartDocument:
     """Closed-form document: tower dots, v-lines, and p-edge lines (h0 or
-    exotic).  Lines with an endpoint outside the window are dropped."""
+    exotic).  Lines with an endpoint outside the window are dropped.  With a
+    base chart, every dot outside it is flagged as overlay (rendered
+    dashed/open): the A-minus-B view."""
     lo, hi = _window(chart, window)
-    dots, lines = _chart_dots_and_lines(chart, lo, hi)
+    dots, lines = _chart_dots_and_lines(chart, lo, hi, base)
     return ChartDocument(chart.p, (lo, hi), "closed-form", dots, lines)
-
-
-def document_overlay(
-    base: Chart, ambient: Chart, window: tuple[int, int] | None = None
-) -> ChartDocument:
-    """Document of the ambient chart with everything outside the base chart
-    flagged as overlay (rendered dashed/open): the A-minus-B view."""
-    lo, hi = _window(ambient, window)
-    dots, lines = _chart_dots_and_lines(ambient, lo, hi, base)
-    return ChartDocument(ambient.p, (lo, hi), "closed-form", dots, lines)
 
 
 def document_from_einfty(

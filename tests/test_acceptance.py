@@ -9,7 +9,7 @@ desk-scale budgets and run on one core.
 import time
 from collections import Counter
 
-from kuengine import adams, cli, k1, margolis, modules
+from kuengine import adams, cli, k1, model, modules
 from kuengine.padic import r, r_prime, table35_row
 
 
@@ -22,7 +22,7 @@ def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 def test_01_free_series_golden_value():
     t0 = time.perf_counter()
-    count = margolis.free_part_ps(2, 79).c[79]
+    count = model.free_part_ps(2, 79).c[79]
     dt = time.perf_counter() - t0
     _verdict(1, "free-generator count in degree 79", count == 245 and dt < 1.0,
              f"got {count}, {dt:.3f}s")
@@ -170,7 +170,7 @@ def test_10_ext_oracle_equivalence():
 
 
 def test_11_margolis_closed_forms():
-    reports = [margolis.margolis_audit(p, 60) for p in (2, 3, 5)]
+    reports = [model.margolis_audit(p, 60) for p in (2, 3, 5)]
     _verdict(11, "Q0/Q1 homology matches the closed forms (deg <= 60)",
              all(rep["ok"] for rep in reports))
 

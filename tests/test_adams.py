@@ -31,7 +31,8 @@ from kuengine.adams import (
 )
 from kuengine import margolis
 from kuengine.chart import tower_dots, v_label
-from kuengine.margolis import build_HK2, ext_bruteforce, free_part_ps
+from kuengine.margolis import build_HK2, ext_bruteforce
+from kuengine.model import free_part_ps
 from kuengine.modules import full_chart
 from kuengine.monomial import (
     Monomial,

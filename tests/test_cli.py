@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import kuengine
-from kuengine import cli, margolis
+from kuengine import cli, margolis, model
 from kuengine.monomial import q_degree
 from kuengine.render import ChartDocument
 
@@ -251,26 +251,55 @@ def test_the_package_has_no_runtime_dependency(tmp_path):
     assert sorted(tops - set(sys.stdlib_module_names)) == []
 
 
+# The oracle and the closed forms it checks are two modules: a fresh import of
+# either loads only its own layer, and no closed form is defined in margolis.
+LAYERS = {
+    "margolis": {"margolis", "linalg", "monomial", "series"},
+    "model": {"model", "monomial", "series"},
+}
+
+
+def test_the_oracle_and_the_model_import_only_their_layers(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    for name, layer in LAYERS.items():
+        code = (
+            "import json, sys; before = set(sys.modules); "
+            f"import kuengine.{name}; "
+            "print(json.dumps(sorted(set(sys.modules) - before)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=tmp_path
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = {m for m in json.loads(proc.stdout) if m.startswith("kuengine.")}
+        assert loaded == {f"kuengine.{m}" for m in layer}, name
+    closed = [n for n, v in vars(model).items() if getattr(v, "__module__", None) == model.__name__]
+    assert "assemble_T" in closed and "free_part_ps" in closed
+    assert [n for n in closed if hasattr(margolis, n)] == []
+
+
 # Each command imports only the modules it runs: a fresh interpreter's
 # kuengine.* modules at exit, for one command of every dispatch branch at a
 # tiny window.  An eager import fails here instead of slowing every command.
 GROUPS = {"chart", "linalg", "modules", "monomial", "series"}
 EINFTY = GROUPS | {"adams", "padic"}
 CHART = EINFTY | {"render"}
-SERIES_ONLY = {"linalg", "margolis", "monomial", "series"}
+SERIES_ONLY = {"model", "monomial", "series"}
+MODEL_AUDIT = SERIES_ONLY | {"linalg", "margolis"}
 K1 = GROUPS | {"k1", "padic"}
 FRESH_IMPORTS = {
     "--help": set(),
     "groups --prime 3 --window 0:6": GROUPS,
-    "groups --prime 2 --window 0:3 --homology --include-free": GROUPS | {"margolis"},
+    "groups --prime 2 --window 0:3 --homology --include-free": GROUPS | {"model"},
     "audit --which bockstein --prime 2 --max 20": K1,
     "audit --which matching --prime 2 --max 12 --max-s 6": EINFTY,
     "audit --which einfty --prime 2 --max 12": EINFTY,
     "audit --which duality --prime 3 --max 2": GROUPS,
     "audit --which theorem61 --prime 3 --max 20": K1,
-    "audit --which margolis --prime 2 --max 12": SERIES_ONLY,
-    "audit --which ext --prime 2 --max-degree 8 --max-s 2": EINFTY | {"margolis"},
-    "audit --which ps --prime 2 --max 12": SERIES_ONLY,
+    "audit --which margolis --prime 2 --max 12": MODEL_AUDIT,
+    "audit --which ext --prime 2 --max-degree 8 --max-s 2": EINFTY | {"margolis", "model"},
+    "audit --which ps --prime 2 --max 12": MODEL_AUDIT,
     **{
         f"ps --which {which} --prime 3 --max 12 --format {fmt}":
             K1 if which == "k1" else SERIES_ONLY
@@ -369,9 +398,10 @@ def test_a_wrapper_on_the_module_is_what_the_command_calls(argv, module, name, m
         ("einfty", "adams", "einfty_audit"),
         ("duality", "modules", "duality_audit"),
         ("theorem61", "k1", "theorem61_audit"),
-        ("margolis", "margolis", "margolis_audit"),
+        # the two model audits are named for the margolis oracle they check against
+        pytest.param("margolis", "model", "margolis_audit", id="margolis-margolis-margolis_audit"),
         ("ext", "adams", "ext_audit"),
-        ("ps", "margolis", "ps_audit"),
+        pytest.param("ps", "model", "ps_audit", id="ps-margolis-ps_audit"),
     ),
 )
 def test_audit_failure_exits_one(which, module, name, monkeypatch, capsys):
@@ -383,7 +413,7 @@ def test_audit_failure_exits_one(which, module, name, monkeypatch, capsys):
 
 
 def test_ps_formats_agree_with_the_series(capsys):
-    want = list(margolis.free_part_ps(2, 12).c)
+    want = list(model.free_part_ps(2, 12).c)
     rc, out, _ = run(["ps", "--prime", "2", "--max", "12"], capsys)
     assert rc == 0
     assert json.loads(out) == want
@@ -577,7 +607,7 @@ def test_negative_bounds_are_usage_errors(argv, capsys):
 def test_zero_bounds_are_accepted(capsys):
     rc, out, _ = run(["ps", "--prime", "2", "--max", "0"], capsys)
     assert rc == 0
-    assert json.loads(out) == list(margolis.free_part_ps(2, 0).c)
+    assert json.loads(out) == list(model.free_part_ps(2, 0).c)
 
 
 def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
@@ -659,7 +689,7 @@ def _raise(*args):
     raise RuntimeError("audit crashed")
 
 
-# every way out of main: (argv, stand-in for margolis.ps_audit, outcome)
+# every way out of main: (argv, stand-in for model.ps_audit, outcome)
 MAIN_EXITS = {
     "exit 0": (["ps", "--max", "3"], None, 0),
     "exit 1": (["audit", "--which", "ps"], lambda *args: {"ok": False}, 1),
@@ -681,7 +711,7 @@ def test_main_runs_with_the_collector_off_and_gives_its_state_back(
             seen.append(gc.isenabled())
             return audit(*args)
 
-        monkeypatch.setattr(margolis, "ps_audit", audit_seeing_the_collector)
+        monkeypatch.setattr(model, "ps_audit", audit_seeing_the_collector)
     before = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
@@ -709,7 +739,7 @@ def test_the_program_exits_with_the_command_left_frozen(monkeypatch, capsys):
     finally:
         gc.unfreeze()
         (gc.enable if before else gc.disable)()
-    assert json.loads(capsys.readouterr().out) == list(margolis.free_part_ps(2, 3).c)
+    assert json.loads(capsys.readouterr().out) == list(model.free_part_ps(2, 3).c)
 
 
 # A command's cyclic garbage is set-up (the argparse parser), not

@@ -12,23 +12,26 @@ from kuengine.margolis import (
     E1Module,
     EXACT,
     GenSpec,
+    build_HK2,
+    ext_bruteforce,
+    ext_cutoff,
+    margolis_homology,
+    strip_free,
+)
+from kuengine.model import (
     _L,
     _M,
     _N,
     _R,
     assemble_T,
-    build_HK2,
-    ext_bruteforce,
-    ext_cutoff,
     free_part_ps,
     free_part_total_ps,
-    margolis_homology,
     q0_homology_closed,
     q1_homology_closed,
-    strip_free,
     trivial_summand_counts,
 )
 from kuengine import margolis as margolis_module
+from kuengine import model as model_module
 from kuengine.monomial import q_degree
 from kuengine.series import PSeries
 
@@ -294,13 +297,13 @@ def test_R_times_Eq_below_q_has_no_q_part(p):
 
 def test_assemble_T_builds_R_once(monkeypatch):
     calls = []
-    real = margolis_module._R
+    real = model_module._R
 
     def counted(p, D):
         calls.append((p, D))
         return real(p, D)
 
-    monkeypatch.setattr(margolis_module, "_R", counted)
+    monkeypatch.setattr(model_module, "_R", counted)
     assemble_T(3, 120)
     assert calls == [(3, 120)]
 
@@ -353,7 +356,25 @@ def test_ps_audit_builds_no_leibniz_module(monkeypatch):
 
     build_HK2.cache_clear()
     monkeypatch.setattr(margolis_module, "_module_from_monomials", refuse)
-    assert margolis_module.ps_audit(3, 200)["ok"]
+    assert model_module.ps_audit(3, 200)["ok"]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_the_model_reads_only_the_module_type_of_the_oracle(p, monkeypatch):
+    # T's constructors and the closed-form series build no H*(K2), rank no
+    # Q-map and resolve nothing: only E1Module, GenSpec and EXACT are read
+    def refuse(*args):
+        raise AssertionError("the model called the oracle")
+
+    D = 6 * p**2
+    want = build_HK2(p, D).ps() - free_part_total_ps(p, D)
+    for name in ("build_HK2", "hk2_generators", "_module_from_monomials",
+                 "margolis_homology", "strip_free", "ext_bruteforce"):
+        monkeypatch.setattr(margolis_module, name, refuse)
+    assert assemble_T(p, D).ps() == want
+    for series in (free_part_ps, free_part_total_ps, trivial_summand_counts,
+                   q0_homology_closed, q1_homology_closed):
+        assert len(series(p, D).c) == D + 1
 
 
 def test_trivial_summand_counts_are_shifted_generator_counts():

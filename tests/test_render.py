@@ -16,7 +16,6 @@ from kuengine.render import (
     DocLine,
     document_from_chart,
     document_from_einfty,
-    document_overlay,
     render_svg,
     render_tikz,
 )
@@ -96,7 +95,7 @@ def test_b5_and_a5_match_the_reference_rendering():
 
 
 def test_overlay_flags_exactly_the_a_minus_b_dots():
-    doc = document_overlay(build_B(2, 5), build_A(2, 5))
+    doc = document_from_chart(build_A(2, 5), base=build_B(2, 5))
     flagged = positions_with_flag(doc, True)
     plain = positions_with_flag(doc, False)
     b5 = positions(document_from_chart(build_B(2, 5), doc.window))
@@ -182,7 +181,7 @@ def test_renders_are_deterministic_and_right_to_left():
     assert "\\node[font=\\tiny, below] at (0,-.4) {$136$};" in text
     assert "\\node[font=\\tiny, below] at (68,-.4) {$68$};" in text
     # overlay dots render open / dashed
-    ov = tikz(document_overlay(build_B(2, 5), build_A(2, 5)))
+    ov = tikz(document_from_chart(build_A(2, 5), base=build_B(2, 5)))
     assert "circle (3.2pt);" in ov and "\\draw (" in ov
 
 
@@ -200,7 +199,7 @@ def test_svg_contains_dots_and_kind_colors():
 # emitted bytes (number formatting, line order, the trailing newline) fails.
 PINNED_DOCUMENTS = {
     "A5": lambda: document_from_chart(build_A(2, 5)),
-    "B5-over-A5": lambda: document_overlay(build_B(2, 5), build_A(2, 5)),
+    "B5-over-A5": lambda: document_from_chart(build_A(2, 5), base=build_B(2, 5)),
     "einfty-2": lambda: document_from_einfty(2, 0, 40, 10),
     "einfty-3": lambda: document_from_einfty(3, 0, 60, 8),
 }
@@ -273,7 +272,7 @@ def test_an_overlay_is_built_in_one_pass():
     # A_12 over B_12 with no document of the base and no copy of the dots:
     # the two-pass overlay peaked at 3.1 times the finished document
     base, ambient = build_B(2, 12), build_A(2, 12)
-    doc, held, peak = traced_build(lambda: document_overlay(base, ambient))
+    doc, held, peak = traced_build(lambda: document_from_chart(ambient, base=base))
     assert any(d.overlay for d in doc.dots)
     assert peak <= 1.7 * held, (peak, held)
 
@@ -327,7 +326,7 @@ def ref_to_json(doc):
 
 JSON_DOCUMENTS = {
     "A11": lambda: document_from_chart(build_A(2, 11)),
-    "B5-over-A5": lambda: document_overlay(build_B(2, 5), build_A(2, 5)),
+    "B5-over-A5": lambda: document_from_chart(build_A(2, 5), base=build_B(2, 5)),
     "einfty-2": lambda: document_from_einfty(2, 0, 40, 10),
     "einfty-3": lambda: document_from_einfty(3, 0, 60, 8),
     "empty": lambda: ChartDocument(2, (0, 0), "closed-form", [], []),
@@ -470,7 +469,7 @@ def test_overlay_matches_the_two_pass_reference(p, k):
             for t in c.towers
         )
     for window in ((lo, hi), cut):
-        got = document_overlay(base, ambient, window)
+        got = document_from_chart(ambient, window, base=base)
         assert got == ref_document_overlay(base, ambient, window), window
         assert any(d.overlay for d in got.dots) and not all(d.overlay for d in got.dots)
         dots, lines = ref_chart_dots_and_lines(ambient, *window)
@@ -487,7 +486,7 @@ def test_overlay_reads_the_tallest_base_tower_on_a_generator():
     for heights in ((1, 3), (3, 1)):
         base = Chart(2, [Tower(g, height) for height in heights])
         window = (0, h.degree)
-        doc = document_overlay(base, ambient, window)
+        doc = document_from_chart(ambient, window, base=base)
         assert doc == ref_document_overlay(base, ambient, window)
         flagged = {d.label for d in doc.dots if d.overlay}
         assert flagged == {"v^3 z3", "v^4 z3", "z4", "v z4"}

@@ -31,16 +31,17 @@ Monomial is built here.
 
 What the page holds per key and what it holds as a block.  The MAIN and SP
 towers are per-key towers: each sits at s = 0 with its base codegree in
-page.towers, its height in page.heights and a classify fate.  The H0 cosets
-form the h0 block: one column per (b, eps), each over c = 0..s_max, with no
-entry, Fate or label per coset.
+page.towers and a classify fate.  The H0 cosets form the h0 block: one
+column per (b, eps), each over c = 0..s_max, with no entry, Fate or label
+per coset.
 h0_segments lists a column's fates as runs of c: an eps = 0 column is one
 F1 source run; an eps = 1 column is nu(b+1) + odd F3 sources, one coset
-each, then one F1 target run with e0 = 0.  So every coset dies and the
-block shares one height entry, heights[BLOCK]: None on E2, 0 on
-E-infinity.  h0_base and h0_fate give one coset's base and fate (tower and
-classify take no h0 key; fate reads either), and run_labels spells every
-label from its key, once per run of dots.
+each, then one F1 target run with e0 = 0.  So every coset dies: v-free on
+E2, height 0 on E-infinity, by BigradedPage.height, which reads every
+height off a key and its fate (the page stores none).  h0_base and h0_fate
+give one coset's base and fate (tower and classify take no h0 key; fate
+reads either), and run_labels spells every label from its key, once per
+run of dots.
 
 Differentials come in four closed families (nu = nu(p, -), t >= k0, target
 truncation height e0 listed last):
@@ -86,7 +87,6 @@ from .monomial import (
 from .padic import nu
 
 Key = tuple
-BLOCK: Key = ("h0",)  # the heights entry every coset of the h0 block shares
 
 
 class WindowError(RuntimeError):
@@ -332,13 +332,12 @@ class BigradedPage:
     MAIN and SP key to its base codegree (every one is based at s = 0) and
     columns holds the h0 block, (b, eps) -> range(s_max + 1) over c (see the
     module docstring); `key in page`, len(page) and iter(page), towers
-    first, cover both.
+    first, cover both.  Heights are read off keys and fates (height).
     """
 
-    def __init__(self, p: int, n_lo: int, n_hi: int, s_max: int, towers, heights, columns):
+    def __init__(self, p: int, n_lo: int, n_hi: int, s_max: int, towers, columns):
         self.p, self.n_lo, self.n_hi, self.s_max = p, n_lo, n_hi, s_max
         self.towers: dict[Key, int] = towers  # MAIN and SP key -> n0
-        self.heights: dict[Key, int | None] = heights  # MAIN and SP towers, and BLOCK for the block
         self.columns: dict[tuple[int, int], range] = columns
 
     @property
@@ -372,36 +371,51 @@ class BigradedPage:
                 if run:
                     yield b, eps, seg, run
 
+    def height(self, key: Key, einfty: bool = False) -> int | None:
+        """The height of a tower or block coset (None = v-free): the one
+        rule.  On E2 an SP tower has _sp_shape's height and every other
+        tower and coset is v-free.  On E-infinity (einfty) a source has
+        height 0, a target its e0 and a survivor its E2 height; every coset
+        of the block is a source or a target with e0 = 0, so it has 0."""
+        if key[0] == "h0":
+            return 0 if einfty else None
+        if einfty:
+            role, _, _, e0, _ = classify(self.p, key)
+            if role != "survives":
+                return 0 if role == "source" else e0
+        return _sp_shape(self.p, key)[2] if key[0] == "sp" else None
+
     def _alive(self, key: Key, a: int) -> bool:
-        h = self.heights[BLOCK if key[0] == "h0" else key]
+        h = self.height(key)
         return a >= 0 and (h is None or a < h)
 
-    def window_runs(self, heights: dict[Key, int | None]):
+    def window_runs(self, einfty: bool = False):
         """(key, n0, s0, range of a) of every tower and block coset with a
-        dot inside the window, each cut to its height in heights (None =
-        v-free; heights[BLOCK] for every coset of the block) and at
-        filtration s_max: the one place that cuts the page to its window."""
+        dot inside the window, each cut to its height on E2, or on
+        E-infinity with einfty, and at filtration s_max: the one place that
+        cuts the page to its window."""
         w, lo, hi, top = self.w, self.n_lo, self.n_hi, self.s_max + 1
+        height = self.height
         for key, n0 in self.towers.items():
-            h = heights[key]
+            h = height(key, einfty)
             run = tower_dots(n0, top if h is None else min(h, top), w, lo, hi)
             if run:
                 yield key, n0, 0, run
-        h = heights[BLOCK]
         for (b, eps), cs in self.columns.items():
             n0, s0 = h0_base(self.p, 0, b, eps)
-            full = tower_dots(n0, h, w, lo, hi)
+            full = tower_dots(n0, height(("h0", cs.start, b, eps), einfty), w, lo, hi)
             for c in cs:
                 stop = min(full.stop, top - s0 - c)
                 if stop <= full.start:
                     break  # the cosets above c start higher still
                 yield ("h0", c, b, eps), n0, s0 + c, range(full.start, stop)
 
-    def dims(self, heights: dict[Key, int | None]) -> dict[tuple[int, int], int]:
-        """(n, s) -> number of window dots, towers cut to heights."""
+    def dims(self, einfty: bool = False) -> dict[tuple[int, int], int]:
+        """(n, s) -> number of window dots on E2, or on E-infinity with
+        einfty."""
         out: dict[tuple[int, int], int] = {}
         w = self.w
-        for _, n0, s0, run in self.window_runs(heights):
+        for _, n0, s0, run in self.window_runs(einfty):
             for a in run:
                 ns = (n0 - w * a, s0 + a)
                 out[ns] = out.get(ns, 0) + 1
@@ -445,8 +459,8 @@ def e2_window(p: int, n_lo: int, n_hi: int, s_max: int) -> BigradedPage:
     reaches below k0, which is what is checked, with no label spelled."""
     if p < 2 or n_hi < n_lo or s_max < 0:
         raise ValueError("bad window")
-    page = BigradedPage(p, n_lo, n_hi, s_max, {}, {}, {})
-    towers, heights, columns, pad = page.towers, page.heights, page.columns, page.n_pad
+    page = BigradedPage(p, n_lo, n_hi, s_max, {}, {})
+    towers, columns, pad = page.towers, page.columns, page.n_pad
     runs = _z_runs(p, pad)
     zparts = [_z_of(p, *run[:4]) for run in runs]
     if len({frozenset(z.items()) for z in zparts}) != len(runs) or any(
@@ -460,7 +474,6 @@ def e2_window(p: int, n_lo: int, n_hi: int, s_max: int) -> BigradedPage:
             while base + 2 * p * b <= pad:
                 towers[("main", b, eps, i1, j2, e, lam)] = base + 2 * p * b
                 b += 1
-    heights.update(dict.fromkeys(towers))  # MAIN towers are v-free
     for eps in (0, 1):
         b = 1 - eps
         while h0_base(p, 0, b, eps)[0] <= pad:
@@ -469,10 +482,9 @@ def e2_window(p: int, n_lo: int, n_hi: int, s_max: int) -> BigradedPage:
     kinds = ("x8", "x10") if p == 2 else ("yz",)
     for kind in kinds:
         key = ("sp", kind, 0)
-        while (n0_height := tower(p, key))[0] <= pad:
-            towers[key], heights[key] = n0_height
+        while (n0 := tower(p, key)[0]) <= pad:
+            towers[key] = n0
             key = ("sp", kind, key[2] + 1)
-    heights[BLOCK] = None
     return page
 
 
@@ -652,21 +664,6 @@ def _walk_block(
     return listed
 
 
-def _einfty_heights(page: BigradedPage, pairs) -> dict[Key, int | None]:
-    """The page's heights after the replay: sources die, targets keep e0
-    dots, and the whole block dies (every coset a source or a target with
-    e0 = 0)."""
-    heights = dict(page.heights)
-    heights[BLOCK] = 0
-    for src, tgt, _, e0 in pairs:
-        for key, h in ((src, 0), (tgt, e0)):
-            if key in heights:
-                if heights[key] is not None:
-                    raise WindowError(f"paired tower {dot_label(page.p, key, 0)} is height-bounded")
-                heights[key] = h
-    return heights
-
-
 def run_differentials(page: BigradedPage):
     """Replay every differential over the window.
 
@@ -674,16 +671,16 @@ def run_differentials(page: BigradedPage):
     E-infinity dimension; applied lists the replayed differentials as
     {"r", "source_label", "target_label"} records, ordered by (r, source
     base codegree, source label, target label).  Raises WindowError, naming
-    the kind and the towers, on the first problem pair_towers finds or on a
-    paired window tower that is already height-bounded: never for pages
-    built by e2_window, but it guards hand-edited ones.
+    the kind and the towers, on the first problem pair_towers finds: never
+    for pages built by e2_window, but it guards hand-edited ones.  Then
+    E-infinity is page.dims(einfty=True), each tower cut by its fate.
     """
     pairing = pair_towers(page)
     for kind, found in pairing.problems.items():
         if found:
             raise WindowError(f"{kind}: {found[0]}")
     p = page.p
-    einf = page.dims(_einfty_heights(page, pairing.pairs))
+    einf = page.dims(einfty=True)
     pairs = list(pairing.pairs)
     for b, eps, seg, run in page.block_runs():
         if seg.role == "source" and seg.offset is not None:
@@ -729,8 +726,7 @@ def matching_audit(p: int, n_lo: int, n_hi: int, s_max: int) -> dict:
 
 def e2_dims(p: int, n_lo: int, n_hi: int, s_max: int) -> dict[tuple[int, int], int]:
     """Closed-form reduced E2 dimensions over the window (no differentials)."""
-    page = e2_window(p, n_lo, n_hi, s_max)
-    return page.dims(page.heights)
+    return e2_window(p, n_lo, n_hi, s_max).dims()
 
 
 def einfty_audit(p: int, n_hi: int, s_max: int | None = None) -> dict:
@@ -738,11 +734,14 @@ def einfty_audit(p: int, n_hi: int, s_max: int | None = None) -> dict:
 
     Checks, for every 0 <= n <= n_hi: the (n, s)-dimensions of E-infinity
     against the chart dots of modules.full_chart (same filtrations), and
-    the per-degree totals against the F_p-length of ku^n.  s_max defaults
+    the per-degree totals against the F_p-length of ku^n, its dot count
+    (each chart relation is p . dot minus dots of higher filtration: a
+    triangular matrix of determinant p^dots).  s_max defaults
     to the chart's top filtration plus 4; a cap below that top filtration
     would cut E-infinity short of the chart and raises ValueError, and so
     does a window with no tower, which would pass without checking
-    anything.  The replay is run_differentials' without its records; a
+    anything.  The replay is run_differentials' without its records:
+    E-infinity is page.dims(einfty=True), every tower cut by its fate.  A
     broken tower pairing fails the audit, its problems listed under
     matching_audit's keys.
     """
@@ -762,7 +761,7 @@ def einfty_audit(p: int, n_hi: int, s_max: int | None = None) -> dict:
     if not len(page):
         raise ValueError(f"the window 0..{n_hi}, s <= {s_max} holds no tower")
     pairs, block_pairs, problems = pair_towers(page)
-    einf = page.dims(_einfty_heights(page, pairs))
+    einf = page.dims(einfty=True)
     problems = {kind: found for kind, found in problems.items() if found}
 
     mismatches = []
@@ -776,7 +775,7 @@ def einfty_audit(p: int, n_hi: int, s_max: int | None = None) -> dict:
     length_mismatches = []
     for n in range(n_hi + 1):
         total = totals[n]
-        length = sum(ch.group_at(n))
+        length = ch.dims_at(n)
         if total != length:
             length_mismatches.append({"n": n, "einfty": total, "ku_length": length})
 

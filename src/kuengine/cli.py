@@ -10,9 +10,9 @@ Poincare-series dumps.
 
 All output is deterministic (no timestamps) and, with --out, written
 atomically: a temporary file beside the target replaces it once the whole
-output is in.  A chart is written block by block, never held whole.  Exit
-status: 0 on success (for audits: all checks passed), 1 on a failed audit,
-2 on usage errors or unsupported combinations.
+output is in.  A chart, in every format, is written block by block, never
+held whole.  Exit status: 0 on success (for audits: all checks passed), 1
+on a failed audit, 2 on usage errors or unsupported combinations.
 
 Each subcommand imports only the modules it runs, and records are
 NamedTuples or plain classes, since every command pays interpreter start
@@ -397,10 +397,7 @@ def _run(argv: list[str] | None) -> int:
 
             doc = cmd_chart(config, args.selector, args.einfty, args.max_s)
             with _output(config.out) as fh:  # block by block, never whole
-                if config.fmt == "json":
-                    fh.writelines((doc.to_json(), "\n"))
-                else:
-                    fh.writelines(getattr(render, f"render_{config.fmt}")(doc))
+                fh.writelines(getattr(render, f"render_{config.fmt}")(doc))
             return 0
         if args.command == "audit":
             report = cmd_audit(config, args.which, args.max_n, args.max_degree, args.max_s)

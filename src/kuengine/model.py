@@ -137,22 +137,13 @@ def q1_homology_closed(p: int, D: int) -> PSeries:
 # ---------------------------------------------------------------------------
 
 
-def _ps_L(p: int, k: int, top: int) -> PSeries:
-    step = 2 * (p - 1)
-    body = PSeries(top)
-    for i in range(k + 1):
-        if step * i > top:
-            break
-        body.c[step * i] = 1
-    return (PSeries.one(top) + PSeries.monomial(top, 1)) * body
-
-
 def free_part_total_ps(p: int, D: int) -> PSeries:
     """Poincare series of the free complement of unit + T inside H*K2.
 
     Only H*K2's product and N's degrees are written per prime; T's series
     G(2p) (1 + N + (1 + x^|q|) R) is one formula, R the sum over j >= 2k0
-    of M_j's series times its cofactor's (_R_terms)."""
+    of M_j's series times its cofactor's (_R_terms), M_j being L_k with
+    k = j - 2k0, whose series is (1 + x) TP_(k+1)[x^(2p-2)]."""
     one = PSeries.one(D)
     if p == 2:
         full = one
@@ -174,7 +165,8 @@ def free_part_total_ps(p: int, D: int) -> PSeries:
         ps_n = PSeries.from_degrees(D, (2 * p + 1, 4 * p - 1, 4 * p))
     tail = PSeries(D)
     for j, i, cof in _R_terms(p, D):
-        term = _ps_L(p, j - 2 * k0(p), D).shift(2 * p**i + 1)
+        body = PSeries.truncated_poly(D, 2 * (p - 1), j - 2 * k0(p) + 1)
+        term = ((one + PSeries.monomial(D, 1)) * body).shift(2 * p**i + 1)
         for d, top in cof:
             term = term * PSeries.truncated_poly(D, d, top + 1)
         tail = tail + term

@@ -20,18 +20,18 @@ deterministic -- dots sorted by (degree, filtration, label), lines by (kind,
 endpoints), no timestamps -- so identical inputs give byte-identical output,
 and to_json/from_json are mutually inverse on canonical documents.  DocDot
 and DocLine are named tuples whose field order is that canonical key, so a
-document sorts its records natively.  to_json writes exactly the text of
-json.dumps(document, indent=1, sort_keys=True), but formats it one dot or
-line record at a time instead of through the pure-Python indent encoder;
-strings go through json's own escaper, encode_basestring_ascii, which is
-what json.dumps calls on a str.  to_json returns the whole text as a str,
-which from_json reads back.
+document sorts its records natively.  render_json writes exactly the text of
+json.dumps(document, indent=1, sort_keys=True) and a newline, but formats it
+one dot or line record at a time instead of through the pure-Python indent
+encoder; strings go through json's own escaper, encode_basestring_ascii,
+which is what json.dumps calls on a str.  to_json returns that text whole,
+without the newline, as a str, which from_json reads back.
 
-render_svg and render_tikz are generators: they yield the text in blocks of
-a few thousand records (the header and axis, the lines, the dots, the
-closing tag), and "".join of the blocks is the whole document, so a caller
-writes a chart block by block and never holds all of its text.  The SVG
-writer formats each distinct line geometry once.
+render_json, render_svg and render_tikz are generators: they yield the text
+in blocks of a few thousand records (the header and axis, the lines, the
+dots, the closing tag), and "".join of the blocks is the whole document, so
+a caller writes a chart block by block and never holds all of its text.
+The SVG writer formats each distinct line geometry once.
 """
 
 from __future__ import annotations
@@ -67,12 +67,7 @@ class DocLine(NamedTuple):
 
 _OVERLAY = ',\n   "overlay": true'  # the key a dot record carries only when set
 _DOC_FIELDS = attrgetter("prime", "window", "source", "dots", "lines")
-
-
-def _json_list(records: list[str]) -> str:
-    """A list of already indented records, as json.dumps(indent=1) nests it
-    one level below the top."""
-    return "[\n" + ",\n".join(records) + "\n ]" if records else "[]"
+_BLOCK = 2048  # records per yielded block
 
 
 class ChartDocument:
@@ -124,24 +119,8 @@ class ChartDocument:
     # -- JSON -------------------------------------------------------------
     def to_json(self) -> str:
         """json.dumps of the document dict with indent=1 and sort_keys=True,
-        byte for byte, written one record at a time."""
-        enc = encode_basestring_ascii  # what json.dumps calls on a str
-        dots = [
-            f'  {{\n   "degree": {d.degree},\n   "filtration": {d.filtration},\n'
-            f'   "label": {enc(d.label)}{_OVERLAY if d.overlay else ""}\n  }}'
-            for d in self.dots
-        ]
-        kinds = {k: enc(k) for k in set(map(itemgetter(0), self.lines))}
-        lines = [
-            f'  {{\n   "dst": {dst},\n   "kind": {kinds[kind]},\n   "src": {src}\n  }}'
-            for kind, src, dst in self.lines
-        ]
-        lo, hi = self.window
-        return (
-            f'{{\n "dots": {_json_list(dots)},\n "lines": {_json_list(lines)},\n'
-            f' "prime": {self.prime},\n "schema_version": {SCHEMA_VERSION},\n'
-            f' "source": {enc(self.source)},\n "window": [\n  {lo},\n  {hi}\n ]\n}}'
-        )
+        byte for byte: render_json's blocks joined, less the final newline."""
+        return "".join(render_json(self))[:-1]
 
     @staticmethod
     def from_json(text: str) -> "ChartDocument":
@@ -164,6 +143,39 @@ class ChartDocument:
             ],
             [(l["kind"], l["src"], l["dst"]) for l in doc["lines"]],
         )
+
+
+def _json_list(records: Iterable[str]) -> Iterator[str]:
+    """A list of already indented records, as json.dumps(indent=1) nests it
+    one level below the top, _BLOCK records at a time."""
+    records, sep = iter(records), "[\n"
+    while block := list(islice(records, _BLOCK)):
+        yield sep + ",\n".join(block)
+        sep = ",\n"
+    yield "[]" if sep == "[\n" else "\n ]"
+
+
+def render_json(doc: ChartDocument) -> Iterator[str]:
+    """The canonical JSON text and its newline, yielded in blocks (see the
+    module docstring)."""
+    enc = encode_basestring_ascii  # what json.dumps calls on a str
+    yield '{\n "dots": '
+    yield from _json_list(
+        f'  {{\n   "degree": {d.degree},\n   "filtration": {d.filtration},\n'
+        f'   "label": {enc(d.label)}{_OVERLAY if d.overlay else ""}\n  }}'
+        for d in doc.dots
+    )
+    yield ',\n "lines": '
+    kinds = {k: enc(k) for k in set(map(itemgetter(0), doc.lines))}
+    yield from _json_list(
+        f'  {{\n   "dst": {dst},\n   "kind": {kinds[kind]},\n   "src": {src}\n  }}'
+        for kind, src, dst in doc.lines
+    )
+    lo, hi = doc.window
+    yield (
+        f',\n "prime": {doc.prime},\n "schema_version": {SCHEMA_VERSION},\n'
+        f' "source": {enc(doc.source)},\n "window": [\n  {lo},\n  {hi}\n ]\n}}\n'
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +245,7 @@ def document_from_einfty(
     # each window tower's run: (doc index of its a = 0 dot, window range of a)
     runs: dict[Key, tuple[int, range]] = {}
     dots: list[DocDot] = []
-    for key, n0, s0, run in page.window_runs(page.heights):
+    for key, n0, s0, run in page.window_runs():
         runs[key] = (len(dots) - run.start, run)
         dots += [DocDot(n0 - w * a, s0 + a, lab) for a, lab in zip(run, run_labels(p, key, run))]
 
@@ -267,7 +279,6 @@ _CELL = 16
 _MARGIN = 34
 _COLOR = {"v": "#000000", "h0": "#000000", "exotic": "#cc0000"}
 _DIFF_COLOR = "#1144bb"
-_BLOCK = 2048  # records per yielded block
 
 
 def _fmt(x: float) -> str:

@@ -10,7 +10,6 @@ import pytest
 
 from kuengine import adams
 from kuengine.adams import (
-    BLOCK,
     BigradedPage,
     _z_runs,
     Fate,
@@ -169,10 +168,6 @@ def page_keys(page):
     return [*page.towers, *block]
 
 
-def height_of(page, key):
-    return page.heights[BLOCK if key[0] == "h0" else key]
-
-
 def test_the_page_walk_covers_both_parts():
     for p, n_hi, s_max in ((2, 120, 35), (3, 150, 30), (5, 300, 10)):
         page = e2_window(p, 0, n_hi, s_max)
@@ -181,18 +176,18 @@ def test_the_page_walk_covers_both_parts():
         assert list(page) == keys and all(k in page for k in keys)
         assert {k[0] for k in page.towers} == {"main", "sp"}
         assert all(cs == range(s_max + 1) for cs in page.columns.values())
-        walked = [k for k, *_ in page.window_runs(page.heights)]
+        walked = [k for k, *_ in page.window_runs()]
         seen = set(walked)
         assert seen <= set(keys) and any(k not in page.towers for k in walked)
         assert [k for k in keys if k in seen] == walked  # the page's own order
-        for key, n0, s0, _ in page.window_runs(page.heights):
+        for key, n0, s0, _ in page.window_runs():
             assert (n0, s0) == (any_tower(p, key).n0, any_tower(p, key).s0)
             if key in page.towers:  # a per-key tower sits at s = 0
                 assert (n0, s0) == (page.towers[key], 0)
         assert page.n_pad == n_hi + page.w * s_max
     outside = e2_window(2, 0, 40, 8)
     assert ("h0", 9, 1, 0) not in outside and ("h0", 0, 99, 0) not in outside
-    assert ("h0", 0, 0, 0) not in outside and BLOCK not in outside
+    assert ("h0", 0, 0, 0) not in outside
 
 
 @pytest.mark.parametrize(
@@ -256,7 +251,7 @@ def scanned_dots_at(page, n, s):
     for key in page_keys(page):
         tw = any_tower(page.p, key)
         a = s - tw.s0
-        h = height_of(page, key)
+        h = tw.height
         if a >= 0 and (h is None or a < h) and tw.n0 - page.w * a == n:
             out.append((key, a))
     return out
@@ -323,10 +318,9 @@ def crippled_without(gone):
         cs = page.columns[gone[2:]]
         assert gone[1] == cs.start
         columns = {**page.columns, gone[2:]: cs[1:]}
-        return BigradedPage(*window, page.towers, page.heights, columns)
+        return BigradedPage(*window, page.towers, columns)
     bad = {k: t for k, t in page.towers.items() if k != gone}
-    heights = {k: h for k, h in page.heights.items() if k != gone}
-    return BigradedPage(*window, bad, heights, page.columns)
+    return BigradedPage(*window, bad, page.columns)
 
 
 def test_missing_target_is_a_hard_error():
@@ -507,7 +501,7 @@ def ref_e2_window(p, n_lo, n_hi, s_max):
     """The MAIN and SP towers of e2_window plus every h0 coset as a tower,
     enumerated by c, then b, up to the pad."""
     page = e2_window(p, n_lo, n_hi, s_max)
-    towers = {k: RefTower(k, n0, 0, page.heights[k]) for k, n0 in page.towers.items()}
+    towers = {k: RefTower(k, n0, 0, tower(p, k)[1]) for k, n0 in page.towers.items()}
     offset = q_degree(p) - 2 * (p - 1) * k0(p)
     for eps in (0, 1):
         for c in range(s_max + 1):
@@ -578,18 +572,26 @@ def ref_pair_towers(page):
     return fates, pairs, problems
 
 
-def ref_run_differentials(page):
+def ref_einfty_heights(page):
+    """The checked pairing and the E-infinity heights it gives every key of
+    the reference page: sources die, targets keep e0 dots."""
     _, pairs, problems = ref_pair_towers(page)
     assert not any(problems.values()), problems
     heights = dict(page.heights)
-    records = []
     for st, tt, f in pairs:
         for tw, h in ((st, 0), (tt, f.e0)):
             if tw.key in heights:
                 assert heights[tw.key] is None
                 heights[tw.key] = h
-        records.append((f.r, st.n0, dot_label(page.p, st.key, 0), dot_label(page.p, tt.key, f.e0)))
-    records.sort()
+    return pairs, heights
+
+
+def ref_run_differentials(page):
+    pairs, heights = ref_einfty_heights(page)
+    records = sorted(
+        (f.r, st.n0, dot_label(page.p, st.key, 0), dot_label(page.p, tt.key, f.e0))
+        for st, tt, f in pairs
+    )
     applied = [{"r": r, "source_label": s, "target_label": t} for r, _, s, t in records]
     return ref_dims(page, heights), applied
 
@@ -652,9 +654,20 @@ def test_the_block_replay_matches_the_per_coset_reference(window):
     assert set(page_keys(page)) == set(ref.towers)
     assert run_differentials(page) == ref_run_differentials(ref)
     assert pair_towers(page).problems == ref_pair_towers(ref)[2]
-    assert page.dims(page.heights) == ref_dims(ref, ref.heights)
+    assert page.dims() == ref_dims(ref, ref.heights)
     assert matching_audit(*window) == ref_matching_audit(*window)
     assert einfty_audit(p, n_hi) == ref_einfty_audit(p, n_hi)
+
+
+@pytest.mark.parametrize("window", REFERENCE_WINDOWS)
+def test_einfty_heights_are_read_off_fates_as_the_pairing_gives_them(window):
+    # BigradedPage.height reads every key's E-infinity height off its own
+    # fate; the reference cuts the towers of the checked pairing instead
+    page, ref = e2_window(*window), ref_e2_window(*window)
+    heights = ref_einfty_heights(ref)[1]
+    assert {key: page.height(key, einfty=True) for key in page_keys(page)} == heights
+    # the window holds dead towers, towers of height 1 and taller ones
+    assert {heights[key] for key, *_ in page.window_runs()} > {0, 1}
 
 
 @pytest.fixture
@@ -749,7 +762,7 @@ def test_a_column_runs_from_its_f3_sources_to_its_f1_targets(p):
     assert [fate(p, k)[:2] for k in keys] == [("source", "F3")] * 2 + [("target", "F1")]
     assert all(k in page for k in keys)
     assert page.h0_op(keys[1], 0) == (keys[2], 0)
-    assert set(keys) <= {k for k, *_ in page.window_runs(page.heights)}
+    assert set(keys) <= {k for k, *_ in page.window_runs()}
 
 
 @pytest.mark.parametrize("p", (2, 3))
@@ -919,7 +932,7 @@ def test_e2_dims_match_the_per_bidegree_scan(p):
             if scanned_dots_at(page, n, s):
                 want[(n, s)] = len(scanned_dots_at(page, n, s))
     assert e2_dims(p, n_lo, n_hi, s_max) == want
-    assert page.dims(page.heights) == want
+    assert page.dims() == want
 
 
 # -- key arithmetic against the Monomial-built reference ------------------------

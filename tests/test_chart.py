@@ -27,6 +27,17 @@ def chain_chart(p, length):
     return Chart(p, towers, edges)
 
 
+@pytest.mark.parametrize("p, n_max", ((2, 400), (3, 600), (5, 1500), (7, 2000)))
+def test_a_degree_has_the_length_of_its_dots(p, n_max):
+    # every relation is p . dot minus dots of higher filtration, a triangular
+    # matrix of determinant p^(dots): einfty_audit reads ku^n's length as
+    # dims_at, with no Smith form
+    ch = full_chart(p, n_max)
+    groups = [ch.group_at(n) for n in range(n_max + 1)]
+    assert [sum(g) for g in groups] == [ch.dims_at(n) for n in range(n_max + 1)]
+    assert max(map(max, filter(None, groups))) > 2  # Z/p^3 and longer, not only Z/p
+
+
 def test_group_chain():
     c = chain_chart(2, 3)
     n = c.towers[0].gen_degree

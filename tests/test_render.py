@@ -16,10 +16,11 @@ from kuengine.render import (
     DocLine,
     document_from_chart,
     document_from_einfty,
+    render_json,
     render_svg,
     render_tikz,
 )
-from test_adams import any_tower, height_of, page_keys
+from test_adams import any_tower, page_keys
 
 # Hand-extracted (codegree, filtration) positions of the solid dots in the
 # reference rendering of the k = 5 even block at p = 2, drawn over the window
@@ -241,9 +242,14 @@ def test_writers_yield_a_chart_in_blocks():
         assert len(blocks) > 3, render
         assert blocks[0].startswith(head) and blocks[-1] == tail
         assert all(block.endswith("\n") and "\n\n" not in block for block in blocks)
+    # the JSON blocks split the record lists between records
+    blocks = list(render_json(doc))
+    assert len(blocks) > 3 and max(map(len, blocks)) < len(doc.to_json()) / 2
+    assert "".join(blocks) == doc.to_json() + "\n"
     # an empty document yields no empty block
     empty = ChartDocument(2, (0, 0), "closed-form", [], [])
-    assert all(render_svg(empty)) and all(render_tikz(empty))
+    assert all(render_svg(empty)) and all(render_tikz(empty)) and all(render_json(empty))
+    assert "".join(render_json(empty)) == empty.to_json() + "\n" == ref_to_json(empty) + "\n"
 
 
 def traced_build(build):
@@ -291,6 +297,23 @@ def test_writing_an_einfty_chart_never_holds_its_text(tmp_path):
         tracemalloc.stop()
     size = target.stat().st_size
     assert size > 10**7
+    assert peak < size / 2, (peak, size)
+
+
+def test_writing_a_json_chart_never_holds_its_text(tmp_path):
+    # chart-emit's A_11 command: its JSON, which to_json composes whole, is
+    # written block by block
+    doc = document_from_chart(build_A(2, 11))
+    target = tmp_path / "a11.json"
+    tracemalloc.start()
+    try:
+        with cli._output(str(target)) as fh:
+            fh.writelines(render_json(doc))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = target.stat().st_size
+    assert size > 2 * 10**6 and target.read_text() == doc.to_json() + "\n"
     assert peak < size / 2, (peak, size)
 
 
@@ -375,7 +398,8 @@ def ref_document_from_einfty(p, n_lo, n_hi, s_max):
     index = {}
     dots = []
     for key in page_keys(page):
-        tw, h = any_tower(p, key), height_of(page, key)
+        tw = any_tower(p, key)
+        h = tw.height
         cap = page.s_max - tw.s0 + 1
         cap = cap if h is None else min(h, cap)
         for a in tower_dots(tw.n0, cap, page.w, page.n_lo, page.n_hi):

@@ -171,17 +171,16 @@ def dot_label(p: int, key: Key, a: int) -> str:
 
 
 @lru_cache(maxsize=None)
-def tower(p: int, key: Key) -> tuple[int, int | None]:
-    """(base codegree n0, E2 height) of a MAIN or SP key, whose base sits at
-    s = 0; the height is None for a v-free tower (an h0 coset has h0_base
-    instead)."""
+def tower(p: int, key: Key) -> int:
+    """Base codegree n0 of a MAIN or SP key, whose base sits at s = 0 (an
+    h0 coset has h0_base instead; heights are BigradedPage.height's)."""
     if key[0] == "main":
         _, b, eps, *z = key
         zdeg = sum(x * z_degree(p, j) for j, x in _z_of(p, *z).items())
-        return eps * q_degree(p) + 2 * p * b + zdeg, None
+        return eps * q_degree(p) + 2 * p * b + zdeg
     if key[0] == "sp":
-        y0, zj, height = _sp_shape(p, key)
-        return 2 * y0 + 2 * p * key[2] + z_degree(p, zj), height
+        y0, zj, _ = _sp_shape(p, key)
+        return 2 * y0 + 2 * p * key[2] + z_degree(p, zj)
     raise ValueError(f"unknown tower family {key!r}")
 
 
@@ -482,7 +481,7 @@ def e2_window(p: int, n_lo: int, n_hi: int, s_max: int) -> BigradedPage:
     kinds = ("x8", "x10") if p == 2 else ("yz",)
     for kind in kinds:
         key = ("sp", kind, 0)
-        while (n0 := tower(p, key)[0]) <= pad:
+        while (n0 := tower(p, key)) <= pad:
             towers[key] = n0
             key = ("sp", kind, key[2] + 1)
     return page
@@ -497,7 +496,7 @@ def _base(page: BigradedPage, key: Key) -> tuple[int, int]:
     if key[0] == "h0":
         return h0_base(page.p, key[1], key[2], key[3])
     n0 = page.towers.get(key)
-    return (tower(page.p, key)[0] if n0 is None else n0), 0
+    return (tower(page.p, key) if n0 is None else n0), 0
 
 
 class Pairing(NamedTuple):

@@ -24,15 +24,16 @@ under construction, and direct_sum builds a single Chart from all parts, so
 the edge-source and validate checks run once, over the finished chart.
 
 A monomial family of towers is a table of FamilyRow rows, counted dot by dot
-by count_family_dots; walk_family walks an indexed family while the lowest
-reach among its rows, row_reach = base - 2(p-1)(height - 1), is in the window.
+by count_family_dots with one monomial walk per cofactor the rows share;
+walk_family walks an indexed family while the lowest reach among its rows,
+row_reach = base - 2(p-1)(height - 1), is in the window.
 The one counter also counts the Theorem 6.1 terms (k1._g_rows), and
 walk_family also walks the chart's odd blocks (modules._odd_parts).
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .linalg import cokernel_exponents, gf_rank_sparse, group_exponents
@@ -72,16 +73,27 @@ def walk_family(rows_at: Callable, reach: Callable, n_max: int, start: int) -> I
 
 
 def count_family_dots(p: int, rows: Iterable[FamilyRow], n_max: int) -> tuple[int, ...]:
-    """Dot counts in degrees 0..n_max of the towers of the rows."""
-    dims = [0] * (n_max + 1)
+    """Dot counts in degrees 0..n_max of the towers of the rows.  The rows
+    that share a cofactor (factors, lam) share one walk of its monomials,
+    at the largest degree cap among them."""
     w = 2 * (p - 1)
+    shared: dict[tuple, list] = {}  # (factors, lam) -> [(base, height, sign, cap)]
     for base, height, factors, lam, sign in rows:
         cap = n_max + w * (height - 1) - base
-        if lam is not None:
-            factors = factors + lambda_factors(p, lam, cap)
-        for _, d in bounded_exponents(factors, cap):
-            for a in tower_dots(base + d, height, w, 0, n_max):
-                dims[base + d - w * a] += sign
+        shared.setdefault((tuple(factors), lam), []).append((base, height, sign, cap))
+    dims = [0] * (n_max + 1)
+    for (factors, lam), members in shared.items():
+        top = max(member[3] for member in members)
+        factors = list(factors) + (lambda_factors(p, lam, top) if lam is not None else [])
+        # a monomial's factors all have degree <= its own, so the one walk
+        # at top holds every row's monomials, which lie below the row's cap
+        degrees = sorted(Counter(d for _, d in bounded_exponents(factors, top)).items())
+        for base, height, sign, cap in members:
+            for d, count in degrees:
+                if d > cap:
+                    break
+                for a in tower_dots(base + d, height, w, 0, n_max):
+                    dims[base + d - w * a] += sign * count
     return tuple(dims)
 
 

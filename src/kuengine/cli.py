@@ -38,6 +38,7 @@ import json
 import math
 import os
 import sys
+from functools import partial
 
 # The subsystems are imported by the commands that run them.  The module
 # __getattr__ (PEP 562) keeps the render names the benchmark's tracer reads
@@ -177,21 +178,22 @@ def cmd_chart(config: RunConfig, selectors: list[str], einfty: bool = False,
     from . import render
 
     p = config.prime
+    cutoff = config.window[1] if config.window else None
     if einfty:
         if selectors:
             raise UsageError("--einfty replaces the module selector")
         if config.window is None:
             raise UsageError("--einfty needs --window")
         lo, hi = config.window
-        return render.document_from_einfty(p, lo, hi, s_max if s_max is not None else 40)
-    if not selectors:
+        build = partial(render.document_from_einfty, p, lo, hi, s_max if s_max is not None else 40)
+    elif not selectors:
         raise UsageError("chart needs a module selector (or --einfty)")
-    if s_max is not None:
+    elif s_max is not None:
         raise UsageError("--max-s caps only chart --einfty")
-    cutoff = config.window[1] if config.window else None
-    if len(selectors) == 1:
-        return render.document_from_chart(_chart_for_selector(p, selectors[0], cutoff), config.window)
-    if len(selectors) == 2:
+    elif len(selectors) == 1:
+        chart = _chart_for_selector(p, selectors[0], cutoff)
+        build = partial(render.document_from_chart, chart, config.window)
+    elif len(selectors) == 2:
         kinds = {s.split(":")[0] for s in selectors}
         tails = {s.split(":", 1)[1] if ":" in s else "" for s in selectors}
         if kinds != {"A", "B"} or len(tails) != 1:
@@ -202,8 +204,14 @@ def cmd_chart(config: RunConfig, selectors: list[str], einfty: bool = False,
         a_sel, b_sel = sorted(selectors)
         base = _chart_for_selector(p, b_sel, cutoff)
         ambient = _chart_for_selector(p, a_sel, cutoff)
-        return render.document_from_chart(ambient, config.window, base=base)
-    raise UsageError("at most two selectors")
+        build = partial(render.document_from_chart, ambient, config.window, base=base)
+    else:
+        raise UsageError("at most two selectors")
+    try:
+        return build()
+    except ValueError as exc:
+        # a window the page refuses, or a document that is not canonical
+        raise UsageError(f"chart: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Serialization-ready chart documents and their SVG/TikZ renderings.
 
 A ChartDocument flattens a chart into a list of dots (codegree, filtration,
-label) plus a list of lines referencing dots by index.  Line kinds:
+label) plus its lines, which reference dots by index.  Line kinds:
 
     "v"                diagonal v-multiplication within a tower
     "h0"               p-multiplication visible in filtration (vertical)
@@ -12,15 +12,19 @@ Documents come from two sources: the closed-form ku charts ("closed-form")
 and the Adams E2 window with its replayed differentials ("einfty-overlay").
 Both builders read every line endpoint off tower runs (a window range of a
 and the index of the a = 0 dot); the closed-form one flags the A-minus-B
-overlay in that pass.  ChartDocument sorts the line list it is given in place.
+overlay in that pass.  A builder sorts its dots once, then walks them in
+sorted order and writes each line leaving a dot straight into its kind's
+columns, so the lines come out in canonical order with no sort of their own.
 
 Rendering follows the chart conventions used throughout: codegrees increase
 from right to left, filtration increases bottom to top.  Everything is
 deterministic -- dots sorted by (degree, filtration, label), lines by (kind,
 endpoints), no timestamps -- so identical inputs give byte-identical output,
 and to_json/from_json are mutually inverse on canonical documents.  DocDot
-and DocLine are named tuples whose field order is that canonical key, so a
-document sorts its records natively.  render_json writes exactly the text of
+is a named tuple whose field order is that canonical key, so dots sort
+natively; a document holds its lines as one pair of array('i') columns
+(src, dst) per kind, in kind order, and line_records() spells them as
+DocLine records.  render_json writes exactly the text of
 json.dumps(document, indent=1, sort_keys=True) and a newline, but formats it
 one dot or line record at a time instead of through the pure-Python indent
 encoder; strings go through json's own escaper, encode_basestring_ascii,
@@ -38,9 +42,11 @@ from __future__ import annotations
 
 import json
 import re
+from array import array
+from collections import defaultdict
 from itertools import islice
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, itemgetter
+from operator import attrgetter, le
 from typing import Iterable, Iterator, NamedTuple
 
 from .adams import Key, e2_window, fate, h0_mate, run_labels
@@ -60,6 +66,8 @@ class DocDot(NamedTuple):
 
 
 class DocLine(NamedTuple):
+    """One line of a document, as ChartDocument.line_records spells it."""
+
     kind: str
     src: int
     dst: int
@@ -70,51 +78,68 @@ _DOC_FIELDS = attrgetter("prime", "window", "source", "dots", "lines")
 _BLOCK = 2048  # records per yielded block
 
 
+def _ints(column) -> array:
+    """A column of dot indices as an array('i'), copied only if it is not
+    one already."""
+    return column if isinstance(column, array) and column.typecode == "i" else array("i", column)
+
+
 class ChartDocument:
-    """A canonical chart document.  Builders may pass lines as plain
-    (kind, src, dst) tuples indexing the unsorted dots.  The document takes
-    ownership of a lines list (any other iterable is copied into one once):
-    it validates the input, sorts the dots, then replaces each line in place
-    with its DocLine on the sorted dots and sorts the list it keeps."""
+    """A canonical chart document.  dots is a sorted list of DocDots, and
+    lines maps each line kind, in string order (so differential(10) comes
+    before differential(2)), to its (src, dst) columns of dot indices, the
+    (src, dst) pairs ascending; a kind with no line is left out.  The
+    constructor checks that form in linear time and raises ValueError where
+    it fails: it sorts and remaps nothing.  Columns given as other int
+    sequences are copied into array('i')s."""
 
     def __init__(self, prime: int, window: tuple[int, int], source: str, dots=(), lines=()):
         self.prime, self.window, self.source = prime, window, source
-        self.dots, self.lines = dots, lines if isinstance(lines, list) else list(lines)
-        if self.source not in SOURCES:
-            raise ValueError(f"unknown source {self.source!r}")
-        lo, hi = self.window
-        if lo > hi:
-            raise ValueError("empty window")
+        self.dots = dots if isinstance(dots, list) else list(dots)
+        self.lines = {kind: (_ints(src), _ints(dst)) for kind, (src, dst) in dict(lines).items()}
         self.validate()
-        # canonicalize: sort dots, remap and sort line endpoints
-        order = sorted(range(len(dots)), key=dots.__getitem__)
-        remap = [0] * len(order)
-        for new, old in enumerate(order):
-            remap[old] = new
-        self.dots = [dots[i] for i in order]
-        # tuple.__new__ skips the NamedTuple's Python-level __new__ per line
-        new, lines = tuple.__new__, self.lines
-        for i, (kind, src, dst) in enumerate(lines):
-            lines[i] = new(DocLine, (kind, remap[src], remap[dst]))
-        lines.sort()
 
     def __eq__(self, other):
         return other.__class__ is ChartDocument and _DOC_FIELDS(self) == _DOC_FIELDS(other)
 
     def validate(self) -> None:
+        """Raise ValueError unless the document is canonical (see the class
+        docstring)."""
+        if self.source not in SOURCES:
+            raise ValueError(f"unknown source {self.source!r}")
         lo, hi = self.window
-        for d in self.dots:
+        if lo > hi:
+            raise ValueError("empty window")
+        dots = self.dots
+        if not all(map(le, dots, islice(dots, 1, None))):
+            raise ValueError("dots are not in canonical order")
+        # sorted dots ascend in degree: the first and last bound them all
+        for d in dots[:1] + dots[-1:]:
             if not (lo <= d.degree <= hi):
                 raise ValueError(f"dot {d} outside window [{lo}, {hi}]")
-        # lines are few kinds repeated: match each distinct kind once
-        for kind in dict.fromkeys(map(itemgetter(0), self.lines)):
-            if not _KIND.fullmatch(kind):
+        n_dots, last = len(dots), ""
+        for kind, (src, dst) in self.lines.items():
+            if not isinstance(kind, str) or not _KIND.fullmatch(kind):
                 raise ValueError(f"unknown line kind {kind!r}")
-        n_dots = len(self.dots)
-        for _, src, dst in self.lines:
-            if not (0 <= src < n_dots and 0 <= dst < n_dots):
-                end = dst if 0 <= src < n_dots else src
-                raise ValueError(f"line endpoint {end} references no dot")
+            if kind <= last:
+                raise ValueError(f"line kind {kind!r} is out of order")
+            last = kind
+            if len(src) != len(dst):
+                raise ValueError(f"{kind} lines: {len(src)} sources for {len(dst)} targets")
+            if not src:
+                raise ValueError(f"line kind {kind!r} has no line")
+            for column in (src, dst):
+                low, high = min(column), max(column)
+                if low < 0 or high >= n_dots:
+                    raise ValueError(f"line endpoint {low if low < 0 else high} references no dot")
+            if not all(map(le, zip(src, dst), zip(islice(src, 1, None), islice(dst, 1, None)))):
+                raise ValueError(f"{kind} lines are not in canonical order")
+
+    def line_records(self) -> Iterator[DocLine]:
+        """Every line as a DocLine, in canonical order."""
+        for kind, (src, dst) in self.lines.items():
+            for s, d in zip(src, dst):
+                yield DocLine(kind, s, d)
 
     # -- JSON -------------------------------------------------------------
     def to_json(self) -> str:
@@ -124,10 +149,21 @@ class ChartDocument:
 
     @staticmethod
     def from_json(text: str) -> "ChartDocument":
+        """The document of canonical JSON text, its lines read straight into
+        columns.  Raises ValueError for text that is not canonical."""
         doc = json.loads(text)
         version = doc.get("schema_version")
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema_version {version!r}")
+        lines, kind = {}, None
+        for l in doc["lines"]:
+            if l["kind"] != kind:
+                kind = l["kind"]
+                if kind in lines:
+                    raise ValueError(f"the {kind!r} lines are not listed together")
+                src, dst = lines[kind] = array("i"), array("i")
+            src.append(l["src"])
+            dst.append(l["dst"])
         return ChartDocument(
             doc["prime"],
             tuple(doc["window"]),
@@ -141,7 +177,7 @@ class ChartDocument:
                 )
                 for d in doc["dots"]
             ],
-            [(l["kind"], l["src"], l["dst"]) for l in doc["lines"]],
+            lines,
         )
 
 
@@ -166,10 +202,10 @@ def render_json(doc: ChartDocument) -> Iterator[str]:
         for d in doc.dots
     )
     yield ',\n "lines": '
-    kinds = {k: enc(k) for k in set(map(itemgetter(0), doc.lines))}
     yield from _json_list(
-        f'  {{\n   "dst": {dst},\n   "kind": {kinds[kind]},\n   "src": {src}\n  }}'
-        for kind, src, dst in doc.lines
+        f'  {{\n   "dst": {d},\n   "kind": {kind},\n   "src": {s}\n  }}'
+        for kind, (src, dst) in zip(map(enc, doc.lines), doc.lines.values())
+        for s, d in zip(src, dst)
     )
     lo, hi = doc.window
     yield (
@@ -183,29 +219,63 @@ def render_json(doc: ChartDocument) -> Iterator[str]:
 # ---------------------------------------------------------------------------
 
 
+def _columns() -> tuple[array, array]:
+    return array("i"), array("i")
+
+
+def _sorted(dots: list[DocDot]) -> tuple[list[DocDot], array, array]:
+    """The dots sorted, with order (the building index of each sorted dot)
+    and rank (the sorted index of each dot in building order)."""
+    order = array("i", sorted(range(len(dots)), key=dots.__getitem__))
+    rank = array("i", [0]) * len(order)
+    for new, old in enumerate(order):
+        rank[old] = new
+    return [dots[i] for i in order], order, rank
+
+
+def _by_kind(columns: dict) -> dict:
+    """The builder's columns in kind order, less the kinds with no line."""
+    return {kind: columns[kind] for kind in sorted(columns) if columns[kind][0]}
+
+
 def _chart_dots_and_lines(chart: Chart, lo: int, hi: int, base: Chart | None = None):
-    """Window dots of a closed-form chart, with v-lines and p-edge lines as
-    (kind, src, dst) tuples, in one pass over the towers' window runs.  With
-    a base chart, v^a . g is flagged as overlay unless the base has a tower on
-    g taller than a (towers sit at filtration 0, so g and a fix the dot)."""
+    """Window dots of a closed-form chart, sorted, with the columns of its
+    v-lines and p-edge lines, read off the towers' window runs.  With a base
+    chart, v^a . g is flagged as overlay unless the base has a tower on g
+    taller than a (towers sit at filtration 0, so g and a fix the dot)."""
     step = 2 * (chart.p - 1)
     tall: dict = {}  # generator -> the base's tallest tower on it
     for t in base.towers if base is not None else ():
         tall[t.gen] = max(tall.get(t.gen, 0), t.height)
-    # runs[tid]: (doc index of the tower's a = 0 dot, window range of its a)
-    runs, dots, lines = [], [], []
-    for t in chart.towers:
+    # runs[tid]: (building index of the tower's a = 0 dot, window range of its a)
+    runs, dots, tower_of = [], [], array("i")
+    for tid, t in enumerate(chart.towers):
         gen, top = t.gen.render(), t.gen_degree
         run, first = tower_dots(top, t.height, step, lo, hi), len(dots)
         runs.append((first - run.start, run))
+        tower_of += array("i", [tid]) * len(run)
         h = t.height if base is None else tall.get(t.gen, 0)
         dots += [DocDot(top - step * a, a, v_label(gen, a), a >= h) for a in run]
-        lines += [("v", i, i + 1) for i in range(first, len(dots) - 1)]
-    for e in chart.edges:  # targets share the source's degree: in the window with it
-        (src_base, src_run), a = runs[e.src[0]], e.src[1]
-        if a in src_run:
-            lines += [(e.kind, src_base + a, runs[t][0] + b) for t, b in e.dst]
-    return dots, lines
+    dots, order, rank = _sorted(dots)
+    columns = defaultdict(_columns)
+    v_src, v_dst = columns["v"]
+    edge_at = chart.edge_at
+    # each dot's lines in sorted order: one v-line and, a chart having at
+    # most one edge per source dot, its targets sorted
+    for new, old in enumerate(order):
+        tid = tower_of[old]
+        zero, run = runs[tid]
+        a = old - zero
+        if a + 1 < run.stop:
+            v_src.append(new)
+            v_dst.append(rank[old + 1])
+        e = edge_at((tid, a))
+        if e is not None:  # targets share the source's degree: in the window with it
+            src, dst = columns[e.kind]
+            for end in sorted(rank[runs[t][0] + b] for t, b in e.dst):
+                src.append(new)
+                dst.append(end)
+    return dots, _by_kind(columns)
 
 
 def _window(chart: Chart, window: tuple[int, int] | None) -> tuple[int, int]:
@@ -242,33 +312,43 @@ def document_from_einfty(
     arrow-free although they do not survive."""
     page = e2_window(p, n_lo, n_hi, s_max)
     w = page.w
-    # each window tower's run: (doc index of its a = 0 dot, window range of a)
+    # each window tower's run: (building index of its a = 0 dot, window range of a)
     runs: dict[Key, tuple[int, range]] = {}
     dots: list[DocDot] = []
+    run_of = array("i")
     for key, n0, s0, run in page.window_runs():
+        run_of += array("i", [len(runs)]) * len(run)
         runs[key] = (len(dots) - run.start, run)
         dots += [DocDot(n0 - w * a, s0 + a, lab) for a, lab in zip(run, run_labels(p, key, run))]
 
-    lines: list[tuple[str, int, int]] = []
+    # the lines leaving each run's dots, at most one of each kind per dot:
+    # (first, stop, offset, columns) draws dot i to dot i + offset for
+    # first <= i < stop, building indices
+    columns = defaultdict(_columns)
+    rules = []
     for key, (base, run) in runs.items():
-        lines += [("v", base + a, base + a + 1) for a in run[:-1]]
+        out = [(base + run.start, base + run.stop - 1, 1, columns["v"])]
         # h0 . v^a (key) = v^(a + shift) (mate), drawn where both dots are
         h0 = h0_mate(p, key)
         if h0 is not None and h0[0] in runs:
             (mate_base, mate_run), shift = runs[h0[0]], h0[1]
             lo, hi = max(run.start, mate_run.start - shift), min(run.stop, mate_run.stop - shift)
-            lines += [("h0", base + a, mate_base + a + shift) for a in range(lo, hi)]
+            out.append((base + lo, base + hi, mate_base + shift - base, columns["h0"]))
+        rules.append(out)
         if run.start:
             continue  # arrows leave only towers whose a = 0 dot is drawn
         role, _, r, e0, partner = fate(p, key)
-        if role != "source" or partner not in runs:
-            continue
-        tgt_base, tgt_run = runs[partner]
-        kind = f"differential({r})"
-        for a in run:
-            if e0 + a in tgt_run:
-                lines.append((kind, base + a, tgt_base + e0 + a))
-    return ChartDocument(p, (n_lo, n_hi), "einfty-overlay", dots, lines)
+        if role == "source" and partner in runs:
+            (tgt_base, tgt_run), kind = runs[partner], f"differential({r})"
+            lo, hi = max(0, tgt_run.start - e0), min(run.stop, tgt_run.stop - e0)
+            out.append((base + lo, base + hi, tgt_base + e0 - base, columns[kind]))
+    dots, order, rank = _sorted(dots)
+    for new, old in enumerate(order):  # each dot's lines, in sorted order
+        for first, stop, offset, (src, dst) in rules[run_of[old]]:
+            if first <= old < stop:
+                src.append(new)
+                dst.append(rank[old + offset])
+    return ChartDocument(p, (n_lo, n_hi), "einfty-overlay", dots, _by_kind(columns))
 
 
 # ---------------------------------------------------------------------------
@@ -365,14 +445,14 @@ def render_svg(doc: ChartDocument) -> Iterator[str]:
 
     def lines() -> Iterator[str]:
         # lines repeat a few geometries many times: format each once
-        seen: dict[tuple, str] = {}
-        for kind, src, dst in doc.lines:
-            a, b = dots[src], dots[dst]
-            key = (kind, a.degree, a.filtration, b.degree, b.filtration, a.overlay or b.overlay)
-            record = seen.get(key)
-            if record is None:
-                record = seen[key] = line(kind, a, b, key[-1])
-            yield record
+        for kind, (src, dst) in doc.lines.items():
+            seen: dict[tuple, str] = {}
+            for a, b in zip(map(dots.__getitem__, src), map(dots.__getitem__, dst)):
+                key = (a.degree, a.filtration, b.degree, b.filtration, a.overlay or b.overlay)
+                record = seen.get(key)
+                if record is None:
+                    record = seen[key] = line(kind, a, b, key[-1])
+                yield record
 
     yield from _blocks(lines())
     yield from _blocks(
@@ -421,7 +501,7 @@ def render_tikz(doc: ChartDocument) -> Iterator[str]:
             return "\\draw[%s] %s to[bend right=35] %s;" % (",".join(opts), pa, pb)
         return "\\draw%s %s -- %s;" % ("[%s]" % ",".join(opts) if opts else "", pa, pb)
 
-    yield from _blocks(map(line, doc.lines))
+    yield from _blocks(map(line, doc.line_records()))
     yield from _blocks(
         "\\%s (%d,%d) circle (3.2pt);"
         % ("draw" if d.overlay else "fill", hi - d.degree, d.filtration)

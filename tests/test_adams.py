@@ -11,6 +11,7 @@ import pytest
 from kuengine import adams
 from kuengine.adams import (
     BigradedPage,
+    _sp_shape,
     _z_runs,
     Fate,
     WindowError,
@@ -60,12 +61,11 @@ class RefTower(NamedTuple):
 
 
 def any_tower(p, key):
-    """The RefTower of any key: tower(p, key) based at s = 0, or the v-free
-    coset its integers spell."""
+    """The RefTower of any key: tower(p, key) based at s = 0, with an SP
+    key's _sp_shape height, or the v-free coset its integers spell."""
     if key[0] == "h0":
         return RefTower(key, *h0_base(p, *key[1:]), None)
-    n0, height = tower(p, key)
-    return RefTower(key, n0, 0, height)
+    return RefTower(key, tower(p, key), 0, _sp_shape(p, key)[2] if key[0] == "sp" else None)
 
 
 # -- first differentials and the four families --------------------------------
@@ -501,7 +501,7 @@ def ref_e2_window(p, n_lo, n_hi, s_max):
     """The MAIN and SP towers of e2_window plus every h0 coset as a tower,
     enumerated by c, then b, up to the pad."""
     page = e2_window(p, n_lo, n_hi, s_max)
-    towers = {k: RefTower(k, n0, 0, tower(p, k)[1]) for k, n0 in page.towers.items()}
+    towers = {k: RefTower(k, n0, 0, page.height(k)) for k, n0 in page.towers.items()}
     offset = q_degree(p) - 2 * (p - 1) * k0(p)
     for eps in (0, 1):
         for c in range(s_max + 1):
@@ -859,7 +859,7 @@ def test_truncation_heights_reproduce_chart_heights():
                 else:
                     raise AssertionError(f"unexpected low tower {g.render()}")
                 b = (y_weight - (0 if kind == "x10" else (p - 1))) // p
-                assert tower(p, ("sp", kind, b))[1] == expect == t.height
+                assert _sp_shape(p, ("sp", kind, b))[2] == expect == t.height
                 continue
             assert y_weight % p == 0
             key = ("main", y_weight // p, g.q, *z_decompose_dict(p, g.z_dict()))

@@ -22,7 +22,7 @@ from kuengine.k1 import (
     theorem61_audit,
 )
 from kuengine.modules import build_A, build_B, build_S
-from kuengine.monomial import Monomial, k0, q_degree, z_degree
+from kuengine.monomial import Monomial, bounded_exponents, k0, lambda_factors, q_degree, z_degree
 from kuengine.padic import r, r_prime, w_degree
 from test_monomial import ref_lambda_exponents
 
@@ -347,6 +347,35 @@ def test_g_walks_drop_no_instance(p):
             for n, d in enumerate(g_family_dims(p, i, ps, n_max)):
                 brute[n] += d
         assert _g_total(p, n_max) == tuple(brute), n_max
+
+
+def ref_count_family_dots(p, rows, n_max):
+    """The per-row count that count_family_dots replaced: one walk of each
+    row's cofactor monomials, at the row's own cap."""
+    dims = [0] * (n_max + 1)
+    w = 2 * (p - 1)
+    for base, height, factors, lam, sign in rows:
+        cap = n_max + w * (height - 1) - base
+        if lam is not None:
+            factors = factors + lambda_factors(p, lam, cap)
+        for _, d in bounded_exponents(factors, cap):
+            for a in tower_dots(base + d, height, w, 0, n_max):
+                dims[base + d - w * a] += sign
+    return tuple(dims)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_shared_cofactor_walks_match_the_per_row_walk(p):
+    # the height-1 rows of one G^i instance share one cofactor, and the k(1)
+    # rows of one family level share theirs, across many bases and caps
+    instances = [(i, (k,)) for k in (1, 2) for i in (1, 2)]
+    instances += [(i, (k, ell)) for k in (1, 2) for ell in (k + 1, k + 2) for i in (3, 4, 5, 6)]
+    instances += [(i, (k, e)) for k in (1, 2) for e in range(1, p - 1) for i in (7, 8)]
+    g_tables = [_g_rows(p, i, params) for i, params in instances]
+    for n_max in (0, 60, 400, 1500):
+        tables = [[row for _, row in k1_towers(p, n_max)], sum(g_tables, []), *g_tables]
+        for rows in tables:
+            assert count_family_dots(p, rows, n_max) == ref_count_family_dots(p, rows, n_max)
 
 
 # -- the tables carry the audits ---------------------------------------------

@@ -1,11 +1,14 @@
 import hashlib
 import json
+import re
 import tracemalloc
+from array import array
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 
-from kuengine import cli
+from kuengine import cli, render
 from kuengine.adams import dot_label, e2_window, fate
 from kuengine.chart import Chart, Tower, tower_dots, v_label
 from kuengine.modules import build_A, build_B, build_S
@@ -65,10 +68,14 @@ def test_a1_document_is_the_three_dot_chart():
         (8, 1, "v z1"),
         (10, 0, "z1"),
     ]
-    assert [(l.kind, l.src, l.dst) for l in doc.lines] == [
+    assert list(doc.line_records()) == [
         ("exotic", 0, 1),
         ("v", 2, 1),
     ]
+    assert doc.lines == {
+        "exotic": (array("i", [0]), array("i", [1])),
+        "v": (array("i", [2]), array("i", [1])),
+    }
 
 
 def test_s58_document_has_three_height_six_towers():
@@ -78,8 +85,8 @@ def test_s58_document_has_three_height_six_towers():
     assert sorted(by_base.values()) == [6, 6, 6]
     # v-lines chain each tower (3 * 5); h0 steps between consecutive towers
     # at matching levels (2 * 5)
-    assert Counter(l.kind for l in doc.lines) == {"v": 15, "h0": 10}
-    for l in doc.lines:
+    assert Counter(l.kind for l in doc.line_records()) == {"v": 15, "h0": 10}
+    for l in doc.line_records():
         if l.kind == "h0":
             assert doc.dots[l.dst].filtration == doc.dots[l.src].filtration + 1
 
@@ -116,7 +123,7 @@ def test_einfty_document_line_geometry(p, hi, s_max):
     doc = document_from_einfty(p, 0, hi, s_max)
     w = 2 * (p - 1)
     seen = set()
-    for l in doc.lines:
+    for l in doc.line_records():
         a, b = doc.dots[l.src], doc.dots[l.dst]
         if l.kind == "v":
             assert (b.degree, b.filtration) == (a.degree - w, a.filtration + 1)
@@ -141,35 +148,104 @@ def test_document_roundtrip_and_canonical_order():
     assert again.to_json() == text
     keys = [tuple(d) for d in doc.dots]
     assert keys == sorted(keys)
-    lkeys = [tuple(l) for l in doc.lines]
+    lkeys = [tuple(l) for l in doc.line_records()]
     assert lkeys == sorted(lkeys)
 
 
 def test_document_validation():
     dot = DocDot(10, 0, "x")
     with pytest.raises(ValueError, match="unknown source"):
-        ChartDocument(2, (0, 20), "nonsense", [dot], [])
+        ChartDocument(2, (0, 20), "nonsense", [dot], {})
     with pytest.raises(ValueError, match="empty window"):
-        ChartDocument(2, (5, 0), "closed-form", [], [])
+        ChartDocument(2, (5, 0), "closed-form", [], {})
     with pytest.raises(ValueError, match="outside window"):
-        ChartDocument(2, (0, 5), "closed-form", [dot], [])
+        ChartDocument(2, (0, 5), "closed-form", [dot], {})
     for src, dst, bad in ((0, 1, 1), (1, 0, 1), (-1, 0, -1), (0, -2, -2)):
         with pytest.raises(ValueError, match=f"line endpoint {bad} references no dot"):
-            ChartDocument(2, (0, 20), "closed-form", [dot], [DocLine("v", src, dst)])
+            ChartDocument(2, (0, 20), "closed-form", [dot], {"v": ([src], [dst])})
     for kind in ("d3", "differential(x)", "h1"):
         with pytest.raises(ValueError, match="unknown line kind"):
-            ChartDocument(
-                2, (0, 20), "closed-form", [dot], [DocLine("v", 0, 0), DocLine(kind, 0, 0)]
-            )
+            ChartDocument(2, (0, 20), "closed-form", [dot], {"v": ([0], [0]), kind: ([0], [0])})
     # validate() keeps both checks for a document edited after construction
-    doc = ChartDocument(2, (0, 20), "closed-form", [dot], [DocLine("v", 0, 0)])
+    doc = ChartDocument(2, (0, 20), "closed-form", [dot], {"v": ([0], [0])})
     doc.validate()
-    doc.lines.append(DocLine("v", 0, 1))
+    for column, end in zip(doc.lines["v"], (0, 1)):
+        column.append(end)
     with pytest.raises(ValueError, match="line endpoint 1 references no dot"):
         doc.validate()
-    doc.lines[-1] = DocLine("d3", 0, 0)
+    doc.lines["v"] = (array("i", [0]), array("i", [0]))
+    doc.lines["d3"] = (array("i", [0]), array("i", [0]))
     with pytest.raises(ValueError, match="unknown line kind 'd3'"):
         doc.validate()
+
+
+_A, _B = DocDot(2, 0, "a"), DocDot(4, 0, "b")
+# (dots, lines) the constructor refuses, by the message it raises
+NON_CANONICAL = {
+    "dots are not in canonical order": ([_B, _A], {"v": ([0], [1])}),
+    "v lines are not in canonical order": ([_A, _B], {"v": ([1, 0], [0, 1])}),
+    "line endpoint 2 references no dot": ([_A, _B], {"v": ([0], [2])}),
+    "unknown line kind 'd3'": ([_A, _B], {"d3": ([0], [1])}),
+    "line kind 'h0' is out of order": ([_A, _B], {"v": ([0], [1]), "h0": ([0], [1])}),
+    "line kind 'v' has no line": ([_A, _B], {"v": ([], [])}),
+    "v lines: 2 sources for 1 targets": ([_A, _B], {"v": ([0, 0], [1])}),
+}
+
+
+def raw_json(dots, lines):
+    """JSON text of a document with these dots and line columns, in the
+    order given."""
+    return json.dumps(
+        {
+            "schema_version": 1,
+            "prime": 2,
+            "window": [0, 20],
+            "source": "closed-form",
+            "dots": [
+                {"degree": d.degree, "filtration": d.filtration, "label": d.label} for d in dots
+            ],
+            "lines": [
+                {"kind": kind, "src": s, "dst": d}
+                for kind, (src, dst) in lines.items()
+                for s, d in zip(src, dst)
+            ],
+        },
+        indent=1,
+        sort_keys=True,
+    )
+
+
+@pytest.mark.parametrize("message", sorted(NON_CANONICAL))
+def test_a_document_that_is_not_canonical_is_refused(message):
+    dots, lines = NON_CANONICAL[message]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ChartDocument(2, (0, 20), "closed-form", dots, lines)
+    # JSON spells no kind without a line, and a line record has both ends
+    if all(src and len(src) == len(dst) for src, dst in lines.values()):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ChartDocument.from_json(raw_json(dots, lines))
+
+
+def test_from_json_refuses_a_kind_listed_twice():
+    text = raw_json([_A, _B], {"h0": ([0], [1]), "v": ([0], [1])})
+    assert ChartDocument.from_json(text).to_json() == text
+    records = json.loads(text)
+    records["lines"].append({"kind": "h0", "src": 1, "dst": 1})
+    with pytest.raises(ValueError, match="the 'h0' lines are not listed together"):
+        ChartDocument.from_json(json.dumps(records))
+
+
+@pytest.mark.parametrize("message", sorted(NON_CANONICAL))
+def test_the_cli_reports_a_document_that_is_not_canonical(message, monkeypatch, capsys):
+    dots, lines = NON_CANONICAL[message]
+
+    def build(chart, window, base=None):
+        return ChartDocument(chart.p, (0, 20), "closed-form", dots, lines)
+
+    monkeypatch.setattr(render, "document_from_chart", build)
+    assert cli.main(["chart", "A:1", "--prime", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"kuengine: chart: {message}\n"
 
 
 def test_renders_are_deterministic_and_right_to_left():
@@ -264,14 +340,29 @@ def traced_build(build):
     return doc, held, peak
 
 
-def test_an_einfty_document_keeps_one_copy_of_its_lines():
-    # the builder's (kind, src, dst) list is the document's DocLine list,
-    # rewritten in place: holding both at once peaked at 2.0 times the
-    # finished document
+@lru_cache(maxsize=None)
+def traced_einfty():
+    """The line count of chart-emit's einfty document, what it holds and
+    the peak of building it (traced_build), measured once."""
     document_from_einfty(2, 0, 120, 30)  # fill the tower caches first
     doc, held, peak = traced_build(lambda: document_from_einfty(2, 0, 120, 30))
-    assert len(doc.lines) > 80_000
+    return sum(len(src) for src, _ in doc.lines.values()), held, peak
+
+
+def test_an_einfty_document_keeps_one_copy_of_its_lines():
+    # the builder writes each line straight into the document's columns:
+    # holding the builder's (kind, src, dst) list beside the document's
+    # DocLine list peaked at 2.0 times the finished document
+    n_lines, held, peak = traced_einfty()
+    assert n_lines > 80_000
     assert peak <= 1.7 * held, (peak, held)
+
+
+def test_an_einfty_document_holds_its_lines_as_columns():
+    # one DocLine per line, and the builder's tuples while they were sorted
+    # and remapped, held 14.7 MB and peaked at 22.3 MB
+    _, held, peak = traced_einfty()
+    assert held <= 9 * 10**6 and peak <= 12 * 10**6, (held, peak)
 
 
 def test_an_overlay_is_built_in_one_pass():
@@ -340,7 +431,7 @@ def ref_to_json(doc):
                 }
                 for d in doc.dots
             ],
-            "lines": [{"kind": l.kind, "src": l.src, "dst": l.dst} for l in doc.lines],
+            "lines": [{"kind": l.kind, "src": l.src, "dst": l.dst} for l in doc.line_records()],
         },
         indent=1,
         sort_keys=True,
@@ -358,7 +449,7 @@ JSON_DOCUMENTS = {
         (-4, 9),
         "einfty-overlay",
         [DocDot(-4, 2, 'q "v"\\ é\nz', True), DocDot(9, 0, "x")],
-        [DocLine("differential(3)", 1, 0)],
+        {"differential(3)": ([1], [0])},
     ),
 }
 
@@ -389,6 +480,19 @@ def test_from_json_rejects_unknown_schema_versions():
     del doc["schema_version"]
     with pytest.raises(ValueError, match="unsupported schema_version None"):
         ChartDocument.from_json(json.dumps(doc))
+
+
+def canonical(prime, window, source, dots, lines):
+    """The document of dots in any order and (kind, src, dst) lines indexing
+    them: the sort and remap that the builders, which write each line
+    straight into its place, no longer make."""
+    order = sorted(range(len(dots)), key=dots.__getitem__)
+    rank = {old: new for new, old in enumerate(order)}
+    columns = {}
+    for kind, src, dst in sorted((kind, rank[src], rank[dst]) for kind, src, dst in lines):
+        for column, end in zip(columns.setdefault(kind, ([], [])), (src, dst)):
+            column.append(end)
+    return ChartDocument(prime, window, source, [dots[i] for i in order], columns)
 
 
 def ref_document_from_einfty(p, n_lo, n_hi, s_max):
@@ -423,7 +527,7 @@ def ref_document_from_einfty(p, n_lo, n_hi, s_max):
             if tgt in index:
                 lines.append(DocLine(f"differential({f.r})", index[(key, a)], index[tgt]))
             a += 1
-    return ChartDocument(p, (n_lo, n_hi), "einfty-overlay", dots, lines)
+    return canonical(p, (n_lo, n_hi), "einfty-overlay", dots, lines)
 
 
 @pytest.mark.parametrize(
@@ -445,7 +549,7 @@ def test_einfty_builder_matches_the_dot_indexed_reference(window):
     got, want = document_from_einfty(*window), ref_document_from_einfty(*window)
     assert got.dots == want.dots
     assert got.lines == want.lines
-    kinds = Counter(l.kind.split("(")[0] for l in got.lines)
+    kinds = Counter(kind.split("(")[0] for kind in got.lines)
     assert kinds["v"] and kinds["h0"] and kinds["differential"], kinds
 
 
@@ -474,7 +578,7 @@ def ref_document_overlay(base, ambient, window):
     base_keys = {d[:3] for d in base_dots}
     dots, lines = ref_chart_dots_and_lines(ambient, *window)
     flagged = [d._replace(overlay=d[:3] not in base_keys) for d in dots]
-    return ChartDocument(ambient.p, window, "closed-form", flagged, lines)
+    return canonical(ambient.p, window, "closed-form", flagged, lines)
 
 
 @pytest.mark.parametrize(
@@ -497,7 +601,7 @@ def test_overlay_matches_the_two_pass_reference(p, k):
         assert got == ref_document_overlay(base, ambient, window), window
         assert any(d.overlay for d in got.dots) and not all(d.overlay for d in got.dots)
         dots, lines = ref_chart_dots_and_lines(ambient, *window)
-        assert document_from_chart(ambient, window) == ChartDocument(
+        assert document_from_chart(ambient, window) == canonical(
             p, window, "closed-form", dots, lines
         )
 

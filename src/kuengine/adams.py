@@ -24,24 +24,30 @@ element lies in exactly one tower:
         p odd: y1^b y0^(p-1) z0 (height 1).
 
 Keys are tuples of a family tag and integers.  Base bidegrees, fates and
-partner keys are closed formulas in those integers (see classify), with
-|z_comp(i, j)| = 2(p^(j+1) + 1 + (p-1)(j-i)); labels are spelled from the
-key by monomial.render_exponents, the spelling of Monomial.render.  No
+partner keys are closed formulas in those integers (see main_segments),
+with |z_comp(i, j)| = 2(p^(j+1) + 1 + (p-1)(j-i)); labels are spelled from
+the key by monomial.render_exponents, the spelling of Monomial.render.  No
 Monomial is built here.
 
-What the page holds per key and what it holds as a block.  The MAIN and SP
-towers are per-key towers: each sits at s = 0 with its base codegree in
-page.towers and a classify fate.  The H0 cosets form the h0 block: one
-column per (b, eps), each over c = 0..s_max, with no entry, Fate or label
-per coset.
-h0_segments lists a column's fates as runs of c: an eps = 0 column is one
-F1 source run; an eps = 1 column is nu(b+1) + odd F3 sources, one coset
-each, then one F1 target run with e0 = 0.  So every coset dies: v-free on
-E2, height 0 on E-infinity, by BigradedPage.height, which reads every
-height off a key and its fate (the page stores none).  h0_base and h0_fate
-give one coset's base and fate (tower and classify take no h0 key; fate
-reads either), and run_labels spells every label from its key, once per
-run of dots.
+What the page holds: columns, never one entry per tower.  A MAIN column
+is one (eps, i1, j2, e, lam) over b, an SP column one kind over b: each
+is its base codegree at b = 0 (every such tower sits at s = 0, based 2pb
+higher at b) and its range of b up to the pad, in page.mains and
+page.sps; page.towers reads them as a mapping key -> base codegree.  The
+H0 cosets form the h0 block: one column per (b, eps), each over
+c = 0..s_max.  No tower or coset has an entry, Fate or label of its own.
+main_segments lists a MAIN column's fates as residue classes of b: an
+eps = 0 column is its F2 sources, one class per nu(b) = d <= i1 - 2, then
+its one F3 or F4 target class p^(i1-1) | b; an eps = 1 column is its F2
+targets, one class per nu(b+1) = d <= t - 2, then its one F4 source class
+p^(t-1) | b+1.  h0_segments lists an h0 column's fates as runs of c: an
+eps = 0 column is one F1 source run; an eps = 1 column is nu(b+1) + odd
+F3 sources, one coset each, then one F1 target run with e0 = 0.  So every
+coset dies: v-free on E2, height 0 on E-infinity, by BigradedPage.height,
+which reads every height off a key and its fate (the page stores none).
+classify and h0_fate read one tower's or coset's fate off those lists
+(fate reads either), tower and h0_base give one base, and run_labels
+spells every label from its key, once per run of dots.
 
 Differentials come in four closed families (nu = nu(p, -), t >= k0, target
 truncation height e0 listed last):
@@ -69,6 +75,7 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
+from collections.abc import Mapping
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -101,6 +108,9 @@ class Fate(NamedTuple):
     partner: Key | None
 
 
+SURVIVES = Fate("survives", None, None, None, None)
+
+
 class Segment(NamedTuple):
     """A run of cosets of one h0 column that share a fate."""
 
@@ -113,7 +123,19 @@ class Segment(NamedTuple):
     offset: int | None  # F1: partner level c' - c; None for an F3 source
 
 
-OPEN = sys.maxsize  # the stop of a column's last run, which has no top
+class Residue(NamedTuple):
+    """The exponents b of one MAIN column that share a fate: a residue class."""
+
+    bs: range  # b = start, start + step, ...; the stop is OPEN
+    role: str
+    family: str
+    r: int
+    e0: int
+    partner: tuple  # the partner column (eps, i1, j2, e, lam); ("h0", c) for an F3 target
+    offset: int  # the partner's b minus b
+
+
+OPEN = sys.maxsize  # the stop of a run or class that has no top
 
 
 # -- key arithmetic -------------------------------------------------------------
@@ -222,6 +244,107 @@ def h0_fate(p: int, c: int, b: int, eps: int) -> Fate:
     raise ValueError(f"no coset h0^{c} in column {(b, eps)}")
 
 
+def main_segments(p: int, eps: int, i1: int, j2: int, e: int, lam: tuple) -> list[Residue]:
+    """The fates of the MAIN column q^eps y1^b z_comp(i1, j2) z_j2^e lam,
+    b >= 0, as residue classes of b: the one definition of the MAIN
+    differentials.  b' is the partner's y1-exponent:
+
+      eps = 0, nu(b) = d <= i1-2     F2 source of (1, i1-d-odd, j2, e, lam)
+                                     at b' = b-1, r = e0 = d+2
+      eps = 0, p^(t-1) | b, t = i1, b' = b + p^(t-1) - 1:
+        z_t bare                     F3 target of the coset h0^(t-k0) (v^k0 q) y1^b'
+        j2 > t                       F4 target of (1, k0, t, p-2, run + lam)
+        j2 = t, e >= 1               F4 target of (1, k0, t, e-1, lam)
+        j2 = t, e = 0, lam = ((j, x), *rest)
+                                     F4 target of (1, j-t+k0, j, x-1, rest)
+      eps = 1, t = j2-i1+k0, nu(b+1) = d <= t-2
+                                     F2 target of (0, i1+d+odd, j2, e, lam)
+                                     at b' = b+1, r = e0 = d+2
+      eps = 1, p^(t-1) | b+1, b' = b + 1 - p^(t-1):
+        t < j2                       F4 source of (0, t, t, 0, ((j2, e+1),) + lam)
+        t = j2, e < p-2              F4 source of (0, t, t, e+1, lam)
+        t = j2, e = p-2              F4 source of z_t^p lam (z_decompose_dict)
+
+    where run is (t+1, p-1) .. (j2-1, p-1), then (j2, e) if e > 0; F3 and
+    F4 have r = p^t - t, and e0 = p^t (F3) or r (F4).  A class nu = d is
+    p-1 residues mod p^(d+1), one Residue per unit; the column's last
+    Residue, its one F3 or F4 class, is the one residue mod p^(t-1) that
+    holds b = 0 (eps = 0) or b = p^(t-1) - 1 (eps = 1).  The classes tile
+    b >= 0, and the partner's class maps each tower back to itself
+    (pair_towers checks this), so the pairing is a perfect matching on
+    MAIN + H0 and the SP towers are permanent cycles.  A column with
+    e > p-2 or a lam exponent above p-1 raises ValueError.
+    """
+    if e > p - 2 or any(x > p - 1 for _, x in lam):
+        raise ValueError(f"column {(eps, i1, j2, e, lam)!r} is not in canonical family form")
+    kk = k0(p)
+    odd = 0 if p == 2 else 1
+    out = []
+    if eps == 0:
+        for d in range(i1 - 1):
+            pd, mate = p**d, (1, i1 - d - odd, j2, e, lam)
+            out += [
+                Residue(range(m * pd, OPEN, p * pd), "source", "F2", d + 2, d + 2, mate, -1)
+                for m in range(1, p)
+            ]
+        t = i1
+        r, step = p**t - t, p ** (t - 1)
+        if j2 == t and e == 0 and not lam:
+            last = ("target", "F3", r, p**t, ("h0", t - kk))
+        else:
+            if j2 > t:
+                run = tuple((j, p - 1) for j in range(t + 1, j2)) + (((j2, e),) if e else ())
+                z = (kk, t, p - 2, run + lam)
+            elif e:
+                z = (kk, t, e - 1, lam)
+            else:
+                j, x = lam[0]
+                z = (j - t + kk, j, x - 1, lam[1:])
+            last = ("target", "F4", r, r, (1, *z))
+        out.append(Residue(range(0, OPEN, step), *last, step - 1))
+        return out
+
+    t = j2 - i1 + kk
+    for d in range(t - 1):
+        pd, mate = p**d, (0, i1 + d + odd, j2, e, lam)
+        out += [
+            Residue(range(m * pd - 1, OPEN, p * pd), "target", "F2", d + 2, d + 2, mate, 1)
+            for m in range(1, p)
+        ]
+    if t < j2:
+        z = (t, t, 0, ((j2, e + 1),) + lam)
+    elif e < p - 2:
+        z = (t, t, e + 1, lam)
+    else:
+        z = z_decompose_dict(p, {t: p, **dict(lam)})
+    r, step = p**t - t, p ** (t - 1)
+    out.append(Residue(range(step - 1, OPEN, step), "source", "F4", r, r, (0, *z), 1 - step))
+    return out
+
+
+def _main_mate(res: Residue, b: int) -> Key:
+    """The partner key of the tower at b of a MAIN class."""
+    col, b2 = res.partner, b + res.offset
+    return ("h0", col[1], b2, 1) if col[0] == "h0" else ("main", b2, *col)
+
+
+def _fate(p: int, key: Key) -> Fate:
+    """The fate of any key, read off its column's segments with no cache:
+    h0_fate's for a coset, its class in main_segments for a MAIN tower (the
+    first class that holds b), survives for an SP tower."""
+    if key[0] == "h0":
+        return h0_fate(p, key[1], key[2], key[3])
+    if key[0] == "sp":
+        return SURVIVES
+    if key[0] != "main":
+        raise ValueError(f"unknown tower family {key!r}")
+    _, b, *col = key
+    for res in main_segments(p, *col):
+        if b in res.bs:
+            return Fate(*res[1:5], _main_mate(res, b))
+    raise ValueError(f"no class of column {tuple(col)!r} holds b = {b}")
+
+
 def fate(p: int, key: Key) -> Fate:
     """The fate of any key: classify's, or h0_fate's for an h0 coset."""
     if key[0] == "h0":
@@ -231,71 +354,11 @@ def fate(p: int, key: Key) -> Fate:
 
 @lru_cache(maxsize=None)
 def classify(p: int, key: Key) -> Fate:
-    """Which differential family a MAIN or SP tower belongs to, with its
-    partner key (an h0 coset's fate is h0_fate's), read off the integers of
-    ("main", b, eps, i1, j2, e, lam); b' is the partner's y1-exponent:
-
-      eps = 0, d = nu(b), i1 >= d+2  F2 source of (b-1, 1, i1-d-odd, j2, e, lam)
-      eps = 0 otherwise, t = i1, b' = b + p^(t-1) - 1:
-        z_t bare                     F3 target of the coset h0^(t-k0) (v^k0 q) y1^b'
-        j2 > t                       F4 target of (b', 1, k0, t, p-2, run + lam)
-        j2 = t, e >= 1               F4 target of (b', 1, k0, t, e-1, lam)
-        j2 = t, e = 0, lam = ((j, x), *rest)
-                                     F4 target of (b', 1, j-t+k0, j, x-1, rest)
-      eps = 1, d = nu(b+1), t = j2-i1+k0, d < t-1
-                                     F2 target of (b+1, 0, i1+d+odd, j2, e, lam)
-      eps = 1 otherwise, b' = b + 1 - p^(t-1):
-        t < j2                       F4 source of (b', 0, t, t, 0, ((j2, e+1),) + lam)
-        t = j2, e < p-2              F4 source of (b', 0, t, t, e+1, lam)
-        t = j2, e = p-2              F4 source of z_t^p lam (z_decompose_dict)
-
-    where run is (t+1, p-1) .. (j2-1, p-1), then (j2, e) if e > 0.
-    fate(partner) always inverts to the tower itself (pair_towers checks
-    this), so the pairing is a perfect matching on MAIN + H0 and the SP
-    towers are permanent cycles.  A MAIN key with e > p-2 or a lam exponent
-    above p-1 raises ValueError.
-    """
-    kk = k0(p)
-    odd = 0 if p == 2 else 1
-    if key[0] == "sp":
-        return Fate("survives", None, None, None, None)
-    if key[0] != "main":
+    """The fate of a MAIN or SP tower (an h0 coset's is h0_fate's): a MAIN
+    tower's is its class in main_segments, and an SP tower survives."""
+    if key[0] not in ("main", "sp"):
         raise ValueError(f"classify takes MAIN and SP keys, not {key!r}")
-
-    _, b, eps, i1, j2, e, lam = key
-    if e > p - 2 or any(x > p - 1 for _, x in lam):
-        raise ValueError(f"key {key!r} is not in canonical family form")
-    if eps == 0:
-        if b >= 1 and i1 >= nu(p, b) + 2:
-            d = nu(p, b)
-            return Fate("source", "F2", d + 2, d + 2, ("main", b - 1, 1, i1 - d - odd, j2, e, lam))
-        # not an F2 source forces nu(b) >= i1 - 1, i.e. y1^b in P[y_t]
-        t = i1
-        r = p**t - t
-        if j2 == t and e == 0 and not lam:
-            return Fate("target", "F3", r, p**t, ("h0", t - kk, b + p ** (t - 1) - 1, 1))
-        if j2 > t:
-            run = tuple((j, p - 1) for j in range(t + 1, j2)) + (((j2, e),) if e else ())
-            z = (kk, t, p - 2, run + lam)
-        elif e:
-            z = (kk, t, e - 1, lam)
-        else:
-            j, x = lam[0]
-            z = (j - t + kk, j, x - 1, lam[1:])
-        return Fate("target", "F4", r, r, ("main", b + p ** (t - 1) - 1, 1, *z))
-
-    t = j2 - i1 + kk
-    d = nu(p, b + 1)
-    if d < t - 1:
-        return Fate("target", "F2", d + 2, d + 2, ("main", b + 1, 0, i1 + d + odd, j2, e, lam))
-    if t < j2:
-        z = (t, t, 0, ((j2, e + 1),) + lam)
-    elif e < p - 2:
-        z = (t, t, e + 1, lam)
-    else:
-        z = z_decompose_dict(p, {t: p, **dict(lam)})
-    r = p**t - t
-    return Fate("source", "F4", r, r, ("main", b + 1 - p ** (t - 1), 0, *z))
+    return _fate(p, key)
 
 
 # -- E2 window ----------------------------------------------------------------
@@ -321,23 +384,63 @@ def _z_runs(p: int, budget: int) -> list[tuple[int, int, int, tuple, int]]:
     return out
 
 
+class Towers(Mapping):
+    """The MAIN and SP towers of a page as a read-only mapping key -> base
+    codegree, n0 + 2pb for the tower at b of a column based at n0: read off
+    the columns, with no entry per key.  It iterates column by column, b
+    rising; items() is a generator."""
+
+    def __init__(self, p: int, mains: dict, sps: dict):
+        self._step, self._mains, self._sps = 2 * p, mains, sps
+
+    def __getitem__(self, key: Key) -> int:
+        col = None
+        if key[0] == "main" and len(key) == 7:
+            col, b = self._mains.get(key[2:]), key[1]
+        elif key[0] == "sp" and len(key) == 3:
+            col, b = self._sps.get(key[1]), key[2]
+        if col is None or b not in col[1]:
+            raise KeyError(key)
+        return col[0] + self._step * b
+
+    def __len__(self) -> int:
+        return sum(len(bs) for _, bs in (*self._mains.values(), *self._sps.values()))
+
+    def __iter__(self):
+        return (key for key, _ in self.items())
+
+    def items(self):
+        step = self._step
+        for col, (n0, bs) in self._mains.items():
+            for b in bs:
+                yield ("main", b, *col), n0 + step * b
+        for kind, (n0, bs) in self._sps.items():
+            for b in bs:
+                yield ("sp", kind, b), n0 + step * b
+
+
 class BigradedPage:
     """A rectangular window onto the E2 page.
 
     Towers are complete out to codegree n_pad = n_hi + 2(p-1) s_max (and
     h0-cosets out to filtration s_max), which is enough to see every dot
     with n_lo <= n <= n_hi and s <= s_max: a tower based beyond n_pad has
-    all its window-codegree dots above filtration s_max.  towers maps each
-    MAIN and SP key to its base codegree (every one is based at s = 0) and
+    all its window-codegree dots above filtration s_max.  The page holds
+    columns, not towers: mains maps each MAIN column (eps, i1, j2, e, lam)
+    and sps each SP kind to (n0, bs), the base codegree of its tower at
+    b = 0 and the range of b it holds (every such tower sits at s = 0);
     columns holds the h0 block, (b, eps) -> range(s_max + 1) over c (see the
-    module docstring); `key in page`, len(page) and iter(page), towers
-    first, cover both.  Heights are read off keys and fates (height).
+    module docstring).  towers reads the MAIN and SP towers off their
+    columns (Towers); `key in page`, len(page) and iter(page), towers
+    first, cover both parts.  Heights are read off keys and fates (height).
     """
 
-    def __init__(self, p: int, n_lo: int, n_hi: int, s_max: int, towers, columns):
+    def __init__(self, p: int, n_lo: int, n_hi: int, s_max: int, mains, sps, columns):
         self.p, self.n_lo, self.n_hi, self.s_max = p, n_lo, n_hi, s_max
-        self.towers: dict[Key, int] = towers  # MAIN and SP key -> n0
+        self.mains: dict[tuple, tuple[int, range]] = mains
+        self.sps: dict[str, tuple[int, range]] = sps
         self.columns: dict[tuple[int, int], range] = columns
+        self.towers = Towers(p, mains, sps)
 
     @property
     def w(self) -> int:
@@ -370,6 +473,19 @@ class BigradedPage:
                 if run:
                     yield b, eps, seg, run
 
+    def main_runs(self):
+        """(col, n0, res, run) for each main_segments class that meets its
+        column, run the exponents b they share: the one walk over the MAIN
+        columns by class.  Raises ValueError for a column whose classes do
+        not hold its towers once each, in all."""
+        for col, (n0, bs) in self.mains.items():
+            runs = [(res, _cut(res.bs, bs)) for res in main_segments(self.p, *col)]
+            if sum(len(run) for _, run in runs) != len(bs):
+                raise ValueError(f"the classes of column {col!r} do not tile its b")
+            for res, run in runs:
+                if run:
+                    yield col, n0, res, run
+
     def height(self, key: Key, einfty: bool = False) -> int | None:
         """The height of a tower or block coset (None = v-free): the one
         rule.  On E2 an SP tower has _sp_shape's height and every other
@@ -392,17 +508,35 @@ class BigradedPage:
         """(key, n0, s0, range of a) of every tower and block coset with a
         dot inside the window, each cut to its height on E2, or on
         E-infinity with einfty, and at filtration s_max: the one place that
-        cuts the page to its window."""
-        w, lo, hi, top = self.w, self.n_lo, self.n_hi, self.s_max + 1
-        height = self.height
-        for key, n0 in self.towers.items():
-            h = height(key, einfty)
-            run = tower_dots(n0, top if h is None else min(h, top), w, lo, hi)
-            if run:
-                yield key, n0, 0, run
+        cuts the page to its window.  They come in page order, but on
+        E-infinity a MAIN column's come class by class (main_runs): a source
+        class has no dot, and a target class, all its towers of height e0,
+        is cut to the b whose tower reaches the window."""
+        p, w, lo, hi, top = self.p, self.w, self.n_lo, self.n_hi, self.s_max + 1
+        step = 2 * p
+        if einfty:
+            mains = (
+                (col, n0, min(res.e0, top), run)
+                for col, n0, res, run in self.main_runs()
+                if res.role != "source"
+            )
+        else:
+            mains = ((col, n0, top, bs) for col, (n0, bs) in self.mains.items())
+        for col, n0, h, bs in mains:
+            last = (hi + w * (h - 1) - n0) // step  # the last b whose tower reaches hi
+            for b in _cut(bs, range(bs.start, last + 1)):
+                run = tower_dots(n0 + step * b, h, w, lo, hi)
+                if run:
+                    yield ("main", b, *col), n0 + step * b, 0, run
+        for kind, (n0, bs) in self.sps.items():
+            h = min(_sp_shape(p, ("sp", kind, 0))[2], top)
+            for b in bs:
+                run = tower_dots(n0 + step * b, h, w, lo, hi)
+                if run:
+                    yield ("sp", kind, b), n0 + step * b, 0, run
         for (b, eps), cs in self.columns.items():
-            n0, s0 = h0_base(self.p, 0, b, eps)
-            full = tower_dots(n0, height(("h0", cs.start, b, eps), einfty), w, lo, hi)
+            n0, s0 = h0_base(p, 0, b, eps)
+            full = tower_dots(n0, self.height(("h0", cs.start, b, eps), einfty), w, lo, hi)
             for c in cs:
                 stop = min(full.stop, top - s0 - c)
                 if stop <= full.start:
@@ -449,7 +583,8 @@ def h0_mate(p: int, key: Key) -> tuple[Key, int] | None:
 
 
 def e2_window(p: int, n_lo: int, n_hi: int, s_max: int) -> BigradedPage:
-    """The reduced E2 page over a rectangular window (see BigradedPage).
+    """The reduced E2 page over a rectangular window (see BigradedPage):
+    one entry per MAIN column, SP kind and h0 column, none per tower.
 
     Raises ValueError if two of its towers would spell one label.  A MAIN
     label spells (eps, b, z-part) one to one, and an SP label spells its
@@ -458,32 +593,29 @@ def e2_window(p: int, n_lo: int, n_hi: int, s_max: int) -> BigradedPage:
     reaches below k0, which is what is checked, with no label spelled."""
     if p < 2 or n_hi < n_lo or s_max < 0:
         raise ValueError("bad window")
-    page = BigradedPage(p, n_lo, n_hi, s_max, {}, {})
-    towers, columns, pad = page.towers, page.columns, page.n_pad
+    page = BigradedPage(p, n_lo, n_hi, s_max, {}, {}, {})
+    mains, sps, columns, pad = page.mains, page.sps, page.columns, page.n_pad
     runs = _z_runs(p, pad)
     zparts = [_z_of(p, *run[:4]) for run in runs]
     if len({frozenset(z.items()) for z in zparts}) != len(runs) or any(
         min(z) < k0(p) for z in zparts
     ):
         raise ValueError("tower labels are not unique")
+    step = 2 * p
     for i1, j2, e, lam, zdeg in runs:
         for eps in (0, 1):
-            base = eps * q_degree(p) + zdeg
-            b = 0
-            while base + 2 * p * b <= pad:
-                towers[("main", b, eps, i1, j2, e, lam)] = base + 2 * p * b
-                b += 1
+            n0 = eps * q_degree(p) + zdeg
+            if n0 <= pad:
+                mains[(eps, i1, j2, e, lam)] = n0, range((pad - n0) // step + 1)
     for eps in (0, 1):
         b = 1 - eps
         while h0_base(p, 0, b, eps)[0] <= pad:
             columns[(b, eps)] = range(s_max + 1)
             b += 1
-    kinds = ("x8", "x10") if p == 2 else ("yz",)
-    for kind in kinds:
-        key = ("sp", kind, 0)
-        while (n0 := tower(p, key)) <= pad:
-            towers[key] = n0
-            key = ("sp", kind, key[2] + 1)
+    for kind in ("x8", "x10") if p == 2 else ("yz",):
+        n0 = tower(p, ("sp", kind, 0))
+        if n0 <= pad:
+            sps[kind] = n0, range((pad - n0) // step + 1)
     return page
 
 
@@ -499,75 +631,66 @@ def _base(page: BigradedPage, key: Key) -> tuple[int, int]:
     return (tower(page.p, key) if n0 is None else n0), 0
 
 
+def _lands(page: BigradedPage, role: str, r: int, e0: int, base: tuple, mate_base: tuple) -> bool:
+    """The geometry of a pair, from either end: the target's base sits
+    1 + w e0 codegrees and r - e0 filtrations above the source's."""
+    sign = 1 if role == "source" else -1
+    dn, ds = sign * (mate_base[0] - base[0]), sign * (mate_base[1] - base[1])
+    return dn == 1 + page.w * e0 and ds == r - e0
+
+
 class Pairing(NamedTuple):
-    pairs: list[tuple[Key, Key, int, int]]  # (source, target, r, e0), a per-key end
-    block_pairs: int  # differentials with both ends in the h0 block (F1)
+    differentials: int  # pairs listed: from the source, or a target whose source is excused
     problems: dict[str, list[dict]]
 
 
 def pair_towers(page: BigradedPage) -> Pairing:
     """Pair every window tower with its differential partner, in one pass.
 
-    Every per-key tower goes through _pair, then the h0 block through
-    _walk_block.  Returns a Pairing: (source, target, r, e0) of each
-    differential with a per-key end (the F3 pairs, sourced in the block,
-    included) and an end in the window; the count of the block's own; and
-    the problems: "orphans" (partners missing without a window excuse),
-    "double_hits" and "mismatches" ("round-trip": the partner's fate does
-    not invert the tower's; "geometry", once per pair: n0(target) !=
-    n0(source) + 1 + w e0 or s0(target) != s0(source) + r - e0; "block": a
-    coset of a block run that is neither a source nor a target with e0 = 0).
-    Only per-key targets keep a hit list: a second source on a block target
-    fails its round trip.
+    The MAIN columns go class by class (_walk_mains), then the h0 block
+    run by run (_walk_block): each class or run is checked once against
+    its partner's, by arithmetic, and only where that check fails do its
+    towers or cosets go through _pair one at a time, in page order, which
+    spells the problems.  Returns a Pairing: the number of differentials
+    listed, each once (from its source, or from a target whose source is
+    missing with a window excuse), and the problems: "orphans" (partners
+    missing without a window excuse), "double_hits" and "mismatches"
+    ("round-trip": the partner's fate does not invert the tower's;
+    "geometry", once per pair: n0(target) != n0(source) + 1 + w e0 or
+    s0(target) != s0(source) + r - e0; "block": a coset of a block run that
+    is neither a source nor a target with e0 = 0).  Only a page where some
+    round trip fails is searched for double hits (_double_hits).
     """
-    p = page.p
-    pairs: list[tuple[Key, Key, int, int]] = []
     orphans: list[dict] = []
     mismatches: list[dict] = []
-    hits: dict[Key, list[Key]] = {}
-    for key, n0 in page.towers.items():
-        own = fate(p, key)
-        if own.partner is None:
-            continue  # survives
-        if own.role == "source":
-            hits.setdefault(own.partner, []).append(key)
-        pair = _pair(page, key, own, n0, 0, orphans, mismatches)
-        if pair:
-            pairs.append(pair)
-    block_pairs = _walk_block(page, pairs, hits, orphans, mismatches)
-    double_hits = [
-        {"target": dot_label(p, t, 0), "sources": [dot_label(p, s, 0) for s in srcs]}
-        for t, srcs in hits.items()
-        if len(srcs) > 1
-    ]
-    problems = dict(orphans=orphans, double_hits=double_hits, mismatches=mismatches)
-    return Pairing(pairs, block_pairs, problems)
+    listed = _walk_mains(page, orphans, mismatches) + _walk_block(page, orphans, mismatches)
+    # two sources can share a target only if one of them fails its round trip
+    failed = any(m["kind"] == "round-trip" for m in mismatches)
+    double_hits = _double_hits(page) if failed else []
+    return Pairing(listed, dict(orphans=orphans, double_hits=double_hits, mismatches=mismatches))
 
 
 def _pair(
     page: BigradedPage, key: Key, own: Fate, n0: int, s0: int, orphans: list, mismatches: list
-):
+) -> bool:
     """Check one tower or coset (fate own, base (n0, s0)) against its
     partner: the round trip, then, once per pair (from its source, or from
     a target whose source is missing), the geometry and the partner's
-    presence or excuse.  Returns that pair as (source, target, r, e0), or
-    None if the round trip fails or the source lists the pair.  A label is
-    spelled only for a problem."""
+    presence or excuse.  Returns whether this end lists the pair: False if
+    the round trip fails or the source lists the pair.  A label is spelled
+    only for a problem."""
     p = page.p
     role, family, r, e0, mate = own
-    back = fate(p, mate)
+    back = _fate(p, mate)
     if back[4] != key or back[0] == role or back[1] != family or back[2:4] != (r, e0):
         mismatches.append({"kind": "round-trip", "tower": dot_label(p, key, 0), "partner": mate})
-        return None
+        return False
     inside = mate in page
     if inside and role == "target":
-        return None  # listed by its source
+        return False  # listed by its source
     mn0, ms0 = _base(page, mate)
-    if role == "source":
-        src, tgt, dn, ds = key, mate, mn0 - n0, ms0 - s0
-    else:
-        src, tgt, dn, ds = mate, key, n0 - mn0, s0 - ms0
-    if dn != 1 + 2 * (p - 1) * e0 or ds != r - e0:
+    if not _lands(page, role, r, e0, (n0, s0), (mn0, ms0)):
+        src, tgt = (key, mate) if role == "source" else (mate, key)
         mismatches.append(
             {
                 "kind": "geometry",
@@ -586,12 +709,68 @@ def _pair(
                 "partner": dot_label(p, mate, 0),
             }
         )
-    return src, tgt, r, e0
+    return True
 
 
 def _cut(a: range, b: range) -> range:
-    """The levels c two runs share."""
-    return range(max(a.start, b.start), min(a.stop, b.stop))
+    """The members of a (any step) inside b (step 1): the levels c, or the
+    exponents b, two runs share."""
+    start = a.start if a.start >= b.start else b.start + (a.start - b.start) % a.step
+    return range(start, min(a.stop, b.stop), a.step)
+
+
+def _class_checks(page: BigradedPage, col: tuple, n0: int, res: Residue, run: range) -> int | None:
+    """_pair's checks on the towers at b in run, the page's part of class
+    res of MAIN column col (based at n0), made once against the partner
+    column's class: the image b + offset must lie in one class that maps
+    it back, the geometry, which does not depend on b, must hold at the
+    first b, and every partner outside the page must lie past the pad.
+    Returns the number of pairs the class lists (a source class all of
+    them, a target class those whose source is missing), or None if some
+    tower fails a check, which only _pair, tower by tower, spells."""
+    p, off, mate_col = page.p, res.offset, res.partner
+    image = range(run.start + off, run.stop + off, run.step)
+    mate_base = _base(page, _main_mate(res, run.start))
+    back = next((s for s in main_segments(p, *mate_col) if image.start in s.bs), None)
+    if (
+        back is None
+        or (len(image) > 1 and image.step % back.bs.step)
+        or image[-1] not in back.bs
+        or back.role == res.role
+        or back[2:] != (*res[2:5], col, -off)
+        or not _lands(page, res.role, res.r, res.e0, (n0 + 2 * p * run.start, 0), mate_base)
+    ):
+        return None
+    present = page.mains.get(mate_col, (0, range(0)))[1]
+    last = (page.n_pad - mate_base[0]) // (2 * p) + image.start  # the last b' within the pad
+    low = _cut(image, range(image.start, last + 1))
+    if len(_cut(low, present)) != len(low):
+        return None
+    return len(run) if res.role == "source" else len(run) - len(_cut(image, present))
+
+
+def _walk_mains(page: BigradedPage, orphans: list, mismatches: list) -> int:
+    """pair_towers on the MAIN columns, class by class (main_runs), with no
+    object per tower.  Every class with a MAIN partner is checked once
+    against the partner's class (_class_checks); a class that fails there,
+    and each F3 target class (its partners block cosets, each checked from
+    its own end too), goes through _pair tower by tower, a column's towers
+    in b order, which spells the problems.  Returns the pairs listed."""
+    p = page.p
+    listed = 0
+    failed: dict[tuple, list[Residue]] = {}
+    for col, n0, res, run in page.main_runs():
+        count = None if res.partner[0] == "h0" else _class_checks(page, col, n0, res, run)
+        if count is None:
+            failed.setdefault(col, []).append(res)
+        else:
+            listed += count
+    for col, classes in failed.items():
+        n0, bs = page.mains[col]
+        for b, res in sorted((b, res) for res in classes for b in _cut(res.bs, bs)):
+            own = Fate(*res[1:5], _main_mate(res, b))
+            listed += _pair(page, ("main", b, *col), own, n0 + 2 * p * b, 0, orphans, mismatches)
+    return listed
 
 
 def _run_checks(page: BigradedPage, b: int, eps: int, seg: Segment, run: range) -> int | None:
@@ -613,31 +792,26 @@ def _run_checks(page: BigradedPage, b: int, eps: int, seg: Segment, run: range) 
         ):
             return None
         covered += len(part)
-    (n0, s0), (mn0, ms0) = h0_base(p, 0, b, eps), h0_base(p, off, *col)
-    sign = 1 if seg.role == "source" else -1
-    dn, ds = sign * (mn0 - n0), sign * (ms0 - s0)
-    if covered != len(image) or dn != 1 + page.w * seg.e0 or ds != seg.r - seg.e0:
+    base, mate_base = h0_base(p, 0, b, eps), h0_base(p, off, *col)
+    if covered != len(image) or not _lands(page, seg.role, seg.r, seg.e0, base, mate_base):
         return None
     # a partner at or below s_max is in the page unless its column is past the pad
     present = page.columns.get(col, range(0))
     low = _cut(image, range(page.s_max + 1))
-    if mn0 <= page.n_pad and len(_cut(low, present)) != len(low):
+    if mate_base[0] <= page.n_pad and len(_cut(low, present)) != len(low):
         return None
     return len(run) if seg.role == "source" else len(run) - len(_cut(image, present))
 
 
-def _walk_block(
-    page: BigradedPage, pairs: list, hits: dict, orphans: list, mismatches: list
-) -> int:
+def _walk_block(page: BigradedPage, orphans: list, mismatches: list) -> int:
     """pair_towers on the h0 block, by h0_segments, with no object per coset.
 
     One walk over block_runs.  Every F1 run, source or target, is checked
     once against its partner column's segments (_run_checks); a run that
-    fails there, and each F3 source (its target a MAIN tower: the pair joins
-    pairs and the hit list), goes through _pair coset by coset, which
-    spells the problems.  A run that is neither a source nor a target with
-    e0 = 0 is a "block" mismatch, coset by coset.  Returns the block pairs
-    listed."""
+    fails there, and each F3 source (its target a MAIN tower), goes through
+    _pair coset by coset, which spells the problems.  A run that is neither
+    a source nor a target with e0 = 0 is a "block" mismatch, coset by coset.
+    Returns the block pairs listed."""
     p, kk = page.p, k0(page.p)
     listed = 0
     for b, eps, seg, run in page.block_runs():
@@ -652,15 +826,26 @@ def _walk_block(
             continue
         n0 = h0_base(p, 0, b, eps)[0]
         for c in run:
-            key, mate = ("h0", c, b, eps), _mate(seg, c)
-            pair = _pair(page, key, Fate(*seg[1:5], mate), n0, c + kk * eps, orphans, mismatches)
-            if mate[0] != "h0":
-                hits.setdefault(mate, []).append(key)
-                if pair:
-                    pairs.append(pair)
-            elif pair:
-                listed += 1
+            own = Fate(*seg[1:5], _mate(seg, c))
+            listed += _pair(page, ("h0", c, b, eps), own, n0, c + kk * eps, orphans, mismatches)
     return listed
+
+
+def _double_hits(page: BigradedPage) -> list[dict]:
+    """Every target named by two sources or more, with its sources, in
+    page order: one pass over every tower and coset of the page.  A block
+    source whose partner is a block coset is left out: a second source on
+    a block target fails its round trip instead."""
+    p, hits = page.p, {}
+    for key in page:
+        own = _fate(p, key)
+        if own.role == "source" and (key[0] != "h0" or own.partner[0] != "h0"):
+            hits.setdefault(own.partner, []).append(key)
+    return [
+        {"target": dot_label(p, t, 0), "sources": [dot_label(p, s, 0) for s in srcs]}
+        for t, srcs in hits.items()
+        if len(srcs) > 1
+    ]
 
 
 def run_differentials(page: BigradedPage):
@@ -669,10 +854,12 @@ def run_differentials(page: BigradedPage):
     Returns (einf, applied): einf maps (n, s) inside the window to its
     E-infinity dimension; applied lists the replayed differentials as
     {"r", "source_label", "target_label"} records, ordered by (r, source
-    base codegree, source label, target label).  Raises WindowError, naming
-    the kind and the towers, on the first problem pair_towers finds: never
-    for pages built by e2_window, but it guards hand-edited ones.  Then
-    E-infinity is page.dims(einfty=True), each tower cut by its fate.
+    base codegree, source label, target label): every pair with its source
+    in the page, and every MAIN target's whose source is not.  Raises
+    WindowError, naming the kind and the towers, on the first problem
+    pair_towers finds: never for pages built by e2_window, but it guards
+    hand-edited ones.  Then E-infinity is page.dims(einfty=True), each
+    tower cut by its fate.
     """
     pairing = pair_towers(page)
     for kind, found in pairing.problems.items():
@@ -680,9 +867,16 @@ def run_differentials(page: BigradedPage):
             raise WindowError(f"{kind}: {found[0]}")
     p = page.p
     einf = page.dims(einfty=True)
-    pairs = list(pairing.pairs)
+    pairs = []
+    for col, _, res, run in page.main_runs():
+        for b in run:
+            key, mate = ("main", b, *col), _main_mate(res, b)
+            if res.role == "source":
+                pairs.append((key, mate, res.r, res.e0))
+            elif mate not in page:
+                pairs.append((mate, key, res.r, res.e0))
     for b, eps, seg, run in page.block_runs():
-        if seg.role == "source" and seg.offset is not None:
+        if seg.role == "source":
             pairs += [(("h0", c, b, eps), _mate(seg, c), seg.r, seg.e0) for c in run]
     records = sorted(
         (r, _base(page, src)[0], dot_label(p, src, 0), dot_label(p, tgt, e0))
@@ -700,22 +894,24 @@ def matching_audit(p: int, n_lo: int, n_hi: int, s_max: int) -> dict:
     and verify the pairing is a perfect matching with consistent geometry.
 
     Orphans, double hits and mismatches are report entries, not
-    exceptions.  A window with no tower raises ValueError: it would pass
-    without checking anything.
+    exceptions.  The family counts are read class by class and run by
+    run.  A window with no tower raises ValueError: it would pass without
+    checking anything.
     """
     page = e2_window(p, n_lo, n_hi, s_max)
     if not len(page):
         raise ValueError(f"the window {n_lo}..{n_hi}, s <= {s_max} holds no tower")
     problems = pair_towers(page).problems
-    families = Counter((f.family, f.role) for f in (classify(p, key) for key in page.towers))
+    families: Counter = Counter()
+    for _, _, res, run in page.main_runs():
+        families[res.family, res.role] += len(run)
     for _, _, seg, run in page.block_runs():
         families[seg.family, seg.role] += len(run)
-    survivors = families.pop((None, "survives"), 0)
     report = {
         "p": p,
         "window": {"n_lo": n_lo, "n_hi": n_hi, "s_max": s_max, "n_pad": page.n_pad},
         "towers": len(page),
-        "survivors": survivors,
+        "survivors": sum(len(bs) for _, bs in page.sps.values()),
         "by_family": {f"{fam}-{role}": c for (fam, role), c in sorted(families.items())},
         **problems,
     }
@@ -735,19 +931,25 @@ def einfty_audit(p: int, n_hi: int, s_max: int | None = None) -> dict:
     against the chart dots of modules.full_chart (same filtrations), and
     the per-degree totals against the F_p-length of ku^n, its dot count
     (each chart relation is p . dot minus dots of higher filtration: a
-    triangular matrix of determinant p^dots).  s_max defaults
+    triangular matrix of determinant p^dots).  Both chart counts come from
+    one walk over the chart's towers.  s_max defaults
     to the chart's top filtration plus 4; a cap below that top filtration
     would cut E-infinity short of the chart and raises ValueError, and so
     does a window with no tower, which would pass without checking
     anything.  The replay is run_differentials' without its records:
-    E-infinity is page.dims(einfty=True), every tower cut by its fate.  A
-    broken tower pairing fails the audit, its problems listed under
-    matching_audit's keys.
+    E-infinity is page.dims(einfty=True), every tower cut by its fate, and
+    the differential count is pair_towers'.  A broken tower pairing fails
+    the audit, its problems listed under matching_audit's keys.
     """
     ch = full_chart(p, n_hi)
-    chart_counts = Counter(
-        (n, a) for n in range(n_hi + 1) for _, a in ch.dots_at(n)
-    )
+    w = 2 * (p - 1)
+    chart_counts: Counter = Counter()
+    lengths: Counter = Counter()
+    for t in ch.towers:
+        n0 = t.gen_degree
+        for a in tower_dots(n0, t.height, w, 0, n_hi):
+            chart_counts[n0 - w * a, a] += 1
+            lengths[n0 - w * a] += 1
     top = max((s for _, s in chart_counts), default=0)
     if s_max is None:
         s_max = top + 4
@@ -759,7 +961,7 @@ def einfty_audit(p: int, n_hi: int, s_max: int | None = None) -> dict:
     page = e2_window(p, 0, n_hi, s_max)
     if not len(page):
         raise ValueError(f"the window 0..{n_hi}, s <= {s_max} holds no tower")
-    pairs, block_pairs, problems = pair_towers(page)
+    differentials, problems = pair_towers(page)
     einf = page.dims(einfty=True)
     problems = {kind: found for kind, found in problems.items() if found}
 
@@ -773,8 +975,7 @@ def einfty_audit(p: int, n_hi: int, s_max: int | None = None) -> dict:
         totals[n] += v
     length_mismatches = []
     for n in range(n_hi + 1):
-        total = totals[n]
-        length = ch.dims_at(n)
+        total, length = totals[n], lengths[n]
         if total != length:
             length_mismatches.append({"n": n, "einfty": total, "ku_length": length})
 
@@ -783,7 +984,7 @@ def einfty_audit(p: int, n_hi: int, s_max: int | None = None) -> dict:
         "n_hi": n_hi,
         "s_max": s_max,
         "towers": len(page),
-        "differentials": len(pairs) + block_pairs,
+        "differentials": differentials,
         "bidegree_mismatches": mismatches,
         "length_mismatches": length_mismatches,
         **problems,

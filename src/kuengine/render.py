@@ -150,7 +150,12 @@ class ChartDocument:
     @staticmethod
     def from_json(text: str) -> "ChartDocument":
         """The document of canonical JSON text, its lines read straight into
-        columns.  Raises ValueError for text that is not canonical."""
+        columns.  Raises ValueError for text that is not canonical.
+
+        Its cost: json.loads parses the whole text first, one dict per dot
+        and line record, so reading back the einfty 2/0:120/30 document
+        (8.5 MB of JSON, 7.2 MB held) peaks at 39.5 MB under tracemalloc.
+        No CLI command reads a chart back; the tests do."""
         doc = json.loads(text)
         version = doc.get("schema_version")
         if version != SCHEMA_VERSION:

@@ -318,9 +318,11 @@ def crippled_without(gone):
         cs = page.columns[gone[2:]]
         assert gone[1] == cs.start
         columns = {**page.columns, gone[2:]: cs[1:]}
-        return BigradedPage(*window, page.towers, columns)
-    bad = {k: t for k, t in page.towers.items() if k != gone}
-    return BigradedPage(*window, bad, page.columns)
+        return BigradedPage(*window, page.mains, page.sps, columns)
+    n0, bs = page.mains[gone[2:]]  # the bottom of its MAIN column
+    assert gone[1] == bs.start
+    mains = {**page.mains, gone[2:]: (n0, bs[1:])}
+    return BigradedPage(*window, mains, page.sps, page.columns)
 
 
 def test_missing_target_is_a_hard_error():
@@ -379,10 +381,35 @@ def in_window_pairs(page):
     ]
 
 
+def carve(segs, b, f):
+    """A column's classes with the tower at b given the fate f alone: the
+    class holding b split into its part below b, b alone and its part above."""
+    out = []
+    for res in segs:
+        if b not in res.bs:
+            out.append(res)
+            continue
+        i, mate = res.bs.index(b), f.partner
+        col, off = (("h0", mate[1]), mate[2] - b) if mate[0] == "h0" else (mate[2:], mate[1] - b)
+        alone = adams.Residue(range(b, b + 1), *f[:4], col, off)
+        parts = (res._replace(bs=res.bs[:i]), alone, res._replace(bs=res.bs[i + 1 :]))
+        out += [part for part in parts if part.bs]
+    return out
+
+
 def patch_fates(monkeypatch, changed):
-    """Make adams.classify return changed[key] for the keys listed."""
-    real = adams.classify
-    monkeypatch.setattr(adams, "classify", lambda p, k: changed.get(k) or real(p, k))
+    """Make adams.main_segments give the MAIN keys listed the fates
+    changed[key], each carved out of its class (carve)."""
+    real = adams.main_segments
+
+    def patched(p, *col):
+        segs = real(p, *col)
+        for key, f in changed.items():
+            if key[2:] == col:
+                segs = carve(segs, key[1], f)
+        return segs
+
+    monkeypatch.setattr(adams, "main_segments", patched)
 
 
 def shift_e0(monkeypatch, src, f):
@@ -397,7 +424,7 @@ def shift_e0(monkeypatch, src, f):
     )
 
 
-def test_replay_rejects_a_one_sided_round_trip(monkeypatch):
+def test_replay_rejects_a_one_sided_round_trip(monkeypatch, fresh_fates):
     page = e2_window(2, 0, 60, 12)
     (s1, f1), (s2, _) = in_window_pairs(page)[:2]
     # the target of s1 names s2 as its source; s2 still hits its own target
@@ -410,7 +437,7 @@ def test_replay_rejects_a_one_sided_round_trip(monkeypatch):
     assert not matching_audit(2, 0, 60, 12)["ok"]
 
 
-def test_replay_rejects_a_pair_with_broken_geometry(monkeypatch):
+def test_replay_rejects_a_pair_with_broken_geometry(monkeypatch, fresh_fates):
     page = e2_window(2, 0, 60, 12)
     shift_e0(monkeypatch, *in_window_pairs(page)[0])
     with pytest.raises(WindowError, match="geometry"):
@@ -418,7 +445,7 @@ def test_replay_rejects_a_pair_with_broken_geometry(monkeypatch):
     assert not matching_audit(2, 0, 60, 12)["ok"]
 
 
-def test_a_double_hit_is_reported_and_raised(monkeypatch):
+def test_a_double_hit_is_reported_and_raised(monkeypatch, fresh_fates):
     page = e2_window(2, 0, 60, 12)
     (s1, f1), (s2, f2) = in_window_pairs(page)[:2]
     patch_fates(monkeypatch, {s2: f2._replace(partner=f1.partner)})
@@ -434,7 +461,7 @@ def test_a_double_hit_is_reported_and_raised(monkeypatch):
     assert bad == sorted([label[s2], label[f2.partner]])
 
 
-def test_matching_audit_reports_a_bad_pair_once(monkeypatch):
+def test_matching_audit_reports_a_bad_pair_once(monkeypatch, fresh_fates):
     page = e2_window(2, 0, 60, 12)
     src, f = in_window_pairs(page)[0]
     shift_e0(monkeypatch, src, f)
@@ -732,22 +759,21 @@ def test_a_block_pair_with_broken_geometry_is_reported_per_coset(p, monkeypatch,
 
 @pytest.mark.parametrize("window", ((2, 0, 120, 35), (3, 0, 150, 30)))
 def test_a_valid_block_checks_no_f1_coset_one_at_a_time(window, monkeypatch):
-    # on a valid page every F1 run passes its run check, so _pair sees only
-    # the F3 sources, whose targets are per-key towers
+    # on a valid page every F1 run and every MAIN class with a MAIN partner
+    # passes its check, so _pair sees only the F3 pairs, from both ends
     p = window[0]
     seen = []
     real = adams._pair
 
     def recording(page, key, *rest):
-        if key[0] == "h0":
-            seen.append(key)
+        seen.append(key)
         return real(page, key, *rest)
 
     monkeypatch.setattr(adams, "_pair", recording)
     page = e2_window(*window)
     assert not any(pair_towers(page).problems.values())
-    f3 = [k for k in page_keys(page) if k[0] == "h0" and fate(p, k).family == "F3"]
-    assert f3 and sorted(seen) == sorted(f3)
+    f3 = [k for k in page_keys(page) if fate(p, k).family == "F3"]
+    assert {k[0] for k in f3} == {"h0", "main"} and sorted(seen) == sorted(f3)
 
 
 # a column whose c = 0 and 1 are F3 sources and c = 2 its first F1 target
@@ -817,6 +843,152 @@ def test_h0_segments_match_the_per_coset_formula(p):
             assert [adams.h0_fate(p, c, b, eps) for c in range(top)] == [
                 ref_h0_fate(p, c, b, eps) for c in range(top)
             ]
+
+
+def ref_key_classify(p, key):
+    """Reference: the fate of one MAIN key, read off its integers key by key
+    (b' is the partner's y1-exponent), as classify read it before the MAIN
+    columns had residue classes."""
+    kk = k0(p)
+    odd = 0 if p == 2 else 1
+    _, b, eps, i1, j2, e, lam = key
+    if eps == 0:
+        if b >= 1 and i1 >= nu(p, b) + 2:
+            d = nu(p, b)
+            return Fate("source", "F2", d + 2, d + 2, ("main", b - 1, 1, i1 - d - odd, j2, e, lam))
+        # not an F2 source forces nu(b) >= i1 - 1, i.e. y1^b in P[y_t]
+        t = i1
+        r = p**t - t
+        if j2 == t and e == 0 and not lam:
+            return Fate("target", "F3", r, p**t, ("h0", t - kk, b + p ** (t - 1) - 1, 1))
+        if j2 > t:
+            run = tuple((j, p - 1) for j in range(t + 1, j2)) + (((j2, e),) if e else ())
+            z = (kk, t, p - 2, run + lam)
+        elif e:
+            z = (kk, t, e - 1, lam)
+        else:
+            j, x = lam[0]
+            z = (j - t + kk, j, x - 1, lam[1:])
+        return Fate("target", "F4", r, r, ("main", b + p ** (t - 1) - 1, 1, *z))
+    t = j2 - i1 + kk
+    d = nu(p, b + 1)
+    if d < t - 1:
+        return Fate("target", "F2", d + 2, d + 2, ("main", b + 1, 0, i1 + d + odd, j2, e, lam))
+    if t < j2:
+        z = (t, t, 0, ((j2, e + 1),) + lam)
+    elif e < p - 2:
+        z = (t, t, e + 1, lam)
+    else:
+        z = z_decompose_dict(p, {t: p, **dict(lam)})
+    r = p**t - t
+    return Fate("source", "F4", r, r, ("main", b + 1 - p ** (t - 1), 0, *z))
+
+
+@pytest.mark.parametrize("window", (*REFERENCE_WINDOWS, (5, 0, 3000, 10), (7, 0, 6000, 8)))
+def test_main_segments_match_the_per_key_classify(window):
+    # exactly one class of its column holds each MAIN tower of the page, and
+    # gives it the per-key reference's fate
+    p = window[0]
+    page = e2_window(*window)
+    checked = Counter()
+    for col, (_, bs) in page.mains.items():
+        segs = adams.main_segments(p, *col)
+        for b in bs:
+            (res,) = [s for s in segs if b in s.bs]
+            key = ("main", b, *col)
+            assert Fate(*res[1:5], adams._main_mate(res, b)) == ref_key_classify(p, key), key
+            checked[res.family, res.role] += 1
+    assert sum(checked.values()) == sum(k[0] == "main" for k in page.towers)
+    assert set(checked) == {("F2", "source"), ("F2", "target"), ("F3", "target"),
+                            ("F4", "source"), ("F4", "target")}
+
+
+def bump_r_on_one_class(p, *col, real=adams.main_segments):
+    segs = real(p, *col)
+    if col != (0, k0(p) + 1, k0(p) + 1, 0, ()):  # the bare z_(k0+1) column
+        return segs
+    return [s._replace(r=s.r + 1) if s.family == "F2" and s.bs.start == 1 else s for s in segs]
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_a_broken_main_class_fails_the_replay_and_both_audits(p, monkeypatch, fresh_fates):
+    # r + 1 on the F2 sources y1^b z_(k0+1), nu(b) = 0, b = 1 mod p: their
+    # round trips fail from both ends, tower by tower
+    assert matching_audit(p, 0, 60, 12)["ok"] and einfty_audit(p, 60)["ok"]
+    monkeypatch.setattr(adams, "main_segments", bump_r_on_one_class)
+    page = e2_window(p, 0, 60, 12)
+    with pytest.raises(WindowError, match="round-trip"):
+        run_differentials(page)
+    matching = matching_audit(p, 0, 60, 12)
+    assert not matching["ok"] and {m["kind"] for m in matching["mismatches"]} == {"round-trip"}
+    einfty = einfty_audit(p, 60)
+    assert not einfty["ok"] and einfty["mismatches"]
+    assert einfty["bidegree_mismatches"] == [] == einfty["length_mismatches"]
+
+
+def test_a_partner_class_split_mod_4_fails_tower_by_tower(monkeypatch, fresh_fates):
+    # the F2 targets q y1^b z2, b even, split mod 4 with r + 1 on b = 2 mod 4:
+    # the image of the sources y1^b z2, b odd, starts and ends at b = 0 mod
+    # 4, so only the check of its step sends them through _pair
+    real, col, src_col = adams.main_segments, (1, 2, 2, 0, ()), (0, 2, 2, 0, ())
+
+    def split(p, *c):
+        f2, *rest = segs = real(p, *c)
+        if c != col:
+            return segs
+        assert (f2.family, f2.role, f2.bs) == ("F2", "target", range(0, adams.OPEN, 2))
+        return [f2._replace(bs=range(0, adams.OPEN, 4)), f2._replace(bs=range(2, adams.OPEN, 4), r=3), *rest]
+
+    page = e2_window(2, 0, 50, 12)
+    assert page.mains[col][1] == range(12) and page.mains[src_col][1] == range(15)
+    monkeypatch.setattr(adams, "main_segments", split)
+    rep = matching_audit(2, 0, 50, 12)
+    bad = [("main", b, *col) for b in (2, 6, 10)] + [("main", b, *src_col) for b in (3, 7, 11)]
+    assert sorted(m["tower"] for m in rep["mismatches"]) == sorted(dot_label(2, k, 0) for k in bad)
+    assert {m["kind"] for m in rep["mismatches"]} == {"round-trip"}
+
+
+@pytest.mark.parametrize("p", (2, 3))
+@pytest.mark.parametrize("broken", ("a class twice", "a class left out"))
+def test_classes_that_do_not_tile_a_column_raise(p, broken, monkeypatch, fresh_fates):
+    # a column's classes must hold each of its towers once, as classify
+    # reads them; counts and dots read class by class would be wrong
+    real = adams.main_segments
+
+    def mutant(p, *col):
+        segs = real(p, *col)
+        return segs * 2 if broken == "a class twice" else segs[1:]
+
+    monkeypatch.setattr(adams, "main_segments", mutant)
+    for audit in (
+        lambda: matching_audit(p, 0, 60, 12),
+        lambda: einfty_audit(p, 60),
+        lambda: e2_window(p, 0, 60, 12).dims(einfty=True),
+    ):
+        with pytest.raises(ValueError, match="do not tile"):
+            audit()
+
+
+def test_the_towers_are_read_off_their_columns():
+    # page.towers is a read-only mapping with no entry per tower: one entry
+    # per MAIN column and SP kind gives every key its base codegree
+    for p, n_hi, s_max in ((2, 250, 67), (3, 150, 30), (5, 3000, 10)):
+        page = e2_window(p, 0, n_hi, s_max)
+        towers = page.towers
+        assert dict(towers.items()) == {key: tower(p, key) for key in towers}
+        assert len(towers) == len(list(towers)) == len(set(towers))
+        assert len(page.mains) + len(page.sps) < len(towers) / 10
+        held = vars(towers).values()
+        assert all(v is page.mains or v is page.sps or not isinstance(v, dict) for v in held)
+        for key in list(towers)[::97]:
+            assert key in towers and towers.get(key) == towers[key] == tower(p, key)
+        beyond = [(*k[:1], k[1] + len(towers), *k[2:]) for k in towers if k[0] == "main"][:5]
+        for key in beyond + [("sp", "x9", 0), ("h0", 0, 1, 0), ("main", 0)]:
+            assert key not in towers and towers.get(key, "absent") == "absent"
+            with pytest.raises(KeyError):
+                towers[key]
+        with pytest.raises(TypeError):
+            towers[next(iter(towers))] = 0
 
 
 # -- audits --------------------------------------------------------------------

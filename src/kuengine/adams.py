@@ -328,10 +328,10 @@ def _main_mate(res: Residue, b: int) -> Key:
     return ("h0", col[1], b2, 1) if col[0] == "h0" else ("main", b2, *col)
 
 
-def _fate(p: int, key: Key) -> Fate:
-    """The fate of any key, read off its column's segments with no cache:
-    h0_fate's for a coset, its class in main_segments for a MAIN tower (the
-    first class that holds b), survives for an SP tower."""
+def _fate(p: int, key: Key, segments) -> Fate:
+    """The fate of any key, read off its column's segments: h0_fate's for a
+    coset, its class for a MAIN tower (the first class in segments(col),
+    the column's main_segments, that holds b), survives for an SP tower."""
     if key[0] == "h0":
         return h0_fate(p, key[1], key[2], key[3])
     if key[0] == "sp":
@@ -339,7 +339,7 @@ def _fate(p: int, key: Key) -> Fate:
     if key[0] != "main":
         raise ValueError(f"unknown tower family {key!r}")
     _, b, *col = key
-    for res in main_segments(p, *col):
+    for res in segments(tuple(col)):
         if b in res.bs:
             return Fate(*res[1:5], _main_mate(res, b))
     raise ValueError(f"no class of column {tuple(col)!r} holds b = {b}")
@@ -358,7 +358,7 @@ def classify(p: int, key: Key) -> Fate:
     tower's is its class in main_segments, and an SP tower survives."""
     if key[0] not in ("main", "sp"):
         raise ValueError(f"classify takes MAIN and SP keys, not {key!r}")
-    return _fate(p, key)
+    return _fate(p, key, lambda col: main_segments(p, *col))
 
 
 # -- E2 window ----------------------------------------------------------------
@@ -441,6 +441,7 @@ class BigradedPage:
         self.sps: dict[str, tuple[int, range]] = sps
         self.columns: dict[tuple[int, int], range] = columns
         self.towers = Towers(p, mains, sps)
+        self._segments: dict[tuple, list[Residue]] = {}
 
     @property
     def w(self) -> int:
@@ -473,13 +474,25 @@ class BigradedPage:
                 if run:
                     yield b, eps, seg, run
 
+    def segments(self, col: tuple) -> list[Residue]:
+        """main_segments of the MAIN column col, in or out of the page,
+        built once per page."""
+        segs = self._segments.get(col)
+        if segs is None:
+            segs = self._segments[col] = main_segments(self.p, *col)
+        return segs
+
+    def fate(self, key: Key) -> Fate:
+        """_fate, a MAIN tower's class read off the page's segments."""
+        return _fate(self.p, key, self.segments)
+
     def main_runs(self):
         """(col, n0, res, run) for each main_segments class that meets its
         column, run the exponents b they share: the one walk over the MAIN
         columns by class.  Raises ValueError for a column whose classes do
         not hold its towers once each, in all."""
         for col, (n0, bs) in self.mains.items():
-            runs = [(res, _cut(res.bs, bs)) for res in main_segments(self.p, *col)]
+            runs = [(res, _cut(res.bs, bs)) for res in self.segments(col)]
             if sum(len(run) for _, run in runs) != len(bs):
                 raise ValueError(f"the classes of column {col!r} do not tile its b")
             for res, run in runs:
@@ -681,7 +694,7 @@ def _pair(
     only for a problem."""
     p = page.p
     role, family, r, e0, mate = own
-    back = _fate(p, mate)
+    back = page.fate(mate)
     if back[4] != key or back[0] == role or back[1] != family or back[2:4] != (r, e0):
         mismatches.append({"kind": "round-trip", "tower": dot_label(p, key, 0), "partner": mate})
         return False
@@ -731,7 +744,7 @@ def _class_checks(page: BigradedPage, col: tuple, n0: int, res: Residue, run: ra
     p, off, mate_col = page.p, res.offset, res.partner
     image = range(run.start + off, run.stop + off, run.step)
     mate_base = _base(page, _main_mate(res, run.start))
-    back = next((s for s in main_segments(p, *mate_col) if image.start in s.bs), None)
+    back = next((s for s in page.segments(mate_col) if image.start in s.bs), None)
     if (
         back is None
         or (len(image) > 1 and image.step % back.bs.step)
@@ -838,7 +851,7 @@ def _double_hits(page: BigradedPage) -> list[dict]:
     a block target fails its round trip instead."""
     p, hits = page.p, {}
     for key in page:
-        own = _fate(p, key)
+        own = page.fate(key)
         if own.role == "source" and (key[0] != "h0" or own.partner[0] != "h0"):
             hits.setdefault(own.partner, []).append(key)
     return [

@@ -11,16 +11,19 @@ verification side of the package, and imports none of model.py's closed forms:
   key arithmetic.
 * margolis_homology -- per-degree dims of H(M; Q0) or H(M; Q1), by ranks.
 * strip_free -- M / F for the free summand F spanned by the basis elements
-  whose Q0Q1 images are independent, with F's generator count per degree.
+  whose Q0Q1 images are independent, with F's generator count per degree,
+  in one pass up the degrees that holds about 2(2p-1) degrees at a time.
   A free summand has no Margolis homology and one Ext class, so the
   Margolis and Ext audits rank only M / F, which keeps 5-20% of H*(K2).
 * ext_bruteforce -- Ext_{E1}(F_p, M) dimensions computed literally from the
   standard Koszul-type resolution of the ground field, its boundary
   matrices laid out straight from the stored Q-maps.
 
-Module layout: per degree, a list of basis labels, and Q0, Q1 as (source
+Module layout: per degree, a list of basis entries, and Q0, Q1 as (source
 position, target position, coeff) triples that every consumer reads as
-stored.  Hand-written modules spell their labels once, in from_labels.
+stored.  Hand-written modules list their labels, spelled once in
+from_labels; a monomial module lists the integer keys of its monomials
+and spells a label from its key only when something reads it (labels).
 
 Monomial bases: each generator (GenSpec) carries an exponent cap `top`
 (None for a polynomial generator, 1 for an exterior one, p-1 or p-2 for
@@ -37,6 +40,7 @@ silently reading truncated maps.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 from typing import NamedTuple
 
 # gf_rank is not called here, but perfbench/tracer.py wraps it at this lookup site
@@ -77,15 +81,18 @@ def _mono_label(m: Mono, gens) -> str:
 class E1Module:
     """Degreewise F_p vector space with Q0 (degree +1) and Q1 (degree +2p-1).
 
-    `by_degree[d]` lists the basis labels of degree d (complete through
-    `cutoff`); a basis element is addressed by its degree and its position
-    in that list.  `q0[d]`/`q1[d]` give the action on degree d as
-    (source position, target position, coeff) triples, the target read in
-    degree d+1 or d+2p-1, recorded only when that degree is <= cutoff.
+    `by_degree[d]` lists the basis of degree d (complete through `cutoff`);
+    a basis element is addressed by its degree and its position in that
+    list.  The entries are the labels themselves, or, when `spell` is set,
+    keys that `spell` turns into labels: a monomial module keys its basis
+    by exponent integers and spells a label only when one is read
+    (labels).  `q0[d]`/`q1[d]` give the action on degree d as (source
+    position, target position, coeff) triples, the target read in degree
+    d+1 or d+2p-1, recorded only when that degree is <= cutoff.
     """
 
-    def __init__(self, p: int, cutoff: int, by_degree: dict[int, list[str]] | None = None):
-        self.p, self.cutoff, self.q0, self.q1 = p, cutoff, {}, {}
+    def __init__(self, p: int, cutoff: int, by_degree: dict[int, list] | None = None, spell=None):
+        self.p, self.cutoff, self.q0, self.q1, self.spell = p, cutoff, {}, {}, spell
         self.by_degree = {} if by_degree is None else by_degree
 
     @staticmethod
@@ -113,13 +120,16 @@ class E1Module:
     def dim_at(self, n: int) -> int:
         return len(self.by_degree.get(n, ()))
 
+    def labels(self, n: int) -> list[str]:
+        """The labels of degree n's basis, in basis order."""
+        basis = self.by_degree.get(n, [])
+        return list(basis) if self.spell is None else [self.spell(k) for k in basis]
+
     def ps(self) -> PSeries:
         """Dimensions through the cutoff (through the top degree of a finite
         module)."""
         top = self.cutoff if self.cutoff < EXACT else max(self.by_degree, default=0)
-        return PSeries.from_degrees(
-            top, (d for d, ls in self.by_degree.items() for _ in ls)
-        )
+        return PSeries(top, [self.dim_at(d) for d in range(top + 1)])
 
     # -- constructions -----------------------------------------------------
 
@@ -135,7 +145,7 @@ class E1Module:
             # where summand i starts in each degree of the sum
             start = {d: out.dim_at(d) for d in m.by_degree}
             for d in sorted(m.by_degree):
-                out.by_degree.setdefault(d, []).extend(f"{i}:{lbl}" for lbl in m.by_degree[d])
+                out.by_degree.setdefault(d, []).extend(f"{i}:{lbl}" for lbl in m.labels(d))
             for q, qo, shift in ((m.q0, out.q0, 1), (m.q1, out.q1, 2 * p - 1)):
                 for d, triples in q.items():
                     a, b = start[d], start[d + shift]
@@ -156,12 +166,13 @@ class E1Module:
         out = E1Module(self.p, min(self.cutoff, D))
         start: dict[tuple[int, int], int] = {}
         for da in sorted(self.by_degree):
+            left = self.labels(da)
             for dm in sorted(monos):
                 if da + dm > out.cutoff:
                     break
                 basis = out.by_degree.setdefault(da + dm, [])
                 start[da + dm, da] = len(basis)
-                basis += [f"{a}*{m}" for a in self.by_degree[da] for m in monos[dm]]
+                basis += [f"{a}*{m}" for a in left for m in monos[dm]]
         for q, qo, shift in ((self.q0, out.q0, 1), (self.q1, out.q1, 2 * self.p - 1)):
             for (n, da), s0 in start.items():
                 if da in q and n + shift <= out.cutoff:
@@ -182,9 +193,9 @@ class E1Module:
             for d, triples in q.items():
                 for s, t, c in triples:
                     if t >= self.dim_at(d + shift):
-                        raise ValueError(f"{name}[{self.by_degree[d][s]}] is not degree +{shift}")
+                        raise ValueError(f"{name}[{self.labels(d)[s]}] is not degree +{shift}")
                     if c % p == 0:
-                        raise ValueError(f"{name}[{self.by_degree[d][s]}] stores a zero coefficient")
+                        raise ValueError(f"{name}[{self.labels(d)[s]}] stores a zero coefficient")
 
         def compose(first, d, second, e) -> dict[tuple[int, int], int]:
             """{(source, target): coeff} of `second` (read at degree e)
@@ -196,7 +207,7 @@ class E1Module:
                     out[s, t] = (out.get((s, t), 0) + c * c2) % p
             return out
 
-        for d, basis in self.by_degree.items():
+        for d in self.by_degree:
             checks = []
             if d + 2 <= self.cutoff:
                 checks.append(("Q0^2 != 0", compose(self.q0, d, self.q0, d + 1)))
@@ -210,49 +221,65 @@ class E1Module:
             bad = [(s, i) for i, (_, prod) in enumerate(checks) for (s, _), c in prod.items() if c]
             if bad:
                 s, i = min(bad)
-                raise ValueError(f"{checks[i][0]} on {basis[s]}")
+                raise ValueError(f"{checks[i][0]} on {self.labels(d)[s]}")
 
 
 def _module_from_monomials(p: int, gens: list[GenSpec], D: int, images0, images1) -> E1Module:
     """The monomial module with Q0, Q1 extended from the generator images
     ({generator: (h, f, c)}, meaning Q(gen) = c gen_h^f) by the Leibniz
     rule.  A monomial is keyed by its exponent vector read in mixed radix,
-    so m / g * gen_h^f is key - weight[g] + f * weight[h]."""
-    mod = E1Module(p, D)
-    found = bounded_exponents([(g.degree, g.top) for g in gens], D)
-    monos = sorted((d, m) for m, d in found)
-    weight, radix = [], 1
+    the exponent of g being key // weight[g] % radix[g], and the basis
+    holds those keys, sorted by degree, then by the (generator, exponent)
+    pairs, and spelled on read.  Each generator's rule is worked out once
+    per map: m / g * gen_h^f is key + f * weight[h] - weight[g] (radix[h]
+    holds every exponent of degree <= D, so nothing carries), and it is
+    not a basis key exactly when the product passes h's cap.  Two rules
+    move different exponents, so they never reach one target from one
+    source, and with c a unit no stored coefficient is zero."""
+    weight, radix, w = [], [], 1
     for g in gens:
-        weight.append(radix)
-        radix *= (D // g.degree if g.top is None else g.top) + 1
-    position: dict[int, int] = {}  # key -> position in its degree
-    for d, m in monos:
-        basis = mod.by_degree.setdefault(d, [])
-        position[sum(e * weight[g] for g, e in m)] = len(basis)
-        basis.append(_mono_label(m, gens))
-    odd = [p != 2 and g.degree & 1 for g in gens]
-    for (d, m), (key, s) in zip(monos, position.items()):
-        # odd factors of m as a bitmask: Q crosses those left of an odd g,
-        # the odd image of an even g crosses those left of its generator h
-        mask = sum(1 << g for g, e in m if odd[g] and e & 1)
-        for images, qmap, shift in ((images0, mod.q0, 1), (images1, mod.q1, 2 * p - 1)):
+        weight.append(w)
+        radix.append(D // g.degree + 1)
+        w *= radix[-1]
+    found: dict[int, list[Mono]] = {}
+    for m, d in bounded_exponents([(g.degree, g.top) for g in gens], D):
+        found.setdefault(d, []).append(m)
+
+    def spell(key: int) -> str:
+        m = [(g, e) for g, w in enumerate(weight) if (e := key // w % radix[g])]
+        return _mono_label(m, gens)
+
+    mod = E1Module(p, D, spell=spell)
+    for d in sorted(found):
+        mod.by_degree[d] = [sum([e * weight[g] for g, e in m]) for m in sorted(found.pop(d))]
+    at = {key: i for keys in mod.by_degree.values() for i, key in enumerate(keys)}.get
+    # a Koszul sign: Q crosses the odd factors left of an odd g, the odd
+    # image of an even g those left of its generator h
+    odd = [(1 << g, weight[g], radix[g]) for g, gen in enumerate(gens) if p != 2 and gen.degree & 1]
+    maps = [
+        (qmap, shift, [
+            (weight[g], radix[g], f * weight[h] - weight[g],
+             (1 << (g if gens[g].degree & 1 else h)) - 1, (c % p, -c % p))
+            for g, (h, f, c) in sorted(images.items())
+        ])
+        for images, qmap, shift in ((images0, mod.q0, 1), (images1, mod.q1, 2 * p - 1))
+    ]
+    for d, keys in mod.by_degree.items():
+        # each monomial's odd factors of odd exponent as a bitmask
+        masks = [sum([bit for bit, w, r in odd if key // w % r & 1]) for key in keys]
+        for qmap, shift, rules in maps:
             if d + shift > D:
                 continue
-            img: dict[int, int] = {}
-            for g, e in m:
-                if g not in images or not e % p:
-                    continue
-                h, f, c = images[g]
-                top = gens[h].top
-                if top is not None and key // weight[h] % (top + 1) - (h == g) + f > top:
-                    continue  # the product passes h's cap
-                if (mask & ((1 << (g if odd[g] else h)) - 1)).bit_count() & 1:
-                    c = -c
-                t = position[key - weight[g] + f * weight[h]]
-                img[t] = (img.get(t, 0) + e * c) % p
-            triples = [(s, t, c) for t, c in img.items() if c]
+            triples: list[tuple[int, int, int]] = []
+            for wg, rg, delta, crossed, coeff in rules:
+                triples += [
+                    (s, t, e * coeff[(masks[s] & crossed).bit_count() & 1] % p)
+                    for s, key in enumerate(keys)
+                    if (e := key // wg % rg) % p and (t := at(key + delta)) is not None
+                ]
             if triples:
-                qmap.setdefault(d, []).extend(triples)
+                triples.sort(key=itemgetter(0))  # by source, rules in generator order
+                qmap[d] = triples
     return mod
 
 
@@ -349,19 +376,20 @@ def _by_source(triples) -> dict[int, list[tuple[int, int]]]:
     return out
 
 
-def _free_generators(p: int, socles: dict[int, dict[int, list]]) -> dict[int, list[int]]:
-    """Positions in each degree d whose Q0Q1 images (socles[d]: {position:
-    (target, coeff) pairs}) are linearly independent, taken greedily in
-    basis order.  Q0Q1 vanishes on every E1-module without a free summand,
-    so their count is the number of free summands generated in degree d,
-    and E1 times them is a free submodule."""
-    out: dict[int, list[int]] = {}
-    for d in sorted(socles):
-        span = Echelon(p)
-        gens = [s for s, vec in socles[d].items() if span.add(vec)]
-        if gens:
-            out[d] = gens
-    return out
+def _free_generators(p: int, q0: dict, q1: dict, d: int) -> tuple[dict, list[int]]:
+    """Degree d's Q0Q1 images ({position: (target, coeff) pairs}, read off
+    the by-source maps q1[d] and q0[d + 2p - 1]) and the positions whose
+    images are linearly independent, taken greedily in basis order.  Q0Q1
+    vanishes on every E1-module without a free summand, so their count is
+    the number of free summands generated in degree d, and E1 times them
+    is a free submodule."""
+    after = q0[d + 2 * p - 1]
+    socle = {
+        s: [(t, c1 * c0) for m, c1 in img for t, c0 in after.get(m, ())]
+        for s, img in q1[d].items()
+    }
+    span = Echelon(p)
+    return socle, [s for s, vec in socle.items() if span.add(vec)]
 
 
 def strip_free(M: E1Module) -> tuple[E1Module, dict[int, int]]:
@@ -373,47 +401,53 @@ def strip_free(M: E1Module) -> tuple[E1Module, dict[int, int]]:
     not complete below the cutoff and stays in M'.  E1 is a Frobenius
     algebra, so the free submodule F is injective and M = F + M'; a free
     summand has no Margolis homology and adds to Ext one class, at (d + 2p,
-    0).  M' keeps the cutoff and the labels of M: its basis in degree d is
-    the basis elements of M outside the lead columns of F_d in echelon form,
-    and its Q-images are those of M reduced modulo F."""
+    0).  M' keeps the cutoff and the basis entries of M: its basis in degree
+    d is the basis elements of M outside the lead columns of F_d in echelon
+    form, and its Q-images are those of M reduced modulo F.
+
+    One pass up the degrees e: degree e's Q-maps are grouped by source,
+    degree e - w (w = 2p - 1) gets its socle, its generators and F in
+    echelon form, and degree e - 2w, whose images reduce against echelons
+    now complete, is written out; then what no later degree reads is
+    dropped, so the pass holds about 2w degrees of M's maps at a time."""
     p, w = M.p, 2 * M.p - 1
-    q0, q1 = ({d: _by_source(t) for d, t in q.items()} for q in (M.q0, M.q1))
-    socles: dict[int, dict[int, list[tuple[int, int]]]] = {}  # Q0Q1, as q0 and q1
-    for d, images in q1.items():
-        if d + 2 * p <= M.cutoff:
-            after = q0.get(d + w, {})
-            socles[d] = {
-                s: [(t, c1 * c0) for m, c1 in img for t, c0 in after.get(m, ())]
-                for s, img in images.items()
-            }
-    gens = _free_generators(p, socles)
-    # F_d = span(S_d, Q0 S_{d-1}, Q1 S_{d-w}, Q0Q1 S_{d-2p}) in echelon form
-    spans: dict[int, Echelon] = {}
-    for d in M.by_degree:
-        span = spans[d] = Echelon(p)
-        for s in gens.get(d, ()):
-            span.add([(s, 1)])
-        for img, d0 in ((q0, d - 1), (q1, d - w), (socles, d - 2 * p)):
-            for s in gens.get(d0, ()):
-                span.add(img[d0].get(s, ()))
-    out = E1Module(p, M.cutoff)
-    kept: dict[int, dict[int, int]] = {}  # degree -> {old position: new}
-    for d, labels in M.by_degree.items():
-        keep = [i for i in range(len(labels)) if i not in spans[d].rows]
-        if keep:
-            kept[d] = {i: j for j, i in enumerate(keep)}
-            out.by_degree[d] = [labels[i] for i in keep]
-    for q, qo, shift in ((q0, out.q0, 1), (q1, out.q1, w)):
-        for d, new in kept.items():
-            if d + shift not in kept or d not in q:
-                continue
-            img, span, target = q[d], spans[d + shift], kept[d + shift]
-            triples = [
-                (j, target[t], c) for i, j in new.items() for t, c in span.reduce(img.get(i, ()))
-            ]
-            if triples:
-                qo[d] = triples
-    return out, {d: len(s) for d, s in gens.items()}
+    out, counts = E1Module(p, M.cutoff, spell=M.spell), {}
+    q0, q1, socles, gens, spans, kept = {}, {}, {}, {}, {}, {}
+    lo, hi = min(M.by_degree, default=0), max(M.by_degree, default=0)
+    for e in range(lo, hi + 2 * w + 1):
+        q0[e], q1[e] = _by_source(M.q0.get(e, ())), _by_source(M.q1.get(e, ()))
+        x = e - w  # Q0Q1 on degree x lands in degree e + 1
+        if q1.get(x) and x + 2 * p <= M.cutoff:
+            socles[x], gens[x] = _free_generators(p, q0, q1, x)
+            if gens[x]:
+                counts[x] = len(gens[x])
+        if x in M.by_degree:
+            # F_x = span(S_x, Q0 S_{x-1}, Q1 S_{x-w}, Q0Q1 S_{x-2p}) in echelon form
+            span = spans[x] = Echelon(p)
+            for s in gens.get(x, ()):
+                span.add([(s, 1)])
+            for img, x0 in ((q0, x - 1), (q1, x - w), (socles, x - 2 * p)):
+                for s in gens.get(x0, ()):
+                    span.add(img[x0].get(s, ()))
+            keep = [i for i in range(M.dim_at(x)) if i not in span.rows]
+            if keep:
+                kept[x] = {i: j for j, i in enumerate(keep)}
+                out.by_degree[x] = [M.by_degree[x][i] for i in keep]
+        d = e - 2 * w
+        for q, qo, shift in ((q0, out.q0, 1), (q1, out.q1, w)):
+            new, target, img = kept.get(d), kept.get(d + shift), q.get(d)
+            if new and target and img:
+                reduce = spans[d + shift].reduce
+                triples = [
+                    (j, target[t], c) for i, j in new.items() if i in img for t, c in reduce(img[i])
+                ]
+                if triples:
+                    qo[d] = triples
+        for held in (q0, q1, spans, kept):
+            held.pop(d, None)
+        socles.pop(d - 1, None)
+        gens.pop(d - 1, None)
+    return out, counts
 
 
 # ---------------------------------------------------------------------------

@@ -1066,11 +1066,14 @@ def test_ext_audit_fails_when_the_strip_keeps_a_dependent_generator(p, n1, s1, m
     real = margolis._free_generators
     picked = []
 
-    def one_too_many(p, socles):
-        gens = real(p, socles)
-        d, s = min((d, s) for d in gens for s in socles[d] if s not in gens[d])
-        picked.append(d)
-        return {**gens, d: gens[d] + [s]}
+    def one_too_many(p, q0, q1, d):
+        # the strip walks up the degrees: the first degree with a generator
+        # and a dependent socle gets one more, its lowest dependent position
+        socle, gens = real(p, q0, q1, d)
+        if gens and not picked and len(gens) < len(socle):
+            picked.append(d)
+            gens = gens + [min(s for s in socle if s not in gens)]
+        return socle, gens
 
     monkeypatch.setattr(margolis, "_free_generators", one_too_many)
     report = ext_audit(p, n1, s1)

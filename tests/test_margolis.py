@@ -4,10 +4,11 @@ counts, the brute-force Ext calculator on small known modules, and the
 split that takes the free summands off before Ext is ranked."""
 
 import functools
+import tracemalloc
 
 import pytest
 
-from kuengine.linalg import gf_rank_sparse
+from kuengine.linalg import Echelon, gf_rank_sparse
 from kuengine.margolis import (
     E1Module,
     EXACT,
@@ -31,6 +32,7 @@ from kuengine.model import (
     trivial_summand_counts,
 )
 from kuengine import margolis as margolis_module
+from kuengine.margolis import _by_source
 from kuengine import model as model_module
 from kuengine.monomial import q_degree
 from kuengine.series import PSeries
@@ -74,14 +76,15 @@ def label_view(mod: E1Module, which: str) -> dict:
     q, shift = (mod.q0, 1) if which == "q0" else (mod.q1, 2 * mod.p - 1)
     out = {}
     for d, triples in q.items():
+        source, target = mod.labels(d), mod.labels(d + shift)
         for s, t, c in triples:
-            out.setdefault(mod.by_degree[d][s], {})[mod.by_degree[d + shift][t]] = c
+            out.setdefault(source[s], {})[target[t]] = c
     return out
 
 
 def basis_degrees(mod: E1Module) -> list:
     """(label, degree) of every basis element, in basis order."""
-    return [(lbl, d) for d, lbls in mod.by_degree.items() for lbl in lbls]
+    return [(lbl, d) for d in mod.by_degree for lbl in mod.labels(d)]
 
 
 def degrees(mod: E1Module) -> list:
@@ -96,7 +99,7 @@ def test_hk2_dimensions_match_generator_count(p):
     mod = build_HK2(p, 40)
     assert mod.ps() == hk2_ps(p, 40)
     if p == 2:
-        assert mod.by_degree[5] == ["u2 u3", "u5"]
+        assert mod.labels(5) == ["u2 u3", "u5"]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -546,7 +549,7 @@ def ref_R(p, D):
 
 
 def labelled_degrees(mod):
-    return sorted((d, lbl) for d, lbls in mod.by_degree.items() for lbl in lbls)
+    return sorted((d, lbl) for d in mod.by_degree for lbl in mod.labels(d))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -697,7 +700,7 @@ def ref_ext_bruteforce(M, n_range, s_max):
     views = {"q0": label_view(M, "q0"), "q1": label_view(M, "q1")}
 
     def components(tp, sigma):
-        return [(sigma - b, b, M.by_degree.get(tp + sigma - b + w * b, [])) for b in range(sigma + 1)]
+        return [(sigma - b, b, M.labels(tp + sigma - b + w * b)) for b in range(sigma + 1)]
 
     @functools.lru_cache(maxsize=None)
     def rank_delta(tp, sigma):
@@ -756,7 +759,7 @@ def module_layout(mod):
     return (
         mod.p,
         mod.cutoff,
-        [(d, list(lbls)) for d, lbls in mod.by_degree.items()],
+        [(d, mod.labels(d)) for d in mod.by_degree],
         [(lbl, list(img.items())) for lbl, img in label_view(mod, "q0").items()],
         [(lbl, list(img.items())) for lbl, img in label_view(mod, "q1").items()],
     )
@@ -766,6 +769,8 @@ def module_layout(mod):
 def test_hk2_leibniz_matches_the_derive_reference(p, D, monkeypatch):
     gens, (images0, images1), mod = hk2_inputs(p, D, monkeypatch)
     want = ref_module_from_monomials(p, gens, D, images0, images1)
+    # the basis holds integer keys, and module_layout spells every one
+    assert all(type(key) is int for keys in mod.by_degree.values() for key in keys)
     assert module_layout(mod) == module_layout(want)
     assert len(label_view(mod, "q0")) > 100 and len(label_view(mod, "q1")) > 50
 
@@ -787,7 +792,7 @@ def test_R_q_maps_match_the_derive_reference(p):
 
 def spelled(mod):
     """mod with every basis element and Q-image spelled by label."""
-    by_degree = {d: list(lbls) for d, lbls in mod.by_degree.items()}
+    by_degree = {d: mod.labels(d) for d in mod.by_degree}
     return mod.p, mod.cutoff, by_degree, label_view(mod, "q0"), label_view(mod, "q1")
 
 
@@ -878,8 +883,8 @@ def test_constructions_match_the_label_references(p):
     for got, want in cases:
         got.validate()
         assert spelled(got) == want
-    summed = cases[0][0].by_degree.values()
-    assert any(len({lbl.split(":")[0] for lbl in lbls}) > 1 for lbls in summed)
+    summed = cases[0][0]
+    assert any(len({lbl.split(":")[0] for lbl in summed.labels(d)}) > 1 for d in summed.by_degree)
 
 
 @pytest.mark.parametrize(
@@ -943,7 +948,7 @@ def ext_window(p, n1, s1):
 
 
 def total_dim(mod: E1Module) -> int:
-    return sum(len(lbls) for lbls in mod.by_degree.values())
+    return sum(map(len, mod.by_degree.values()))
 
 
 @pytest.mark.parametrize(
@@ -974,9 +979,10 @@ def test_strip_counts_are_the_free_part_series(p, D):
     # four classes per free generator leave, and the labels that stay keep
     # their degree and their order
     assert total_dim(mod) - total_dim(stripped) == 4 * sum(free.values())
-    for d, lbls in stripped.by_degree.items():
-        order = {lbl: i for i, lbl in enumerate(mod.by_degree[d])}
-        assert [order[lbl] for lbl in lbls] == sorted(order[lbl] for lbl in lbls)
+    for d in stripped.by_degree:
+        order = {lbl: i for i, lbl in enumerate(mod.labels(d))}
+        kept = [order[lbl] for lbl in stripped.labels(d)]
+        assert kept == sorted(kept)
 
 
 @pytest.mark.parametrize("p,D", [(2, 40), (3, 60), (5, 80), (7, 100)])
@@ -1029,3 +1035,90 @@ def test_strip_reduces_q_images_modulo_the_free_part(p):
     assert stripped.by_degree == {2: ["n"], 3: ["n0"]}
     assert label_view(stripped, "q0") == {"n": {"n0": 1}}
     assert stripped.q1 == {}
+
+
+# -- the one-pass strip against the all-degree reference -----------------------
+
+
+def ref_strip_free(M):
+    """Reference: the strip that groups every degree's Q-maps by source,
+    then finds every degree's socle and generators, then every F_d, before
+    it writes M' out."""
+    p, w = M.p, 2 * M.p - 1
+    q0, q1 = ({d: _by_source(t) for d, t in q.items()} for q in (M.q0, M.q1))
+    socles = {}  # Q0Q1, as q0 and q1
+    for d, images in q1.items():
+        if d + 2 * p <= M.cutoff:
+            after = q0.get(d + w, {})
+            socles[d] = {
+                s: [(t, c1 * c0) for m, c1 in img for t, c0 in after.get(m, ())]
+                for s, img in images.items()
+            }
+    gens = {}
+    for d in sorted(socles):
+        span = Echelon(p)
+        chosen = [s for s, vec in socles[d].items() if span.add(vec)]
+        if chosen:
+            gens[d] = chosen
+    spans = {}
+    for d in M.by_degree:
+        span = spans[d] = Echelon(p)
+        for s in gens.get(d, ()):
+            span.add([(s, 1)])
+        for img, d0 in ((q0, d - 1), (q1, d - w), (socles, d - 2 * p)):
+            for s in gens.get(d0, ()):
+                span.add(img[d0].get(s, ()))
+    out = E1Module(p, M.cutoff, spell=M.spell)
+    kept = {}
+    for d, basis in M.by_degree.items():
+        keep = [i for i in range(len(basis)) if i not in spans[d].rows]
+        if keep:
+            kept[d] = {i: j for j, i in enumerate(keep)}
+            out.by_degree[d] = [basis[i] for i in keep]
+    for q, qo, shift in ((q0, out.q0, 1), (q1, out.q1, w)):
+        for d, new in kept.items():
+            if d + shift not in kept or d not in q:
+                continue
+            img, span, target = q[d], spans[d + shift], kept[d + shift]
+            triples = [
+                (j, target[t], c) for i, j in new.items() for t, c in span.reduce(img.get(i, ()))
+            ]
+            if triples:
+                qo[d] = triples
+    return out, {d: len(s) for d, s in gens.items()}
+
+
+# the ext-oracle windows (p = 7: the Ext test's 0..60, s <= 3), then a wider one each
+@pytest.mark.parametrize(
+    "p,D",
+    [(2, ext_window(2, 36, 8)), (3, ext_window(3, 48, 6)), (5, ext_window(5, 80, 5)),
+     (7, ext_window(7, 60, 3)), (2, 80), (3, 150), (5, 200), (7, 300)],
+)
+def test_one_pass_strip_matches_the_all_degree_reference(p, D):
+    mod = build_HK2(p, D)
+    got, got_free = strip_free(mod)
+    want, want_free = ref_strip_free(mod)
+    assert got_free == want_free and sum(got_free.values()) > 10
+    assert sorted(got.by_degree) == sorted(want.by_degree)
+    for d in want.by_degree:
+        assert got.labels(d) == want.labels(d), d
+    assert (got.q0, got.q1) == (want.q0, want.q1)
+    assert got.q0 and got.q1 and got.cutoff == mod.cutoff
+
+
+def test_strip_holds_a_window_of_degrees():
+    # the all-degree strip peaked at 2.17 times the module it strips (3/100,
+    # under tracemalloc), one that holds every degree's by-source Q-maps but
+    # windows the rest at 1.40; the one-pass strip peaks at 0.61 of it
+    p, D = 3, 100
+    tracemalloc.start()
+    try:
+        mod = margolis_module.build_HK2.__wrapped__(p, D)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        strip_free(mod)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert held > 10**6
+    assert peak < held, (peak, held)

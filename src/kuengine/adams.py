@@ -24,30 +24,27 @@ element lies in exactly one tower:
         p odd: y1^b y0^(p-1) z0 (height 1).
 
 Keys are tuples of a family tag and integers.  Base bidegrees, fates and
-partner keys are closed formulas in those integers (see main_segments),
-with |z_comp(i, j)| = 2(p^(j+1) + 1 + (p-1)(j-i)); labels are spelled from
-the key by monomial.render_exponents, the spelling of Monomial.render.  No
+partner keys are closed formulas in those integers (see segments), with
+|z_comp(i, j)| = 2(p^(j+1) + 1 + (p-1)(j-i)); labels are spelled from the
+key by monomial.render_exponents, the spelling of Monomial.render.  No
 Monomial is built here.
 
-What the page holds: columns, never one entry per tower.  A MAIN column
-is one (eps, i1, j2, e, lam) over b, an SP column one kind over b: each
-is its base codegree at b = 0 (every such tower sits at s = 0, based 2pb
-higher at b) and its range of b up to the pad, in page.mains and
-page.sps; page.towers reads them as a mapping key -> base codegree.  The
-H0 cosets form the h0 block: one column per (b, eps), each over
-c = 0..s_max.  No tower or coset has an entry, Fate or label of its own.
-main_segments lists a MAIN column's fates as residue classes of b: an
-eps = 0 column is its F2 sources, one class per nu(b) = d <= i1 - 2, then
-its one F3 or F4 target class p^(i1-1) | b; an eps = 1 column is its F2
-targets, one class per nu(b+1) = d <= t - 2, then its one F4 source class
-p^(t-1) | b+1.  h0_segments lists an h0 column's fates as runs of c: an
-eps = 0 column is one F1 source run; an eps = 1 column is nu(b+1) + odd
-F3 sources, one coset each, then one F1 target run with e0 = 0.  So every
-coset dies: v-free on E2, height 0 on E-infinity, by BigradedPage.height,
-which reads every height off a key and its fate (the page stores none).
-classify and h0_fate read one tower's or coset's fate off those lists
-(fate reads either), tower and h0_base give one base, and run_labels
-spells every label from its key, once per run of dots.
+Every key is a column and an axis value (_column, _key): the tower at b
+of the MAIN column ("main", eps, i1, j2, e, lam) or the SP column ("sp",
+kind), the coset at c of the h0 column ("h0", b, eps).  An axis step moves
+a MAIN or SP tower 2p codegrees at s = 0, a coset one filtration (_step).
+The page holds columns, never an entry, Fate or label per tower (see
+BigradedPage).  segments(p, col) lists a column's fates as Runs, the one
+record: a span of axis values, a role, family, r and e0, and the partner,
+a key with one coordinate moving with the axis.  A page builds each
+column's list once (BigradedPage.segments); fate, the one fate reader,
+reads a key's Fate off its column's runs, for BigradedPage.fate and the
+cached classify; BigradedPage.height reads every height off a key and its
+fate.  One walk, BigradedPage.runs, visits each run of each column with
+the part the page holds: window_runs cuts it to the window on E-infinity,
+pair_towers checks each run once against its partner column,
+run_differentials lists its pairs and matching_audit counts its families.
+run_labels spells every label from its key, once per run of dots.
 
 Differentials come in four closed families (nu = nu(p, -), t >= k0, target
 truncation height e0 listed last):
@@ -77,6 +74,7 @@ import sys
 from collections import Counter
 from collections.abc import Mapping
 from functools import lru_cache
+from operator import itemgetter
 from typing import NamedTuple
 
 from .chart import tower_dots, v_label
@@ -94,6 +92,7 @@ from .monomial import (
 from .padic import nu
 
 Key = tuple
+Col = tuple  # a key less its axis value (_column)
 
 
 class WindowError(RuntimeError):
@@ -111,34 +110,49 @@ class Fate(NamedTuple):
 SURVIVES = Fate("survives", None, None, None, None)
 
 
-class Segment(NamedTuple):
-    """A run of cosets of one h0 column that share a fate."""
+class Run(NamedTuple):
+    """The axis values of one column that share a fate: a residue class of
+    b of a MAIN column, every b of an SP column, an interval of c of an h0
+    column.  The partner of the tower or coset at x is the key partner with
+    x added to its coordinate at: its own axis value, except on an F3
+    target class, whose partner cosets move along b at one level c."""
 
-    cs: range  # the levels c it covers; the column's last run is unbounded
+    span: range  # the stop is OPEN
     role: str
-    family: str
-    r: int
-    e0: int
-    partner: tuple  # F1: the partner column (b, eps); F3: the MAIN target key
-    offset: int | None  # F1: partner level c' - c; None for an F3 source
+    family: str | None
+    r: int | None
+    e0: int | None
+    partner: Key | None
+    at: int = 1
 
 
-class Residue(NamedTuple):
-    """The exponents b of one MAIN column that share a fate: a residue class."""
-
-    bs: range  # b = start, start + step, ...; the stop is OPEN
-    role: str
-    family: str
-    r: int
-    e0: int
-    partner: tuple  # the partner column (eps, i1, j2, e, lam); ("h0", c) for an F3 target
-    offset: int  # the partner's b minus b
-
-
-OPEN = sys.maxsize  # the stop of a run or class that has no top
+OPEN = sys.maxsize  # the stop of a run that has no top
 
 
 # -- key arithmetic -------------------------------------------------------------
+
+
+def _column(key: Key) -> tuple[Col, int]:
+    """(column, axis value) of a key: b of a MAIN or SP tower, c of a coset."""
+    if key[0] == "sp":
+        return key[:2], key[2]
+    return (key[0], *key[2:]), key[1]
+
+
+def _key(col: Col, x: int) -> Key:
+    """The key at axis value x of column col (inverts _column)."""
+    return (*col, x) if col[0] == "sp" else (col[0], x, *col[1:])
+
+
+def _step(p: int, col: Col) -> tuple[int, int]:
+    """(codegree, filtration) that one axis step moves the base of col."""
+    return (0, 1) if col[0] == "h0" else (2 * p, 0)
+
+
+def _partner(run: Run, x: int) -> Key | None:
+    """The partner key of the tower or coset at x of a run."""
+    key, i = run.partner, run.at
+    return None if key is None else (*key[:i], key[i] + x, *key[i + 1 :])
 
 
 def _z_of(p: int, i1: int, j2: int, e: int, lam: tuple) -> dict[int, int]:
@@ -151,7 +165,7 @@ def _z_of(p: int, i1: int, j2: int, e: int, lam: tuple) -> dict[int, int]:
 
 
 def _sp_shape(p: int, key: Key) -> tuple[int, int, int]:
-    """(y0 exponent, z index, height) of an SP key: y1^b y0^x z_j."""
+    """(y0 exponent, z index, height) of an SP key (or column): y1^b y0^x z_j."""
     shapes = {"x8": (1, 0, 1), "x10": (0, 1, 2)} if p == 2 else {"yz": (p - 1, 0, 1)}
     if key[1] not in shapes:
         raise ValueError(f"bad sp key {key}")
@@ -206,48 +220,15 @@ def tower(p: int, key: Key) -> int:
     raise ValueError(f"unknown tower family {key!r}")
 
 
-# -- intrinsic fate of a tower ------------------------------------------------
+# -- the fates of a column ------------------------------------------------------
 
 
-def h0_segments(p: int, b: int, eps: int) -> list[Segment]:
-    """The fates of the column h0^c (v^k0 q)^eps y1^b, c >= 0, as runs of c
-    in order: the one definition of the h0 block's differentials.
-
-    An eps = 0 column is one F1 source run into column (b - 1, 1) at
-    c + nu(b) + odd.  An eps = 1 column is nu(b+1) + odd F3 sources, one
-    coset each (the source h0^(t-k0) v^k0 q y1^b of y1^(b+1-p^(t-1)) z_t),
-    then one F1 target run from column (b + 1, 0)."""
-    odd = 0 if p == 2 else 1
-    if eps == 0:
-        d = nu(p, b)
-        return [Segment(range(OPEN), "source", "F1", d + 2, 0, (b - 1, 1), d + odd)]
-    d = nu(p, b + 1)
-    out = []
-    for c in range(d + odd):
-        t = c + k0(p)
-        bare = ("main", b + 1 - p ** (t - 1), 0, t, t, 0, ())  # y1^(b+1-p^(t-1)) z_t
-        out.append(Segment(range(c, c + 1), "source", "F3", p**t - t, p**t, bare, None))
-    out.append(Segment(range(d + odd, OPEN), "target", "F1", d + 2, 0, (b + 1, 0), -d - odd))
-    return out
-
-
-def _mate(seg: Segment, c: int) -> Key:
-    """The partner key of the coset at level c of a segment."""
-    return seg.partner if seg.offset is None else ("h0", c + seg.offset, *seg.partner)
-
-
-def h0_fate(p: int, c: int, b: int, eps: int) -> Fate:
-    """The fate of the coset h0^c (v^k0 q)^eps y1^b, read off h0_segments."""
-    for seg in h0_segments(p, b, eps):
-        if c in seg.cs:
-            return Fate(*seg[1:5], _mate(seg, c))
-    raise ValueError(f"no coset h0^{c} in column {(b, eps)}")
-
-
-def main_segments(p: int, eps: int, i1: int, j2: int, e: int, lam: tuple) -> list[Residue]:
-    """The fates of the MAIN column q^eps y1^b z_comp(i1, j2) z_j2^e lam,
-    b >= 0, as residue classes of b: the one definition of the MAIN
-    differentials.  b' is the partner's y1-exponent:
+def segments(p: int, col: Col) -> list[Run]:
+    """The fates of column col as Runs of its axis values, in order: the one
+    definition of the differentials.  b' is a MAIN partner's y1-exponent.
+    An eps = 0 MAIN column is its F2 sources, one residue class of b per
+    nu(b) = d and unit, then its one F3 or F4 target class; an eps = 1 MAIN
+    column its F2 targets, then its one F4 source class:
 
       eps = 0, nu(b) = d <= i1-2     F2 source of (1, i1-d-odd, j2, e, lam)
                                      at b' = b-1, r = e0 = d+2
@@ -267,98 +248,102 @@ def main_segments(p: int, eps: int, i1: int, j2: int, e: int, lam: tuple) -> lis
 
     where run is (t+1, p-1) .. (j2-1, p-1), then (j2, e) if e > 0; F3 and
     F4 have r = p^t - t, and e0 = p^t (F3) or r (F4).  A class nu = d is
-    p-1 residues mod p^(d+1), one Residue per unit; the column's last
-    Residue, its one F3 or F4 class, is the one residue mod p^(t-1) that
-    holds b = 0 (eps = 0) or b = p^(t-1) - 1 (eps = 1).  The classes tile
-    b >= 0, and the partner's class maps each tower back to itself
-    (pair_towers checks this), so the pairing is a perfect matching on
-    MAIN + H0 and the SP towers are permanent cycles.  A column with
-    e > p-2 or a lam exponent above p-1 raises ValueError.
-    """
-    if e > p - 2 or any(x > p - 1 for _, x in lam):
-        raise ValueError(f"column {(eps, i1, j2, e, lam)!r} is not in canonical family form")
-    kk = k0(p)
-    odd = 0 if p == 2 else 1
-    out = []
-    if eps == 0:
-        for d in range(i1 - 1):
-            pd, mate = p**d, (1, i1 - d - odd, j2, e, lam)
-            out += [
-                Residue(range(m * pd, OPEN, p * pd), "source", "F2", d + 2, d + 2, mate, -1)
-                for m in range(1, p)
-            ]
-        t = i1
-        r, step = p**t - t, p ** (t - 1)
-        if j2 == t and e == 0 and not lam:
-            last = ("target", "F3", r, p**t, ("h0", t - kk))
-        else:
-            if j2 > t:
-                run = tuple((j, p - 1) for j in range(t + 1, j2)) + (((j2, e),) if e else ())
-                z = (kk, t, p - 2, run + lam)
-            elif e:
-                z = (kk, t, e - 1, lam)
-            else:
-                j, x = lam[0]
-                z = (j - t + kk, j, x - 1, lam[1:])
-            last = ("target", "F4", r, r, (1, *z))
-        out.append(Residue(range(0, OPEN, step), *last, step - 1))
+    p-1 residues mod p^(d+1); the last class is the one residue mod
+    p^(t-1) that holds b = 0 (eps = 0) or b = p^(t-1) - 1 (eps = 1).
+
+    An eps = 0 h0 column is one F1 source run into column (b - 1, 1) at
+    c + nu(b) + odd; an eps = 1 h0 column is nu(b+1) + odd F3 sources, one
+    coset each (the source h0^(t-k0) v^k0 q y1^b of y1^(b+1-p^(t-1)) z_t,
+    whose b' the partner holds less c), then one F1 target run from column
+    (b + 1, 0) with e0 = 0, so every coset dies.  An SP column is one
+    survives run.  The runs tile the axis, and the partner's run maps each
+    tower back to itself (pair_towers checks this), so the pairing is a
+    perfect matching on MAIN + H0 and the SP towers are permanent cycles.
+    A MAIN column with e > p-2 or a lam exponent above p-1 raises
+    ValueError, as does a column of no family."""
+    kk, odd = k0(p), p % 2
+    if col[0] == "sp":
+        _sp_shape(p, col)
+        return [Run(range(OPEN), "survives", None, None, None, None)]
+    if col[0] == "h0":
+        _, b, eps = col
+        if eps == 0:
+            d = nu(p, b)
+            return [Run(range(OPEN), "source", "F1", d + 2, 0, ("h0", d + odd, b - 1, 1))]
+        d = nu(p, b + 1)
+        out = []
+        for c in range(d + odd):
+            t = c + kk
+            bare = ("main", b + 1 - p ** (t - 1) - c, 0, t, t, 0, ())
+            out.append(Run(range(c, c + 1), "source", "F3", p**t - t, p**t, bare))
+        out.append(Run(range(d + odd, OPEN), "target", "F1", d + 2, 0, ("h0", -d - odd, b + 1, 0)))
         return out
-
-    t = j2 - i1 + kk
-    for d in range(t - 1):
-        pd, mate = p**d, (0, i1 + d + odd, j2, e, lam)
-        out += [
-            Residue(range(m * pd - 1, OPEN, p * pd), "target", "F2", d + 2, d + 2, mate, 1)
-            for m in range(1, p)
-        ]
-    if t < j2:
-        z = (t, t, 0, ((j2, e + 1),) + lam)
-    elif e < p - 2:
-        z = (t, t, e + 1, lam)
-    else:
-        z = z_decompose_dict(p, {t: p, **dict(lam)})
+    if col[0] != "main":
+        raise ValueError(f"unknown tower family {col!r}")
+    _, eps, i1, j2, e, lam = col
+    if e > p - 2 or any(x > p - 1 for _, x in lam):
+        raise ValueError(f"column {col!r} is not in canonical family form")
+    t, sign = (j2 - i1 + kk, 1) if eps else (i1, -1)  # sign: an F2 partner's b' - b
+    out = [
+        Run(range(m * p**d - eps, OPEN, p ** (d + 1)), ("source", "target")[eps], "F2", d + 2,
+            d + 2, ("main", sign, 1 - eps, i1 + sign * (d + odd), j2, e, lam))
+        for d in range(t - 1)
+        for m in range(1, p)
+    ]
     r, step = p**t - t, p ** (t - 1)
-    out.append(Residue(range(step - 1, OPEN, step), "source", "F4", r, r, (0, *z), 1 - step))
-    return out
+    if eps:
+        if t < j2:
+            z = (t, t, 0, ((j2, e + 1),) + lam)
+        elif e < p - 2:
+            z = (t, t, e + 1, lam)
+        else:
+            z = z_decompose_dict(p, {t: p, **dict(lam)})
+        mate = ("main", 1 - step, 0, *z)
+        return out + [Run(range(step - 1, OPEN, step), "source", "F4", r, r, mate)]
+    if j2 == t and e == 0 and not lam:  # its partner cosets move along b
+        coset = ("h0", t - kk, step - 1, 1)
+        return out + [Run(range(0, OPEN, step), "target", "F3", r, p**t, coset, 2)]
+    if j2 > t:
+        run = tuple((j, p - 1) for j in range(t + 1, j2)) + (((j2, e),) if e else ())
+        z = (kk, t, p - 2, run + lam)
+    elif e:
+        z = (kk, t, e - 1, lam)
+    else:
+        j, x = lam[0]
+        z = (j - t + kk, j, x - 1, lam[1:])
+    return out + [Run(range(0, OPEN, step), "target", "F4", r, r, ("main", step - 1, 1, *z))]
 
 
-def _main_mate(res: Residue, b: int) -> Key:
-    """The partner key of the tower at b of a MAIN class."""
-    col, b2 = res.partner, b + res.offset
-    return ("h0", col[1], b2, 1) if col[0] == "h0" else ("main", b2, *col)
-
-
-def _fate(p: int, key: Key, segments) -> Fate:
-    """The fate of any key, read off its column's segments: h0_fate's for a
-    coset, its class for a MAIN tower (the first class in segments(col),
-    the column's main_segments, that holds b), survives for an SP tower."""
-    if key[0] == "h0":
-        return h0_fate(p, key[1], key[2], key[3])
-    if key[0] == "sp":
-        return SURVIVES
-    if key[0] != "main":
-        raise ValueError(f"unknown tower family {key!r}")
-    _, b, *col = key
-    for res in segments(tuple(col)):
-        if b in res.bs:
-            return Fate(*res[1:5], _main_mate(res, b))
-    raise ValueError(f"no class of column {tuple(col)!r} holds b = {b}")
-
-
-def fate(p: int, key: Key) -> Fate:
-    """The fate of any key: classify's, or h0_fate's for an h0 coset."""
-    if key[0] == "h0":
-        return h0_fate(p, key[1], key[2], key[3])
-    return classify(p, key)
+def fate(p: int, key: Key, runs_of=None) -> Fate:
+    """The fate of any key, read off the run of its column that holds its
+    axis value: the one fate reader.  runs_of(col) gives a column's runs:
+    segments(p, col) by default, the page's own lists from
+    BigradedPage.fate."""
+    col, x = _column(key)
+    for run in runs_of(col) if runs_of else segments(p, col):
+        if x in run.span:
+            return Fate(*run[1:5], _partner(run, x))
+    raise ValueError(f"the runs of column {col!r} do not tile it: none holds {x}")
 
 
 @lru_cache(maxsize=None)
 def classify(p: int, key: Key) -> Fate:
-    """The fate of a MAIN or SP tower (an h0 coset's is h0_fate's): a MAIN
-    tower's is its class in main_segments, and an SP tower survives."""
+    """The fate of a MAIN or SP tower, cached key by key (a page reads its
+    fates off its own runs instead)."""
     if key[0] not in ("main", "sp"):
         raise ValueError(f"classify takes MAIN and SP keys, not {key!r}")
-    return _fate(p, key, lambda col: main_segments(p, *col))
+    return fate(p, key)
+
+
+def _height(p: int, key: Key, own) -> int | None:
+    """The height of the tower or coset key, or of any of column key's, with
+    fate own (a Fate or a Run; None = v-free): the one rule.  On E2 (own
+    SURVIVES) an SP tower has _sp_shape's height and every other tower and
+    coset is v-free; on E-infinity a source has height 0, a target its e0
+    and a survivor its E2 height."""
+    if own.role != "survives":
+        return 0 if own.role == "source" else own.e0
+    return _sp_shape(p, key)[2] if key[0] == "sp" else None
 
 
 # -- E2 window ----------------------------------------------------------------
@@ -388,7 +373,7 @@ class Towers(Mapping):
     """The MAIN and SP towers of a page as a read-only mapping key -> base
     codegree, n0 + 2pb for the tower at b of a column based at n0: read off
     the columns, with no entry per key.  It iterates column by column, b
-    rising; items() is a generator."""
+    rising."""
 
     def __init__(self, p: int, mains: dict, sps: dict):
         self._step, self._mains, self._sps = 2 * p, mains, sps
@@ -407,16 +392,12 @@ class Towers(Mapping):
         return sum(len(bs) for _, bs in (*self._mains.values(), *self._sps.values()))
 
     def __iter__(self):
-        return (key for key, _ in self.items())
-
-    def items(self):
-        step = self._step
-        for col, (n0, bs) in self._mains.items():
+        for col, (_, bs) in self._mains.items():
             for b in bs:
-                yield ("main", b, *col), n0 + step * b
-        for kind, (n0, bs) in self._sps.items():
+                yield ("main", b, *col)
+        for kind, (_, bs) in self._sps.items():
             for b in bs:
-                yield ("sp", kind, b), n0 + step * b
+                yield ("sp", kind, b)
 
 
 class BigradedPage:
@@ -427,13 +408,10 @@ class BigradedPage:
     with n_lo <= n <= n_hi and s <= s_max: a tower based beyond n_pad has
     all its window-codegree dots above filtration s_max.  The page holds
     columns, not towers: mains maps each MAIN column (eps, i1, j2, e, lam)
-    and sps each SP kind to (n0, bs), the base codegree of its tower at
-    b = 0 and the range of b it holds (every such tower sits at s = 0);
-    columns holds the h0 block, (b, eps) -> range(s_max + 1) over c (see the
-    module docstring).  towers reads the MAIN and SP towers off their
-    columns (Towers); `key in page`, len(page) and iter(page), towers
-    first, cover both parts.  Heights are read off keys and fates (height).
-    """
+    and sps each SP kind to (n0, bs), its base codegree at b = 0 and the
+    range of b it holds, and columns each h0 column (b, eps) to range(s_max
+    + 1) over c.  towers reads the MAIN and SP towers off them (Towers);
+    `key in page`, len(page) and iter(page), towers first, cover both."""
 
     def __init__(self, p: int, n_lo: int, n_hi: int, s_max: int, mains, sps, columns):
         self.p, self.n_lo, self.n_hi, self.s_max = p, n_lo, n_hi, s_max
@@ -441,7 +419,7 @@ class BigradedPage:
         self.sps: dict[str, tuple[int, range]] = sps
         self.columns: dict[tuple[int, int], range] = columns
         self.towers = Towers(p, mains, sps)
-        self._segments: dict[tuple, list[Residue]] = {}
+        self._segments: dict[Col, list[Run]] = {}
 
     @property
     def w(self) -> int:
@@ -465,107 +443,92 @@ class BigradedPage:
             for c in cs:
                 yield ("h0", c, b, eps)
 
-    def block_runs(self):
-        """(b, eps, seg, run) for each h0_segments segment that meets its
-        column, run the levels they share: the one walk over the h0 block."""
+    def _columns(self):
+        """(col, n0, s0, held) of every column of the page, MAIN, then SP,
+        then h0: its base at axis value 0 and the axis values it holds."""
+        for col, (n0, bs) in self.mains.items():
+            yield ("main", *col), n0, 0, bs
+        for kind, (n0, bs) in self.sps.items():
+            yield ("sp", kind), n0, 0, bs
         for (b, eps), cs in self.columns.items():
-            for seg in h0_segments(self.p, b, eps):
-                run = _cut(seg.cs, cs)
-                if run:
-                    yield b, eps, seg, run
+            yield ("h0", b, eps), *h0_base(self.p, 0, b, eps), cs
 
-    def segments(self, col: tuple) -> list[Residue]:
-        """main_segments of the MAIN column col, in or out of the page,
-        built once per page."""
-        segs = self._segments.get(col)
-        if segs is None:
-            segs = self._segments[col] = main_segments(self.p, *col)
-        return segs
+    def column(self, col: Col) -> tuple[int, int, range]:
+        """(n0, s0, held) of any column, in or out of the page, as
+        _columns gives them (a column off the page holds nothing)."""
+        if col[0] == "h0":
+            return (*h0_base(self.p, 0, *col[1:]), self.columns.get(col[1:], range(0)))
+        got = self.mains.get(col[1:]) if col[0] == "main" else self.sps.get(col[-1])
+        return (got[0], 0, got[1]) if got else (tower(self.p, _key(col, 0)), 0, range(0))
+
+    def segments(self, col: Col) -> list[Run]:
+        """segments(p, col) of any column, in or out of the page, built once
+        per page: the one cache."""
+        runs = self._segments.get(col)
+        if runs is None:
+            runs = self._segments[col] = segments(self.p, col)
+        return runs
 
     def fate(self, key: Key) -> Fate:
-        """_fate, a MAIN tower's class read off the page's segments."""
-        return _fate(self.p, key, self.segments)
+        """fate, read off the page's own runs."""
+        return fate(self.p, key, self.segments)
 
-    def main_runs(self):
-        """(col, n0, res, run) for each main_segments class that meets its
-        column, run the exponents b they share: the one walk over the MAIN
-        columns by class.  Raises ValueError for a column whose classes do
-        not hold its towers once each, in all."""
-        for col, (n0, bs) in self.mains.items():
-            runs = [(res, _cut(res.bs, bs)) for res in self.segments(col)]
-            if sum(len(run) for _, run in runs) != len(bs):
-                raise ValueError(f"the classes of column {col!r} do not tile its b")
-            for res, run in runs:
-                if run:
-                    yield col, n0, res, run
+    def runs(self):
+        """(col, n0, s0, pieces) for each column of the page (_columns),
+        pieces the (run, part) of each of its runs that meets the axis
+        values the column holds, part the ones they share: the one walk over
+        the page by run.  Raises ValueError for a column whose runs do not
+        hold each of those once, in all."""
+        for col, n0, s0, held in self._columns():
+            pieces, covered = [], 0
+            for run in self.segments(col):
+                part = _cut(run.span, held)
+                if part:
+                    pieces.append((run, part))
+                    covered += len(part)
+            if covered != len(held):
+                raise ValueError(f"the runs of column {col!r} do not tile it")
+            yield col, n0, s0, pieces
 
     def height(self, key: Key, einfty: bool = False) -> int | None:
-        """The height of a tower or block coset (None = v-free): the one
-        rule.  On E2 an SP tower has _sp_shape's height and every other
-        tower and coset is v-free.  On E-infinity (einfty) a source has
-        height 0, a target its e0 and a survivor its E2 height; every coset
-        of the block is a source or a target with e0 = 0, so it has 0."""
-        if key[0] == "h0":
-            return 0 if einfty else None
-        if einfty:
-            role, _, _, e0, _ = classify(self.p, key)
-            if role != "survives":
-                return 0 if role == "source" else e0
-        return _sp_shape(self.p, key)[2] if key[0] == "sp" else None
+        """The height of a tower or coset (None = v-free) on E2, or on
+        E-infinity with einfty, where every coset has 0 (see _height)."""
+        return _height(self.p, key, self.fate(key) if einfty else SURVIVES)
 
     def _alive(self, key: Key, a: int) -> bool:
         h = self.height(key)
         return a >= 0 and (h is None or a < h)
 
     def window_runs(self, einfty: bool = False):
-        """(key, n0, s0, range of a) of every tower and block coset with a
-        dot inside the window, each cut to its height on E2, or on
-        E-infinity with einfty, and at filtration s_max: the one place that
-        cuts the page to its window.  They come in page order, but on
-        E-infinity a MAIN column's come class by class (main_runs): a source
-        class has no dot, and a target class, all its towers of height e0,
-        is cut to the b whose tower reaches the window."""
+        """(key, n0, s0, range of a) of every tower and coset with a dot
+        inside the window, each cut to its height on E2, or on E-infinity
+        with einfty, and at filtration s_max: the one place that cuts the
+        page to its window.  They come column by column in page order, up
+        each column's axis, but on E-infinity run by run (runs): a source
+        run has no dot, and a target run's towers have e0 dots."""
         p, w, lo, hi, top = self.p, self.w, self.n_lo, self.n_hi, self.s_max + 1
-        step = 2 * p
-        if einfty:
-            mains = (
-                (col, n0, min(res.e0, top), run)
-                for col, n0, res, run in self.main_runs()
-                if res.role != "source"
-            )
-        else:
-            mains = ((col, n0, top, bs) for col, (n0, bs) in self.mains.items())
-        for col, n0, h, bs in mains:
-            last = (hi + w * (h - 1) - n0) // step  # the last b whose tower reaches hi
-            for b in _cut(bs, range(bs.start, last + 1)):
-                run = tower_dots(n0 + step * b, h, w, lo, hi)
-                if run:
-                    yield ("main", b, *col), n0 + step * b, 0, run
-        for kind, (n0, bs) in self.sps.items():
-            h = min(_sp_shape(p, ("sp", kind, 0))[2], top)
-            for b in bs:
-                run = tower_dots(n0 + step * b, h, w, lo, hi)
-                if run:
-                    yield ("sp", kind, b), n0 + step * b, 0, run
-        for (b, eps), cs in self.columns.items():
-            n0, s0 = h0_base(p, 0, b, eps)
-            full = tower_dots(n0, self.height(("h0", cs.start, b, eps), einfty), w, lo, hi)
-            for c in cs:
-                stop = min(full.stop, top - s0 - c)
-                if stop <= full.start:
-                    break  # the cosets above c start higher still
-                yield ("h0", c, b, eps), n0, s0 + c, range(full.start, stop)
+        whole = ((col, n0, s0, [(SURVIVES, held)]) for col, n0, s0, held in self._columns())
+        for col, n0, s0, pieces in self.runs() if einfty else whole:
+            dn, ds = _step(p, col)
+            for own, xs in pieces:
+                h = _height(p, col, own)
+                if h == 0:
+                    continue  # a source run
+                for x in xs:
+                    n, s = n0 + dn * x, s0 + ds * x
+                    cap = top - s if h is None or h > top - s else h
+                    run = tower_dots(n, cap, w, lo, hi)
+                    if run.start >= cap:
+                        break  # no dot of this tower, nor of one further up the axis, is in it
+                    if run:
+                        yield _key(col, x), n, s, run
 
     def dims(self, einfty: bool = False) -> dict[tuple[int, int], int]:
         """(n, s) -> number of window dots on E2, or on E-infinity with
         einfty."""
-        out: dict[tuple[int, int], int] = {}
         w = self.w
-        for _, n0, s0, run in self.window_runs(einfty):
-            for a in run:
-                ns = (n0 - w * a, s0 + a)
-                out[ns] = out.get(ns, 0) + 1
-        return out
+        runs = self.window_runs(einfty)
+        return Counter((n0 - w * a, s0 + a) for _, n0, s0, run in runs for a in run)
 
     def v_op(self, key: Key, a: int) -> tuple[Key, int] | None:
         nxt = (key, a + 1)
@@ -636,12 +599,11 @@ def e2_window(p: int, n_lo: int, n_hi: int, s_max: int) -> BigradedPage:
 
 
 def _base(page: BigradedPage, key: Key) -> tuple[int, int]:
-    """Base bidegree (n0, s0) of any key: a window tower's from the page,
-    a coset's from its integers."""
-    if key[0] == "h0":
-        return h0_base(page.p, key[1], key[2], key[3])
-    n0 = page.towers.get(key)
-    return (tower(page.p, key) if n0 is None else n0), 0
+    """Base bidegree (n0, s0) of any key, off its column's."""
+    col, x = _column(key)
+    n0, s0, _ = page.column(col)
+    dn, ds = _step(page.p, col)
+    return n0 + dn * x, s0 + ds * x
 
 
 def _lands(page: BigradedPage, role: str, r: int, e0: int, base: tuple, mate_base: tuple) -> bool:
@@ -652,46 +614,72 @@ def _lands(page: BigradedPage, role: str, r: int, e0: int, base: tuple, mate_bas
     return dn == 1 + page.w * e0 and ds == r - e0
 
 
+def _due(page: BigradedPage, col: Col, y: int, base: tuple) -> range:
+    """The axis values from y up of column col, whose key at y is based at
+    base, that a whole page holds: towers based up to the pad, and cosets
+    up to s_max in a column based within it.  A partner outside the page
+    is excused if it is not due."""
+    if col[0] == "h0":
+        return range(y, page.s_max + 1 if base[0] <= page.n_pad else y)
+    return range(y, y + (page.n_pad - base[0]) // (2 * page.p) + 1)
+
+
 class Pairing(NamedTuple):
     differentials: int  # pairs listed: from the source, or a target whose source is excused
     problems: dict[str, list[dict]]
 
 
 def pair_towers(page: BigradedPage) -> Pairing:
-    """Pair every window tower with its differential partner, in one pass.
+    """Pair every window tower and coset with its differential partner, in
+    one walk over the page's runs (BigradedPage.runs).
 
-    The MAIN columns go class by class (_walk_mains), then the h0 block
-    run by run (_walk_block): each class or run is checked once against
-    its partner's, by arithmetic, and only where that check fails do its
-    towers or cosets go through _pair one at a time, in page order, which
-    spells the problems.  Returns a Pairing: the number of differentials
-    listed, each once (from its source, or from a target whose source is
-    missing with a window excuse), and the problems: "orphans" (partners
-    missing without a window excuse), "double_hits" and "mismatches"
-    ("round-trip": the partner's fate does not invert the tower's;
-    "geometry", once per pair: n0(target) != n0(source) + 1 + w e0 or
-    s0(target) != s0(source) + r - e0; "block": a coset of a block run that
-    is neither a source nor a target with e0 = 0).  Only a page where some
-    round trip fails is searched for double hits (_double_hits).
-    """
+    Each run is checked once against its partner column (_partner_checks); the
+    towers or cosets of a run that fails there, or of an F3 run, go through
+    _pair one at a time, a column's in axis order, which spells the
+    problems, and an h0 run that is neither a source nor a target with
+    e0 = 0 is a "block" mismatch, coset by coset.  Returns a Pairing: the
+    differentials listed, each once (from its source, or from a target
+    whose source is missing with a window excuse), and the problems:
+    "orphans" (partners missing without an excuse), "double_hits" and
+    "mismatches" ("round-trip": the partner's fate does not invert the
+    tower's; "geometry", once per pair: n0(target) != n0(source) + 1 + w e0
+    or s0(target) != s0(source) + r - e0; "block").  Only a page where some
+    round trip fails is searched for double hits (_double_hits)."""
+    p = page.p
     orphans: list[dict] = []
     mismatches: list[dict] = []
-    listed = _walk_mains(page, orphans, mismatches) + _walk_block(page, orphans, mismatches)
+    listed = 0
+    for col, n0, s0, pieces in page.runs():
+        left = []  # (x, run, whether it breaks the block) to go one at a time
+        for run, part in pieces:
+            broken = col[0] == "h0" and run.role != "source" and (run.role != "target" or run.e0)
+            count = None if broken else _partner_checks(page, col, n0, s0, run, part)
+            if count is None:
+                left += [(x, run, broken) for x in part]
+            else:
+                listed += count
+        dn, ds = _step(p, col)
+        for x, run, broken in sorted(left, key=itemgetter(0)):
+            key = _key(col, x)
+            if broken:
+                label = dot_label(p, key, 0)
+                mismatches.append({"kind": "block", "tower": label, "fate": list(run[1:5])})
+                continue
+            own = Fate(*run[1:5], _partner(run, x))
+            listed += _pair(page, key, own, n0 + dn * x, s0 + ds * x, orphans, mismatches)
     # two sources can share a target only if one of them fails its round trip
     failed = any(m["kind"] == "round-trip" for m in mismatches)
     double_hits = _double_hits(page) if failed else []
     return Pairing(listed, dict(orphans=orphans, double_hits=double_hits, mismatches=mismatches))
 
 
-def _pair(
-    page: BigradedPage, key: Key, own: Fate, n0: int, s0: int, orphans: list, mismatches: list
-) -> bool:
+def _pair(page: BigradedPage, key: Key, own: Fate, n0: int, s0: int, orphans, mismatches) -> bool:
     """Check one tower or coset (fate own, base (n0, s0)) against its
     partner: the round trip, then, once per pair (from its source, or from
     a target whose source is missing), the geometry and the partner's
-    presence or excuse.  Returns whether this end lists the pair: False if
-    the round trip fails or the source lists the pair.  A label is spelled
-    only for a problem."""
+    presence or excuse (_due).  Returns whether this end lists the pair:
+    False if the round trip fails or the source lists the pair.  A label is
+    spelled only for a problem."""
     p = page.p
     role, family, r, e0, mate = own
     back = page.fate(mate)
@@ -701,147 +689,60 @@ def _pair(
     inside = mate in page
     if inside and role == "target":
         return False  # listed by its source
-    mn0, ms0 = _base(page, mate)
-    if not _lands(page, role, r, e0, (n0, s0), (mn0, ms0)):
-        src, tgt = (key, mate) if role == "source" else (mate, key)
-        mismatches.append(
-            {
-                "kind": "geometry",
-                "source": dot_label(p, src, 0),
-                "target": dot_label(p, tgt, 0),
-                "r": r,
-                "e0": e0,
-            }
-        )
-    # a partner may be missing beyond the pad, or as an h0 coset above s_max
-    if not inside and not (mn0 > page.n_pad or (mate[0] == "h0" and mate[1] > page.s_max)):
-        orphans.append(
-            {
-                "kind": f"missing-{back[0]}",
-                "tower": dot_label(p, key, 0),
-                "partner": dot_label(p, mate, 0),
-            }
-        )
+    mate_base = _base(page, mate)
+    if not _lands(page, role, r, e0, (n0, s0), mate_base):
+        src, tgt = (dot_label(p, k, 0) for k in ((key, mate) if role == "source" else (mate, key)))
+        mismatches.append({"kind": "geometry", "source": src, "target": tgt, "r": r, "e0": e0})
+    mate_col, y = _column(mate)
+    if not inside and y in _due(page, mate_col, y, mate_base):
+        names = {"tower": dot_label(p, key, 0), "partner": dot_label(p, mate, 0)}
+        orphans.append({"kind": f"missing-{back[0]}", **names})
     return True
 
 
 def _cut(a: range, b: range) -> range:
-    """The members of a (any step) inside b (step 1): the levels c, or the
-    exponents b, two runs share."""
+    """The members of a (any step) inside b (step 1): the axis values two
+    runs share."""
     start = a.start if a.start >= b.start else b.start + (a.start - b.start) % a.step
     return range(start, min(a.stop, b.stop), a.step)
 
 
-def _class_checks(page: BigradedPage, col: tuple, n0: int, res: Residue, run: range) -> int | None:
-    """_pair's checks on the towers at b in run, the page's part of class
-    res of MAIN column col (based at n0), made once against the partner
-    column's class: the image b + offset must lie in one class that maps
-    it back, the geometry, which does not depend on b, must hold at the
-    first b, and every partner outside the page must lie past the pad.
-    Returns the number of pairs the class lists (a source class all of
-    them, a target class those whose source is missing), or None if some
-    tower fails a check, which only _pair, tower by tower, spells."""
-    p, off, mate_col = page.p, res.offset, res.partner
-    image = range(run.start + off, run.stop + off, run.step)
-    mate_base = _base(page, _main_mate(res, run.start))
-    back = next((s for s in page.segments(mate_col) if image.start in s.bs), None)
+def _partner_checks(page: BigradedPage, col: Col, n0: int, s0: int, run: Run, part: range):
+    """_pair's checks on the towers or cosets at x in part, the page's part
+    of run in column col (based at (n0, s0) at x = 0), made once against
+    the partner column: the image x + offset must lie in one of its runs
+    that maps it back, the geometry, which does not depend on x, must hold
+    at the first x, and every partner due (_due) must be in the page.
+    Returns the pairs the run lists (a source run all, a target run those
+    whose source is missing, a survives run none), or None if some tower
+    fails a check or the run is F3's, for _pair to spell one at a time."""
+    if run.partner is None:
+        return 0
+    if run.at != 1 or run.partner[0] != col[0]:
+        return None  # an F3 pair, across the block and the MAIN columns
+    mate_col, off = _column(run.partner)  # the partner of x sits at x + off
+    y = part.start + off
+    image = range(y, part.stop + off, part.step)
+    for back in page.segments(mate_col):
+        if y in back.span:
+            break
+    else:
+        return None
+    dn, ds = _step(page.p, col)
+    mn0, ms0, held = page.column(mate_col)
+    base, mate_base = (n0 + dn * part.start, s0 + ds * part.start), (mn0 + dn * y, ms0 + ds * y)
     if (
-        back is None
-        or (len(image) > 1 and image.step % back.bs.step)
-        or image[-1] not in back.bs
-        or back.role == res.role
-        or back[2:] != (*res[2:5], col, -off)
-        or not _lands(page, res.role, res.r, res.e0, (n0 + 2 * p * run.start, 0), mate_base)
+        (len(image) > 1 and image.step % back.span.step)
+        or image[-1] not in back.span
+        or back.role == run.role
+        or back[2:] != (*run[2:5], _key(col, -off), 1)
+        or not _lands(page, run.role, run.r, run.e0, base, mate_base)
     ):
         return None
-    present = page.mains.get(mate_col, (0, range(0)))[1]
-    last = (page.n_pad - mate_base[0]) // (2 * p) + image.start  # the last b' within the pad
-    low = _cut(image, range(image.start, last + 1))
-    if len(_cut(low, present)) != len(low):
+    due = _cut(image, _due(page, mate_col, y, mate_base))
+    if len(_cut(due, held)) != len(due):
         return None
-    return len(run) if res.role == "source" else len(run) - len(_cut(image, present))
-
-
-def _walk_mains(page: BigradedPage, orphans: list, mismatches: list) -> int:
-    """pair_towers on the MAIN columns, class by class (main_runs), with no
-    object per tower.  Every class with a MAIN partner is checked once
-    against the partner's class (_class_checks); a class that fails there,
-    and each F3 target class (its partners block cosets, each checked from
-    its own end too), goes through _pair tower by tower, a column's towers
-    in b order, which spells the problems.  Returns the pairs listed."""
-    p = page.p
-    listed = 0
-    failed: dict[tuple, list[Residue]] = {}
-    for col, n0, res, run in page.main_runs():
-        count = None if res.partner[0] == "h0" else _class_checks(page, col, n0, res, run)
-        if count is None:
-            failed.setdefault(col, []).append(res)
-        else:
-            listed += count
-    for col, classes in failed.items():
-        n0, bs = page.mains[col]
-        for b, res in sorted((b, res) for res in classes for b in _cut(res.bs, bs)):
-            own = Fate(*res[1:5], _main_mate(res, b))
-            listed += _pair(page, ("main", b, *col), own, n0 + 2 * p * b, 0, orphans, mismatches)
-    return listed
-
-
-def _run_checks(page: BigradedPage, b: int, eps: int, seg: Segment, run: range) -> int | None:
-    """_pair's checks on every coset of the F1 run `run` of column (b, eps),
-    source or target, made once against the segments of the partner column,
-    the geometry's sign read from the run's role.  Returns the number of
-    pairs the run lists (a source run all of them; a target run those whose
-    source is missing with an excuse), or None if some coset of the run
-    fails a check, which only _pair, coset by coset, spells."""
-    p, off, col = page.p, seg.offset, seg.partner
-    image = range(run.start + off, run.stop + off)
-    covered = 0  # partners whose fate inverts their coset's
-    for back in h0_segments(p, *col):
-        part = _cut(back.cs, image)
-        if not part:
-            continue
-        if back.role == seg.role or (back.partner, back.offset, *back[2:5]) != (
-            (b, eps), -off, *seg[2:5]
-        ):
-            return None
-        covered += len(part)
-    base, mate_base = h0_base(p, 0, b, eps), h0_base(p, off, *col)
-    if covered != len(image) or not _lands(page, seg.role, seg.r, seg.e0, base, mate_base):
-        return None
-    # a partner at or below s_max is in the page unless its column is past the pad
-    present = page.columns.get(col, range(0))
-    low = _cut(image, range(page.s_max + 1))
-    if mate_base[0] <= page.n_pad and len(_cut(low, present)) != len(low):
-        return None
-    return len(run) if seg.role == "source" else len(run) - len(_cut(image, present))
-
-
-def _walk_block(page: BigradedPage, orphans: list, mismatches: list) -> int:
-    """pair_towers on the h0 block, by h0_segments, with no object per coset.
-
-    One walk over block_runs.  Every F1 run, source or target, is checked
-    once against its partner column's segments (_run_checks); a run that
-    fails there, and each F3 source (its target a MAIN tower), goes through
-    _pair coset by coset, which spells the problems.  A run that is neither
-    a source nor a target with e0 = 0 is a "block" mismatch, coset by coset.
-    Returns the block pairs listed."""
-    p, kk = page.p, k0(page.p)
-    listed = 0
-    for b, eps, seg, run in page.block_runs():
-        if seg.role != "source" and (seg.role != "target" or seg.e0):
-            for c in run:
-                label = dot_label(p, ("h0", c, b, eps), 0)
-                mismatches.append({"kind": "block", "tower": label, "fate": list(seg[1:5])})
-            continue
-        count = None if seg.offset is None else _run_checks(page, b, eps, seg, run)
-        if count is not None:
-            listed += count
-            continue
-        n0 = h0_base(p, 0, b, eps)[0]
-        for c in run:
-            own = Fate(*seg[1:5], _mate(seg, c))
-            listed += _pair(page, ("h0", c, b, eps), own, n0, c + kk * eps, orphans, mismatches)
-    return listed
+    return len(part) if run.role == "source" else len(part) - len(_cut(image, held))
 
 
 def _double_hits(page: BigradedPage) -> list[dict]:
@@ -865,15 +766,13 @@ def run_differentials(page: BigradedPage):
     """Replay every differential over the window.
 
     Returns (einf, applied): einf maps (n, s) inside the window to its
-    E-infinity dimension; applied lists the replayed differentials as
-    {"r", "source_label", "target_label"} records, ordered by (r, source
-    base codegree, source label, target label): every pair with its source
-    in the page, and every MAIN target's whose source is not.  Raises
-    WindowError, naming the kind and the towers, on the first problem
-    pair_towers finds: never for pages built by e2_window, but it guards
-    hand-edited ones.  Then E-infinity is page.dims(einfty=True), each
-    tower cut by its fate.
-    """
+    E-infinity dimension, page.dims(einfty=True); applied lists the
+    differentials as {"r", "source_label", "target_label"} records, ordered
+    by (r, source base codegree, source label, target label): every pair
+    with its source in the page, and every target's whose source is not.
+    Raises WindowError, naming the kind and the towers, on the first
+    problem pair_towers finds: never for pages built by e2_window, but it
+    guards hand-edited ones."""
     pairing = pair_towers(page)
     for kind, found in pairing.problems.items():
         if found:
@@ -881,16 +780,14 @@ def run_differentials(page: BigradedPage):
     p = page.p
     einf = page.dims(einfty=True)
     pairs = []
-    for col, _, res, run in page.main_runs():
-        for b in run:
-            key, mate = ("main", b, *col), _main_mate(res, b)
-            if res.role == "source":
-                pairs.append((key, mate, res.r, res.e0))
-            elif mate not in page:
-                pairs.append((mate, key, res.r, res.e0))
-    for b, eps, seg, run in page.block_runs():
-        if seg.role == "source":
-            pairs += [(("h0", c, b, eps), _mate(seg, c), seg.r, seg.e0) for c in run]
+    for col, _, _, pieces in page.runs():
+        for run, part in pieces:
+            for x in part if run.partner else ():
+                key, mate = _key(col, x), _partner(run, x)
+                if run.role == "source":
+                    pairs.append((key, mate, run.r, run.e0))
+                elif mate not in page:
+                    pairs.append((mate, key, run.r, run.e0))
     records = sorted(
         (r, _base(page, src)[0], dot_label(p, src, 0), dot_label(p, tgt, e0))
         for src, tgt, r, e0 in pairs
@@ -907,19 +804,18 @@ def matching_audit(p: int, n_lo: int, n_hi: int, s_max: int) -> dict:
     and verify the pairing is a perfect matching with consistent geometry.
 
     Orphans, double hits and mismatches are report entries, not
-    exceptions.  The family counts are read class by class and run by
-    run.  A window with no tower raises ValueError: it would pass without
-    checking anything.
+    exceptions.  The family counts are read run by run.  A window with no
+    tower raises ValueError: it would pass without checking anything.
     """
     page = e2_window(p, n_lo, n_hi, s_max)
     if not len(page):
         raise ValueError(f"the window {n_lo}..{n_hi}, s <= {s_max} holds no tower")
     problems = pair_towers(page).problems
     families: Counter = Counter()
-    for _, _, res, run in page.main_runs():
-        families[res.family, res.role] += len(run)
-    for _, _, seg, run in page.block_runs():
-        families[seg.family, seg.role] += len(run)
+    for *_, pieces in page.runs():
+        for run, part in pieces:
+            if run.family:
+                families[run.family, run.role] += len(part)
     report = {
         "p": p,
         "window": {"n_lo": n_lo, "n_hi": n_hi, "s_max": s_max, "n_pad": page.n_pad},
@@ -949,10 +845,10 @@ def einfty_audit(p: int, n_hi: int, s_max: int | None = None) -> dict:
     to the chart's top filtration plus 4; a cap below that top filtration
     would cut E-infinity short of the chart and raises ValueError, and so
     does a window with no tower, which would pass without checking
-    anything.  The replay is run_differentials' without its records:
-    E-infinity is page.dims(einfty=True), every tower cut by its fate, and
-    the differential count is pair_towers'.  A broken tower pairing fails
-    the audit, its problems listed under matching_audit's keys.
+    anything.  The replay spells no record: E-infinity is
+    page.dims(einfty=True), every tower cut by its fate, and the
+    differential count is pair_towers'.  A broken tower pairing fails the
+    audit, its problems listed under matching_audit's keys.
     """
     ch = full_chart(p, n_hi)
     w = 2 * (p - 1)
@@ -977,20 +873,19 @@ def einfty_audit(p: int, n_hi: int, s_max: int | None = None) -> dict:
     differentials, problems = pair_towers(page)
     einf = page.dims(einfty=True)
     problems = {kind: found for kind, found in problems.items() if found}
-
-    mismatches = []
-    for key in sorted(set(einf) | set(chart_counts)):
-        a, b = einf.get(key, 0), chart_counts.get(key, 0)
-        if a != b:
-            mismatches.append({"n": key[0], "s": key[1], "einfty": a, "chart": b})
+    mismatches = [
+        {"n": n, "s": s, "einfty": einf.get((n, s), 0), "chart": chart_counts[n, s]}
+        for n, s in sorted(set(einf) | set(chart_counts))
+        if einf.get((n, s), 0) != chart_counts[n, s]
+    ]
     totals: Counter = Counter()
     for (n, _), v in einf.items():
         totals[n] += v
-    length_mismatches = []
-    for n in range(n_hi + 1):
-        total, length = totals[n], lengths[n]
-        if total != length:
-            length_mismatches.append({"n": n, "einfty": total, "ku_length": length})
+    length_mismatches = [
+        {"n": n, "einfty": totals[n], "ku_length": lengths[n]}
+        for n in range(n_hi + 1)
+        if totals[n] != lengths[n]
+    ]
 
     return {
         "p": p,
@@ -1028,7 +923,6 @@ def ext_audit(p: int, n_max: int, s_max: int) -> dict:
     closed = e2_dims(p, 0, n_max, s_max)
     gens = free_part_ps(p, need)
     mismatches = []
-    checked = 0
     for n in range(n_max + 1):
         for s in range(s_max + 1):
             want = closed.get((n, s), 0)
@@ -1038,17 +932,14 @@ def ext_audit(p: int, n_max: int, s_max: int) -> dict:
                 got += free.get(n - 2 * p, 0)
             if n == 0:
                 want += 1
-            checked += 1
             if got != want:
-                mismatches.append(
-                    {"n": n, "s": s, "oracle": got, "closed_plus_free": want}
-                )
+                mismatches.append({"n": n, "s": s, "oracle": got, "closed_plus_free": want})
     return {
         "p": p,
         "n_max": n_max,
         "s_max": s_max,
         "module_cutoff": need,
-        "checked": checked,
+        "checked": (n_max + 1) * (s_max + 1),
         "mismatches": mismatches,
         "ok": not mismatches,
     }

@@ -39,11 +39,11 @@ Two audits consume these dimensions:
 
   * theorem61_audit (odd p): the same totals, but with the right-hand side
     re-derived from the splitting of the long exact sequence into 4- and
-    10-term pieces indexed by the core charts (g_family_dims: the term table
-    _g_terms read through _g_rows as height-1 FamilyRows, walked and counted
-    as the k(1) rows are).  Passing means no exotic extension beyond the
-    ones built into the charts can exist: an extra one would lower a
-    ker/coker count and break a degree.
+    10-term pieces indexed by the core charts (the term table _g_terms read
+    through _g_rows as height-1 FamilyRows, walked and counted as the k(1)
+    rows are).  Passing means no exotic extension beyond the ones built
+    into the charts can exist: an extra one would lower a ker/coker count
+    and break a degree.
 """
 
 from __future__ import annotations
@@ -195,14 +195,6 @@ def _g_rows(p: int, i: int, params: tuple) -> list[FamilyRow]:
     ]
 
 
-def g_family_dims(p: int, i: int, params: tuple, n_max: int) -> tuple[int, ...]:
-    """Per-degree dimensions of G^i with its cofactors, degrees 0..n_max.
-
-    params is (k,) for i in {1, 2}, (k, l) for i in {3..6}, and (k, e)
-    for i in {7, 8}, always with k >= 1.  Odd p only."""
-    return count_family_dots(p, _g_rows(p, i, params), n_max)
-
-
 def _g_total(p: int, n_max: int) -> tuple[int, ...]:
     """Dot counts in degrees 0..n_max of the rows of every (i, params)
     instance of the splitting families, each walked by k (G^3..G^6 by l
@@ -224,8 +216,8 @@ def _g_total(p: int, n_max: int) -> tuple[int, ...]:
 
 
 def theorem61_audit(p: int, n_max: int) -> dict:
-    """Check sum_i sum_params g_family_dims(p, i, params, n_max)[n] =
-    k1_dims(p, n_max)[n] for all n <= n_max.  Odd p only."""
+    """Check that the dots of every splitting-family instance, counted by
+    _g_total, equal k1_dims(p, n_max)[n] for all n <= n_max.  Odd p only."""
     _odd_only(p)
     rows = degree_rows(n_max, _g_total(p, n_max), k1_dims(p, n_max), ("splitting", "k1"))
     return report({"p": p, "n_max": n_max}, rows)

@@ -19,17 +19,16 @@ columns, so the lines come out in canonical order with no sort of their own.
 Rendering follows the chart conventions used throughout: codegrees increase
 from right to left, filtration increases bottom to top.  Everything is
 deterministic -- dots sorted by (degree, filtration, label), lines by (kind,
-endpoints), no timestamps -- so identical inputs give byte-identical output,
-and to_json/from_json are mutually inverse on canonical documents.  DocDot
-is a named tuple whose field order is that canonical key, so dots sort
-natively; a document holds its lines as one pair of array('i') columns
+endpoints), no timestamps -- so identical inputs give byte-identical output.
+DocDot is a named tuple whose field order is that canonical key, so dots
+sort natively; a document holds its lines as one pair of array('i') columns
 (src, dst) per kind, in kind order, and line_records() spells them as
 DocLine records.  render_json writes exactly the text of
 json.dumps(document, indent=1, sort_keys=True) and a newline, but formats it
 one dot or line record at a time instead of through the pure-Python indent
 encoder; strings go through json's own escaper, encode_basestring_ascii,
 which is what json.dumps calls on a str.  to_json returns that text whole,
-without the newline, as a str, which from_json reads back.
+without the newline, as a str.
 
 render_json, render_svg and render_tikz are generators: they yield the text
 in blocks of a few thousand records (the header and axis, the lines, the
@@ -40,7 +39,6 @@ The SVG writer formats each distinct line geometry once.
 
 from __future__ import annotations
 
-import json
 import re
 from array import array
 from collections import defaultdict
@@ -49,7 +47,7 @@ from json.encoder import encode_basestring_ascii
 from operator import attrgetter, le
 from typing import Iterable, Iterator, NamedTuple
 
-from .adams import Key, e2_window, fate, h0_mate, run_labels
+from .adams import Key, e2_window, h0_mate, run_labels
 from .chart import Chart, tower_dots, v_label
 
 _KIND = re.compile(r"v|h0|exotic|differential\((\d+)\)")
@@ -74,7 +72,6 @@ class DocLine(NamedTuple):
 
 
 _OVERLAY = ',\n   "overlay": true'  # the key a dot record carries only when set
-_DOC_FIELDS = attrgetter("prime", "window", "source", "dots", "lines")
 _BLOCK = 2048  # records per yielded block
 
 
@@ -98,9 +95,6 @@ class ChartDocument:
         self.dots = dots if isinstance(dots, list) else list(dots)
         self.lines = {kind: (_ints(src), _ints(dst)) for kind, (src, dst) in dict(lines).items()}
         self.validate()
-
-    def __eq__(self, other):
-        return other.__class__ is ChartDocument and _DOC_FIELDS(self) == _DOC_FIELDS(other)
 
     def validate(self) -> None:
         """Raise ValueError unless the document is canonical (see the class
@@ -146,44 +140,6 @@ class ChartDocument:
         """json.dumps of the document dict with indent=1 and sort_keys=True,
         byte for byte: render_json's blocks joined, less the final newline."""
         return "".join(render_json(self))[:-1]
-
-    @staticmethod
-    def from_json(text: str) -> "ChartDocument":
-        """The document of canonical JSON text, its lines read straight into
-        columns.  Raises ValueError for text that is not canonical.
-
-        Its cost: json.loads parses the whole text first, one dict per dot
-        and line record, so reading back the einfty 2/0:120/30 document
-        (8.5 MB of JSON, 7.2 MB held) peaks at 39.5 MB under tracemalloc.
-        No CLI command reads a chart back; the tests do."""
-        doc = json.loads(text)
-        version = doc.get("schema_version")
-        if version != SCHEMA_VERSION:
-            raise ValueError(f"unsupported schema_version {version!r}")
-        lines, kind = {}, None
-        for l in doc["lines"]:
-            if l["kind"] != kind:
-                kind = l["kind"]
-                if kind in lines:
-                    raise ValueError(f"the {kind!r} lines are not listed together")
-                src, dst = lines[kind] = array("i"), array("i")
-            src.append(l["src"])
-            dst.append(l["dst"])
-        return ChartDocument(
-            doc["prime"],
-            tuple(doc["window"]),
-            doc["source"],
-            [
-                DocDot(
-                    d["degree"],
-                    d["filtration"],
-                    d["label"],
-                    d.get("overlay", False),
-                )
-                for d in doc["dots"]
-            ],
-            lines,
-        )
 
 
 def _json_list(records: Iterable[str]) -> Iterator[str]:
@@ -342,7 +298,7 @@ def document_from_einfty(
         rules.append(out)
         if run.start:
             continue  # arrows leave only towers whose a = 0 dot is drawn
-        role, _, r, e0, partner = fate(p, key)
+        role, _, r, e0, partner = page.fate(key)
         if role == "source" and partner in runs:
             (tgt_base, tgt_run), kind = runs[partner], f"differential({r})"
             lo, hi = max(0, tgt_run.start - e0), min(run.stop, tgt_run.stop - e0)

@@ -29,7 +29,7 @@ from kuengine.adams import (
     run_labels,
     tower,
 )
-from kuengine import margolis
+from kuengine import margolis, render
 from kuengine.chart import tower_dots, v_label
 from kuengine.margolis import build_HK2, ext_bruteforce
 from kuengine.model import free_part_ps
@@ -87,9 +87,9 @@ def test_d2_on_y1_odd():
     assert f.partner == ("h0", 1, 0, 1)  # h0 v q
 
 
-def test_fate_is_classify_for_a_tower_and_h0_fate_for_a_coset():
+def test_classify_caches_the_fate_of_a_tower_and_refuses_a_coset():
     key = main_key(2, 0, 0, zs=((2, 1),))
-    assert fate(2, key) is classify(2, key)
+    assert classify(2, key) == fate(2, key) and classify(2, key) is classify(2, key)
     assert fate(2, ("h0", 0, 1, 1)) == ("source", "F3", 2, 4, key)  # v^2 q y1 -> z2
     for bad in (tower, classify):
         with pytest.raises(ValueError):
@@ -386,30 +386,29 @@ def carve(segs, b, f):
     class holding b split into its part below b, b alone and its part above."""
     out = []
     for res in segs:
-        if b not in res.bs:
+        if b not in res.span:
             out.append(res)
             continue
-        i, mate = res.bs.index(b), f.partner
-        col, off = (("h0", mate[1]), mate[2] - b) if mate[0] == "h0" else (mate[2:], mate[1] - b)
-        alone = adams.Residue(range(b, b + 1), *f[:4], col, off)
-        parts = (res._replace(bs=res.bs[:i]), alone, res._replace(bs=res.bs[i + 1 :]))
-        out += [part for part in parts if part.bs]
+        i, mate = res.span.index(b), f.partner
+        alone = adams.Run(range(b, b + 1), *f[:4], (mate[0], mate[1] - b, *mate[2:]))
+        parts = (res._replace(span=res.span[:i]), alone, res._replace(span=res.span[i + 1 :]))
+        out += [part for part in parts if part.span]
     return out
 
 
 def patch_fates(monkeypatch, changed):
-    """Make adams.main_segments give the MAIN keys listed the fates
+    """Make adams.segments give the MAIN keys listed the fates
     changed[key], each carved out of its class (carve)."""
-    real = adams.main_segments
+    real = adams.segments
 
-    def patched(p, *col):
-        segs = real(p, *col)
+    def patched(p, col):
+        segs = real(p, col)
         for key, f in changed.items():
-            if key[2:] == col:
+            if ("main", *key[2:]) == col:
                 segs = carve(segs, key[1], f)
         return segs
 
-    monkeypatch.setattr(adams, "main_segments", patched)
+    monkeypatch.setattr(adams, "segments", patched)
 
 
 def shift_e0(monkeypatch, src, f):
@@ -699,26 +698,29 @@ def test_einfty_heights_are_read_off_fates_as_the_pairing_gives_them(window):
 
 @pytest.fixture
 def fresh_fates():
-    """classify caches its fates: run a patched h0_segments on fresh caches."""
+    """classify caches its fates: run a patched segments on fresh caches."""
     adams.classify.cache_clear()
     yield
     adams.classify.cache_clear()
 
 
-def shift_f1_partner(p, b, eps, real=adams.h0_segments):
-    return [s._replace(offset=s.offset + 1) if s.family == "F1" else s for s in real(p, b, eps)]
+def shift_f1_partner(p, col, real=adams.segments):
+    def shifted(s):
+        return s._replace(partner=(s.partner[0], s.partner[1] + 1, *s.partner[2:]))
+
+    return [shifted(s) if s.family == "F1" else s for s in real(p, col)]
 
 
-def bump_r_on_one_column(p, b, eps, real=adams.h0_segments):
-    segs = real(p, b, eps)
-    return [s._replace(r=s.r + 1) for s in segs] if (b, eps) == (3, 0) else segs
+def bump_r_on_one_column(p, col, real=adams.segments):
+    segs = real(p, col)
+    return [s._replace(r=s.r + 1) for s in segs] if col == ("h0", 3, 0) else segs
 
 
 @pytest.mark.parametrize("p", (2, 3))
 @pytest.mark.parametrize("mutant", (shift_f1_partner, bump_r_on_one_column))
 def test_a_broken_block_fails_the_replay_and_both_audits(p, mutant, monkeypatch, fresh_fates):
     assert matching_audit(p, 0, 60, 12)["ok"] and einfty_audit(p, 60)["ok"]
-    monkeypatch.setattr(adams, "h0_segments", mutant)
+    monkeypatch.setattr(adams, "segments", mutant)
     page = e2_window(p, 0, 60, 12)
     with pytest.raises(WindowError, match="round-trip"):
         run_differentials(page)
@@ -733,22 +735,23 @@ def test_a_broken_block_fails_the_replay_and_both_audits(p, mutant, monkeypatch,
 def test_a_block_pair_with_broken_geometry_is_reported_per_coset(p, monkeypatch, fresh_fates):
     # r bumped on both ends of the F1 run from column (3, 0): every round
     # trip holds, and each source in the window reports its geometry once
-    real = adams.h0_segments
-    src_col, (seg,) = (3, 0), real(p, 3, 0)
+    real = adams.segments
+    src_col, (seg,) = ("h0", 3, 0), real(p, ("h0", 3, 0))
+    mate_col = adams._column(seg.partner)[0]
 
-    def bump_r_on_one_pair(p, b, eps):
-        segs = real(p, b, eps)
-        if (b, eps) not in (src_col, seg.partner):
+    def bump_r_on_one_pair(p, col):
+        segs = real(p, col)
+        if col not in (src_col, mate_col):
             return segs
         return [s._replace(r=s.r + 1) if s.family == "F1" else s for s in segs]
 
-    monkeypatch.setattr(adams, "h0_segments", bump_r_on_one_pair)
+    monkeypatch.setattr(adams, "segments", bump_r_on_one_pair)
     rep = matching_audit(p, 0, 60, 12)
     assert rep["mismatches"] == [
         {
             "kind": "geometry",
-            "source": dot_label(p, ("h0", c, *src_col), 0),
-            "target": dot_label(p, ("h0", c + seg.offset, *seg.partner), 0),
+            "source": dot_label(p, adams._key(src_col, c), 0),
+            "target": dot_label(p, adams._partner(seg, c), 0),
             "r": seg.r + 1,
             "e0": 0,
         }
@@ -795,18 +798,18 @@ def test_a_column_runs_from_its_f3_sources_to_its_f1_targets(p):
 def test_a_block_target_that_keeps_a_dot_breaks_the_block(p, monkeypatch, fresh_fates):
     # a coset must die on E-infinity for the block's one shared height
     b, eps = COLUMN_BOTTOM[p]
-    real = adams.h0_segments
-    r = adams.h0_fate(p, 2, b, eps)[2]
+    real = adams.segments
+    r = fate(p, ("h0", 2, b, eps))[2]
 
-    def keeps_a_dot(p, b2, eps2):
-        segs = real(p, b2, eps2)
-        if (b2, eps2) != (b, eps):
+    def keeps_a_dot(p, col):
+        segs = real(p, col)
+        if col != ("h0", b, eps):
             return segs
         *sources, targets = segs  # the targets start at c = 2
-        kept = targets._replace(cs=targets.cs[:1], e0=1)
-        return [*sources, kept, targets._replace(cs=targets.cs[1:])]
+        kept = targets._replace(span=targets.span[:1], e0=1)
+        return [*sources, kept, targets._replace(span=targets.span[1:])]
 
-    monkeypatch.setattr(adams, "h0_segments", keeps_a_dot)
+    monkeypatch.setattr(adams, "segments", keeps_a_dot)
     with pytest.raises(WindowError):
         run_differentials(e2_window(p, 0, 60, 12))
     rep = matching_audit(p, 0, 60, 12)
@@ -836,11 +839,11 @@ def test_h0_segments_match_the_per_coset_formula(p):
     # last F3 source; the segments tile c >= 0 in order, the last one open
     for eps in (0, 1):
         for b in range(1 - eps, p**3 + p):
-            segs = adams.h0_segments(p, b, eps)
-            assert [s.cs.start for s in segs] == [0, *(s.cs.stop for s in segs[:-1])]
-            assert segs[-1].cs.stop == adams.OPEN and segs[-1].family == "F1"
-            top = segs[-1].cs.start + 4
-            assert [adams.h0_fate(p, c, b, eps) for c in range(top)] == [
+            segs = adams.segments(p, ("h0", b, eps))
+            assert [s.span.start for s in segs] == [0, *(s.span.stop for s in segs[:-1])]
+            assert segs[-1].span.stop == adams.OPEN and segs[-1].family == "F1"
+            top = segs[-1].span.start + 4
+            assert [fate(p, ("h0", c, b, eps)) for c in range(top)] == [
                 ref_h0_fate(p, c, b, eps) for c in range(top)
             ]
 
@@ -892,22 +895,22 @@ def test_main_segments_match_the_per_key_classify(window):
     page = e2_window(*window)
     checked = Counter()
     for col, (_, bs) in page.mains.items():
-        segs = adams.main_segments(p, *col)
+        segs = adams.segments(p, ("main", *col))
         for b in bs:
-            (res,) = [s for s in segs if b in s.bs]
+            (res,) = [s for s in segs if b in s.span]
             key = ("main", b, *col)
-            assert Fate(*res[1:5], adams._main_mate(res, b)) == ref_key_classify(p, key), key
+            assert Fate(*res[1:5], adams._partner(res, b)) == ref_key_classify(p, key), key
             checked[res.family, res.role] += 1
     assert sum(checked.values()) == sum(k[0] == "main" for k in page.towers)
     assert set(checked) == {("F2", "source"), ("F2", "target"), ("F3", "target"),
                             ("F4", "source"), ("F4", "target")}
 
 
-def bump_r_on_one_class(p, *col, real=adams.main_segments):
-    segs = real(p, *col)
-    if col != (0, k0(p) + 1, k0(p) + 1, 0, ()):  # the bare z_(k0+1) column
+def bump_r_on_one_class(p, col, real=adams.segments):
+    segs = real(p, col)
+    if col != ("main", 0, k0(p) + 1, k0(p) + 1, 0, ()):  # the bare z_(k0+1) column
         return segs
-    return [s._replace(r=s.r + 1) if s.family == "F2" and s.bs.start == 1 else s for s in segs]
+    return [s._replace(r=s.r + 1) if s.family == "F2" and s.span.start == 1 else s for s in segs]
 
 
 @pytest.mark.parametrize("p", (2, 3))
@@ -915,7 +918,7 @@ def test_a_broken_main_class_fails_the_replay_and_both_audits(p, monkeypatch, fr
     # r + 1 on the F2 sources y1^b z_(k0+1), nu(b) = 0, b = 1 mod p: their
     # round trips fail from both ends, tower by tower
     assert matching_audit(p, 0, 60, 12)["ok"] and einfty_audit(p, 60)["ok"]
-    monkeypatch.setattr(adams, "main_segments", bump_r_on_one_class)
+    monkeypatch.setattr(adams, "segments", bump_r_on_one_class)
     page = e2_window(p, 0, 60, 12)
     with pytest.raises(WindowError, match="round-trip"):
         run_differentials(page)
@@ -930,18 +933,18 @@ def test_a_partner_class_split_mod_4_fails_tower_by_tower(monkeypatch, fresh_fat
     # the F2 targets q y1^b z2, b even, split mod 4 with r + 1 on b = 2 mod 4:
     # the image of the sources y1^b z2, b odd, starts and ends at b = 0 mod
     # 4, so only the check of its step sends them through _pair
-    real, col, src_col = adams.main_segments, (1, 2, 2, 0, ()), (0, 2, 2, 0, ())
+    real, col, src_col = adams.segments, (1, 2, 2, 0, ()), (0, 2, 2, 0, ())
 
-    def split(p, *c):
-        f2, *rest = segs = real(p, *c)
-        if c != col:
+    def split(p, c):
+        f2, *rest = segs = real(p, c)
+        if c != ("main", *col):
             return segs
-        assert (f2.family, f2.role, f2.bs) == ("F2", "target", range(0, adams.OPEN, 2))
-        return [f2._replace(bs=range(0, adams.OPEN, 4)), f2._replace(bs=range(2, adams.OPEN, 4), r=3), *rest]
+        assert (f2.family, f2.role, f2.span) == ("F2", "target", range(0, adams.OPEN, 2))
+        return [f2._replace(span=range(0, adams.OPEN, 4)), f2._replace(span=range(2, adams.OPEN, 4), r=3), *rest]
 
     page = e2_window(2, 0, 50, 12)
     assert page.mains[col][1] == range(12) and page.mains[src_col][1] == range(15)
-    monkeypatch.setattr(adams, "main_segments", split)
+    monkeypatch.setattr(adams, "segments", split)
     rep = matching_audit(2, 0, 50, 12)
     bad = [("main", b, *col) for b in (2, 6, 10)] + [("main", b, *src_col) for b in (3, 7, 11)]
     assert sorted(m["tower"] for m in rep["mismatches"]) == sorted(dot_label(2, k, 0) for k in bad)
@@ -953,13 +956,13 @@ def test_a_partner_class_split_mod_4_fails_tower_by_tower(monkeypatch, fresh_fat
 def test_classes_that_do_not_tile_a_column_raise(p, broken, monkeypatch, fresh_fates):
     # a column's classes must hold each of its towers once, as classify
     # reads them; counts and dots read class by class would be wrong
-    real = adams.main_segments
+    real = adams.segments
 
-    def mutant(p, *col):
-        segs = real(p, *col)
+    def mutant(p, col):
+        segs = real(p, col)
         return segs * 2 if broken == "a class twice" else segs[1:]
 
-    monkeypatch.setattr(adams, "main_segments", mutant)
+    monkeypatch.setattr(adams, "segments", mutant)
     for audit in (
         lambda: matching_audit(p, 0, 60, 12),
         lambda: einfty_audit(p, 60),
@@ -967,6 +970,39 @@ def test_classes_that_do_not_tile_a_column_raise(p, broken, monkeypatch, fresh_f
     ):
         with pytest.raises(ValueError, match="do not tile"):
             audit()
+
+
+ONE_PAGE_RUNS = {
+    "einfty-audit": lambda: einfty_audit(2, 250),
+    "matching-audit": lambda: matching_audit(2, 0, 5, 3000),
+    "einfty-chart": lambda: render.document_from_einfty(2, 0, 120, 30),
+}
+
+
+@pytest.mark.parametrize("run", sorted(ONE_PAGE_RUNS))
+def test_each_column_is_built_once_per_page(run, monkeypatch, fresh_fates):
+    # every walk, check and fate reads a column's runs off the page's one
+    # list; the audits walk every column, the chart only those it draws
+    built, pages = Counter(), []
+    real_segments, real_window = adams.segments, adams.e2_window
+
+    def counted(p, col):
+        built[col] += 1
+        return real_segments(p, col)
+
+    def window(*args):
+        pages.append(real_window(*args))
+        return pages[-1]
+
+    monkeypatch.setattr(adams, "segments", counted)
+    for module in (adams, render):
+        monkeypatch.setattr(module, "e2_window", window)
+    ONE_PAGE_RUNS[run]()
+    (page,) = pages
+    assert built and set(built.values()) == {1}
+    columns = {col for col, *_ in page._columns()}
+    assert columns <= set(built) if run != "einfty-chart" else len(built) < len(columns)
+    assert adams.classify.cache_info().misses == 0
 
 
 def test_the_towers_are_read_off_their_columns():

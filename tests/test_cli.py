@@ -17,7 +17,7 @@ import pytest
 import kuengine
 from kuengine import cli, margolis, model
 from kuengine.monomial import q_degree
-from kuengine.render import ChartDocument
+from test_render import doc_from_json
 
 
 def run(argv, capsys):
@@ -70,7 +70,7 @@ def test_chart_json_writes_atomically_and_roundtrips(tmp_path, capsys):
     assert rc == 0
     assert out == ""  # --out redirects everything
     assert os.listdir(tmp_path) == ["a1.json"]  # no .tmp debris
-    doc = ChartDocument.from_json(target.read_text())
+    doc = doc_from_json(target.read_text())
     assert doc.prime == 2 and doc.source == "closed-form"
     assert [(d.degree, d.filtration) for d in doc.dots] == [(8, 0), (8, 1), (10, 0)]
     assert doc.to_json() + "\n" == target.read_text()
@@ -109,7 +109,7 @@ def test_chart_overlay_has_dashed_dots(capsys):
         ["chart", "A:5", "B:5", "--prime", "2", "--window", "68:136"], capsys
     )
     assert rc == 0
-    doc = ChartDocument.from_json(out)
+    doc = doc_from_json(out)
     flags = {d.overlay for d in doc.dots}
     assert flags == {True, False}
 
@@ -833,3 +833,144 @@ def test_a_flag_the_mode_does_not_read_is_a_usage_error(argv, capsys):
     assert rc == 2, argv
     assert out == ""
     assert err.startswith("kuengine: "), argv
+
+
+# -- what the commands reach ------------------------------------------------
+
+# Small windows of every subcommand, chart format and audit, at p = 2 and at
+# an odd prime: together they reach each function a command runs.
+REACH_AUDITS = {
+    "bockstein": "--max 40",
+    "matching": "--max 60 --max-s 10",
+    "einfty": "--max 60",
+    "duality": "--max 3",
+    "theorem61": "--max 60",
+    "margolis": "--max 30",
+    "ext": "--max-degree 20 --max-s 4",
+    "ps": "--max 40",
+}
+REACH_COMMANDS = [
+    "groups --prime 2 --window 0:40 --include-free",
+    "groups --prime 3 --from 0 --to 30 --homology",
+    "chart A:3 --prime 2 --format json",
+    "chart A:3 B:3 --prime 2 --format svg",
+    "chart S:2:3 --prime 3 --format tikz",
+    "chart full-even --prime 2 --window 0:30",
+    "chart full-odd --prime 3 --window 0:40 --format svg",
+    "chart --einfty --prime 2 --window 0:40 --max-s 10 --format svg",
+    "chart --einfty --prime 3 --window 0:40 --max-s 6 --format tikz",
+    *(f"ps --prime 2 --max 40 --which {which} --format csv" for which in cli.SERIES),
+    "ps --prime 3 --max 40",
+    *(
+        f"audit --which {which} --prime {p} {flags}"
+        for which, flags in REACH_AUDITS.items()
+        for p in ((3,) if which == "theorem61" else (2, 3))
+    ),
+]
+
+FAILURE_ONLY = "failure-only: it runs when a check fails or a caller errs"
+TRACED = "perfbench/tracer.py traces it, reads its cache or resolves it"
+GATE = "an input of the acceptance gate (tests/test_acceptance.py)"
+PAGE_OPS = "h0 and v on a page, kept for the E-infinity h0 and extension checks to come"
+PROTOCOL = "a Python protocol method the tests read: repr, ==, copy, or refused assignment"
+
+# src/ functions no command reaches, each with the reason it stays
+UNREACHED = {
+    "adams.BigradedPage.__iter__": FAILURE_ONLY + " (_double_hits walks every key)",
+    "adams.Towers.__iter__": FAILURE_ONLY + " (through BigradedPage.__iter__)",
+    "adams._double_hits": FAILURE_ONLY,
+    "adams.dot_label": FAILURE_ONLY + " (it spells a problem), and run_differentials' records",
+    "adams.classify": TRACED,
+    "adams.run_differentials": TRACED,
+    "chart.RealizedWindow.__init__": TRACED,
+    "chart.RealizedWindow._check": TRACED,
+    "chart.RealizedWindow.rank_invariant": TRACED,
+    "cli.__getattr__": TRACED,
+    "linalg.gf_rank": TRACED,
+    "render.ChartDocument.to_json": TRACED,
+    "margolis.E1Module.validate": FAILURE_ONLY,
+    "chart.Chart.dims_at": GATE,
+    "modules.assoc_graded_dims": GATE,
+    "modules.ku_group_at": GATE,
+    "modules._round_up": GATE + ": ku_group_at's default cutoff",
+    "padic.table35_row": GATE,
+    "adams.BigradedPage.height": PAGE_OPS + ": the per-key height that _alive reads",
+    "adams.BigradedPage._alive": PAGE_OPS,
+    "adams.BigradedPage.h0_op": PAGE_OPS,
+    "adams.BigradedPage.v_op": PAGE_OPS,
+    "monomial.Monomial.__reduce__": PROTOCOL,
+    "monomial.Monomial.__repr__": PROTOCOL,
+    "monomial.Monomial.__setattr__": PROTOCOL,
+    "series.PSeries.__eq__": PROTOCOL,
+    "series.PSeries.__repr__": PROTOCOL,
+}
+
+
+def package_functions():
+    """Qualified name -> code object of every function and method that a
+    module under src/kuengine defines (an lru_cache'd one unwrapped)."""
+    out = {}
+    for info in pkgutil.iter_modules(kuengine.__path__):
+        mod = importlib.import_module(f"kuengine.{info.name}")
+        for obj in list(vars(mod).values()):
+            found = [obj]
+            if isinstance(obj, type) and obj.__module__ == mod.__name__:
+                found += vars(obj).values()
+            for fn in found:
+                fn = fn.fget if isinstance(fn, property) else getattr(fn, "__func__", fn)
+                fn = getattr(fn, "__wrapped__", fn)
+                if hasattr(fn, "__code__") and fn.__module__ == mod.__name__:
+                    out[f"{info.name}.{fn.__qualname__}"] = fn.__code__
+    return out
+
+
+def unreached_names(commands):
+    """The package_functions() that none of the commands calls, run in this
+    process under sys.setprofile, nor the program entry point (cli.run) on
+    a ps command."""
+    reached = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            reached.add(frame.f_code)
+
+    argv, sys.argv = sys.argv, ["kuengine", "ps", "--max", "3"]
+    sys.setprofile(record)
+    try:
+        for command in commands:
+            assert cli.main(command.split()) == 0, command
+        try:
+            cli.run()
+        except SystemExit as exc:
+            assert exc.code == 0
+    finally:
+        sys.setprofile(None)
+        sys.argv = argv
+    return sorted(name for name, code in package_functions().items() if code not in reached)
+
+
+# a fresh interpreter: cold caches, and no collector state left to later tests
+REACH_CHILD = (
+    "import json, sys\n"
+    "sys.path.insert(0, sys.argv[1])\n"
+    "from test_cli import REACH_COMMANDS, unreached_names\n"
+    "names = unreached_names(REACH_COMMANDS)\n"
+    "with open(sys.argv[2], 'w') as fh:\n"
+    "    json.dump(names, fh)\n"
+)
+
+
+def test_every_function_a_command_misses_is_listed_with_its_reason(tmp_path):
+    # a second path a refactor leaves behind shows here as a new unreached name
+    assert {c.split()[0] for c in REACH_COMMANDS} == {"groups", "chart", "ps", "audit"}
+    assert set(REACH_AUDITS) == set(cli.AUDITS)
+    charts = [c.split() for c in REACH_COMMANDS if c.startswith("chart")]
+    assert {c[c.index("--format") + 1] for c in charts if "--format" in c} == {"json", "svg", "tikz"}
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = tmp_path / "unreached.json"
+    argv = [sys.executable, "-c", REACH_CHILD, str(root / "tests"), str(out)]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert set(UNREACHED) <= set(package_functions())
+    assert set(json.loads(out.read_text())) == set(UNREACHED)

@@ -16,7 +16,6 @@ from kuengine.k1 import (
     _g_total,
     _tcounts,
     bockstein_audit,
-    g_family_dims,
     k1_dims,
     k1_towers,
     theorem61_audit,
@@ -27,6 +26,14 @@ from kuengine.padic import r, r_prime, w_degree
 from test_monomial import ref_lambda_exponents
 
 PRIMES = (2, 3, 5, 7)
+
+
+def g_family_dims(p, i, params, n_max):
+    """Per-degree dimensions of G^i with its cofactors, degrees 0..n_max:
+    one (i, params) instance of the splitting families that _g_total walks.
+    params is (k,) for i in {1, 2}, (k, l) for i in {3..6}, and (k, e) for
+    i in {7, 8}, always with k >= 1.  Odd p only."""
+    return count_family_dots(p, _g_rows(p, i, params), n_max)
 
 
 # -- w-class degrees -------------------------------------------------------

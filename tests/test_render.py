@@ -5,6 +5,7 @@ import tracemalloc
 from array import array
 from collections import Counter
 from functools import lru_cache
+from operator import attrgetter
 
 import pytest
 
@@ -14,6 +15,7 @@ from kuengine.chart import Chart, Tower, tower_dots, v_label
 from kuengine.modules import build_A, build_B, build_S
 from kuengine.monomial import Monomial
 from kuengine.render import (
+    SCHEMA_VERSION,
     ChartDocument,
     DocDot,
     DocLine,
@@ -47,6 +49,40 @@ FIGURE_K5_DOTS = [
     (128, 3), (130, 0), (130, 1), (130, 2), (132, 0), (132, 1), (134, 0),
     (134, 1), (136, 0),
 ]
+
+
+def doc_from_json(text):
+    """The round-trip reference reader: the document of canonical JSON
+    text, its lines read straight into columns.  Raises ValueError for text
+    that is not canonical.  json.loads parses the whole text first, one
+    dict per dot and line record, so reading back the einfty 2/0:120/30
+    document (8.5 MB of JSON, 7.2 MB held) peaks at 39.5 MB under
+    tracemalloc; no command reads a chart back."""
+    doc = json.loads(text)
+    version = doc.get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema_version {version!r}")
+    lines, kind = {}, None
+    for l in doc["lines"]:
+        if l["kind"] != kind:
+            kind = l["kind"]
+            if kind in lines:
+                raise ValueError(f"the {kind!r} lines are not listed together")
+            src, dst = lines[kind] = array("i"), array("i")
+        src.append(l["src"])
+        dst.append(l["dst"])
+    dots = [
+        DocDot(d["degree"], d["filtration"], d["label"], d.get("overlay", False))
+        for d in doc["dots"]
+    ]
+    return ChartDocument(doc["prime"], tuple(doc["window"]), doc["source"], dots, lines)
+
+
+def same_document(a, b):
+    """Whether two documents hold the same prime, window, source, dots and
+    lines."""
+    fields = attrgetter("prime", "window", "source", "dots", "lines")
+    return type(a) is type(b) is ChartDocument and fields(a) == fields(b)
 
 
 def positions(doc):
@@ -144,7 +180,7 @@ def test_einfty_document_line_geometry(p, hi, s_max):
 def test_document_roundtrip_and_canonical_order():
     doc = document_from_einfty(2, 0, 30, 8)
     text = doc.to_json()
-    again = ChartDocument.from_json(text)
+    again = doc_from_json(text)
     assert again.to_json() == text
     keys = [tuple(d) for d in doc.dots]
     assert keys == sorted(keys)
@@ -223,16 +259,16 @@ def test_a_document_that_is_not_canonical_is_refused(message):
     # JSON spells no kind without a line, and a line record has both ends
     if all(src and len(src) == len(dst) for src, dst in lines.values()):
         with pytest.raises(ValueError, match=re.escape(message)):
-            ChartDocument.from_json(raw_json(dots, lines))
+            doc_from_json(raw_json(dots, lines))
 
 
 def test_from_json_refuses_a_kind_listed_twice():
     text = raw_json([_A, _B], {"h0": ([0], [1]), "v": ([0], [1])})
-    assert ChartDocument.from_json(text).to_json() == text
+    assert doc_from_json(text).to_json() == text
     records = json.loads(text)
     records["lines"].append({"kind": "h0", "src": 1, "dst": 1})
     with pytest.raises(ValueError, match="the 'h0' lines are not listed together"):
-        ChartDocument.from_json(json.dumps(records))
+        doc_from_json(json.dumps(records))
 
 
 @pytest.mark.parametrize("message", sorted(NON_CANONICAL))
@@ -459,7 +495,7 @@ def test_to_json_matches_the_whole_document_dump(name):
     doc = JSON_DOCUMENTS[name]()
     text = doc.to_json()
     assert text == ref_to_json(doc)
-    assert ChartDocument.from_json(text) == doc
+    assert same_document(doc_from_json(text), doc)
 
 
 def test_to_json_covers_overlay_flags_and_empty_lists():
@@ -476,10 +512,10 @@ def test_from_json_rejects_unknown_schema_versions():
     for version in (0, 2, "1", None):
         doc["schema_version"] = version
         with pytest.raises(ValueError, match="unsupported schema_version"):
-            ChartDocument.from_json(json.dumps(doc))
+            doc_from_json(json.dumps(doc))
     del doc["schema_version"]
     with pytest.raises(ValueError, match="unsupported schema_version None"):
-        ChartDocument.from_json(json.dumps(doc))
+        doc_from_json(json.dumps(doc))
 
 
 def canonical(prime, window, source, dots, lines):
@@ -598,11 +634,11 @@ def test_overlay_matches_the_two_pass_reference(p, k):
         )
     for window in ((lo, hi), cut):
         got = document_from_chart(ambient, window, base=base)
-        assert got == ref_document_overlay(base, ambient, window), window
+        assert same_document(got, ref_document_overlay(base, ambient, window)), window
         assert any(d.overlay for d in got.dots) and not all(d.overlay for d in got.dots)
         dots, lines = ref_chart_dots_and_lines(ambient, *window)
-        assert document_from_chart(ambient, window) == canonical(
-            p, window, "closed-form", dots, lines
+        assert same_document(
+            document_from_chart(ambient, window), canonical(p, window, "closed-form", dots, lines)
         )
 
 
@@ -615,6 +651,6 @@ def test_overlay_reads_the_tallest_base_tower_on_a_generator():
         base = Chart(2, [Tower(g, height) for height in heights])
         window = (0, h.degree)
         doc = document_from_chart(ambient, window, base=base)
-        assert doc == ref_document_overlay(base, ambient, window)
+        assert same_document(doc, ref_document_overlay(base, ambient, window))
         flagged = {d.label for d in doc.dots if d.overlay}
         assert flagged == {"v^3 z3", "v^4 z3", "z4", "v z4"}
